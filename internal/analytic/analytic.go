@@ -98,60 +98,84 @@ func (r *Result) CenterW(kind CenterKind, cluster int) float64 {
 	return math.NaN()
 }
 
-// model bundles the pre-computed service rates for a configuration.
+// model bundles the pre-computed service rates for a configuration and the
+// arrival-rate buffer its fixed point fills in place.
 type model struct {
-	cfg      *core.Config
 	muICN1   []float64
 	muECN1   []float64
 	muICN2   float64
 	nTotal   int
 	saturCap float64 // L value used for unstable probes = total processors
+
+	// fill writes the per-centre arrival rates at generation-rate scale s
+	// into rates; Config.ArrivalRatesInto unless a variant reroutes traffic.
+	fill  func(r *core.Rates, s float64)
+	rates core.Rates
 }
 
+// newModel builds the model of a validated configuration.
 func newModel(cfg *core.Config) (*model, error) {
-	centers, err := cfg.BuildCenters()
+	c := len(cfg.Clusters)
+	m := &model{
+		muICN1: make([]float64, c),
+		muECN1: make([]float64, c),
+		nTotal: cfg.TotalNodes(),
+		fill:   cfg.ArrivalRatesInto,
+		rates:  core.Rates{ICN1: make([]float64, c), ECN1: make([]float64, c)},
+	}
+	// The service times land in the rate slices first and are inverted in
+	// place.
+	sI2, err := cfg.ServiceTimesInto(m.muICN1, m.muECN1)
 	if err != nil {
 		return nil, err
 	}
-	sI1, sE1, sI2 := centers.ServiceTimes(cfg.MessageBytes)
-	m := &model{
-		cfg:    cfg,
-		muICN1: make([]float64, len(sI1)),
-		muECN1: make([]float64, len(sE1)),
-		muICN2: 1 / sI2,
-		nTotal: cfg.TotalNodes(),
-	}
-	for i := range sI1 {
-		m.muICN1[i] = 1 / sI1[i]
-		m.muECN1[i] = 1 / sE1[i]
+	m.muICN2 = 1 / sI2
+	for i := range m.muICN1 {
+		m.muICN1[i] = 1 / m.muICN1[i]
+		m.muECN1[i] = 1 / m.muECN1[i]
 	}
 	m.saturCap = float64(m.nTotal)
 	return m, nil
+}
+
+// queueLen returns the mean number in system of one centre with arrival
+// rate lambda and service rate mu, or ok=false when the centre is
+// saturated.
+type queueLen func(lambda, mu float64) (l float64, ok bool)
+
+// mm1Len is the M/M/1 queue length ρ/(1−ρ) of eq. 6.
+func mm1Len(lambda, mu float64) (float64, bool) {
+	if lambda >= mu {
+		return 0, false
+	}
+	rho := lambda / mu
+	return rho / (1 - rho), true
 }
 
 // totalWaiting returns L(s), the mean number of blocked processors when all
 // generation rates are scaled by s. Any saturated centre clamps the result
 // to the total processor count, which keeps the fixed-point map
 // well-defined on all of [0,1] (paper eq. 6 with the physical cap).
-func (m *model) totalWaiting(s float64) float64 {
-	r := m.cfg.ArrivalRates(s)
+func (m *model) totalWaiting(s float64, ql queueLen) float64 {
+	m.fill(&m.rates, s)
+	r := &m.rates
 	total := 0.0
-	add := func(lambda, mu float64) bool {
-		if lambda >= mu {
-			return false
-		}
-		rho := lambda / mu
-		total += rho / (1 - rho)
-		return true
-	}
 	for i := range m.muICN1 {
-		if !add(r.ICN1[i], m.muICN1[i]) || !add(r.ECN1[i], m.muECN1[i]) {
+		l, ok := ql(r.ICN1[i], m.muICN1[i])
+		if !ok {
 			return m.saturCap
 		}
+		total += l
+		if l, ok = ql(r.ECN1[i], m.muECN1[i]); !ok {
+			return m.saturCap
+		}
+		total += l
 	}
-	if !add(r.ICN2, m.muICN2) {
+	l, ok := ql(r.ICN2, m.muICN2)
+	if !ok {
 		return m.saturCap
 	}
+	total += l
 	if total > m.saturCap {
 		return m.saturCap
 	}
@@ -160,32 +184,98 @@ func (m *model) totalWaiting(s float64) float64 {
 
 // fixedPoint solves s = (N − L(s))/N by bisection. h(s) = s − g(s) is
 // strictly increasing (L is increasing in s), h(0) < 0 and h(1) >= 0, so a
-// unique root exists in (0, 1].
-func (m *model) fixedPoint() (scale float64, iters int) {
-	g := func(s float64) float64 {
-		return (float64(m.nTotal) - m.totalWaiting(s)) / float64(m.nTotal)
+// unique root exists in (0, 1]. It also reports whether the raw rates
+// (s = 1) saturate the system.
+func (m *model) fixedPoint(ql queueLen) (scale float64, iters int, saturated bool) {
+	nTotal := float64(m.nTotal)
+	g := func(l float64) float64 { return (nTotal - l) / nTotal }
+	l1 := m.totalWaiting(1, ql)
+	saturated = l1 >= m.saturCap
+	if h := 1 - g(l1); h <= 0 {
+		// No blocking pressure at all: the raw rate is the fixed point.
+		return 1, 1, saturated
 	}
 	lo, hi := 0.0, 1.0
-	if h := 1 - g(1); h <= 0 {
-		// No blocking pressure at all: the raw rate is the fixed point.
-		return 1, 1
-	}
 	const tol = 1e-12
 	n := 0
 	for hi-lo > tol && n < 200 {
 		mid := (lo + hi) / 2
-		if mid-g(mid) < 0 {
+		if mid-g(m.totalWaiting(mid, ql)) < 0 {
 			lo = mid
 		} else {
 			hi = mid
 		}
 		n++
 	}
-	return (lo + hi) / 2, n
+	return (lo + hi) / 2, n, saturated
+}
+
+// station evaluates one centre at the fixed point: utilisation, mean
+// sojourn time and mean number in system.
+type station func(lambda, mu float64) (rho, w, l float64, err error)
+
+// mm1Station is the paper's M/M/1 centre (eq. 16).
+func mm1Station(lambda, mu float64) (rho, w, l float64, err error) {
+	st, err := queueing.NewMM1(lambda, mu)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if w, err = st.W(); err != nil {
+		return 0, 0, 0, err
+	}
+	if l, err = st.L(); err != nil {
+		return 0, 0, 0, err
+	}
+	return st.Rho(), w, l, nil
+}
+
+// solve finds the effective-rate fixed point with queue lengths ql and
+// evaluates every centre there with st. Centers is laid out as
+// [ICN1₀, ECN1₀, ICN1₁, ECN1₁, …, ICN2], which the latency sums read by
+// position. The caller fills in P and MeanLatency.
+func (m *model) solve(ql queueLen, st station) (*Result, error) {
+	res := &Result{}
+	res.Scale, res.Iterations, res.Saturated = m.fixedPoint(ql)
+	m.fill(&m.rates, res.Scale)
+	r := &m.rates
+
+	c := len(m.muICN1)
+	res.Centers = make([]CenterMetrics, 0, 2*c+1)
+	add := func(kind CenterKind, cluster int, lambda, mu float64) error {
+		// The bisection can land within tolerance of a saturation
+		// boundary; nudge just below it so the formulas stay finite.
+		if !(lambda < mu) {
+			lambda = mu * (1 - 1e-9)
+		}
+		rho, w, l, err := st(lambda, mu)
+		if err != nil {
+			return err
+		}
+		res.Centers = append(res.Centers, CenterMetrics{Kind: kind, Cluster: cluster,
+			Lambda: lambda, Mu: mu, Rho: rho, W: w, L: l})
+		return nil
+	}
+	for i := 0; i < c; i++ {
+		if err := add(ICN1, i, r.ICN1[i], m.muICN1[i]); err != nil {
+			return nil, err
+		}
+		if err := add(ECN1, i, r.ECN1[i], m.muECN1[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := add(ICN2, -1, r.ICN2, m.muICN2); err != nil {
+		return nil, err
+	}
+	for i := range res.Centers {
+		res.TotalWaiting += res.Centers[i].L
+	}
+	return res, nil
 }
 
 // Analyze evaluates the paper's analytical model for the configuration and
-// returns the mean message latency and per-centre metrics.
+// returns the mean message latency and per-centre metrics. One call costs
+// O(C) time and a number of allocations independent of C for a system of
+// identical clusters.
 func Analyze(cfg *core.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -194,64 +284,11 @@ func Analyze(cfg *core.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{P: cfg.POut(0)}
-
-	// Detect saturation at the raw rates before iterating.
-	res.Saturated = m.totalWaiting(1) >= m.saturCap
-
-	res.Scale, res.Iterations = m.fixedPoint()
-	rates := cfg.ArrivalRates(res.Scale)
-
-	// Per-centre metrics at the fixed point. The bisection can land within
-	// tolerance of a saturation boundary; nudge just below it so the M/M/1
-	// formulas stay finite.
-	adjust := func(lambda, mu float64) float64 {
-		if lambda < mu {
-			return lambda
-		}
-		return mu * (1 - 1e-9)
-	}
-	c := cfg.NumClusters()
-	res.Centers = make([]CenterMetrics, 0, 2*c+1)
-	mkCenter := func(kind CenterKind, cluster int, lambda, mu float64) (CenterMetrics, error) {
-		lambda = adjust(lambda, mu)
-		st, err := queueing.NewMM1(lambda, mu)
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		w, err := st.W()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		l, err := st.L()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		return CenterMetrics{Kind: kind, Cluster: cluster, Lambda: lambda,
-			Mu: mu, Rho: st.Rho(), W: w, L: l}, nil
-	}
-	for i := 0; i < c; i++ {
-		cm, err := mkCenter(ICN1, i, rates.ICN1[i], m.muICN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-		cm, err = mkCenter(ECN1, i, rates.ECN1[i], m.muECN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-	}
-	cm, err := mkCenter(ICN2, -1, rates.ICN2, m.muICN2)
+	res, err := m.solve(mm1Len, mm1Station)
 	if err != nil {
 		return nil, err
 	}
-	res.Centers = append(res.Centers, cm)
-
-	for _, cc := range res.Centers {
-		res.TotalWaiting += cc.L
-	}
-
+	res.P = cfg.POut(0)
 	res.MeanLatency = meanLatency(cfg, res)
 	return res, nil
 }
@@ -263,23 +300,25 @@ func Analyze(cfg *core.Config) (*Result, error) {
 // of generated traffic.
 func meanLatency(cfg *core.Config, res *Result) float64 {
 	nt := cfg.TotalNodes()
-	wI2 := res.CenterW(ICN2, -1)
+	traffic := cfg.TotalTraffic()
+	ctr := res.Centers
+	wI2 := ctr[2*len(cfg.Clusters)].W
 	// Pre-compute Σⱼ Nⱼ·W_E1ⱼ so the destination-side term is O(1) per
 	// source cluster.
-	wE1 := make([]float64, len(cfg.Clusters))
 	sumNW := 0.0
 	for j := range cfg.Clusters {
-		wE1[j] = res.CenterW(ECN1, j)
-		sumNW += float64(cfg.Clusters[j].Nodes) * wE1[j]
+		sumNW += float64(cfg.Clusters[j].Nodes) * ctr[2*j+1].W
 	}
 	total := 0.0
 	for i := range cfg.Clusters {
-		wi := cfg.TrafficWeight(i)
-		ni := cfg.Clusters[i].Nodes
+		cl := &cfg.Clusters[i]
+		wi := cl.TrafficWeightOf(traffic)
+		ni := cl.Nodes
 		local := float64(ni-1) / float64(nt-1)
-		pi := cfg.POut(i)
-		destE1 := (sumNW - float64(ni)*wE1[i]) / float64(nt-1)
-		li := local*res.CenterW(ICN1, i) + pi*(wE1[i]+wI2) + destE1
+		pi := cl.POutOf(nt)
+		wE1 := ctr[2*i+1].W
+		destE1 := (sumNW - float64(ni)*wE1) / float64(nt-1)
+		li := local*ctr[2*i].W + pi*(wE1+wI2) + destE1
 		total += wi * li
 	}
 	return total

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hmscs/internal/core"
-	"hmscs/internal/queueing"
 )
 
 // AnalyzeLocality generalises the model's uniform-destination assumption
@@ -33,7 +32,8 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 	// Effective per-cluster local probabilities: degenerate clusters force
 	// the same fallbacks the simulator's LocalBias applies.
 	pLocal := make([]float64, c)
-	for i, cl := range cfg.Clusters {
+	for i := range cfg.Clusters {
+		cl := &cfg.Clusters[i]
 		p := locality
 		if cl.Nodes <= 1 {
 			p = 0 // no other local node exists
@@ -44,128 +44,50 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 		pLocal[i] = p
 	}
 
-	// rates computes per-centre arrivals under the locality split with all
-	// generation rates scaled by s.
-	rates := func(s float64) core.Rates {
-		r := core.Rates{ICN1: make([]float64, c), ECN1: make([]float64, c)}
-		outbound := make([]float64, c)
-		for i, cl := range cfg.Clusters {
+	// The locality split routes traffic differently, so the model's rate
+	// buffer is filled by this variant's own rate equations.
+	outbound := make([]float64, c)
+	m.fill = func(r *core.Rates, s float64) {
+		r.ICN2 = 0
+		for i := range cfg.Clusters {
+			cl := &cfg.Clusters[i]
 			gen := float64(cl.Nodes) * cl.Lambda * s
 			r.ICN1[i] = gen * pLocal[i]
 			outbound[i] = gen * (1 - pLocal[i])
 			r.ICN2 += outbound[i]
 		}
-		for i, cl := range cfg.Clusters {
+		for i := range cfg.Clusters {
+			ni := cfg.Clusters[i].Nodes
 			inbound := 0.0
-			for j, other := range cfg.Clusters {
-				if j == i || nt == other.Nodes {
+			for j := range cfg.Clusters {
+				nj := cfg.Clusters[j].Nodes
+				if j == i || nt == nj {
 					continue
 				}
-				share := float64(cl.Nodes) / float64(nt-other.Nodes)
+				share := float64(ni) / float64(nt-nj)
 				inbound += outbound[j] * share
 			}
 			r.ECN1[i] = outbound[i] + inbound
 		}
-		return r
 	}
-
-	totalWaiting := func(s float64) float64 {
-		r := rates(s)
-		total := 0.0
-		add := func(lambda, mu float64) bool {
-			if lambda >= mu {
-				return false
-			}
-			rho := lambda / mu
-			total += rho / (1 - rho)
-			return true
-		}
-		for i := range m.muICN1 {
-			if !add(r.ICN1[i], m.muICN1[i]) || !add(r.ECN1[i], m.muECN1[i]) {
-				return m.saturCap
-			}
-		}
-		if !add(r.ICN2, m.muICN2) {
-			return m.saturCap
-		}
-		if total > m.saturCap {
-			return m.saturCap
-		}
-		return total
-	}
-
-	res := &Result{P: 1 - pLocal[0]}
-	res.Saturated = totalWaiting(1) >= m.saturCap
-	nTotal := float64(m.nTotal)
-	g := func(s float64) float64 { return (nTotal - totalWaiting(s)) / nTotal }
-	if 1-g(1) <= 0 {
-		res.Scale, res.Iterations = 1, 1
-	} else {
-		lo, hi := 0.0, 1.0
-		for i := 0; i < 200 && hi-lo > 1e-12; i++ {
-			mid := (lo + hi) / 2
-			if mid-g(mid) < 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-			res.Iterations++
-		}
-		res.Scale = (lo + hi) / 2
-	}
-
-	r := rates(res.Scale)
-	adjust := func(lambda, mu float64) float64 {
-		if lambda < mu {
-			return lambda
-		}
-		return mu * (1 - 1e-9)
-	}
-	mk := func(kind CenterKind, cluster int, lambda, mu float64) (CenterMetrics, error) {
-		st, err := queueing.NewMM1(adjust(lambda, mu), mu)
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		w, err := st.W()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		l, err := st.L()
-		if err != nil {
-			return CenterMetrics{}, err
-		}
-		return CenterMetrics{Kind: kind, Cluster: cluster, Lambda: st.Lambda,
-			Mu: mu, Rho: st.Rho(), W: w, L: l}, nil
-	}
-	for i := 0; i < c; i++ {
-		cm, err := mk(ICN1, i, r.ICN1[i], m.muICN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-		cm, err = mk(ECN1, i, r.ECN1[i], m.muECN1[i])
-		if err != nil {
-			return nil, err
-		}
-		res.Centers = append(res.Centers, cm)
-	}
-	cm, err := mk(ICN2, -1, r.ICN2, m.muICN2)
+	res, err := m.solve(mm1Len, mm1Station)
 	if err != nil {
 		return nil, err
 	}
-	res.Centers = append(res.Centers, cm)
-	for _, cc := range res.Centers {
-		res.TotalWaiting += cc.L
-	}
+	res.P = 1 - pLocal[0]
 
 	// Mean latency under the locality split: local messages ride ICN1;
 	// remote ones pay ECN1(src) + ICN2 + ECN1(dst), destination cluster
-	// drawn by its share of the source's remote node pool.
-	wI2 := res.CenterW(ICN2, -1)
+	// drawn by its share of the source's remote node pool. Centres are
+	// read by position, [ICN1₀, ECN1₀, …, ICN2].
+	ctr := res.Centers
+	wI2 := ctr[2*c].W
+	traffic := cfg.TotalTraffic()
 	total := 0.0
 	for i := range cfg.Clusters {
-		wi := cfg.TrafficWeight(i)
-		li := pLocal[i] * res.CenterW(ICN1, i)
+		cl := &cfg.Clusters[i]
+		wi := cl.TrafficWeightOf(traffic)
+		li := pLocal[i] * ctr[2*i].W
 		remote := 1 - pLocal[i]
 		if remote > 0 {
 			destTerm := 0.0
@@ -173,10 +95,10 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 				if j == i {
 					continue
 				}
-				share := float64(cfg.Clusters[j].Nodes) / float64(nt-cfg.Clusters[i].Nodes)
-				destTerm += share * res.CenterW(ECN1, j)
+				share := float64(cfg.Clusters[j].Nodes) / float64(nt-cl.Nodes)
+				destTerm += share * ctr[2*j+1].W
 			}
-			li += remote * (res.CenterW(ECN1, i) + wI2 + destTerm)
+			li += remote * (ctr[2*i+1].W + wI2 + destTerm)
 		}
 		total += wi * li
 	}

@@ -14,8 +14,7 @@ import (
 // ablation (message transmission on a quiet link takes a fixed time, so
 // M/D/1 is arguably the more physical reading).
 //
-// The effective-rate fixed point uses the same construction as Analyze
-// with M/G/1 queue lengths.
+// The effective-rate fixed point is Analyze's, with M/G/1 queue lengths.
 func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -27,106 +26,39 @@ func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{P: cfg.POut(0)}
-	nTotal := float64(m.nTotal)
-
-	// L(s) with P-K queue lengths; saturated probes clamp to the
-	// population as in the M/M/1 variant.
-	totalWaiting := func(s float64) float64 {
-		r := cfg.ArrivalRates(s)
-		total := 0.0
-		add := func(lambda, mu float64) bool {
-			if lambda >= mu {
-				return false
-			}
-			st, err := queueing.NewMG1(lambda, 1/mu, scv)
-			if err != nil {
-				return false
-			}
-			l, err := st.L()
-			if err != nil {
-				return false
-			}
-			total += l
-			return true
+	// Saturated probes clamp to the population as in the M/M/1 variant.
+	mg1Len := func(lambda, mu float64) (float64, bool) {
+		if lambda >= mu {
+			return 0, false
 		}
-		for i := range m.muICN1 {
-			if !add(r.ICN1[i], m.muICN1[i]) || !add(r.ECN1[i], m.muECN1[i]) {
-				return nTotal
-			}
-		}
-		if !add(r.ICN2, m.muICN2) {
-			return nTotal
-		}
-		if total > nTotal {
-			return nTotal
-		}
-		return total
-	}
-
-	res.Saturated = totalWaiting(1) >= nTotal
-	// Bisection on s − (N − L(s))/N, as in Analyze.
-	lo, hi := 0.0, 1.0
-	g := func(s float64) float64 { return (nTotal - totalWaiting(s)) / nTotal }
-	if 1-g(1) <= 0 {
-		res.Scale, res.Iterations = 1, 1
-	} else {
-		for i := 0; i < 200 && hi-lo > 1e-12; i++ {
-			mid := (lo + hi) / 2
-			if mid-g(mid) < 0 {
-				lo = mid
-			} else {
-				hi = mid
-			}
-			res.Iterations++
-		}
-		res.Scale = (lo + hi) / 2
-	}
-
-	rates := cfg.ArrivalRates(res.Scale)
-	adjust := func(lambda, mu float64) float64 {
-		if lambda < mu {
-			return lambda
-		}
-		return mu * (1 - 1e-9)
-	}
-	mk := func(kind CenterKind, cluster int, lambda, mu float64) (CenterMetrics, error) {
-		lambda = adjust(lambda, mu)
 		st, err := queueing.NewMG1(lambda, 1/mu, scv)
 		if err != nil {
-			return CenterMetrics{}, err
-		}
-		w, err := st.W()
-		if err != nil {
-			return CenterMetrics{}, err
+			return 0, false
 		}
 		l, err := st.L()
 		if err != nil {
-			return CenterMetrics{}, err
+			return 0, false
 		}
-		return CenterMetrics{Kind: kind, Cluster: cluster, Lambda: lambda,
-			Mu: mu, Rho: st.Rho(), W: w, L: l}, nil
+		return l, true
 	}
-	for i := 0; i < cfg.NumClusters(); i++ {
-		cm, err := mk(ICN1, i, rates.ICN1[i], m.muICN1[i])
+	mg1Station := func(lambda, mu float64) (rho, w, l float64, err error) {
+		st, err := queueing.NewMG1(lambda, 1/mu, scv)
 		if err != nil {
-			return nil, err
+			return 0, 0, 0, err
 		}
-		res.Centers = append(res.Centers, cm)
-		cm, err = mk(ECN1, i, rates.ECN1[i], m.muECN1[i])
-		if err != nil {
-			return nil, err
+		if w, err = st.W(); err != nil {
+			return 0, 0, 0, err
 		}
-		res.Centers = append(res.Centers, cm)
+		if l, err = st.L(); err != nil {
+			return 0, 0, 0, err
+		}
+		return st.Rho(), w, l, nil
 	}
-	cm, err := mk(ICN2, -1, rates.ICN2, m.muICN2)
+	res, err := m.solve(mg1Len, mg1Station)
 	if err != nil {
 		return nil, err
 	}
-	res.Centers = append(res.Centers, cm)
-	for _, c := range res.Centers {
-		res.TotalWaiting += c.L
-	}
+	res.P = cfg.POut(0)
 	res.MeanLatency = meanLatency(cfg, res)
 	return res, nil
 }

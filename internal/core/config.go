@@ -53,7 +53,8 @@ func (c *Config) Validate() error {
 	if len(c.Clusters) == 0 {
 		return fmt.Errorf("core: system needs at least one cluster")
 	}
-	for i, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
 		if cl.Nodes < 1 {
 			return fmt.Errorf("core: cluster %d has %d nodes", i, cl.Nodes)
 		}
@@ -88,8 +89,8 @@ func (c *Config) Validate() error {
 // TotalNodes returns the total processor count across clusters.
 func (c *Config) TotalNodes() int {
 	n := 0
-	for _, cl := range c.Clusters {
-		n += cl.Nodes
+	for i := range c.Clusters {
+		n += c.Clusters[i].Nodes
 	}
 	return n
 }
@@ -118,11 +119,16 @@ func (c *Config) Homogeneous() bool {
 // P = (C−1)·N0 / (C·N0 − 1); the per-cluster form generalises it to
 // heterogeneous sizes: Pᵢ = (N_T − Nᵢ) / (N_T − 1).
 func (c *Config) POut(i int) float64 {
-	nt := c.TotalNodes()
+	return c.Clusters[i].POutOf(c.TotalNodes())
+}
+
+// POutOf is POut for a cluster in a system of nt processors in total, so a
+// loop over clusters sums N_T once instead of once per cluster.
+func (cl *Cluster) POutOf(nt int) float64 {
 	if nt <= 1 {
 		return 0
 	}
-	return float64(nt-c.Clusters[i].Nodes) / float64(nt-1)
+	return float64(nt-cl.Nodes) / float64(nt-1)
 }
 
 // String summarises the configuration for logs and reports.

@@ -26,25 +26,43 @@ func (c *Config) BuildCenters() (*Centers, error) {
 		ICN1: make([]*network.Model, len(c.Clusters)),
 		ECN1: make([]*network.Model, len(c.Clusters)),
 	}
-	for i, cl := range c.Clusters {
-		m, err := network.NewModel(cl.ICN1, c.Arch, c.Switch, cl.Nodes)
+	for i := range c.Clusters {
+		icn1, ecn1, err := c.clusterModels(i)
 		if err != nil {
-			return nil, fmt.Errorf("core: cluster %d ICN1: %w", i, err)
+			return nil, err
 		}
-		out.ICN1[i] = m
-		// ECN1 carries the cluster's processors plus the uplink toward ICN2.
-		m, err = network.NewModel(cl.ECN1, c.Arch, c.Switch, cl.Nodes+1)
-		if err != nil {
-			return nil, fmt.Errorf("core: cluster %d ECN1: %w", i, err)
-		}
-		out.ECN1[i] = m
+		out.ICN1[i], out.ECN1[i] = icn1, ecn1
 	}
+	m, err := c.icn2Model()
+	if err != nil {
+		return nil, err
+	}
+	out.ICN2 = m
+	return out, nil
+}
+
+// clusterModels builds the network models of cluster i's ICN1 and ECN1.
+func (c *Config) clusterModels(i int) (icn1, ecn1 *network.Model, err error) {
+	cl := &c.Clusters[i]
+	icn1, err = network.NewModel(cl.ICN1, c.Arch, c.Switch, cl.Nodes)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: cluster %d ICN1: %w", i, err)
+	}
+	// ECN1 carries the cluster's processors plus the uplink toward ICN2.
+	ecn1, err = network.NewModel(cl.ECN1, c.Arch, c.Switch, cl.Nodes+1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: cluster %d ECN1: %w", i, err)
+	}
+	return icn1, ecn1, nil
+}
+
+// icn2Model builds the network model of the second-stage network.
+func (c *Config) icn2Model() (*network.Model, error) {
 	m, err := network.NewModel(c.ICN2, c.Arch, c.Switch, len(c.Clusters))
 	if err != nil {
 		return nil, fmt.Errorf("core: ICN2: %w", err)
 	}
-	out.ICN2 = m
-	return out, nil
+	return m, nil
 }
 
 // ServiceTimes returns the mean service time of each centre for the
@@ -57,6 +75,35 @@ func (ct *Centers) ServiceTimes(msgBytes int) (icn1, ecn1 []float64, icn2 float6
 		ecn1[i] = ct.ECN1[i].MeanServiceTime(msgBytes)
 	}
 	return icn1, ecn1, ct.ICN2.MeanServiceTime(msgBytes)
+}
+
+// ServiceTimesInto writes the mean service time of every cluster's ICN1
+// and ECN1 into icn1 and ecn1 (each of length C) and returns ICN2's, the
+// values BuildCenters followed by ServiceTimes gives. A cluster whose size
+// and technologies equal its predecessor's copies that cluster's times
+// instead of building its network models again, so a run of identical
+// clusters costs one pair of models.
+func (c *Config) ServiceTimesInto(icn1, ecn1 []float64) (icn2 float64, err error) {
+	for i := range c.Clusters {
+		if i > 0 {
+			prev, cl := &c.Clusters[i-1], &c.Clusters[i]
+			if prev.Nodes == cl.Nodes && prev.ICN1 == cl.ICN1 && prev.ECN1 == cl.ECN1 {
+				icn1[i], ecn1[i] = icn1[i-1], ecn1[i-1]
+				continue
+			}
+		}
+		mI1, mE1, err := c.clusterModels(i)
+		if err != nil {
+			return 0, err
+		}
+		icn1[i] = mI1.MeanServiceTime(c.MessageBytes)
+		ecn1[i] = mE1.MeanServiceTime(c.MessageBytes)
+	}
+	m, err := c.icn2Model()
+	if err != nil {
+		return 0, err
+	}
+	return m.MeanServiceTime(c.MessageBytes), nil
 }
 
 // Rates holds the per-centre total arrival rates of the Jackson model
@@ -74,23 +121,40 @@ type Rates struct {
 // For homogeneous systems these reduce exactly to the paper's eq. 1–5:
 // λ_I1 = N0(1−P)λ, λ_E1 = 2N0Pλ, λ_I2 = C·N0·P·λ.
 func (c *Config) ArrivalRates(scale float64) Rates {
-	nt := c.TotalNodes()
-	r := Rates{
-		ICN1: make([]float64, len(c.Clusters)),
-		ECN1: make([]float64, len(c.Clusters)),
+	var r Rates
+	c.ArrivalRatesInto(&r, scale)
+	return r
+}
+
+// ArrivalRatesInto is ArrivalRates writing into r, reusing its slices when
+// they hold C entries, so an iteration that evaluates the rates at many
+// scales allocates them once. It costs O(C).
+func (c *Config) ArrivalRatesInto(r *Rates, scale float64) {
+	n := len(c.Clusters)
+	if cap(r.ICN1) < n {
+		r.ICN1 = make([]float64, n)
 	}
+	if cap(r.ECN1) < n {
+		r.ECN1 = make([]float64, n)
+	}
+	r.ICN1, r.ECN1, r.ICN2 = r.ICN1[:n], r.ECN1[:n], 0
+	nt := c.TotalNodes()
 	if nt <= 1 {
-		return r
+		clear(r.ICN1)
+		clear(r.ECN1)
+		return
 	}
 	// Total generated traffic, so the per-cluster inbound sum is O(1):
 	// Σ_{j≠i} Nⱼλⱼ = total − Nᵢλᵢ.
 	totalGen := 0.0
-	for _, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
 		totalGen += float64(cl.Nodes) * cl.Lambda * scale
 	}
-	for i, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
 		li := cl.Lambda * scale
-		pi := c.POut(i)
+		pi := cl.POutOf(nt)
 		gen := float64(cl.Nodes) * li
 		r.ICN1[i] = float64(cl.Nodes) * (1 - pi) * li
 		// Outbound remote traffic generated inside cluster i.
@@ -102,20 +166,31 @@ func (c *Config) ArrivalRates(scale float64) Rates {
 		r.ECN1[i] = outbound + inbound
 		r.ICN2 += outbound
 	}
-	return r
 }
 
 // TrafficWeight returns cluster i's share of generated traffic,
 // Nᵢλᵢ / Σⱼ Nⱼλⱼ, used to average per-source-cluster latencies.
 func (c *Config) TrafficWeight(i int) float64 {
+	return c.Clusters[i].TrafficWeightOf(c.TotalTraffic())
+}
+
+// TotalTraffic returns the generated traffic Σⱼ Nⱼλⱼ, summed in cluster
+// order.
+func (c *Config) TotalTraffic() float64 {
 	total := 0.0
-	for _, cl := range c.Clusters {
+	for i := range c.Clusters {
+		cl := &c.Clusters[i]
 		total += float64(cl.Nodes) * cl.Lambda
 	}
+	return total
+}
+
+// TrafficWeightOf is TrafficWeight for a cluster of a system whose
+// TotalTraffic is total, so a loop over clusters sums it once.
+func (cl *Cluster) TrafficWeightOf(total float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	cl := c.Clusters[i]
 	return float64(cl.Nodes) * cl.Lambda / total
 }
 
