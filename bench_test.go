@@ -323,11 +323,10 @@ func (h *holdModel) Handle(sim.EventKind, int32) {
 	h.eng.Schedule(h.st.Exp(1e-3), 0, 0)
 }
 
-// BenchmarkEventListHeap and BenchmarkEventListCalendar compare the two
-// future-event-set implementations on the hold model (pop one, push one).
-func benchEventList(b *testing.B, mk func() *sim.Engine) {
-	b.Helper()
-	eng := mk()
+// BenchmarkEventListHeap measures the future-event set on the hold model
+// (pop one, push one).
+func BenchmarkEventListHeap(b *testing.B) {
+	eng := sim.NewEngine()
 	st := rng.NewStream(1)
 	eng.SetHandler(&holdModel{eng: eng, st: st})
 	// Pre-fill with 4096 pending events.
@@ -345,14 +344,6 @@ func benchEventList(b *testing.B, mk func() *sim.Engine) {
 	if processed == 0 && b.N > 0 {
 		b.Fatal("no events processed")
 	}
-}
-
-func BenchmarkEventListHeap(b *testing.B) {
-	benchEventList(b, sim.NewEngine)
-}
-
-func BenchmarkEventListCalendar(b *testing.B) {
-	benchEventList(b, func() *sim.Engine { return sim.NewEngineWithCalendar(1e-3) })
 }
 
 // BenchmarkPlanScreen measures the capacity planner's analytic screening
@@ -399,14 +390,13 @@ func BenchmarkNetsimFatTree(b *testing.B) {
 	}
 }
 
-// benchWindowedEventList drives the hold model through RunWindow slices,
-// the sharded engine's inner loop: every slice ends with a peek at the
-// first out-of-window event, so this pins the cost of the peek-based
-// horizon stop (the event past the horizon is observed in place, never
-// popped and re-inserted).
-func benchWindowedEventList(b *testing.B, mk func() *sim.Engine) {
-	b.Helper()
-	eng := mk()
+// BenchmarkEventListWindowedHeap drives the hold model through RunWindow
+// slices, the sharded engine's inner loop: every slice ends with a peek
+// at the first out-of-window event, so this pins the cost of the
+// peek-based horizon stop (the event past the horizon is observed in
+// place, never popped and re-inserted).
+func BenchmarkEventListWindowedHeap(b *testing.B) {
+	eng := sim.NewEngine()
 	st := rng.NewStream(1)
 	eng.SetHandler(&holdModel{eng: eng, st: st})
 	for i := 0; i < 4096; i++ {
@@ -420,14 +410,6 @@ func benchWindowedEventList(b *testing.B, mk func() *sim.Engine) {
 	if processed == 0 && b.N > 0 {
 		b.Fatal("no events processed")
 	}
-}
-
-func BenchmarkEventListWindowedHeap(b *testing.B) {
-	benchWindowedEventList(b, sim.NewEngine)
-}
-
-func BenchmarkEventListWindowedCalendar(b *testing.B) {
-	benchWindowedEventList(b, func() *sim.Engine { return sim.NewEngineWithCalendar(1e-3) })
 }
 
 // BenchmarkShardedReplication measures one replication of a 512-cluster

@@ -72,6 +72,21 @@ func TestAnalyzeSingleClusterHasNoRemoteTerm(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSingleClusterRounding is the regression test for a
+// one-cluster system the fixed point used to reject: the ECN1 inbound
+// term (totalGen − gen)·Nᵢ/(N_T−1) rounded to −5.2e-18 at a bisection
+// scale, and the M/M/1 model refused the negative arrival rate.
+func TestAnalyzeSingleClusterRounding(t *testing.T) {
+	cfg, err := core.NewSuperCluster(1, 3, 0.008, network.GigabitEthernet,
+		network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Analyze(cfg); err != nil {
+		t.Fatalf("Analyze rejected a valid one-cluster system: %v", err)
+	}
+}
+
 func TestAnalyzePaperPlatformSaturates(t *testing.T) {
 	// With the paper's λ=0.25/ms the 256-node platform drives its
 	// bottleneck into saturation, which the effective-rate iteration must

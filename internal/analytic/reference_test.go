@@ -35,7 +35,7 @@ func refArrivalRates(c *core.Config, scale float64) core.Rates {
 		gen := float64(cl.Nodes) * li
 		r.ICN1[i] = float64(cl.Nodes) * (1 - pi) * li
 		outbound := gen * pi
-		inbound := (totalGen - gen) * float64(cl.Nodes) / float64(nt-1)
+		inbound := max(0, (totalGen-gen)*float64(cl.Nodes)/float64(nt-1))
 		r.ECN1[i] = outbound + inbound
 		r.ICN2 += outbound
 	}

@@ -104,6 +104,23 @@ func TestFlowConservation(t *testing.T) {
 	}
 }
 
+// TestArrivalRatesSingleClusterNotNegative sweeps the scale of a
+// one-cluster system: with no other cluster the true ECN1 rate is zero,
+// and rounding may leave a residue above it but never one below.
+func TestArrivalRatesSingleClusterNotNegative(t *testing.T) {
+	cfg, err := NewSuperCluster(1, 3, 0.008, network.GigabitEthernet,
+		network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 1000; k++ {
+		s := float64(k) / 1000
+		if r := cfg.ArrivalRates(s); r.ECN1[0] < 0 {
+			t.Fatalf("scale %v: ECN1 rate %v is negative", s, r.ECN1[0])
+		}
+	}
+}
+
 func TestHeterogeneousRates(t *testing.T) {
 	// Two clusters of different sizes and rates.
 	cfg := &Config{

@@ -161,8 +161,10 @@ func (c *Config) ArrivalRatesInto(r *Rates, scale float64) {
 		outbound := gen * pi
 		// Inbound remote traffic destined to cluster i from every other
 		// cluster j: each of the Nj processors addresses a node of cluster
-		// i with probability Nᵢ/(N_T − 1).
-		inbound := (totalGen - gen) * float64(cl.Nodes) / float64(nt-1)
+		// i with probability Nᵢ/(N_T − 1). With one cluster totalGen and
+		// gen round differently and the difference can fall just below
+		// zero; the true value is zero.
+		inbound := max(0, (totalGen-gen)*float64(cl.Nodes)/float64(nt-1))
 		r.ECN1[i] = outbound + inbound
 		r.ICN2 += outbound
 	}

@@ -14,6 +14,57 @@ type pendingJob struct {
 	msg         int32
 }
 
+// jobRing is a FIFO of pending jobs in a power-of-two ring buffer. Its
+// storage is bounded by the peak queue length, however many messages pass
+// through one busy period.
+type jobRing struct {
+	buf  []pendingJob
+	head int
+	n    int
+}
+
+func (r *jobRing) at(i int) pendingJob { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+// grow doubles the ring, unwrapping its contents to start at index 0.
+func (r *jobRing) grow() {
+	buf := r.appendTo(make([]pendingJob, 0, max(8, 2*len(r.buf))))
+	r.buf, r.head = buf[:cap(buf)], 0
+}
+
+func (r *jobRing) pushBack(j pendingJob) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = j
+	r.n++
+}
+
+func (r *jobRing) pushFront(j pendingJob) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.head = (r.head - 1) & (len(r.buf) - 1)
+	r.buf[r.head] = j
+	r.n++
+}
+
+func (r *jobRing) popFront() pendingJob {
+	j := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return j
+}
+
+// appendTo appends the queued jobs to dst in FIFO order.
+func (r *jobRing) appendTo(dst []pendingJob) []pendingJob {
+	for i := 0; i < r.n; i++ {
+		dst = append(dst, r.at(i))
+	}
+	return dst
+}
+
+func (r *jobRing) clear() { r.head, r.n = 0, 0 }
+
 // Center is a FIFO single-server service centre modelling one
 // communication network. Service times are drawn from the configured
 // distribution family scaled to each job's mean (so variable message sizes
@@ -33,8 +84,7 @@ type Center struct {
 
 	busy      bool
 	inService pendingJob
-	queue     []pendingJob // FIFO via head index to avoid reallocating per message
-	head      int
+	queue     jobRing
 
 	// Dynamic-scenario state. A failed centre accepts submissions into its
 	// queue but serves nothing; dueAt is the scheduled completion time of
@@ -78,7 +128,7 @@ func (c *Center) Submit(serviceMean float64, msg int32) {
 	c.qlen.Observe(c.eng.Now(), float64(c.inSys))
 	j := pendingJob{serviceMean: serviceMean, msg: msg}
 	if c.busy || c.failed {
-		c.queue = append(c.queue, j)
+		c.queue.pushBack(j)
 		return
 	}
 	c.start(j)
@@ -102,14 +152,8 @@ func (c *Center) CompleteService() int32 {
 	c.served++
 	c.inSys--
 	c.qlen.Observe(c.eng.Now(), float64(c.inSys))
-	if c.head < len(c.queue) {
-		next := c.queue[c.head]
-		c.head++
-		if c.head == len(c.queue) { // queue drained: reset storage
-			c.queue = c.queue[:0]
-			c.head = 0
-		}
-		c.start(next)
+	if c.queue.n > 0 {
+		c.start(c.queue.popFront())
 	} else {
 		c.busy = false
 		c.busyTW.Observe(c.eng.Now(), 0)
@@ -159,18 +203,14 @@ func (c *Center) Fail(evict bool) []int32 {
 		if evict {
 			out = append(out, c.inService.msg)
 		} else {
-			nq := make([]pendingJob, 0, len(c.queue)-c.head+1)
-			nq = append(nq, c.inService)
-			nq = append(nq, c.queue[c.head:]...)
-			c.queue, c.head = nq, 0
+			c.queue.pushFront(c.inService)
 		}
 	}
 	if evict {
-		for _, j := range c.queue[c.head:] {
-			out = append(out, j.msg)
+		for i := 0; i < c.queue.n; i++ {
+			out = append(out, c.queue.at(i).msg)
 		}
-		c.queue = c.queue[:0]
-		c.head = 0
+		c.queue.clear()
 		c.inSys = 0
 		c.qlen.Observe(c.eng.Now(), 0)
 	}
@@ -184,14 +224,8 @@ func (c *Center) Repair() {
 		panic(fmt.Sprintf("sim: centre %s repaired while up", c.Name))
 	}
 	c.failed = false
-	if c.head < len(c.queue) {
-		next := c.queue[c.head]
-		c.head++
-		if c.head == len(c.queue) {
-			c.queue = c.queue[:0]
-			c.head = 0
-		}
-		c.start(next)
+	if c.queue.n > 0 {
+		c.start(c.queue.popFront())
 	}
 }
 
@@ -226,7 +260,7 @@ type CenterState struct {
 func (c *Center) SaveState(s *CenterState) {
 	s.busy = c.busy
 	s.inService = c.inService
-	s.queue = append(s.queue[:0], c.queue[c.head:]...)
+	s.queue = c.queue.appendTo(s.queue[:0])
 	s.qlen = c.qlen
 	s.busyTW = c.busyTW
 	s.served = c.served
@@ -241,8 +275,10 @@ func (c *Center) SaveState(s *CenterState) {
 func (c *Center) RestoreState(s *CenterState) {
 	c.busy = s.busy
 	c.inService = s.inService
-	c.queue = append(c.queue[:0], s.queue...)
-	c.head = 0
+	c.queue.clear()
+	for _, j := range s.queue {
+		c.queue.pushBack(j)
+	}
 	c.qlen = s.qlen
 	c.busyTW = s.busyTW
 	c.served = s.served

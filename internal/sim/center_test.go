@@ -184,3 +184,87 @@ func TestCenterMaxQueueLength(t *testing.T) {
 		t.Fatalf("max queue = %v, want 7", h.c.MaxQueueLength())
 	}
 }
+
+// TestCenterQueueStorageBoundedByPeak drives one busy period of 100k
+// submissions that never lets the queue drain: completions submit
+// replacements, and the population alternates between 8 and 40 jobs every
+// 5000 services so the ring both grows and wraps. Its storage must track
+// the peak queue length, not the number of messages that passed through.
+func TestCenterQueueStorageBoundedByPeak(t *testing.T) {
+	eng := NewEngine()
+	h := newCenterHarness(eng, rng.Exponential{MeanValue: 1}, rng.NewStream(9))
+	const total = 100000
+	submitted, done := 0, 0
+	submit := func() {
+		h.c.Submit(1, int32(submitted))
+		submitted++
+	}
+	h.onDone = func(int32) {
+		done++
+		target := 8
+		if (done/5000)%2 == 1 {
+			target = 40
+		}
+		for submitted < total && h.c.QueueLength() < target {
+			submit()
+		}
+		if submitted < total && h.c.QueueLength() == 0 {
+			t.Fatalf("queue drained after %d services", done)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		submit()
+	}
+	eng.Run(math.Inf(1))
+	h.c.Flush()
+	if done != total {
+		t.Fatalf("served %d of %d submissions", done, total)
+	}
+	peak := int(h.c.MaxQueueLength())
+	if c := cap(h.c.queue.buf); peak < 40 || c > 2*peak {
+		t.Fatalf("queue storage %d slots for a peak of %d jobs in system", c, peak)
+	}
+}
+
+// TestCenterFailRequeueAndEvictOrder pins the failure policies' queue
+// order: requeue puts the interrupted job back at the head, so it is
+// served first after the repair; evict hands back the in-service job
+// followed by the queue, in FIFO order.
+func TestCenterFailRequeueAndEvictOrder(t *testing.T) {
+	eng := NewEngine()
+	var c *Center
+	var order, evicted []int32
+	eng.SetHandler(handlerFunc(func(kind EventKind, idx int32) {
+		switch {
+		case kind == tkDone:
+			if c.TakeCompletion() {
+				order = append(order, c.CompleteService())
+			}
+		case idx == 0:
+			c.Fail(false)
+		case idx == 1:
+			c.Repair()
+		default:
+			evicted = c.Fail(true)
+		}
+	}))
+	c = NewCenter("q", eng, rng.Deterministic{Value: 1}, rng.NewStream(10), tkDone, 0)
+	for i := int32(0); i < 3; i++ {
+		c.Submit(1, i)
+	}
+	eng.Schedule(0.5, tkArrive, 0) // requeue failure mid-service
+	eng.Schedule(2, tkArrive, 1)   // repair
+	eng.Run(math.Inf(1))
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 || eng.Now() != 5 {
+		t.Fatalf("requeue: served %v by t=%v, want [0 1 2] by t=5", order, eng.Now())
+	}
+
+	for i := int32(3); i < 6; i++ {
+		c.Submit(1, i)
+	}
+	eng.Schedule(0.5, tkArrive, 2) // evicting failure mid-service
+	eng.Run(math.Inf(1))
+	if len(evicted) != 3 || evicted[0] != 3 || evicted[1] != 4 || evicted[2] != 5 || c.QueueLength() != 0 {
+		t.Fatalf("evict: got %v with %d left, want [3 4 5] and an empty centre", evicted, c.QueueLength())
+	}
+}

@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"hmscs/internal/core"
 	"hmscs/internal/network"
 )
 
@@ -38,65 +37,6 @@ func requireIdenticalResults(t *testing.T, label string, a, b *Result) {
 			t.Fatalf("%s: centre %s stats differ: %+v vs %+v",
 				label, a.Centers[i].Name, a.Centers[i], b.Centers[i])
 		}
-	}
-}
-
-// TestSimHeapVsCalendarBitIdentical pins the two event-set backends to the
-// same Result, bit for bit, on closed-loop, open-loop, and blocking
-// configurations.
-func TestSimHeapVsCalendarBitIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  func(t *testing.T) *core.Config
-		mod  func(o *Options)
-	}{
-		{"closed-nonblocking", func(t *testing.T) *core.Config { return smallCfg(t, 50, network.NonBlocking) }, nil},
-		{"closed-blocking", func(t *testing.T) *core.Config { return smallCfg(t, 20, network.Blocking) }, nil},
-		{"open-loop", func(t *testing.T) *core.Config { return smallCfg(t, 5, network.NonBlocking) },
-			func(o *Options) { o.OpenLoop = true }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg(t)
-			opts := quickOpts(77, 2000)
-			opts.RecordSample = true
-			if tc.mod != nil {
-				tc.mod(&opts)
-			}
-			heapOpts := opts
-			calOpts := opts
-			calOpts.CalendarQueue = true
-			a, err := Run(cfg, heapOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(cfg, calOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireIdenticalResults(t, tc.name, a, b)
-		})
-	}
-}
-
-// TestSimCalendarWidthHintIrrelevantToResults checks that the calendar's
-// geometry hint changes cost, never output.
-func TestSimCalendarWidthHintIrrelevantToResults(t *testing.T) {
-	cfg := smallCfg(t, 50, network.NonBlocking)
-	var prev *Result
-	for _, hint := range []float64{0, 1e-6, 1e-2, 10} {
-		opts := quickOpts(5, 1500)
-		opts.RecordSample = true
-		opts.CalendarQueue = true
-		opts.CalendarWidthHint = hint
-		res, err := Run(cfg, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev != nil {
-			requireIdenticalResults(t, "width hint", prev, res)
-		}
-		prev = res
 	}
 }
 

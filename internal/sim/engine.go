@@ -40,74 +40,100 @@ type Handler interface {
 	Handle(kind EventKind, idx int32)
 }
 
-// eventHeap is a binary min-heap ordered by (time, seq), with manual
-// sift-up/sift-down so pushes and pops never box events into interfaces.
+// less orders events by (time, seq). seq is unique per engine, so this is
+// a total order: any correct heap pops exactly the same sequence.
+func less(a, b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a 4-ary min-heap ordered by (time, seq). Sifts move a hole
+// instead of swapping, so each level costs one copy; the shallower tree
+// halves the levels a pop walks at the paper's event-set sizes.
 type eventHeap []event
 
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	// Sift up.
-	s := *h
+func (h *eventHeap) push(ev event) {
+	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !less(s[i], s[parent]) {
+		p := (i - 1) / 4
+		if !less(ev, s[p]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
+		s[i] = s[p]
+		i = p
 	}
+	s[i] = ev
+	*h = s
 }
 
-func (h *eventHeap) pop() (event, bool) {
-	s := *h
-	n := len(s)
-	if n == 0 {
-		return event{}, false
-	}
-	top := s[0]
-	s[0] = s[n-1]
-	s = s[:n-1]
-	*h = s
-	// Sift down.
+// replaceTop overwrites the root with ev and restores heap order: a pop
+// and a push for the price of one sift-down.
+func (h eventHeap) replaceTop(ev event) {
+	n := len(h)
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(s) && less(s[l], s[smallest]) {
-			smallest = l
-		}
-		if r < len(s) && less(s[r], s[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 4*i + 1
+		if c >= n {
 			break
 		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+		m := c
+		if c+3 < n {
+			// A two-round tournament: two independent comparisons, then
+			// one, instead of a chain of three dependent ones.
+			k := h[c : c+4 : c+4]
+			a, b := 0, 2
+			if less(k[1], k[0]) {
+				a = 1
+			}
+			if less(k[3], k[2]) {
+				b = 3
+			}
+			if less(k[b], k[a]) {
+				a = b
+			}
+			m = c + a
+		} else {
+			for j := c + 1; j < n; j++ {
+				if less(h[j], h[m]) {
+					m = j
+				}
+			}
+		}
+		if !less(h[m], ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
 	}
-	return top, true
+	h[i] = ev
 }
 
-// heapList adapts eventHeap to the eventList interface.
-type heapList struct{ h eventHeap }
-
-func (l *heapList) push(e event)       { l.h.push(e) }
-func (l *heapList) pop() (event, bool) { return l.h.pop() }
-func (l *heapList) peek() (event, bool) {
-	if len(l.h) == 0 {
-		return event{}, false
+// removeTop drops the root.
+func (h *eventHeap) removeTop() {
+	n := len(*h) - 1
+	last := (*h)[n]
+	*h = (*h)[:n]
+	if n > 0 {
+		h.replaceTop(last)
 	}
-	return l.h[0], true
 }
-func (l *heapList) len() int { return len(l.h) }
 
 // Engine is a sequential discrete-event execution core: a clock, a
 // future-event set, and a handler the events are dispatched to.
+//
+// The dispatch loop fuses pop and push. The event being handled stays at
+// the heap root while its handler runs (held); the handler's first
+// Schedule overwrites it with one sift-down, and the root is removed only
+// if the handler scheduled nothing. Every method that observes the set
+// from inside a handler resolves the held root first.
 type Engine struct {
 	now     float64
 	seq     uint64
-	events  eventList
+	events  eventHeap
+	held    bool
 	handler Handler
 	stopped bool
 
@@ -120,16 +146,9 @@ type Engine struct {
 	maxPending int
 }
 
-// NewEngine returns an engine with the clock at zero, backed by the
-// default binary-heap event set. Call SetHandler before Run.
-func NewEngine() *Engine { return &Engine{events: &heapList{}} }
-
-// NewEngineWithCalendar returns an engine backed by a calendar queue tuned
-// for the given expected inter-event spacing (seconds). Behaviour is
-// identical to NewEngine; only the event-set data structure differs.
-func NewEngineWithCalendar(widthHint float64) *Engine {
-	return &Engine{events: newCalendarQueue(widthHint)}
-}
+// NewEngine returns an engine with the clock at zero. Call SetHandler
+// before Run.
+func NewEngine() *Engine { return &Engine{} }
 
 // SetHandler installs the dispatcher that Run delivers events to.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
@@ -144,30 +163,72 @@ func (e *Engine) Schedule(delay float64, kind EventKind, idx int32) {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: scheduling with invalid delay %v", delay))
 	}
+	e.insert(e.now+delay, kind, idx)
+}
+
+// ScheduleAt enqueues an event at the absolute time at. Scheduling into the
+// past is a programming error and panics; simultaneous events dispatch in
+// scheduling order, exactly like Schedule.
+func (e *Engine) ScheduleAt(at float64, kind EventKind, idx int32) {
+	if at < e.now || math.IsNaN(at) {
+		panic(fmt.Sprintf("sim: scheduling at invalid time %v (now %v)", at, e.now))
+	}
+	e.insert(at, kind, idx)
+}
+
+// insert adds one event, replacing the held root when there is one. A
+// replacement leaves the set's size where it was before the held event's
+// dispatch, so only a push can raise the high-water mark.
+func (e *Engine) insert(at float64, kind EventKind, idx int32) {
 	e.seq++
-	e.events.push(event{at: e.now + delay, seq: e.seq, kind: kind, idx: idx})
-	if n := e.events.len(); n > e.maxPending {
+	ev := event{at: at, seq: e.seq, kind: kind, idx: idx}
+	if e.held {
+		e.held = false
+		e.events.replaceTop(ev)
+		return
+	}
+	e.events.push(ev)
+	if n := len(e.events); n > e.maxPending {
 		e.maxPending = n
 	}
+}
+
+// resolve removes the held root, if any: the event already dispatched
+// whose handler has not (yet) scheduled a replacement.
+func (e *Engine) resolve() {
+	if e.held {
+		e.held = false
+		e.events.removeTop()
+	}
+}
+
+// dispatch advances the clock to the root event and hands it to the
+// handler, holding the root in place for a replace-top Schedule.
+func (e *Engine) dispatch(ev event) {
+	if ev.at < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: %v < %v", ev.at, e.now))
+	}
+	e.now = ev.at
+	e.held = true
+	e.handler.Handle(ev.kind, ev.idx)
+	e.resolve()
+	e.executed++
 }
 
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Run dispatches events to the handler until the calendar empties, Stop is
-// called, or the clock passes maxTime (use math.Inf(1) for no limit). It
-// returns the number of events executed.
+// Run dispatches events to the handler until the event set empties, Stop
+// is called, or the clock passes maxTime (use math.Inf(1) for no limit).
+// It returns the number of events executed.
 func (e *Engine) Run(maxTime float64) int {
 	if e.handler == nil {
 		panic("sim: engine Run without a handler (call SetHandler first)")
 	}
 	executed := 0
 	e.stopped = false
-	for !e.stopped {
-		ev, ok := e.events.peek()
-		if !ok {
-			break
-		}
+	for !e.stopped && len(e.events) > 0 {
+		ev := e.events[0]
 		if ev.at > maxTime {
 			// The next event lies past the horizon: leave it in place for a
 			// later Run with a larger horizon. The clock advances to the
@@ -176,14 +237,8 @@ func (e *Engine) Run(maxTime float64) int {
 			e.now = maxTime
 			return executed
 		}
-		e.events.pop()
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %v < %v", ev.at, e.now))
-		}
-		e.now = ev.at
-		e.handler.Handle(ev.kind, ev.idx)
+		e.dispatch(ev)
 		executed++
-		e.executed++
 	}
 	return executed
 }
@@ -198,31 +253,20 @@ func (e *Engine) Executed() int64 { return e.executed }
 func (e *Engine) MaxPending() int { return e.maxPending }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.events.len() }
+func (e *Engine) Pending() int {
+	e.resolve()
+	return len(e.events)
+}
 
 // NextEventAt returns the timestamp of the earliest pending event, or +Inf
 // when the future-event set is empty. The sharded window drivers use it to
 // fast-forward across empty windows.
 func (e *Engine) NextEventAt() float64 {
-	ev, ok := e.events.peek()
-	if !ok {
+	e.resolve()
+	if len(e.events) == 0 {
 		return math.Inf(1)
 	}
-	return ev.at
-}
-
-// ScheduleAt enqueues an event at the absolute time at. Scheduling into the
-// past is a programming error and panics; simultaneous events dispatch in
-// scheduling order, exactly like Schedule.
-func (e *Engine) ScheduleAt(at float64, kind EventKind, idx int32) {
-	if at < e.now || math.IsNaN(at) {
-		panic(fmt.Sprintf("sim: scheduling at invalid time %v (now %v)", at, e.now))
-	}
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, kind: kind, idx: idx})
-	if n := e.events.len(); n > e.maxPending {
-		e.maxPending = n
-	}
+	return e.events[0].at
 }
 
 // RunWindow dispatches every event with time strictly below horizon (at or
@@ -236,22 +280,13 @@ func (e *Engine) RunWindow(horizon float64, inclusive bool) int {
 	}
 	executed := 0
 	e.stopped = false
-	for !e.stopped {
-		ev, ok := e.events.peek()
-		if !ok {
-			break
-		}
+	for !e.stopped && len(e.events) > 0 {
+		ev := e.events[0]
 		if ev.at > horizon || (!inclusive && ev.at == horizon) {
 			break
 		}
-		e.events.pop()
-		if ev.at < e.now {
-			panic(fmt.Sprintf("sim: time went backwards: %v < %v", ev.at, e.now))
-		}
-		e.now = ev.at
-		e.handler.Handle(ev.kind, ev.idx)
+		e.dispatch(ev)
 		executed++
-		e.executed++
 	}
 	if e.now < horizon && !math.IsInf(horizon, 1) {
 		e.now = horizon
@@ -263,14 +298,11 @@ func (e *Engine) RunWindow(horizon float64, inclusive bool) int {
 // equals t, reporting whether it did. The sharded stop cut uses it to
 // replay the tail of simultaneous events at the stopping instant.
 func (e *Engine) StepSameTime(t float64) bool {
-	ev, ok := e.events.peek()
-	if !ok || ev.at != t {
+	e.resolve()
+	if len(e.events) == 0 || e.events[0].at != t {
 		return false
 	}
-	e.events.pop()
-	e.now = ev.at
-	e.handler.Handle(ev.kind, ev.idx)
-	e.executed++
+	e.dispatch(e.events[0])
 	return true
 }
 
@@ -283,26 +315,19 @@ type EngineState struct {
 	events []event
 }
 
-// SaveState copies the engine's state into s. Only heap-backed engines
-// (NewEngine) support snapshots; the sharded runtimes always use the heap.
+// SaveState copies the engine's state into s.
 func (e *Engine) SaveState(s *EngineState) {
-	h, ok := e.events.(*heapList)
-	if !ok {
-		panic("sim: SaveState requires a heap-backed engine")
-	}
+	e.resolve()
 	s.now = e.now
 	s.seq = e.seq
-	s.events = append(s.events[:0], h.h...)
+	s.events = append(s.events[:0], e.events...)
 }
 
 // RestoreState rewinds the engine to a state captured by SaveState.
 func (e *Engine) RestoreState(s *EngineState) {
-	h, ok := e.events.(*heapList)
-	if !ok {
-		panic("sim: RestoreState requires a heap-backed engine")
-	}
 	e.now = s.now
 	e.seq = s.seq
 	e.stopped = false
-	h.h = append(h.h[:0], s.events...)
+	e.held = false
+	e.events = append(e.events[:0], s.events...)
 }

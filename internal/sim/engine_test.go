@@ -2,7 +2,10 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"testing"
+
+	"hmscs/internal/rng"
 )
 
 // handlerFunc adapts a function to the Handler interface for tests.
@@ -155,4 +158,239 @@ func TestEngineRunWithoutHandlerPanics(t *testing.T) {
 		}
 	}()
 	e.Run(math.Inf(1))
+}
+
+func TestEngineScheduleAtPastPanics(t *testing.T) {
+	e := NewEngine()
+	e.SetHandler(handlerFunc(func(EventKind, int32) {}))
+	e.Schedule(10, 0, 0)
+	e.Run(math.Inf(1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling before the clock did not panic")
+		}
+	}()
+	e.ScheduleAt(5, 0, 1)
+}
+
+// TestEngineSlicedRunRetainsBoundaryEvent pins Engine.Run's maxTime
+// behaviour: an event past the horizon stays pending rather than being
+// silently dropped, so repeated bounded runs lose nothing.
+func TestEngineSlicedRunRetainsBoundaryEvent(t *testing.T) {
+	eng := NewEngine()
+	st := rng.NewStream(9)
+	eng.SetHandler(handlerFunc(func(EventKind, int32) {
+		eng.Schedule(st.Exp(1e-3), 0, 0)
+	}))
+	for i := 0; i < 512; i++ {
+		eng.Schedule(st.Exp(1e-3), 0, 0)
+	}
+	for i := 0; i < 5000; i++ {
+		eng.Run(eng.Now() + 1e-3)
+		if p := eng.Pending(); p != 512 {
+			t.Fatalf("slice %d: pending = %d, want steady 512", i, p)
+		}
+	}
+}
+
+// TestEngineScheduleAfterBoundedRun pins the retain contract: after a
+// bounded Run stops short of a future event, scheduling between the
+// horizon and that event must work and dispatch in time order.
+func TestEngineScheduleAfterBoundedRun(t *testing.T) {
+	eng := NewEngine()
+	var order []int32
+	eng.SetHandler(handlerFunc(func(_ EventKind, idx int32) { order = append(order, idx) }))
+	eng.Schedule(10, 0, 10)
+	if n := eng.Run(1); n != 0 {
+		t.Fatalf("bounded run executed %d events", n)
+	}
+	if eng.Pending() != 1 {
+		t.Fatalf("boundary event lost: pending = %d", eng.Pending())
+	}
+	eng.Schedule(1, 0, 2) // t = 2, below the retained event's t = 10
+	eng.Run(math.Inf(1))
+	if len(order) != 2 || order[0] != 2 || order[1] != 10 {
+		t.Fatalf("dispatch order = %v, want [2 10]", order)
+	}
+}
+
+// TestEngineSnapshotInsideHandler pins that a snapshot taken while an
+// event is being handled excludes that event: restoring it replays only
+// what was still pending.
+func TestEngineSnapshotInsideHandler(t *testing.T) {
+	eng := NewEngine()
+	var snap EngineState
+	var order []int32
+	eng.SetHandler(handlerFunc(func(_ EventKind, idx int32) {
+		order = append(order, idx)
+		if idx == 1 {
+			eng.SaveState(&snap)
+		}
+	}))
+	for i := int32(1); i <= 3; i++ {
+		eng.Schedule(float64(i), 0, i)
+	}
+	eng.Run(math.Inf(1))
+	eng.RestoreState(&snap)
+	if p := eng.Pending(); p != 2 {
+		t.Fatalf("restored snapshot holds %d events, want 2", p)
+	}
+	order = order[:0]
+	eng.Run(math.Inf(1))
+	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
+		t.Fatalf("replay dispatched %v, want [2 3]", order)
+	}
+}
+
+// refEvent is one scheduled event as the reference model sees it; its
+// index in propModel.sched is its scheduling order, the engine's seq.
+type refEvent struct {
+	at float64
+	id int32
+}
+
+// propModel is the handler of the event-set property test. Each dispatch
+// schedules 0, 1, 2 or 3 successors (the replace-top path and plain
+// pushes) with delays on a quarter-second grid, so exact time ties are
+// common; it sometimes inspects the set from inside the handler and
+// sometimes stops the engine.
+type propModel struct {
+	t          *testing.T
+	eng        *Engine
+	st         rng.Stream
+	budget     int        // events the model may still schedule
+	sched      []refEvent // every event scheduled, by id
+	order      []int32    // dispatch log
+	maxPending int        // reference high-water mark of the pending set
+}
+
+func (m *propModel) pending() int { return len(m.sched) - len(m.order) }
+
+func (m *propModel) schedule(delay float64) {
+	if m.budget == 0 {
+		return
+	}
+	m.budget--
+	id := int32(len(m.sched))
+	m.sched = append(m.sched, refEvent{at: m.eng.Now() + delay, id: id})
+	m.eng.Schedule(delay, 0, id)
+	m.maxPending = max(m.maxPending, m.pending())
+}
+
+// nextAt is the reference NextEventAt: the earliest undispatched event.
+func (m *propModel) nextAt() float64 {
+	done := make([]bool, len(m.sched))
+	for _, id := range m.order {
+		done[id] = true
+	}
+	next := math.Inf(1)
+	for _, ev := range m.sched {
+		if !done[ev.id] && ev.at < next {
+			next = ev.at
+		}
+	}
+	return next
+}
+
+func (m *propModel) Handle(_ EventKind, idx int32) {
+	m.order = append(m.order, idx)
+	switch m.st.Intn(8) {
+	case 0:
+		if got, want := m.eng.Pending(), m.pending(); got != want {
+			m.t.Fatalf("in handler: Pending = %d, want %d", got, want)
+		}
+	case 1:
+		if got, want := m.eng.NextEventAt(), m.nextAt(); got != want {
+			m.t.Fatalf("in handler: NextEventAt = %v, want %v", got, want)
+		}
+	}
+	for k := m.st.Intn(4); k > 0; k-- {
+		m.schedule(float64(m.st.Intn(4)) * 0.25)
+	}
+	if m.st.Intn(40) == 0 {
+		m.eng.Stop()
+	}
+}
+
+// drain runs the engine to empty through bounded Run slices, checking
+// the set's observers against the reference between slices.
+func (m *propModel) drain(horizons *rng.Stream) {
+	for m.eng.Pending() > 0 {
+		m.eng.Run(m.eng.Now() + float64(horizons.Intn(3))*0.5)
+		if got, want := m.eng.Pending(), m.pending(); got != want {
+			m.t.Fatalf("after Run: Pending = %d, want %d", got, want)
+		}
+		if got, want := m.eng.NextEventAt(), m.nextAt(); got != want {
+			m.t.Fatalf("after Run: NextEventAt = %v, want %v", got, want)
+		}
+	}
+}
+
+// checkOrder demands the dispatch log equal every scheduled event sorted
+// by (at, seq): (at, seq) is a total order and no event is scheduled
+// before the clock, so a drained engine must have dispatched exactly that
+// sequence.
+func (m *propModel) checkOrder() {
+	want := append([]refEvent(nil), m.sched...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].id < want[j].id
+	})
+	if len(m.order) != len(want) {
+		m.t.Fatalf("dispatched %d events, scheduled %d", len(m.order), len(want))
+	}
+	for i, ev := range want {
+		if m.order[i] != ev.id {
+			m.t.Fatalf("dispatch %d: got event %d, want %d (t=%v)", i, m.order[i], ev.id, ev.at)
+		}
+	}
+}
+
+// TestEngineDispatchOrderMatchesReference property-tests the event set
+// against a sort over (at, seq): handlers that schedule zero, one or
+// several events, Stop from inside a handler, bounded Run horizons that
+// leave events pending, observers called mid-handler, and a
+// SaveState/RestoreState rewind that must replay the same suffix.
+func TestEngineDispatchOrderMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		eng := NewEngine()
+		m := &propModel{t: t, eng: eng, st: *rng.NewStream(seed), budget: 6000}
+		eng.SetHandler(m)
+		horizons := rng.NewStream(seed + 100)
+		for i := 0; i < 64; i++ {
+			m.schedule(float64(m.st.Intn(8)) * 0.25)
+		}
+		// Run part way, snapshot, and finish.
+		for len(m.order) < 2000 && eng.Pending() > 0 {
+			eng.Run(eng.Now() + float64(horizons.Intn(3))*0.5)
+		}
+		var snap EngineState
+		eng.SaveState(&snap)
+		saved := *m
+		m.drain(horizons)
+		m.checkOrder()
+		if eng.MaxPending() != m.maxPending {
+			t.Fatalf("seed %d: MaxPending = %d, want %d", seed, eng.MaxPending(), m.maxPending)
+		}
+		first := append([]int32(nil), m.order[len(saved.order):]...)
+
+		// Rewind the engine and the model; the replay must match.
+		eng.RestoreState(&snap)
+		saved.sched = m.sched[:len(saved.sched)]
+		saved.order = m.order[:len(saved.order)]
+		*m = saved
+		m.drain(rng.NewStream(seed + 200))
+		m.checkOrder()
+		replay := m.order[len(saved.order):]
+		if len(replay) != len(first) {
+			t.Fatalf("seed %d: replay dispatched %d events, first pass %d", seed, len(replay), len(first))
+		}
+		for i := range first {
+			if replay[i] != first[i] {
+				t.Fatalf("seed %d: replay diverged at %d: %d vs %d", seed, i, replay[i], first[i])
+			}
+		}
+	}
 }

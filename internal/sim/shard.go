@@ -321,7 +321,7 @@ func newSharded(cfg *core.Config, opts Options) (*shardedSim, error) {
 	// window near one hand-off.
 	o.window = built.ICN2.MeanServiceTime(cfg.MessageBytes)
 	if !(o.window > 0) || math.IsInf(o.window, 1) || math.IsNaN(o.window) {
-		o.window = calendarHint(cfg, 0)
+		o.window = meanGenerationGap(cfg)
 	}
 	if o.window <= 0 {
 		o.window = 1e-3
@@ -1076,4 +1076,18 @@ func (sh *simShard) rerouteMsg(mi int32) {
 	m.hop = 0
 	sh.rerouted++
 	o.ecn1[m.srcCl].Submit(o.svcECN1[m.srcCl].mean(int(m.size)), mi)
+}
+
+// meanGenerationGap returns the expected time between two message
+// generations anywhere in the system, 1/ΣNᵢλᵢ, or 0 when nothing
+// generates.
+func meanGenerationGap(cfg *core.Config) float64 {
+	total := 0.0
+	for _, cl := range cfg.Clusters {
+		total += float64(cl.Nodes) * cl.Lambda
+	}
+	if total <= 0 {
+		return 0
+	}
+	return 1 / total
 }

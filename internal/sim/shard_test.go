@@ -105,27 +105,6 @@ func TestShardedMaxSimTimeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedCalendarIgnored pins that a sharded run with CalendarQueue
-// set still matches (the sharded engine always uses the heap, and the two
-// event sets are themselves bit-identical).
-func TestShardedCalendarIgnored(t *testing.T) {
-	cfg := shardCfg(t, 40, network.NonBlocking)
-	opts := quickOpts(3, 800)
-	opts.RecordSample = true
-	seq, err := Run(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := opts
-	o.Shards = 4
-	o.CalendarQueue = true
-	got, err := Run(cfg, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdenticalResults(t, "calendar-ignored", seq, got)
-}
-
 // TestShardedReplicationsComposeWithParallel runs the replication pool at
 // several worker counts with intra-replication sharding on: the aggregate
 // must match the fully sequential execution.

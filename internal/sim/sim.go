@@ -49,22 +49,12 @@ type Options struct {
 	// Trace, when non-nil, records every message's journey (generation,
 	// per-hop completion, delivery) into the recorder.
 	Trace *trace.Recorder
-	// CalendarQueue selects the calendar-queue future-event set instead of
-	// the default binary heap. Results are bit-identical either way (a
-	// property the determinism tests pin); only the event-set cost model
-	// differs.
-	CalendarQueue bool
-	// CalendarWidthHint is the expected inter-event spacing (seconds) used
-	// to seed the calendar geometry; 0 derives it from the configuration's
-	// aggregate generation rate.
-	CalendarWidthHint float64
 	// Shards, when >= 2, splits this one replication across that many
 	// concurrent shards of clusters, each with its own event list and
 	// clock, synchronized in bounded time windows (DESIGN.md §9). Results
 	// are bit-identical to the sequential engine; 0 and 1 mean
-	// sequential. Requires Shards <= NumClusters, is incompatible with
-	// Trace, and always uses the binary-heap event set (CalendarQueue is
-	// ignored — the two event sets are themselves bit-identical).
+	// sequential. Requires Shards <= NumClusters and is incompatible
+	// with Trace.
 	Shards int
 	// Scenario, when non-nil, turns the run dynamic: the compiled timeline
 	// injects failures, repairs and churn at event-loop granularity, and
@@ -164,7 +154,8 @@ func (r *Result) MeanLatency() float64 { return r.Latency.Mean() }
 
 // layout maps global node ids onto clusters; it implements workload.System.
 type layout struct {
-	prefix []int // prefix[i] = first node id of cluster i; len = C+1
+	prefix  []int   // prefix[i] = first node id of cluster i; len = C+1
+	cluster []int32 // cluster[node] = owning cluster, one lookup per ClusterOf
 }
 
 func newLayout(cfg *core.Config) *layout {
@@ -172,43 +163,44 @@ func newLayout(cfg *core.Config) *layout {
 	for i, cl := range cfg.Clusters {
 		l.prefix[i+1] = l.prefix[i] + cl.Nodes
 	}
+	l.cluster = make([]int32, l.TotalNodes())
+	for i := range cfg.Clusters {
+		for node := l.prefix[i]; node < l.prefix[i+1]; node++ {
+			l.cluster[node] = int32(i)
+		}
+	}
 	return l
 }
 
-func (l *layout) TotalNodes() int  { return l.prefix[len(l.prefix)-1] }
-func (l *layout) NumClusters() int { return len(l.prefix) - 1 }
-func (l *layout) ClusterOf(node int) int {
-	// Binary search over the prefix array.
-	lo, hi := 0, len(l.prefix)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if l.prefix[mid] <= node {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
+func (l *layout) TotalNodes() int               { return l.prefix[len(l.prefix)-1] }
+func (l *layout) NumClusters() int              { return len(l.prefix) - 1 }
+func (l *layout) ClusterOf(node int) int        { return int(l.cluster[node]) }
 func (l *layout) ClusterRange(c int) (int, int) { return l.prefix[c], l.prefix[c+1] }
 
 // serviceModel wraps a network model with a per-size cache of mean service
-// times, so the fixed-size fast path costs one map lookup per hop.
+// times. The last (size, mean) pair is kept outside the map, so the
+// fixed-size fast path costs one comparison per hop.
 type serviceModel struct {
-	model *network.Model
-	cache map[int]float64
+	model    *network.Model
+	cache    map[int]float64
+	lastSize int
+	lastMean float64
 }
 
 func newServiceModel(m *network.Model) *serviceModel {
-	return &serviceModel{model: m, cache: make(map[int]float64, 4)}
+	return &serviceModel{model: m, cache: make(map[int]float64, 4), lastSize: -1}
 }
 
 func (s *serviceModel) mean(size int) float64 {
-	if t, ok := s.cache[size]; ok {
-		return t
+	if size == s.lastSize {
+		return s.lastMean
 	}
-	t := s.model.MeanServiceTime(size)
-	s.cache[size] = t
+	t, ok := s.cache[size]
+	if !ok {
+		t = s.model.MeanServiceTime(size)
+		s.cache[size] = t
+	}
+	s.lastSize, s.lastMean = size, t
 	return t
 }
 
@@ -337,11 +329,7 @@ func New(cfg *core.Config, opts Options) (*Simulator, error) {
 	s := &Simulator{cfg: cfg, opts: opts, lay: newLayout(cfg)}
 	s.gen = workload.Generator{Arrival: opts.Arrival, Pattern: opts.Pattern, Size: opts.SizeDist}.
 		Normalized(workload.FixedSize{Bytes: cfg.MessageBytes})
-	if opts.CalendarQueue {
-		s.eng = NewEngineWithCalendar(calendarHint(cfg, opts.CalendarWidthHint))
-	} else {
-		s.eng = NewEngine()
-	}
+	s.eng = NewEngine()
 	s.eng.SetHandler(s)
 	master := rng.NewStream(opts.Seed)
 
@@ -388,22 +376,6 @@ func New(cfg *core.Config, opts Options) (*Simulator, error) {
 		}
 	}
 	return s, nil
-}
-
-// calendarHint derives an expected inter-event spacing for the calendar
-// queue from the configuration's aggregate generation rate.
-func calendarHint(cfg *core.Config, explicit float64) float64 {
-	if explicit > 0 {
-		return explicit
-	}
-	total := 0.0
-	for _, cl := range cfg.Clusters {
-		total += float64(cl.Nodes) * cl.Lambda
-	}
-	if total <= 0 {
-		return 0 // newCalendarQueue falls back to its default
-	}
-	return 1 / total
 }
 
 // Run executes the simulation and returns its result. The simulator is

@@ -427,3 +427,40 @@ func TestLatencyCIBatchMeans(t *testing.T) {
 		t.Fatal("LatencyCI without sample accepted")
 	}
 }
+
+// TestSimSteadyStateAllocationFree pins DESIGN.md §3's claim that the
+// event loop allocates nothing per message: a closed-loop run measuring
+// 20 000 messages may allocate only a small constant more than one
+// measuring 2 000. The configuration saturates ICN2, so its queue stays
+// long through busy periods far longer than the short run's. Simulators
+// are built outside the measurement, so only Run's own allocations count
+// (set-up formats centre names through fmt, whose pooled buffers the race
+// detector drops at random).
+func TestSimSteadyStateAllocationFree(t *testing.T) {
+	cfg, err := core.NewSuperCluster(16, 16, 1000, network.GigabitEthernet,
+		network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(measured int) float64 {
+		const runs = 3
+		sims := make([]*Simulator, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range sims {
+			if sims[i], err = New(cfg, quickOpts(11, measured)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			if _, err := sims[next].Run(); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+	}
+	short, long := allocs(2000), allocs(20000)
+	const slack = 4
+	if long > short+slack {
+		t.Fatalf("allocations grew with run length: %v allocs at 2 000 messages, %v at 20 000", short, long)
+	}
+}

@@ -9,6 +9,12 @@
 //
 //	benchjson -compare old.json new.json
 //	benchjson -compare -threshold 0.10 old.json new.json
+//
+// Every report records the core count it was taken on: the host's
+// logical CPUs (nproc) and GOMAXPROCS, read when the run is converted,
+// which is the benchmark host when the run is piped straight in. -compare
+// refuses two reports whose core counts differ, since timings from
+// different core counts are not comparable.
 package main
 
 import (
@@ -18,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -40,6 +47,8 @@ type Report struct {
 	Goarch     string  `json:"goarch,omitempty"`
 	Pkg        string  `json:"pkg,omitempty"`
 	CPU        string  `json:"cpu,omitempty"`
+	NProc      int     `json:"nproc,omitempty"`
+	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
@@ -62,15 +71,17 @@ func main() {
 		}
 		return
 	}
-	if err := run(); err != nil {
+	if err := convert(os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
+// convert parses benchmark output from in and writes the JSON report to
+// out.
+func convert(in io.Reader, out io.Writer) error {
+	rep := Report{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -92,7 +103,7 @@ func run() error {
 	if err := sc.Err(); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&rep)
 }
@@ -162,6 +173,13 @@ func runCompare(oldPath, newPath string, threshold float64, out io.Writer) (bool
 	newRep, err := loadReport(newPath)
 	if err != nil {
 		return false, err
+	}
+	switch {
+	case oldRep.NProc == 0 || newRep.NProc == 0:
+		fmt.Fprintln(out, "note: a report does not record its core count; comparing anyway")
+	case oldRep.NProc != newRep.NProc || oldRep.GOMAXPROCS != newRep.GOMAXPROCS:
+		return false, fmt.Errorf("core counts differ: %s has nproc %d GOMAXPROCS %d, %s has nproc %d GOMAXPROCS %d; take both reports on the same core count",
+			oldPath, oldRep.NProc, oldRep.GOMAXPROCS, newPath, newRep.NProc, newRep.GOMAXPROCS)
 	}
 	oldBy := make(map[string]Entry, len(oldRep.Benchmarks))
 	for _, e := range oldRep.Benchmarks {

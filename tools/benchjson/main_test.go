@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -22,11 +23,17 @@ func TestParseBenchLine(t *testing.T) {
 	}
 }
 
-// writeReport drops a report file for the compare tests.
+// writeReport drops a report file without a recorded core count for the
+// compare tests.
 func writeReport(t *testing.T, dir, name string, entries []Entry) string {
 	t.Helper()
+	return writeFullReport(t, dir, name, &Report{Benchmarks: entries})
+}
+
+func writeFullReport(t *testing.T, dir, name string, rep *Report) string {
+	t.Helper()
 	path := filepath.Join(dir, name)
-	data, err := json.Marshal(&Report{Benchmarks: entries})
+	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,5 +111,45 @@ func TestCompareGate(t *testing.T) {
 	// Missing file: error, not a silent pass.
 	if _, err := runCompare(filepath.Join(dir, "absent.json"), okPath, 0.25, &b); err == nil {
 		t.Fatal("missing baseline accepted")
+	}
+}
+
+// TestCompareRefusesDifferentCoreCounts pins the ledger rule that timings
+// taken on different core counts are never compared: -compare errors out
+// (exit status 2) instead of passing or failing the gate.
+func TestCompareRefusesDifferentCoreCounts(t *testing.T) {
+	dir := t.TempDir()
+	entries := []Entry{{Name: "BenchmarkA", NsPerOp: 1_000_000, AllocsPerOp: 100}}
+	two := writeFullReport(t, dir, "two.json", &Report{NProc: 2, GOMAXPROCS: 2, Benchmarks: entries})
+	twoAgain := writeFullReport(t, dir, "two-again.json", &Report{NProc: 2, GOMAXPROCS: 2, Benchmarks: entries})
+	four := writeFullReport(t, dir, "four.json", &Report{NProc: 4, GOMAXPROCS: 4, Benchmarks: entries})
+	capped := writeFullReport(t, dir, "capped.json", &Report{NProc: 2, GOMAXPROCS: 1, Benchmarks: entries})
+
+	var b strings.Builder
+	if regressed, err := runCompare(two, twoAgain, 0.25, &b); err != nil || regressed {
+		t.Fatalf("same core count: regressed=%v err=%v\n%s", regressed, err, b.String())
+	}
+	for _, other := range []string{four, capped} {
+		_, err := runCompare(two, other, 0.25, &b)
+		if err == nil || !strings.Contains(err.Error(), "core counts differ") {
+			t.Fatalf("compare against %s: err = %v, want a core-count refusal", filepath.Base(other), err)
+		}
+	}
+}
+
+// TestConvertRecordsCoreCount checks the converted report carries the
+// host's core count.
+func TestConvertRecordsCoreCount(t *testing.T) {
+	var out strings.Builder
+	if err := convert(strings.NewReader("BenchmarkA-2  3  1000 ns/op\n"), &out); err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.NProc != runtime.NumCPU() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || len(rep.Benchmarks) != 1 {
+		t.Fatalf("report = %+v, want nproc %d GOMAXPROCS %d and one benchmark",
+			rep, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
 }
