@@ -24,11 +24,14 @@ fmt-check:
 
 # bench regenerates BENCH_sim.json: ns/op and allocs/op for the
 # figure/table reproduction paths, the capacity planner's screening stage,
-# the analytic model it screens with (Analyze/C=4,64,256), the event set
-# (EventList*) and the engine's event rate (SimulatorEventRate), tracked
-# PR over PR with the core count they were taken on.
+# the analytic model it screens with (Analyze/C=4,64,256) and the exact
+# MVA solver, the event set (EventList*), the engine's event rate
+# (SimulatorEventRate), the switch-level simulator (NetsimFatTree), and
+# every checked-in experiment spec to rendered report through run.Run
+# (RunSpec/<name>), tracked PR over PR with the core count they were
+# taken on.
 bench:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate' -benchmem . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree' -benchmem . | tee bench.out
 	$(GO) run ./tools/benchjson < bench.out > BENCH_sim.json
 	@rm -f bench.out
 	@echo "wrote BENCH_sim.json"
@@ -38,7 +41,7 @@ bench:
 # PR base; locally, pass OLD=path/to/baseline.json).
 OLD ?= BENCH_sim.json
 bench-compare:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate' -benchmem -benchtime 3x . > bench.out
+	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree' -benchmem -benchtime 3x . > bench.out
 	$(GO) run ./tools/benchjson < bench.out > /tmp/bench-new.json
 	@rm -f bench.out
 	$(GO) run ./tools/benchjson -compare $(OLD) /tmp/bench-new.json

@@ -6,7 +6,12 @@
 package hmscs
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"hmscs/internal/analytic"
@@ -75,11 +80,11 @@ func benchFigure(b *testing.B, figure int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := sweep.Options{SkipSimulation: true}
-		res, err := sweep.RunFigure(spec, opts)
+		res, err := sweep.RunFiguresCtx(context.Background(), []sweep.FigureSpec{spec}, nil, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.Series) != 2 {
+		if len(res[0].Series) != 2 {
 			b.Fatal("unexpected series count")
 		}
 		o := benchSimOpts()
@@ -481,6 +486,42 @@ func BenchmarkInstrumentedReplication(b *testing.B) {
 				b.Fatalf("collector saw %d replications, %d events — instrumentation not wired", reps, st.Events)
 			}
 			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
+		})
+	}
+}
+
+// BenchmarkRunSpec measures the whole local path, spec to report: each
+// checked-in experiment (testdata/experiments/<name>.json, one per kind
+// plus the dynamic-scenario variants) parsed, executed through Run at
+// parallelism 1, and rendered as markdown.
+func BenchmarkRunSpec(b *testing.B) {
+	files, err := filepath.Glob(filepath.Join("testdata", "experiments", "*.json"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no experiment specs: %v", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(strings.TrimSuffix(filepath.Base(path), ".json"), func(b *testing.B) {
+			var buf bytes.Buffer
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				e, err := ParseExperiment(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Run(context.Background(), e, RunOptions{
+					Parallelism: 1,
+					Sinks:       []Sink{NewMarkdownSink(&buf)},
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if buf.Len() == 0 {
+				b.Fatal("experiment rendered nothing")
+			}
 		})
 	}
 }

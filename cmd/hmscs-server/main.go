@@ -45,6 +45,27 @@ import (
 	"hmscs/internal/serve"
 )
 
+// Connection timeouts. A client has readHeaderTimeout to send its
+// request headers (a slow or stalled client cannot hold a connection
+// open indefinitely before the handler runs), and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no read
+// or write timeout: NDJSON event streams and /dist lease long-polls stay
+// open for as long as their jobs run.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the handler in the service's HTTP server.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := runMain(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hmscs-server:", err)
@@ -86,7 +107,7 @@ func runMain(args []string) error {
 		mux.Handle("/", handler)
 		handler = mux
 	}
-	hs := &http.Server{Addr: *addr, Handler: handler}
+	hs := newHTTPServer(*addr, handler)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

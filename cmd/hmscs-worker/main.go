@@ -39,13 +39,24 @@ func main() {
 }
 
 func runMain(args []string) error {
+	w, err := newWorker(args)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	return w.Run(ctx)
+}
+
+// newWorker builds the worker the command line describes.
+func newWorker(args []string) (*dist.Worker, error) {
 	fs := flag.NewFlagSet("hmscs-worker", flag.ContinueOnError)
 	connect := fs.String("connect", "127.0.0.1:8642", "hmscs-server address to pull unit leases from")
 	procs := fs.Int("procs", runtime.NumCPU(), "units executed concurrently")
 	name := fs.String("name", "", "worker label shown in GET /dist/workers (default host:pid)")
 	quiet := fs.Bool("quiet", false, "suppress progress logging")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return nil, err
 	}
 	if *name == "" {
 		host, _ := os.Hostname()
@@ -60,7 +71,5 @@ func runMain(args []string) error {
 		logger := log.New(os.Stderr, "hmscs-worker: ", log.LstdFlags)
 		w.Logf = logger.Printf
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return w.Run(ctx)
+	return w, nil
 }

@@ -315,7 +315,7 @@ func Simulate(cfg *Config, opts SimOptions) (*SimResult, error) { return sim.Run
 // SimulateReplications runs n independent replications in parallel and
 // aggregates mean latency with a 95% confidence interval.
 func SimulateReplications(cfg *Config, opts SimOptions, n int) (*ReplicatedResult, error) {
-	return sim.RunReplications(cfg, opts, n)
+	return sim.RunReplicationsCtx(context.Background(), cfg, opts, n, 0, nil)
 }
 
 // Precision is a relative-precision target for adaptive simulation: run
@@ -333,7 +333,11 @@ type PrecisionResult = sim.PrecisionResult
 // the worker pool until the target is met. Results are bit-identical at
 // every parallelism level.
 func SimulateToPrecision(cfg *Config, opts SimOptions, target Precision) (*PrecisionResult, error) {
-	return sim.RunPrecision(cfg, opts, target, 0)
+	res, err := sim.RunPrecisionUnitsCtx(context.Background(), []sim.Unit{{Cfg: cfg, Opts: opts}}, target, 0, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // Capacity planning ----------------------------------------------------------
@@ -402,7 +406,11 @@ func Figure(n int) (FigureSpec, error) { return sweep.PaperFigure(n) }
 // SweepOptions.Parallelism, with results bit-identical at every
 // parallelism level.
 func RunFigure(spec FigureSpec, opts SweepOptions) (*FigureResult, error) {
-	return sweep.RunFigure(spec, opts)
+	res, err := runFigures([]sweep.FigureSpec{spec}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // RunFigures evaluates a batch of paper figures (numbers 4-7; an empty
@@ -421,7 +429,16 @@ func RunFigures(ns []int, opts SweepOptions) ([]*FigureResult, error) {
 		}
 		specs[i] = spec
 	}
-	return sweep.RunFigures(specs, opts)
+	return runFigures(specs, opts)
+}
+
+// runFigures evaluates a figure batch over its own unit decomposition.
+func runFigures(specs []sweep.FigureSpec, opts SweepOptions) ([]*FigureResult, error) {
+	units, err := sweep.FigureUnits(specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return sweep.RunFiguresCtx(context.Background(), specs, units, opts, nil)
 }
 
 // DefaultSweepOptions evaluates figures with the paper's per-run procedure

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -24,7 +25,7 @@ func batchConfigs(t *testing.T) []*core.Config {
 
 func TestAnalyzeBatchMatchesSingle(t *testing.T) {
 	cfgs := batchConfigs(t)
-	batch, err := AnalyzeBatch(cfgs, 1, 0)
+	batch, err := AnalyzeBatchCtx(context.Background(), cfgs, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestAnalyzeBatchMatchesSingle(t *testing.T) {
 		}
 	}
 	// A bursty SCV routes through the G/G/1 correction.
-	bursty, err := AnalyzeBatch(cfgs, 4, 0)
+	bursty, err := AnalyzeBatchCtx(context.Background(), cfgs, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestAnalyzeBatchMatchesSingle(t *testing.T) {
 		}
 	}
 	// An infinite SCV (Pareto tails) falls back to the plain model.
-	inf, err := AnalyzeBatch(cfgs[:1], math.Inf(1), 0)
+	inf, err := AnalyzeBatchCtx(context.Background(), cfgs[:1], math.Inf(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +67,11 @@ func TestAnalyzeBatchMatchesSingle(t *testing.T) {
 
 func TestAnalyzeBatchParallelismInvariance(t *testing.T) {
 	cfgs := batchConfigs(t)
-	seq, err := AnalyzeBatch(cfgs, 1, 1)
+	seq, err := AnalyzeBatchCtx(context.Background(), cfgs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := AnalyzeBatch(cfgs, 1, 8)
+	par, err := AnalyzeBatchCtx(context.Background(), cfgs, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestAnalyzeBatchParallelismInvariance(t *testing.T) {
 func TestAnalyzeBatchLowestIndexError(t *testing.T) {
 	good := batchConfigs(t)[0]
 	bad := &core.Config{} // fails validation
-	if _, err := AnalyzeBatch([]*core.Config{good, bad, bad}, 1, 4); err == nil {
+	if _, err := AnalyzeBatchCtx(context.Background(), []*core.Config{good, bad, bad}, 1, 4); err == nil {
 		t.Fatal("invalid configuration accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -80,7 +81,7 @@ func TestLocalityModelTracksLocalBiasSimulation(t *testing.T) {
 		opts.WarmupMessages = 800
 		opts.MeasuredMessages = 6000
 		opts.Pattern = workload.LocalBias{Locality: loc}
-		agg, err := sim.RunReplications(cfg, opts, 3)
+		agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestAnalyzeSCVPredictsDeterministicSimulation(t *testing.T) {
 	opts.WarmupMessages = 1000
 	opts.MeasuredMessages = 8000
 	opts.ServiceDist = rng.Deterministic{Value: 1}
-	agg, err := sim.RunReplications(cfg, opts, 3)
+	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

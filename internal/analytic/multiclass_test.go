@@ -1,6 +1,7 @@
 package analytic
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestMulticlassPredictsHeterogeneousSimulation(t *testing.T) {
 	opts := sim.DefaultOptions()
 	opts.WarmupMessages = 1000
 	opts.MeasuredMessages = 8000
-	agg, err := sim.RunReplications(cfg, opts, 3)
+	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestMulticlassBeatsSymmetricModelOnHeterogeneous(t *testing.T) {
 	opts := sim.DefaultOptions()
 	opts.WarmupMessages = 1000
 	opts.MeasuredMessages = 8000
-	agg, err := sim.RunReplications(cfg, opts, 3)
+	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,16 +11,15 @@ import (
 	"hmscs/internal/telemetry"
 )
 
-// Executor is the job side of the fan-out: it plugs into
-// run.Options.Units and spreads a stage's units between the attached
-// workers and a bounded local budget. Results come back positionally —
-// unit k's result is unit k's result no matter who ran it or when — so
-// the merge the call-site drivers perform is the same deterministic
-// fold a local run performs.
+// Executor is the job side of the fan-out: as run.Options.Units it
+// receives each stage the run executes and spreads the stage's units
+// between the attached workers and a bounded local budget. Results come
+// back positionally — unit k's result is unit k's result no matter who
+// ran it or when — so the merge the drivers perform is the same
+// deterministic fold a local run performs.
 type Executor struct {
 	coord *Coordinator
 	hash  string
-	prog  *run.Program
 	slots int
 
 	localSem chan struct{}
@@ -28,17 +27,12 @@ type Executor struct {
 	cancel   context.CancelFunc
 }
 
-// NewExecutor prepares a job for distribution: the spec's unit program
-// is built, its bytes are registered with the coordinator for worker
-// fetches, and local execution is capped at slots concurrent engines
-// (the job's pool parallelism, so a distributed job consumes the same
-// local budget a plain one would). Close must be called when the job
-// ends.
+// NewExecutor prepares a job for distribution: the spec's bytes are
+// registered with the coordinator for worker fetches, and local
+// execution is capped at slots concurrent engines (the job's pool
+// parallelism, so a distributed job consumes the same local budget a
+// plain one would). Close must be called when the job ends.
 func NewExecutor(ctx context.Context, coord *Coordinator, hash string, spec *run.Experiment, slots int) (*Executor, error) {
-	prog, err := run.NewProgram(spec)
-	if err != nil {
-		return nil, err
-	}
 	data, err := spec.Marshal()
 	if err != nil {
 		return nil, err
@@ -50,7 +44,6 @@ func NewExecutor(ctx context.Context, coord *Coordinator, hash string, spec *run
 	e := &Executor{
 		coord:    coord,
 		hash:     hash,
-		prog:     prog,
 		slots:    slots,
 		localSem: make(chan struct{}, slots),
 	}
@@ -66,27 +59,24 @@ func (e *Executor) Close() {
 	e.coord.releaseSpec(e.hash)
 }
 
-// Runner is the run.Options.Units hook: it returns the stage's unit
-// runner, or nil (run locally) for stages this spec does not decompose.
-func (e *Executor) Runner(stage string) sim.UnitRunner {
-	st, err := e.prog.Stage(stage)
-	if err != nil {
-		return nil
-	}
+// Runner is the run.Options.Units hook: it returns the executor for the
+// stage run.Run is about to execute, or nil (run locally) for a stage
+// without units.
+func (e *Executor) Runner(st *run.UnitStage) sim.UnitFunc {
 	if st.Precision {
 		// Adaptive stages are demand-driven: the replication schedule is
 		// decided round by round, so there is nothing to dispatch ahead.
-		return &demandRunner{e: e, stage: stage}
+		return (&demandRunner{e: e, stage: st.Name}).RunUnit
 	}
 	if len(st.Units)*st.Reps == 0 {
 		return nil
 	}
-	pr := &prefetchRunner{e: e, st: st, stage: stage}
+	pr := &prefetchRunner{e: e, st: st}
 	pr.results = make([]chan unitRes, len(st.Units)*st.Reps)
 	for i := range pr.results {
 		pr.results[i] = make(chan unitRes, 1)
 	}
-	return pr
+	return pr.RunUnit
 }
 
 // newOffer wraps one unit for the coordinator.
@@ -120,7 +110,7 @@ func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Co
 	e := d.e
 	col := opts.Stats
 	o := opts
-	o.Exec, o.Stats, o.Profile = nil, nil, nil
+	o.Stats, o.Profile = nil, nil
 	off := e.newOffer(d.stage, point, rep, o.Seed)
 	select {
 	case e.coord.offers <- off:
@@ -156,7 +146,6 @@ func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Co
 type prefetchRunner struct {
 	e       *Executor
 	st      *run.UnitStage
-	stage   string
 	once    sync.Once
 	results []chan unitRes
 	tokens  chan struct{}
@@ -165,7 +154,7 @@ type prefetchRunner struct {
 func (p *prefetchRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Config, opts sim.Options) (*sim.Result, error) {
 	if point < 0 || point >= len(p.st.Units) || rep < 0 || rep >= p.st.Reps {
 		return nil, fmt.Errorf("dist: unit (%d,%d) outside stage %q (%d points × %d reps)",
-			point, rep, p.stage, len(p.st.Units), p.st.Reps)
+			point, rep, p.st.Name, len(p.st.Units), p.st.Reps)
 	}
 	p.once.Do(func() { p.start(opts.Stats) })
 	k := point*p.st.Reps + rep
@@ -201,7 +190,7 @@ func (p *prefetchRunner) start(col *telemetry.Collector) {
 			case <-e.ctx.Done():
 				return
 			}
-			off := e.newOffer(p.stage, point, rep, o.Seed)
+			off := e.newOffer(p.st.Name, point, rep, o.Seed)
 			select {
 			case e.coord.offers <- off:
 				go p.awaitRemote(k, off, cfg, o, col)

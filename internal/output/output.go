@@ -109,7 +109,7 @@ func (e Estimate) RelHalfWidth() float64 {
 // RunSequential drives the stopping rule over a caller-supplied
 // replication runner, sequentially: run(rep) executes replication rep and
 // returns its point estimate and effective sample size. It is the
-// single-threaded counterpart of sim.RunPrecisionUnits for simulators
+// single-threaded counterpart of sim.RunPrecisionUnitsCtx for simulators
 // that rebuild per replication (netsim); the chunk schedule and stopping
 // decisions are identical.
 func RunSequential(prec Precision, run func(rep int) (mean, ess float64, err error)) (Estimate, error) {

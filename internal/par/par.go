@@ -57,13 +57,6 @@ func runUnit(fn func(i int) error, i int) error {
 	return err
 }
 
-// ForEach runs fn(i) for every i in [0, n) on up to parallelism
-// concurrent workers with no cancellation: ForEachCtx with a background
-// context.
-func ForEach(n, parallelism int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, parallelism, fn)
-}
-
 // ForEachCtx runs fn(i) for every i in [0, n) on up to parallelism
 // concurrent workers. parallelism <= 0 means runtime.NumCPU(). With
 // parallelism 1 the calls run sequentially on the calling goroutine.

@@ -14,7 +14,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 	for _, p := range []int{0, 1, 2, 7, 64} {
 		const n = 100
 		var hits [n]int32
-		err := ForEach(n, p, func(i int) error {
+		err := ForEachCtx(context.Background(), n, p, func(i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -31,7 +31,7 @@ func TestForEachCoversAllIndices(t *testing.T) {
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	for _, p := range []int{1, 4} {
-		err := ForEach(10, p, func(i int) error {
+		err := ForEachCtx(context.Background(), 10, p, func(i int) error {
 			if i == 7 || i == 3 {
 				return fmt.Errorf("unit %d failed", i)
 			}
@@ -49,7 +49,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 func TestForEachAbortsPromptlyOnError(t *testing.T) {
 	for _, p := range []int{1, 4} {
 		var ran int32
-		err := ForEach(10_000, p, func(i int) error {
+		err := ForEachCtx(context.Background(), 10_000, p, func(i int) error {
 			atomic.AddInt32(&ran, 1)
 			if i == 0 {
 				return errors.New("boom")
@@ -108,7 +108,7 @@ func TestForEachCtxPreCancelledRunsNothing(t *testing.T) {
 }
 
 func TestForEachZeroUnits(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -71,60 +71,54 @@ type VerifiedCandidate struct {
 
 // VerifyTopK simulates the k cheapest frontier candidates to the given
 // precision target, fanning (candidate × replication) units over one
-// bounded worker pool (sim.RunPrecisionUnits). opts carries the workload
-// (arrival process, service distribution, per-replication window, base
-// seed); each candidate's replication seeds derive deterministically from
-// it, so results are bit-identical at every parallelism level.
+// bounded worker pool (sim.RunPrecisionUnitsCtx). opts carries the
+// workload (arrival process, service distribution, per-replication
+// window, base seed); each candidate's replication seeds derive
+// deterministically from it, so results are bit-identical at every
+// parallelism level.
 func VerifyTopK(frontier []ScreenResult, k int, slo SLO, opts sim.Options, prec output.Precision, parallelism int) ([]VerifiedCandidate, error) {
-	return VerifyTopKCtx(context.Background(), frontier, k, slo, opts, prec, parallelism, nil)
-}
-
-// VerifyTopKCtx is VerifyTopK with cancellation and progress: a
-// cancelled context aborts the verification pool between replication
-// units and returns ctx.Err(); prog receives the adaptive-stopping
-// events of sim.RunPrecisionUnitsCtx.
-func VerifyTopKCtx(ctx context.Context, frontier []ScreenResult, k int, slo SLO, opts sim.Options, prec output.Precision, parallelism int, prog progress.Func) ([]VerifiedCandidate, error) {
-	slo = slo.Normalized()
-	if k > len(frontier) {
-		k = len(frontier)
-	}
-	if k <= 0 {
+	units := VerifyUnits(frontier, k, opts)
+	if len(units) == 0 {
 		return nil, nil
 	}
-	units := make([]sim.PrecisionUnit, k)
-	for i := 0; i < k; i++ {
-		r := frontier[i]
-		// Frontier candidates have heterogeneous cluster counts, so a
-		// global shard request is capped at each candidate's count
-		// (sharded results are bit-identical to sequential, so the cap
-		// changes execution, never the verdict) instead of aborting the
-		// verification with sim.Run's pointed error.
-		uo := opts
-		if c := len(r.Cfg.Clusters); uo.Shards > c {
-			uo.Shards = c
-		}
-		units[i] = sim.PrecisionUnit{
-			Cfg:  r.Cfg,
-			Opts: uo,
-			Wrap: func(err error) error {
-				return fmt.Errorf("plan: verifying candidate %d (%s): %w", r.Index, r.Label(), err)
-			},
-		}
-	}
-	res, err := sim.RunPrecisionUnitsCtx(ctx, units, prec, parallelism, prog)
+	res, err := sim.RunPrecisionUnitsCtx(context.Background(), units, prec, parallelism, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]VerifiedCandidate, k)
-	for i := 0; i < k; i++ {
-		v := VerifiedCandidate{ScreenResult: frontier[i], Sim: res[i].Estimate}
+	return Verified(frontier, slo, res), nil
+}
+
+// VerifyUnits is the verification batch of the k cheapest frontier
+// candidates (all of them when k exceeds the frontier): one unit per
+// candidate, in frontier order, with the shard request capped at each
+// candidate's cluster count (see sim.Unit.ShardCapped) and errors
+// naming the candidate.
+func VerifyUnits(frontier []ScreenResult, k int, opts sim.Options) []sim.Unit {
+	var units []sim.Unit
+	for i := 0; i < k && i < len(frontier); i++ {
+		r := frontier[i]
+		u := sim.Unit{Cfg: r.Cfg, Opts: opts, Wrap: func(err error) error {
+			return fmt.Errorf("plan: verifying candidate %d (%s): %w", r.Index, r.Label(), err)
+		}}
+		units = append(units, u.ShardCapped())
+	}
+	return units
+}
+
+// Verified folds the verification batch's results (in VerifyUnits order)
+// into verified candidates, judging each simulated mean against the SLO.
+func Verified(frontier []ScreenResult, slo SLO, res []*sim.PrecisionResult) []VerifiedCandidate {
+	slo = slo.Normalized()
+	out := make([]VerifiedCandidate, len(res))
+	for i, r := range res {
+		v := VerifiedCandidate{ScreenResult: frontier[i], Sim: r.Estimate}
 		if v.Sim.Mean > 0 {
 			v.Gap = (v.Predicted - v.Sim.Mean) / v.Sim.Mean
 			v.SimFeasible = v.Sim.Mean <= slo.MaxLatency
 		}
 		out[i] = v
 	}
-	return out, nil
+	return out
 }
 
 // VerifyScenarioCtx re-runs every verified candidate against a fault
@@ -147,13 +141,10 @@ func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *s
 		if err != nil {
 			return wrap(err)
 		}
-		o := opts
-		if c := len(v.Cfg.Clusters); o.Shards > c {
-			o.Shards = c
-		}
-		o.Scenario = cs
-		o.RecordSample = true
-		results, err := sim.RunReplicationResultsCtx(ctx, v.Cfg, o, reps, parallelism, prog)
+		u := sim.Unit{Cfg: v.Cfg, Opts: opts}.ShardCapped()
+		u.Opts.Scenario = cs
+		u.Opts.RecordSample = true
+		results, err := sim.RunUnitsCtx(ctx, []sim.Unit{u}, reps, parallelism, prog, nil)
 		if err != nil {
 			return wrap(err)
 		}
@@ -161,7 +152,7 @@ func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *s
 		if err != nil {
 			return wrap(err)
 		}
-		for _, r := range results {
+		for _, r := range results[0] {
 			tr.AddReplication(r.SampleTimes, r.Sample)
 		}
 		sloLat := cs.SLO

@@ -10,12 +10,12 @@
 //     including heterogeneous splits, per-role technologies, architecture,
 //     load headroom) is enumerated in a fixed deterministic order;
 //  2. every candidate is screened through the analytic fixed point
-//     (analytic.AnalyzeBatch — microseconds per candidate, thousands per
+//     (analytic.AnalyzeBatchCtx — microseconds per candidate, thousands per
 //     second on the worker pool) and scored against an SLO and a CostModel;
 //  3. the feasible set is reduced to the Pareto frontier on
 //     (cost, predicted latency);
 //  4. the cheapest frontier candidates are verified with precision-mode
-//     simulation (sim.RunPrecisionUnits), reporting the model-vs-sim gap
+//     simulation (sim.RunPrecisionUnitsCtx), reporting the model-vs-sim gap
 //     per candidate.
 //
 // Everything is deterministic: enumeration order is fixed, screening

@@ -78,17 +78,17 @@ type ScreenResult struct {
 	Reason   string
 }
 
-// Screen enumerates the space and evaluates every candidate through the
-// analytic model (analytic.AnalyzeBatch, so a non-Poisson finite
-// arrivalSCV plans with the G/G/1 burstiness correction), prices it, and
-// scores it against the SLO. Results are in enumeration order and
-// bit-identical at every parallelism level.
+// Screen is ScreenCtx without cancellation.
 func Screen(sp *Space, slo SLO, cost CostModel, arrivalSCV float64, parallelism int) ([]ScreenResult, error) {
 	return ScreenCtx(context.Background(), sp, slo, cost, arrivalSCV, parallelism)
 }
 
-// ScreenCtx is Screen with cancellation: a cancelled context aborts the
-// screening pool between candidates and returns ctx.Err().
+// ScreenCtx enumerates the space and evaluates every candidate through
+// the analytic model (analytic.AnalyzeBatchCtx, so a non-Poisson finite
+// arrivalSCV plans with the G/G/1 burstiness correction), prices it, and
+// scores it against the SLO. Results are in enumeration order and
+// bit-identical at every parallelism level; a cancelled context aborts
+// the screening pool between candidates and returns ctx.Err().
 func ScreenCtx(ctx context.Context, sp *Space, slo SLO, cost CostModel, arrivalSCV float64, parallelism int) ([]ScreenResult, error) {
 	slo = slo.Normalized()
 	if err := slo.Validate(); err != nil {

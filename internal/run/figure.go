@@ -66,70 +66,81 @@ type FutureData struct {
 	CI       float64
 }
 
-func runFigure(ctx context.Context, e *Experiment, opts Options, em *emitter) (*FigureOutcome, error) {
-	simOpts, err := e.simOptions()
-	if err != nil {
-		return nil, err
-	}
-	simOpts.Stats = opts.Stats
-	simOpts.Profile = opts.Profile
-	simOpts.Exec = opts.unitRunner(StageFigures)
-	prec, err := e.Precision.Build()
-	if err != nil {
-		return nil, err
-	}
-	sweepOpts := sweep.DefaultOptions()
-	sweepOpts.Sim = simOpts
-	sweepOpts.Replications = e.Run.Reps
-	sweepOpts.SkipSimulation = e.Figure.Fast
-	sweepOpts.Parallelism = opts.Parallelism
-	sweepOpts.Precision = prec
-	sweepOpts.Progress = em.fn()
+// figureSelection is the figure kind's section selection: want reports
+// whether a section key ("fig4", "tables", "ratio", ...) was selected,
+// and nums/specs list the figures evaluated — the ones named plus the
+// ones a ratio selection pulls in — in order.
+type figureSelection struct {
+	want  func(key string) bool
+	nums  []int
+	specs []sweep.FigureSpec
+}
 
+func selectFigures(e *Experiment) (*figureSelection, error) {
 	selected := splitList(e.Figure.What)
-	want := func(key string) bool {
+	sel := &figureSelection{want: func(key string) bool {
 		for _, s := range selected {
 			if s == key || s == "all" {
 				return true
 			}
 		}
 		return false
-	}
-
-	out := &FigureOutcome{
-		Tables:   want("tables"),
-		Ratio:    want("ratio"),
-		PrintFig: map[int]bool{},
-		Prec:     prec,
-	}
-	// Batch every requested figure into one orchestrator call so all their
-	// (point × replication) units share the worker pool.
-	var specs []sweep.FigureSpec
+	}}
 	for n := 4; n <= 7; n++ {
-		if !want(fmt.Sprintf("fig%d", n)) && !want("ratio") {
+		if !sel.want(fmt.Sprintf("fig%d", n)) && !sel.want("ratio") {
 			continue
 		}
 		spec, err := sweep.PaperFigure(n)
 		if err != nil {
 			return nil, err
 		}
-		out.Nums = append(out.Nums, n)
-		out.PrintFig[n] = want(fmt.Sprintf("fig%d", n))
-		specs = append(specs, spec)
+		sel.nums = append(sel.nums, n)
+		sel.specs = append(sel.specs, spec)
 	}
-	if out.Results, err = sweep.RunFiguresCtx(ctx, specs, sweepOpts); err != nil {
+	return sel, nil
+}
+
+func runFigure(ctx context.Context, p *Program, opts Options, em *emitter) (*FigureOutcome, error) {
+	e := p.spec
+	sweepOpts, err := p.sweepOptions()
+	if err != nil {
+		return nil, err
+	}
+	sweepOpts.Parallelism = opts.Parallelism
+	sweepOpts.Progress = em.fn()
+	sel, err := selectFigures(e)
+	if err != nil {
+		return nil, err
+	}
+	out := &FigureOutcome{
+		Tables:   sel.want("tables"),
+		Nums:     sel.nums,
+		PrintFig: map[int]bool{},
+		Ratio:    sel.want("ratio"),
+		Prec:     sweepOpts.Precision,
+	}
+	for _, n := range sel.nums {
+		out.PrintFig[n] = sel.want(fmt.Sprintf("fig%d", n))
+	}
+	// Every requested figure's (point × replication) units form one
+	// stage, so they all share the worker pool.
+	st, err := p.Stage(StageFigures)
+	if err != nil {
+		return nil, err
+	}
+	if out.Results, err = sweep.RunFiguresCtx(ctx, sel.specs, opts.observed(st), sweepOpts, opts.unitFunc(st)); err != nil {
 		return nil, err
 	}
 	// The ablation and future-work extras are outside the distributable
 	// figures stage (see StageFigures): run them locally.
 	extraOpts := sweepOpts
-	extraOpts.Sim.Exec = nil
-	if want("ablation") {
+	extraOpts.Sim.Stats, extraOpts.Sim.Profile = opts.Stats, opts.Profile
+	if sel.want("ablation") {
 		if out.Ablation, err = runAblation(ctx, extraOpts); err != nil {
 			return nil, err
 		}
 	}
-	if want("future") {
+	if sel.want("future") {
 		if out.Future, err = runFutureWork(ctx, extraOpts); err != nil {
 			return nil, err
 		}
@@ -157,17 +168,18 @@ func runAblation(ctx context.Context, opts sweep.Options) (*AblationData, error)
 		}
 		row := AblationRow{C: c, OpenModel: open.MeanLatency, MVA: mva.MeanLatency}
 		if !opts.SkipSimulation {
-			simExp, err := sim.RunReplicationsCtx(ctx, cfg, opts.Sim, opts.Replications, opts.Parallelism, nil)
+			o := sim.Unit{Cfg: cfg, Opts: opts.Sim}.ShardCapped().Opts
+			simExp, err := sim.RunReplicationsCtx(ctx, cfg, o, opts.Replications, opts.Parallelism, nil)
 			if err != nil {
 				return nil, err
 			}
-			detOpts := opts.Sim
+			detOpts := o
 			detOpts.ServiceDist = rng.Deterministic{Value: 1}
 			simDet, err := sim.RunReplicationsCtx(ctx, cfg, detOpts, opts.Replications, opts.Parallelism, nil)
 			if err != nil {
 				return nil, err
 			}
-			openOpts := opts.Sim
+			openOpts := o
 			openOpts.OpenLoop = true
 			// Open-loop saturation has unbounded queues; cap the run time.
 			openOpts.MaxSimTime = 120
@@ -215,15 +227,16 @@ func runFutureWork(ctx context.Context, opts sweep.Options) (*FutureData, error)
 		HasSim:     !opts.SkipSimulation,
 	}
 	if !opts.SkipSimulation {
+		u := sim.Unit{Cfg: cfg, Opts: opts.Sim}.ShardCapped()
 		if opts.Precision != nil {
-			res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.PrecisionUnit{{Cfg: cfg, Opts: opts.Sim}}, *opts.Precision, opts.Parallelism, nil)
+			res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.Unit{u}, *opts.Precision, opts.Parallelism, nil, nil)
 			if err != nil {
 				return nil, err
 			}
 			e := res[0].Estimate
 			data.Adaptive, data.Reps, data.Mean, data.CI = true, e.Reps, e.Mean, e.HalfWidth
 		} else {
-			agg, err := sim.RunReplicationsCtx(ctx, cfg, opts.Sim, opts.Replications, opts.Parallelism, nil)
+			agg, err := sim.RunReplicationsCtx(ctx, cfg, u.Opts, opts.Replications, opts.Parallelism, nil)
 			if err != nil {
 				return nil, err
 			}

@@ -50,19 +50,31 @@ type Options struct {
 	// Profile, when non-nil, records per-shard window occupancy of every
 	// sharded replication into a Chrome-trace profile (see -trace-profile).
 	Profile *telemetry.TraceProfile
-	// Units, when non-nil, supplies a sim.UnitRunner per batch stage (see
-	// StageCheck..StageVerify) — the seam a distributed executor uses to
-	// take over (point × replication) units. A nil return for a stage
-	// runs that stage locally. Results are bit-identical either way.
-	Units func(stage string) sim.UnitRunner
+	// Units, when non-nil, receives each batch stage (see
+	// StageCheck..StageVerify) the run is about to execute and returns
+	// the executor for its (point × replication) units — how a
+	// distributed executor takes them over. A nil return runs that stage
+	// locally. Results are bit-identical either way.
+	Units func(st *UnitStage) sim.UnitFunc
 }
 
-// unitRunner resolves the stage's executor; nil means run locally.
-func (o Options) unitRunner(stage string) sim.UnitRunner {
+// unitFunc resolves the stage's executor; nil means run locally.
+func (o Options) unitFunc(st *UnitStage) sim.UnitFunc {
 	if o.Units == nil {
 		return nil
 	}
-	return o.Units(stage)
+	return o.Units(st)
+}
+
+// observed returns the stage's units with the run's observers (Stats,
+// Profile) attached; the stage itself never carries them.
+func (o Options) observed(st *UnitStage) []sim.Unit {
+	units := make([]sim.Unit, len(st.Units))
+	for i, u := range st.Units {
+		u.Opts.Stats, u.Opts.Profile = o.Stats, o.Profile
+		units[i] = u
+	}
+	return units
 }
 
 // Outcome is the structured result of one experiment: exactly one of
@@ -207,20 +219,21 @@ func Run(ctx context.Context, e *Experiment, opts Options) (*Outcome, error) {
 	ropts := opts
 	ropts.Stats = col
 	start := time.Now()
+	prog := newProgram(spec)
 	var err error
 	switch spec.Kind {
 	case KindAnalyze:
-		out.Analyze, err = runAnalyze(ctx, spec, ropts, emit)
+		out.Analyze, err = runAnalyze(ctx, prog, ropts, emit)
 	case KindSimulate:
-		out.Simulate, err = runSimulate(ctx, spec, ropts, emit)
+		out.Simulate, err = runSimulate(ctx, prog, ropts, emit)
 	case KindNetsim:
 		out.Net, err = runNetsim(ctx, spec, ropts, emit)
 	case KindFigure:
-		out.Figure, err = runFigure(ctx, spec, ropts, emit)
+		out.Figure, err = runFigure(ctx, prog, ropts, emit)
 	case KindSweep:
-		out.Sweep, err = runSweep(ctx, spec, ropts, emit)
+		out.Sweep, err = runSweep(ctx, prog, ropts, emit)
 	case KindPlan:
-		out.Plan, err = runPlan(ctx, spec, ropts, emit)
+		out.Plan, err = runPlan(ctx, prog, ropts, emit)
 	}
 	sum, reps := col.Snapshot()
 	out.Telemetry = &telemetry.RunStats{Sim: sum, Replications: reps, WallSeconds: time.Since(start).Seconds()}
@@ -302,7 +315,8 @@ func analyzeModel(cfg *core.Config, scv float64) (*analytic.Result, error) {
 	return analytic.Analyze(cfg)
 }
 
-func runAnalyze(ctx context.Context, e *Experiment, opts Options, em *emitter) (*AnalyzeOutcome, error) {
+func runAnalyze(ctx context.Context, p *Program, opts Options, em *emitter) (*AnalyzeOutcome, error) {
+	e := p.spec
 	arrival, err := e.Workload.BuildArrival()
 	if err != nil {
 		return nil, err
@@ -329,15 +343,11 @@ func runAnalyze(ctx context.Context, e *Experiment, opts Options, em *emitter) (
 	if prec != nil {
 		// Validate the prediction by simulation, adaptively extending the
 		// replication set until the estimate is tight enough to judge.
-		simOpts := sim.DefaultOptions()
-		simOpts.Seed = e.Run.Seed
-		simOpts.Arrival = arrival
-		simOpts.Shards = e.Run.Shards
-		simOpts.Stats = opts.Stats
-		simOpts.Profile = opts.Profile
-		simOpts.Exec = opts.unitRunner(StageCheck)
-		units := []sim.PrecisionUnit{{Cfg: cfg, Opts: simOpts}}
-		res, err := sim.RunPrecisionUnitsCtx(ctx, units, *prec, opts.Parallelism, em.fn())
+		st, err := p.Stage(StageCheck)
+		if err != nil {
+			return nil, err
+		}
+		res, err := sim.RunPrecisionUnitsCtx(ctx, opts.observed(st), *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
 		if err != nil {
 			return nil, err
 		}
@@ -346,18 +356,12 @@ func runAnalyze(ctx context.Context, e *Experiment, opts Options, em *emitter) (
 	return out, nil
 }
 
-func runSimulate(ctx context.Context, e *Experiment, opts Options, em *emitter) (*SimulateOutcome, error) {
-	cfg, err := e.System.Build()
+func runSimulate(ctx context.Context, p *Program, opts Options, em *emitter) (*SimulateOutcome, error) {
+	e := p.spec
+	st, err := p.Stage(StageSim)
 	if err != nil {
 		return nil, err
 	}
-	simOpts, err := e.simOptions()
-	if err != nil {
-		return nil, err
-	}
-	simOpts.Stats = opts.Stats
-	simOpts.Profile = opts.Profile
-	simOpts.Exec = opts.unitRunner(StageSim)
 	if e.Run.Reps < 1 {
 		return nil, fmt.Errorf("run: need at least 1 replication")
 	}
@@ -365,45 +369,35 @@ func runSimulate(ctx context.Context, e *Experiment, opts Options, em *emitter) 
 	if err != nil {
 		return nil, err
 	}
+	units := opts.observed(st)
+	cfg, simOpts := units[0].Cfg, units[0].Opts
 	out := &SimulateOutcome{Cfg: cfg, Opts: simOpts, Prec: prec}
-	switch {
-	case prec != nil:
-		res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.PrecisionUnit{{Cfg: cfg, Opts: simOpts}}, *prec, opts.Parallelism, em.fn())
+	if prec != nil {
+		res, err := sim.RunPrecisionUnitsCtx(ctx, units, *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
 		if err != nil {
 			return nil, err
 		}
 		out.PrecRes = res[0]
 		out.Agg = res[0].Replicated
-	case e.Scenario != nil:
-		// Dynamic run: compile the timeline against this configuration,
-		// keep the per-replication sample series, and fold them into the
-		// transient estimator in replication order.
-		cs, err := scenario.CompileSim(e.Scenario, cfg)
+	} else {
+		results, err := sim.RunUnitsCtx(ctx, units, st.Reps, opts.Parallelism, em.fn(), opts.unitFunc(st))
 		if err != nil {
 			return nil, err
 		}
-		simOpts.Scenario = cs
-		simOpts.RecordSample = true
-		out.Opts = simOpts
-		results, err := sim.RunReplicationResultsCtx(ctx, cfg, simOpts, e.Run.Reps, opts.Parallelism, em.fn())
-		if err != nil {
-			return nil, err
+		out.Agg = sim.AggregateResults(results[0])
+		if cs := simOpts.Scenario; cs != nil {
+			// Dynamic run: the stage compiled the timeline against this
+			// configuration and kept every replication's sample series;
+			// fold them into the transient estimator in replication order.
+			sr, err := newScenarioRun(e.Scenario, cs.Horizon, cs.Slice, cs.FaultAt, cs.SLO, e.Precision.Confidence)
+			if err != nil {
+				return nil, err
+			}
+			for _, r := range results[0] {
+				sr.add(r.SampleTimes, r.Sample, r.Dropped, r.Rerouted)
+			}
+			out.Scenario = sr.outcome()
 		}
-		out.Agg = sim.AggregateResults(results)
-		sr, err := newScenarioRun(e.Scenario, cs.Horizon, cs.Slice, cs.FaultAt, cs.SLO, e.Precision.Confidence)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			sr.add(r.SampleTimes, r.Sample, r.Dropped, r.Rerouted)
-		}
-		out.Scenario = sr.outcome()
-	default:
-		agg, err := sim.RunReplicationsCtx(ctx, cfg, simOpts, e.Run.Reps, opts.Parallelism, em.fn())
-		if err != nil {
-			return nil, err
-		}
-		out.Agg = agg
 	}
 	if e.Simulate.Verbose || e.Simulate.TraceOut != "" {
 		o := simOpts
@@ -603,32 +597,23 @@ func runNetPrecision(ctx context.Context, exp *NetExperiment, prec output.Precis
 	return est, nil
 }
 
-func runSweep(ctx context.Context, e *Experiment, opts Options, em *emitter) (*SweepOutcome, error) {
-	simOpts, err := e.simOptions()
+func runSweep(ctx context.Context, p *Program, opts Options, em *emitter) (*SweepOutcome, error) {
+	e := p.spec
+	sweepOpts, err := p.sweepOptions()
 	if err != nil {
 		return nil, err
 	}
-	simOpts.Stats = opts.Stats
-	simOpts.Profile = opts.Profile
-	simOpts.Exec = opts.unitRunner(StageSweep)
+	sweepOpts.Parallelism = opts.Parallelism
+	sweepOpts.Progress = em.fn()
 	labels, points, err := buildSweepJobs(e)
 	if err != nil {
 		return nil, err
 	}
-	prec, err := e.Precision.Build()
+	st, err := p.Stage(StageSweep)
 	if err != nil {
 		return nil, err
 	}
-	sweepOpts := sweep.Options{
-		Sim:            simOpts,
-		Replications:   e.Run.Reps,
-		SkipSimulation: e.Sweep.Fast,
-		Parallelism:    opts.Parallelism,
-		Precision:      prec,
-		Progress:       em.fn(),
-		Scenario:       e.Scenario,
-	}
-	results, err := sweep.RunPointsCtx(ctx, points, sweepOpts)
+	results, err := sweep.RunPointsCtx(ctx, points, opts.observed(st), sweepOpts, opts.unitFunc(st))
 	if err != nil {
 		return nil, err
 	}
@@ -636,7 +621,7 @@ func runSweep(ctx context.Context, e *Experiment, opts Options, em *emitter) (*S
 		Var:      e.Sweep.Var,
 		Labels:   labels,
 		Results:  results,
-		Prec:     prec,
+		Prec:     sweepOpts.Precision,
 		Fast:     e.Sweep.Fast,
 		Scenario: e.Scenario,
 	}, nil
@@ -749,74 +734,55 @@ func buildSweepJobs(e *Experiment) ([]string, []sweep.PointSpec, error) {
 	return labels, points, nil
 }
 
-func runPlan(ctx context.Context, e *Experiment, opts Options, em *emitter) (*PlanOutcome, error) {
+func runPlan(ctx context.Context, prog *Program, opts Options, em *emitter) (*PlanOutcome, error) {
+	e := prog.spec
 	p := e.Plan
-	sp, err := p.BuildSpace()
-	if err != nil {
-		return nil, err
-	}
-	slo, err := p.BuildSLO()
-	if err != nil {
-		return nil, err
-	}
-	cost, err := p.BuildCost()
-	if err != nil {
-		return nil, err
-	}
-	arr, err := e.Workload.BuildArrival()
-	if err != nil {
-		return nil, err
-	}
 	// Normalize already restored the planner's always-adaptive default
 	// (±5% @ 95%) for a zero RelWidth, so Build never returns nil here.
 	prec, err := e.Precision.Build()
 	if err != nil {
 		return nil, err
 	}
-	scv := arr.SCV()
-	screened, err := plan.ScreenCtx(ctx, sp, slo, cost, scv, opts.Parallelism)
+	sc, err := prog.screen(ctx, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	feasible := 0
-	for _, r := range screened {
+	for _, r := range sc.screened {
 		if r.Feasible {
 			feasible++
 		}
 	}
-	frontier := plan.Frontier(screened)
+	frontier := sc.frontier
 	out := &PlanOutcome{
-		Space:    sp,
-		SLO:      slo,
-		Cost:     cost,
-		Arrival:  arr,
-		SCV:      scv,
-		Screened: len(screened),
+		Space:    sc.space,
+		SLO:      sc.slo,
+		Cost:     sc.cost,
+		Arrival:  sc.arrival,
+		SCV:      sc.arrival.SCV(),
+		Screened: len(sc.screened),
 		Feasible: feasible,
 		Frontier: frontier,
 		Prec:     prec,
 	}
 	if p.Top > 0 && len(frontier) > 0 {
-		simOpts := sim.DefaultOptions()
-		simOpts.Seed = e.Run.Seed
-		simOpts.MeasuredMessages = e.Run.Messages
-		simOpts.Arrival = arr
-		simOpts.Shards = e.Run.Shards
-		simOpts.Stats = opts.Stats
-		simOpts.Profile = opts.Profile
-		simOpts.Exec = opts.unitRunner(StageVerify)
-		out.Verified, err = plan.VerifyTopKCtx(ctx, frontier, p.Top, slo, simOpts, *prec, opts.Parallelism, em.fn())
+		st, err := prog.Stage(StageVerify)
 		if err != nil {
 			return nil, err
 		}
+		res, err := sim.RunPrecisionUnitsCtx(ctx, opts.observed(st), *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
+		if err != nil {
+			return nil, err
+		}
+		out.Verified = plan.Verified(frontier, sc.slo, res)
 		if e.Scenario != nil {
 			// Dynamic check: every verified candidate additionally rides
 			// out the fault timeline, and its recovery time is judged
 			// against the SLO's recovery budget. It runs locally — its
 			// units are not part of the distributable verify stage.
-			scenOpts := simOpts
-			scenOpts.Exec = nil
-			err = plan.VerifyScenarioCtx(ctx, out.Verified, e.Scenario, slo, scenOpts, e.Run.Reps, opts.Parallelism, em.fn())
+			scenOpts := prog.verifyOptions(sc.arrival)
+			scenOpts.Stats, scenOpts.Profile = opts.Stats, opts.Profile
+			err = plan.VerifyScenarioCtx(ctx, out.Verified, e.Scenario, sc.slo, scenOpts, e.Run.Reps, opts.Parallelism, em.fn())
 			if err != nil {
 				return nil, err
 			}

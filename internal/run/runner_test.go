@@ -113,6 +113,33 @@ func TestRunParallelismInvariantRendering(t *testing.T) {
 	}
 }
 
+// TestFigureExtrasCapShards: the ablation and future-work extras
+// simulate configurations of 2 to 128 clusters, so a shard request above
+// the smallest count is capped per configuration instead of aborting the
+// run — and because sharded execution is bit-identical to sequential
+// (DESIGN.md §9), the report matches shards=1 byte for byte.
+func TestFigureExtrasCapShards(t *testing.T) {
+	render := func(shards int) string {
+		e := NewExperiment(KindFigure)
+		e.Figure.What = "ablation,future"
+		e.Run.Messages = 300
+		e.Run.Reps = 1
+		e.Run.Shards = shards
+		var b strings.Builder
+		if _, err := Run(context.Background(), e, Options{
+			Parallelism: 2,
+			Sinks:       []Sink{NewMarkdownSink(&b)},
+		}); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return b.String()
+	}
+	base := render(1)
+	if got := render(8); got != base {
+		t.Fatalf("report differs between shards 1 and 8:\n%s\n---\n%s", base, got)
+	}
+}
+
 // TestTelemetryZeroPerturbation is the instrumentation layer's
 // determinism pin (DESIGN.md §12): with a stats collector AND a trace
 // profile attached, the rendered report is byte-identical at every

@@ -10,6 +10,7 @@ import (
 	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
 	"hmscs/internal/sweep"
+	"hmscs/internal/workload"
 )
 
 // The distributable batch stages of an experiment. Each names one batch
@@ -36,13 +37,13 @@ const (
 )
 
 // UnitStage is one distributable batch of an experiment: the prepared
-// per-point units (sweep.Unit semantics — overrides applied, shards
-// capped, scenarios compiled) plus the replication schedule. In fixed
-// mode every point runs exactly Reps replications; with Precision set
-// the schedule is adaptive and rep indices are open-ended.
+// per-point units (overrides applied, shards capped, scenarios compiled)
+// plus the replication schedule. In fixed mode every point runs exactly
+// Reps replications; with Precision set the schedule is adaptive and rep
+// indices are open-ended.
 type UnitStage struct {
 	Name  string
-	Units []sweep.Unit
+	Units []sim.Unit
 	// Reps is the fixed per-point replication count (0 in precision mode).
 	Reps int
 	// Precision marks the adaptive schedule: replication rep of a point
@@ -52,8 +53,8 @@ type UnitStage struct {
 }
 
 // Unit derives one (point, rep) unit's configuration and fully resolved
-// simulation options. The returned options never carry execution-side
-// attachments (Exec, Stats, Profile); `sim.Run(cfg, opts)` on them is
+// simulation options. Stage units never carry execution-side
+// attachments (Stats, Profile); `sim.Run(cfg, opts)` on the result is
 // the unit's reference semantics.
 func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 	if point < 0 || point >= len(s.Units) {
@@ -64,7 +65,6 @@ func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 	}
 	u := s.Units[point]
 	o := u.Opts
-	o.Exec, o.Stats, o.Profile = nil, nil, nil
 	if s.Precision {
 		o = sim.PrecisionReplicationOptions(o, rep)
 	} else {
@@ -73,22 +73,32 @@ func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 	return u.Cfg, o, nil
 }
 
-// Program is the deterministic unit decomposition of one experiment:
-// the bridge between a spec and its distributable (stage, point, rep)
-// units. Both ends of the distribution protocol build one from the same
-// normalized spec — the coordinator to prefetch and locally execute
-// units, the worker to re-derive a leased unit — and because every
-// builder mirrors the corresponding runner exactly, the derived units
-// are the ones a local run.Run executes.
+// Program is the deterministic unit decomposition of one experiment: the
+// single source of its distributable (stage, point, rep) units. run.Run
+// builds one per run and its runners execute the stages' units and fold
+// the results; a distributed worker builds one from the same normalized
+// spec to re-derive a leased unit — so a worker runs exactly the units a
+// local run executes.
 //
-// Stages build lazily and are cached: the plan kind's verify stage
-// re-runs the (deterministic) screening pass, which only the party that
-// actually executes a verify unit should pay for.
+// Stages build lazily and are cached, and so is the plan kind's
+// screening pass, which the runner shares with its verify stage — so it
+// runs at most once per Program, and only for a party that needs it.
 type Program struct {
 	spec *Experiment
 
-	mu     sync.Mutex
-	stages map[string]*UnitStage
+	mu        sync.Mutex
+	stages    map[string]*UnitStage
+	screening *screening
+}
+
+// screening is the plan kind's screening pass and the inputs it ran on.
+type screening struct {
+	space    *plan.Space
+	slo      plan.SLO
+	cost     plan.CostModel
+	arrival  workload.Arrival
+	screened []plan.ScreenResult
+	frontier []plan.ScreenResult
 }
 
 // NewProgram returns the experiment's unit decomposition. The spec is
@@ -102,7 +112,12 @@ func NewProgram(e *Experiment) (*Program, error) {
 	}
 	spec := e.Clone()
 	spec.Normalize()
-	return &Program{spec: spec, stages: make(map[string]*UnitStage)}, nil
+	return newProgram(spec), nil
+}
+
+// newProgram wraps an already validated and normalized spec.
+func newProgram(spec *Experiment) *Program {
+	return &Program{spec: spec, stages: make(map[string]*UnitStage)}
 }
 
 // Distributable reports whether the experiment kind has batch stages a
@@ -145,6 +160,43 @@ func (p *Program) Unit(stage string, point, rep int) (*core.Config, sim.Options,
 	return st.Unit(point, rep)
 }
 
+// screen returns the plan kind's screening pass, running it on first use
+// under ctx on up to parallelism workers. Screening is bit-identical at
+// every parallelism, so whoever runs it first fixes the frontier for both
+// the runner and the verify stage.
+func (p *Program) screen(ctx context.Context, parallelism int) (*screening, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.screenLocked(ctx, parallelism)
+}
+
+func (p *Program) screenLocked(ctx context.Context, parallelism int) (*screening, error) {
+	if p.screening != nil {
+		return p.screening, nil
+	}
+	e := p.spec
+	var ps screening
+	var err error
+	if ps.space, err = e.Plan.BuildSpace(); err != nil {
+		return nil, err
+	}
+	if ps.slo, err = e.Plan.BuildSLO(); err != nil {
+		return nil, err
+	}
+	if ps.cost, err = e.Plan.BuildCost(); err != nil {
+		return nil, err
+	}
+	if ps.arrival, err = e.Workload.BuildArrival(); err != nil {
+		return nil, err
+	}
+	if ps.screened, err = plan.ScreenCtx(ctx, ps.space, ps.slo, ps.cost, ps.arrival.SCV(), parallelism); err != nil {
+		return nil, err
+	}
+	ps.frontier = plan.Frontier(ps.screened)
+	p.screening = &ps
+	return p.screening, nil
+}
+
 func (p *Program) buildStage(name string) (*UnitStage, error) {
 	e := p.spec
 	switch {
@@ -152,17 +204,16 @@ func (p *Program) buildStage(name string) (*UnitStage, error) {
 		return p.buildCheck()
 	case name == StageSim && e.Kind == KindSimulate:
 		return p.buildSim()
-	case name == StageSweep && e.Kind == KindSweep:
-		return p.buildSweep()
-	case name == StageFigures && e.Kind == KindFigure:
-		return p.buildFigures()
+	case name == StageSweep && e.Kind == KindSweep,
+		name == StageFigures && e.Kind == KindFigure:
+		return p.buildBatch(name)
 	case name == StageVerify && e.Kind == KindPlan:
 		return p.buildVerify()
 	}
 	return nil, fmt.Errorf("run: %s experiment has no %q stage", e.Kind, name)
 }
 
-// buildCheck mirrors runAnalyze's precision validation unit.
+// buildCheck is the analyze kind's precision validation unit.
 func (p *Program) buildCheck() (*UnitStage, error) {
 	e := p.spec
 	prec, err := e.Precision.Build()
@@ -186,13 +237,14 @@ func (p *Program) buildCheck() (*UnitStage, error) {
 	simOpts.Shards = e.Run.Shards
 	return &UnitStage{
 		Name:      StageCheck,
-		Units:     []sweep.Unit{{Cfg: cfg, Opts: simOpts}},
+		Units:     []sim.Unit{{Cfg: cfg, Opts: simOpts}},
 		Precision: true,
 	}, nil
 }
 
-// buildSim mirrors runSimulate's replication batch for all three modes
-// (fixed, scenario, precision).
+// buildSim is the simulate kind's replication batch for all three modes
+// (fixed, scenario, precision): one unit, its timeline compiled in
+// scenario mode.
 func (p *Program) buildSim() (*UnitStage, error) {
 	e := p.spec
 	cfg, err := e.System.Build()
@@ -207,7 +259,7 @@ func (p *Program) buildSim() (*UnitStage, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &UnitStage{Name: StageSim, Units: []sweep.Unit{{Cfg: cfg, Opts: simOpts}}}
+	st := &UnitStage{Name: StageSim, Units: []sim.Unit{{Cfg: cfg, Opts: simOpts}}}
 	switch {
 	case prec != nil:
 		st.Precision = true
@@ -225,8 +277,9 @@ func (p *Program) buildSim() (*UnitStage, error) {
 	return st, nil
 }
 
-// sweepOptions assembles the sweep.Options the sweep and figure runners
-// build, so the derivation and the execution cannot drift.
+// sweepOptions assembles the sweep.Options the sweep and figure kinds
+// share between their stage and their runner. Figures are stationary:
+// only a sweep threads the scenario timeline.
 func (p *Program) sweepOptions() (sweep.Options, error) {
 	e := p.spec
 	simOpts, err := e.simOptions()
@@ -237,141 +290,75 @@ func (p *Program) sweepOptions() (sweep.Options, error) {
 	if err != nil {
 		return sweep.Options{}, err
 	}
-	return sweep.Options{
-		Sim:          simOpts,
-		Replications: e.Run.Reps,
-		Precision:    prec,
-		Scenario:     e.Scenario,
-	}, nil
+	opts := sweep.Options{Sim: simOpts, Replications: e.Run.Reps, Precision: prec}
+	if e.Kind == KindSweep {
+		opts.Scenario = e.Scenario
+		opts.SkipSimulation = e.Sweep.Fast
+	} else {
+		opts.SkipSimulation = e.Figure.Fast
+	}
+	return opts, nil
 }
 
-// buildSweep mirrors runSweep's point batch.
-func (p *Program) buildSweep() (*UnitStage, error) {
+// buildBatch is the sweep or figure kind's point batch: one unit per
+// sweep point or figure point, each running at least one replication
+// (or the adaptive schedule). Analytic-only runs have no units.
+func (p *Program) buildBatch(name string) (*UnitStage, error) {
 	e := p.spec
 	opts, err := p.sweepOptions()
 	if err != nil {
 		return nil, err
 	}
-	st := &UnitStage{Name: StageSweep, Reps: e.Run.Reps, Precision: opts.Precision != nil}
-	if st.Reps < 1 {
-		st.Reps = 1 // RunPoints' floor
+	st := &UnitStage{Name: name, Reps: max(opts.Replications, 1)}
+	if opts.Precision != nil {
+		st.Reps, st.Precision = 0, true
 	}
-	if st.Precision {
-		st.Reps = 0
-	}
-	if e.Sweep.Fast {
-		return st, nil // analytic-only: no simulation units
-	}
-	_, points, err := buildSweepJobs(e)
-	if err != nil {
-		return nil, err
-	}
-	if st.Units, err = sweep.PointUnits(points, opts); err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// figureSpecs reproduces runFigure's figure selection: the figures
-// named in the spec plus the ones a ratio selection pulls in.
-func figureSpecs(e *Experiment) ([]sweep.FigureSpec, error) {
-	selected := splitList(e.Figure.What)
-	want := func(key string) bool {
-		for _, s := range selected {
-			if s == key || s == "all" {
-				return true
-			}
-		}
-		return false
-	}
-	var specs []sweep.FigureSpec
-	for n := 4; n <= 7; n++ {
-		if !want(fmt.Sprintf("fig%d", n)) && !want("ratio") {
-			continue
-		}
-		spec, err := sweep.PaperFigure(n)
+	if e.Kind == KindSweep {
+		_, points, err := buildSweepJobs(e)
 		if err != nil {
 			return nil, err
 		}
-		specs = append(specs, spec)
-	}
-	return specs, nil
-}
-
-// buildFigures mirrors runFigure's main figure batch.
-func (p *Program) buildFigures() (*UnitStage, error) {
-	e := p.spec
-	opts, err := p.sweepOptions()
-	if err != nil {
-		return nil, err
-	}
-	opts.Scenario = nil // figures are stationary; runFigure never threads a timeline
-	if opts.Replications < 1 {
-		opts.Replications = 1 // RunFigures' floor
-	}
-	st := &UnitStage{Name: StageFigures, Reps: opts.Replications, Precision: opts.Precision != nil}
-	if st.Precision {
-		st.Reps = 0
-	}
-	if e.Figure.Fast {
+		if st.Units, err = sweep.PointUnits(points, opts); err != nil {
+			return nil, err
+		}
 		return st, nil
 	}
-	specs, err := figureSpecs(e)
+	sel, err := selectFigures(e)
 	if err != nil {
 		return nil, err
 	}
-	if st.Units, err = sweep.FigureUnits(specs, opts); err != nil {
+	if st.Units, err = sweep.FigureUnits(sel.specs, opts); err != nil {
 		return nil, err
 	}
 	return st, nil
 }
 
-// buildVerify mirrors runPlan's top-K verification units, re-running the
-// deterministic screening pass to recover the frontier. Screening is
-// bit-identical at every parallelism, so the derived candidate list is
-// exactly the one the coordinator's runPlan verifies.
+// verifyOptions is the simulation setup of the plan kind's verification
+// and scenario check.
+func (p *Program) verifyOptions(arrival workload.Arrival) sim.Options {
+	e := p.spec
+	simOpts := sim.DefaultOptions()
+	simOpts.Seed = e.Run.Seed
+	simOpts.MeasuredMessages = e.Run.Messages
+	simOpts.Arrival = arrival
+	simOpts.Shards = e.Run.Shards
+	return simOpts
+}
+
+// buildVerify is the plan kind's top-K verification batch over the
+// Program's one screening pass.
 func (p *Program) buildVerify() (*UnitStage, error) {
 	e := p.spec
 	if e.Plan.Top <= 0 {
 		return nil, fmt.Errorf("run: plan experiment with top=0 has no %q stage", StageVerify)
 	}
-	sp, err := e.Plan.BuildSpace()
+	ps, err := p.screenLocked(context.TODO(), 0)
 	if err != nil {
 		return nil, err
 	}
-	slo, err := e.Plan.BuildSLO()
-	if err != nil {
-		return nil, err
-	}
-	cost, err := e.Plan.BuildCost()
-	if err != nil {
-		return nil, err
-	}
-	arr, err := e.Workload.BuildArrival()
-	if err != nil {
-		return nil, err
-	}
-	screened, err := plan.ScreenCtx(context.Background(), sp, slo, cost, arr.SCV(), 0)
-	if err != nil {
-		return nil, err
-	}
-	frontier := plan.Frontier(screened)
-	k := e.Plan.Top
-	if k > len(frontier) {
-		k = len(frontier)
-	}
-	simOpts := sim.DefaultOptions()
-	simOpts.Seed = e.Run.Seed
-	simOpts.MeasuredMessages = e.Run.Messages
-	simOpts.Arrival = arr
-	simOpts.Shards = e.Run.Shards
-	st := &UnitStage{Name: StageVerify, Precision: true}
-	for i := 0; i < k; i++ {
-		uo := simOpts
-		if c := len(frontier[i].Cfg.Clusters); uo.Shards > c {
-			uo.Shards = c
-		}
-		st.Units = append(st.Units, sweep.Unit{Cfg: frontier[i].Cfg, Opts: uo})
-	}
-	return st, nil
+	return &UnitStage{
+		Name:      StageVerify,
+		Units:     plan.VerifyUnits(ps.frontier, e.Plan.Top, p.verifyOptions(ps.arrival)),
+		Precision: true,
+	}, nil
 }

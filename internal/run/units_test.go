@@ -5,7 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"hmscs/internal/core"
@@ -13,35 +13,47 @@ import (
 	"hmscs/internal/sim"
 )
 
-// coherenceExec is a sim.UnitRunner that pins the unit-derivation
-// contract: every unit a runner hands to the executor seam must be
-// re-derivable, bit for bit, from the spec alone through Program — the
-// property the distributed subsystem's correctness rests on.
-type coherenceExec struct {
-	t     *testing.T
-	prog  *Program
-	stage string
-	calls int64
+// recordingExec is an Options.Units executor that pins the
+// unit-derivation contract: every (stage, point, rep) a runner executes
+// must be in range of an independently built Program's stage and
+// re-derive from the spec alone, bit for bit — the property the
+// distributed subsystem's correctness rests on. It counts each unit it
+// runs.
+type recordingExec struct {
+	t    *testing.T
+	prog *Program
+
+	mu   sync.Mutex
+	runs map[string]map[[2]int]int
 }
 
-func (c *coherenceExec) RunUnit(ctx context.Context, point, rep int, cfg *core.Config, opts sim.Options) (*sim.Result, error) {
-	atomic.AddInt64(&c.calls, 1)
-	dcfg, dopts, err := c.prog.Unit(c.stage, point, rep)
-	if err != nil {
-		c.t.Errorf("stage %q unit (%d,%d): derivation failed: %v", c.stage, point, rep, err)
-		return sim.Run(cfg, opts)
+func (r *recordingExec) stage(st *UnitStage) sim.UnitFunc {
+	r.mu.Lock()
+	if r.runs[st.Name] == nil {
+		r.runs[st.Name] = map[[2]int]int{}
 	}
-	if !reflect.DeepEqual(cfg, dcfg) {
-		c.t.Errorf("stage %q unit (%d,%d): derived config differs from the runner's", c.stage, point, rep)
+	r.mu.Unlock()
+	return func(ctx context.Context, point, rep int, cfg *core.Config, opts sim.Options) (*sim.Result, error) {
+		r.mu.Lock()
+		r.runs[st.Name][[2]int{point, rep}]++
+		r.mu.Unlock()
+		dcfg, dopts, err := r.prog.Unit(st.Name, point, rep)
+		if err != nil {
+			r.t.Errorf("stage %q unit (%d,%d): out of range of Program.Stage: %v", st.Name, point, rep, err)
+			return sim.Run(cfg, opts)
+		}
+		if !reflect.DeepEqual(cfg, dcfg) {
+			r.t.Errorf("stage %q unit (%d,%d): derived config differs from the runner's", st.Name, point, rep)
+		}
+		got := opts
+		got.Stats, got.Profile = nil, nil
+		if !optionsEqual(got, dopts) {
+			r.t.Errorf("stage %q unit (%d,%d): derived options differ:\nrunner:  %+v\nderived: %+v", st.Name, point, rep, got, dopts)
+		}
+		// Execute the derived unit, not the handed-in one: the rendered
+		// report then proves the derivation end to end.
+		return sim.Run(dcfg, dopts)
 	}
-	got := opts
-	got.Exec, got.Stats, got.Profile = nil, nil, nil
-	if !optionsEqual(got, dopts) {
-		c.t.Errorf("stage %q unit (%d,%d): derived options differ:\nrunner:  %+v\nderived: %+v", c.stage, point, rep, got, dopts)
-	}
-	// Execute the derived unit, not the handed-in one: the rendered
-	// report then proves the derivation end to end.
-	return sim.Run(dcfg, dopts)
 }
 
 // optionsEqual compares simulation options, treating the compiled
@@ -154,10 +166,11 @@ func unitTestSpecs() map[string]struct {
 
 // TestProgramDerivationMatchesRunners is the distribution subsystem's
 // foundation pin: for every experiment kind and execution mode, each
-// unit the runner offers through Options.Units is re-derived from the
-// spec by Program bit-identically, and a run whose units all execute
-// through the derived (config, options) renders the same report as a
-// plain local run.
+// unit the runner executes through Options.Units is in range of the
+// spec's Program stage and re-derived from the spec bit-identically,
+// each unit of a fixed stage runs exactly once, and a run whose units
+// all execute through the derived (config, options) renders the same
+// report as a plain local run.
 func TestProgramDerivationMatchesRunners(t *testing.T) {
 	for name, tc := range unitTestSpecs() {
 		t.Run(name, func(t *testing.T) {
@@ -173,27 +186,37 @@ func TestProgramDerivationMatchesRunners(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			execs := map[string]*coherenceExec{}
+			rec := &recordingExec{t: t, prog: prog, runs: map[string]map[[2]int]int{}}
 			var viaExec strings.Builder
 			_, err = Run(context.Background(), tc.e, Options{
 				Parallelism: 2,
 				Sinks:       []Sink{NewMarkdownSink(&viaExec)},
-				Units: func(stage string) sim.UnitRunner {
-					c := &coherenceExec{t: t, prog: prog, stage: stage}
-					execs[stage] = c
-					return c
-				},
+				Units:       rec.stage,
 			})
 			if err != nil {
 				t.Fatalf("executor run: %v", err)
 			}
 			for _, stage := range tc.stages {
-				c := execs[stage]
-				if c == nil {
-					t.Fatalf("stage %q executor was never requested", stage)
+				runs, ok := rec.runs[stage]
+				if !ok {
+					t.Fatalf("stage %q was never handed to the executor", stage)
 				}
-				if atomic.LoadInt64(&c.calls) == 0 {
+				if len(runs) == 0 {
 					t.Fatalf("stage %q executor ran no units", stage)
+				}
+				st, err := prog.Stage(stage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for unit, n := range runs {
+					if n != 1 {
+						t.Errorf("stage %q unit %v ran %d times, want once", stage, unit, n)
+					}
+				}
+				// The adaptive schedule decides its own rep count; a fixed
+				// stage must run its whole grid.
+				if want := len(st.Units) * st.Reps; !st.Precision && len(runs) != want {
+					t.Errorf("stage %q ran %d distinct units, want %d", stage, len(runs), want)
 				}
 			}
 			if viaExec.String() != base.String() {
@@ -227,5 +250,36 @@ func TestUnitStageBounds(t *testing.T) {
 	}
 	if !Distributable(e) {
 		t.Error("simulate reported not distributable")
+	}
+}
+
+// TestPlanScreensOncePerProgram: the plan runner and the verify stage
+// share one screening pass — the stage's candidates are the very
+// configurations the runner's screen produced, not a second screen's.
+func TestPlanScreensOncePerProgram(t *testing.T) {
+	e := NewExperiment(KindPlan)
+	e.Plan.Top = 2
+	prog, err := NewProgram(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := prog.screen(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := prog.Stage(StageVerify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Units) != 2 {
+		t.Fatalf("verify stage has %d units, want 2", len(st.Units))
+	}
+	for i, u := range st.Units {
+		if u.Cfg != sc.frontier[i].Cfg {
+			t.Fatalf("verify unit %d does not come from the runner's screen", i)
+		}
+	}
+	if again, err := prog.screen(context.Background(), 1); err != nil || again != sc {
+		t.Fatalf("second screen call did not reuse the first (err %v)", err)
 	}
 }

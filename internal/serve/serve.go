@@ -338,8 +338,10 @@ func (s *Server) runJob(job *Job) {
 		if out != nil && out.Telemetry != nil {
 			s.jobWall.Observe(out.Telemetry.WallSeconds)
 		}
+		// Cache first: a client that has seen the job finish must hit
+		// the cache with its next identical submission.
+		s.remember(job, report.Bytes())
 		job.finish(StatusDone, "", report.Bytes())
-		s.remember(job)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		s.jobsCancelled.Inc()
 		job.finish(StatusCancelled, err.Error(), nil)
@@ -349,17 +351,14 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// remember stores a done job's stream and report under its spec hash,
-// evicting the oldest entry past the cache bound.
-func (s *Server) remember(job *Job) {
+// remember stores a successful job's stream and report under its spec
+// hash, evicting the oldest entry past the cache bound. The run has
+// returned, so the job's event stream is complete.
+func (s *Server) remember(job *Job, result []byte) {
 	if s.cfg.CacheSize < 0 || !Cacheable(job.spec) {
 		return
 	}
 	events, _ := job.EventsFrom(0)
-	result, ok := job.Result()
-	if !ok {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, exists := s.cache[job.hash]; exists {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -74,11 +75,11 @@ func TestArrivalProcessesParallelismInvariant(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := quickOpts(100, 800)
 			opts.Arrival = arr
-			seq, err := RunReplicationsN(cfg, opts, 3, 1)
+			seq, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunReplicationsN(cfg, opts, 3, 0)
+			par, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,11 +109,11 @@ func TestArrivalPrecisionModeParallelismInvariant(t *testing.T) {
 	}
 	opts.Arrival = mmpp
 	prec := output.Precision{RelWidth: 0.05, MaxReps: 16}
-	seq, err := RunPrecision(cfg, opts, prec, 1)
+	seq, err := runPrecision(cfg, opts, prec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunPrecision(cfg, opts, prec, 0)
+	par, err := runPrecision(cfg, opts, prec, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestMMPPRaisesLatencyAtEqualLoad(t *testing.T) {
 	opts := quickOpts(5, 6000)
 	opts.OpenLoop = true
 	opts.MaxSimTime = 120
-	base, err := RunReplicationsN(cfg, opts, 3, 0)
+	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestMMPPRaisesLatencyAtEqualLoad(t *testing.T) {
 	// inside the measured window, so the run sees many cycles.
 	mmpp := &workload.MMPP{BurstRatio: 10, BurstFrac: 0.1, Dwell: 5}
 	opts.Arrival = mmpp
-	burst, err := RunReplicationsN(cfg, opts, 3, 0)
+	burst, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"hmscs/internal/network"
@@ -45,12 +46,12 @@ func requireIdenticalResults(t *testing.T, label string, a, b *Result) {
 func TestRunReplicationsParallelismInvariant(t *testing.T) {
 	cfg := smallCfg(t, 50, network.NonBlocking)
 	opts := quickOpts(100, 1000)
-	base, err := RunReplicationsN(cfg, opts, 4, 1)
+	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 4, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 2, 8} {
-		got, err := RunReplicationsN(cfg, opts, 4, p)
+		got, err := RunReplicationsCtx(context.Background(), cfg, opts, 4, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"hmscs/internal/core"
 	"hmscs/internal/output"
 	"hmscs/internal/par"
 	"hmscs/internal/progress"
@@ -35,14 +34,6 @@ type PrecisionResult struct {
 	// their point estimates may retain initialisation bias, a sign the
 	// per-replication window should grow (raise -messages).
 	TruncationSuspect int
-}
-
-// PrecisionUnit is one configuration in a batched precision run.
-type PrecisionUnit struct {
-	Cfg  *core.Config
-	Opts Options
-	// Wrap, when non-nil, decorates simulation errors with unit context.
-	Wrap func(error) error
 }
 
 // precisionRepMessages sizes a precision-mode replication: a quarter of
@@ -89,11 +80,12 @@ type workItem struct {
 	ui, rep int
 }
 
-// RunPrecisionUnits runs every unit's replications under the sequential
-// stopping rule, fanning (unit × replication) work across one bounded
-// worker pool. Per round, each unconverged unit contributes its next
-// deterministic chunk of replications; seeds derive from the unit's base
-// seed by ReplicationSeed, per-replication analysis depends only on that
+// RunPrecisionUnitsCtx is the adaptive batch driver: it runs every
+// unit's replications under the sequential stopping rule, fanning
+// (unit × replication) work across one bounded worker pool. Per round,
+// each unconverged unit contributes its next deterministic chunk of
+// replications; seeds derive from the unit's base seed by
+// ReplicationSeed, per-replication analysis depends only on that
 // replication's sample, and stopping decisions consume estimates in
 // replication order — so results are bit-identical at every parallelism
 // level, including the set of replications each unit runs.
@@ -103,18 +95,15 @@ type workItem struct {
 // replication to a quarter of Options.MeasuredMessages, extending the
 // replication set instead of the run length until the confidence
 // half-width on the mean latency is at most prec.RelWidth of the mean.
-func RunPrecisionUnits(units []PrecisionUnit, prec output.Precision, parallelism int) ([]*PrecisionResult, error) {
-	return RunPrecisionUnitsCtx(context.Background(), units, prec, parallelism, nil)
-}
-
-// RunPrecisionUnitsCtx is RunPrecisionUnits with cancellation and
-// progress: a cancelled context aborts the pool between replication
-// units and returns ctx.Err(); prog (optional) receives, between
-// scheduling rounds and in unit order on the calling goroutine, a
-// UnitEstimate event per still-running unit (replications so far, the
-// running mean and relative CI width) and a UnitFinished event when a
-// unit's stopping rule is satisfied or exhausted.
-func RunPrecisionUnitsCtx(ctx context.Context, units []PrecisionUnit, prec output.Precision, parallelism int, prog progress.Func) ([]*PrecisionResult, error) {
+//
+// A cancelled context aborts the pool between replication units and
+// returns ctx.Err(); prog (optional) receives, between scheduling rounds
+// and in unit order on the calling goroutine, a UnitEstimate event per
+// still-running unit (replications so far, the running mean and
+// relative CI width) and a UnitFinished event when a unit's stopping
+// rule is satisfied or exhausted. run executes each unit (nil: Run
+// inline).
+func RunPrecisionUnitsCtx(ctx context.Context, units []Unit, prec output.Precision, parallelism int, prog progress.Func, run UnitFunc) ([]*PrecisionResult, error) {
 	prec = prec.Normalized()
 	if err := prec.Validate(); err != nil {
 		return nil, err
@@ -123,17 +112,7 @@ func RunPrecisionUnitsCtx(ctx context.Context, units []PrecisionUnit, prec outpu
 	for i := range states {
 		states[i] = &unitState{stopper: output.NewStopper(prec)}
 	}
-	// Sharded units spawn their own goroutines: budget the pool by the
-	// largest shard count so total concurrency stays near parallelism.
-	maxShards := 1
-	for i := range units {
-		if s := units[i].Opts.Shards; s > maxShards {
-			maxShards = s
-		}
-	}
-	if maxShards > 1 {
-		parallelism = par.Workers(parallelism, maxShards)
-	}
+	parallelism = poolSize(units, parallelism)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -159,26 +138,13 @@ func RunPrecisionUnitsCtx(ctx context.Context, units []PrecisionUnit, prec outpu
 			it := items[k]
 			u := units[it.ui]
 			o := PrecisionReplicationOptions(u.Opts, it.rep)
-			var r *Result
-			var err error
-			if o.Exec != nil {
-				r, err = o.Exec.RunUnit(ctx, it.ui, it.rep, u.Cfg, o)
-			} else {
-				r, err = Run(u.Cfg, o)
-			}
+			r, err := run.call(ctx, it.ui, it.rep, u.Cfg, o)
 			if err != nil {
-				if u.Wrap != nil {
-					err = u.Wrap(err)
-				}
-				return err
+				return u.wrap(err)
 			}
 			a, err := output.AnalyzeRun(r.Sample, prec.Confidence)
 			if err != nil {
-				err = fmt.Errorf("sim: replication %d analysis: %w", it.rep, err)
-				if u.Wrap != nil {
-					err = u.Wrap(err)
-				}
-				return err
+				return u.wrap(fmt.Errorf("sim: replication %d analysis: %w", it.rep, err))
 			}
 			r.Sample = nil // the analysis is done; release the raw series
 			states[it.ui].results[it.rep] = r
@@ -256,14 +222,4 @@ func finishPrecision(st *unitState, prec output.Precision) *PrecisionResult {
 		TruncatedFrac:     truncFrac / float64(len(st.analyses)),
 		TruncationSuspect: suspect,
 	}
-}
-
-// RunPrecision is the single-configuration convenience over
-// RunPrecisionUnits.
-func RunPrecision(cfg *core.Config, opts Options, prec output.Precision, parallelism int) (*PrecisionResult, error) {
-	res, err := RunPrecisionUnits([]PrecisionUnit{{Cfg: cfg, Opts: opts}}, prec, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }

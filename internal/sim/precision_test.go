@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -8,6 +9,16 @@ import (
 	"hmscs/internal/network"
 	"hmscs/internal/output"
 )
+
+// runPrecision drives one configuration through the adaptive batch
+// driver.
+func runPrecision(cfg *core.Config, opts Options, prec output.Precision, parallelism int) (*PrecisionResult, error) {
+	res, err := RunPrecisionUnitsCtx(context.Background(), []Unit{{Cfg: cfg, Opts: opts}}, prec, parallelism, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
 
 // TestPrecisionParallelismInvariance pins the precision engine's core
 // guarantee: adaptive runs are bit-identical — estimate, replication
@@ -17,12 +28,12 @@ func TestPrecisionParallelismInvariance(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MeasuredMessages = 4000
 	prec := output.Precision{RelWidth: 0.03, MaxReps: 32}
-	base, err := RunPrecision(cfg, opts, prec, 1)
+	base, err := runPrecision(cfg, opts, prec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 2, 7} {
-		got, err := RunPrecision(cfg, opts, prec, p)
+		got, err := runPrecision(cfg, opts, prec, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +55,7 @@ func TestPrecisionStopsAtTarget(t *testing.T) {
 	cfg := smallCfg(t, 100, network.NonBlocking)
 	opts := DefaultOptions()
 	opts.MeasuredMessages = 4000
-	res, err := RunPrecision(cfg, opts, output.Precision{RelWidth: 0.03, MaxReps: 48}, 0)
+	res, err := runPrecision(cfg, opts, output.Precision{RelWidth: 0.03, MaxReps: 48}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +114,7 @@ func TestPrecisionMM1Coverage(t *testing.T) {
 	for seed := uint64(1); seed <= trials; seed++ {
 		o := opts
 		o.Seed = seed * 7919 // spread the bases far apart
-		res, err := RunPrecision(cfg, o, prec, 0)
+		res, err := runPrecision(cfg, o, prec, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +155,7 @@ func TestPrecisionSaturationRegion(t *testing.T) {
 		cfg.Clusters[i].Lambda = 2 * core.PaperLambda // push toward the knee
 	}
 	opts := DefaultOptions()
-	res, err := RunPrecision(cfg, opts, output.Precision{RelWidth: 0.02}, 0)
+	res, err := runPrecision(cfg, opts, output.Precision{RelWidth: 0.02}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +169,7 @@ func TestPrecisionSaturationRegion(t *testing.T) {
 
 	// The fixed-replication default procedure on the same point.
 	fixedOpts := DefaultOptions()
-	fixed, err := RunReplicationsN(cfg, fixedOpts, 3, 0)
+	fixed, err := RunReplicationsCtx(context.Background(), cfg, fixedOpts, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +197,10 @@ func TestPrecisionSaturationRegion(t *testing.T) {
 // TestPrecisionValidatesTarget rejects malformed targets before any work.
 func TestPrecisionValidatesTarget(t *testing.T) {
 	cfg := smallCfg(t, 50, network.NonBlocking)
-	if _, err := RunPrecision(cfg, DefaultOptions(), output.Precision{}, 1); err == nil {
+	if _, err := runPrecision(cfg, DefaultOptions(), output.Precision{}, 1); err == nil {
 		t.Fatal("zero precision accepted")
 	}
-	if _, err := RunPrecision(cfg, DefaultOptions(), output.Precision{RelWidth: 0.02, MinReps: 8, MaxReps: 4}, 1); err == nil {
+	if _, err := runPrecision(cfg, DefaultOptions(), output.Precision{RelWidth: 0.02, MinReps: 8, MaxReps: 4}, 1); err == nil {
 		t.Fatal("min>max accepted")
 	}
 }

@@ -81,63 +81,116 @@ func aggregateResults(results []*Result, means []float64) *Replicated {
 	return agg
 }
 
-// RunReplications executes n independent replications (seeds derived from
-// opts.Seed by ReplicationSeed) in parallel across CPUs and aggregates
-// them.
-func RunReplications(cfg *core.Config, opts Options, n int) (*Replicated, error) {
-	return RunReplicationsN(cfg, opts, n, 0)
+// Unit is one configuration of a batch: the configuration and the base
+// options its replications derive from. Replication rep of a fixed batch
+// runs Opts with seed ReplicationSeed(Opts.Seed, rep); an adaptive batch
+// derives it through PrecisionReplicationOptions instead.
+type Unit struct {
+	Cfg  *core.Config
+	Opts Options
+	// Wrap, when non-nil, decorates simulation errors with unit context.
+	Wrap func(error) error
 }
 
-// RunReplicationsN is RunReplications with an explicit worker bound:
-// parallelism <= 0 uses all CPUs, 1 runs sequentially. The aggregate is
-// bit-identical for every parallelism value.
-func RunReplicationsN(cfg *core.Config, opts Options, n, parallelism int) (*Replicated, error) {
-	return RunReplicationsCtx(context.Background(), cfg, opts, n, parallelism, nil)
+// ShardCapped returns the unit with Opts.Shards capped at its
+// configuration's cluster count. Batches that cross heterogeneous
+// cluster counts (figure axes start at C=1, plan frontiers mix sizes)
+// apply it so a global shard request still leaves every shard at least
+// one cluster; sharded results are bit-identical to sequential, so the
+// cap changes how a unit executes, never what it computes. Direct
+// single-configuration runs keep Run's pointed error instead.
+func (u Unit) ShardCapped() Unit {
+	if c := len(u.Cfg.Clusters); u.Opts.Shards > c {
+		u.Opts.Shards = c
+	}
+	return u
 }
 
-// RunReplicationsCtx is RunReplicationsN with cancellation and progress:
-// a cancelled context aborts the pool between replications and returns
-// ctx.Err(); prog (optional, may be called from worker goroutines)
-// receives a UnitFinished event per completed replication.
-func RunReplicationsCtx(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) (*Replicated, error) {
-	results, err := RunReplicationResultsCtx(ctx, cfg, opts, n, parallelism, prog)
-	if err != nil {
-		return nil, err
+// wrap applies the unit's error decoration.
+func (u Unit) wrap(err error) error {
+	if u.Wrap != nil {
+		return u.Wrap(err)
 	}
-	return AggregateResults(results), nil
+	return err
 }
 
-// RunReplicationResultsCtx is RunReplicationsCtx returning the raw
-// per-replication results (in replication order) instead of the
-// aggregate. Dynamic runs need them: the transient estimator consumes
-// each replication's (SampleTimes, Sample) series individually, which the
-// aggregate deliberately collapses.
-func RunReplicationResultsCtx(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) ([]*Result, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("sim: need at least 1 replication, got %d", n)
+// UnitFunc executes one (point × replication) unit of a batch. The cfg
+// and opts arguments are fully derived — opts.Seed is already the unit's
+// replication seed — so Run(cfg, opts) is the reference implementation;
+// any other implementation (a distributed executor re-deriving the unit
+// from its experiment spec) must return a bit-identical Result. It is
+// called from worker-pool goroutines and must be safe for concurrent
+// use. The batch drivers take one as an argument; nil runs Run inline.
+type UnitFunc func(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error)
+
+// call runs one unit through run, or inline through Run when run is nil.
+func (run UnitFunc) call(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error) {
+	if run == nil {
+		return Run(cfg, opts)
 	}
-	if opts.Shards > 1 {
-		// Sharded replications spawn opts.Shards goroutines each: shrink
-		// the pool so the total stays within the parallelism budget.
-		parallelism = par.Workers(parallelism, opts.Shards)
+	return run(ctx, point, rep, cfg, opts)
+}
+
+// poolSize budgets a batch's worker pool: sharded units spawn their own
+// goroutines, so the pool shrinks by the largest shard count to keep
+// total concurrency near parallelism.
+func poolSize(units []Unit, parallelism int) int {
+	maxShards := 1
+	for i := range units {
+		maxShards = max(maxShards, units[i].Opts.Shards)
 	}
-	results := make([]*Result, n)
-	err := par.ForEachCtx(ctx, n, parallelism, func(i int) error {
-		o := opts
-		o.Seed = ReplicationSeed(opts.Seed, i)
-		var err error
-		if o.Exec != nil {
-			results[i], err = o.Exec.RunUnit(ctx, 0, i, cfg, o)
-		} else {
-			results[i], err = Run(cfg, o)
+	if maxShards > 1 {
+		return par.Workers(parallelism, maxShards)
+	}
+	return parallelism
+}
+
+// RunUnitsCtx is the fixed-grid batch driver: every unit runs exactly
+// reps replications, fanned out as (unit × replication) work items on
+// one bounded worker pool, and results[u][rep] holds unit u's
+// replication rep. Seeds derive by ReplicationSeed, so the results are
+// bit-identical at every parallelism level. A cancelled context aborts
+// the pool between replications and returns ctx.Err(); prog (optional,
+// may be called from worker goroutines) receives a UnitFinished event
+// per completed replication; run executes each unit (nil: Run inline).
+func RunUnitsCtx(ctx context.Context, units []Unit, reps, parallelism int, prog progress.Func, run UnitFunc) ([][]*Result, error) {
+	if reps < 1 {
+		return nil, fmt.Errorf("sim: need at least 1 replication, got %d", reps)
+	}
+	results := make([][]*Result, len(units))
+	for i := range results {
+		results[i] = make([]*Result, reps)
+	}
+	err := par.ForEachCtx(ctx, len(units)*reps, poolSize(units, parallelism), func(k int) error {
+		ui, rep := k/reps, k%reps
+		u := units[ui]
+		o := u.Opts
+		o.Seed = ReplicationSeed(u.Opts.Seed, rep)
+		r, err := run.call(ctx, ui, rep, u.Cfg, o)
+		if err != nil {
+			return u.wrap(err)
 		}
-		if err == nil && prog != nil {
-			prog(progress.Event{Kind: progress.UnitFinished, Units: 1, Rep: i})
+		results[ui][rep] = r
+		if prog != nil {
+			prog(progress.Event{Kind: progress.UnitFinished, Unit: ui, Units: len(units), Rep: rep})
 		}
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
+}
+
+// RunReplicationsCtx executes n independent replications of one
+// configuration (seeds derived from opts.Seed by ReplicationSeed) on up
+// to parallelism workers (<= 0 all CPUs, 1 sequential) and aggregates
+// them; the aggregate is bit-identical for every parallelism value. It
+// is RunUnitsCtx over a single unit.
+func RunReplicationsCtx(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) (*Replicated, error) {
+	results, err := RunUnitsCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, parallelism, prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return AggregateResults(results[0]), nil
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/progress"
 	"hmscs/internal/scenario"
@@ -153,6 +154,16 @@ func TestScenarioFaultOnWindowBoundary(t *testing.T) {
 	}
 }
 
+// runResults drives one configuration's replications through the
+// fixed-grid driver, returning them in replication order.
+func runResults(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) ([]*Result, error) {
+	res, err := RunUnitsCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, parallelism, prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
 // TestScenarioReplicationsComposeWithParallel runs a dynamic replication
 // set at every (shards, parallelism) pairing: each replication's Result —
 // down to the timestamped samples the transient estimator folds — must
@@ -169,7 +180,7 @@ func TestScenarioReplicationsComposeWithParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := dynOpts(5, cs)
-	base, err := RunReplicationResultsCtx(context.Background(), cfg, opts, 3, 1, nil)
+	base, err := runResults(context.Background(), cfg, opts, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +188,7 @@ func TestScenarioReplicationsComposeWithParallel(t *testing.T) {
 		for _, shards := range []int{1, 2, 8} {
 			o := opts
 			o.Shards = shards
-			got, err := RunReplicationResultsCtx(context.Background(), cfg, o, 3, parallelism, nil)
+			got, err := runResults(context.Background(), cfg, o, 3, parallelism, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +208,7 @@ func TestScenarioReplicationsComposeWithParallel(t *testing.T) {
 // cancellation fired after the first completed replication lands while
 // every other running replication still has its repair event pending.
 // The pool — including the per-replication shard pools — must drain
-// fully before RunReplicationResultsCtx returns.
+// fully before RunUnitsCtx returns.
 func TestScenarioCancelMidFaultDrainsPool(t *testing.T) {
 	cfg := shardCfg(t, 40, network.NonBlocking)
 	spec := &scenario.Spec{HorizonS: 0.4, Events: []scenario.Event{
@@ -214,7 +225,7 @@ func TestScenarioCancelMidFaultDrainsPool(t *testing.T) {
 		opts := dynOpts(7, cs)
 		opts.Shards = shards
 		var done int32
-		_, err := RunReplicationResultsCtx(ctx, cfg, opts, 64, 4, func(progress.Event) {
+		_, err := runResults(ctx, cfg, opts, 64, 4, func(progress.Event) {
 			if atomic.AddInt32(&done, 1) == 1 {
 				cancel() // mid-fault: later replications' repairs are pending
 			}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -111,7 +112,7 @@ func TestShardedMaxSimTimeBitIdentical(t *testing.T) {
 func TestShardedReplicationsComposeWithParallel(t *testing.T) {
 	cfg := shardCfg(t, 40, network.NonBlocking)
 	opts := quickOpts(100, 600)
-	base, err := RunReplicationsN(cfg, opts, 3, 1)
+	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestShardedReplicationsComposeWithParallel(t *testing.T) {
 		for _, shards := range []int{2, 8} {
 			o := opts
 			o.Shards = shards
-			got, err := RunReplicationsN(cfg, o, 3, parallelism)
+			got, err := RunReplicationsCtx(context.Background(), cfg, o, 3, parallelism, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +170,7 @@ func TestShardedPrecisionBitIdentical(t *testing.T) {
 	cfg := shardCfg(t, 100, network.NonBlocking)
 	opts := quickOpts(3, 4000)
 	prec := output.Precision{RelWidth: 0.05, MaxReps: 24}
-	base, err := RunPrecision(cfg, opts, prec, 1)
+	base, err := runPrecision(cfg, opts, prec, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestShardedPrecisionBitIdentical(t *testing.T) {
 		for _, parallelism := range []int{1, 8} {
 			o := opts
 			o.Shards = shards
-			got, err := RunPrecision(cfg, o, prec, parallelism)
+			got, err := runPrecision(cfg, o, prec, parallelism)
 			if err != nil {
 				t.Fatal(err)
 			}

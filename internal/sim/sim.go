@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -74,25 +73,6 @@ type Options struct {
 	// into a Chrome-trace profile. Only sharded runs emit spans; time
 	// is recorded, never branched on.
 	Profile *telemetry.TraceProfile
-	// Exec, when non-nil, intercepts the batch drivers' per-unit Run
-	// calls (RunReplicationResultsCtx, RunPrecisionUnitsCtx, and the
-	// sweep orchestrator's fixed path): instead of simulating inline,
-	// each (point, replication) unit is handed to the runner, which may
-	// execute it anywhere — units are pure functions of (cfg, opts), so
-	// a remote executor that re-derives them from the experiment spec
-	// returns bit-identical results (internal/dist). Run itself ignores
-	// Exec; only batch decomposition consults it.
-	Exec UnitRunner
-}
-
-// UnitRunner executes one (point × replication) unit of a batch. The
-// cfg and opts arguments are fully derived — opts.Seed is already the
-// unit's ReplicationSeed — so `Run(cfg, opts)` is the reference
-// implementation; any other implementation must return a bit-identical
-// Result. Implementations are called from worker-pool goroutines and
-// must be safe for concurrent use.
-type UnitRunner interface {
-	RunUnit(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error)
 }
 
 // DefaultOptions mirrors the paper's experimental procedure with a warm-up

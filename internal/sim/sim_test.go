@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -347,7 +348,7 @@ func TestSimRejectsInvalid(t *testing.T) {
 func TestRunReplications(t *testing.T) {
 	cfg := smallCfg(t, 50, network.NonBlocking)
 	opts := quickOpts(100, 1500)
-	agg, err := RunReplications(cfg, opts, 5)
+	agg, err := RunReplicationsCtx(context.Background(), cfg, opts, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestRunReplications(t *testing.T) {
 	if agg.MeanLatency <= 0 || agg.Throughput <= 0 {
 		t.Fatal("aggregate metrics missing")
 	}
-	if _, err := RunReplications(cfg, opts, 0); err == nil {
+	if _, err := RunReplicationsCtx(context.Background(), cfg, opts, 0, 0, nil); err == nil {
 		t.Fatal("zero replications accepted")
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
-	"hmscs/internal/par"
 	"hmscs/internal/progress"
 	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
@@ -144,206 +143,163 @@ type FigureResult struct {
 	Series []SeriesResult
 }
 
-// point is one (figure, series, cluster count) cell of the batch: the
-// orchestrator's unit of aggregation. Its simulation splits further into
-// Replications work units.
-type point struct {
-	fig, si, pi int
-	cfg         *core.Config
+// simulated is one unit's simulation summary: the across-replication
+// aggregate, its estimate quality, and — in dynamic batches — the
+// transient side.
+type simulated struct {
+	Agg *sim.Replicated
+	Est sim.Estimate
+	Dyn *Dynamic
 }
 
-// simUnit is one point of a simulation fan-out: a configuration, the sim
-// options for its replications, and an error-context wrapper.
-type simUnit struct {
-	cfg  *core.Config
-	opts sim.Options
-	wrap func(error) error
-}
-
-// Unit is one prepared point of a batch's deterministic decomposition —
-// the configuration and base options its replications derive from, after
-// per-point overrides, the shard cap, and scenario compilation. Exported
-// so a distributed worker can re-derive the exact (point × replication)
-// layout the local drivers execute from nothing but the experiment spec.
-type Unit struct {
-	Cfg  *core.Config
-	Opts sim.Options
-}
-
-// prepareUnits applies the in-place unit transforms the drivers share:
-// the per-unit shard cap, and (for dynamic batches) per-point scenario
-// compilation with sample recording. It returns the compiled timelines
-// (nil without a scenario) for the transient aggregation.
-//
-// The shard cap exists because a sweep crosses heterogeneous cluster
-// counts (figure axes start at C=1): a global shard request is capped at
-// each unit's cluster count — every shard still owns at least one
-// cluster, and sharded results are bit-identical to sequential, so the
-// cap changes how a unit executes, never what it computes. Direct
-// single-configuration runs keep sim.Run's pointed error instead.
-func prepareUnits(units []simUnit, opts Options) ([]*scenario.CompiledSim, error) {
+// prepareUnits applies the in-place unit transforms every batch shares:
+// the per-unit shard cap (a sweep crosses heterogeneous cluster counts;
+// see sim.Unit.ShardCapped), and (for dynamic batches) per-point scenario
+// compilation with sample recording.
+func prepareUnits(units []sim.Unit, opts Options) error {
+	if opts.Precision != nil && opts.Scenario != nil {
+		return fmt.Errorf("sweep: precision stopping and a scenario timeline are mutually exclusive (the stopping rule assumes a stationary mean)")
+	}
 	for i := range units {
-		if c := len(units[i].cfg.Clusters); units[i].opts.Shards > c {
-			units[i].opts.Shards = c
-		}
+		units[i] = units[i].ShardCapped()
 	}
 	if opts.Precision != nil || opts.Scenario == nil {
+		return nil
+	}
+	for i := range units {
+		cs, err := scenario.CompileSim(opts.Scenario, units[i].Cfg)
+		if err != nil {
+			return units[i].Wrap(err)
+		}
+		units[i].Opts.Scenario = cs
+		units[i].Opts.RecordSample = true
+	}
+	return nil
+}
+
+// PointUnits materialises the deterministic unit decomposition of a
+// custom sweep: per-point workload overrides applied, shards capped,
+// scenarios compiled, error wrapping attached. Units are in point order;
+// an analytic-only batch (opts.SkipSimulation) has none.
+func PointUnits(points []PointSpec, opts Options) ([]sim.Unit, error) {
+	if opts.SkipSimulation {
 		return nil, nil
 	}
-	compiled := make([]*scenario.CompiledSim, len(units))
-	for i := range units {
-		cs, err := scenario.CompileSim(opts.Scenario, units[i].cfg)
-		if err != nil {
-			return nil, units[i].wrap(err)
+	units := make([]sim.Unit, len(points))
+	for i, p := range points {
+		o := opts.Sim
+		if p.Pattern != nil {
+			o.Pattern = p.Pattern
 		}
-		compiled[i] = cs
-		units[i].opts.Scenario = cs
-		units[i].opts.RecordSample = true
+		if p.Arrival != nil {
+			o.Arrival = p.Arrival
+		}
+		units[i] = sim.Unit{Cfg: p.Cfg, Opts: o, Wrap: func(err error) error {
+			return fmt.Errorf("sweep: config %d simulation: %w", i, err)
+		}}
 	}
-	return compiled, nil
-}
-
-// exportUnits converts prepared simUnits to the exported shape.
-func exportUnits(units []simUnit) []Unit {
-	out := make([]Unit, len(units))
-	for i, u := range units {
-		out[i] = Unit{Cfg: u.cfg, Opts: u.opts}
-	}
-	return out
-}
-
-// PointUnits materialises the deterministic unit decomposition
-// RunPoints executes for the given points: per-point workload overrides
-// applied, shards capped, scenarios compiled. Units are in point order;
-// replication rep of unit i runs Opts with seed
-// sim.ReplicationSeed(Opts.Seed, rep) in fixed mode, or the
-// sim.PrecisionReplicationOptions transform under a precision target.
-func PointUnits(points []PointSpec, opts Options) ([]Unit, error) {
-	units := pointSimUnits(points, opts)
-	if _, err := prepareUnits(units, opts); err != nil {
+	if err := prepareUnits(units, opts); err != nil {
 		return nil, err
 	}
-	return exportUnits(units), nil
+	return units, nil
 }
 
-// FigureUnits materialises the deterministic unit decomposition
-// RunFigures executes for the given figure batch, in the same
-// (figure, series, cluster-count) order. See PointUnits for the
-// per-replication derivation contract.
-func FigureUnits(specs []FigureSpec, opts Options) ([]Unit, error) {
-	pts, err := figurePoints(specs)
+// figureConfigs builds a figure batch's point configurations, one per
+// (figure, series, cluster count) in that nested order — the layout
+// FigureUnits and analyzeFigures share.
+func figureConfigs(specs []FigureSpec) ([]*core.Config, error) {
+	var cfgs []*core.Config
+	for _, spec := range specs {
+		for _, msg := range spec.MessageSizes {
+			for _, c := range spec.ClusterCounts {
+				cfg, err := core.PaperConfig(spec.Scenario, c, msg, spec.Arch)
+				if err != nil {
+					return nil, fmt.Errorf("sweep: %s C=%d: %w", spec.Name, c, err)
+				}
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	return cfgs, nil
+}
+
+// FigureUnits materialises the deterministic unit decomposition of a
+// figure batch: one unit per (figure, series, cluster count) point in
+// that nested order, shards capped, error wrapping attached. An
+// analytic-only batch (opts.SkipSimulation) has none.
+func FigureUnits(specs []FigureSpec, opts Options) ([]sim.Unit, error) {
+	if opts.SkipSimulation {
+		return nil, nil
+	}
+	cfgs, err := figureConfigs(specs)
 	if err != nil {
 		return nil, err
 	}
-	units := figureSimUnits(pts, specs, opts)
-	if _, err := prepareUnits(units, opts); err != nil {
+	units := make([]sim.Unit, len(cfgs))
+	k := 0
+	for _, spec := range specs {
+		for range spec.MessageSizes {
+			for _, c := range spec.ClusterCounts {
+				units[k] = sim.Unit{Cfg: cfgs[k], Opts: opts.Sim, Wrap: func(err error) error {
+					return fmt.Errorf("sweep: %s C=%d simulation: %w", spec.Name, c, err)
+				}}
+				k++
+			}
+		}
+	}
+	if err := prepareUnits(units, opts); err != nil {
 		return nil, err
 	}
-	return exportUnits(units), nil
+	return units, nil
 }
 
-// runUnits executes every unit's replications as (unit × replication)
-// work items on the bounded pool and folds each unit's results in
-// replication order. With a fixed replication count every unit runs
-// exactly opts.Replications; with opts.Precision set, each unit's set
-// extends under the sequential stopping rule instead. Either way this is
-// the single home of the decomposition / seed derivation / aggregation
-// contract that makes sweeps bit-identical at every parallelism level.
-func runUnits(ctx context.Context, units []simUnit, opts Options) ([]*sim.Replicated, []sim.Estimate, []*Dynamic, error) {
-	if opts.Precision != nil && opts.Scenario != nil {
-		return nil, nil, nil, fmt.Errorf("sweep: precision stopping and a scenario timeline are mutually exclusive (the stopping rule assumes a stationary mean)")
-	}
-	compiled, err := prepareUnits(units, opts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// simulate executes a prepared batch through sim's drivers and folds
+// each unit's replications in replication order: with opts.Precision
+// set, the adaptive driver extends every unit's set under the sequential
+// stopping rule; otherwise the fixed-grid driver runs opts.Replications
+// (at least 1) per unit, and a dynamic batch additionally folds each
+// unit's transient series. run executes each (unit, replication) — nil
+// runs sim.Run inline. Results are bit-identical at every parallelism
+// level and for every run that honours sim.UnitFunc's contract.
+func simulate(ctx context.Context, units []sim.Unit, opts Options, run sim.UnitFunc) ([]simulated, error) {
+	out := make([]simulated, len(units))
 	if opts.Precision != nil {
-		pu := make([]sim.PrecisionUnit, len(units))
-		for i, u := range units {
-			pu[i] = sim.PrecisionUnit{Cfg: u.cfg, Opts: u.opts, Wrap: u.wrap}
-		}
-		res, err := sim.RunPrecisionUnitsCtx(ctx, pu, *opts.Precision, opts.Parallelism, opts.Progress)
+		res, err := sim.RunPrecisionUnitsCtx(ctx, units, *opts.Precision, opts.Parallelism, opts.Progress, run)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		aggs := make([]*sim.Replicated, len(units))
-		ests := make([]sim.Estimate, len(units))
 		for i, r := range res {
-			aggs[i] = r.Replicated
-			ests[i] = r.Estimate
+			out[i] = simulated{Agg: r.Replicated, Est: r.Estimate}
 		}
-		return aggs, ests, nil, nil
+		return out, nil
 	}
-	reps := opts.Replications
-	results := make([][]*sim.Result, len(units))
-	for i := range results {
-		results[i] = make([]*sim.Result, reps)
-	}
-	// Sharded units spawn their own goroutines: budget the pool by the
-	// largest shard count so total concurrency stays near Parallelism.
-	maxShards := 1
-	for i := range units {
-		if s := units[i].opts.Shards; s > maxShards {
-			maxShards = s
-		}
-	}
-	pool := opts.Parallelism
-	if maxShards > 1 {
-		pool = par.Workers(pool, maxShards)
-	}
-	err = par.ForEachCtx(ctx, len(units)*reps, pool, func(u int) error {
-		ui, rep := u/reps, u%reps
-		o := units[ui].opts
-		o.Seed = sim.ReplicationSeed(units[ui].opts.Seed, rep)
-		var r *sim.Result
-		var err error
-		if o.Exec != nil {
-			r, err = o.Exec.RunUnit(ctx, ui, rep, units[ui].cfg, o)
-		} else {
-			r, err = sim.Run(units[ui].cfg, o)
-		}
-		if err != nil {
-			return units[ui].wrap(err)
-		}
-		results[ui][rep] = r
-		if opts.Progress != nil {
-			opts.Progress(progress.Event{
-				Kind: progress.UnitFinished, Unit: ui, Units: len(units), Rep: rep,
-			})
-		}
-		return nil
-	})
+	reps := max(opts.Replications, 1)
+	results, err := sim.RunUnitsCtx(ctx, units, reps, opts.Parallelism, opts.Progress, run)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	aggs := make([]*sim.Replicated, len(units))
-	ests := make([]sim.Estimate, len(units))
-	for i := range results {
-		aggs[i] = sim.AggregateResults(results[i])
-		ests[i] = sim.Estimate{
-			Mean:       aggs[i].MeanLatency,
+	for i, rs := range results {
+		agg := sim.AggregateResults(rs)
+		out[i] = simulated{Agg: agg, Est: sim.Estimate{
+			Mean:       agg.MeanLatency,
 			Confidence: 0.95,
-			HalfWidth:  aggs[i].CI95,
+			HalfWidth:  agg.CI95,
 			Reps:       reps,
 			Converged:  true,
-		}
-	}
-	var dyn []*Dynamic
-	if opts.Scenario != nil {
-		dyn = make([]*Dynamic, len(units))
-		for i := range results {
-			d, err := NewDynamic(compiled[i], 0.95)
+		}}
+		if cs := units[i].Opts.Scenario; cs != nil {
+			d, err := NewDynamic(cs, 0.95)
 			if err != nil {
-				return nil, nil, nil, units[i].wrap(err)
+				return nil, units[i].Wrap(err)
 			}
-			for _, r := range results[i] {
+			for _, r := range rs {
 				d.Add(r)
 			}
 			d.Finish()
-			dyn[i] = d
+			out[i].Dyn = d
 		}
 	}
-	return aggs, ests, dyn, nil
+	return out, nil
 }
 
 // Dynamic is the transient side of one dynamic sweep point: the
@@ -387,85 +343,56 @@ func (d *Dynamic) Finish() {
 	d.RecoveryS = output.RecoveryTime(d.Series, d.faultAt, d.slo)
 }
 
-// RunFigure evaluates a figure specification: for every (message size,
-// cluster count) it runs the analytical model and, unless skipped, the
-// simulator — fanning (point × replication) units across the worker pool.
-func RunFigure(spec FigureSpec, opts Options) (*FigureResult, error) {
-	res, err := RunFigures([]FigureSpec{spec}, opts)
+// RunFiguresCtx evaluates a batch of figures: for every (message size,
+// cluster count) point the analytical model and, unless skipped, the
+// simulator over units, the batch's FigureUnits decomposition. Every
+// figure's (point × replication) units share one bounded worker pool, so
+// a whole-paper regeneration saturates the machine instead of crawling
+// figure by figure. run executes each (unit, replication) — nil runs
+// sim.Run inline. Results are identical to evaluating the figures one at
+// a time; a cancelled context aborts the pool between replication units
+// and returns ctx.Err().
+func RunFiguresCtx(ctx context.Context, specs []FigureSpec, units []sim.Unit, opts Options, run sim.UnitFunc) ([]*FigureResult, error) {
+	cfgs, err := figureConfigs(specs)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
-}
-
-// RunFiguresCtx is RunFigures with cancellation: a cancelled context
-// aborts the pool between replication units and returns ctx.Err().
-func RunFiguresCtx(ctx context.Context, specs []FigureSpec, opts Options) ([]*FigureResult, error) {
-	return runFigures(ctx, specs, opts)
-}
-
-// RunFigures evaluates a batch of figures, scheduling every figure's
-// (point × replication) simulation units onto one bounded worker pool so
-// a whole-paper regeneration saturates the machine instead of crawling
-// figure by figure. Results are identical to evaluating the figures one
-// at a time.
-func RunFigures(specs []FigureSpec, opts Options) ([]*FigureResult, error) {
-	return runFigures(context.Background(), specs, opts)
-}
-
-// figurePoints enumerates a figure batch's simulation points in
-// execution order — (figure, series, cluster count), nested — building
-// each point's paper configuration. It is the single source of the
-// figure-batch point layout, consumed by runFigures and FigureUnits.
-func figurePoints(specs []FigureSpec) ([]*point, error) {
-	var pts []*point
-	for fi, spec := range specs {
-		for si, msg := range spec.MessageSizes {
-			for pi, c := range spec.ClusterCounts {
-				cfg, err := core.PaperConfig(spec.Scenario, c, msg, spec.Arch)
-				if err != nil {
-					return nil, fmt.Errorf("sweep: %s C=%d: %w", spec.Name, c, err)
-				}
-				pts = append(pts, &point{fig: fi, si: si, pi: pi, cfg: cfg})
+	out, err := analyzeFigures(specs, cfgs, opts.Sim.Arrival)
+	if err != nil || opts.SkipSimulation {
+		return out, err
+	}
+	if len(units) != len(cfgs) {
+		return nil, fmt.Errorf("sweep: %d units for a %d-point figure batch", len(units), len(cfgs))
+	}
+	sims, err := simulate(ctx, units, opts, run)
+	if err != nil {
+		return nil, err
+	}
+	k := 0
+	for _, fr := range out {
+		for si := range fr.Series {
+			series := &fr.Series[si]
+			for pi := range series.Clusters {
+				series.Simulated[pi] = sims[k].Agg.MeanLatency
+				series.SimCI[pi] = sims[k].Agg.CI95
+				series.Stats[pi] = sims[k].Est
+				k++
 			}
 		}
 	}
-	return pts, nil
+	return out, nil
 }
 
-// figureSimUnits builds the per-point simulation units of a figure
-// batch (error wrapping included), in figurePoints order.
-func figureSimUnits(pts []*point, specs []FigureSpec, opts Options) []simUnit {
-	units := make([]simUnit, len(pts))
-	for i, pt := range pts {
-		spec := specs[pt.fig]
-		c := spec.ClusterCounts[pt.pi]
-		units[i] = simUnit{
-			cfg:  pt.cfg,
-			opts: opts.Sim,
-			wrap: func(err error) error {
-				return fmt.Errorf("sweep: %s C=%d simulation: %w", spec.Name, c, err)
-			},
-		}
-	}
-	return units
-}
-
-func runFigures(ctx context.Context, specs []FigureSpec, opts Options) ([]*FigureResult, error) {
-	if opts.Replications < 1 {
-		opts.Replications = 1
-	}
-	// Phase 1 (sequential, cheap): build configurations, evaluate the
-	// analytical model, and lay out the result structure.
-	arrival := opts.Sim.Arrival
+// analyzeFigures lays out a figure batch and evaluates its analytic
+// curves on the figureConfigs layout under the arrival process (nil:
+// Poisson); the simulated columns stay zero until RunFiguresCtx fills
+// them.
+func analyzeFigures(specs []FigureSpec, cfgs []*core.Config, arrival workload.Arrival) ([]*FigureResult, error) {
 	if arrival == nil {
 		arrival = workload.Poisson{}
 	}
-	points, err := figurePoints(specs)
-	if err != nil {
-		return nil, err
-	}
 	out := make([]*FigureResult, len(specs))
+	k := 0
 	for fi, spec := range specs {
 		fr := &FigureResult{Spec: spec, Series: make([]SeriesResult, len(spec.MessageSizes))}
 		out[fi] = fr
@@ -474,39 +401,19 @@ func runFigures(ctx context.Context, specs []FigureSpec, opts Options) ([]*Figur
 			series.MsgSize = msg
 			series.Arrival = arrival.Name()
 			series.ArrivalSCV = arrival.SCV()
+			for _, c := range spec.ClusterCounts {
+				an, err := analyzePoint(cfgs[k], arrival)
+				k++
+				if err != nil {
+					return nil, fmt.Errorf("sweep: %s C=%d analysis: %w", spec.Name, c, err)
+				}
+				series.Clusters = append(series.Clusters, c)
+				series.Analytic = append(series.Analytic, an.MeanLatency)
+				series.Simulated = append(series.Simulated, 0)
+				series.SimCI = append(series.SimCI, 0)
+				series.Stats = append(series.Stats, sim.Estimate{})
+			}
 		}
-	}
-	// Points arrive in nested (figure, series, cluster) order, so plain
-	// appends reproduce the per-series axes.
-	for _, pt := range points {
-		spec := specs[pt.fig]
-		c := spec.ClusterCounts[pt.pi]
-		an, err := analyzePoint(pt.cfg, arrival)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %s C=%d analysis: %w", spec.Name, c, err)
-		}
-		series := &out[pt.fig].Series[pt.si]
-		series.Clusters = append(series.Clusters, c)
-		series.Analytic = append(series.Analytic, an.MeanLatency)
-		series.Simulated = append(series.Simulated, 0)
-		series.SimCI = append(series.SimCI, 0)
-		series.Stats = append(series.Stats, sim.Estimate{})
-	}
-	if opts.SkipSimulation {
-		return out, nil
-	}
-
-	// Phase 2 (parallel): every (point, replication) is one pool unit.
-	units := figureSimUnits(points, specs, opts)
-	aggs, ests, _, err := runUnits(ctx, units, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i, pt := range points {
-		series := &out[pt.fig].Series[pt.si]
-		series.Simulated[pt.pi] = aggs[i].MeanLatency
-		series.SimCI[pt.pi] = aggs[i].CI95
-		series.Stats[pt.pi] = ests[i]
 	}
 	return out, nil
 }
@@ -527,30 +434,6 @@ type PointSpec struct {
 	// (the model generalisation matching workload.LocalBias); negative
 	// uses the paper's uniform-destination model.
 	Locality float64
-}
-
-// pointSimUnits builds the per-point simulation units of a custom sweep
-// — workload overrides applied, error wrapping included — in point
-// order. Shared by RunPoints and the PointUnits derivation.
-func pointSimUnits(points []PointSpec, opts Options) []simUnit {
-	units := make([]simUnit, len(points))
-	for i, p := range points {
-		o := opts.Sim
-		if p.Pattern != nil {
-			o.Pattern = p.Pattern
-		}
-		if p.Arrival != nil {
-			o.Arrival = p.Arrival
-		}
-		units[i] = simUnit{
-			cfg:  p.Cfg,
-			opts: o,
-			wrap: func(err error) error {
-				return fmt.Errorf("sweep: config %d simulation: %w", i, err)
-			},
-		}
-	}
-	return units
 }
 
 // analyzePoint evaluates the analytic side of one point, applying the
@@ -582,22 +465,40 @@ type PointResult struct {
 	Dynamic *Dynamic
 }
 
-// RunPoints evaluates an arbitrary list of sweep points analytically and
-// by simulation, returning results in input order. It is the building
+// RunPointsCtx evaluates an arbitrary list of sweep points analytically
+// and, unless skipped, by simulation over units, the points' PointUnits
+// decomposition, returning results in input order. It is the building
 // block for the non-figure sweeps (λ, Pr, locality...). Simulation units
 // fan out as (point × replication) across the Options.Parallelism worker
-// pool with the same deterministic seed derivation as RunFigures, so the
-// outputs are bit-identical at every parallelism level.
-func RunPoints(points []PointSpec, opts Options) ([]PointResult, error) {
-	return RunPointsCtx(context.Background(), points, opts)
+// pool with the same deterministic seed derivation as RunFiguresCtx, so
+// the outputs are bit-identical at every parallelism level; run executes
+// each (unit, replication) — nil runs sim.Run inline. A cancelled context
+// aborts the pool between replication units and returns ctx.Err().
+func RunPointsCtx(ctx context.Context, points []PointSpec, units []sim.Unit, opts Options, run sim.UnitFunc) ([]PointResult, error) {
+	out, err := analyzePoints(points, opts.Sim.Arrival)
+	if err != nil || opts.SkipSimulation {
+		return out, err
+	}
+	if len(units) != len(points) {
+		return nil, fmt.Errorf("sweep: %d units for %d sweep points", len(units), len(points))
+	}
+	sims, err := simulate(ctx, units, opts, run)
+	if err != nil {
+		return nil, err
+	}
+	for i, s := range sims {
+		out[i].Simulated = s.Agg.MeanLatency
+		out[i].SimCI = s.Agg.CI95
+		out[i].Stat = s.Est
+		out[i].Dynamic = s.Dyn
+	}
+	return out, nil
 }
 
-// RunPointsCtx is RunPoints with cancellation: a cancelled context
-// aborts the pool between replication units and returns ctx.Err().
-func RunPointsCtx(ctx context.Context, points []PointSpec, opts Options) ([]PointResult, error) {
-	if opts.Replications < 1 {
-		opts.Replications = 1
-	}
+// analyzePoints evaluates every point's analytic side in input order,
+// under the point's arrival override or else arrival; the simulated
+// fields stay zero until RunPointsCtx fills them.
+func analyzePoints(points []PointSpec, arrival workload.Arrival) ([]PointResult, error) {
 	out := make([]PointResult, len(points))
 	for i, p := range points {
 		var an *analytic.Result
@@ -607,7 +508,7 @@ func RunPointsCtx(ctx context.Context, points []PointSpec, opts Options) ([]Poin
 		} else {
 			arr := p.Arrival
 			if arr == nil {
-				arr = opts.Sim.Arrival
+				arr = arrival
 			}
 			an, err = analyzePoint(p.Cfg, arr)
 		}
@@ -616,31 +517,5 @@ func RunPointsCtx(ctx context.Context, points []PointSpec, opts Options) ([]Poin
 		}
 		out[i].Analytic = an.MeanLatency
 	}
-	if opts.SkipSimulation {
-		return out, nil
-	}
-	units := pointSimUnits(points, opts)
-	aggs, ests, dyn, err := runUnits(ctx, units, opts)
-	if err != nil {
-		return nil, err
-	}
-	for i := range points {
-		out[i].Simulated = aggs[i].MeanLatency
-		out[i].SimCI = aggs[i].CI95
-		out[i].Stat = ests[i]
-		if dyn != nil {
-			out[i].Dynamic = dyn[i]
-		}
-	}
 	return out, nil
-}
-
-// CustomSweep evaluates an arbitrary list of configurations with the
-// paper's uniform traffic: RunPoints without per-point overrides.
-func CustomSweep(cfgs []*core.Config, opts Options) ([]PointResult, error) {
-	points := make([]PointSpec, len(cfgs))
-	for i, cfg := range cfgs {
-		points[i] = PointSpec{Cfg: cfg, Locality: -1}
-	}
-	return RunPoints(points, opts)
 }

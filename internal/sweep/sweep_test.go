@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,6 +18,45 @@ func fastOpts() Options {
 	o.Sim.MeasuredMessages = 3000
 	o.Replications = 2
 	return o
+}
+
+// runFigures evaluates a figure batch over its FigureUnits
+// decomposition, every unit running locally.
+func runFigures(specs []FigureSpec, opts Options) ([]*FigureResult, error) {
+	units, err := FigureUnits(specs, opts)
+	if err != nil {
+		return nil, err
+	}
+	return RunFiguresCtx(context.Background(), specs, units, opts, nil)
+}
+
+// runFigure evaluates one figure through runFigures.
+func runFigure(spec FigureSpec, opts Options) (*FigureResult, error) {
+	res, err := runFigures([]FigureSpec{spec}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// runPoints evaluates sweep points over their PointUnits decomposition,
+// every unit running locally.
+func runPoints(points []PointSpec, opts Options) ([]PointResult, error) {
+	units, err := PointUnits(points, opts)
+	if err != nil {
+		return nil, err
+	}
+	return RunPointsCtx(context.Background(), points, units, opts, nil)
+}
+
+// customSweep evaluates configurations with the paper's uniform traffic:
+// runPoints without per-point overrides.
+func customSweep(cfgs []*core.Config, opts Options) ([]PointResult, error) {
+	points := make([]PointSpec, len(cfgs))
+	for i, cfg := range cfgs {
+		points[i] = PointSpec{Cfg: cfg, Locality: -1}
+	}
+	return runPoints(points, opts)
 }
 
 func TestPaperFigureSpecs(t *testing.T) {
@@ -56,7 +96,7 @@ func TestRunFigureAnalyticOnly(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SkipSimulation = true
-	res, err := RunFigure(spec, opts)
+	res, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +134,7 @@ func TestRunFigureWithSimulationAgrees(t *testing.T) {
 	}
 	spec.ClusterCounts = []int{2, 16}
 	spec.MessageSizes = []int{1024}
-	res, err := RunFigure(spec, fastOpts())
+	res, err := runFigure(spec, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +151,7 @@ func TestRunFigureBlockingAgrees(t *testing.T) {
 	}
 	spec.ClusterCounts = []int{8, 32}
 	spec.MessageSizes = []int{512}
-	res, err := RunFigure(spec, fastOpts())
+	res, err := runFigure(spec, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +169,7 @@ func TestRunFigureRejectsBadSpec(t *testing.T) {
 		MessageSizes:  []int{1024},
 		ClusterCounts: []int{3}, // does not divide 256
 	}
-	if _, err := RunFigure(spec, Options{SkipSimulation: true}); err == nil {
+	if _, err := runFigure(spec, Options{SkipSimulation: true}); err == nil {
 		t.Fatal("bad cluster count accepted")
 	}
 	if !strings.Contains(spec.Name, "bogus") {
@@ -137,6 +177,9 @@ func TestRunFigureRejectsBadSpec(t *testing.T) {
 	}
 }
 
+// TestCustomSweep runs a two-point custom sweep (RunPointsCtx over
+// PointUnits) and checks the latencies rise with load and every point
+// carries its estimate.
 func TestCustomSweep(t *testing.T) {
 	var cfgs []*core.Config
 	for _, lambda := range []float64{10, 50} {
@@ -148,7 +191,7 @@ func TestCustomSweep(t *testing.T) {
 		cfgs = append(cfgs, cfg)
 	}
 	opts := fastOpts()
-	res, err := CustomSweep(cfgs, opts)
+	res, err := customSweep(cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,13 +212,15 @@ func TestCustomSweep(t *testing.T) {
 	}
 }
 
+// TestCustomSweepAnalyticOnly: with SkipSimulation a custom sweep has no
+// units and reports only the analytic side.
 func TestCustomSweepAnalyticOnly(t *testing.T) {
 	cfg, err := core.PaperConfig(core.Case1, 4, 512, network.NonBlocking)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{SkipSimulation: true}
-	res, err := CustomSweep([]*core.Config{cfg}, opts)
+	res, err := customSweep([]*core.Config{cfg}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +229,11 @@ func TestCustomSweepAnalyticOnly(t *testing.T) {
 	}
 }
 
+// TestCustomSweepPropagatesErrors: an invalid configuration fails the
+// custom sweep's analytic side.
 func TestCustomSweepPropagatesErrors(t *testing.T) {
 	bad := &core.Config{}
-	if _, err := CustomSweep([]*core.Config{bad}, Options{SkipSimulation: true}); err == nil {
+	if _, err := customSweep([]*core.Config{bad}, Options{SkipSimulation: true}); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }
@@ -204,13 +251,13 @@ func TestParallelismInvariance(t *testing.T) {
 	opts.Sim.MeasuredMessages = 1500
 	opts.Replications = 3
 	opts.Parallelism = 1
-	seq, err := RunFigure(spec, opts)
+	seq, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 2, 16} {
 		opts.Parallelism = p
-		par, err := RunFigure(spec, opts)
+		par, err := runFigure(spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +290,7 @@ func TestRunFiguresMatchesIndividualRuns(t *testing.T) {
 	}
 	opts := fastOpts()
 	opts.Sim.MeasuredMessages = 1200
-	batch, err := RunFigures(specs, opts)
+	batch, err := runFigures(specs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +298,7 @@ func TestRunFiguresMatchesIndividualRuns(t *testing.T) {
 		t.Fatalf("batch results = %d", len(batch))
 	}
 	for i, spec := range specs {
-		single, err := RunFigure(spec, opts)
+		single, err := runFigure(spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,8 +313,8 @@ func TestRunFiguresMatchesIndividualRuns(t *testing.T) {
 	}
 }
 
-// TestCustomSweepParallelismInvariance pins CustomSweep to identical
-// output across pool sizes.
+// TestCustomSweepParallelismInvariance pins a custom sweep (RunPointsCtx
+// over PointUnits) to identical output across pool sizes.
 func TestCustomSweepParallelismInvariance(t *testing.T) {
 	var cfgs []*core.Config
 	for _, lambda := range []float64{10, 30, 50} {
@@ -281,12 +328,12 @@ func TestCustomSweepParallelismInvariance(t *testing.T) {
 	opts := fastOpts()
 	opts.Sim.MeasuredMessages = 1200
 	opts.Parallelism = 1
-	seq, err := CustomSweep(cfgs, opts)
+	seq, err := customSweep(cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallelism = 0
-	par, err := CustomSweep(cfgs, opts)
+	par, err := customSweep(cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,13 +359,13 @@ func TestPrecisionSweepParallelismInvariance(t *testing.T) {
 	opts.Sim.MeasuredMessages = 2000
 	opts.Precision = &output.Precision{RelWidth: 0.05, MaxReps: 16}
 	opts.Parallelism = 1
-	seq, err := RunFigure(spec, opts)
+	seq, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 4} {
 		opts.Parallelism = p
-		par, err := RunFigure(spec, opts)
+		par, err := runFigure(spec, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,8 +383,8 @@ func TestPrecisionSweepParallelismInvariance(t *testing.T) {
 }
 
 // TestRunFigureMatchesRunReplications pins the orchestrator's per-point
-// aggregation to sim.RunReplications (they must share seed derivation and
-// the aggregation fold).
+// aggregation to sim.RunReplicationsCtx (they must share seed derivation
+// and the aggregation fold).
 func TestRunFigureMatchesRunReplications(t *testing.T) {
 	spec, err := PaperFigure(4)
 	if err != nil {
@@ -347,7 +394,7 @@ func TestRunFigureMatchesRunReplications(t *testing.T) {
 	spec.MessageSizes = []int{1024}
 	opts := fastOpts()
 	opts.Sim.MeasuredMessages = 1500
-	res, err := RunFigure(spec, opts)
+	res, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +402,7 @@ func TestRunFigureMatchesRunReplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := sim.RunReplications(cfg, opts.Sim, opts.Replications)
+	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts.Sim, opts.Replications, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +422,11 @@ func TestSimulationMatchesDefaultSeedDeterminism(t *testing.T) {
 	opts := fastOpts()
 	opts.Sim.Seed = 99
 	opts.Replications = 1
-	a, err := RunFigure(spec, opts)
+	a, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFigure(spec, opts)
+	b, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +448,7 @@ func TestSeriesCarryArrival(t *testing.T) {
 	spec.MessageSizes = []int{512}
 	opts := fastOpts()
 	opts.SkipSimulation = true
-	res, err := RunFigure(spec, opts)
+	res, err := runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +460,7 @@ func TestSeriesCarryArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Sim.Arrival = mmpp
-	res, err = RunFigure(spec, opts)
+	res, err = runFigure(spec, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +486,7 @@ func TestRunPointsArrivalOverride(t *testing.T) {
 	}
 	opts := fastOpts()
 	opts.Sim.MeasuredMessages = 2000
-	res, err := RunPoints(points, opts)
+	res, err := runPoints(points, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,13 +515,13 @@ func TestSweepClampsShardsPerUnit(t *testing.T) {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	base, err := CustomSweep(cfgs, fastOpts())
+	base, err := customSweep(cfgs, fastOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := fastOpts()
 	opts.Sim.Shards = 8 // exceeds both units' cluster counts
-	got, err := CustomSweep(cfgs, opts)
+	got, err := customSweep(cfgs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,5 +529,31 @@ func TestSweepClampsShardsPerUnit(t *testing.T) {
 		if got[i].Simulated != base[i].Simulated || got[i].SimCI != base[i].SimCI {
 			t.Fatalf("point %d diverged under clamped shards: %+v vs %+v", i, got[i], base[i])
 		}
+	}
+}
+
+// TestRunRejectsMismatchedUnits: a simulated batch must come with one
+// unit per point, so a stage built for other points fails instead of
+// filling the wrong rows.
+func TestRunRejectsMismatchedUnits(t *testing.T) {
+	cfg, err := core.PaperConfig(core.Case1, 4, 512, network.NonBlocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := []PointSpec{{Cfg: cfg, Locality: -1}, {Cfg: cfg, Locality: -1}}
+	units, err := PointUnits(points[:1], fastOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunPointsCtx(context.Background(), points, units, fastOpts(), nil); err == nil {
+		t.Fatal("RunPointsCtx accepted 1 unit for 2 points")
+	}
+	spec, err := PaperFigure(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.ClusterCounts = []int{4}
+	if _, err := RunFiguresCtx(context.Background(), []FigureSpec{spec}, units, fastOpts(), nil); err == nil {
+		t.Fatal("RunFiguresCtx accepted 1 unit for a 2-point figure")
 	}
 }
