@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-compare plan serve cluster golden golden-check golden-plan golden-plan-check api api-check scenarios-check links-check clean
+.PHONY: all build test race vet fmt-check bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check scenarios-check links-check clean
 
 all: build test
 
@@ -26,12 +26,13 @@ fmt-check:
 # figure/table reproduction paths, the capacity planner's screening stage,
 # the analytic model it screens with (Analyze/C=4,64,256) and the exact
 # MVA solver, the event set (EventList*), the engine's event rate
-# (SimulatorEventRate), the switch-level simulator (NetsimFatTree), and
-# every checked-in experiment spec to rendered report through run.Run
+# (SimulatorEventRate), the switch-level simulator (NetsimFatTree), the
+# worker pool's per-unit dispatch (ParForEach/{p1,all}), and every
+# checked-in experiment spec to rendered report through run.Run
 # (RunSpec/<name>), tracked PR over PR with the core count they were
 # taken on.
 bench:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree' -benchmem . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem . | tee bench.out
 	$(GO) run ./tools/benchjson < bench.out > BENCH_sim.json
 	@rm -f bench.out
 	@echo "wrote BENCH_sim.json"
@@ -41,10 +42,30 @@ bench:
 # PR base; locally, pass OLD=path/to/baseline.json).
 OLD ?= BENCH_sim.json
 bench-compare:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree' -benchmem -benchtime 3x . > bench.out
+	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime 3x . > bench.out
 	$(GO) run ./tools/benchjson < bench.out > /tmp/bench-new.json
 	@rm -f bench.out
 	$(GO) run ./tools/benchjson -compare $(OLD) /tmp/bench-new.json
+
+# profile writes a CPU and an allocation pprof file for each of the
+# figure, plan-screen and spec-to-report benchmarks under
+# .bench_build/profiles/ and prints each profile's top flat entries; the
+# "where the time goes" table in DESIGN.md is read from them. Inspect
+# further with go tool pprof -top .bench_build/profiles/<name>.cpu.pprof.
+PROFILE_DIR := .bench_build/profiles
+PROFILE_BENCHES := Figure4 PlanScreen RunSpec
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -c -o $(PROFILE_DIR)/hmscs.test .
+	@echo "nproc $$(nproc), GOMAXPROCS default"
+	@for b in $(PROFILE_BENCHES); do \
+		$(PROFILE_DIR)/hmscs.test -test.run '^$$' -test.bench "^Benchmark$$b\$$" -test.benchmem \
+			-test.cpuprofile $(PROFILE_DIR)/$$b.cpu.pprof -test.memprofile $(PROFILE_DIR)/$$b.mem.pprof || exit 1; \
+		echo "== $$b: CPU, top 5 flat"; \
+		$(GO) tool pprof -top -nodecount 5 $(PROFILE_DIR)/$$b.cpu.pprof 2>/dev/null | sed -n '/flat%/,$$p'; \
+		echo "== $$b: allocated bytes, top 5 flat"; \
+		$(GO) tool pprof -top -nodecount 5 -sample_index alloc_space $(PROFILE_DIR)/$$b.mem.pprof 2>/dev/null | sed -n '/flat%/,$$p'; \
+	done
 
 # plan runs the documented capacity-planning scenario: the cheapest
 # designs serving 100 msg/s/processor on >= 64 processors within 2 ms,

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +19,7 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/netsim"
 	"hmscs/internal/network"
+	"hmscs/internal/par"
 	"hmscs/internal/plan"
 	"hmscs/internal/rng"
 	"hmscs/internal/sim"
@@ -374,6 +376,37 @@ func BenchmarkPlanScreen(b *testing.B) {
 			b.Fatal("empty frontier")
 		}
 		b.ReportMetric(float64(len(res)), "candidates/op")
+	}
+}
+
+// BenchmarkParForEach prices the worker pool's per-unit dispatch: 1024
+// units of about 1 µs of arithmetic each, on the calling goroutine (p1)
+// and on every CPU (all). ns/unit is the op time over the unit count.
+// With all CPUs, the excess over p1's ns/unit divided by the core count
+// is the dispatch cost the planner's microsecond screen units pay.
+func BenchmarkParForEach(b *testing.B) {
+	const units = 1024
+	out := make([]float64, units)
+	unit := func(i int) error {
+		x := float64(i)
+		for k := 0; k < 200; k++ {
+			x = math.Sqrt(x + float64(k))
+		}
+		out[i] = x
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		p    int
+	}{{"p1", 1}, {"all", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := par.ForEachCtx(context.Background(), units, c.p, unit); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units), "ns/unit")
+		})
 	}
 }
 

@@ -33,11 +33,11 @@ func AnalyzeArrival(cfg *core.Config, arrivalSCV float64) (*Result, error) {
 }
 
 // UsesArrivalCorrection is the single home of the model-selection rule
-// every caller (sweep, batch screening, the unified Runner) applies: a
-// finite, non-Poisson interarrival SCV selects the Allen–Cunneen G/G/1
-// correction (AnalyzeArrival); Poisson's SCV 1, NaN, and the infinite
-// SCV of heavy tails — which admit no finite correction — evaluate the
-// paper's M/M/1 model (Analyze).
+// every caller (sweep, the capacity planner's screen, the unified Runner)
+// applies: a finite, non-Poisson interarrival SCV selects the
+// Allen–Cunneen G/G/1 correction (AnalyzeArrival); Poisson's SCV 1, NaN,
+// and the infinite SCV of heavy tails — which admit no finite correction
+// — evaluate the paper's M/M/1 model (Analyze).
 func UsesArrivalCorrection(arrivalSCV float64) bool {
 	return arrivalSCV != 1 && !math.IsInf(arrivalSCV, 1) && !math.IsNaN(arrivalSCV)
 }

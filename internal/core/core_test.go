@@ -215,6 +215,38 @@ func TestCentersTechnologiesPerScenario(t *testing.T) {
 	}
 }
 
+// TestEachClusterModelsReusesPredecessor pins the build rule behind
+// ServiceTimesInto and plan's costing: a cluster built like its immediate
+// predecessor gets that predecessor's models, any other cluster its own,
+// each describing the cluster it is passed for.
+func TestEachClusterModelsReusesPredecessor(t *testing.T) {
+	cfg := mustPaperConfig(t, Case1, 4, 1024, network.NonBlocking)
+	for i, n := range []int{8, 8, 16, 8} {
+		cfg.Clusters[i].Nodes = n
+	}
+	var icn1, ecn1 []*network.Model
+	icn2, err := cfg.EachClusterModels(func(i int, mI1, mE1 *network.Model) {
+		icn1, ecn1 = append(icn1, mI1), append(ecn1, mE1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(icn1) != 4 || icn2.Endpoints != 4 {
+		t.Fatalf("visited %d clusters, ICN2 over %d endpoints", len(icn1), icn2.Endpoints)
+	}
+	for i, n := range []int{8, 8, 16, 8} {
+		if icn1[i].Endpoints != n || ecn1[i].Endpoints != n+1 || icn1[i].Tech != cfg.Clusters[i].ICN1 || ecn1[i].Tech != cfg.Clusters[i].ECN1 {
+			t.Fatalf("cluster %d: models %v / %v do not describe %+v", i, icn1[i], ecn1[i], cfg.Clusters[i])
+		}
+	}
+	if icn1[1] != icn1[0] || ecn1[1] != ecn1[0] {
+		t.Fatal("cluster 1 equals cluster 0 but its models were built again")
+	}
+	if icn1[3] == icn1[0] || icn1[3] == icn1[2] {
+		t.Fatal("cluster 3 differs from its predecessor but reused a model")
+	}
+}
+
 func TestServiceTimes(t *testing.T) {
 	cfg := mustPaperConfig(t, Case1, 4, 1024, network.NonBlocking)
 	ct, err := cfg.BuildCenters()

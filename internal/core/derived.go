@@ -77,29 +77,42 @@ func (ct *Centers) ServiceTimes(msgBytes int) (icn1, ecn1 []float64, icn2 float6
 	return icn1, ecn1, ct.ICN2.MeanServiceTime(msgBytes)
 }
 
-// ServiceTimesInto writes the mean service time of every cluster's ICN1
-// and ECN1 into icn1 and ecn1 (each of length C) and returns ICN2's, the
-// values BuildCenters followed by ServiceTimes gives. A cluster whose size
-// and technologies equal its predecessor's copies that cluster's times
-// instead of building its network models again, so a run of identical
-// clusters costs one pair of models.
-func (c *Config) ServiceTimesInto(icn1, ecn1 []float64) (icn2 float64, err error) {
+// EachClusterModels calls fn(i, icn1, ecn1) for every cluster in order
+// with the network models of its ICN1 and ECN1, and returns ICN2's model.
+// A cluster whose size and technologies equal its predecessor's is passed
+// its predecessor's models instead of building them again, so a run of
+// identical clusters costs one pair of models. It does not validate the
+// configuration; a model that fails to build is reported as the cluster
+// and network it belongs to.
+func (c *Config) EachClusterModels(fn func(i int, icn1, ecn1 *network.Model)) (*network.Model, error) {
+	var mI1, mE1 *network.Model
 	for i := range c.Clusters {
-		if i > 0 {
-			prev, cl := &c.Clusters[i-1], &c.Clusters[i]
-			if prev.Nodes == cl.Nodes && prev.ICN1 == cl.ICN1 && prev.ECN1 == cl.ECN1 {
-				icn1[i], ecn1[i] = icn1[i-1], ecn1[i-1]
-				continue
+		if i == 0 || !c.Clusters[i].sameNetworks(&c.Clusters[i-1]) {
+			var err error
+			if mI1, mE1, err = c.clusterModels(i); err != nil {
+				return nil, err
 			}
 		}
-		mI1, mE1, err := c.clusterModels(i)
-		if err != nil {
-			return 0, err
-		}
+		fn(i, mI1, mE1)
+	}
+	return c.icn2Model()
+}
+
+// sameNetworks reports whether cl's ICN1 and ECN1 are built exactly like
+// prev's: the same node count and technologies.
+func (cl *Cluster) sameNetworks(prev *Cluster) bool {
+	return cl.Nodes == prev.Nodes && cl.ICN1 == prev.ICN1 && cl.ECN1 == prev.ECN1
+}
+
+// ServiceTimesInto writes the mean service time of every cluster's ICN1
+// and ECN1 into icn1 and ecn1 (each of length C) and returns ICN2's, the
+// values BuildCenters followed by ServiceTimes gives, building only the
+// models EachClusterModels builds.
+func (c *Config) ServiceTimesInto(icn1, ecn1 []float64) (icn2 float64, err error) {
+	m, err := c.EachClusterModels(func(i int, mI1, mE1 *network.Model) {
 		icn1[i] = mI1.MeanServiceTime(c.MessageBytes)
 		ecn1[i] = mE1.MeanServiceTime(c.MessageBytes)
-	}
-	m, err := c.icn2Model()
+	})
 	if err != nil {
 		return 0, err
 	}

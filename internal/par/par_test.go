@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -64,6 +65,81 @@ func TestForEachAbortsPromptlyOnError(t *testing.T) {
 		// must not have run to completion.
 		if n := atomic.LoadInt32(&ran); n > 1000 {
 			t.Fatalf("parallelism %d: %d of 10000 units ran after the first failure", p, n)
+		}
+	}
+}
+
+// TestForEachLowestIndexErrorProperty checks the pool contract over
+// seeded random failure sets: the reported error is the lowest failing
+// index's, every index below it ran exactly once, no index ran twice, and
+// the process-wide Units and Errors counters rose by exactly what ran.
+// Units spin for random lengths, so a higher failing index often finishes
+// before a lower one.
+func TestForEachLowestIndexErrorProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(20051))
+	var sink atomic.Int64
+	for trial := 0; trial < 300; trial++ {
+		p := []int{2, 4, 16}[trial%3]
+		n := 1 + rng.Intn(200)
+		fails := make([]bool, n)
+		spin := make([]int, n)
+		for i := range spin {
+			spin[i] = rng.Intn(5000)
+		}
+		lowest := -1
+		for k := rng.Intn(4); k > 0; k-- {
+			fails[rng.Intn(n)] = true
+		}
+		for i, f := range fails {
+			if f {
+				lowest = i
+				break
+			}
+		}
+		hits := make([]int32, n)
+		before := Stats()
+		err := ForEachCtx(context.Background(), n, p, func(i int) error {
+			atomic.AddInt32(&hits[i], 1)
+			x := 0
+			for k := 0; k < spin[i]; k++ {
+				x += k ^ i
+			}
+			sink.Add(int64(x))
+			if fails[i] {
+				return fmt.Errorf("unit %d failed", i)
+			}
+			return nil
+		})
+		after := Stats()
+		ran, failed := int64(0), int64(0)
+		for i, h := range hits {
+			if h > 1 {
+				t.Fatalf("trial %d (p=%d, n=%d): index %d ran %d times", trial, p, n, i, h)
+			}
+			ran += int64(h)
+			if h == 1 && fails[i] {
+				failed++
+			}
+		}
+		if lowest < 0 {
+			if err != nil || ran != int64(n) {
+				t.Fatalf("trial %d (p=%d, n=%d): err %v with %d of %d units run, want nil and all", trial, p, n, err, ran, n)
+			}
+		} else {
+			if want := fmt.Sprintf("unit %d failed", lowest); err == nil || err.Error() != want {
+				t.Fatalf("trial %d (p=%d, n=%d): err = %v, want %q", trial, p, n, err, want)
+			}
+			for i := 0; i <= lowest; i++ {
+				if hits[i] != 1 {
+					t.Fatalf("trial %d (p=%d, n=%d): index %d below the failure at %d ran %d times", trial, p, n, i, lowest, hits[i])
+				}
+			}
+		}
+		if d := after.Units - before.Units; d != ran {
+			t.Fatalf("trial %d: Units rose by %d, %d units ran", trial, d, ran)
+		}
+		if d := after.Errors - before.Errors; d != failed {
+			t.Fatalf("trial %d: Errors rose by %d, %d units failed", trial, d, failed)
 		}
 	}
 }

@@ -66,19 +66,23 @@ func (m CostModel) portCost(t network.Technology) float64 {
 }
 
 // Cost prices a configuration: NodeCost·N_T plus, for each ICN1, ECN1 and
-// the ICN2, switches(topology)·Ports ports at the technology's price.
+// the ICN2, switches(topology)·Ports ports at the technology's price. A
+// cluster built like its predecessor reuses its predecessor's topologies
+// (core.Config.EachClusterModels), so a homogeneous layout builds three.
 func (m CostModel) Cost(cfg *core.Config) (float64, error) {
-	centers, err := cfg.BuildCenters()
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
 	total := m.NodeCost * float64(cfg.TotalNodes())
 	ports := float64(cfg.Switch.Ports)
-	for i := range centers.ICN1 {
-		total += float64(centers.ICN1[i].Topology().Switches()) * ports * m.portCost(cfg.Clusters[i].ICN1)
-		total += float64(centers.ECN1[i].Topology().Switches()) * ports * m.portCost(cfg.Clusters[i].ECN1)
+	icn2, err := cfg.EachClusterModels(func(i int, icn1, ecn1 *network.Model) {
+		total += float64(icn1.Topology().Switches()) * ports * m.portCost(cfg.Clusters[i].ICN1)
+		total += float64(ecn1.Topology().Switches()) * ports * m.portCost(cfg.Clusters[i].ECN1)
+	})
+	if err != nil {
+		return 0, err
 	}
-	total += float64(centers.ICN2.Topology().Switches()) * ports * m.portCost(cfg.ICN2)
+	total += float64(icn2.Topology().Switches()) * ports * m.portCost(cfg.ICN2)
 	return total, nil
 }
 

@@ -9,9 +9,9 @@
 //  1. a declarative design Space (cluster counts, per-cluster node counts
 //     including heterogeneous splits, per-role technologies, architecture,
 //     load headroom) is enumerated in a fixed deterministic order;
-//  2. every candidate is screened through the analytic fixed point
-//     (analytic.AnalyzeBatchCtx — microseconds per candidate, thousands per
-//     second on the worker pool) and scored against an SLO and a CostModel;
+//  2. every candidate is screened in one worker-pool pass: analysed
+//     through the analytic fixed point (microseconds per candidate),
+//     priced by a CostModel and scored against an SLO;
 //  3. the feasible set is reduced to the Pareto frontier on
 //     (cost, predicted latency);
 //  4. the cheapest frontier candidates are verified with precision-mode

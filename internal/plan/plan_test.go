@@ -1,10 +1,12 @@
 package plan
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
+	"hmscs/internal/analytic"
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
@@ -131,24 +133,133 @@ func TestSpaceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScreenParallelismInvariance screens all 1584 candidates of the
+// default space at parallelism 1, 2 and 8, on the M/M/1 path (SCV 1) and
+// the G/G/1-corrected path (SCV 4): every field of every result, and the
+// frontier, must agree, so the pool's claim order never shows.
 func TestScreenParallelismInvariance(t *testing.T) {
 	sp := DefaultSpace()
-	sp.MaxCandidates = 300
-	slo := SLO{MaxLatency: 2e-3}
+	slo := SLO{MaxLatency: 2e-3, MinNodes: 64}
 	cm := DefaultCostModel()
-	seq, err := Screen(sp, slo, cm, 1, 1)
+	for _, scv := range []float64{1, 4} {
+		seq, err := Screen(sp, slo, cm, scv, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seq) != 1584 {
+			t.Fatalf("SCV %g: screened %d candidates, want the full 1584", scv, len(seq))
+		}
+		for _, p := range []int{2, 8} {
+			got, err := Screen(sp, slo, cm, scv, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seq, got) {
+				t.Fatalf("SCV %g: screening results differ between parallelism 1 and %d", scv, p)
+			}
+			if !reflect.DeepEqual(Frontier(seq), Frontier(got)) {
+				t.Fatalf("SCV %g: frontier differs between parallelism 1 and %d", scv, p)
+			}
+		}
+	}
+}
+
+// TestScreenPaperPlatformParallelismInvariance screens the paper's own
+// platform (Case 1, 2 to 16 clusters) through one pool pass at parallelism
+// 1 and 8: the per-candidate results must be identical.
+func TestScreenPaperPlatformParallelismInvariance(t *testing.T) {
+	var cands []Candidate
+	for i, c := range []int{2, 4, 8, 16} {
+		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands = append(cands, Candidate{Index: i, Cfg: cfg})
+	}
+	slo := SLO{MaxLatency: 2e-3}.Normalized()
+	seq, err := screenCandidates(context.Background(), cands, slo, DefaultCostModel(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Screen(sp, slo, cm, 1, 8)
+	par, err := screenCandidates(context.Background(), cands, slo, DefaultCostModel(), 1, 8)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(seq) != len(cands) {
+		t.Fatalf("screened %d candidates, want %d", len(seq), len(cands))
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("screening results differ between -parallel 1 and 8")
+		t.Fatal("paper-platform screen differs between parallelism 1 and 8")
 	}
-	if !reflect.DeepEqual(Frontier(seq), Frontier(par)) {
-		t.Fatal("frontier differs between -parallel 1 and 8")
+}
+
+// TestScreenArrivalSCVRouting pins the screen's model selection: SCV 1
+// predicts exactly what analytic.Analyze does, a finite bursty SCV exactly
+// what analytic.AnalyzeArrival does (and no less), and an infinite SCV
+// falls back to the M/M/1 model.
+func TestScreenArrivalSCVRouting(t *testing.T) {
+	sp := smallSpace()
+	slo := SLO{MaxLatency: 2e-3}
+	cm := DefaultCostModel()
+	plain, err := Screen(sp, slo, cm, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bursty, err := Screen(sp, slo, cm, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range plain {
+		single, err := analytic.Analyze(r.Cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(r.Predicted) != math.Float64bits(single.MeanLatency) {
+			t.Fatalf("candidate %d: screen %v vs Analyze %v", i, r.Predicted, single.MeanLatency)
+		}
+		corrected, err := analytic.AnalyzeArrival(r.Cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(bursty[i].Predicted) != math.Float64bits(corrected.MeanLatency) {
+			t.Fatalf("candidate %d: screen at SCV 4 diverges from AnalyzeArrival", i)
+		}
+		if bursty[i].Predicted <= r.Predicted {
+			t.Fatalf("candidate %d: burst correction did not raise latency", i)
+		}
+	}
+	inf, err := Screen(sp, slo, cm, math.Inf(1), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(inf, plain) {
+		t.Fatal("infinite SCV should fall back to the M/M/1 model")
+	}
+}
+
+// TestScreenLowestIndexError pins the error a failing screen reports: the
+// lowest-index candidate's, at every parallelism level.
+func TestScreenLowestIndexError(t *testing.T) {
+	good, err := core.PaperConfig(core.Case1, 4, 1024, network.NonBlocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noNodes := &core.Config{} // fails validation
+	badTech, err := core.PaperConfig(core.Case1, 4, 1024, network.NonBlocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badTech.Clusters[1].ICN1.Bandwidth = 0
+	cands := []Candidate{{Index: 0, Cfg: good}, {Index: 1, Cfg: badTech}, {Index: 2, Cfg: noNodes}, {Index: 3, Cfg: good}}
+	_, want := analytic.Analyze(badTech)
+	if want == nil {
+		t.Fatal("invalid configuration accepted")
+	}
+	for _, p := range []int{1, 2, 4} {
+		_, err := screenCandidates(context.Background(), cands, SLO{MaxLatency: 2e-3}.Normalized(), DefaultCostModel(), 1, p)
+		if err == nil || err.Error() != want.Error() {
+			t.Fatalf("parallelism %d: err = %v, want the lowest-index failure %q", p, err, want)
+		}
 	}
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 
 	"hmscs/internal/analytic"
-	"hmscs/internal/core"
 	"hmscs/internal/par"
 )
 
@@ -83,12 +83,14 @@ func Screen(sp *Space, slo SLO, cost CostModel, arrivalSCV float64, parallelism 
 	return ScreenCtx(context.Background(), sp, slo, cost, arrivalSCV, parallelism)
 }
 
-// ScreenCtx enumerates the space and evaluates every candidate through
-// the analytic model (analytic.AnalyzeBatchCtx, so a non-Poisson finite
-// arrivalSCV plans with the G/G/1 burstiness correction), prices it, and
-// scores it against the SLO. Results are in enumeration order and
-// bit-identical at every parallelism level; a cancelled context aborts
-// the screening pool between candidates and returns ctx.Err().
+// ScreenCtx enumerates the space and, in one worker-pool pass, evaluates
+// every candidate through the analytic model (a non-Poisson finite
+// arrivalSCV plans with the G/G/1 burstiness correction, see
+// analytic.UsesArrivalCorrection), prices it, and scores it against the
+// SLO. Results are in enumeration order and bit-identical at every
+// parallelism level, the error is the lowest-index candidate's, and a
+// cancelled context aborts the pool between candidates and returns
+// ctx.Err().
 func ScreenCtx(ctx context.Context, sp *Space, slo SLO, cost CostModel, arrivalSCV float64, parallelism int) ([]ScreenResult, error) {
 	slo = slo.Normalized()
 	if err := slo.Validate(); err != nil {
@@ -104,56 +106,56 @@ func ScreenCtx(ctx context.Context, sp *Space, slo SLO, cost CostModel, arrivalS
 	return screenCandidates(ctx, cands, slo, cost, arrivalSCV, parallelism)
 }
 
-// screenCandidates scores an already-enumerated candidate list.
+// screenCandidates scores an already-enumerated candidate list, one pool
+// unit per candidate writing out[i].
 func screenCandidates(ctx context.Context, cands []Candidate, slo SLO, cost CostModel, arrivalSCV float64, parallelism int) ([]ScreenResult, error) {
-	cfgs := make([]*core.Config, len(cands))
-	for i, c := range cands {
-		cfgs[i] = c.Cfg
-	}
-	analyses, err := analytic.AnalyzeBatchCtx(ctx, cfgs, arrivalSCV, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	// Costing rebuilds each candidate's topologies, so it goes on the
-	// worker pool too (written by index, lowest-index error — the same
-	// determinism contract as the analysis fan-out).
-	costs := make([]float64, len(cands))
-	err = par.ForEachCtx(ctx, len(cands), parallelism, func(i int) error {
-		c, err := cost.Cost(cands[i].Cfg)
-		if err != nil {
-			return fmt.Errorf("plan: candidate %d cost: %w", cands[i].Index, err)
+	correct := analytic.UsesArrivalCorrection(arrivalSCV)
+	out := make([]ScreenResult, len(cands))
+	err := par.ForEachCtx(ctx, len(cands), parallelism, func(i int) error {
+		c := cands[i]
+		var an *analytic.Result
+		var err error
+		if correct {
+			an, err = analytic.AnalyzeArrival(c.Cfg, arrivalSCV)
+		} else {
+			an, err = analytic.Analyze(c.Cfg)
 		}
-		costs[i] = c
+		if err != nil {
+			return err
+		}
+		price, err := cost.Cost(c.Cfg)
+		if err != nil {
+			return fmt.Errorf("plan: candidate %d cost: %w", c.Index, err)
+		}
+		out[i] = score(c, an, price, slo)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScreenResult, len(cands))
-	for i, c := range cands {
-		an := analyses[i]
-		r := ScreenResult{Candidate: c, Predicted: an.MeanLatency, Saturated: an.Saturated}
-		bn := an.Bottleneck()
-		r.BottleneckRho = bn.Rho
-		if bn.Cluster >= 0 {
-			r.BottleneckName = fmt.Sprintf("%s[%d]", bn.Kind, bn.Cluster)
-		} else {
-			r.BottleneckName = bn.Kind.String()
-		}
-		r.Cost = costs[i]
-		switch {
-		case c.Cfg.TotalNodes() < slo.MinNodes:
-			r.Reason = fmt.Sprintf("only %d of the required %d processors", c.Cfg.TotalNodes(), slo.MinNodes)
-		case an.Saturated:
-			r.Reason = fmt.Sprintf("saturated (offered load overloads %s)", r.BottleneckName)
-		case r.BottleneckRho > slo.MaxUtil:
-			r.Reason = fmt.Sprintf("bottleneck %s ρ=%.3f > %.2f", r.BottleneckName, r.BottleneckRho, slo.MaxUtil)
-		case r.Predicted > slo.MaxLatency:
-			r.Reason = fmt.Sprintf("predicted %.3f ms > budget %.3f ms", r.Predicted*1e3, slo.MaxLatency*1e3)
-		default:
-			r.Feasible = true
-		}
-		out[i] = r
-	}
 	return out, nil
+}
+
+// score judges one analysed, priced candidate against the SLO.
+func score(c Candidate, an *analytic.Result, price float64, slo SLO) ScreenResult {
+	r := ScreenResult{Candidate: c, Cost: price, Predicted: an.MeanLatency, Saturated: an.Saturated}
+	bn := an.Bottleneck()
+	r.BottleneckRho = bn.Rho
+	r.BottleneckName = bn.Kind.String()
+	if bn.Cluster >= 0 {
+		r.BottleneckName += "[" + strconv.Itoa(bn.Cluster) + "]"
+	}
+	switch {
+	case c.Cfg.TotalNodes() < slo.MinNodes:
+		r.Reason = fmt.Sprintf("only %d of the required %d processors", c.Cfg.TotalNodes(), slo.MinNodes)
+	case an.Saturated:
+		r.Reason = "saturated (offered load overloads " + r.BottleneckName + ")"
+	case r.BottleneckRho > slo.MaxUtil:
+		r.Reason = fmt.Sprintf("bottleneck %s ρ=%.3f > %.2f", r.BottleneckName, r.BottleneckRho, slo.MaxUtil)
+	case r.Predicted > slo.MaxLatency:
+		r.Reason = fmt.Sprintf("predicted %.3f ms > budget %.3f ms", r.Predicted*1e3, slo.MaxLatency*1e3)
+	default:
+		r.Feasible = true
+	}
+	return r
 }
