@@ -228,21 +228,51 @@ func BenchmarkAblationOpenLoop(b *testing.B) {
 }
 
 // BenchmarkAnalyze measures the analytical model's evaluation cost (the
-// paper's pitch: "quick performance estimates").
+// paper's pitch: "quick performance estimates"). C=4,64,256 are Case 1
+// systems of identical clusters, one run each. split analyzes the default
+// plan space's two heterogeneous layouts, {32,16,8,8} and {64,32,32}, per
+// op. alt-C=256 alternates λ and 1.5λ between neighbours, so every
+// cluster is its own run and run-length evaluation saves nothing.
 func BenchmarkAnalyze(b *testing.B) {
-	for _, c := range []int{4, 64, 256} {
-		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
+	bench := func(name string, cfgs ...*core.Config) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := analytic.Analyze(cfg); err != nil {
-					b.Fatal(err)
+				for _, cfg := range cfgs {
+					if _, err := analytic.Analyze(cfg); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})
 	}
+	paper := func(c int) *core.Config {
+		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cfg
+	}
+	for _, c := range []int{4, 64, 256} {
+		bench(fmt.Sprintf("C=%d", c), paper(c))
+	}
+	var splits []*core.Config
+	for _, layout := range plan.DefaultSpace().Splits {
+		cfg, err := core.NewSuperCluster(len(layout), 1, core.PaperLambda, network.GigabitEthernet,
+			network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i, n := range layout {
+			cfg.Clusters[i].Nodes = n
+		}
+		splits = append(splits, cfg)
+	}
+	bench("split", splits...)
+	alt := paper(256)
+	for i := 1; i < len(alt.Clusters); i += 2 {
+		alt.Clusters[i].Lambda *= 1.5
+	}
+	bench("alt-C=256", alt)
 }
 
 // BenchmarkMVA measures the exact solver's cost at the full population.

@@ -12,10 +12,12 @@
 package analytic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
 	"hmscs/internal/core"
+	"hmscs/internal/network"
 	"hmscs/internal/queueing"
 )
 
@@ -32,16 +34,10 @@ const (
 )
 
 func (k CenterKind) String() string {
-	switch k {
-	case ICN1:
-		return "ICN1"
-	case ECN1:
-		return "ECN1"
-	case ICN2:
-		return "ICN2"
-	default:
-		return fmt.Sprintf("CenterKind(%d)", int(k))
+	if k >= ICN1 && k <= ICN2 {
+		return [...]string{"ICN1", "ECN1", "ICN2"}[k]
 	}
+	return fmt.Sprintf("CenterKind(%d)", int(k))
 }
 
 // CenterMetrics reports the steady-state M/M/1 quantities of one service
@@ -98,58 +94,102 @@ func (r *Result) CenterW(kind CenterKind, cluster int) float64 {
 	return math.NaN()
 }
 
-// model bundles the pre-computed service rates for a configuration and the
-// arrival-rate buffer its fixed point fills in place.
-type model struct {
-	muICN1   []float64
-	muECN1   []float64
-	muICN2   float64
-	nTotal   int
-	saturCap float64 // L value used for unstable probes = total processors
+// run is one run of consecutive equal clusters (node count, rate and
+// technologies), whose arrival rates and queue lengths are bit-identical,
+// so the model evaluates them once per run.
+type run struct {
+	core.RateTerms
+	muI1, muE1 float64
+	count      int
+	pLocal     float64 // AnalyzeLocality's local probability
 
-	// fill writes the per-centre arrival rates at generation-rate scale s
-	// into rates; Config.ArrivalRatesInto unless a variant reroutes traffic.
-	fill  func(r *core.Rates, s float64)
-	rates core.Rates
+	// Rates at the last scale passed to load; out under the locality split.
+	lamI1, lamE1, out float64
+}
+
+// model is a configuration as runs of equal clusters. A bisection step
+// costs O(runs) divisions and O(C) additions: every sum adds one term per
+// cluster, in cluster order, bit-identical to a per-cluster evaluation.
+type model struct {
+	runs     []run
+	clusters int
+	muICN2   float64
+	nTotal   float64 // N_T, also L(s) at any saturated probe
+	locality bool    // rates follow AnalyzeLocality's split, not eq. 1–5
 }
 
 // newModel builds the model of a validated configuration.
-func newModel(cfg *core.Config) (*model, error) {
-	c := len(cfg.Clusters)
-	m := &model{
-		muICN1: make([]float64, c),
-		muECN1: make([]float64, c),
-		nTotal: cfg.TotalNodes(),
-		fill:   cfg.ArrivalRatesInto,
-		rates:  core.Rates{ICN1: make([]float64, c), ECN1: make([]float64, c)},
-	}
-	// The service times land in the rate slices first and are inverted in
-	// place.
-	sI2, err := cfg.ServiceTimesInto(m.muICN1, m.muECN1)
+func newModel(cfg *core.Config) (model, error) {
+	nt := cfg.TotalNodes()
+	m := model{runs: make([]run, 0, cfg.Runs()), clusters: len(cfg.Clusters),
+		nTotal: float64(nt)}
+	icn2, err := cfg.EachClusterModels(func(i int, mI1, mE1 *network.Model) {
+		if i > 0 && cfg.Clusters[i] == cfg.Clusters[i-1] {
+			m.runs[len(m.runs)-1].count++
+			return
+		}
+		m.runs = append(m.runs, run{RateTerms: cfg.Clusters[i].RateTerms(nt), count: 1,
+			muI1: 1 / mI1.MeanServiceTime(cfg.MessageBytes),
+			muE1: 1 / mE1.MeanServiceTime(cfg.MessageBytes)})
+	})
 	if err != nil {
-		return nil, err
+		return model{}, err
 	}
-	m.muICN2 = 1 / sI2
-	for i := range m.muICN1 {
-		m.muICN1[i] = 1 / m.muICN1[i]
-		m.muECN1[i] = 1 / m.muECN1[i]
-	}
-	m.saturCap = float64(m.nTotal)
+	m.muICN2 = 1 / icn2.MeanServiceTime(cfg.MessageBytes)
 	return m, nil
 }
 
 // queueLen returns the mean number in system of one centre with arrival
 // rate lambda and service rate mu, or ok=false when the centre is
-// saturated.
+// saturated. Its at method takes the nil queueLen as the paper's M/M/1
+// queue length ρ/(1−ρ) of eq. 6, computed inline, not through a func value.
 type queueLen func(lambda, mu float64) (l float64, ok bool)
 
-// mm1Len is the M/M/1 queue length ρ/(1−ρ) of eq. 6.
-func mm1Len(lambda, mu float64) (float64, bool) {
+func (ql queueLen) at(lambda, mu float64) (float64, bool) {
 	if lambda >= mu {
 		return 0, false
 	}
+	if ql != nil {
+		return ql(lambda, mu)
+	}
 	rho := lambda / mu
 	return rho / (1 - rho), true
+}
+
+// load sets every run's arrival rates at generation-rate scale s (eq. 1–5,
+// or the locality split) and returns λ_I2 and the summed queue lengths of
+// eq. 6, which are meaningful only if no centre saturates.
+func (m *model) load(s float64, ql queueLen) (icn2, l float64, saturated bool) {
+	totalGen := 0.0
+	if m.locality {
+		icn2 = m.localityRates(s)
+	} else {
+		for i := range m.runs {
+			g := m.runs[i].NLambda * s
+			for range m.runs[i].count {
+				totalGen += g
+			}
+		}
+	}
+	for i := range m.runs {
+		r := &m.runs[i]
+		if !m.locality {
+			var out float64
+			r.lamI1, r.lamE1, out = r.At(s, totalGen, m.nTotal-1)
+			for range r.count {
+				icn2 += out
+			}
+		}
+		lI, okI := ql.at(r.lamI1, r.muI1)
+		lE, okE := ql.at(r.lamE1, r.muE1)
+		saturated = saturated || !okI || !okE
+		for range r.count {
+			l += lI
+			l += lE
+		}
+	}
+	lI2, ok := ql.at(icn2, m.muICN2)
+	return icn2, l + lI2, saturated || !ok
 }
 
 // totalWaiting returns L(s), the mean number of blocked processors when all
@@ -157,29 +197,10 @@ func mm1Len(lambda, mu float64) (float64, bool) {
 // to the total processor count, which keeps the fixed-point map
 // well-defined on all of [0,1] (paper eq. 6 with the physical cap).
 func (m *model) totalWaiting(s float64, ql queueLen) float64 {
-	m.fill(&m.rates, s)
-	r := &m.rates
-	total := 0.0
-	for i := range m.muICN1 {
-		l, ok := ql(r.ICN1[i], m.muICN1[i])
-		if !ok {
-			return m.saturCap
-		}
-		total += l
-		if l, ok = ql(r.ECN1[i], m.muECN1[i]); !ok {
-			return m.saturCap
-		}
-		total += l
+	if _, l, saturated := m.load(s, ql); !saturated && l <= m.nTotal {
+		return l
 	}
-	l, ok := ql(r.ICN2, m.muICN2)
-	if !ok {
-		return m.saturCap
-	}
-	total += l
-	if total > m.saturCap {
-		return m.saturCap
-	}
-	return total
+	return m.nTotal
 }
 
 // fixedPoint solves s = (N − L(s))/N by bisection. h(s) = s − g(s) is
@@ -187,25 +208,21 @@ func (m *model) totalWaiting(s float64, ql queueLen) float64 {
 // unique root exists in (0, 1]. It also reports whether the raw rates
 // (s = 1) saturate the system.
 func (m *model) fixedPoint(ql queueLen) (scale float64, iters int, saturated bool) {
-	nTotal := float64(m.nTotal)
-	g := func(l float64) float64 { return (nTotal - l) / nTotal }
+	g := func(l float64) float64 { return (m.nTotal - l) / m.nTotal }
 	l1 := m.totalWaiting(1, ql)
-	saturated = l1 >= m.saturCap
+	saturated = l1 >= m.nTotal
 	if h := 1 - g(l1); h <= 0 {
 		// No blocking pressure at all: the raw rate is the fixed point.
 		return 1, 1, saturated
 	}
-	lo, hi := 0.0, 1.0
-	const tol = 1e-12
-	n := 0
-	for hi-lo > tol && n < 200 {
+	lo, hi, n := 0.0, 1.0, 0
+	for ; hi-lo > 1e-12 && n < 200; n++ {
 		mid := (lo + hi) / 2
 		if mid-g(m.totalWaiting(mid, ql)) < 0 {
 			lo = mid
 		} else {
 			hi = mid
 		}
-		n++
 	}
 	return (lo + hi) / 2, n, saturated
 }
@@ -230,42 +247,43 @@ func mm1Station(lambda, mu float64) (rho, w, l float64, err error) {
 }
 
 // solve finds the effective-rate fixed point with queue lengths ql and
-// evaluates every centre there with st. Centers is laid out as
-// [ICN1₀, ECN1₀, ICN1₁, ECN1₁, …, ICN2], which the latency sums read by
+// evaluates every centre there with st, once per run. Centers is laid out
+// as [ICN1₀, ECN1₀, ICN1₁, ECN1₁, …, ICN2], which the latency sums read by
 // position. The caller fills in P and MeanLatency.
 func (m *model) solve(ql queueLen, st station) (*Result, error) {
 	res := &Result{}
 	res.Scale, res.Iterations, res.Saturated = m.fixedPoint(ql)
-	m.fill(&m.rates, res.Scale)
-	r := &m.rates
+	icn2, _, _ := m.load(res.Scale, ql)
 
-	c := len(m.muICN1)
-	res.Centers = make([]CenterMetrics, 0, 2*c+1)
-	add := func(kind CenterKind, cluster int, lambda, mu float64) error {
+	eval := func(kind CenterKind, lambda, mu float64) (CenterMetrics, error) {
 		// The bisection can land within tolerance of a saturation
 		// boundary; nudge just below it so the formulas stay finite.
 		if !(lambda < mu) {
 			lambda = mu * (1 - 1e-9)
 		}
 		rho, w, l, err := st(lambda, mu)
-		if err != nil {
-			return err
-		}
-		res.Centers = append(res.Centers, CenterMetrics{Kind: kind, Cluster: cluster,
-			Lambda: lambda, Mu: mu, Rho: rho, W: w, L: l})
-		return nil
+		return CenterMetrics{Kind: kind, Cluster: -1, Lambda: lambda, Mu: mu,
+			Rho: rho, W: w, L: l}, err
 	}
-	for i := 0; i < c; i++ {
-		if err := add(ICN1, i, r.ICN1[i], m.muICN1[i]); err != nil {
+	res.Centers = make([]CenterMetrics, 0, 2*m.clusters+1)
+	for i := range m.runs {
+		r := &m.runs[i]
+		cI, errI := eval(ICN1, r.lamI1, r.muI1)
+		cE, errE := eval(ECN1, r.lamE1, r.muE1)
+		if err := cmp.Or(errI, errE); err != nil {
 			return nil, err
 		}
-		if err := add(ECN1, i, r.ECN1[i], m.muECN1[i]); err != nil {
-			return nil, err
+		for range r.count {
+			cI.Cluster = len(res.Centers) / 2
+			cE.Cluster = cI.Cluster
+			res.Centers = append(res.Centers, cI, cE)
 		}
 	}
-	if err := add(ICN2, -1, r.ICN2, m.muICN2); err != nil {
+	c, err := eval(ICN2, icn2, m.muICN2)
+	if err != nil {
 		return nil, err
 	}
+	res.Centers = append(res.Centers, c)
 	for i := range res.Centers {
 		res.TotalWaiting += res.Centers[i].L
 	}
@@ -273,18 +291,23 @@ func (m *model) solve(ql queueLen, st station) (*Result, error) {
 }
 
 // Analyze evaluates the paper's analytical model for the configuration and
-// returns the mean message latency and per-centre metrics. One call costs
-// O(C) time and a number of allocations independent of C for a system of
-// identical clusters.
+// returns the mean message latency and per-centre metrics in O(C) time; a
+// bisection step divides once per run of equal clusters, not per cluster.
 func Analyze(cfg *core.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return analyze(cfg, nil, mm1Station)
+}
+
+// analyze solves a validated configuration with queue lengths ql and
+// centre metrics st, and evaluates eq. 15 at the fixed point.
+func analyze(cfg *core.Config, ql queueLen, st station) (*Result, error) {
 	m, err := newModel(cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := m.solve(mm1Len, mm1Station)
+	res, err := m.solve(ql, st)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hmscs/internal/core"
@@ -91,9 +92,125 @@ func checkSame(t *testing.T, what string, cfg *core.Config, got, want *Result, g
 	}
 }
 
-// TestAnalyzeBitIdenticalToReference checks Analyze, AnalyzeSCV and
-// AnalyzeLocality against the reference evaluation in reference_test.go on
-// seeded random heterogeneous configurations of 1 to 300 clusters.
+// checkAllEntryPoints compares Analyze, AnalyzeSCV, AnalyzeArrival and
+// AnalyzeLocality on cfg with the reference evaluation, at every given
+// SCV and locality.
+func checkAllEntryPoints(t *testing.T, cfg *core.Config, scvs, localities []float64) {
+	t.Helper()
+	got, gotErr := Analyze(cfg)
+	want, wantErr := refAnalyze(cfg)
+	checkSame(t, "Analyze", cfg, got, want, gotErr, wantErr)
+	for _, scv := range scvs {
+		want, wantErr = refAnalyzeSCV(cfg, scv)
+		got, gotErr = AnalyzeSCV(cfg, scv)
+		checkSame(t, fmt.Sprintf("AnalyzeSCV(%g)", scv), cfg, got, want, gotErr, wantErr)
+		got, gotErr = AnalyzeArrival(cfg, scv)
+		checkSame(t, fmt.Sprintf("AnalyzeArrival(%g)", scv), cfg, got, want, gotErr, wantErr)
+	}
+	for _, locality := range localities {
+		got, gotErr = AnalyzeLocality(cfg, locality)
+		want, wantErr = refAnalyzeLocality(cfg, locality)
+		checkSame(t, fmt.Sprintf("AnalyzeLocality(%g)", locality), cfg, got, want, gotErr, wantErr)
+	}
+}
+
+// withLayout returns a copy of cfg whose clusters are clusters.
+func withLayout(cfg *core.Config, clusters []core.Cluster) *core.Config {
+	out := *cfg
+	out.Clusters = clusters
+	return &out
+}
+
+// runLayouts returns seeded configurations shaped around the model's runs
+// of identical clusters: homogeneous systems of up to 300 clusters, runs
+// whose boundary differs in exactly one of λ, ICN1, ECN1 or node count,
+// and alternating layouts in which no two neighbours are equal.
+func runLayouts(rng *rand.Rand) []*core.Config {
+	var out []*core.Config
+	for _, c := range []int{1, 2, 7, 64, 300} {
+		cfg := randomHeterogeneous(rng, 1)
+		cl := cfg.Clusters[0]
+		cl.Nodes = 2 + rng.Intn(16)
+		out = append(out, withLayout(cfg, slices.Repeat([]core.Cluster{cl}, c)))
+	}
+	techs := []network.Technology{network.GigabitEthernet, network.FastEthernet,
+		network.Myrinet, network.Infiniband}
+	other := func(t network.Technology) network.Technology {
+		for {
+			if o := techs[rng.Intn(len(techs))]; o != t {
+				return o
+			}
+		}
+	}
+	boundaries := []func(*core.Cluster){
+		func(cl *core.Cluster) { cl.Lambda *= 1.5 },
+		func(cl *core.Cluster) { cl.ICN1 = other(cl.ICN1) },
+		func(cl *core.Cluster) { cl.ECN1 = other(cl.ECN1) },
+		func(cl *core.Cluster) { cl.Nodes++ },
+	}
+	for _, differ := range boundaries {
+		cfg := randomHeterogeneous(rng, 1)
+		a := cfg.Clusters[0]
+		b := a
+		differ(&b)
+		var layout []core.Cluster
+		for _, cl := range []core.Cluster{a, b, a, b} {
+			layout = append(layout, slices.Repeat([]core.Cluster{cl}, 1+rng.Intn(40))...)
+		}
+		out = append(out, withLayout(cfg, layout))
+	}
+	for _, c := range []int{2, 5, 64, 256} {
+		cfg := randomHeterogeneous(rng, 2)
+		a := cfg.Clusters[0]
+		for i, differ := range boundaries {
+			b := a
+			differ(&b)
+			layout := make([]core.Cluster, c)
+			for j := range layout {
+				layout[j] = a
+				if (j+i)%2 == 1 {
+					layout[j] = b
+				}
+			}
+			out = append(out, withLayout(cfg, layout))
+		}
+	}
+	return out
+}
+
+// defaultSpaceConfigs returns every layout of the capacity planner's
+// default design space (plan.DefaultSpace, copied here because plan
+// imports this package) at both architectures, cycling through its
+// technologies.
+func defaultSpaceConfigs() []*core.Config {
+	layouts := [][]int{{32, 16, 8, 8}, {64, 32, 32}}
+	for _, c := range []int{2, 4, 8, 16, 32} {
+		for _, n := range []int{4, 8, 16, 32} {
+			layouts = append(layouts, slices.Repeat([]int{n}, c))
+		}
+	}
+	icn1 := []network.Technology{network.GigabitEthernet, network.Myrinet, network.Infiniband}
+	ecn := []network.Technology{network.FastEthernet, network.GigabitEthernet}
+	var out []*core.Config
+	k := 0
+	for _, layout := range layouts {
+		for _, arch := range []network.Architecture{network.NonBlocking, network.Blocking} {
+			cfg := &core.Config{ICN2: ecn[k/2%2], Arch: arch, Switch: network.PaperSwitch, MessageBytes: 1024}
+			for _, n := range layout {
+				cfg.Clusters = append(cfg.Clusters, core.Cluster{Nodes: n,
+					Lambda: core.PaperLambda * (1 + 0.25*float64(k%3)), ICN1: icn1[k%3], ECN1: ecn[k%2]})
+			}
+			out = append(out, cfg)
+			k++
+		}
+	}
+	return out
+}
+
+// TestAnalyzeBitIdenticalToReference checks all four entry points against
+// the reference evaluation in reference_test.go: on seeded random
+// heterogeneous configurations of 1 to 300 clusters, on run layouts built
+// to stress the run-length model, and on the planner's default layouts.
 func TestAnalyzeBitIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(20050614))
 	sizes := []int{1, 2, 3, 300}
@@ -108,44 +225,60 @@ func TestAnalyzeBitIdenticalToReference(t *testing.T) {
 	scvs := []float64{0, 0.5, 1, 2.5}
 	for _, c := range sizes {
 		cfg := randomHeterogeneous(rng, c)
-
-		got, gotErr := Analyze(cfg)
-		want, wantErr := refAnalyze(cfg)
-		checkSame(t, "Analyze", cfg, got, want, gotErr, wantErr)
-
-		scv := scvs[rng.Intn(len(scvs))]
-		got, gotErr = AnalyzeSCV(cfg, scv)
-		want, wantErr = refAnalyzeSCV(cfg, scv)
-		checkSame(t, "AnalyzeSCV", cfg, got, want, gotErr, wantErr)
-
 		locality := rng.Float64()
 		if rng.Intn(4) == 0 {
 			locality = float64(rng.Intn(2)) // the 0 and 1 edges
 		}
-		got, gotErr = AnalyzeLocality(cfg, locality)
-		want, wantErr = refAnalyzeLocality(cfg, locality)
-		checkSame(t, "AnalyzeLocality", cfg, got, want, gotErr, wantErr)
+		checkAllEntryPoints(t, cfg, []float64{scvs[rng.Intn(len(scvs))]}, []float64{locality})
+	}
+	for _, cfg := range runLayouts(rng) {
+		checkAllEntryPoints(t, cfg, []float64{1, 2.5}, []float64{0, 1, rng.Float64()})
+	}
+	for _, cfg := range defaultSpaceConfigs() {
+		checkAllEntryPoints(t, cfg, []float64{0, 1}, []float64{0, 1, 0.5})
 	}
 }
 
+// alternating returns a Case 1 system of c clusters whose rates alternate
+// between λ and 1.5λ, so no two neighbours share a run but all share
+// their network models.
+func alternating(t testing.TB, c int) *core.Config {
+	cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < c; i += 2 {
+		cfg.Clusters[i].Lambda *= 1.5
+	}
+	return cfg
+}
+
 // TestAnalyzeAllocsIndependentOfClusterCount guards the O(C) fixed point:
-// the bisection fills one rate buffer in place and identical clusters
-// share their service rates, so a 256-cluster system allocates no more
-// than a 4-cluster one.
+// the model is sized once, its bisection allocates nothing, and identical
+// clusters share their network models, so a 256-cluster system allocates
+// no more than a 4-cluster one, whether its clusters form one run or 256.
 func TestAnalyzeAllocsIndependentOfClusterCount(t *testing.T) {
-	allocs := func(c int) float64 {
-		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
-		if err != nil {
-			t.Fatal(err)
-		}
+	allocs := func(cfg *core.Config) float64 {
 		return testing.AllocsPerRun(20, func() {
 			if _, err := Analyze(cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := allocs(4), allocs(256)
+	paper := func(c int) *core.Config {
+		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	small, large := allocs(paper(4)), allocs(paper(256))
 	if large > small {
 		t.Fatalf("Analyze allocates %v times at C=256 but %v at C=4", large, small)
+	}
+	altSmall, altLarge := allocs(alternating(t, 4)), allocs(alternating(t, 256))
+	if altSmall != small || altLarge != small {
+		t.Fatalf("alternating layout allocates %v times at C=4 and %v at C=256, one run %v",
+			altSmall, altLarge, small)
 	}
 }

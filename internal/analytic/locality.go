@@ -26,82 +26,92 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt := cfg.TotalNodes()
-	c := cfg.NumClusters()
-
-	// Effective per-cluster local probabilities: degenerate clusters force
+	// Effective per-run local probabilities: degenerate clusters force
 	// the same fallbacks the simulator's LocalBias applies.
-	pLocal := make([]float64, c)
-	for i := range cfg.Clusters {
-		cl := &cfg.Clusters[i]
-		p := locality
-		if cl.Nodes <= 1 {
-			p = 0 // no other local node exists
-		}
-		if nt-cl.Nodes == 0 {
-			p = 1 // no remote node exists
-		}
-		pLocal[i] = p
-	}
-
-	// The locality split routes traffic differently, so the model's rate
-	// buffer is filled by this variant's own rate equations.
-	outbound := make([]float64, c)
-	m.fill = func(r *core.Rates, s float64) {
-		r.ICN2 = 0
-		for i := range cfg.Clusters {
-			cl := &cfg.Clusters[i]
-			gen := float64(cl.Nodes) * cl.Lambda * s
-			r.ICN1[i] = gen * pLocal[i]
-			outbound[i] = gen * (1 - pLocal[i])
-			r.ICN2 += outbound[i]
-		}
-		for i := range cfg.Clusters {
-			ni := cfg.Clusters[i].Nodes
-			inbound := 0.0
-			for j := range cfg.Clusters {
-				nj := cfg.Clusters[j].Nodes
-				if j == i || nt == nj {
-					continue
-				}
-				share := float64(ni) / float64(nt-nj)
-				inbound += outbound[j] * share
-			}
-			r.ECN1[i] = outbound[i] + inbound
+	m.locality = true
+	for i := range m.runs {
+		r := &m.runs[i]
+		switch {
+		case r.N == m.nTotal:
+			r.pLocal = 1 // no remote node exists
+		case r.N <= 1:
+			r.pLocal = 0 // no other local node exists
+		default:
+			r.pLocal = locality
 		}
 	}
-	res, err := m.solve(mm1Len, mm1Station)
+	res, err := m.solve(nil, mm1Station)
 	if err != nil {
 		return nil, err
 	}
-	res.P = 1 - pLocal[0]
+	res.P = 1 - m.runs[0].pLocal
 
 	// Mean latency under the locality split: local messages ride ICN1;
 	// remote ones pay ECN1(src) + ICN2 + ECN1(dst), destination cluster
 	// drawn by its share of the source's remote node pool. Centres are
-	// read by position, [ICN1₀, ECN1₀, …, ICN2].
+	// read by position, [ICN1₀, ECN1₀, …, ICN2]; like the inbound rate,
+	// the destination term is one sum per run.
 	ctr := res.Centers
-	wI2 := ctr[2*c].W
 	traffic := cfg.TotalTraffic()
 	total := 0.0
-	for i := range cfg.Clusters {
-		cl := &cfg.Clusters[i]
-		wi := cl.TrafficWeightOf(traffic)
-		li := pLocal[i] * ctr[2*i].W
-		remote := 1 - pLocal[i]
-		if remote > 0 {
-			destTerm := 0.0
-			for j := range cfg.Clusters {
-				if j == i {
-					continue
-				}
-				share := float64(cfg.Clusters[j].Nodes) / float64(nt-cl.Nodes)
-				destTerm += share * ctr[2*j+1].W
+	i := 0
+	for ri, r := range m.runs {
+		destTerm, first := 0.0, 0
+		for j, o := range m.runs {
+			share, w := o.N/(m.nTotal-r.N), ctr[2*first+1].W
+			for range o.count - btoi(j == ri) {
+				destTerm += share * w
 			}
-			li += remote * (ctr[2*i+1].W + wI2 + destTerm)
+			first += o.count
 		}
-		total += wi * li
+		for range r.count {
+			li := r.pLocal * ctr[2*i].W
+			if remote := 1 - r.pLocal; remote > 0 {
+				li += remote * (ctr[2*i+1].W + ctr[2*m.clusters].W + destTerm)
+			}
+			total += cfg.Clusters[i].TrafficWeightOf(traffic) * li
+			i++
+		}
 	}
 	res.MeanLatency = total
 	return res, nil
+}
+
+// localityRates sets the runs' rates under AnalyzeLocality's split.
+// Inside a run the skipped own-cluster term of the inbound sum equals its
+// neighbours, so one sum per run adds the terms of one per cluster.
+func (m *model) localityRates(s float64) (icn2 float64) {
+	for i := range m.runs {
+		r := &m.runs[i]
+		gen := r.NLambda * s
+		r.lamI1 = gen * r.pLocal
+		out := gen * (1 - r.pLocal)
+		r.out = out
+		for range r.count {
+			icn2 += out
+		}
+	}
+	for i := range m.runs {
+		r := &m.runs[i]
+		inbound := 0.0
+		for j, o := range m.runs {
+			if o.N == m.nTotal {
+				continue
+			}
+			share := r.N / (m.nTotal - o.N)
+			for range o.count - btoi(j == i) {
+				inbound += o.out * share
+			}
+		}
+		r.lamE1 = r.out + inbound
+	}
+	return icn2
+}
+
+// btoi is 1 for true and 0 for false.
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

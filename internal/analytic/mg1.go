@@ -22,25 +22,6 @@ func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
 	if !(scv >= 0) {
 		return nil, fmt.Errorf("analytic: SCV %g must be non-negative", scv)
 	}
-	m, err := newModel(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Saturated probes clamp to the population as in the M/M/1 variant.
-	mg1Len := func(lambda, mu float64) (float64, bool) {
-		if lambda >= mu {
-			return 0, false
-		}
-		st, err := queueing.NewMG1(lambda, 1/mu, scv)
-		if err != nil {
-			return 0, false
-		}
-		l, err := st.L()
-		if err != nil {
-			return 0, false
-		}
-		return l, true
-	}
 	mg1Station := func(lambda, mu float64) (rho, w, l float64, err error) {
 		st, err := queueing.NewMG1(lambda, 1/mu, scv)
 		if err != nil {
@@ -54,11 +35,10 @@ func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
 		}
 		return st.Rho(), w, l, nil
 	}
-	res, err := m.solve(mg1Len, mg1Station)
-	if err != nil {
-		return nil, err
+	// Saturated probes clamp to the population as in the M/M/1 variant.
+	mg1Len := func(lambda, mu float64) (float64, bool) {
+		_, _, l, err := mg1Station(lambda, mu)
+		return l, err == nil
 	}
-	res.P = cfg.POut(0)
-	res.MeanLatency = meanLatency(cfg, res)
-	return res, nil
+	return analyze(cfg, mg1Len, mg1Station)
 }

@@ -101,17 +101,17 @@ func (c *Config) NumClusters() int { return len(c.Clusters) }
 // Homogeneous reports whether all clusters are identical (the paper's
 // assumption 5), which enables the symmetric fast path in the analytic
 // model and simulator.
-func (c *Config) Homogeneous() bool {
-	if len(c.Clusters) == 0 {
-		return true
-	}
-	first := c.Clusters[0]
-	for _, cl := range c.Clusters[1:] {
-		if cl != first {
-			return false
+func (c *Config) Homogeneous() bool { return c.Runs() <= 1 }
+
+// Runs returns the number of runs of consecutive identical clusters.
+func (c *Config) Runs() int {
+	n := min(len(c.Clusters), 1)
+	for i := 1; i < len(c.Clusters); i++ {
+		if c.Clusters[i] != c.Clusters[i-1] {
+			n++
 		}
 	}
-	return true
+	return n
 }
 
 // POut returns the probability that a message from cluster i leaves the

@@ -216,7 +216,7 @@ func TestCentersTechnologiesPerScenario(t *testing.T) {
 }
 
 // TestEachClusterModelsReusesPredecessor pins the build rule behind
-// ServiceTimesInto and plan's costing: a cluster built like its immediate
+// the analytic model and plan's costing: a cluster built like its immediate
 // predecessor gets that predecessor's models, any other cluster its own,
 // each describing the cluster it is passed for.
 func TestEachClusterModelsReusesPredecessor(t *testing.T) {
@@ -447,5 +447,26 @@ func TestQuickFlowConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRuns counts runs of consecutive identical clusters: any difference
+// in size, rate or technology starts a new run, and a homogeneous system
+// is one run.
+func TestRuns(t *testing.T) {
+	cfg := mustPaperConfig(t, Case1, 8, 1024, network.NonBlocking)
+	if cfg.Runs() != 1 || !cfg.Homogeneous() {
+		t.Fatalf("homogeneous system: %d runs", cfg.Runs())
+	}
+	cfg.Clusters[2].Lambda *= 2
+	cfg.Clusters[3].Lambda *= 2
+	cfg.Clusters[5].Nodes++
+	cfg.Clusters[7].ECN1 = network.Myrinet
+	// Runs: [0,1] [2,3] [4] [5] [6] [7].
+	if got := cfg.Runs(); got != 6 || cfg.Homogeneous() {
+		t.Fatalf("got %d runs, want 6", got)
+	}
+	if got := (&Config{}).Runs(); got != 0 {
+		t.Fatalf("empty system: %d runs", got)
 	}
 }

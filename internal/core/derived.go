@@ -104,21 +104,6 @@ func (cl *Cluster) sameNetworks(prev *Cluster) bool {
 	return cl.Nodes == prev.Nodes && cl.ICN1 == prev.ICN1 && cl.ECN1 == prev.ECN1
 }
 
-// ServiceTimesInto writes the mean service time of every cluster's ICN1
-// and ECN1 into icn1 and ecn1 (each of length C) and returns ICN2's, the
-// values BuildCenters followed by ServiceTimes gives, building only the
-// models EachClusterModels builds.
-func (c *Config) ServiceTimesInto(icn1, ecn1 []float64) (icn2 float64, err error) {
-	m, err := c.EachClusterModels(func(i int, mI1, mE1 *network.Model) {
-		icn1[i] = mI1.MeanServiceTime(c.MessageBytes)
-		ecn1[i] = mE1.MeanServiceTime(c.MessageBytes)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return m.MeanServiceTime(c.MessageBytes), nil
-}
-
 // Rates holds the per-centre total arrival rates of the Jackson model
 // (paper eq. 1–5, generalised to heterogeneous clusters).
 type Rates struct {
@@ -129,33 +114,16 @@ type Rates struct {
 
 // ArrivalRates computes the per-centre arrival rates when every processor's
 // generation rate is scaled by the given factor (1 for the raw rates; the
-// effective-rate iteration of eq. 7 passes scale < 1).
+// effective-rate iteration of eq. 7 passes scale < 1). It costs O(C).
 //
 // For homogeneous systems these reduce exactly to the paper's eq. 1–5:
 // λ_I1 = N0(1−P)λ, λ_E1 = 2N0Pλ, λ_I2 = C·N0·P·λ.
 func (c *Config) ArrivalRates(scale float64) Rates {
-	var r Rates
-	c.ArrivalRatesInto(&r, scale)
-	return r
-}
-
-// ArrivalRatesInto is ArrivalRates writing into r, reusing its slices when
-// they hold C entries, so an iteration that evaluates the rates at many
-// scales allocates them once. It costs O(C).
-func (c *Config) ArrivalRatesInto(r *Rates, scale float64) {
 	n := len(c.Clusters)
-	if cap(r.ICN1) < n {
-		r.ICN1 = make([]float64, n)
-	}
-	if cap(r.ECN1) < n {
-		r.ECN1 = make([]float64, n)
-	}
-	r.ICN1, r.ECN1, r.ICN2 = r.ICN1[:n], r.ECN1[:n], 0
+	r := Rates{ICN1: make([]float64, n), ECN1: make([]float64, n)}
 	nt := c.TotalNodes()
 	if nt <= 1 {
-		clear(r.ICN1)
-		clear(r.ECN1)
-		return
+		return r
 	}
 	// Total generated traffic, so the per-cluster inbound sum is O(1):
 	// Σ_{j≠i} Nⱼλⱼ = total − Nᵢλᵢ.
@@ -165,22 +133,40 @@ func (c *Config) ArrivalRatesInto(r *Rates, scale float64) {
 		totalGen += float64(cl.Nodes) * cl.Lambda * scale
 	}
 	for i := range c.Clusters {
-		cl := &c.Clusters[i]
-		li := cl.Lambda * scale
-		pi := cl.POutOf(nt)
-		gen := float64(cl.Nodes) * li
-		r.ICN1[i] = float64(cl.Nodes) * (1 - pi) * li
-		// Outbound remote traffic generated inside cluster i.
-		outbound := gen * pi
-		// Inbound remote traffic destined to cluster i from every other
-		// cluster j: each of the Nj processors addresses a node of cluster
-		// i with probability Nᵢ/(N_T − 1). With one cluster totalGen and
-		// gen round differently and the difference can fall just below
-		// zero; the true value is zero.
-		inbound := max(0, (totalGen-gen)*float64(cl.Nodes)/float64(nt-1))
-		r.ECN1[i] = outbound + inbound
+		t := c.Clusters[i].RateTerms(nt)
+		var outbound float64
+		r.ICN1[i], r.ECN1[i], outbound = t.At(scale, totalGen, float64(nt-1))
 		r.ICN2 += outbound
 	}
+	return r
+}
+
+// RateTerms holds the scale-invariant terms of one cluster's arrival rates
+// (eq. 1–5) in a system of N_T processors.
+type RateTerms struct {
+	N, Lambda       float64 // Nᵢ and λᵢ
+	NLambda, NLocal float64 // Nᵢλᵢ and Nᵢ(1−Pᵢ)
+	P               float64 // Pᵢ of eq. 8
+}
+
+// RateTerms returns cl's rate terms in a system of nt processors.
+func (cl *Cluster) RateTerms(nt int) RateTerms {
+	n, p := float64(cl.Nodes), cl.POutOf(nt)
+	return RateTerms{N: n, Lambda: cl.Lambda, NLambda: n * cl.Lambda, NLocal: n * (1 - p), P: p}
+}
+
+// At returns the cluster's λ_I1, λ_E1 and outbound remote rate (its share
+// of λ_I2) at generation-rate scale s, where totalGen is Σⱼ Nⱼλⱼs summed
+// in cluster order and ntm1 is N_T−1.
+func (t *RateTerms) At(s, totalGen, ntm1 float64) (icn1, ecn1, outbound float64) {
+	li := t.Lambda * s
+	gen := t.N * li
+	outbound = gen * t.P
+	// Inbound remote traffic: each of the other clusters' processors
+	// addresses this cluster with probability Nᵢ/(N_T − 1). With one cluster
+	// the difference can round just below its true value, zero.
+	inbound := max(0, (totalGen-gen)*t.N/ntm1)
+	return t.NLocal * li, outbound + inbound, outbound
 }
 
 // TrafficWeight returns cluster i's share of generated traffic,

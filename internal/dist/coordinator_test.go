@@ -79,7 +79,7 @@ func (a *adversarialWorker) run(ctx context.Context) {
 // completeUnit executes one leased unit the way a remote worker would
 // and builds its completion.
 func completeUnit(prog *run.Program, worker string, l Lease) completeRequest {
-	cfg, opts, err := prog.Unit(l.Unit.Stage, l.Unit.Point, l.Unit.Rep)
+	cfg, opts, err := prog.Unit(context.Background(), l.Unit.Stage, l.Unit.Point, l.Unit.Rep)
 	if err != nil {
 		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
 	}

@@ -329,7 +329,7 @@ func TestResultCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, opts, err := prog.Unit(run.StageSim, 0, 1)
+	cfg, opts, err := prog.Unit(context.Background(), run.StageSim, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

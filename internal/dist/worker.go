@@ -231,7 +231,7 @@ func (w *Worker) runUnit(ctx context.Context, l Lease) (*sim.Result, telemetry.S
 	if err != nil {
 		return nil, telemetry.SimStats{}, 0, err
 	}
-	cfg, opts, err := prog.Unit(l.Unit.Stage, l.Unit.Point, l.Unit.Rep)
+	cfg, opts, err := prog.Unit(ctx, l.Unit.Stage, l.Unit.Point, l.Unit.Rep)
 	if err != nil {
 		return nil, telemetry.SimStats{}, 0, err
 	}

@@ -138,26 +138,34 @@ func Distributable(e *Experiment) bool {
 // use. Unknown stage names and stages the spec does not produce (e.g.
 // "verify" when plan.top is 0) return an error.
 func (p *Program) Stage(name string) (*UnitStage, error) {
+	return p.stage(context.TODO(), name, 0)
+}
+
+// Unit derives one unit through the named stage. A stage it builds runs
+// under ctx, and a plan screening it needs runs on the calling goroutine
+// alone: a worker derives units inside a one-slot budget.
+func (p *Program) Unit(ctx context.Context, stage string, point, rep int) (*core.Config, sim.Options, error) {
+	st, err := p.stage(ctx, stage, 1)
+	if err != nil {
+		return nil, sim.Options{}, err
+	}
+	return st.Unit(point, rep)
+}
+
+// stage is Stage building under ctx, screening on up to parallelism
+// workers when the stage needs the plan kind's screening pass.
+func (p *Program) stage(ctx context.Context, name string, parallelism int) (*UnitStage, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if st, ok := p.stages[name]; ok {
 		return st, nil
 	}
-	st, err := p.buildStage(name)
+	st, err := p.buildStage(ctx, name, parallelism)
 	if err != nil {
 		return nil, err
 	}
 	p.stages[name] = st
 	return st, nil
-}
-
-// Unit derives one unit through the named stage.
-func (p *Program) Unit(stage string, point, rep int) (*core.Config, sim.Options, error) {
-	st, err := p.Stage(stage)
-	if err != nil {
-		return nil, sim.Options{}, err
-	}
-	return st.Unit(point, rep)
 }
 
 // screen returns the plan kind's screening pass, running it on first use
@@ -197,7 +205,7 @@ func (p *Program) screenLocked(ctx context.Context, parallelism int) (*screening
 	return p.screening, nil
 }
 
-func (p *Program) buildStage(name string) (*UnitStage, error) {
+func (p *Program) buildStage(ctx context.Context, name string, parallelism int) (*UnitStage, error) {
 	e := p.spec
 	switch {
 	case name == StageCheck && e.Kind == KindAnalyze:
@@ -208,7 +216,7 @@ func (p *Program) buildStage(name string) (*UnitStage, error) {
 		name == StageFigures && e.Kind == KindFigure:
 		return p.buildBatch(name)
 	case name == StageVerify && e.Kind == KindPlan:
-		return p.buildVerify()
+		return p.buildVerify(ctx, parallelism)
 	}
 	return nil, fmt.Errorf("run: %s experiment has no %q stage", e.Kind, name)
 }
@@ -346,13 +354,14 @@ func (p *Program) verifyOptions(arrival workload.Arrival) sim.Options {
 }
 
 // buildVerify is the plan kind's top-K verification batch over the
-// Program's one screening pass.
-func (p *Program) buildVerify() (*UnitStage, error) {
+// Program's one screening pass, run under ctx on up to parallelism
+// workers if nothing has run it yet.
+func (p *Program) buildVerify(ctx context.Context, parallelism int) (*UnitStage, error) {
 	e := p.spec
 	if e.Plan.Top <= 0 {
 		return nil, fmt.Errorf("run: plan experiment with top=0 has no %q stage", StageVerify)
 	}
-	ps, err := p.screenLocked(context.TODO(), 0)
+	ps, err := p.screenLocked(ctx, parallelism)
 	if err != nil {
 		return nil, err
 	}

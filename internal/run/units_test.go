@@ -37,7 +37,7 @@ func (r *recordingExec) stage(st *UnitStage) sim.UnitFunc {
 		r.mu.Lock()
 		r.runs[st.Name][[2]int{point, rep}]++
 		r.mu.Unlock()
-		dcfg, dopts, err := r.prog.Unit(st.Name, point, rep)
+		dcfg, dopts, err := r.prog.Unit(context.Background(), st.Name, point, rep)
 		if err != nil {
 			r.t.Errorf("stage %q unit (%d,%d): out of range of Program.Stage: %v", st.Name, point, rep, err)
 			return sim.Run(cfg, opts)
@@ -234,11 +234,11 @@ func TestUnitStageBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := prog.Unit(StageSim, 0, 0); err != nil {
+	if _, _, err := prog.Unit(context.Background(), StageSim, 0, 0); err != nil {
 		t.Fatalf("valid unit rejected: %v", err)
 	}
 	for _, bad := range [][2]int{{1, 0}, {-1, 0}, {0, 2}, {0, -1}} {
-		if _, _, err := prog.Unit(StageSim, bad[0], bad[1]); err == nil {
+		if _, _, err := prog.Unit(context.Background(), StageSim, bad[0], bad[1]); err == nil {
 			t.Errorf("unit (%d,%d) accepted, want out-of-range error", bad[0], bad[1])
 		}
 	}
@@ -281,5 +281,33 @@ func TestPlanScreensOncePerProgram(t *testing.T) {
 	}
 	if again, err := prog.screen(context.Background(), 1); err != nil || again != sc {
 		t.Fatalf("second screen call did not reuse the first (err %v)", err)
+	}
+}
+
+// TestPlanVerifyUnitHonoursContext: a worker deriving a plan verify unit
+// screens under its own context. A cancelled context fails the call with
+// ctx.Err() and caches neither the screening nor the stage, so a later
+// call with a live context screens and succeeds.
+func TestPlanVerifyUnitHonoursContext(t *testing.T) {
+	e := NewExperiment(KindPlan)
+	e.Plan.Top = 2
+	prog, err := NewProgram(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := prog.Unit(ctx, StageVerify, 0, 0); err != ctx.Err() {
+		t.Fatalf("cancelled context: err %v, want %v", err, ctx.Err())
+	}
+	if prog.screening != nil || prog.stages[StageVerify] != nil {
+		t.Fatal("a cancelled screening was cached")
+	}
+	cfg, _, err := prog.Unit(context.Background(), StageVerify, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.screening == nil || cfg != prog.screening.frontier[1].Cfg {
+		t.Fatal("verify unit 1 does not come from the cached screening")
 	}
 }
