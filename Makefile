@@ -32,7 +32,7 @@ fmt-check:
 # (RunSpec/<name>), tracked PR over PR with the core count they were
 # taken on.
 bench:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem . | tee bench.out
+	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem . | tee bench.out
 	$(GO) run ./tools/benchjson < bench.out > BENCH_sim.json
 	@rm -f bench.out
 	@echo "wrote BENCH_sim.json"
@@ -42,7 +42,7 @@ bench:
 # PR base; locally, pass OLD=path/to/baseline.json).
 OLD ?= BENCH_sim.json
 bench-compare:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Sharded|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime 3x . > bench.out
+	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime 3x . > bench.out
 	$(GO) run ./tools/benchjson < bench.out > /tmp/bench-new.json
 	@rm -f bench.out
 	$(GO) run ./tools/benchjson -compare $(OLD) /tmp/bench-new.json

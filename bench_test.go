@@ -458,66 +458,10 @@ func BenchmarkNetsimFatTree(b *testing.B) {
 	}
 }
 
-// BenchmarkEventListWindowedHeap drives the hold model through RunWindow
-// slices, the sharded engine's inner loop: every slice ends with a peek
-// at the first out-of-window event, so this pins the cost of the
-// peek-based horizon stop (the event past the horizon is observed in
-// place, never popped and re-inserted).
-func BenchmarkEventListWindowedHeap(b *testing.B) {
-	eng := sim.NewEngine()
-	st := rng.NewStream(1)
-	eng.SetHandler(&holdModel{eng: eng, st: st})
-	for i := 0; i < 4096; i++ {
-		eng.Schedule(st.Exp(1e-3), 0, 0)
-	}
-	b.ResetTimer()
-	processed := 0
-	for i := 0; i < b.N; i++ {
-		processed += eng.RunWindow(eng.Now()+1e-3, false)
-	}
-	if processed == 0 && b.N > 0 {
-		b.Fatal("no events processed")
-	}
-}
-
-// BenchmarkShardedReplication measures one replication of a 512-cluster
-// system split across 1/2/4/8 shards (DESIGN.md §9): the conservative
-// time-window engine with per-shard event lists and mailbox hand-offs.
-// The msgs/s metric is tracked in BENCH_sim.json; speedup over shards-1
-// scales with the cores actually available (a single-core container
-// reports the protocol's overhead, not its parallel gain).
-func BenchmarkShardedReplication(b *testing.B) {
-	cfg, err := core.NewSuperCluster(512, 2, 100, network.GigabitEthernet,
-		network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			var msgs int64
-			for i := 0; i < b.N; i++ {
-				o := benchSimOpts()
-				o.Seed = uint64(i + 1)
-				o.Shards = shards
-				res, err := sim.Run(cfg, o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Measured == 0 {
-					b.Fatal("no messages measured")
-				}
-				msgs += int64(res.Measured)
-			}
-			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")
-		})
-	}
-}
-
-// BenchmarkInstrumentedReplication is BenchmarkShardedReplication with
-// telemetry attached — a stats collector always, plus a trace profile on
-// the profiled variant — so bench-compare gates the instrumentation
-// overhead: engine counters are plain locals folded once per
-// replication, and trace spans add two clock reads per shard window.
+// BenchmarkInstrumentedReplication measures one replication of a
+// 512-cluster system with and without a stats collector attached, so
+// bench-compare gates the instrumentation overhead (DESIGN.md §12):
+// engine counters are plain locals folded once per replication.
 func BenchmarkInstrumentedReplication(b *testing.B) {
 	cfg, err := core.NewSuperCluster(512, 2, 100, network.GigabitEthernet,
 		network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
@@ -525,27 +469,26 @@ func BenchmarkInstrumentedReplication(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {
-		name    string
-		profile bool
-	}{{"shards-4-stats", false}, {"shards-4-stats-profile", true}} {
+		name  string
+		stats bool
+	}{{"stats-off", false}, {"stats-on", true}} {
 		b.Run(bc.name, func(b *testing.B) {
-			col := telemetry.NewCollector()
+			var col *telemetry.Collector
+			if bc.stats {
+				col = telemetry.NewCollector()
+			}
 			var msgs int64
 			for i := 0; i < b.N; i++ {
 				o := benchSimOpts()
 				o.Seed = uint64(i + 1)
-				o.Shards = 4
 				o.Stats = col
-				if bc.profile {
-					o.Profile = telemetry.NewTraceProfile()
-				}
 				res, err := sim.Run(cfg, o)
 				if err != nil {
 					b.Fatal(err)
 				}
 				msgs += int64(res.Measured)
 			}
-			if st, reps := col.Snapshot(); reps != int64(b.N) || st.Events == 0 {
+			if st, reps := col.Snapshot(); bc.stats && (reps != int64(b.N) || st.Events == 0) {
 				b.Fatalf("collector saw %d replications, %d events — instrumentation not wired", reps, st.Events)
 			}
 			b.ReportMetric(float64(msgs)/b.Elapsed().Seconds(), "msgs/s")

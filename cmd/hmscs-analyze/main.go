@@ -46,7 +46,6 @@ func runMain(args []string, out io.Writer) error {
 	fs.BoolVar(&spec.Analyze.MVA, "mva", spec.Analyze.MVA, "also solve the exact closed-network MVA cross-check")
 	fs.BoolVar(&spec.Analyze.Verbose, "v", spec.Analyze.Verbose, "print per-centre metrics")
 	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "random seed for the -precision simulation check")
-	fs.IntVar(&spec.Run.Shards, "shards", spec.Run.Shards, "shards per replication of the -precision simulation check (>= 2 splits one run across cores with bit-identical results; 0/1 = sequential)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -50,7 +50,6 @@ func runMain(args []string, out io.Writer) error {
 	fs.IntVar(&spec.Run.Reps, "reps", spec.Run.Reps, "simulation replications per point")
 	fs.IntVar(&spec.Run.Messages, "messages", spec.Run.Messages, "measured messages per replication (paper: 10000)")
 	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "base random seed")
-	fs.IntVar(&spec.Run.Shards, "shards", spec.Run.Shards, "shards per replication (>= 2 splits one run across cores with bit-identical results; 0/1 = sequential); composes with -parallel")
 	cli.BindParallel(fs, &parallel)
 	cli.BindArrival(fs, spec.Workload)
 	cli.BindPrecision(fs, spec.Precision)

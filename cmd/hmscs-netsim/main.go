@@ -56,7 +56,6 @@ func runMain(args []string, out io.Writer) error {
 	fs.IntVar(&spec.Run.Warmup, "warmup", spec.Run.Warmup, "warm-up messages")
 	fs.IntVar(&spec.Run.Reps, "reps", spec.Run.Reps, "independent replications of a -scenario run (stationary fixed mode runs one network)")
 	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "random seed")
-	fs.IntVar(&spec.Run.Shards, "shards", spec.Run.Shards, "shards per replication (>= 2 splits one run across cores with bit-identical results; 0/1 = sequential)")
 	fs.StringVar(&spec.Workload.Service, "service", spec.Workload.Service, "per-link service distribution: det or exp")
 	fs.StringVar(&spec.Workload.Pattern, "pattern", spec.Workload.Pattern, "traffic pattern: uniform, local:<p>, hotspot:<p> (switches act as clusters)")
 	if err := fs.Parse(args); err != nil {

@@ -57,7 +57,6 @@ func runMain(args []string, out io.Writer) error {
 	cli.BindParallel(fs, &parallel)
 	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "base random seed for the verification simulations")
 	fs.IntVar(&spec.Run.Messages, "messages", spec.Run.Messages, "measurement window per configuration; precision-mode replications are a quarter of this")
-	fs.IntVar(&spec.Run.Shards, "shards", spec.Run.Shards, "shards per verification replication (>= 2 splits one run across cores with bit-identical results; 0/1 = sequential); composes with -parallel")
 	printSpace := fs.Bool("print-space", false, "print the design space as JSON and exit (a template for -space)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -76,7 +76,7 @@ func main() {
 func runMain(args []string) error {
 	fs := flag.NewFlagSet("hmscs-server", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8642", "listen address")
-	parallel := fs.Int("parallel", 0, "total simulation worker budget shared by all running jobs (0 = all cores); composes with each job's shards server-wide")
+	parallel := fs.Int("parallel", 0, "total simulation worker budget shared by all running jobs (0 = all cores)")
 	jobs := fs.Int("jobs", 2, "jobs running concurrently; queued jobs start in submission order")
 	cache := fs.Int("cache", 256, "completed outcomes kept for exact replay (-1 disables caching)")
 	queue := fs.Int("queue", 1024, "pending-job backlog bound; submissions beyond it are rejected")

@@ -48,12 +48,8 @@ type ExperimentFlags struct {
 	// Submit is the address of a running hmscs-server; when set, the
 	// built spec is executed remotely instead of locally.
 	Submit string
-	// TraceProfile is the Chrome-trace output path: sharded runs record
-	// per-shard window occupancy into it (open in about:tracing or
-	// ui.perfetto.dev). Local runs only — it profiles this process.
-	TraceProfile string
-	// Telemetry prints the run's engine accounting (events, throughput,
-	// shard-coordinator totals) to stderr after the report.
+	// Telemetry prints the run's engine accounting (events, throughput)
+	// to stderr after the report.
 	Telemetry bool
 }
 
@@ -63,8 +59,7 @@ func (x *ExperimentFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&x.Emit, "emit", "", "stream progress events and the outcome summary as JSON lines to this file (\"-\" = stdout)")
 	fs.DurationVar(&x.Timeout, "timeout", 0, "abort the experiment after this duration, e.g. 30s (0 = no limit); cancellation lands between replication units")
 	fs.StringVar(&x.Submit, "submit", "", "submit the experiment to the hmscs-server at this address (host:port or URL) instead of running locally; stdout and -emit then replay the server's byte-identical stream, and -parallel is governed by the server (docs/SERVER.md)")
-	fs.StringVar(&x.TraceProfile, "trace-profile", "", "write a Chrome-trace JSON of per-shard window occupancy to this file (sharded runs; open in about:tracing); local runs only, results unchanged (docs/OBSERVABILITY.md)")
-	fs.BoolVar(&x.Telemetry, "telemetry", false, "print the run's engine accounting (events, events/s, shard windows/re-runs/hand-offs) to stderr after the report")
+	fs.BoolVar(&x.Telemetry, "telemetry", false, "print the run's engine accounting (events, events/s, replications, generated messages, heap high-water) to stderr after the report")
 }
 
 // Context returns the Runner context implied by -timeout.
@@ -110,24 +105,14 @@ func (x *ExperimentFlags) Execute(ctx context.Context, spec *run.Experiment, par
 		if err != nil {
 			return nil, err
 		}
-		var prof *telemetry.TraceProfile
-		if x.TraceProfile != "" {
-			prof = telemetry.NewTraceProfile()
-		}
-		out, err := run.Run(ctx, spec, run.Options{Parallelism: parallelism, Sinks: sinks, Profile: prof})
+		out, err := run.Run(ctx, spec, run.Options{Parallelism: parallelism, Sinks: sinks})
 		if cerr := closeSinks(); err == nil {
 			err = cerr
-		}
-		if err == nil && prof != nil {
-			err = writeTraceProfile(x.TraceProfile, prof)
 		}
 		if err == nil && x.Telemetry && out != nil {
 			printTelemetry(os.Stderr, out.Telemetry)
 		}
 		return out, err
-	}
-	if x.TraceProfile != "" {
-		return nil, fmt.Errorf("cli: -trace-profile profiles the local process and cannot be combined with -submit")
 	}
 	if x.Telemetry {
 		return nil, fmt.Errorf("cli: -telemetry reports local engine accounting and cannot be combined with -submit; use the server's GET /jobs/{id} resources instead")
@@ -153,34 +138,14 @@ func (x *ExperimentFlags) Execute(ctx context.Context, spec *run.Experiment, par
 	return nil, err
 }
 
-// writeTraceProfile writes the recorded spans as Chrome trace-event
-// JSON. A sequential run records no spans; the file is still written
-// (empty traceEvents) so scripts can rely on it existing.
-func writeTraceProfile(path string, prof *telemetry.TraceProfile) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	_, werr := prof.WriteTo(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
 // printTelemetry renders the -telemetry stderr summary from the run's
-// engine accounting; shard-coordinator lines appear only for sharded
-// runs.
+// engine accounting.
 func printTelemetry(w io.Writer, t *telemetry.RunStats) {
 	if t == nil {
 		return
 	}
 	fmt.Fprintf(w, "telemetry: %d events in %.3fs (%.3g events/s), %d replications, %d generated, heap high-water %d\n",
 		t.Sim.Events, t.WallSeconds, t.EventsPerSecond(), t.Replications, t.Sim.Generated, t.Sim.MaxPending)
-	if t.Sim.Shards > 1 {
-		fmt.Fprintf(w, "telemetry: %d shards, %d windows (+%d re-runs, %d rewinds), %d cross-shard hand-offs\n",
-			t.Sim.Shards, t.Sim.Windows, t.Sim.Reruns, t.Sim.Rewinds, t.Sim.Handoffs)
-	}
 }
 
 // PreloadSpec scans args for -spec (before flag parsing, so the loaded
@@ -261,7 +226,6 @@ func BindSimProcedure(fs *flag.FlagSet, r *run.RunSpec) {
 	fs.IntVar(&r.Warmup, "warmup", r.Warmup, "warm-up messages discarded before measurement")
 	fs.IntVar(&r.Reps, "reps", r.Reps, "independent replications")
 	fs.BoolVar(&r.Open, "open", r.Open, "open-loop sources (ablation of assumption 4)")
-	fs.IntVar(&r.Shards, "shards", r.Shards, "shards per replication (>= 2 splits one run across cores with bit-identical results; 0/1 = sequential); composes with -parallel")
 }
 
 // BindSimWorkload binds -service and -pattern with the system

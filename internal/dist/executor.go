@@ -110,7 +110,7 @@ func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Co
 	e := d.e
 	col := opts.Stats
 	o := opts
-	o.Stats, o.Profile = nil, nil
+	o.Stats = nil
 	off := e.newOffer(d.stage, point, rep, o.Seed)
 	select {
 	case e.coord.offers <- off:

@@ -66,10 +66,6 @@ const (
 	// nvDeliver fires after the fixed (NIC + switch fabric) latency of a
 	// message that cleared its last link; idx is the message index.
 	nvDeliver
-	// nvXferIn fires when a cross-shard hand-off is consumed at its
-	// stamped time; idx indexes the receiving shard's inbox (sharded mode
-	// only — see shard.go).
-	nvXferIn
 	// nvScenario fires when a timeline event mutates the network; idx is
 	// the index into the compiled scenario's event list. Scheduled at
 	// setup, before any traffic, so same-time ties resolve timeline-first.
@@ -413,28 +409,17 @@ type Options struct {
 	// RecordSample keeps the raw measured latencies for the output-analysis
 	// engine (MSER-5 warmup deletion, batch-means intervals).
 	RecordSample bool
-	// Shards, when >= 2, splits the run across that many concurrent
-	// shards of switches (leaves; fat-tree spines are dealt round-robin),
-	// each with its own event list and clock, synchronized in bounded
-	// time windows (DESIGN.md §9). Results are bit-identical to the
-	// sequential engine; 0 and 1 mean sequential. Requires
-	// Shards <= number of leaf/chain switches.
-	Shards int
 	// Scenario, when non-nil, turns the run dynamic: endpoint and switch
 	// failures/repairs at event-loop granularity plus a rate profile over
 	// every source. Warmup and Measured are overridden (measurement spans
-	// the whole horizon) and the run never reports TimedOut; results stay
-	// bit-identical at every shard count (DESIGN.md §11).
+	// the whole horizon) and the run never reports TimedOut
+	// (DESIGN.md §11).
 	Scenario *scenario.CompiledNet
 	// Stats, when non-nil, receives one telemetry.SimStats record when
-	// the run finishes — engine event counts, heap high-water mark and
-	// (sharded) window/re-run/hand-off totals. Purely observational:
-	// results are bit-identical with or without it (DESIGN.md §12).
+	// the run finishes — engine event counts and the heap high-water
+	// mark. Purely observational: results are bit-identical with or
+	// without it (DESIGN.md §12).
 	Stats *telemetry.Collector
-	// Profile, when non-nil, records per-shard window occupancy spans
-	// into a Chrome-trace profile. Only sharded runs emit spans; time
-	// is recorded, never branched on.
-	Profile *telemetry.TraceProfile
 }
 
 // Result is a netsim run's output.
@@ -560,10 +545,9 @@ func (n *Network) scheduleGeneration(p int) {
 // The measurement commit is deferred until the simulated instant drains:
 // messages delivered at exactly the same time have no physical order, so
 // the accumulators see them in the canonical (born, source) order rather
-// than event-scheduling order. The canonical order is independent of how
-// the run is partitioned, which is what lets the sharded mode (shard.go)
-// reproduce sequential results bit for bit even when deterministic link
-// service aligns deliveries on an exact-tie lattice.
+// than event-scheduling order. The order is part of the engine's output
+// contract: deterministic link service aligns deliveries on an exact-tie
+// lattice, and every reported statistic depends on the canonical commit.
 func (n *Network) deliver(p int, born float64, hops int) {
 	n.pend = append(n.pend, pendDelivery{born: born, src: int32(p), hops: int32(hops)})
 	if n.scn != nil {
@@ -576,8 +560,7 @@ func (n *Network) deliver(p int, born float64, hops int) {
 }
 
 // flushDeliveries commits the deliveries of the current instant in
-// canonical order. Stopping mid-batch discards the rest, exactly like the
-// sharded replay does.
+// canonical order. Stopping mid-batch discards the rest.
 func (n *Network) flushDeliveries() {
 	slices.SortFunc(n.pend, func(a, b pendDelivery) int {
 		switch {
@@ -737,9 +720,6 @@ func (n *Network) Run(opts Options) (*Result, error) {
 	if opts.Warmup < 0 {
 		return nil, fmt.Errorf("netsim: negative warmup %d", opts.Warmup)
 	}
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("netsim: negative shard count %d", opts.Shards)
-	}
 	if opts.Scenario != nil {
 		// Dynamic runs measure over a fixed horizon of absolute time: the
 		// transient estimator needs every delivery with its timestamp, so
@@ -748,9 +728,6 @@ func (n *Network) Run(opts Options) (*Result, error) {
 		opts.Warmup = 0
 		opts.Measured = math.MaxInt32
 		n.scn = opts.Scenario
-	}
-	if opts.Shards > 1 {
-		return n.runSharded(opts)
 	}
 	maxT := opts.MaxSimTime
 	if maxT <= 0 {
@@ -805,7 +782,7 @@ func (n *Network) Run(opts Options) (*Result, error) {
 	}
 	if n.scn != nil {
 		// Pin the clock at the horizon even if the event queue drains, so
-		// sequential and sharded runs report identical end times.
+		// every run of a timeline reports the same end time.
 		n.eng.RunWindow(n.scn.Horizon, true)
 	} else {
 		n.eng.Run(maxT)
@@ -832,7 +809,6 @@ func (n *Network) Run(opts Options) (*Result, error) {
 			MaxPending: int64(n.eng.MaxPending()),
 			Generated:  n.generated,
 			Dropped:    n.res.Dropped,
-			Shards:     1,
 		})
 	}
 	return n.res, nil

@@ -6,6 +6,7 @@ import (
 
 	"hmscs/internal/network"
 	"hmscs/internal/rng"
+	"hmscs/internal/scenario"
 	"hmscs/internal/topology"
 	"hmscs/internal/workload"
 )
@@ -396,5 +397,112 @@ func TestBurstyArrivalsRaiseSwitchLatency(t *testing.T) {
 	poisson, bursty := run(nil), run(mmpp)
 	if bursty <= poisson {
 		t.Fatalf("MMPP latency %.6fs not above Poisson %.6fs at equal load", bursty, poisson)
+	}
+}
+
+// requireIdenticalNetResults asserts bit-identity of every Result field,
+// including the raw sample vector.
+func requireIdenticalNetResults(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if want.Latency.Mean() != got.Latency.Mean() || want.Latency.Count() != got.Latency.Count() ||
+		want.Latency.Variance() != got.Latency.Variance() {
+		t.Fatalf("%s: latency diverged: %v/%d vs %v/%d", label,
+			want.Latency.Mean(), want.Latency.Count(), got.Latency.Mean(), got.Latency.Count())
+	}
+	if want.SwitchHops.Mean() != got.SwitchHops.Mean() || want.SwitchHops.Count() != got.SwitchHops.Count() {
+		t.Fatalf("%s: switch hops diverged", label)
+	}
+	if want.Throughput != got.Throughput {
+		t.Fatalf("%s: throughput %v vs %v", label, want.Throughput, got.Throughput)
+	}
+	if want.MaxHostLinkUtil != got.MaxHostLinkUtil || want.MaxInterSwitchUtil != got.MaxInterSwitchUtil {
+		t.Fatalf("%s: utilizations diverged: %v/%v vs %v/%v", label,
+			want.MaxHostLinkUtil, want.MaxInterSwitchUtil, got.MaxHostLinkUtil, got.MaxInterSwitchUtil)
+	}
+	if want.TimedOut != got.TimedOut {
+		t.Fatalf("%s: TimedOut %v vs %v", label, want.TimedOut, got.TimedOut)
+	}
+	if len(want.Sample) != len(got.Sample) {
+		t.Fatalf("%s: sample lengths %d vs %d", label, len(want.Sample), len(got.Sample))
+	}
+	for i := range want.Sample {
+		if want.Sample[i] != got.Sample[i] {
+			t.Fatalf("%s: sample[%d] %v vs %v", label, i, want.Sample[i], got.Sample[i])
+		}
+	}
+}
+
+// requireIdenticalNetDynamic extends the bit-identity assertion to the
+// dynamic-run outputs: the timestamped sample vector feeding the
+// transient estimator and the drop counter.
+func requireIdenticalNetDynamic(t *testing.T, label string, a, b *Result) {
+	t.Helper()
+	requireIdenticalNetResults(t, label, a, b)
+	if a.Dropped != b.Dropped {
+		t.Fatalf("%s: drop counters differ: %d vs %d", label, a.Dropped, b.Dropped)
+	}
+	if len(a.SampleTimes) != len(b.SampleTimes) {
+		t.Fatalf("%s: sample-time lengths differ: %d vs %d", label, len(a.SampleTimes), len(b.SampleTimes))
+	}
+	for i := range a.SampleTimes {
+		if a.SampleTimes[i] != b.SampleTimes[i] {
+			t.Fatalf("%s: sample time %d differs: %v vs %v", label, i, a.SampleTimes[i], b.SampleTimes[i])
+		}
+	}
+}
+
+// runNetDyn compiles the spec against a fresh network (a Network is
+// single-use) and runs it.
+func runNetDyn(t *testing.T, build func(t *testing.T) *Network, spec *scenario.Spec, seed uint64) *Result {
+	t.Helper()
+	n := build(t)
+	cn, err := scenario.CompileNet(spec, n.Topo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Run(Options{
+		Lambda: 300, MsgBytes: 256, Measured: 1, Seed: seed,
+		RecordSample: true, Scenario: cn,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestNetScenarioRepairAtHorizon pins the horizon edge of a switch-level
+// timeline: a spine repair at exactly the horizon still parses and runs,
+// and because nothing is measured after the last instant the run equals
+// the same timeline without that repair.
+func TestNetScenarioRepairAtHorizon(t *testing.T) {
+	w := 256 * network.GigabitEthernet.Beta() // one mean link transmission
+	fail := scenario.Event{TS: 16384 * w, Action: "fail", Target: "spine:0", Policy: "drop"}
+	ft := func(t *testing.T) *Network { return buildFT(t, 32, 8) }
+	run := func(events ...scenario.Event) *Result {
+		return runNetDyn(t, ft, &scenario.Spec{HorizonS: 65536 * w, Events: events}, 29)
+	}
+	repaired := run(fail, scenario.Event{TS: 65536 * w, Action: "repair", Target: "spine:0"})
+	if len(repaired.SampleTimes) == 0 {
+		t.Fatal("dynamic run recorded no timestamped samples")
+	}
+	requireIdenticalNetDynamic(t, "repair-at-horizon", run(fail), repaired)
+}
+
+// TestNetScenarioRepeatable pins per-replication determinism: the same
+// seed gives the same dynamic Result on a rebuilt network, and a
+// different seed gives a different sample path (the replication loop in
+// the runner rebuilds the network per rep with derived seeds).
+func TestNetScenarioRepeatable(t *testing.T) {
+	ft := func(t *testing.T) *Network { return buildFT(t, 32, 8) }
+	spec := &scenario.Spec{HorizonS: 0.1, Events: []scenario.Event{
+		{TS: 0.03, Action: "fail", Target: "spine:0", Policy: "drop"},
+		{TS: 0.07, Action: "repair", Target: "spine:0"},
+	}}
+	a := runNetDyn(t, ft, spec, 41)
+	b := runNetDyn(t, ft, spec, 41)
+	requireIdenticalNetDynamic(t, "same-seed", a, b)
+	c := runNetDyn(t, ft, spec, 42)
+	if len(a.SampleTimes) == len(c.SampleTimes) && a.Latency.Mean() == c.Latency.Mean() {
+		t.Fatal("different seeds gave an identical dynamic sample path")
 	}
 }

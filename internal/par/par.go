@@ -132,12 +132,12 @@ func ForEachCtx(ctx context.Context, n, parallelism int, fn func(i int) error) e
 	return ctx.Err()
 }
 
-// Workers composes an outer worker-pool budget with per-unit inner
-// concurrency: it returns how many pool workers to run when each unit
-// itself spawns inner goroutines (for example one sharded replication
-// running inner shards). parallelism <= 0 means runtime.NumCPU(), inner
-// < 1 is treated as 1, and the result is never below 1 — so the total
-// goroutine budget stays close to parallelism without starving the pool.
+// Workers splits a worker budget across inner concurrent consumers: it
+// returns how many pool workers each of inner pools running at once may
+// use (the server divides its budget this way among running jobs).
+// parallelism <= 0 means runtime.NumCPU(), inner < 1 is treated as 1,
+// and the result is never below 1 — so the total goroutine budget stays
+// close to parallelism without starving any pool.
 func Workers(parallelism, inner int) int {
 	if parallelism <= 0 {
 		parallelism = runtime.NumCPU()

@@ -90,17 +90,14 @@ func VerifyTopK(frontier []ScreenResult, k int, slo SLO, opts sim.Options, prec 
 
 // VerifyUnits is the verification batch of the k cheapest frontier
 // candidates (all of them when k exceeds the frontier): one unit per
-// candidate, in frontier order, with the shard request capped at each
-// candidate's cluster count (see sim.Unit.ShardCapped) and errors
-// naming the candidate.
+// candidate, in frontier order, with errors naming the candidate.
 func VerifyUnits(frontier []ScreenResult, k int, opts sim.Options) []sim.Unit {
 	var units []sim.Unit
 	for i := 0; i < k && i < len(frontier); i++ {
 		r := frontier[i]
-		u := sim.Unit{Cfg: r.Cfg, Opts: opts, Wrap: func(err error) error {
+		units = append(units, sim.Unit{Cfg: r.Cfg, Opts: opts, Wrap: func(err error) error {
 			return fmt.Errorf("plan: verifying candidate %d (%s): %w", r.Index, r.Label(), err)
-		}}
-		units = append(units, u.ShardCapped())
+		}})
 	}
 	return units
 }
@@ -141,7 +138,7 @@ func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *s
 		if err != nil {
 			return wrap(err)
 		}
-		u := sim.Unit{Cfg: v.Cfg, Opts: opts}.ShardCapped()
+		u := sim.Unit{Cfg: v.Cfg, Opts: opts}
 		u.Opts.Scenario = cs
 		u.Opts.RecordSample = true
 		results, err := sim.RunUnitsCtx(ctx, []sim.Unit{u}, reps, parallelism, prog, nil)

@@ -242,7 +242,6 @@ func (e *Experiment) simOptions() (sim.Options, error) {
 	opts.MeasuredMessages = e.Run.Messages
 	opts.WarmupMessages = e.Run.Warmup
 	opts.OpenLoop = e.Run.Open
-	opts.Shards = e.Run.Shards
 	dist, err := ParseService(e.Workload.Service)
 	if err != nil {
 		return opts, err
@@ -383,7 +382,6 @@ func (e *Experiment) buildNet() (*NetExperiment, error) {
 			Warmup:   e.Run.Warmup,
 			Measured: e.Run.Messages,
 			Seed:     e.Run.Seed,
-			Shards:   e.Run.Shards,
 			Workload: workload.Generator{Arrival: arrival, Pattern: pattern},
 		},
 		Tech:     technology,

@@ -134,7 +134,7 @@ func runFigure(ctx context.Context, p *Program, opts Options, em *emitter) (*Fig
 	// The ablation and future-work extras are outside the distributable
 	// figures stage (see StageFigures): run them locally.
 	extraOpts := sweepOpts
-	extraOpts.Sim.Stats, extraOpts.Sim.Profile = opts.Stats, opts.Profile
+	extraOpts.Sim.Stats = opts.Stats
 	if sel.want("ablation") {
 		if out.Ablation, err = runAblation(ctx, extraOpts); err != nil {
 			return nil, err
@@ -168,18 +168,17 @@ func runAblation(ctx context.Context, opts sweep.Options) (*AblationData, error)
 		}
 		row := AblationRow{C: c, OpenModel: open.MeanLatency, MVA: mva.MeanLatency}
 		if !opts.SkipSimulation {
-			o := sim.Unit{Cfg: cfg, Opts: opts.Sim}.ShardCapped().Opts
-			simExp, err := sim.RunReplicationsCtx(ctx, cfg, o, opts.Replications, opts.Parallelism, nil)
+			simExp, err := sim.RunReplicationsCtx(ctx, cfg, opts.Sim, opts.Replications, opts.Parallelism, nil)
 			if err != nil {
 				return nil, err
 			}
-			detOpts := o
+			detOpts := opts.Sim
 			detOpts.ServiceDist = rng.Deterministic{Value: 1}
 			simDet, err := sim.RunReplicationsCtx(ctx, cfg, detOpts, opts.Replications, opts.Parallelism, nil)
 			if err != nil {
 				return nil, err
 			}
-			openOpts := o
+			openOpts := opts.Sim
 			openOpts.OpenLoop = true
 			// Open-loop saturation has unbounded queues; cap the run time.
 			openOpts.MaxSimTime = 120
@@ -227,7 +226,7 @@ func runFutureWork(ctx context.Context, opts sweep.Options) (*FutureData, error)
 		HasSim:     !opts.SkipSimulation,
 	}
 	if !opts.SkipSimulation {
-		u := sim.Unit{Cfg: cfg, Opts: opts.Sim}.ShardCapped()
+		u := sim.Unit{Cfg: cfg, Opts: opts.Sim}
 		if opts.Precision != nil {
 			res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.Unit{u}, *opts.Precision, opts.Parallelism, nil, nil)
 			if err != nil {

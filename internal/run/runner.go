@@ -47,9 +47,6 @@ type Options struct {
 	// process-wide totals across jobs. Every run also gets its own
 	// per-run collector regardless, surfaced as Outcome.Telemetry.
 	Stats *telemetry.Collector
-	// Profile, when non-nil, records per-shard window occupancy of every
-	// sharded replication into a Chrome-trace profile (see -trace-profile).
-	Profile *telemetry.TraceProfile
 	// Units, when non-nil, receives each batch stage (see
 	// StageCheck..StageVerify) the run is about to execute and returns
 	// the executor for its (point × replication) units — how a
@@ -66,12 +63,12 @@ func (o Options) unitFunc(st *UnitStage) sim.UnitFunc {
 	return o.Units(st)
 }
 
-// observed returns the stage's units with the run's observers (Stats,
-// Profile) attached; the stage itself never carries them.
+// observed returns the stage's units with the run's stats collector
+// attached; the stage itself never carries it.
 func (o Options) observed(st *UnitStage) []sim.Unit {
 	units := make([]sim.Unit, len(st.Units))
 	for i, u := range st.Units {
-		u.Opts.Stats, u.Opts.Profile = o.Stats, o.Profile
+		u.Opts.Stats = o.Stats
 		units[i] = u
 	}
 	return units
@@ -94,8 +91,7 @@ type Outcome struct {
 
 	// Telemetry is the run's engine statistics: merged per-replication
 	// SimStats, the replication count, and wall time. It never feeds the
-	// rendered report or the golden outputs — sharded counts vary with
-	// the shard plan even though results do not.
+	// rendered report or the golden outputs.
 	Telemetry *telemetry.RunStats `json:"-"`
 }
 
@@ -451,7 +447,6 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 		return nil, err
 	}
 	exp.Opts.Stats = opts.Stats
-	exp.Opts.Profile = opts.Profile
 	out := &NetOutcome{Exp: exp, Prec: prec}
 	var net *netsim.Network
 	if prec != nil {
@@ -781,7 +776,7 @@ func runPlan(ctx context.Context, prog *Program, opts Options, em *emitter) (*Pl
 			// against the SLO's recovery budget. It runs locally — its
 			// units are not part of the distributable verify stage.
 			scenOpts := prog.verifyOptions(sc.arrival)
-			scenOpts.Stats, scenOpts.Profile = opts.Stats, opts.Profile
+			scenOpts.Stats = opts.Stats
 			err = plan.VerifyScenarioCtx(ctx, out.Verified, e.Scenario, sc.slo, scenOpts, e.Run.Reps, opts.Parallelism, em.fn())
 			if err != nil {
 				return nil, err

@@ -113,40 +113,13 @@ func TestRunParallelismInvariantRendering(t *testing.T) {
 	}
 }
 
-// TestFigureExtrasCapShards: the ablation and future-work extras
-// simulate configurations of 2 to 128 clusters, so a shard request above
-// the smallest count is capped per configuration instead of aborting the
-// run — and because sharded execution is bit-identical to sequential
-// (DESIGN.md §9), the report matches shards=1 byte for byte.
-func TestFigureExtrasCapShards(t *testing.T) {
-	render := func(shards int) string {
-		e := NewExperiment(KindFigure)
-		e.Figure.What = "ablation,future"
-		e.Run.Messages = 300
-		e.Run.Reps = 1
-		e.Run.Shards = shards
-		var b strings.Builder
-		if _, err := Run(context.Background(), e, Options{
-			Parallelism: 2,
-			Sinks:       []Sink{NewMarkdownSink(&b)},
-		}); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		return b.String()
-	}
-	base := render(1)
-	if got := render(8); got != base {
-		t.Fatalf("report differs between shards 1 and 8:\n%s\n---\n%s", base, got)
-	}
-}
-
 // TestTelemetryZeroPerturbation is the instrumentation layer's
-// determinism pin (DESIGN.md §12): with a stats collector AND a trace
-// profile attached, the rendered report is byte-identical at every
-// -shards/-parallel combination, the JSONL stream (wall-clock timestamps
-// stripped) is byte-identical wherever event order is pinned, and the
-// shard-plan-invariant telemetry fields (generated messages,
-// replications) agree across every combination.
+// determinism pin (DESIGN.md §12): with a stats collector attached, the
+// rendered report is byte-identical at every -parallel value, the JSONL
+// stream (wall-clock timestamps stripped) at parallelism 1 is
+// byte-identical to the same run without the collector, and the
+// parallelism-invariant telemetry fields (generated messages,
+// replications) agree across every run.
 func TestTelemetryZeroPerturbation(t *testing.T) {
 	spec := NewExperiment(KindSimulate)
 	spec.System.Clusters = 4
@@ -162,27 +135,29 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 		tel       *telemetry.RunStats
 	}
 	var results []result
-	for _, shards := range []int{1, 2} {
-		for _, parallel := range []int{1, 4} {
-			e := spec.Clone()
-			e.Run.Shards = shards
-			var md, jl strings.Builder
-			out, err := Run(context.Background(), e, Options{
-				Parallelism: parallel,
-				Sinks:       []Sink{NewMarkdownSink(&md), NewJSONLSink(&jl)},
-				Stats:       telemetry.NewCollector(),
-				Profile:     telemetry.NewTraceProfile(),
-			})
-			if err != nil {
-				t.Fatalf("shards=%d parallel=%d: %v", shards, parallel, err)
-			}
-			results = append(results, result{
-				key:   fmt.Sprintf("shards=%d parallel=%d", shards, parallel),
-				md:    md.String(),
-				jsonl: tsField.ReplaceAllString(jl.String(), `"ts":"X"`),
-				tel:   out.Telemetry,
-			})
+	for _, rc := range []struct {
+		parallel int
+		stats    bool
+	}{{1, true}, {1, false}, {4, true}} {
+		var md, jl strings.Builder
+		opts := Options{
+			Parallelism: rc.parallel,
+			Sinks:       []Sink{NewMarkdownSink(&md), NewJSONLSink(&jl)},
 		}
+		if rc.stats {
+			opts.Stats = telemetry.NewCollector()
+		}
+		key := fmt.Sprintf("parallel=%d stats=%v", rc.parallel, rc.stats)
+		out, err := Run(context.Background(), spec.Clone(), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		results = append(results, result{
+			key:   key,
+			md:    md.String(),
+			jsonl: tsField.ReplaceAllString(jl.String(), `"ts":"X"`),
+			tel:   out.Telemetry,
+		})
 	}
 	base := results[0]
 	if base.tel == nil || base.tel.Sim.Events == 0 || base.tel.Replications == 0 {
@@ -190,23 +165,19 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 	}
 	for _, r := range results[1:] {
 		if r.md != base.md {
-			t.Errorf("%s: markdown differs from %s with telemetry enabled", r.key, base.key)
+			t.Errorf("%s: markdown differs from %s", r.key, base.key)
 		}
 		if r.tel.Sim.Generated != base.tel.Sim.Generated || r.tel.Replications != base.tel.Replications {
 			t.Errorf("%s: invariant telemetry differs: generated %d vs %d, reps %d vs %d",
 				r.key, r.tel.Sim.Generated, base.tel.Sim.Generated, r.tel.Replications, base.tel.Replications)
 		}
 	}
-	// Event order (hence seq assignment) is pinned at parallelism 1:
-	// those streams must match byte for byte across shard counts once
-	// wall clocks are normalized. results[0] and [2] are parallel-1.
-	if results[0].jsonl != results[2].jsonl {
-		t.Errorf("parallel-1 JSONL differs between shards=1 and shards=2:\n%s\n---\n%s",
-			results[0].jsonl, results[2].jsonl)
-	}
-	// Sharded runs must have exercised the coordinator counters.
-	if results[2].tel.Sim.Windows == 0 || results[2].tel.Sim.Shards != 2 {
-		t.Errorf("sharded run recorded no coordinator activity: %+v", results[2].tel.Sim)
+	// Event order (hence seq assignment) is pinned at parallelism 1, so
+	// the stream with the collector must match the one without it byte
+	// for byte once wall clocks are normalized.
+	if results[0].jsonl != results[1].jsonl {
+		t.Errorf("parallel-1 JSONL differs with the stats collector attached:\n%s\n---\n%s",
+			results[0].jsonl, results[1].jsonl)
 	}
 }
 

@@ -147,10 +147,9 @@ func (s *jsonlSink) Event(ev progress.Event) error {
 
 func (s *jsonlSink) Result(o *Outcome) error {
 	// Telemetry line first, then the outcome (consumers treat the
-	// outcome as end-of-stream). Only shard-plan-invariant fields are
-	// emitted: sharded execution re-runs windows to fixed point, so
-	// event/window/rerun counts legitimately vary with -shards while
-	// results (and this stream) stay byte-comparable across plans.
+	// outcome as end-of-stream). Only parallelism-invariant fields are
+	// emitted, so the stream stays byte-comparable across -parallel
+	// settings.
 	if t := o.Telemetry; t != nil {
 		trec := map[string]any{
 			"type":         "telemetry",

@@ -152,9 +152,10 @@ type RunSpec struct {
 	Reps int `json:"reps,omitempty"`
 	// Open switches to open-loop sources (ablation of assumption 4).
 	Open bool `json:"open,omitempty"`
-	// Shards, when >= 2, splits each replication across that many
-	// concurrent shards of the model (clusters for sim, switches for
-	// netsim) with bit-identical results; zero or one runs sequentially.
+	// Shards is accepted and ignored, so specs written when one
+	// replication could be split across cores still parse; it must not
+	// be negative. Every replication runs on one core (DESIGN.md §9), and
+	// SpecHash clears the field, so it never moves a cache key.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -527,6 +528,9 @@ func (e *Experiment) Validate() error {
 		return fmt.Errorf("run: spec is missing \"kind\" (one of %v)", Kinds())
 	default:
 		return fmt.Errorf("run: unknown experiment kind %q (one of %v)", e.Kind, Kinds())
+	}
+	if e.Run != nil && e.Run.Shards < 0 {
+		return fmt.Errorf("run: negative run.shards %d", e.Run.Shards)
 	}
 	if e.Scenario != nil {
 		switch e.Kind {

@@ -37,7 +37,7 @@ const (
 )
 
 // UnitStage is one distributable batch of an experiment: the prepared
-// per-point units (overrides applied, shards capped, scenarios compiled)
+// per-point units (overrides applied, scenarios compiled)
 // plus the replication schedule. In fixed mode every point runs exactly
 // Reps replications; with Precision set the schedule is adaptive and rep
 // indices are open-ended.
@@ -242,7 +242,6 @@ func (p *Program) buildCheck() (*UnitStage, error) {
 	simOpts := sim.DefaultOptions()
 	simOpts.Seed = e.Run.Seed
 	simOpts.Arrival = arrival
-	simOpts.Shards = e.Run.Shards
 	return &UnitStage{
 		Name:      StageCheck,
 		Units:     []sim.Unit{{Cfg: cfg, Opts: simOpts}},
@@ -349,7 +348,6 @@ func (p *Program) verifyOptions(arrival workload.Arrival) sim.Options {
 	simOpts.Seed = e.Run.Seed
 	simOpts.MeasuredMessages = e.Run.Messages
 	simOpts.Arrival = arrival
-	simOpts.Shards = e.Run.Shards
 	return simOpts
 }
 

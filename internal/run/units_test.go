@@ -46,7 +46,7 @@ func (r *recordingExec) stage(st *UnitStage) sim.UnitFunc {
 			r.t.Errorf("stage %q unit (%d,%d): derived config differs from the runner's", st.Name, point, rep)
 		}
 		got := opts
-		got.Stats, got.Profile = nil, nil
+		got.Stats = nil
 		if !optionsEqual(got, dopts) {
 			r.t.Errorf("stage %q unit (%d,%d): derived options differ:\nrunner:  %+v\nderived: %+v", st.Name, point, rep, got, dopts)
 		}

@@ -22,7 +22,7 @@ type SimEvent struct {
 }
 
 // CompiledSim is a scenario resolved against a concrete cluster system.
-// It is immutable; engines share it across replications and shards.
+// It is immutable; engines share it across replications.
 type CompiledSim struct {
 	// Horizon and Slice are seconds; SLO is seconds (NaN unset); FaultAt
 	// is the first failure time (NaN when none).

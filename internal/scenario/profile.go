@@ -19,7 +19,7 @@ const flashRampSteps = 8
 // arrival rates by operational-time stretching — a source that drew gap g
 // at time t actually waits Δ with ∫ₜ^(t+Δ) f(u)du = g — so the underlying
 // gap sequence (and hence every RNG draw) is untouched. Profiles are
-// immutable and safe to share across shards and replications.
+// immutable and safe to share across replications.
 type Profile struct {
 	ts     []float64 // segment starts; ts[0] == 0
 	mult   []float64 // multiplier on [ts[i], ts[i+1]); last extends to +inf or period

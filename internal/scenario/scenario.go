@@ -16,12 +16,11 @@
 // broke — because timelines are written by hand in JSON.
 //
 // Determinism contract: a compiled scenario is immutable and pure. Event
-// application mutates only engine-owned state that the sharded engines
-// already snapshot, pending scenario events ride the event heap (so
-// window rollbacks replay them), and rate profiles are pure functions of
-// (absolute time, drawn gap) that add no RNG draws. Dynamic runs are
-// therefore bit-identical at every shard count and parallelism level,
-// like everything else in this repository.
+// application mutates only engine-owned state, pending scenario events
+// ride the event heap, and rate profiles are pure functions of (absolute
+// time, drawn gap) that add no RNG draws. Dynamic runs are therefore
+// bit-identical at every parallelism level, like everything else in this
+// repository.
 package scenario
 
 import (
@@ -107,8 +106,9 @@ type Spec struct {
 	InitialDown []string `json:"initial_down,omitempty"`
 	// Events is the mutation timeline, sorted by time (Normalize sorts).
 	// Event times must be pairwise distinct: simultaneous events on
-	// different elements have no defined order once the run is sharded, so
-	// Validate rejects them (stagger one by any positive offset).
+	// different elements would take effect in JSON list order, which the
+	// timeline does not define, so Validate rejects them (stagger one by
+	// any positive offset).
 	Events []Event `json:"events,omitempty"`
 	// Profile optionally modulates every source's arrival rate over time.
 	Profile *ProfileSpec `json:"profile,omitempty"`
@@ -253,7 +253,7 @@ func (s *Spec) Validate() error {
 				i, e.Action, e.Target, e.TS, s.HorizonS)
 		}
 		if e.TS == lastT {
-			return fmt.Errorf("scenario: events[%d] and events[%d] share t_s=%g; simultaneous events have no defined cross-element order once the run is sharded — stagger one by any positive offset",
+			return fmt.Errorf("scenario: events[%d] and events[%d] share t_s=%g; simultaneous events would take effect in JSON list order, which the timeline does not define — stagger one by any positive offset",
 				lastI, i, e.TS)
 		}
 		lastT, lastI = e.TS, i

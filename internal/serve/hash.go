@@ -14,11 +14,10 @@ import (
 // spec, so a minimal {"kind": "simulate"} and a fully spelled-out
 // equivalent hash identically and share one cache entry.
 //
-// One field is cleared before hashing: Run.Shards. Sharding splits a
-// replication across cores but is pinned bit-identical at every shard
-// count (DESIGN.md §9), so it is an execution knob like -parallel, not
-// part of what the experiment computes; excluding it lets a sharded and
-// a sequential submission of the same experiment share a cache entry.
+// One field is cleared before hashing: Run.Shards. It is accepted and
+// ignored (every replication runs on one core, DESIGN.md §9), so
+// clearing it keeps specs that still carry it on the cache key of the
+// same experiment without it.
 // Every other spec field participates, which keeps the cache exact:
 // equal keys imply equal normalized specs, and the determinism story of
 // PRs 1–6 makes equal specs produce byte-identical outcomes.

@@ -74,10 +74,9 @@ func TestSpecHashNormalization(t *testing.T) {
 	}
 }
 
-// TestSpecHashShardsExcluded pins that Run.Shards is an execution knob:
-// a sharded and a sequential submission of the same experiment share a
-// cache entry, which is exact because sharded results are bit-identical
-// (DESIGN.md §9).
+// TestSpecHashShardsExcluded pins that Run.Shards, accepted and ignored,
+// never moves a cache key: a spec carrying it shares the cache entry of
+// the same experiment without it.
 func TestSpecHashShardsExcluded(t *testing.T) {
 	a := run.NewExperiment(run.KindSimulate)
 	b := run.NewExperiment(run.KindSimulate)

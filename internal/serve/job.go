@@ -61,18 +61,13 @@ type JobInfo struct {
 }
 
 // JobResources is what one executed job cost: wall time, engine volume
-// and throughput, plus the §9 shard-coordinator totals when the run was
-// sharded. Sourced from the run's Outcome.Telemetry.
+// and throughput. Sourced from the run's Outcome.Telemetry.
 type JobResources struct {
 	WallSeconds     float64 `json:"wall_s"`
 	SimEvents       int64   `json:"sim_events"`
 	EventsPerSecond float64 `json:"events_per_s"`
 	Generated       int64   `json:"generated"`
 	Replications    int64   `json:"replications"`
-	Shards          int64   `json:"shards"`
-	Windows         int64   `json:"windows,omitempty"`
-	Reruns          int64   `json:"reruns,omitempty"`
-	Handoffs        int64   `json:"handoffs,omitempty"`
 }
 
 // Job is one submitted experiment tracked by the store: its normalized
@@ -169,10 +164,6 @@ func (j *Job) setResources(t *telemetry.RunStats) {
 		EventsPerSecond: t.EventsPerSecond(),
 		Generated:       t.Sim.Generated,
 		Replications:    t.Replications,
-		Shards:          t.Sim.Shards,
-		Windows:         t.Sim.Windows,
-		Reruns:          t.Sim.Reruns,
-		Handoffs:        t.Sim.Handoffs,
 	}
 	j.mu.Lock()
 	j.resources = r

@@ -11,7 +11,7 @@
 // while the server owns the worker pool, the watchable job Store, and
 // the outcome cache. Determinism makes the cache exact — identical
 // normalized specs produce byte-identical outcomes at every
-// parallelism, shard count and replication schedule, so a cache hit
+// parallelism and replication schedule, so a cache hit
 // replays the recorded event stream and rendered report bit for bit
 // without doing any simulation work (see SpecHash for the key).
 //
@@ -48,10 +48,9 @@ type Config struct {
 	// Parallelism is the total simulation worker budget shared by every
 	// running job (<= 0 = all cores) — the server-wide equivalent of
 	// the binaries' -parallel flag. Each running job gets
-	// par.Workers(Parallelism, MaxJobs) pool workers, and inside a job
-	// Run.Shards composes with that budget exactly as it does locally,
-	// so the goroutine total stays near Parallelism no matter how jobs,
-	// shards and replications are mixed.
+	// par.Workers(Parallelism, MaxJobs) pool workers, so the goroutine
+	// total stays near Parallelism no matter how jobs and replications
+	// are mixed.
 	Parallelism int
 	// MaxJobs bounds the jobs running concurrently (<= 0 = 2). Queued
 	// jobs start in submission order.
@@ -155,7 +154,7 @@ func New(cfg Config) *Server {
 
 // registerMetrics declares the /metrics surface. Registration order is
 // render order (docs/OBSERVABILITY.md documents every name). Lifecycle
-// counters are written by the scheduler; the sim/shard/pool families are
+// counters are written by the scheduler; the sim/pool families are
 // scrape-time reads of the server Collector and the process-wide pool
 // counters, so a scrape never blocks a running job.
 func (s *Server) registerMetrics() {
@@ -188,14 +187,6 @@ func (s *Server) registerMetrics() {
 		sim(func(st telemetry.SimStats, _ int64) float64 { return float64(st.Generated) }))
 	r.CounterFunc("hmscs_sim_replications_total", "Simulation replications completed across all runs.",
 		sim(func(_ telemetry.SimStats, reps int64) float64 { return float64(reps) }))
-	r.CounterFunc("hmscs_shard_windows_total", "Shard-coordinator time windows executed.",
-		sim(func(st telemetry.SimStats, _ int64) float64 { return float64(st.Windows) }))
-	r.CounterFunc("hmscs_shard_reruns_total", "Dirty-shard window re-executions to fixed point.",
-		sim(func(st telemetry.SimStats, _ int64) float64 { return float64(st.Reruns) }))
-	r.CounterFunc("hmscs_shard_rewinds_total", "Stop-cut snapshot rewinds.",
-		sim(func(st telemetry.SimStats, _ int64) float64 { return float64(st.Rewinds) }))
-	r.CounterFunc("hmscs_shard_handoffs_total", "Committed cross-shard mailbox records.",
-		sim(func(st telemetry.SimStats, _ int64) float64 { return float64(st.Handoffs) }))
 	r.CounterFunc("hmscs_pool_units_total", "Worker-pool units (replications, sweep points) completed.",
 		func() float64 { return float64(par.Stats().Units) })
 	r.CounterFunc("hmscs_pool_busy_seconds_total", "Summed wall time workers spent executing units.",

@@ -170,6 +170,9 @@ func TestMetricsAndJobResources(t *testing.T) {
 			t.Errorf("/metrics missing %q\n%s", want, body)
 		}
 	}
+	if strings.Contains(string(body), "hmscs_shard_") {
+		t.Errorf("/metrics still exposes an hmscs_shard_ family\n%s", body)
+	}
 
 	resp, err = ts.Client().Get(ts.URL + "/healthz")
 	if err != nil {
@@ -394,5 +397,52 @@ func TestUncacheableSpecRunsEveryTime(t *testing.T) {
 	}
 	if n := srv.Runs(); n != 2 {
 		t.Fatalf("server executed %d runs, want 2", n)
+	}
+}
+
+// TestShardsValidatedBeforeCache pins that run.shards is validated
+// before any hash or cache lookup: with the shards-free twin cached, a
+// negative value is still rejected (by Parse and by Submit alike), and a
+// non-negative one above the cluster count is simply ignored — a cache
+// hit whose report equals a local run.Run byte for byte.
+func TestShardsValidatedBeforeCache(t *testing.T) {
+	srv, client, shutdown := newTestServer(t, serve.Config{Parallelism: 1, MaxJobs: 1})
+	defer shutdown()
+	ctx := context.Background()
+	if _, err := client.Execute(ctx, smallSimulate(), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	negative := smallSimulate()
+	negative.Run.Shards = -1
+	if _, err := srv.Submit(negative); err == nil {
+		t.Fatal("Submit accepted run.shards = -1 with a warm cache")
+	}
+	if _, err := client.Submit(ctx, negative); err == nil {
+		t.Fatal("POST /jobs accepted run.shards = -1 with a warm cache")
+	}
+	data, err := negative.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run.Parse(data); err == nil {
+		t.Fatal("Parse accepted run.shards = -1")
+	}
+
+	wide := smallSimulate() // 4 clusters
+	wide.Run.Shards = 8
+	var wantMD, gotMD bytes.Buffer
+	if _, err := run.Run(ctx, wide, run.Options{Parallelism: 1, Sinks: []run.Sink{run.NewMarkdownSink(&wantMD)}}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := client.Execute(ctx, wide, &gotMD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Cached {
+		t.Fatal("run.shards = 8 missed the cache entry of its shards-free twin")
+	}
+	if !bytes.Equal(gotMD.Bytes(), wantMD.Bytes()) {
+		t.Fatalf("cached report differs from local run.Run:\n%s\n---\n%s", gotMD.Bytes(), wantMD.Bytes())
 	}
 }

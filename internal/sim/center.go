@@ -232,63 +232,6 @@ func (c *Center) Repair() {
 // Failed reports whether the centre is out of service.
 func (c *Center) Failed() bool { return c.failed }
 
-// Rebind moves the centre onto another engine: the sharded runtimes hand
-// pre-built centres to the shard that owns them. Both clocks must agree
-// (centres are rebound before any event executes).
-func (c *Center) Rebind(eng *Engine) { c.eng = eng }
-
-// CenterState is an opaque snapshot of a centre's queue, statistics and
-// random stream, reusable across SaveState calls so repeated window
-// snapshots do not allocate.
-type CenterState struct {
-	busy      bool
-	inService pendingJob
-	queue     []pendingJob
-	qlen      stats.TimeWeighted
-	busyTW    stats.TimeWeighted
-	served    int64
-	inSys     int
-	stream    rng.Stream
-	failed    bool
-	dueAt     float64
-	stale     int
-}
-
-// SaveState copies the centre's mutable state into s. The pending
-// completion event of a busy centre lives in the engine's future-event
-// set, which the engine's own SaveState captures.
-func (c *Center) SaveState(s *CenterState) {
-	s.busy = c.busy
-	s.inService = c.inService
-	s.queue = c.queue.appendTo(s.queue[:0])
-	s.qlen = c.qlen
-	s.busyTW = c.busyTW
-	s.served = c.served
-	s.inSys = c.inSys
-	s.stream = *c.stream
-	s.failed = c.failed
-	s.dueAt = c.dueAt
-	s.stale = c.stale
-}
-
-// RestoreState rewinds the centre to a state captured by SaveState.
-func (c *Center) RestoreState(s *CenterState) {
-	c.busy = s.busy
-	c.inService = s.inService
-	c.queue.clear()
-	for _, j := range s.queue {
-		c.queue.pushBack(j)
-	}
-	c.qlen = s.qlen
-	c.busyTW = s.busyTW
-	c.served = s.served
-	c.inSys = s.inSys
-	*c.stream = s.stream
-	c.failed = s.failed
-	c.dueAt = s.dueAt
-	c.stale = s.stale
-}
-
 // QueueLength returns the current number of messages in the centre.
 func (c *Center) QueueLength() int { return c.inSys }
 

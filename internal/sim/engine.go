@@ -139,9 +139,7 @@ type Engine struct {
 
 	// Lifetime instrumentation (DESIGN.md §12): plain fields bumped in
 	// the event loop — no atomics, no time reads — and folded into a
-	// telemetry.Collector once per replication. Both are cumulative
-	// across RestoreState, so a sharded run's re-executed windows count
-	// as the real work they are.
+	// telemetry.Collector once per replication.
 	executed   int64
 	maxPending int
 }
@@ -243,9 +241,7 @@ func (e *Engine) Run(maxTime float64) int {
 	return executed
 }
 
-// Executed returns the lifetime number of events dispatched, including
-// events re-executed after RestoreState — the total work the engine
-// did, not the net progress.
+// Executed returns the lifetime number of events dispatched.
 func (e *Engine) Executed() int64 { return e.executed }
 
 // MaxPending returns the lifetime high-water mark of the future-event
@@ -259,8 +255,7 @@ func (e *Engine) Pending() int {
 }
 
 // NextEventAt returns the timestamp of the earliest pending event, or +Inf
-// when the future-event set is empty. The sharded window drivers use it to
-// fast-forward across empty windows.
+// when the future-event set is empty.
 func (e *Engine) NextEventAt() float64 {
 	e.resolve()
 	if len(e.events) == 0 {
@@ -271,9 +266,8 @@ func (e *Engine) NextEventAt() float64 {
 
 // RunWindow dispatches every event with time strictly below horizon (at or
 // below, when inclusive) and leaves the clock exactly at horizon, so
-// time-weighted statistics and subsequent windows all see a common
-// boundary. Stop aborts it like Run. It returns the number of events
-// executed.
+// time-weighted statistics close at a common boundary. Stop aborts it
+// like Run. It returns the number of events executed.
 func (e *Engine) RunWindow(horizon float64, inclusive bool) int {
 	if e.handler == nil {
 		panic("sim: engine RunWindow without a handler (call SetHandler first)")
@@ -292,42 +286,4 @@ func (e *Engine) RunWindow(horizon float64, inclusive bool) int {
 		e.now = horizon
 	}
 	return executed
-}
-
-// StepSameTime dispatches exactly one pending event if its timestamp
-// equals t, reporting whether it did. The sharded stop cut uses it to
-// replay the tail of simultaneous events at the stopping instant.
-func (e *Engine) StepSameTime(t float64) bool {
-	e.resolve()
-	if len(e.events) == 0 || e.events[0].at != t {
-		return false
-	}
-	e.dispatch(e.events[0])
-	return true
-}
-
-// EngineState is an opaque snapshot of an engine's clock, tie-break
-// counter and future-event set, reusable across SaveState calls so
-// repeated window snapshots do not allocate.
-type EngineState struct {
-	now    float64
-	seq    uint64
-	events []event
-}
-
-// SaveState copies the engine's state into s.
-func (e *Engine) SaveState(s *EngineState) {
-	e.resolve()
-	s.now = e.now
-	s.seq = e.seq
-	s.events = append(s.events[:0], e.events...)
-}
-
-// RestoreState rewinds the engine to a state captured by SaveState.
-func (e *Engine) RestoreState(s *EngineState) {
-	e.now = s.now
-	e.seq = s.seq
-	e.stopped = false
-	e.held = false
-	e.events = append(e.events[:0], s.events...)
 }

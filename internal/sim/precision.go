@@ -112,7 +112,6 @@ func RunPrecisionUnitsCtx(ctx context.Context, units []Unit, prec output.Precisi
 	for i := range states {
 		states[i] = &unitState{stopper: output.NewStopper(prec)}
 	}
-	parallelism = poolSize(units, parallelism)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err

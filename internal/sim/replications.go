@@ -92,20 +92,6 @@ type Unit struct {
 	Wrap func(error) error
 }
 
-// ShardCapped returns the unit with Opts.Shards capped at its
-// configuration's cluster count. Batches that cross heterogeneous
-// cluster counts (figure axes start at C=1, plan frontiers mix sizes)
-// apply it so a global shard request still leaves every shard at least
-// one cluster; sharded results are bit-identical to sequential, so the
-// cap changes how a unit executes, never what it computes. Direct
-// single-configuration runs keep Run's pointed error instead.
-func (u Unit) ShardCapped() Unit {
-	if c := len(u.Cfg.Clusters); u.Opts.Shards > c {
-		u.Opts.Shards = c
-	}
-	return u
-}
-
 // wrap applies the unit's error decoration.
 func (u Unit) wrap(err error) error {
 	if u.Wrap != nil {
@@ -131,20 +117,6 @@ func (run UnitFunc) call(ctx context.Context, point, rep int, cfg *core.Config, 
 	return run(ctx, point, rep, cfg, opts)
 }
 
-// poolSize budgets a batch's worker pool: sharded units spawn their own
-// goroutines, so the pool shrinks by the largest shard count to keep
-// total concurrency near parallelism.
-func poolSize(units []Unit, parallelism int) int {
-	maxShards := 1
-	for i := range units {
-		maxShards = max(maxShards, units[i].Opts.Shards)
-	}
-	if maxShards > 1 {
-		return par.Workers(parallelism, maxShards)
-	}
-	return parallelism
-}
-
 // RunUnitsCtx is the fixed-grid batch driver: every unit runs exactly
 // reps replications, fanned out as (unit × replication) work items on
 // one bounded worker pool, and results[u][rep] holds unit u's
@@ -161,7 +133,7 @@ func RunUnitsCtx(ctx context.Context, units []Unit, reps, parallelism int, prog 
 	for i := range results {
 		results[i] = make([]*Result, reps)
 	}
-	err := par.ForEachCtx(ctx, len(units)*reps, poolSize(units, parallelism), func(k int) error {
+	err := par.ForEachCtx(ctx, len(units)*reps, parallelism, func(k int) error {
 		ui, rep := k/reps, k%reps
 		u := units[ui]
 		o := u.Opts

@@ -48,31 +48,23 @@ type Options struct {
 	// Trace, when non-nil, records every message's journey (generation,
 	// per-hop completion, delivery) into the recorder.
 	Trace *trace.Recorder
-	// Shards, when >= 2, splits this one replication across that many
-	// concurrent shards of clusters, each with its own event list and
-	// clock, synchronized in bounded time windows (DESIGN.md §9). Results
-	// are bit-identical to the sequential engine; 0 and 1 mean
-	// sequential. Requires Shards <= NumClusters and is incompatible
-	// with Trace.
+	// Shards is ignored: one replication always runs on one core, and
+	// replications are the unit of parallelism (DESIGN.md §9). The field
+	// is kept so existing callers that set it still compile.
 	Shards int
 	// Scenario, when non-nil, turns the run dynamic: the compiled timeline
 	// injects failures, repairs and churn at event-loop granularity, and
 	// its rate profile modulates every source. A scenario run covers
 	// exactly [0, Horizon] — WarmupMessages and MeasuredMessages are
 	// overridden (measurement spans the whole horizon; transient analysis
-	// slices it afterwards) and the run never reports TimedOut. Results
-	// remain bit-identical at every shard count (DESIGN.md §11).
+	// slices it afterwards) and the run never reports TimedOut
+	// (DESIGN.md §11).
 	Scenario *scenario.CompiledSim
 	// Stats, when non-nil, receives one telemetry.SimStats record when
-	// the replication finishes — engine event counts, heap high-water
-	// mark and (sharded) window/re-run/hand-off totals. Purely
-	// observational: results are bit-identical with or without it
-	// (DESIGN.md §12).
+	// the replication finishes — engine event counts and the heap
+	// high-water mark. Purely observational: results are bit-identical
+	// with or without it (DESIGN.md §12).
 	Stats *telemetry.Collector
-	// Profile, when non-nil, records per-shard window occupancy spans
-	// into a Chrome-trace profile. Only sharded runs emit spans; time
-	// is recorded, never branched on.
-	Profile *telemetry.TraceProfile
 }
 
 // DefaultOptions mirrors the paper's experimental procedure with a warm-up
@@ -192,10 +184,6 @@ const (
 	// evCenterDone fires when a centre completes a service; idx is the
 	// centre id (index into Simulator.centers).
 	evCenterDone
-	// evXferIn fires when a cross-shard hand-off is consumed at its
-	// stamped time; idx indexes the receiving shard's inbox (sharded
-	// mode only — see shard.go).
-	evXferIn
 	// evScenario fires when a timeline event mutates the model; idx is the
 	// index into the compiled scenario's event list. Scenario events are
 	// scheduled at setup, before any traffic is armed, so at equal times
@@ -387,9 +375,9 @@ func (s *Simulator) Run() (*Result, error) {
 		s.scheduleGeneration(p)
 	}
 	if s.scn != nil {
-		// Pin the clock to the horizon (inclusive), exactly like the
-		// sharded engine's final window, so both agree on SimTime and the
-		// time-weighted statistics.
+		// Pin the clock to the horizon (inclusive), so SimTime and the
+		// time-weighted statistics close exactly at the horizon even when
+		// the event set drains early.
 		s.eng.RunWindow(s.scn.Horizon, true)
 	} else {
 		s.eng.Run(s.opts.MaxSimTime)
@@ -426,7 +414,6 @@ func (s *Simulator) Run() (*Result, error) {
 			Generated:  s.res.Generated,
 			Dropped:    s.res.Dropped,
 			Rerouted:   s.res.Rerouted,
-			Shards:     1,
 		})
 	}
 	return &s.res, nil
@@ -605,8 +592,9 @@ func (s *Simulator) deliver(src int, born float64) {
 
 // applyScenario executes one timeline event. Within an event, failures
 // take nodes before centres (so a dropped message of a just-failed node
-// does not re-arm its source) and repairs take centres before nodes; the
-// fixed order keeps sequential and sharded execution identical.
+// does not re-arm its source) and repairs take centres before nodes. The
+// order is part of the engine's output contract: scenario results
+// depend on it.
 func (s *Simulator) applyScenario(i int) {
 	ev := &s.scn.Events[i]
 	if ev.Fail {
@@ -692,15 +680,8 @@ func (s *Simulator) rerouteMsg(mi int32) {
 	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl].mean(int(m.size)), mi)
 }
 
-// Run is the package-level convenience: build and run one simulation,
-// sharded when Options.Shards asks for it.
+// Run is the package-level convenience: build and run one simulation.
 func Run(cfg *core.Config, opts Options) (*Result, error) {
-	if opts.Shards < 0 {
-		return nil, fmt.Errorf("sim: negative shard count %d", opts.Shards)
-	}
-	if opts.Shards > 1 {
-		return runSharded(cfg, opts)
-	}
 	s, err := New(cfg, opts)
 	if err != nil {
 		return nil, err

@@ -2,12 +2,19 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
+	"hmscs/internal/output"
+	"hmscs/internal/progress"
 	"hmscs/internal/rng"
+	"hmscs/internal/scenario"
 	"hmscs/internal/workload"
 )
 
@@ -463,5 +470,218 @@ func TestSimSteadyStateAllocationFree(t *testing.T) {
 	const slack = 4
 	if long > short+slack {
 		t.Fatalf("allocations grew with run length: %v allocs at 2 000 messages, %v at 20 000", short, long)
+	}
+}
+
+// wideCfg is an 8-cluster configuration: wide enough that every failure
+// target of the scenario suites (cluster:7, icn1:5) exists.
+func wideCfg(t *testing.T, lambda float64, arch network.Architecture) *core.Config {
+	t.Helper()
+	cfg, err := core.NewSuperCluster(8, 4, lambda, network.GigabitEthernet,
+		network.FastEthernet, arch, network.PaperSwitch, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}
+
+// dynOpts is the dynamic-run counterpart of quickOpts: the compiled
+// timeline supplies the horizon, so message cutoffs stay at their
+// defaults (the engine overrides them anyway).
+func dynOpts(seed uint64, cs *scenario.CompiledSim) Options {
+	o := DefaultOptions()
+	o.Seed = seed
+	o.RecordSample = true
+	o.Scenario = cs
+	return o
+}
+
+// requireIdenticalDynamic extends the bit-identity assertion to the
+// dynamic-run outputs: the timestamped sample vector feeding the
+// transient estimator and the failure-policy counters.
+func requireIdenticalDynamic(t *testing.T, label string, a, b *Result) {
+	t.Helper()
+	requireIdenticalResults(t, label, a, b)
+	if a.Dropped != b.Dropped || a.Rerouted != b.Rerouted {
+		t.Fatalf("%s: policy counters differ: drop %d/%d, reroute %d/%d",
+			label, a.Dropped, b.Dropped, a.Rerouted, b.Rerouted)
+	}
+	if len(a.SampleTimes) != len(b.SampleTimes) {
+		t.Fatalf("%s: sample-time lengths differ: %d vs %d", label, len(a.SampleTimes), len(b.SampleTimes))
+	}
+	for i := range a.SampleTimes {
+		if a.SampleTimes[i] != b.SampleTimes[i] {
+			t.Fatalf("%s: sample time %d differs: %v vs %v", label, i, a.SampleTimes[i], b.SampleTimes[i])
+		}
+	}
+}
+
+// runResults drives one configuration's replications through the
+// fixed-grid driver, returning them in replication order.
+func runResults(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) ([]*Result, error) {
+	res, err := RunUnitsCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, parallelism, prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// TestScenarioDropFaultAndHorizonRepair pins two timeline edge cases.
+// An ICN2 failure under the drop policy evicts the work queued there
+// (ICN2 is the bottleneck at this load, so its queue is non-empty at the
+// fail instant). A repair at exactly the horizon still parses and runs,
+// the clock closes at the horizon, and because nothing is measured after
+// the last instant the run equals the same timeline without that repair.
+func TestScenarioDropFaultAndHorizonRepair(t *testing.T) {
+	cfg := wideCfg(t, 400, network.NonBlocking)
+	built, err := cfg.BuildCenters()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := built.ICN2.MeanServiceTime(cfg.MessageBytes)
+	fail := scenario.Event{TS: 512 * w, Action: "fail", Target: "icn2", Policy: "drop"}
+	run := func(events ...scenario.Event) *Result {
+		cs, err := scenario.CompileSim(&scenario.Spec{HorizonS: 2048 * w, Events: events}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg, dynOpts(23, cs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	repaired := run(fail, scenario.Event{TS: 2048 * w, Action: "repair", Target: "icn2"})
+	if repaired.Dropped == 0 {
+		t.Fatal("expected the second-stage failure to drop in-flight work")
+	}
+	if repaired.SimTime != 2048*w {
+		t.Fatalf("SimTime = %v, want the horizon %v", repaired.SimTime, 2048*w)
+	}
+	requireIdenticalDynamic(t, "repair-at-horizon", run(fail), repaired)
+}
+
+// TestScenarioReplicationsComposeWithParallel runs a dynamic replication
+// set on one worker and on eight: each replication's Result — down to the
+// timestamped samples the transient estimator folds — must match, so
+// time-sliced output is identical however the work is spread across
+// cores.
+func TestScenarioReplicationsComposeWithParallel(t *testing.T) {
+	cfg := wideCfg(t, 40, network.NonBlocking)
+	spec := &scenario.Spec{HorizonS: 0.3, SLOLatencyMS: 50, Events: []scenario.Event{
+		{TS: 0.1, Action: "fail", Target: "cluster:largest", Policy: "drop"},
+		{TS: 0.2, Action: "repair", Target: "cluster:largest"},
+	}}
+	cs, err := scenario.CompileSim(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := dynOpts(5, cs)
+	base, err := runResults(context.Background(), cfg, opts, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runResults(context.Background(), cfg, opts, 3, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(base) {
+		t.Fatalf("%d replications, want %d", len(got), len(base))
+	}
+	for r := range got {
+		requireIdenticalDynamic(t, "replication", base[r], got[r])
+	}
+}
+
+// TestScenarioCancelMidFaultDrainsPool extends the replication pool's
+// goroutine-leak pin to dynamic runs: the timeline fails the largest
+// cluster almost immediately and repairs it only at the horizon, so a
+// cancellation fired after the first completed replication lands while
+// every other running replication still has its repair event pending.
+// The pool must drain fully before RunUnitsCtx returns.
+func TestScenarioCancelMidFaultDrainsPool(t *testing.T) {
+	cfg := wideCfg(t, 40, network.NonBlocking)
+	spec := &scenario.Spec{HorizonS: 0.4, Events: []scenario.Event{
+		{TS: 0.01, Action: "fail", Target: "cluster:largest", Policy: "requeue"},
+		{TS: 0.39, Action: "repair", Target: "cluster:largest"},
+	}}
+	cs, err := scenario.CompileSim(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	var done int32
+	_, err = runResults(ctx, cfg, dynOpts(7, cs), 64, 4, func(progress.Event) {
+		if atomic.AddInt32(&done, 1) == 1 {
+			cancel() // mid-fault: later replications' repairs are pending
+		}
+	})
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if n := atomic.LoadInt32(&done); n > 60 {
+		t.Fatalf("%d of 64 replications ran after cancellation", n)
+	}
+	// No worker goroutine may outlive the call; allow the runtime a
+	// moment to reap the cancelled workers.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before, %d after — pool leaked", before, after)
+	}
+}
+
+// TestReplicationsComposeWithParallel pins the replication aggregate of
+// the 8-cluster configuration to the same values on one worker and on
+// eight.
+func TestReplicationsComposeWithParallel(t *testing.T) {
+	cfg := wideCfg(t, 40, network.NonBlocking)
+	opts := quickOpts(100, 600)
+	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.MeanLatency != base.MeanLatency || got.CI95 != base.CI95 ||
+		got.Throughput != base.Throughput || got.BottleneckUtilization != base.BottleneckUtilization {
+		t.Fatalf("parallelism 8 changed the aggregate: %+v vs %+v", got, base)
+	}
+}
+
+// TestPrecisionComposesWithParallel extends the precision driver's
+// parallelism invariance to the 8-cluster configuration: the adaptive
+// stopping rule must make the same decisions — same estimate, same
+// replication count, same total event count — on one worker and on
+// eight.
+func TestPrecisionComposesWithParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two adaptive replication sets")
+	}
+	cfg := wideCfg(t, 100, network.NonBlocking)
+	opts := quickOpts(3, 4000)
+	prec := output.Precision{RelWidth: 0.05, MaxReps: 24}
+	base, err := runPrecision(cfg, opts, prec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runPrecision(cfg, opts, prec, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Estimate != base.Estimate ||
+		got.MeanLatency != base.MeanLatency ||
+		got.TotalGenerated != base.TotalGenerated ||
+		got.TruncatedFrac != base.TruncatedFrac {
+		t.Fatalf("parallelism 8 diverged from sequential:\n%+v\nvs\n%+v", got.Estimate, base.Estimate)
+	}
+	if base.Estimate.Reps < 3 {
+		t.Fatalf("implausible estimate: %+v", base.Estimate)
 	}
 }

@@ -152,16 +152,12 @@ type simulated struct {
 	Dyn *Dynamic
 }
 
-// prepareUnits applies the in-place unit transforms every batch shares:
-// the per-unit shard cap (a sweep crosses heterogeneous cluster counts;
-// see sim.Unit.ShardCapped), and (for dynamic batches) per-point scenario
-// compilation with sample recording.
+// prepareUnits applies the in-place unit transform every batch shares:
+// for dynamic batches, per-point scenario compilation with sample
+// recording.
 func prepareUnits(units []sim.Unit, opts Options) error {
 	if opts.Precision != nil && opts.Scenario != nil {
 		return fmt.Errorf("sweep: precision stopping and a scenario timeline are mutually exclusive (the stopping rule assumes a stationary mean)")
-	}
-	for i := range units {
-		units[i] = units[i].ShardCapped()
 	}
 	if opts.Precision != nil || opts.Scenario == nil {
 		return nil
@@ -178,8 +174,8 @@ func prepareUnits(units []sim.Unit, opts Options) error {
 }
 
 // PointUnits materialises the deterministic unit decomposition of a
-// custom sweep: per-point workload overrides applied, shards capped,
-// scenarios compiled, error wrapping attached. Units are in point order;
+// custom sweep: per-point workload overrides applied, scenarios
+// compiled, error wrapping attached. Units are in point order;
 // an analytic-only batch (opts.SkipSimulation) has none.
 func PointUnits(points []PointSpec, opts Options) ([]sim.Unit, error) {
 	if opts.SkipSimulation {
@@ -225,7 +221,7 @@ func figureConfigs(specs []FigureSpec) ([]*core.Config, error) {
 
 // FigureUnits materialises the deterministic unit decomposition of a
 // figure batch: one unit per (figure, series, cluster count) point in
-// that nested order, shards capped, error wrapping attached. An
+// that nested order, error wrapping attached. An
 // analytic-only batch (opts.SkipSimulation) has none.
 func FigureUnits(specs []FigureSpec, opts Options) ([]sim.Unit, error) {
 	if opts.SkipSimulation {

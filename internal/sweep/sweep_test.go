@@ -499,39 +499,6 @@ func TestRunPointsArrivalOverride(t *testing.T) {
 	}
 }
 
-// TestSweepClampsShardsPerUnit: a sweep crosses heterogeneous cluster
-// counts (figure axes start at C=1), so a global -shards request is
-// capped at each unit's cluster count instead of aborting the whole
-// sweep with sim.Run's shards-vs-clusters error — and because sharded
-// execution is bit-identical to sequential, the capped run's results
-// must equal the unsharded ones exactly.
-func TestSweepClampsShardsPerUnit(t *testing.T) {
-	var cfgs []*core.Config
-	for _, clusters := range []int{1, 4} {
-		cfg, err := core.NewSuperCluster(clusters, 8, 50, network.GigabitEthernet,
-			network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgs = append(cfgs, cfg)
-	}
-	base, err := customSweep(cfgs, fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := fastOpts()
-	opts.Sim.Shards = 8 // exceeds both units' cluster counts
-	got, err := customSweep(cfgs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range base {
-		if got[i].Simulated != base[i].Simulated || got[i].SimCI != base[i].SimCI {
-			t.Fatalf("point %d diverged under clamped shards: %+v vs %+v", i, got[i], base[i])
-		}
-	}
-}
-
 // TestRunRejectsMismatchedUnits: a simulated batch must come with one
 // unit per point, so a stage built for other points fails instead of
 // filling the wrong rows.

@@ -3,50 +3,27 @@ package telemetry
 import "sync"
 
 // SimStats is the per-replication engine record: what one simulation
-// replication (sequential or sharded) did. Engines accumulate these
-// numbers in plain local variables — no atomics in the event loop — and
-// fold one SimStats into a Collector when the replication finishes.
+// replication did. Engines accumulate these numbers in plain local
+// variables — no atomics in the event loop — and fold one SimStats into
+// a Collector when the replication finishes.
 //
-// Every field is deterministic for a given (spec, seed, shards): the
-// event count, heap high-water mark and window/re-run/hand-off totals
-// fall out of the same fixed-point algorithm that makes sharded results
-// bit-identical to sequential ones. Counts are shard-VARIANT (a sharded
-// run re-executes dirty windows, so Events grows with shard count) but
-// parallelism-invariant (merging is commutative).
+// Every field is deterministic for a given (spec, seed) and
+// parallelism-invariant: merging is commutative.
 type SimStats struct {
-	// Events is the number of engine events dispatched, including
-	// fixed-point re-execution of dirty shard windows.
+	// Events is the number of engine events dispatched.
 	Events int64 `json:"events"`
-	// MaxPending is the event-heap high-water mark (max over shards
-	// and replications).
+	// MaxPending is the event-heap high-water mark (max over
+	// replications).
 	MaxPending int64 `json:"max_pending"`
 	// Generated / Dropped / Rerouted are message totals; Dropped and
 	// Rerouted come from dynamic scenarios.
 	Generated int64 `json:"generated"`
 	Dropped   int64 `json:"dropped"`
 	Rerouted  int64 `json:"rerouted"`
-	// Shards is the widest shard count seen (1 for sequential runs).
-	Shards int64 `json:"shards"`
-	// Windows / Reruns / Rewinds / Handoffs describe the §9 shard
-	// coordinator: bounded time windows executed, dirty-shard
-	// re-executions to fixed point, stop-cut snapshot rewinds, and
-	// committed cross-shard mailbox records.
-	Windows  int64 `json:"windows"`
-	Reruns   int64 `json:"reruns"`
-	Rewinds  int64 `json:"rewinds"`
-	Handoffs int64 `json:"handoffs"`
-	// PairHandoffs[src][dst] is the committed hand-off volume per
-	// shard pair — the shard-efficiency story. Nil for sequential
-	// runs.
-	PairHandoffs [][]int64 `json:"pair_handoffs,omitempty"`
-	// ShardEvents[i] is the events dispatched by shard i (summed over
-	// replications of equal shard count). Nil for sequential runs.
-	ShardEvents []int64 `json:"shard_events,omitempty"`
 }
 
-// Merge folds o into s. Sums add, high-water marks take the max, and
-// the per-shard slices grow to the wider shape — all commutative, so
-// the merged total is independent of replication completion order.
+// Merge folds o into s. Sums add and the high-water mark takes the max,
+// so the merged total is independent of replication completion order.
 func (s *SimStats) Merge(o SimStats) {
 	s.Events += o.Events
 	if o.MaxPending > s.MaxPending {
@@ -55,55 +32,6 @@ func (s *SimStats) Merge(o SimStats) {
 	s.Generated += o.Generated
 	s.Dropped += o.Dropped
 	s.Rerouted += o.Rerouted
-	if o.Shards > s.Shards {
-		s.Shards = o.Shards
-	}
-	s.Windows += o.Windows
-	s.Reruns += o.Reruns
-	s.Rewinds += o.Rewinds
-	s.Handoffs += o.Handoffs
-	if len(o.ShardEvents) > 0 {
-		if len(s.ShardEvents) < len(o.ShardEvents) {
-			grown := make([]int64, len(o.ShardEvents))
-			copy(grown, s.ShardEvents)
-			s.ShardEvents = grown
-		}
-		for i, v := range o.ShardEvents {
-			s.ShardEvents[i] += v
-		}
-	}
-	if len(o.PairHandoffs) > 0 {
-		if len(s.PairHandoffs) < len(o.PairHandoffs) {
-			grown := make([][]int64, len(o.PairHandoffs))
-			for i := range grown {
-				grown[i] = make([]int64, len(o.PairHandoffs))
-				if i < len(s.PairHandoffs) {
-					copy(grown[i], s.PairHandoffs[i])
-				}
-			}
-			s.PairHandoffs = grown
-		}
-		for i, row := range o.PairHandoffs {
-			for j, v := range row {
-				s.PairHandoffs[i][j] += v
-			}
-		}
-	}
-}
-
-// clone returns a deep copy so a snapshot never aliases live state.
-func (s SimStats) clone() SimStats {
-	c := s
-	if s.ShardEvents != nil {
-		c.ShardEvents = append([]int64(nil), s.ShardEvents...)
-	}
-	if s.PairHandoffs != nil {
-		c.PairHandoffs = make([][]int64, len(s.PairHandoffs))
-		for i, row := range s.PairHandoffs {
-			c.PairHandoffs[i] = append([]int64(nil), row...)
-		}
-	}
-	return c
 }
 
 // Collector accumulates SimStats across replications (and, on the
@@ -142,15 +70,15 @@ func (c *Collector) Merge(o *Collector) {
 	c.mu.Unlock()
 }
 
-// Snapshot returns a deep copy of the merged totals and the number of
-// replications folded in. Nil-safe.
+// Snapshot returns the merged totals and the number of replications
+// folded in. Nil-safe.
 func (c *Collector) Snapshot() (SimStats, int64) {
 	if c == nil {
 		return SimStats{}, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sum.clone(), c.reps
+	return c.sum, c.reps
 }
 
 // RunStats is the telemetry section of a run.Outcome: the merged

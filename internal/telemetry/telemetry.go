@@ -1,8 +1,7 @@
 // Package telemetry is the instrumentation layer: allocation-conscious
 // atomic counters, gauges and histograms, a registry that renders them
 // in Prometheus text exposition format, per-run simulation statistics
-// folded once per replication, and an opt-in Chrome-trace profile of
-// per-shard window occupancy.
+// folded once per replication, and a Chrome-trace span writer.
 //
 // The design constraint (DESIGN.md §12) is zero perturbation: nothing
 // here draws from an RNG, and no reading of a metric can change what
@@ -10,7 +9,7 @@
 // fold a single SimStats record into a Collector when a replication
 // finishes; wall-clock time is only ever *recorded* (sink timestamps,
 // trace spans), never branched on inside an event loop. Goldens and the
-// shard-determinism suites therefore stay bit-identical whether or not
+// determinism suites therefore stay bit-identical whether or not
 // telemetry is enabled.
 package telemetry
 

@@ -74,7 +74,7 @@ func TestNilSafety(t *testing.T) {
 
 // TestCollectorSnapshotConsistency folds replication records from many
 // goroutines and checks the snapshot is the exact commutative merge:
-// sums add, high-water marks max, per-shard slices align.
+// sums add and high-water marks max.
 func TestCollectorSnapshotConsistency(t *testing.T) {
 	const goroutines, perG = 8, 200
 	col := NewCollector()
@@ -85,15 +85,11 @@ func TestCollectorSnapshotConsistency(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				col.Add(SimStats{
-					Events:       10,
-					MaxPending:   int64(id + 1),
-					Generated:    2,
-					Shards:       2,
-					Windows:      3,
-					Reruns:       1,
-					Handoffs:     4,
-					ShardEvents:  []int64{6, 4},
-					PairHandoffs: [][]int64{{0, 3}, {1, 0}},
+					Events:     10,
+					MaxPending: int64(id + 1),
+					Generated:  2,
+					Dropped:    3,
+					Rerouted:   1,
 				})
 			}
 		}(i)
@@ -104,48 +100,11 @@ func TestCollectorSnapshotConsistency(t *testing.T) {
 	if reps != n {
 		t.Fatalf("reps = %d, want %d", reps, n)
 	}
-	if s.Events != 10*n || s.Generated != 2*n || s.Windows != 3*n ||
-		s.Reruns != n || s.Handoffs != 4*n {
+	if s.Events != 10*n || s.Generated != 2*n || s.Dropped != 3*n || s.Rerouted != n {
 		t.Errorf("sums wrong: %+v", s)
 	}
 	if s.MaxPending != goroutines {
 		t.Errorf("MaxPending = %d, want %d", s.MaxPending, goroutines)
-	}
-	if s.Shards != 2 {
-		t.Errorf("Shards = %d, want 2", s.Shards)
-	}
-	if len(s.ShardEvents) != 2 || s.ShardEvents[0] != 6*n || s.ShardEvents[1] != 4*n {
-		t.Errorf("ShardEvents = %v", s.ShardEvents)
-	}
-	if len(s.PairHandoffs) != 2 || s.PairHandoffs[0][1] != 3*n || s.PairHandoffs[1][0] != n {
-		t.Errorf("PairHandoffs = %v", s.PairHandoffs)
-	}
-	// Snapshot must be a deep copy: mutating it cannot touch the
-	// collector.
-	s.ShardEvents[0] = -1
-	s.PairHandoffs[0][1] = -1
-	s2, _ := col.Snapshot()
-	if s2.ShardEvents[0] != 6*n || s2.PairHandoffs[0][1] != 3*n {
-		t.Error("Snapshot aliases collector state")
-	}
-}
-
-// TestMergeShapeGrowth pins that merging stats of different shard
-// counts grows the per-shard slices instead of truncating or panicking
-// (replications of differing width can share a collector).
-func TestMergeShapeGrowth(t *testing.T) {
-	var s SimStats
-	s.Merge(SimStats{Shards: 2, ShardEvents: []int64{1, 2}, PairHandoffs: [][]int64{{0, 1}, {2, 0}}})
-	s.Merge(SimStats{Shards: 4, ShardEvents: []int64{1, 1, 1, 1},
-		PairHandoffs: [][]int64{{0, 1, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 1}, {0, 0, 0, 0}}})
-	if s.Shards != 4 || len(s.ShardEvents) != 4 || len(s.PairHandoffs) != 4 {
-		t.Fatalf("shape not grown: %+v", s)
-	}
-	if s.ShardEvents[0] != 2 || s.ShardEvents[1] != 3 {
-		t.Errorf("ShardEvents = %v", s.ShardEvents)
-	}
-	if s.PairHandoffs[0][1] != 2 || s.PairHandoffs[1][0] != 2 || s.PairHandoffs[2][3] != 1 {
-		t.Errorf("PairHandoffs = %v", s.PairHandoffs)
 	}
 }
 
@@ -204,11 +163,11 @@ func TestDuplicateMetricPanics(t *testing.T) {
 // pid/tid/ts/dur.
 func TestTraceProfileJSON(t *testing.T) {
 	p := NewTraceProfile()
-	pid := p.Track("rep seed=1 shards=2")
+	pid := p.Track("traced op 0")
 	base := time.Unix(1000, 0)
-	p.Span(pid, 0, "window", base, 40*time.Microsecond)
-	p.Span(pid, 1, "window", base, 55*time.Microsecond)
-	p.Span(pid, 1, "rerun", base.Add(60*time.Microsecond), 20*time.Microsecond)
+	p.Span(pid, 0, "op", base, 40*time.Microsecond)
+	p.Span(pid, 1, "unit", base, 55*time.Microsecond)
+	p.Span(pid, 1, "unit", base.Add(60*time.Microsecond), 20*time.Microsecond)
 	var buf bytes.Buffer
 	if _, err := p.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -17,16 +17,14 @@ type traceEvent struct {
 	ts, dur  int64
 }
 
-// TraceProfile collects per-shard, per-window occupancy spans and
-// writes them as Chrome trace-event JSON (load the file in
-// about:tracing or ui.perfetto.dev). Tracks map one replication to a
-// pid and one shard to a tid, so shard imbalance — a shard whose
-// window slices are consistently wider, or re-run slices stacking up —
-// is visible at a glance.
+// TraceProfile collects named spans on (pid, tid) tracks and writes
+// them as Chrome trace-event JSON (load the file in about:tracing or
+// ui.perfetto.dev). Callers register one track per process-level unit
+// of work (a traced operation, a probe set) and place spans on threads
+// within it.
 //
-// The profile is opt-in (-trace-profile): when no profile is attached
-// the coordinator takes no timestamps at all, and when one is, time is
-// only recorded, never branched on, so results are unchanged.
+// Time is only recorded, never branched on, so attaching a profile
+// cannot change what is being measured.
 type TraceProfile struct {
 	mu     sync.Mutex
 	tracks []string
@@ -36,8 +34,8 @@ type TraceProfile struct {
 // NewTraceProfile returns an empty profile.
 func NewTraceProfile() *TraceProfile { return &TraceProfile{} }
 
-// Track registers a named track (one per replication) and returns its
-// pid. Nil-safe: a nil profile returns 0.
+// Track registers a named track and returns its pid. Nil-safe: a nil
+// profile returns 0.
 func (p *TraceProfile) Track(name string) int {
 	if p == nil {
 		return 0
@@ -48,8 +46,7 @@ func (p *TraceProfile) Track(name string) int {
 	return len(p.tracks) - 1
 }
 
-// Span records one completed slice on track pid, thread tid (the shard
-// index). Nil-safe.
+// Span records one completed slice on track pid, thread tid. Nil-safe.
 func (p *TraceProfile) Span(pid, tid int, name string, start time.Time, d time.Duration) {
 	if p == nil {
 		return

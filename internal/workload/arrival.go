@@ -47,23 +47,6 @@ type Source interface {
 	// Next returns the next interarrival gap in seconds, drawing only from
 	// st (or from nothing at all, for replayed traces).
 	Next(st *rng.Stream) float64
-	// Clone returns an independent copy of the source's current state: a
-	// clone and its original replay identical gap sequences from the same
-	// stream. The sharded engine snapshots per-processor sources at window
-	// boundaries so a rolled-back shard re-draws the same gaps. Stateless
-	// sources return themselves.
-	Clone() Source
-}
-
-// Stateless reports whether src carries no mutable state across Next
-// calls, so snapshot/restore can skip cloning it entirely. Unknown source
-// types are conservatively reported as stateful.
-func Stateless(src Source) bool {
-	switch src.(type) {
-	case poissonSource, paretoSource, weibullSource:
-		return true
-	}
-	return false
 }
 
 // Poisson is the paper's assumption 2: exponential interarrival gaps,
@@ -84,8 +67,6 @@ func (Poisson) NewSource(rate float64, _ int) Source { return poissonSource{rate
 type poissonSource struct{ rate float64 }
 
 func (s poissonSource) Next(st *rng.Stream) float64 { return st.ExpRate(s.rate) }
-
-func (s poissonSource) Clone() Source { return s }
 
 // Periodic is the deterministic arrival process: every gap is exactly
 // 1/rate. SCV 0 — the zero-burstiness anchor of the arrival axis, the
@@ -121,8 +102,6 @@ func (s *periodicSource) Next(*rng.Stream) float64 {
 	}
 	return s.gap
 }
-
-func (s *periodicSource) Clone() Source { c := *s; return &c }
 
 // DefaultMMPPDwell is the default mean burst-phase sojourn, measured in
 // mean interarrival times (1/rate units): bursts long enough to build real
@@ -258,8 +237,6 @@ func (s *mmppSource) Next(st *rng.Stream) float64 {
 	}
 }
 
-func (s *mmppSource) Clone() Source { c := *s; return &c }
-
 // Pareto is a heavy-tailed renewal arrival process: interarrival gaps are
 // Pareto with shape Alpha, scaled to the configured mean rate. Alpha in
 // (1,2] gives infinite variance — the regime where long-range-dependent
@@ -300,8 +277,6 @@ func (s paretoSource) Next(st *rng.Stream) float64 {
 	return s.xm * math.Pow(st.Float64Open(), -s.inv)
 }
 
-func (s paretoSource) Clone() Source { return s }
-
 // Weibull is a renewal arrival process with Weibull-distributed gaps scaled
 // to the configured mean rate. Shape < 1 gives a heavier-than-exponential
 // tail (with all moments finite, unlike Pareto); Shape = 1 is Poisson.
@@ -339,8 +314,6 @@ func (s weibullSource) Next(st *rng.Stream) float64 {
 	// -ln U ~ Exp(1); W = scale·E^{1/k}.
 	return s.scale * math.Pow(-math.Log(st.Float64Open()), s.inv)
 }
-
-func (s weibullSource) Clone() Source { return s }
 
 // Trace replays a recorded arrival trace: the gap sequence between the
 // supplied timestamps, rescaled so its mean gap matches each source's
@@ -418,9 +391,6 @@ func (s *traceSource) Next(*rng.Stream) float64 {
 	}
 	return g
 }
-
-// Clone shares the read-only gap table and copies the replay position.
-func (s *traceSource) Clone() Source { c := *s; return &c }
 
 // ReadTrace parses a trace file: one arrival timestamp (seconds) per line,
 // or the first comma-separated column of each line. Blank lines and lines
