@@ -22,28 +22,34 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# bench regenerates BENCH_sim.json: ns/op and allocs/op for the
-# figure/table reproduction paths, the capacity planner's screening stage,
-# the analytic model it screens with (Analyze/C=4,64,256) and the exact
-# MVA solver, the event set (EventList*), the engine's event rate
-# (SimulatorEventRate), the switch-level simulator (NetsimFatTree), the
-# worker pool's per-unit dispatch (ParForEach/{p1,all}), and every
-# checked-in experiment spec to rendered report through run.Run
-# (RunSpec/<name>), tracked PR over PR with the core count they were
-# taken on.
+# BENCH_FLAGS is the one benchmark invocation behind bench and
+# bench-compare: ns/op and allocs/op for the figure/table reproduction
+# paths, the capacity planner's screening stage, the analytic model it
+# screens with (Analyze/C=4,64,256) and the exact MVA solver, the event
+# set (EventList*), the engine's event rate (SimulatorEventRate), the
+# switch-level simulator (NetsimFatTree), the worker pool's per-unit
+# dispatch (ParForEach/{p1,all}), and every checked-in experiment spec to
+# rendered report through run.Run (RunSpec/<name>). BENCHTIME is recorded
+# in each report, and benchjson -compare refuses two reports taken at
+# different benchtimes, so a gate only ever compares like with like.
+BENCHTIME ?= 1s
+BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime $(BENCHTIME)
+
+# bench regenerates BENCH_sim.json, tracked PR over PR with the core
+# count and benchtime it was taken at.
 bench:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem . | tee bench.out
-	$(GO) run ./tools/benchjson < bench.out > BENCH_sim.json
+	$(GO) test $(BENCH_FLAGS) . | tee bench.out
+	$(GO) run ./tools/benchjson -benchtime $(BENCHTIME) < bench.out > BENCH_sim.json
 	@rm -f bench.out
 	@echo "wrote BENCH_sim.json"
 
-# bench-compare gates a change against a baseline report: fails when
-# ns/op or allocs/op regressed by more than 25% (CI runs this against the
-# PR base; locally, pass OLD=path/to/baseline.json).
+# bench-compare gates a change against a baseline report taken with the
+# same BENCH_FLAGS: fails when ns/op or allocs/op regressed by more than
+# 25% (CI runs this against the PR base; locally, pass OLD=path/to/baseline.json).
 OLD ?= BENCH_sim.json
 bench-compare:
-	$(GO) test -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime 3x . > bench.out
-	$(GO) run ./tools/benchjson < bench.out > /tmp/bench-new.json
+	$(GO) test $(BENCH_FLAGS) . > bench.out
+	$(GO) run ./tools/benchjson -benchtime $(BENCHTIME) < bench.out > /tmp/bench-new.json
 	@rm -f bench.out
 	$(GO) run ./tools/benchjson -compare $(OLD) /tmp/bench-new.json
 

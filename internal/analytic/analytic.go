@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
@@ -70,6 +71,10 @@ type Result struct {
 	Saturated bool
 	// Centers holds per-centre metrics at the fixed point.
 	Centers []CenterMetrics
+
+	// runs is the model's storage, kept so that AnalyzeInto on this
+	// Result reuses it.
+	runs []run
 }
 
 // Bottleneck returns the centre with the highest utilisation.
@@ -118,19 +123,25 @@ type model struct {
 	locality bool    // rates follow AnalyzeLocality's split, not eq. 1–5
 }
 
-// newModel builds the model of a validated configuration.
-func newModel(cfg *core.Config) (model, error) {
+// newModel builds the model of a validated configuration in the storage
+// of runs, which it truncates and grows only when it may be too short.
+func newModel(cfg *core.Config, runs []run) (model, error) {
 	nt := cfg.TotalNodes()
-	m := model{runs: make([]run, 0, cfg.Runs()), clusters: len(cfg.Clusters),
-		nTotal: float64(nt)}
-	icn2, err := cfg.EachClusterModels(func(i int, mI1, mE1 *network.Model) {
-		if i > 0 && cfg.Clusters[i] == cfg.Clusters[i-1] {
-			m.runs[len(m.runs)-1].count++
-			return
+	if cap(runs) < len(cfg.Clusters) {
+		runs = slices.Grow(runs[:0], cfg.Runs())
+	}
+	m := model{runs: runs[:0], clusters: len(cfg.Clusters), nTotal: float64(nt)}
+	icn2, err := cfg.EachClusterModels(func(first, n int, mI1, mE1 network.Model) {
+		muI1 := 1 / mI1.MeanServiceTime(cfg.MessageBytes)
+		muE1 := 1 / mE1.MeanServiceTime(cfg.MessageBytes)
+		for i := first; i < first+n; i++ {
+			if i > first && cfg.Clusters[i] == cfg.Clusters[i-1] {
+				m.runs[len(m.runs)-1].count++
+				continue
+			}
+			m.runs = append(m.runs, run{RateTerms: cfg.Clusters[i].RateTerms(nt), count: 1,
+				muI1: muI1, muE1: muE1})
 		}
-		m.runs = append(m.runs, run{RateTerms: cfg.Clusters[i].RateTerms(nt), count: 1,
-			muI1: 1 / mI1.MeanServiceTime(cfg.MessageBytes),
-			muE1: 1 / mE1.MeanServiceTime(cfg.MessageBytes)})
 	})
 	if err != nil {
 		return model{}, err
@@ -247,11 +258,12 @@ func mm1Station(lambda, mu float64) (rho, w, l float64, err error) {
 }
 
 // solve finds the effective-rate fixed point with queue lengths ql and
-// evaluates every centre there with st, once per run. Centers is laid out
-// as [ICN1₀, ECN1₀, ICN1₁, ECN1₁, …, ICN2], which the latency sums read by
-// position. The caller fills in P and MeanLatency.
-func (m *model) solve(ql queueLen, st station) (*Result, error) {
-	res := &Result{}
+// evaluates every centre there with st, once per run, into res, whose
+// Centers storage it reuses. Centers is laid out as [ICN1₀, ECN1₀, ICN1₁,
+// ECN1₁, …, ICN2], which the latency sums read by position. The caller
+// fills in P and MeanLatency.
+func (m *model) solve(res *Result, ql queueLen, st station) error {
+	*res = Result{Centers: res.Centers[:0], runs: m.runs}
 	res.Scale, res.Iterations, res.Saturated = m.fixedPoint(ql)
 	icn2, _, _ := m.load(res.Scale, ql)
 
@@ -265,13 +277,13 @@ func (m *model) solve(ql queueLen, st station) (*Result, error) {
 		return CenterMetrics{Kind: kind, Cluster: -1, Lambda: lambda, Mu: mu,
 			Rho: rho, W: w, L: l}, err
 	}
-	res.Centers = make([]CenterMetrics, 0, 2*m.clusters+1)
+	res.Centers = slices.Grow(res.Centers, 2*m.clusters+1)
 	for i := range m.runs {
 		r := &m.runs[i]
 		cI, errI := eval(ICN1, r.lamI1, r.muI1)
 		cE, errE := eval(ECN1, r.lamE1, r.muE1)
 		if err := cmp.Or(errI, errE); err != nil {
-			return nil, err
+			return err
 		}
 		for range r.count {
 			cI.Cluster = len(res.Centers) / 2
@@ -281,13 +293,13 @@ func (m *model) solve(ql queueLen, st station) (*Result, error) {
 	}
 	c, err := eval(ICN2, icn2, m.muICN2)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Centers = append(res.Centers, c)
 	for i := range res.Centers {
 		res.TotalWaiting += res.Centers[i].L
 	}
-	return res, nil
+	return nil
 }
 
 // Analyze evaluates the paper's analytical model for the configuration and
@@ -297,23 +309,47 @@ func Analyze(cfg *core.Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return analyze(cfg, nil, mm1Station)
+	res := &Result{}
+	if err := analyze(res, cfg, nil, mm1Station); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// AnalyzeInto evaluates into res the model UsesArrivalCorrection selects
+// for arrivalSCV: AnalyzeArrival's G/G/1 correction, or else Analyze's
+// M/M/1 model, with bit-identical results. Every field of res is
+// overwritten, and the storage behind its Centers is reused, so a caller
+// analysing many configurations in turn through one Result allocates
+// nothing once that storage has grown to the largest. Like Analyze it
+// validates its input; on error res holds no meaningful result.
+func AnalyzeInto(res *Result, cfg *core.Config, arrivalSCV float64) error {
+	if UsesArrivalCorrection(arrivalSCV) {
+		if err := checkArrivalSCV(arrivalSCV); err != nil {
+			return err
+		}
+		return analyzeSCV(res, cfg, arrivalSCV)
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return analyze(res, cfg, nil, mm1Station)
 }
 
 // analyze solves a validated configuration with queue lengths ql and
-// centre metrics st, and evaluates eq. 15 at the fixed point.
-func analyze(cfg *core.Config, ql queueLen, st station) (*Result, error) {
-	m, err := newModel(cfg)
+// centre metrics st into res, and evaluates eq. 15 at the fixed point.
+// It is the one solve path behind every eq. 15 entry point.
+func analyze(res *Result, cfg *core.Config, ql queueLen, st station) error {
+	m, err := newModel(cfg, res.runs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	res, err := m.solve(ql, st)
-	if err != nil {
-		return nil, err
+	if err := m.solve(res, ql, st); err != nil {
+		return err
 	}
 	res.P = cfg.POut(0)
 	res.MeanLatency = meanLatency(cfg, res)
-	return res, nil
+	return nil
 }
 
 // meanLatency evaluates eq. 15 generalised to heterogeneous clusters: a

@@ -26,15 +26,23 @@ import (
 // finite correction exists — callers should fall back to Analyze and let
 // the simulation show the divergence.
 func AnalyzeArrival(cfg *core.Config, arrivalSCV float64) (*Result, error) {
-	if !(arrivalSCV >= 0) || math.IsInf(arrivalSCV, 1) {
-		return nil, fmt.Errorf("analytic: arrival SCV %g must be finite and non-negative", arrivalSCV)
+	if err := checkArrivalSCV(arrivalSCV); err != nil {
+		return nil, err
 	}
 	return AnalyzeSCV(cfg, arrivalSCV)
 }
 
+// checkArrivalSCV rejects an interarrival SCV with no finite correction.
+func checkArrivalSCV(arrivalSCV float64) error {
+	if !(arrivalSCV >= 0) || math.IsInf(arrivalSCV, 1) {
+		return fmt.Errorf("analytic: arrival SCV %g must be finite and non-negative", arrivalSCV)
+	}
+	return nil
+}
+
 // UsesArrivalCorrection is the single home of the model-selection rule
-// every caller (sweep, the capacity planner's screen, the unified Runner)
-// applies: a finite, non-Poisson interarrival SCV selects the
+// AnalyzeInto applies for every caller (sweep, the capacity planner's
+// screen, the unified Runner): a finite, non-Poisson interarrival SCV selects the
 // Allen–Cunneen G/G/1 correction (AnalyzeArrival); Poisson's SCV 1, NaN,
 // and the infinite SCV of heavy tails — which admit no finite correction
 // — evaluate the paper's M/M/1 model (Analyze).

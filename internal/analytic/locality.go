@@ -22,7 +22,7 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 	if locality < 0 || locality > 1 {
 		return nil, fmt.Errorf("analytic: locality %g outside [0,1]", locality)
 	}
-	m, err := newModel(cfg)
+	m, err := newModel(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -40,8 +40,8 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 			r.pLocal = locality
 		}
 	}
-	res, err := m.solve(nil, mm1Station)
-	if err != nil {
+	res := &Result{}
+	if err := m.solve(res, nil, mm1Station); err != nil {
 		return nil, err
 	}
 	res.P = 1 - m.runs[0].pLocal

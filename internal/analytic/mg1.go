@@ -16,11 +16,20 @@ import (
 //
 // The effective-rate fixed point is Analyze's, with M/G/1 queue lengths.
 func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res := &Result{}
+	if err := analyzeSCV(res, cfg, scv); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
+
+// analyzeSCV is AnalyzeSCV into res.
+func analyzeSCV(res *Result, cfg *core.Config, scv float64) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	if !(scv >= 0) {
-		return nil, fmt.Errorf("analytic: SCV %g must be non-negative", scv)
+		return fmt.Errorf("analytic: SCV %g must be non-negative", scv)
 	}
 	mg1Station := func(lambda, mu float64) (rho, w, l float64, err error) {
 		st, err := queueing.NewMG1(lambda, 1/mu, scv)
@@ -40,5 +49,5 @@ func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
 		_, _, l, err := mg1Station(lambda, mu)
 		return l, err == nil
 	}
-	return analyze(cfg, mg1Len, mg1Station)
+	return analyze(res, cfg, mg1Len, mg1Station)
 }

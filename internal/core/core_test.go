@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,33 +218,32 @@ func TestCentersTechnologiesPerScenario(t *testing.T) {
 
 // TestEachClusterModelsReusesPredecessor pins the build rule behind
 // the analytic model and plan's costing: a cluster built like its immediate
-// predecessor gets that predecessor's models, any other cluster its own,
-// each describing the cluster it is passed for.
+// predecessor shares its predecessor's models, so each run of clusters
+// built alike is visited once, with models describing its clusters.
 func TestEachClusterModelsReusesPredecessor(t *testing.T) {
-	cfg := mustPaperConfig(t, Case1, 4, 1024, network.NonBlocking)
-	for i, n := range []int{8, 8, 16, 8} {
+	cfg := mustPaperConfig(t, Case1, 8, 1024, network.NonBlocking)
+	for i, n := range []int{8, 8, 16, 8, 8, 8, 8, 8} {
 		cfg.Clusters[i].Nodes = n
 	}
-	var icn1, ecn1 []*network.Model
-	icn2, err := cfg.EachClusterModels(func(i int, mI1, mE1 *network.Model) {
-		icn1, ecn1 = append(icn1, mI1), append(ecn1, mE1)
+	cfg.Clusters[1].Lambda *= 2                    // rates do not split a run
+	cfg.Clusters[5].ECN1 = network.GigabitEthernet // technologies do
+	type visit struct{ first, n int }
+	var visits []visit
+	icn2, err := cfg.EachClusterModels(func(i, n int, mI1, mE1 network.Model) {
+		visits = append(visits, visit{i, n})
+		cl := cfg.Clusters[i]
+		if mI1.Endpoints != cl.Nodes || mE1.Endpoints != cl.Nodes+1 || mI1.Tech != cl.ICN1 || mE1.Tech != cl.ECN1 {
+			t.Fatalf("run at cluster %d: models %v / %v do not describe %+v", i, &mI1, &mE1, cl)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(icn1) != 4 || icn2.Endpoints != 4 {
-		t.Fatalf("visited %d clusters, ICN2 over %d endpoints", len(icn1), icn2.Endpoints)
+	if icn2.Endpoints != 8 {
+		t.Fatalf("ICN2 over %d endpoints, want 8", icn2.Endpoints)
 	}
-	for i, n := range []int{8, 8, 16, 8} {
-		if icn1[i].Endpoints != n || ecn1[i].Endpoints != n+1 || icn1[i].Tech != cfg.Clusters[i].ICN1 || ecn1[i].Tech != cfg.Clusters[i].ECN1 {
-			t.Fatalf("cluster %d: models %v / %v do not describe %+v", i, icn1[i], ecn1[i], cfg.Clusters[i])
-		}
-	}
-	if icn1[1] != icn1[0] || ecn1[1] != ecn1[0] {
-		t.Fatal("cluster 1 equals cluster 0 but its models were built again")
-	}
-	if icn1[3] == icn1[0] || icn1[3] == icn1[2] {
-		t.Fatal("cluster 3 differs from its predecessor but reused a model")
+	if want := []visit{{0, 2}, {2, 1}, {3, 2}, {5, 1}, {6, 2}}; !reflect.DeepEqual(visits, want) {
+		t.Fatalf("visited runs %v, want %v", visits, want)
 	}
 }
 

@@ -22,45 +22,45 @@ func (c *Config) BuildCenters() (*Centers, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	out := &Centers{
-		ICN1: make([]*network.Model, len(c.Clusters)),
-		ECN1: make([]*network.Model, len(c.Clusters)),
-	}
+	n := len(c.Clusters)
+	out := &Centers{ICN1: make([]*network.Model, n), ECN1: make([]*network.Model, n)}
+	// One slab holds every model: [ICN1₀, ECN1₀, …, ICN2].
+	models := make([]network.Model, 2*n+1)
 	for i := range c.Clusters {
-		icn1, ecn1, err := c.clusterModels(i)
-		if err != nil {
+		var err error
+		if models[2*i], models[2*i+1], err = c.clusterModels(i); err != nil {
 			return nil, err
 		}
-		out.ICN1[i], out.ECN1[i] = icn1, ecn1
+		out.ICN1[i], out.ECN1[i] = &models[2*i], &models[2*i+1]
 	}
-	m, err := c.icn2Model()
-	if err != nil {
+	var err error
+	if models[2*n], err = c.icn2Model(); err != nil {
 		return nil, err
 	}
-	out.ICN2 = m
+	out.ICN2 = &models[2*n]
 	return out, nil
 }
 
 // clusterModels builds the network models of cluster i's ICN1 and ECN1.
-func (c *Config) clusterModels(i int) (icn1, ecn1 *network.Model, err error) {
+func (c *Config) clusterModels(i int) (icn1, ecn1 network.Model, err error) {
 	cl := &c.Clusters[i]
 	icn1, err = network.NewModel(cl.ICN1, c.Arch, c.Switch, cl.Nodes)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: cluster %d ICN1: %w", i, err)
+		return icn1, ecn1, fmt.Errorf("core: cluster %d ICN1: %w", i, err)
 	}
 	// ECN1 carries the cluster's processors plus the uplink toward ICN2.
 	ecn1, err = network.NewModel(cl.ECN1, c.Arch, c.Switch, cl.Nodes+1)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: cluster %d ECN1: %w", i, err)
+		return icn1, ecn1, fmt.Errorf("core: cluster %d ECN1: %w", i, err)
 	}
 	return icn1, ecn1, nil
 }
 
 // icn2Model builds the network model of the second-stage network.
-func (c *Config) icn2Model() (*network.Model, error) {
+func (c *Config) icn2Model() (network.Model, error) {
 	m, err := network.NewModel(c.ICN2, c.Arch, c.Switch, len(c.Clusters))
 	if err != nil {
-		return nil, fmt.Errorf("core: ICN2: %w", err)
+		return m, fmt.Errorf("core: ICN2: %w", err)
 	}
 	return m, nil
 }
@@ -77,23 +77,26 @@ func (ct *Centers) ServiceTimes(msgBytes int) (icn1, ecn1 []float64, icn2 float6
 	return icn1, ecn1, ct.ICN2.MeanServiceTime(msgBytes)
 }
 
-// EachClusterModels calls fn(i, icn1, ecn1) for every cluster in order
-// with the network models of its ICN1 and ECN1, and returns ICN2's model.
-// A cluster whose size and technologies equal its predecessor's is passed
-// its predecessor's models instead of building them again, so a run of
-// identical clusters costs one pair of models. It does not validate the
-// configuration; a model that fails to build is reported as the cluster
-// and network it belongs to.
-func (c *Config) EachClusterModels(fn func(i int, icn1, ecn1 *network.Model)) (*network.Model, error) {
-	var mI1, mE1 *network.Model
-	for i := range c.Clusters {
-		if i == 0 || !c.Clusters[i].sameNetworks(&c.Clusters[i-1]) {
-			var err error
-			if mI1, mE1, err = c.clusterModels(i); err != nil {
-				return nil, err
-			}
+// EachClusterModels calls fn(i, n, icn1, ecn1) once per run of n
+// consecutive clusters, starting at cluster i, whose sizes and
+// technologies are equal (so their networks are built alike), with the
+// network models the run shares, in cluster order; it returns ICN2's
+// model. A run of identical clusters thus costs one pair of models, and
+// the models are values, so the walk allocates nothing. It does not
+// validate the configuration; a model that fails to build is reported as
+// the cluster and network it belongs to.
+func (c *Config) EachClusterModels(fn func(i, n int, icn1, ecn1 network.Model)) (network.Model, error) {
+	for i := 0; i < len(c.Clusters); {
+		n := 1
+		for i+n < len(c.Clusters) && c.Clusters[i+n].sameNetworks(&c.Clusters[i+n-1]) {
+			n++
 		}
-		fn(i, mI1, mE1)
+		mI1, mE1, err := c.clusterModels(i)
+		if err != nil {
+			return network.Model{}, err
+		}
+		fn(i, n, mI1, mE1)
+		i += n
 	}
 	return c.icn2Model()
 }

@@ -128,29 +128,30 @@ var PaperSwitch = Switch{Ports: 24, Latency: 10e-6}
 
 // Model computes per-message times for one communication network: a given
 // technology carrying fixed-size messages between Endpoints end nodes
-// through the chosen architecture.
+// through the chosen architecture. It is a plain value holding its
+// topology, so building one allocates nothing.
 type Model struct {
 	Tech      Technology
 	Arch      Architecture
 	Switch    Switch
 	Endpoints int
 
-	fatTree *topology.FatTree
-	linear  *topology.LinearArray
+	fatTree topology.FatTree     // set when Arch is NonBlocking
+	linear  topology.LinearArray // set when Arch is Blocking
 }
 
 // NewModel validates the parameters and pre-builds the topology.
-func NewModel(tech Technology, arch Architecture, sw Switch, endpoints int) (*Model, error) {
+func NewModel(tech Technology, arch Architecture, sw Switch, endpoints int) (Model, error) {
 	if err := tech.Validate(); err != nil {
-		return nil, err
+		return Model{}, err
 	}
 	if err := sw.Validate(); err != nil {
-		return nil, err
+		return Model{}, err
 	}
 	if endpoints < 1 {
-		return nil, fmt.Errorf("network: need at least 1 endpoint, got %d", endpoints)
+		return Model{}, fmt.Errorf("network: need at least 1 endpoint, got %d", endpoints)
 	}
-	m := &Model{Tech: tech, Arch: arch, Switch: sw, Endpoints: endpoints}
+	m := Model{Tech: tech, Arch: arch, Switch: sw, Endpoints: endpoints}
 	var err error
 	switch arch {
 	case NonBlocking:
@@ -161,7 +162,7 @@ func NewModel(tech Technology, arch Architecture, sw Switch, endpoints int) (*Mo
 		err = fmt.Errorf("network: unknown architecture %v", arch)
 	}
 	if err != nil {
-		return nil, err
+		return Model{}, err
 	}
 	return m, nil
 }
@@ -174,6 +175,23 @@ func (m *Model) Topology() topology.Topology {
 	return m.linear
 }
 
+// Switches returns the topology's switch count, Topology().Switches()
+// without boxing the topology in an interface.
+func (m *Model) Switches() int {
+	if m.Arch == NonBlocking {
+		return m.fatTree.Switches()
+	}
+	return m.linear.Switches()
+}
+
+// switchesTraversed is Topology().SwitchesTraversed(), unboxed.
+func (m *Model) switchesTraversed() float64 {
+	if m.Arch == NonBlocking {
+		return m.fatTree.SwitchesTraversed()
+	}
+	return m.linear.SwitchesTraversed()
+}
+
 // TransmissionTime returns the no-contention wire time T_W for a message of
 // msgBytes: eq. 11 for the fat-tree, eq. 19 for the linear array (without
 // the blocking term).
@@ -181,7 +199,7 @@ func (m *Model) TransmissionTime(msgBytes int) float64 {
 	if msgBytes < 0 {
 		panic(fmt.Sprintf("network: negative message size %d", msgBytes))
 	}
-	hops := m.Topology().SwitchesTraversed()
+	hops := m.switchesTraversed()
 	return m.Tech.Latency + hops*m.Switch.Latency + float64(msgBytes)*m.Tech.Beta()
 }
 
@@ -212,5 +230,5 @@ func (m *Model) ServiceRate(msgBytes int) float64 {
 
 func (m *Model) String() string {
 	return fmt.Sprintf("%s %s over %d endpoints (%d switches)",
-		m.Arch, m.Tech.Name, m.Endpoints, m.Topology().Switches())
+		m.Arch, m.Tech.Name, m.Endpoints, m.Switches())
 }

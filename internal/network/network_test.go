@@ -245,3 +245,41 @@ func TestQuickFasterTechIsFaster(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewModelAllocatesNothing guards the value model: building one and
+// reading its times and switch count stays off the heap, for both
+// architectures.
+func TestNewModelAllocatesNothing(t *testing.T) {
+	var sink float64
+	for _, arch := range []Architecture{NonBlocking, Blocking} {
+		allocs := testing.AllocsPerRun(100, func() {
+			m, err := NewModel(GigabitEthernet, arch, PaperSwitch, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink += m.MeanServiceTime(1024) + float64(m.Switches())
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: building a model allocates %v times", arch, allocs)
+		}
+	}
+	if !(sink > 0) {
+		t.Fatal("no service time computed")
+	}
+}
+
+// TestSwitchesMatchesTopology pins Model.Switches to the topology it
+// reads.
+func TestSwitchesMatchesTopology(t *testing.T) {
+	for _, arch := range []Architecture{NonBlocking, Blocking} {
+		for _, n := range []int{1, 24, 25, 256, 1000} {
+			m, err := NewModel(FastEthernet, arch, PaperSwitch, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Switches() != m.Topology().Switches() {
+				t.Fatalf("%v over %d: Switches %d, topology %d", arch, n, m.Switches(), m.Topology().Switches())
+			}
+		}
+	}
+}

@@ -67,22 +67,34 @@ func (m CostModel) portCost(t network.Technology) float64 {
 
 // Cost prices a configuration: NodeCost·N_T plus, for each ICN1, ECN1 and
 // the ICN2, switches(topology)·Ports ports at the technology's price. A
-// cluster built like its predecessor reuses its predecessor's topologies
-// (core.Config.EachClusterModels), so a homogeneous layout builds three.
+// run of clusters built alike shares its topologies and their prices
+// (core.Config.EachClusterModels), so a homogeneous layout prices three
+// topologies, and Cost allocates nothing.
 func (m CostModel) Cost(cfg *core.Config) (float64, error) {
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
+	return m.cost(cfg)
+}
+
+// cost is Cost for a validated configuration. Each cluster still adds its
+// own two terms, in cluster order, so the sum is bit-identical to pricing
+// every centre separately.
+func (m CostModel) cost(cfg *core.Config) (float64, error) {
 	total := m.NodeCost * float64(cfg.TotalNodes())
 	ports := float64(cfg.Switch.Ports)
-	icn2, err := cfg.EachClusterModels(func(i int, icn1, ecn1 *network.Model) {
-		total += float64(icn1.Topology().Switches()) * ports * m.portCost(cfg.Clusters[i].ICN1)
-		total += float64(ecn1.Topology().Switches()) * ports * m.portCost(cfg.Clusters[i].ECN1)
+	icn2, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
+		pI := float64(icn1.Switches()) * ports * m.portCost(cfg.Clusters[i].ICN1)
+		pE := float64(ecn1.Switches()) * ports * m.portCost(cfg.Clusters[i].ECN1)
+		for range n {
+			total += pI
+			total += pE
+		}
 	})
 	if err != nil {
 		return 0, err
 	}
-	total += float64(icn2.Topology().Switches()) * ports * m.portCost(cfg.ICN2)
+	total += float64(icn2.Switches()) * ports * m.portCost(cfg.ICN2)
 	return total, nil
 }
 

@@ -122,3 +122,38 @@ func TestCostInvalidConfigErrorUnchanged(t *testing.T) {
 		t.Fatalf("bad ICN1 of cluster 2 reported as %v", err)
 	}
 }
+
+// TestCostAllocsIndependentOfClusterCount guards the value models behind
+// Cost: pricing a validated configuration allocates as much at C=256 as
+// at C=4, whether the clusters form one run or every cluster is its own.
+func TestCostAllocsIndependentOfClusterCount(t *testing.T) {
+	cm := DefaultCostModel()
+	allocs := func(cfg *core.Config) float64 {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := cm.Cost(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	ge, fe, my := network.GigabitEthernet, network.FastEthernet, network.Myrinet
+	layout := func(c int, icn1 ...network.Technology) *core.Config {
+		nodes := make([]int, c)
+		for i := range nodes {
+			nodes[i] = 8
+		}
+		return layoutConfig(nodes, icn1, []network.Technology{fe}, network.NonBlocking)
+	}
+	small, large := allocs(layout(4, ge)), allocs(layout(256, ge))
+	if large != small {
+		t.Fatalf("Cost allocates %v times at C=256 but %v at C=4", large, small)
+	}
+	// Alternating ICN1 technologies split every cluster into its own run.
+	altSmall, altLarge := allocs(layout(4, ge, my)), allocs(layout(256, ge, my))
+	if altSmall != small || altLarge != small {
+		t.Fatalf("alternating layout allocates %v times at C=4 and %v at C=256, one run %v",
+			altSmall, altLarge, small)
+	}
+}

@@ -18,7 +18,13 @@ import (
 // strict). The frontier is returned cheapest-first; all ties break on
 // candidate index, so the result is a pure function of the input order.
 func Frontier(results []ScreenResult) []ScreenResult {
-	feasible := make([]ScreenResult, 0, len(results))
+	n := 0
+	for i := range results {
+		if results[i].Feasible {
+			n++
+		}
+	}
+	feasible := make([]ScreenResult, 0, n)
 	for _, r := range results {
 		if r.Feasible {
 			feasible = append(feasible, r)

@@ -26,6 +26,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hmscs/internal/core"
@@ -223,28 +224,41 @@ func Enumerate(s *Space) ([]Candidate, error) {
 	}
 	layouts = append(layouts, s.Splits...)
 
-	var out []Candidate
+	// Every configuration and cluster comes from one of two slabs sized
+	// for the whole grid; a skipped combination's slots are reused.
+	combos := len(s.ICN1) * len(s.ECN1) * len(s.ICN2) * len(s.Archs) * len(headroom)
+	nClusters := 0
+	for _, layout := range layouts {
+		nClusters += len(layout)
+	}
+	cfgs := make([]core.Config, 0, len(layouts)*combos)
+	clusters := make([]core.Cluster, 0, nClusters*combos)
+	out := make([]Candidate, 0, len(layouts)*combos)
 	for _, layout := range layouts {
 		for _, icn1 := range s.ICN1 {
 			for _, ecn1 := range s.ECN1 {
 				for _, icn2 := range s.ICN2 {
 					for _, arch := range s.Archs {
 						for _, h := range headroom {
-							clusters := make([]core.Cluster, len(layout))
-							for i, n := range layout {
-								clusters[i] = core.Cluster{
+							first := len(clusters)
+							for _, n := range layout {
+								clusters = append(clusters, core.Cluster{
 									Nodes: n, Lambda: s.Lambda * h,
 									ICN1: icn1, ECN1: ecn1,
-								}
+								})
 							}
-							cfg := &core.Config{
-								Clusters:     clusters,
+							cfgs = append(cfgs, core.Config{
+								// Capped, so appending to one candidate's
+								// clusters cannot overwrite the next's.
+								Clusters:     clusters[first:len(clusters):len(clusters)],
 								ICN2:         icn2,
 								Arch:         arch,
 								Switch:       s.Switch,
 								MessageBytes: s.MessageBytes,
-							}
+							})
+							cfg := &cfgs[len(cfgs)-1]
 							if cfg.Validate() != nil {
+								cfgs, clusters = cfgs[:len(cfgs)-1], clusters[:first]
 								continue
 							}
 							out = append(out, Candidate{Index: len(out), Cfg: cfg, Headroom: h})
@@ -258,9 +272,13 @@ func Enumerate(s *Space) ([]Candidate, error) {
 		sampled := make([]Candidate, 0, s.MaxCandidates)
 		// Even-stride subsample: candidate k of the sample is the grid
 		// point at floor(k·len/max), a pure function of the two counts.
+		// Each sampled configuration is copied out of the slabs, so the
+		// unsampled grid is not kept alive.
 		for k := 0; k < s.MaxCandidates; k++ {
 			c := out[k*len(out)/s.MaxCandidates]
-			c.Index = len(sampled)
+			cfg := *c.Cfg
+			cfg.Clusters = slices.Clone(cfg.Clusters)
+			c.Cfg, c.Index = &cfg, len(sampled)
 			sampled = append(sampled, c)
 		}
 		out = sampled

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"sync"
 
 	"hmscs/internal/analytic"
 	"hmscs/internal/par"
@@ -109,31 +110,36 @@ func ScreenCtx(ctx context.Context, sp *Space, slo SLO, cost CostModel, arrivalS
 // screenCandidates scores an already-enumerated candidate list, one pool
 // unit per candidate writing out[i].
 func screenCandidates(ctx context.Context, cands []Candidate, slo SLO, cost CostModel, arrivalSCV float64, parallelism int) ([]ScreenResult, error) {
-	correct := analytic.UsesArrivalCorrection(arrivalSCV)
 	out := make([]ScreenResult, len(cands))
 	err := par.ForEachCtx(ctx, len(cands), parallelism, func(i int) error {
-		c := cands[i]
-		var an *analytic.Result
+		an := analyses.Get().(*analytic.Result)
+		defer analyses.Put(an)
 		var err error
-		if correct {
-			an, err = analytic.AnalyzeArrival(c.Cfg, arrivalSCV)
-		} else {
-			an, err = analytic.Analyze(c.Cfg)
-		}
-		if err != nil {
-			return err
-		}
-		price, err := cost.Cost(c.Cfg)
-		if err != nil {
-			return fmt.Errorf("plan: candidate %d cost: %w", c.Index, err)
-		}
-		out[i] = score(c, an, price, slo)
-		return nil
+		out[i], err = screenOne(an, cands[i], slo, cost, arrivalSCV)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// analyses recycles analytic Results across screened candidates, so a
+// warm pool worker analyses into storage it already owns.
+var analyses = sync.Pool{New: func() any { return new(analytic.Result) }}
+
+// screenOne analyses one candidate into an, prices it and scores it. The
+// analysis validates the candidate, so pricing skips Cost's validation;
+// the result keeps nothing of an.
+func screenOne(an *analytic.Result, c Candidate, slo SLO, cost CostModel, arrivalSCV float64) (ScreenResult, error) {
+	if err := analytic.AnalyzeInto(an, c.Cfg, arrivalSCV); err != nil {
+		return ScreenResult{}, err
+	}
+	price, err := cost.cost(c.Cfg)
+	if err != nil {
+		return ScreenResult{}, fmt.Errorf("plan: candidate %d cost: %w", c.Index, err)
+	}
+	return score(c, an, price, slo), nil
 }
 
 // score judges one analysed, priced candidate against the SLO.

@@ -301,16 +301,6 @@ func (em *emitter) err() error {
 	return em.sinkErr
 }
 
-// analyzeModel evaluates the analytic side for the arrival process,
-// applying the Allen–Cunneen G/G/1 correction exactly when
-// analytic.UsesArrivalCorrection says it exists.
-func analyzeModel(cfg *core.Config, scv float64) (*analytic.Result, error) {
-	if analytic.UsesArrivalCorrection(scv) {
-		return analytic.AnalyzeArrival(cfg, scv)
-	}
-	return analytic.Analyze(cfg)
-}
-
 func runAnalyze(ctx context.Context, p *Program, opts Options, em *emitter) (*AnalyzeOutcome, error) {
 	e := p.spec
 	arrival, err := e.Workload.BuildArrival()
@@ -322,8 +312,8 @@ func runAnalyze(ctx context.Context, p *Program, opts Options, em *emitter) (*An
 		return nil, err
 	}
 	scv := arrival.SCV()
-	res, err := analyzeModel(cfg, scv)
-	if err != nil {
+	res := new(analytic.Result)
+	if err := analytic.AnalyzeInto(res, cfg, scv); err != nil {
 		return nil, err
 	}
 	out := &AnalyzeOutcome{Cfg: cfg, Arrival: arrival, SCV: scv, Result: res}
@@ -430,7 +420,8 @@ func runSimulate(ctx context.Context, p *Program, opts Options, em *emitter) (*S
 		if analytic.UsesArrivalCorrection(scv) {
 			out.ModelLabel = fmt.Sprintf("analytical latency (G/G/1, Ca²=%.3g)", scv)
 		}
-		if out.Analytic, err = analyzeModel(cfg, scv); err != nil {
+		out.Analytic = new(analytic.Result)
+		if err := analytic.AnalyzeInto(out.Analytic, cfg, scv); err != nil {
 			return nil, err
 		}
 	}

@@ -388,6 +388,7 @@ func analyzeFigures(specs []FigureSpec, cfgs []*core.Config, arrival workload.Ar
 		arrival = workload.Poisson{}
 	}
 	out := make([]*FigureResult, len(specs))
+	an := new(analytic.Result) // each point keeps only its latency
 	k := 0
 	for fi, spec := range specs {
 		fr := &FigureResult{Spec: spec, Series: make([]SeriesResult, len(spec.MessageSizes))}
@@ -398,7 +399,7 @@ func analyzeFigures(specs []FigureSpec, cfgs []*core.Config, arrival workload.Ar
 			series.Arrival = arrival.Name()
 			series.ArrivalSCV = arrival.SCV()
 			for _, c := range spec.ClusterCounts {
-				an, err := analyzePoint(cfgs[k], arrival)
+				err := analytic.AnalyzeInto(an, cfgs[k], arrival.SCV())
 				k++
 				if err != nil {
 					return nil, fmt.Errorf("sweep: %s C=%d analysis: %w", spec.Name, c, err)
@@ -430,17 +431,6 @@ type PointSpec struct {
 	// (the model generalisation matching workload.LocalBias); negative
 	// uses the paper's uniform-destination model.
 	Locality float64
-}
-
-// analyzePoint evaluates the analytic side of one point, applying the
-// arrival-SCV correction when it exists: a finite SCV ≠ 1 selects
-// AnalyzeArrival, everything else (Poisson, nil, infinite-variance heavy
-// tails) falls back to the paper's M/M/1 model.
-func analyzePoint(cfg *core.Config, arr workload.Arrival) (*analytic.Result, error) {
-	if arr != nil && analytic.UsesArrivalCorrection(arr.SCV()) {
-		return analytic.AnalyzeArrival(cfg, arr.SCV())
-	}
-	return analytic.Analyze(cfg)
 }
 
 // PointResult pairs one sweep point's analytical prediction with its
@@ -502,11 +492,15 @@ func analyzePoints(points []PointSpec, arrival workload.Arrival) ([]PointResult,
 		if p.Locality >= 0 {
 			an, err = analytic.AnalyzeLocality(p.Cfg, p.Locality)
 		} else {
-			arr := p.Arrival
+			arr, scv := p.Arrival, 1.0
 			if arr == nil {
 				arr = arrival
 			}
-			an, err = analyzePoint(p.Cfg, arr)
+			if arr != nil {
+				scv = arr.SCV()
+			}
+			an = new(analytic.Result)
+			err = analytic.AnalyzeInto(an, p.Cfg, scv)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep: config %d analysis: %w", i, err)

@@ -12,9 +12,15 @@
 //
 // Every report records the core count it was taken on: the host's
 // logical CPUs (nproc) and GOMAXPROCS, read when the run is converted,
-// which is the benchmark host when the run is piped straight in. -compare
-// refuses two reports whose core counts differ, since timings from
-// different core counts are not comparable.
+// which is the benchmark host when the run is piped straight in. It also
+// records the -benchtime the run was taken at, which go test does not
+// print, so the converter is told it:
+//
+//	go test -bench . -benchtime 3x | benchjson -benchtime 3x > new.json
+//
+// -compare refuses two reports whose core counts or benchtimes differ,
+// since timings from different core counts, or from a few iterations
+// against a second of them, are not comparable.
 package main
 
 import (
@@ -28,6 +34,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Entry is one benchmark line.
@@ -43,18 +50,21 @@ type Entry struct {
 
 // Report is the full parsed run.
 type Report struct {
-	Goos       string  `json:"goos,omitempty"`
-	Goarch     string  `json:"goarch,omitempty"`
-	Pkg        string  `json:"pkg,omitempty"`
-	CPU        string  `json:"cpu,omitempty"`
-	NProc      int     `json:"nproc,omitempty"`
-	GOMAXPROCS int     `json:"gomaxprocs,omitempty"`
+	Goos       string `json:"goos,omitempty"`
+	Goarch     string `json:"goarch,omitempty"`
+	Pkg        string `json:"pkg,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	NProc      int    `json:"nproc,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	// Benchtime is the run's -benchtime, normalised ("1s", "3x").
+	Benchtime  string  `json:"benchtime,omitempty"`
 	Benchmarks []Entry `json:"benchmarks"`
 }
 
 func main() {
 	compare := flag.Bool("compare", false, "compare two report files (old.json new.json) and fail on regression")
 	threshold := flag.Float64("threshold", 0.25, "allowed relative regression in ns/op and allocs/op before -compare fails")
+	benchtime := flag.String("benchtime", "", "the -benchtime the converted run was taken at, recorded in the report (go test's default is 1s)")
 	flag.Parse()
 	if *compare {
 		if flag.NArg() != 2 {
@@ -71,16 +81,20 @@ func main() {
 		}
 		return
 	}
-	if err := convert(os.Stdin, os.Stdout); err != nil {
+	if err := convert(os.Stdin, os.Stdout, *benchtime); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-// convert parses benchmark output from in and writes the JSON report to
-// out.
-func convert(in io.Reader, out io.Writer) error {
-	rep := Report{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+// convert parses benchmark output from in, taken at benchtime ("" when
+// unknown), and writes the JSON report to out.
+func convert(in io.Reader, out io.Writer, benchtime string) error {
+	bt, err := normalizeBenchtime(benchtime)
+	if err != nil {
+		return err
+	}
+	rep := Report{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), Benchtime: bt}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -106,6 +120,22 @@ func convert(in io.Reader, out io.Writer) error {
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&rep)
+}
+
+// normalizeBenchtime checks a -benchtime value and writes it one way, so
+// "1s" and "1000ms" record alike: an iteration count "Nx", or a duration.
+func normalizeBenchtime(bt string) (string, error) {
+	if bt == "" {
+		return "", nil
+	}
+	if n, ok := strings.CutSuffix(bt, "x"); ok {
+		if k, err := strconv.Atoi(n); err == nil && k > 0 {
+			return strconv.Itoa(k) + "x", nil
+		}
+	} else if d, err := time.ParseDuration(bt); err == nil && d > 0 {
+		return d.String(), nil
+	}
+	return "", fmt.Errorf("-benchtime %q is neither a positive iteration count (3x) nor a positive duration (1s)", bt)
 }
 
 // parseBenchLine parses one benchmark result line, e.g.
@@ -180,6 +210,13 @@ func runCompare(oldPath, newPath string, threshold float64, out io.Writer) (bool
 	case oldRep.NProc != newRep.NProc || oldRep.GOMAXPROCS != newRep.GOMAXPROCS:
 		return false, fmt.Errorf("core counts differ: %s has nproc %d GOMAXPROCS %d, %s has nproc %d GOMAXPROCS %d; take both reports on the same core count",
 			oldPath, oldRep.NProc, oldRep.GOMAXPROCS, newPath, newRep.NProc, newRep.GOMAXPROCS)
+	}
+	switch {
+	case oldRep.Benchtime == "" || newRep.Benchtime == "":
+		fmt.Fprintln(out, "note: a report does not record its benchtime; comparing anyway")
+	case oldRep.Benchtime != newRep.Benchtime:
+		return false, fmt.Errorf("benchtimes differ: %s was taken at -benchtime %s, %s at %s; take both reports at the same benchtime",
+			oldPath, oldRep.Benchtime, newPath, newRep.Benchtime)
 	}
 	oldBy := make(map[string]Entry, len(oldRep.Benchmarks))
 	for _, e := range oldRep.Benchmarks {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -141,7 +142,7 @@ func TestCompareRefusesDifferentCoreCounts(t *testing.T) {
 // host's core count.
 func TestConvertRecordsCoreCount(t *testing.T) {
 	var out strings.Builder
-	if err := convert(strings.NewReader("BenchmarkA-2  3  1000 ns/op\n"), &out); err != nil {
+	if err := convert(strings.NewReader("BenchmarkA-2  3  1000 ns/op\n"), &out, ""); err != nil {
 		t.Fatal(err)
 	}
 	var rep Report
@@ -151,5 +152,56 @@ func TestConvertRecordsCoreCount(t *testing.T) {
 	if rep.NProc != runtime.NumCPU() || rep.GOMAXPROCS != runtime.GOMAXPROCS(0) || len(rep.Benchmarks) != 1 {
 		t.Fatalf("report = %+v, want nproc %d GOMAXPROCS %d and one benchmark",
 			rep, runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestCompareRefusesDifferentBenchtimes pins that a few-iteration run is
+// never gated against a full-length ledger: -compare errors out on
+// differing benchtimes, compares equal ones, and only notes a report
+// that does not record one.
+func TestCompareRefusesDifferentBenchtimes(t *testing.T) {
+	dir := t.TempDir()
+	entries := []Entry{{Name: "BenchmarkA", NsPerOp: 1_000_000, AllocsPerOp: 100}}
+	rep := func(name, bt string) string {
+		return writeFullReport(t, dir, name, &Report{NProc: 2, GOMAXPROCS: 2, Benchtime: bt, Benchmarks: entries})
+	}
+	full, fullAgain, smoke, smokeAgain, unknown := rep("full.json", "1s"), rep("full-again.json", "1s"),
+		rep("smoke.json", "3x"), rep("smoke-again.json", "3x"), rep("unknown.json", "")
+
+	var b strings.Builder
+	for _, pair := range [][2]string{{full, fullAgain}, {smoke, smokeAgain}} {
+		if regressed, err := runCompare(pair[0], pair[1], 0.25, &b); err != nil || regressed {
+			t.Fatalf("same benchtime: regressed=%v err=%v\n%s", regressed, err, b.String())
+		}
+	}
+	if _, err := runCompare(full, smoke, 0.25, &b); err == nil || !strings.Contains(err.Error(), "benchtimes differ") {
+		t.Fatalf("1s against 3x: err = %v, want a benchtime refusal", err)
+	}
+	b.Reset()
+	if regressed, err := runCompare(unknown, smoke, 0.25, &b); err != nil || regressed || !strings.Contains(b.String(), "does not record its benchtime") {
+		t.Fatalf("unrecorded benchtime: regressed=%v err=%v\n%s", regressed, err, b.String())
+	}
+}
+
+// TestConvertRecordsBenchtime checks the report carries the benchtime it
+// is told, normalised, and that a malformed one is refused.
+func TestConvertRecordsBenchtime(t *testing.T) {
+	for in, want := range map[string]string{"": "", "3x": "3x", "20x": "20x", "1s": "1s", "1000ms": "1s", "1.5s": "1.5s"} {
+		var out strings.Builder
+		if err := convert(strings.NewReader("BenchmarkA-2  3  1000 ns/op\n"), &out, in); err != nil {
+			t.Fatalf("benchtime %q: %v", in, err)
+		}
+		var rep Report
+		if err := json.Unmarshal([]byte(out.String()), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Benchtime != want {
+			t.Fatalf("benchtime %q recorded as %q, want %q", in, rep.Benchtime, want)
+		}
+	}
+	for _, bad := range []string{"x", "0x", "-3x", "3", "fast", "0s"} {
+		if err := convert(strings.NewReader(""), io.Discard, bad); err == nil {
+			t.Fatalf("benchtime %q accepted", bad)
+		}
 	}
 }
