@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check scenarios-check links-check clean
+.PHONY: all build test race vet fmt-check bench-flags bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check scenarios-check links-check clean
 
 all: build test
 
@@ -26,14 +26,20 @@ fmt-check:
 # bench-compare: ns/op and allocs/op for the figure/table reproduction
 # paths, the capacity planner's screening stage, the analytic model it
 # screens with (Analyze/C=4,64,256) and the exact MVA solver, the event
-# set (EventList*), the engine's event rate (SimulatorEventRate), the
+# set (EventList*), the engine's event rate (SimulatorEventRate), one
+# pooled replication at C=1/16/256 (SimulatorReplication), the
 # switch-level simulator (NetsimFatTree), the worker pool's per-unit
 # dispatch (ParForEach/{p1,all}), and every checked-in experiment spec to
 # rendered report through run.Run (RunSpec/<name>). BENCHTIME is recorded
 # in each report, and benchjson -compare refuses two reports taken at
 # different benchtimes, so a gate only ever compares like with like.
 BENCHTIME ?= 1s
-BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime $(BENCHTIME)
+BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime $(BENCHTIME)
+
+# bench-flags prints BENCH_FLAGS, so CI runs both sides of its gate with
+# the head tree's invocation.
+bench-flags:
+	@echo "$(BENCH_FLAGS)"
 
 # bench regenerates BENCH_sim.json, tracked PR over PR with the core
 # count and benchtime it was taken at.

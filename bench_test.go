@@ -309,6 +309,33 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorReplication prices one replication of the paper
+// platform (256 processors, 2000 measured messages) at C=1, 16 and 256
+// clusters through the pooled sim.Run: set-up plus event loop. Its
+// allocs/op should read the same small constant at every C.
+func BenchmarkSimulatorReplication(b *testing.B) {
+	for _, c := range []int{1, 16, 256} {
+		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("C=%d", c), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o := benchSimOpts()
+				o.Seed = uint64(i + 1)
+				res, err := sim.Run(cfg, o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Measured != int64(o.MeasuredMessages) {
+					b.Fatalf("measured %d messages, want %d", res.Measured, o.MeasuredMessages)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationMulticlassHeterogeneous solves the heterogeneous
 // Cluster-of-Clusters system (the paper's future work) with the multiclass
 // closed-network solver.

@@ -743,7 +743,7 @@ func (n *Network) Run(opts Options) (*Result, error) {
 		rates[i] = opts.Lambda
 	}
 	n.gen = opts.Workload.Normalized(workload.FixedSize{Bytes: opts.MsgBytes})
-	n.sources = n.gen.Sources(rates)
+	n.sources = n.gen.Sources(nil, rates)
 	n.beta = n.Tech.Beta()
 	// Closed-loop: at most one in-flight message per endpoint.
 	n.msgs = make([]nmsg, 0, n.N)

@@ -33,6 +33,13 @@ type Stream struct {
 // statistically independent for simulation purposes.
 func NewStream(seed uint64) *Stream {
 	st := &Stream{}
+	st.seed(seed)
+	return st
+}
+
+// seed sets the state from seed; it is the one seeding routine behind
+// NewStream, Split and SplitInto.
+func (st *Stream) seed(seed uint64) {
 	sm := seed
 	for i := range st.s {
 		st.s[i] = splitMix64(&sm)
@@ -43,15 +50,20 @@ func NewStream(seed uint64) *Stream {
 	if st.s[0]|st.s[1]|st.s[2]|st.s[3] == 0 {
 		st.s[0] = 0x9e3779b97f4a7c15
 	}
-	return st
 }
 
 // Split derives a new, independent stream from the current one. The parent
 // stream advances by one draw.
 func (st *Stream) Split() *Stream {
-	seed := st.Uint64()
-	return NewStream(seed)
+	child := &Stream{}
+	st.SplitInto(child)
+	return child
 }
+
+// SplitInto is Split without the allocation: it overwrites dst with the
+// stream Split would return, so a simulator can keep its streams in one
+// reused slab of values.
+func (st *Stream) SplitInto(dst *Stream) { dst.seed(st.Uint64()) }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 

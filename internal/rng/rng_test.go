@@ -51,6 +51,26 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitIntoMatchesSplit pins the value split to the pointer split: the
+// same child state, the same parent advance, and no allocation.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	a, b := NewStream(11), NewStream(11)
+	var dst Stream
+	for i := 0; i < 8; i++ {
+		child := a.Split()
+		b.SplitInto(&dst)
+		if *child != dst {
+			t.Fatalf("split %d: SplitInto state %v, Split state %v", i, dst.s, child.s)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitInto advanced the parent differently from Split")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.SplitInto(&dst) }); n != 0 {
+		t.Fatalf("SplitInto allocated %v times per call", n)
+	}
+}
+
 func TestFloat64Range(t *testing.T) {
 	st := NewStream(3)
 	for i := 0; i < 100000; i++ {

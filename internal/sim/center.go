@@ -107,10 +107,19 @@ type Center struct {
 // stream. Service completions are announced by scheduling (doneKind, id)
 // on the engine.
 func NewCenter(name string, eng *Engine, distTpl rng.Dist, stream *rng.Stream, doneKind EventKind, id int32) *Center {
-	c := &Center{Name: name, eng: eng, distTpl: distTpl, stream: stream, doneKind: doneKind, id: id}
+	c := &Center{}
+	c.init(name, eng, distTpl, stream, doneKind, id)
+	return c
+}
+
+// init (re)sets c to a fresh, idle centre. Only the queue's ring buffer
+// survives, so a pooled simulator's centres keep their storage between
+// replications.
+func (c *Center) init(name string, eng *Engine, distTpl rng.Dist, stream *rng.Stream, doneKind EventKind, id int32) {
+	*c = Center{Name: name, eng: eng, distTpl: distTpl, stream: stream, doneKind: doneKind, id: id,
+		queue: jobRing{buf: c.queue.buf}}
 	c.qlen.Observe(eng.Now(), 0)
 	c.busyTW.Observe(eng.Now(), 0)
-	return c
 }
 
 // ID returns the centre id passed to NewCenter (the idx of its completion

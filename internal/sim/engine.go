@@ -148,6 +148,10 @@ type Engine struct {
 // before Run.
 func NewEngine() *Engine { return &Engine{} }
 
+// reset returns the engine to its zero state, clock at zero and no
+// events, keeping the event set's storage.
+func (e *Engine) reset() { *e = Engine{events: e.events[:0]} }
+
 // SetHandler installs the dispatcher that Run delivers events to.
 func (e *Engine) SetHandler(h Handler) { e.handler = h }
 

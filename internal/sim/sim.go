@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
@@ -131,17 +134,24 @@ type layout struct {
 }
 
 func newLayout(cfg *core.Config) *layout {
-	l := &layout{prefix: make([]int, len(cfg.Clusters)+1)}
+	l := &layout{}
+	l.reset(cfg)
+	return l
+}
+
+// reset lays out cfg's nodes, reusing l's storage.
+func (l *layout) reset(cfg *core.Config) {
+	l.prefix = resize(l.prefix, len(cfg.Clusters)+1)
+	l.prefix[0] = 0
 	for i, cl := range cfg.Clusters {
 		l.prefix[i+1] = l.prefix[i] + cl.Nodes
 	}
-	l.cluster = make([]int32, l.TotalNodes())
+	l.cluster = resize(l.cluster, l.TotalNodes())
 	for i := range cfg.Clusters {
 		for node := l.prefix[i]; node < l.prefix[i+1]; node++ {
 			l.cluster[node] = int32(i)
 		}
 	}
-	return l
 }
 
 func (l *layout) TotalNodes() int               { return l.prefix[len(l.prefix)-1] }
@@ -149,30 +159,66 @@ func (l *layout) NumClusters() int              { return len(l.prefix) - 1 }
 func (l *layout) ClusterOf(node int) int        { return int(l.cluster[node]) }
 func (l *layout) ClusterRange(c int) (int, int) { return l.prefix[c], l.prefix[c+1] }
 
-// serviceModel wraps a network model with a per-size cache of mean service
-// times. The last (size, mean) pair is kept outside the map, so the
-// fixed-size fast path costs one comparison per hop.
+// serviceModel is one centre's network model with the last (size, mean)
+// pair it priced, so the fixed-size fast path costs one comparison per
+// hop. A miss recomputes the mean from the model: MeanServiceTime is a
+// few pure arithmetic operations, so the bits match any cache's.
 type serviceModel struct {
-	model    *network.Model
-	cache    map[int]float64
+	model    network.Model
 	lastSize int
 	lastMean float64
 }
 
-func newServiceModel(m *network.Model) *serviceModel {
-	return &serviceModel{model: m, cache: make(map[int]float64, 4), lastSize: -1}
+func (s *serviceModel) mean(size int) float64 {
+	if size != s.lastSize {
+		s.lastSize, s.lastMean = size, s.model.MeanServiceTime(size)
+	}
+	return s.lastMean
 }
 
-func (s *serviceModel) mean(size int) float64 {
-	if size == s.lastSize {
-		return s.lastMean
+// resize returns s at length n, reusing its storage when it is large
+// enough. Elements up to the old capacity keep their values (a centre
+// keeps its queue buffer); callers reinitialise every element they use.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
 	}
-	t, ok := s.cache[size]
-	if !ok {
-		t = s.model.MeanServiceTime(size)
-		s.cache[size] = t
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// nameTable holds the per-cluster centre names ICN1[i] and ECN1[i].
+type nameTable struct{ icn1, ecn1 []string }
+
+// centerNames is the shared, grow-only name table: replications read it
+// without formatting, and a run wider than every earlier one replaces it
+// with a longer copy under nameMu.
+var (
+	centerNames atomic.Pointer[nameTable]
+	nameMu      sync.Mutex
+)
+
+// namesFor returns a name table covering at least c clusters.
+func namesFor(c int) *nameTable {
+	if t := centerNames.Load(); t != nil && len(t.icn1) >= c {
+		return t
 	}
-	s.lastSize, s.lastMean = size, t
+	nameMu.Lock()
+	defer nameMu.Unlock()
+	old := centerNames.Load()
+	if old != nil && len(old.icn1) >= c {
+		return old
+	}
+	t := &nameTable{icn1: make([]string, c), ecn1: make([]string, c)}
+	if old != nil {
+		copy(t.icn1, old.icn1)
+		copy(t.ecn1, old.ecn1)
+	}
+	for i := range t.icn1 {
+		if t.icn1[i] == "" {
+			t.icn1[i], t.ecn1[i] = fmt.Sprintf("ICN1[%d]", i), fmt.Sprintf("ECN1[%d]", i)
+		}
+	}
+	centerNames.Store(t)
 	return t
 }
 
@@ -212,29 +258,40 @@ type message struct {
 
 // Simulator executes one HMSCS configuration. It implements Handler: the
 // engine dispatches typed events back into it.
+//
+// Every slice below is storage the simulator owns: reset refills it in
+// place, so a pooled simulator (see Run) builds a replication without
+// allocating it again.
 type Simulator struct {
 	cfg  *core.Config
 	opts Options
-	eng  *Engine
-	lay  *layout
+	eng  Engine
+	lay  layout
 
-	// centers is the flat centre table indexed by centre id:
-	// ICN1[0..C), ECN1[C..2C), ICN2 at 2C.
-	centers []*Center
-	icn1    []*Center
-	ecn1    []*Center
+	// centers is the flat centre slab indexed by centre id:
+	// ICN1[0..C), ECN1[C..2C), ICN2 at 2C; icn1, ecn1 and icn2 are views.
+	centers []Center
+	icn1    []Center
+	ecn1    []Center
 	icn2    *Center
 
-	svcICN1 []*serviceModel
-	svcECN1 []*serviceModel
+	// svc holds each centre's service model, indexed like centers.
+	svc     []serviceModel
+	svcICN1 []serviceModel
+	svcECN1 []serviceModel
 	svcICN2 *serviceModel
 
 	// gen is the normalized workload (arrival × pattern × size); sources
-	// holds per-processor arrival state instantiated from it.
+	// holds per-processor arrival state instantiated from it at rates.
 	gen     workload.Generator
 	sources []workload.Source
+	rates   []float64
 
-	procStreams []*rng.Stream
+	// streams holds every random stream as a value, in the order they are
+	// split from the seed's master stream: ICN1[i] and ECN1[i] at 2i and
+	// 2i+1, ICN2 at 2C, then procStreams, one per processor.
+	streams     []rng.Stream
+	procStreams []rng.Stream
 
 	// msgs is the pooled message table; free holds recycled indices.
 	msgs []message
@@ -243,6 +300,7 @@ type Simulator struct {
 	res          Result
 	measureStart float64
 	completed    int64
+	ran          bool
 
 	// Dynamic-scenario state (nil/empty in stationary runs). Per
 	// processor: nodeDown is the element's up/down state, thinking marks a
@@ -264,8 +322,19 @@ type Simulator struct {
 // New builds a simulator for the configuration. Options zero values fall
 // back to DefaultOptions (per field where that is unambiguous).
 func New(cfg *core.Config, opts Options) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
+	s := &Simulator{}
+	if err := s.reset(cfg, opts); err != nil {
 		return nil, err
+	}
+	return s, nil
+}
+
+// reset builds s for one run of cfg under opts, refilling the storage an
+// earlier run left behind. It is the one construction path: New calls it
+// on a fresh simulator and Run on a pooled one.
+func (s *Simulator) reset(cfg *core.Config, opts Options) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if opts.Scenario != nil {
 		// A dynamic run covers exactly the scenario horizon: measurement
@@ -280,7 +349,7 @@ func New(cfg *core.Config, opts Options) (*Simulator, error) {
 		opts.MeasuredMessages = def.MeasuredMessages
 	}
 	if opts.WarmupMessages < 0 {
-		return nil, fmt.Errorf("sim: negative warm-up %d", opts.WarmupMessages)
+		return fmt.Errorf("sim: negative warm-up %d", opts.WarmupMessages)
 	}
 	if opts.ServiceDist == nil {
 		opts.ServiceDist = def.ServiceDist
@@ -289,53 +358,64 @@ func New(cfg *core.Config, opts Options) (*Simulator, error) {
 		opts.MaxSimTime = math.Inf(1)
 	}
 
-	centers, err := cfg.BuildCenters()
+	c := cfg.NumClusters()
+	nc := 2*c + 1
+	s.svc = resize(s.svc, nc)
+	s.svcICN1, s.svcECN1, s.svcICN2 = s.svc[:c], s.svc[c:2*c], &s.svc[2*c]
+	// cfg is validated, so the models build; the walk shares one pair of
+	// model values per run of identical clusters.
+	icn2, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
+		for j := i; j < i+n; j++ {
+			s.svcICN1[j] = serviceModel{model: icn1, lastSize: -1}
+			s.svcECN1[j] = serviceModel{model: ecn1, lastSize: -1}
+		}
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
+	*s.svcICN2 = serviceModel{model: icn2, lastSize: -1}
 
-	s := &Simulator{cfg: cfg, opts: opts, lay: newLayout(cfg)}
+	s.cfg, s.opts = cfg, opts
+	s.res, s.measureStart, s.completed, s.ran = Result{}, 0, 0, false
+	s.lay.reset(cfg)
 	s.gen = workload.Generator{Arrival: opts.Arrival, Pattern: opts.Pattern, Size: opts.SizeDist}.
 		Normalized(workload.FixedSize{Bytes: cfg.MessageBytes})
-	s.eng = NewEngine()
+	s.eng.reset()
 	s.eng.SetHandler(s)
-	master := rng.NewStream(opts.Seed)
-
-	c := cfg.NumClusters()
-	s.centers = make([]*Center, 2*c+1)
-	s.icn1 = s.centers[:c]
-	s.ecn1 = s.centers[c : 2*c]
-	s.svcICN1 = make([]*serviceModel, c)
-	s.svcECN1 = make([]*serviceModel, c)
-	for i := 0; i < c; i++ {
-		s.icn1[i] = NewCenter(fmt.Sprintf("ICN1[%d]", i), s.eng, opts.ServiceDist, master.Split(), evCenterDone, int32(i))
-		s.ecn1[i] = NewCenter(fmt.Sprintf("ECN1[%d]", i), s.eng, opts.ServiceDist, master.Split(), evCenterDone, int32(c+i))
-		s.svcICN1[i] = newServiceModel(centers.ICN1[i])
-		s.svcECN1[i] = newServiceModel(centers.ECN1[i])
-	}
-	s.icn2 = NewCenter("ICN2", s.eng, opts.ServiceDist, master.Split(), evCenterDone, int32(2*c))
-	s.centers[2*c] = s.icn2
-	s.svcICN2 = newServiceModel(centers.ICN2)
 
 	n := s.lay.TotalNodes()
-	s.procStreams = make([]*rng.Stream, n)
-	rates := make([]float64, n)
-	for p := 0; p < n; p++ {
-		s.procStreams[p] = master.Split()
-		rates[p] = cfg.Clusters[s.lay.ClusterOf(p)].Lambda
+	s.streams = resize(s.streams, nc+n)
+	master := rng.NewStream(opts.Seed)
+	for i := range s.streams {
+		master.SplitInto(&s.streams[i])
 	}
-	s.sources = s.gen.Sources(rates)
+	s.procStreams = s.streams[nc:]
+
+	s.centers = resize(s.centers, nc)
+	s.icn1, s.ecn1, s.icn2 = s.centers[:c], s.centers[c:2*c], &s.centers[2*c]
+	names := namesFor(c)
+	for i := 0; i < c; i++ {
+		s.icn1[i].init(names.icn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i], evCenterDone, int32(i))
+		s.ecn1[i].init(names.ecn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i+1], evCenterDone, int32(c+i))
+	}
+	s.icn2.init("ICN2", &s.eng, opts.ServiceDist, &s.streams[2*c], evCenterDone, int32(2*c))
+
+	s.rates = resize(s.rates, n)
+	for p := range s.rates {
+		s.rates[p] = cfg.Clusters[s.lay.ClusterOf(p)].Lambda
+	}
+	s.sources = s.gen.Sources(s.sources, s.rates)
 	// Closed-loop runs have at most one in-flight message per processor;
 	// pre-size the pool for that and let open-loop runs grow it.
-	s.msgs = make([]message, 0, n)
-	s.free = make([]int32, 0, n)
+	s.msgs = resize(s.msgs, n)[:0]
+	s.free = resize(s.free, n)[:0]
 	if s.scn = opts.Scenario; s.scn != nil {
-		s.nodeDown = make([]bool, n)
-		s.thinking = make([]bool, n)
-		s.blocked = make([]bool, n)
-		s.genDue = make([]float64, n)
-		s.genStale = make([]int32, n)
-		s.failPolicy = make([]scenario.Policy, len(s.centers))
+		s.nodeDown = zeroed(s.nodeDown, n)
+		s.thinking = zeroed(s.thinking, n)
+		s.blocked = zeroed(s.blocked, n)
+		s.genDue = zeroed(s.genDue, n)
+		s.genStale = zeroed(s.genStale, n)
+		s.failPolicy = zeroed(s.failPolicy, nc)
 		for _, p := range s.scn.InitialDownNodes {
 			s.nodeDown[p] = true
 		}
@@ -343,12 +423,39 @@ func New(cfg *core.Config, opts Options) (*Simulator, error) {
 			s.centers[cid].Fail(false)
 		}
 	}
-	return s, nil
+	return nil
 }
 
-// Run executes the simulation and returns its result. The simulator is
-// single-use.
+// zeroed returns s at length n with every element zero, reusing its
+// storage when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
+}
+
+// release drops every reference the last run left in s — its
+// configuration, options (trace recorder, scenario, telemetry collector,
+// workload axes), result and arrival sources — so a pooled simulator keeps
+// capacity, not contents.
+func (s *Simulator) release() {
+	s.cfg, s.opts, s.gen, s.scn, s.res = nil, Options{}, workload.Generator{}, nil, Result{}
+	clear(s.sources)
+	for i := range s.centers {
+		s.centers[i].distTpl = nil
+	}
+}
+
+// errRunTwice reports a second Run on one simulator.
+var errRunTwice = errors.New("sim: Simulator.Run called twice; a simulator runs once")
+
+// Run executes the simulation and returns its result, which owns its
+// slices. The simulator is single-use: a second call returns an error.
 func (s *Simulator) Run() (*Result, error) {
+	if s.ran {
+		return nil, errRunTwice
+	}
+	s.ran = true
 	if s.opts.RecordSample {
 		sampleCap := s.opts.MeasuredMessages
 		if !math.IsInf(s.opts.MaxSimTime, 1) && sampleCap > 4096 {
@@ -397,15 +504,17 @@ func (s *Simulator) Run() (*Result, error) {
 		s.res.Throughput = float64(s.res.Measured) / window
 		s.res.EffectiveLambda = s.res.Throughput / float64(s.lay.TotalNodes())
 	}
-	for _, c := range s.centers {
+	s.res.Centers = make([]CenterStats, len(s.centers))
+	for i := range s.centers {
+		c := &s.centers[i]
 		c.Flush()
-		s.res.Centers = append(s.res.Centers, CenterStats{
+		s.res.Centers[i] = CenterStats{
 			Name:            c.Name,
 			Utilization:     c.Utilization(),
 			MeanQueueLength: c.MeanQueueLength(),
 			MaxQueueLength:  c.MaxQueueLength(),
 			Served:          c.Served(),
-		})
+		}
 	}
 	if s.opts.Stats != nil {
 		s.opts.Stats.Add(telemetry.SimStats{
@@ -416,7 +525,9 @@ func (s *Simulator) Run() (*Result, error) {
 			Rerouted:   s.res.Rerouted,
 		})
 	}
-	return &s.res, nil
+	res := new(Result)
+	*res = s.res
+	return res, nil
 }
 
 // Handle implements Handler: the engine's event dispatch.
@@ -425,7 +536,7 @@ func (s *Simulator) Handle(kind EventKind, idx int32) {
 	case evGenerate:
 		s.generate(int(idx))
 	case evCenterDone:
-		c := s.centers[idx]
+		c := &s.centers[idx]
 		if s.scn != nil && !c.TakeCompletion() {
 			return // voided by a failure
 		}
@@ -454,7 +565,7 @@ func (s *Simulator) allocMsg() int32 {
 // gap is stretched through the rate profile — a pure function of (clock,
 // gap), so the draw sequence is untouched.
 func (s *Simulator) scheduleGeneration(p int) {
-	gap := s.sources[p].Next(s.procStreams[p])
+	gap := s.sources[p].Next(&s.procStreams[p])
 	if s.scn != nil {
 		gap = s.scn.Profile.Stretch(s.eng.Now(), gap)
 		s.thinking[p] = true
@@ -479,8 +590,8 @@ func (s *Simulator) generate(p int) {
 		s.thinking[p] = false
 	}
 	s.res.Generated++
-	st := s.procStreams[p]
-	dest := s.gen.Pattern.Dest(st, s.lay, p)
+	st := &s.procStreams[p]
+	dest := s.gen.Pattern.Dest(st, &s.lay, p)
 	size := s.gen.Size.Sample(st)
 
 	mi := s.allocMsg()
@@ -680,11 +791,30 @@ func (s *Simulator) rerouteMsg(mi int32) {
 	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl].mean(int(m.size)), mi)
 }
 
-// Run is the package-level convenience: build and run one simulation.
+// simPool holds idle simulators between replications. A replication
+// takes one, resets it in place and returns it, so a run allocates its
+// Result (and the slices the Result owns) plus a constant, not a
+// simulator sized by the configuration.
+var simPool = sync.Pool{New: func() any { return new(Simulator) }}
+
+// Run is the package-level convenience: build and run one simulation on a
+// pooled simulator. The result is the caller's; nothing in it is shared
+// with the pool.
 func Run(cfg *core.Config, opts Options) (*Result, error) {
-	s, err := New(cfg, opts)
-	if err != nil {
-		return nil, err
+	s := simPool.Get().(*Simulator)
+	res, err := s.rerun(cfg, opts)
+	simPool.Put(s)
+	return res, err
+}
+
+// rerun resets s for one run of cfg under opts, runs it and releases it,
+// leaving s ready for the next.
+func (s *Simulator) rerun(cfg *core.Config, opts Options) (*Result, error) {
+	err := s.reset(cfg, opts)
+	var res *Result
+	if err == nil {
+		res, err = s.Run()
 	}
-	return s.Run()
+	s.release()
+	return res, err
 }

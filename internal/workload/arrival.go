@@ -68,6 +68,13 @@ type poissonSource struct{ rate float64 }
 
 func (s poissonSource) Next(st *rng.Stream) float64 { return st.ExpRate(s.rate) }
 
+func (poissonSource) stateless() {}
+
+// statelessSource marks the sources whose Next keeps no state and whose
+// NewSource ignores src: one value serves every source of equal rate, so
+// Sources boxes it once per run of equal rates, not once per source.
+type statelessSource interface{ stateless() }
+
 // Periodic is the deterministic arrival process: every gap is exactly
 // 1/rate. SCV 0 — the zero-burstiness anchor of the arrival axis, the
 // arrival-side analogue of the M/D/1 service ablation.
@@ -277,6 +284,8 @@ func (s paretoSource) Next(st *rng.Stream) float64 {
 	return s.xm * math.Pow(st.Float64Open(), -s.inv)
 }
 
+func (paretoSource) stateless() {}
+
 // Weibull is a renewal arrival process with Weibull-distributed gaps scaled
 // to the configured mean rate. Shape < 1 gives a heavier-than-exponential
 // tail (with all moments finite, unlike Pareto); Shape = 1 is Poisson.
@@ -314,6 +323,8 @@ func (s weibullSource) Next(st *rng.Stream) float64 {
 	// -ln U ~ Exp(1); W = scale·E^{1/k}.
 	return s.scale * math.Pow(-math.Log(st.Float64Open()), s.inv)
 }
+
+func (weibullSource) stateless() {}
 
 // Trace replays a recorded arrival trace: the gap sequence between the
 // supplied timestamps, rescaled so its mean gap matches each source's
@@ -453,12 +464,20 @@ func (g Generator) Normalized(defaultSize SizeDist) Generator {
 }
 
 // Sources instantiates one arrival source per traffic source, rates[i]
-// being source i's mean rate (msg/s). Both simulators call this once per
-// replication, after Normalized.
-func (g Generator) Sources(rates []float64) []Source {
-	out := make([]Source, len(rates))
+// being source i's mean rate (msg/s), into dst's storage (dst may be nil;
+// its old entries are overwritten). Both simulators call this once per
+// replication, after Normalized, reusing the previous replication's slice.
+// Consecutive sources of equal rate share one stateless source value.
+func (g Generator) Sources(dst []Source, rates []float64) []Source {
+	dst = dst[:0]
 	for i, r := range rates {
-		out[i] = g.Arrival.NewSource(r, i)
+		if i > 0 && r == rates[i-1] {
+			if _, ok := dst[i-1].(statelessSource); ok {
+				dst = append(dst, dst[i-1])
+				continue
+			}
+		}
+		dst = append(dst, g.Arrival.NewSource(r, i))
 	}
-	return out
+	return dst
 }

@@ -263,9 +263,41 @@ func TestGeneratorNormalized(t *testing.T) {
 	if g2.Arrival != Arrival(m) || g2.Pattern.Name() != "hotspot(node=0,p=0.50)" {
 		t.Error("Normalized overwrote set axes")
 	}
-	srcs := g2.Sources([]float64{100, 200})
+	srcs := g2.Sources(nil, []float64{100, 200})
 	if len(srcs) != 2 {
 		t.Fatalf("Sources built %d", len(srcs))
+	}
+	// A reused slice keeps its storage and holds only the new sources.
+	again := g2.Sources(srcs, []float64{300})
+	if len(again) != 1 || &again[0] != &srcs[0] {
+		t.Fatalf("Sources into a reused slice: len %d, same storage %v", len(again), &again[0] == &srcs[0])
+	}
+}
+
+// TestSourcesShareStatelessValues: consecutive equal-rate sources of a
+// stateless process share one value and draw exactly what separately built
+// sources draw; stateful sources stay one per traffic source.
+func TestSourcesShareStatelessValues(t *testing.T) {
+	p, _ := NewPareto(1.5)
+	w, _ := NewWeibull(0.5)
+	m, _ := NewMMPP(10, 0.1)
+	rates := []float64{100, 100, 100, 250, 250, 100}
+	for _, a := range []Arrival{Poisson{}, Periodic{}, m, p, w} {
+		g := Generator{Arrival: a}.Normalized(FixedSize{Bytes: 64})
+		srcs := g.Sources(nil, rates)
+		a1, a2 := rng.NewStream(5), rng.NewStream(5)
+		for i, r := range rates {
+			fresh := a.NewSource(r, i)
+			for k := 0; k < 20; k++ {
+				if x, y := srcs[i].Next(a1), fresh.Next(a2); math.Float64bits(x) != math.Float64bits(y) {
+					t.Fatalf("%s source %d draw %d: %v, fresh source %v", a.Name(), i, k, x, y)
+				}
+			}
+		}
+	}
+	g := Generator{}.Normalized(FixedSize{Bytes: 64})
+	if n := testing.AllocsPerRun(10, func() { g.Sources(make([]Source, 0, 256), make([]float64, 256)) }); n > 3 {
+		t.Fatalf("256 equal-rate Poisson sources took %v allocations", n)
 	}
 }
 
