@@ -9,7 +9,10 @@
 //
 // It is a thin shell over the unified experiment API (internal/run): the
 // flags build a "netsim" experiment spec, or load one with -spec and
-// override its fields with any explicitly-set flags.
+// override its fields with any explicitly-set flags. Replications (a
+// -scenario run's -reps, a -precision run's adaptive set) run through
+// the same batch drivers as hmscs-sim's, on -parallel workers; the
+// output is identical for every -parallel value.
 //
 // Examples:
 //
@@ -47,11 +50,13 @@ func runMain(args []string, out io.Writer) error {
 	}
 	fs := flag.NewFlagSet("hmscs-netsim", flag.ContinueOnError)
 	var xf cli.ExperimentFlags
+	var parallel int
 	xf.Register(fs)
 	cli.BindNet(fs, spec.Net)
 	cli.BindArrival(fs, spec.Workload)
 	cli.BindPrecision(fs, spec.Precision)
 	cli.BindScenario(fs, spec)
+	cli.BindParallel(fs, &parallel)
 	fs.IntVar(&spec.Run.Messages, "messages", spec.Run.Messages, "measured messages")
 	fs.IntVar(&spec.Run.Warmup, "warmup", spec.Run.Warmup, "warm-up messages")
 	fs.IntVar(&spec.Run.Reps, "reps", spec.Run.Reps, "independent replications of a -scenario run (stationary fixed mode runs one network)")
@@ -63,6 +68,6 @@ func runMain(args []string, out io.Writer) error {
 	}
 	ctx, cancel := xf.Context()
 	defer cancel()
-	_, err = xf.Execute(ctx, spec, 0, out)
+	_, err = xf.Execute(ctx, spec, parallel, out)
 	return err
 }

@@ -13,7 +13,7 @@ import (
 func TestRunFatTree(t *testing.T) {
 	var out bytes.Buffer
 	err := runMain([]string{"-topo", "fat-tree", "-n", "16", "-ports", "8",
-		"-messages", "1500", "-warmup", "200", "-lambda", "5000"}, &out)
+		"-messages", "1500", "-warmup", "200", "-lambda", "5000", "-parallel", "2"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,6 +44,9 @@ func TestRunErrors(t *testing.T) {
 		{"-service", "pareto"},
 		{"-n", "1"},
 		{"-badflag"},
+		{"-messages", "-5"},
+		{"-messages", "-5", "-precision", "0.2"},
+		{"-spec", filepath.Join("..", "..", "testdata", "experiments", "netsim-scenario.json"), "-reps", "-1"},
 	}
 	for _, args := range cases {
 		if err := runMain(args, &out); err == nil {

@@ -106,46 +106,6 @@ func (e Estimate) RelHalfWidth() float64 {
 	return e.HalfWidth / math.Abs(e.Mean)
 }
 
-// RunSequential drives the stopping rule over a caller-supplied
-// replication runner, sequentially: run(rep) executes replication rep and
-// returns its point estimate and effective sample size. It is the
-// single-threaded counterpart of sim.RunPrecisionUnitsCtx for simulators
-// that rebuild per replication (netsim); the chunk schedule and stopping
-// decisions are identical.
-func RunSequential(prec Precision, run func(rep int) (mean, ess float64, err error)) (Estimate, error) {
-	prec = prec.Normalized()
-	if err := prec.Validate(); err != nil {
-		return Estimate{}, err
-	}
-	stopper := NewStopper(prec)
-	totalESS := 0.0
-	for {
-		chunk := stopper.NextChunk()
-		if chunk == 0 {
-			break
-		}
-		for k := 0; k < chunk; k++ {
-			mean, ess, err := run(stopper.N())
-			if err != nil {
-				return Estimate{}, err
-			}
-			stopper.Add(mean)
-			totalESS += ess
-		}
-		if stopper.Satisfied() || stopper.Exhausted() {
-			break
-		}
-	}
-	return Estimate{
-		Mean:       stopper.Mean(),
-		Confidence: prec.Confidence,
-		HalfWidth:  stopper.HalfWidth(),
-		Reps:       stopper.N(),
-		ESS:        totalESS,
-		Converged:  stopper.Satisfied(),
-	}, nil
-}
-
 // Stopper implements the sequential stopping rule over replication point
 // estimates. Feed each replication's mean in replication order with Add;
 // between rounds, Satisfied/Exhausted decide whether to stop and NextChunk

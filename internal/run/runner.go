@@ -133,6 +133,8 @@ type SimulateOutcome struct {
 // NetOutcome is the netsim kind's result.
 type NetOutcome struct {
 	Exp *NetExperiment
+	// Res is the replication behind the topology-level metrics (the first
+	// one; the last accepted one in adaptive mode), without its samples.
 	Res *netsim.Result
 	// Est and Prec are set in adaptive mode.
 	Est  *sim.Estimate
@@ -437,79 +439,109 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 	if err != nil {
 		return nil, err
 	}
-	exp.Opts.Stats = opts.Stats
 	out := &NetOutcome{Exp: exp, Prec: prec}
-	var net *netsim.Network
+	unit := sim.Unit{Opts: sim.Options{
+		Seed:             exp.Opts.Seed,
+		WarmupMessages:   exp.Opts.Warmup,
+		MeasuredMessages: exp.Opts.Measured,
+		MaxSimTime:       exp.Opts.MaxSimTime,
+		Stats:            opts.Stats,
+	}}
+	reps := 1 // a stationary fixed run is one network
+	var cn *scenario.CompiledNet
+	var sr *scenarioRun
+	if prec == nil && e.Scenario != nil {
+		// The endpoint and switch counts a timeline resolves its targets
+		// against are seed-independent, so the base-seed build serves
+		// every replication.
+		net, err := exp.Build(exp.Opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if cn, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
+			return nil, err
+		}
+		if sr, err = newScenarioRun(e.Scenario, cn.Horizon, cn.Slice, cn.FaultAt, cn.SLO, e.Precision.Confidence); err != nil {
+			return nil, err
+		}
+		unit.Opts.RecordSample = true
+		reps = e.Run.Reps
+	}
+	// One replication builds its network at the driver-derived seed and
+	// runs it under the driver-derived options. Two netsim results are
+	// kept for the topology-level metrics (utilisation, hop counts) a
+	// sim.Result does not carry: replication 1's, whose network also gives
+	// the seed-independent contention-free reference, and the
+	// highest-index one, which in a precision run is the last accepted
+	// (the stopping rule takes every replication a round runs). Scenario
+	// replications fold into the transient estimator in replication order
+	// as they arrive, so only the series finished out of order are held.
+	// The returned sim.Result carries what the drivers read: the sample
+	// the precision driver analyses.
+	var kept struct {
+		sync.Mutex
+		first, last *netsim.Result
+		lastRep     int
+		next        int                    // scenario: next replication to fold
+		pending     map[int]*netsim.Result // scenario: run, not yet folded
+	}
+	kept.lastRep = -1
+	if sr != nil {
+		kept.pending = map[int]*netsim.Result{}
+	}
+	runRep := func(_ context.Context, _, rep int, _ *core.Config, o sim.Options) (*sim.Result, error) {
+		n, err := exp.Build(o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		no := exp.Opts
+		no.Seed, no.Warmup, no.Measured = o.Seed, o.WarmupMessages, o.MeasuredMessages
+		no.RecordSample, no.MaxSimTime, no.Stats, no.Scenario = o.RecordSample, o.MaxSimTime, o.Stats, cn
+		r, err := n.Run(no)
+		if err != nil {
+			return nil, err
+		}
+		res := &sim.Result{}
+		kept.Lock()
+		defer kept.Unlock()
+		if rep == 0 {
+			kept.first = r
+			out.ContentionFree = n.ContentionFreeLatency(exp.MsgBytes)
+		}
+		if rep > kept.lastRep {
+			kept.last, kept.lastRep = r, rep
+		}
+		if sr == nil {
+			res.Sample, r.Sample = r.Sample, nil
+			return res, nil
+		}
+		kept.pending[rep] = r
+		for p := kept.pending[kept.next]; p != nil; p = kept.pending[kept.next] {
+			sr.add(p.SampleTimes, p.Sample, p.Dropped, 0)
+			p.Sample, p.SampleTimes = nil, nil
+			delete(kept.pending, kept.next)
+			kept.next++
+		}
+		return res, nil
+	}
 	if prec != nil {
-		est, err := runNetPrecision(ctx, exp, *prec, em.fn(), out, &net)
+		// Adaptive run: quarter-length replications with MSER-5 deletion
+		// in place of the warm-up prefix.
+		res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.Unit{unit}, *prec, opts.Parallelism, em.fn(), runRep)
 		if err != nil {
 			return nil, err
 		}
-		out.Est = &est
-		// The sequential driver only reports per-replication estimates;
-		// close the unit's event stream the way every other adaptive
-		// emitter does, with the final mean and relative CI width.
-		if prog := em.fn(); prog != nil {
-			prog(progress.Event{
-				Kind: progress.UnitFinished, Units: 1, Rep: est.Reps,
-				Mean: est.Mean, RelWidth: est.RelHalfWidth(),
-			})
-		}
-	} else if e.Scenario != nil {
-		// Dynamic run: compile the timeline against the built topology
-		// (the counts are seed-independent, so any replication's build
-		// resolves targets identically) and run fixed replications over
-		// the scenario horizon, folding their sample series in
-		// replication order.
-		if net, err = exp.Build(exp.Opts.Seed); err != nil {
-			return nil, err
-		}
-		cn, err := scenario.CompileNet(e.Scenario, net.Topo())
-		if err != nil {
-			return nil, err
-		}
-		o := exp.Opts
-		o.Scenario = cn
-		o.RecordSample = true
-		sr, err := newScenarioRun(e.Scenario, cn.Horizon, cn.Slice, cn.FaultAt, cn.SLO, e.Precision.Confidence)
-		if err != nil {
-			return nil, err
-		}
-		for rep := 0; rep < e.Run.Reps; rep++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			seed := sim.ReplicationSeed(exp.Opts.Seed, rep)
-			n, err := exp.Build(seed)
-			if err != nil {
-				return nil, err
-			}
-			ro := o
-			ro.Seed = seed
-			r, err := n.Run(ro)
-			if err != nil {
-				return nil, err
-			}
-			sr.add(r.SampleTimes, r.Sample, r.Dropped, 0)
-			if rep == 0 {
-				// Replication 1 supplies the topology-level metrics
-				// (utilisation, hop counts), like verbose mode elsewhere.
-				net, out.Res = n, r
-			}
-			if prog := em.fn(); prog != nil {
-				prog(progress.Event{Kind: progress.UnitFinished, Units: 1, Rep: rep})
-			}
-		}
-		out.Scenario = sr.outcome()
+		out.Est = &res[0].Estimate
+		out.Res = kept.last
 	} else {
-		if net, err = exp.Build(exp.Opts.Seed); err != nil {
+		if _, err := sim.RunUnitsCtx(ctx, []sim.Unit{unit}, reps, opts.Parallelism, em.fn(), runRep); err != nil {
 			return nil, err
 		}
-		if out.Res, err = net.Run(exp.Opts); err != nil {
-			return nil, err
+		out.Res = kept.first
+		if sr != nil {
+			out.Scenario = sr.outcome()
 		}
 	}
-	out.ContentionFree = net.ContentionFreeLatency(exp.MsgBytes)
 
 	// The single-server abstraction the paper uses for this network, for
 	// comparison: an M/M/1 with the eq. 11/21 service time fed by the
@@ -533,54 +565,6 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 		out.ModelUnstable = true
 	}
 	return out, nil
-}
-
-// runNetPrecision executes netsim replications under the sequential
-// stopping rule (output.RunSequential drives the schedule): each
-// replication rebuilds the network with a deterministically derived seed
-// and runs a quarter-length measurement window with MSER-5 warmup
-// deletion in place of the fixed warm-up prefix. The retained result is
-// the last replication's (for topology-level metrics such as link
-// utilisation). Cancellation lands between replications.
-func runNetPrecision(ctx context.Context, exp *NetExperiment, prec output.Precision, prog progress.Func, out *NetOutcome, netOut **netsim.Network) (sim.Estimate, error) {
-	base := exp.Opts
-	o := base
-	o.Measured = base.Measured / 4
-	if o.Measured < 500 {
-		o.Measured = 500
-	}
-	o.Warmup = 0
-	o.RecordSample = true
-	est, err := output.RunSequential(prec, func(rep int) (float64, float64, error) {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
-		seed := sim.ReplicationSeed(base.Seed, rep)
-		n, err := exp.Build(seed)
-		if err != nil {
-			return 0, 0, err
-		}
-		ro := o
-		ro.Seed = seed
-		r, err := n.Run(ro)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, err := output.AnalyzeRun(r.Sample, prec.Confidence)
-		if err != nil {
-			return 0, 0, fmt.Errorf("replication %d analysis: %w", rep, err)
-		}
-		r.Sample = nil
-		*netOut, out.Res = n, r
-		if prog != nil {
-			prog(progress.Event{Kind: progress.UnitEstimate, Units: 1, Rep: rep + 1, Mean: a.Mean})
-		}
-		return a.Mean, a.ESS, nil
-	})
-	if err != nil {
-		return sim.Estimate{}, err
-	}
-	return est, nil
 }
 
 func runSweep(ctx context.Context, p *Program, opts Options, em *emitter) (*SweepOutcome, error) {

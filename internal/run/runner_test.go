@@ -114,19 +114,19 @@ func TestRunParallelismInvariantRendering(t *testing.T) {
 }
 
 // TestTelemetryZeroPerturbation is the instrumentation layer's
-// determinism pin (DESIGN.md §12): with a stats collector attached, the
-// rendered report is byte-identical at every -parallel value, the JSONL
-// stream (wall-clock timestamps stripped) at parallelism 1 is
-// byte-identical to the same run without the collector, and the
-// parallelism-invariant telemetry fields (generated messages,
-// replications) agree across every run.
+// determinism pin (DESIGN.md §12), for both engines: with a stats
+// collector attached and without it, the rendered report is
+// byte-identical at every -parallel value, the JSONL stream (wall-clock
+// timestamps stripped) at parallelism 1 is byte-identical to the same
+// run without the collector, and the parallelism-invariant telemetry
+// fields (generated messages, replications) agree across every run.
 func TestTelemetryZeroPerturbation(t *testing.T) {
-	spec := NewExperiment(KindSimulate)
-	spec.System.Clusters = 4
-	spec.System.Total = 16
-	spec.Run.Messages = 600
-	spec.Run.Warmup = 100
-	spec.Run.Reps = 2
+	simulate := NewExperiment(KindSimulate)
+	simulate.System.Clusters = 4
+	simulate.System.Total = 16
+	simulate.Run.Messages = 600
+	simulate.Run.Warmup = 100
+	simulate.Run.Reps = 2
 
 	tsField := regexp.MustCompile(`"ts":"[^"]*"`)
 	type result struct {
@@ -134,50 +134,60 @@ func TestTelemetryZeroPerturbation(t *testing.T) {
 		md, jsonl string
 		tel       *telemetry.RunStats
 	}
-	var results []result
-	for _, rc := range []struct {
-		parallel int
-		stats    bool
-	}{{1, true}, {1, false}, {4, true}} {
-		var md, jl strings.Builder
-		opts := Options{
-			Parallelism: rc.parallel,
-			Sinks:       []Sink{NewMarkdownSink(&md), NewJSONLSink(&jl)},
-		}
-		if rc.stats {
-			opts.Stats = telemetry.NewCollector()
-		}
-		key := fmt.Sprintf("parallel=%d stats=%v", rc.parallel, rc.stats)
-		out, err := Run(context.Background(), spec.Clone(), opts)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		results = append(results, result{
-			key:   key,
-			md:    md.String(),
-			jsonl: tsField.ReplaceAllString(jl.String(), `"ts":"X"`),
-			tel:   out.Telemetry,
+	for _, tc := range []struct {
+		name string
+		spec *Experiment
+	}{
+		{"simulate", simulate},
+		{"netsim-scenario", loadNetsimSpec(t, "netsim-scenario.json", 0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var results []result
+			for _, rc := range []struct {
+				parallel int
+				stats    bool
+			}{{1, true}, {1, false}, {2, true}, {2, false}, {4, true}} {
+				var md, jl strings.Builder
+				opts := Options{
+					Parallelism: rc.parallel,
+					Sinks:       []Sink{NewMarkdownSink(&md), NewJSONLSink(&jl)},
+				}
+				if rc.stats {
+					opts.Stats = telemetry.NewCollector()
+				}
+				key := fmt.Sprintf("parallel=%d stats=%v", rc.parallel, rc.stats)
+				out, err := Run(context.Background(), tc.spec.Clone(), opts)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				results = append(results, result{
+					key:   key,
+					md:    md.String(),
+					jsonl: tsField.ReplaceAllString(jl.String(), `"ts":"X"`),
+					tel:   out.Telemetry,
+				})
+			}
+			base := results[0]
+			if base.tel == nil || base.tel.Sim.Events == 0 || base.tel.Replications == 0 {
+				t.Fatalf("no telemetry recorded: %+v", base.tel)
+			}
+			for _, r := range results[1:] {
+				if r.md != base.md {
+					t.Errorf("%s: markdown differs from %s", r.key, base.key)
+				}
+				if r.tel.Sim.Generated != base.tel.Sim.Generated || r.tel.Replications != base.tel.Replications {
+					t.Errorf("%s: invariant telemetry differs: generated %d vs %d, reps %d vs %d",
+						r.key, r.tel.Sim.Generated, base.tel.Sim.Generated, r.tel.Replications, base.tel.Replications)
+				}
+			}
+			// Event order (hence seq assignment) is pinned at parallelism
+			// 1, so the stream with the collector must match the one
+			// without it byte for byte once wall clocks are normalized.
+			if results[0].jsonl != results[1].jsonl {
+				t.Errorf("parallel-1 JSONL differs with the stats collector attached:\n%s\n---\n%s",
+					results[0].jsonl, results[1].jsonl)
+			}
 		})
-	}
-	base := results[0]
-	if base.tel == nil || base.tel.Sim.Events == 0 || base.tel.Replications == 0 {
-		t.Fatalf("no telemetry recorded: %+v", base.tel)
-	}
-	for _, r := range results[1:] {
-		if r.md != base.md {
-			t.Errorf("%s: markdown differs from %s", r.key, base.key)
-		}
-		if r.tel.Sim.Generated != base.tel.Sim.Generated || r.tel.Replications != base.tel.Replications {
-			t.Errorf("%s: invariant telemetry differs: generated %d vs %d, reps %d vs %d",
-				r.key, r.tel.Sim.Generated, base.tel.Sim.Generated, r.tel.Replications, base.tel.Replications)
-		}
-	}
-	// Event order (hence seq assignment) is pinned at parallelism 1, so
-	// the stream with the collector must match the one without it byte
-	// for byte once wall clocks are normalized.
-	if results[0].jsonl != results[1].jsonl {
-		t.Errorf("parallel-1 JSONL differs with the stats collector attached:\n%s\n---\n%s",
-			results[0].jsonl, results[1].jsonl)
 	}
 }
 

@@ -529,8 +529,17 @@ func (e *Experiment) Validate() error {
 	default:
 		return fmt.Errorf("run: unknown experiment kind %q (one of %v)", e.Kind, Kinds())
 	}
-	if e.Run != nil && e.Run.Shards < 0 {
-		return fmt.Errorf("run: negative run.shards %d", e.Run.Shards)
+	if r := e.Run; r != nil {
+		// Zero means "the default" to Normalize; a negative count has no
+		// meaning and must fail here, before any cache lookup.
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"messages", r.Messages}, {"warmup", r.Warmup}, {"reps", r.Reps}, {"shards", r.Shards}} {
+			if f.v < 0 {
+				return fmt.Errorf("run: negative run.%s %d", f.name, f.v)
+			}
+		}
 	}
 	if e.Scenario != nil {
 		switch e.Kind {

@@ -12,9 +12,10 @@ import (
 
 // FuzzSpecRoundTrip fuzzes the spec boundary every submission crosses.
 // Whenever run.Parse accepts an input, Marshal → Parse must be a fixed
-// point, SpecHash must survive the round trip, and setting the ignored
-// run.shards to any non-negative value must not move the hash. Seeded
-// with every checked-in experiment spec.
+// point, SpecHash must survive the round trip, the run counts it
+// accepted must be non-negative, and setting the ignored run.shards to
+// any non-negative value must not move the hash. Seeded with every
+// checked-in experiment spec.
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, dir := range []string{"testdata/experiments", "docs/experiments"} {
 		paths, err := filepath.Glob(filepath.Join("..", "..", dir, "*.json"))
@@ -33,6 +34,9 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		e, err := run.Parse(data)
 		if err != nil {
 			return
+		}
+		if r := e.Run; r != nil && (r.Messages < 0 || r.Warmup < 0 || r.Reps < 0 || r.Shards < 0) {
+			t.Fatalf("Parse accepted negative run counts: %+v", *r)
 		}
 		m1, err := e.Marshal()
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"runtime"
@@ -397,6 +398,55 @@ func TestUncacheableSpecRunsEveryTime(t *testing.T) {
 	}
 	if n := srv.Runs(); n != 2 {
 		t.Fatalf("server executed %d runs, want 2", n)
+	}
+}
+
+// TestSubmitRejectsNegativeRunCounts pins that a negative run.messages,
+// run.warmup or run.reps is a 400 at POST /jobs — for the system and the
+// switch-level simulator alike, with the non-negative twin already
+// cached — and never becomes a job.
+func TestSubmitRejectsNegativeRunCounts(t *testing.T) {
+	srv := serve.New(serve.Config{Parallelism: 1, MaxJobs: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	ctx := context.Background()
+	netsim := run.NewExperiment(run.KindNetsim)
+	netsim.Run.Messages = 400
+	netsim.Run.Warmup = 50
+	for _, base := range []*run.Experiment{smallSimulate(), netsim} {
+		if _, err := serve.NewClient(ts.URL).Execute(ctx, base, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, field := range []string{"messages", "warmup", "reps"} {
+			bad := base.Clone()
+			switch field {
+			case "messages":
+				bad.Run.Messages = -5
+			case "warmup":
+				bad.Run.Warmup = -5
+			case "reps":
+				bad.Run.Reps = -5
+			}
+			data, err := bad.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "run."+field) {
+				t.Errorf("%s run.%s=-5: POST /jobs answered %d %s, want 400 naming run.%s", base.Kind, field, resp.StatusCode, body, field)
+			}
+		}
+	}
+	if n := srv.Runs(); n != 2 {
+		t.Fatalf("server executed %d runs, want 2 (the valid twins only)", n)
 	}
 }
 

@@ -107,6 +107,9 @@ func (u Unit) wrap(err error) error {
 // from its experiment spec) must return a bit-identical Result. It is
 // called from worker-pool goroutines and must be safe for concurrent
 // use. The batch drivers take one as an argument; nil runs Run inline.
+// The drivers never read cfg themselves, so an engine other than Run
+// (the switch-level simulator) reuses their schedule, seeds and events
+// through a UnitFunc of its own over units with a nil Cfg.
 type UnitFunc func(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error)
 
 // call runs one unit through run, or inline through Run when run is nil.
