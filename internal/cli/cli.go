@@ -295,6 +295,3 @@ func BindPlan(fs *flag.FlagSet, p *run.PlanSpec) {
 	fs.StringVar(&p.Format, "format", p.Format, "output format: md or csv")
 	fs.StringVar(&p.EmitConfigs, "emit-configs", p.EmitConfigs, "directory to write each verified candidate's configuration JSON into (plan-candidate-<index>.json, runnable via -config)")
 }
-
-// Ms formats seconds as milliseconds with 3 decimals.
-func Ms(sec float64) string { return run.Ms(sec) }

@@ -296,9 +296,3 @@ func TestExperimentFlagsSinks(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMs(t *testing.T) {
-	if got := Ms(0.0123); !strings.Contains(got, "12.300") {
-		t.Fatalf("Ms = %q", got)
-	}
-}

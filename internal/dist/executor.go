@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"hmscs/internal/core"
+	"hmscs/internal/par"
 	"hmscs/internal/run"
 	"hmscs/internal/sim"
 	"hmscs/internal/telemetry"
@@ -133,7 +134,7 @@ func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Co
 	}
 	e.coord.unitsLocal.Inc()
 	o.Stats = col
-	return sim.Run(cfg, o)
+	return runEngine(cfg, o)
 }
 
 // prefetchRunner distributes a fixed stage: a dispatcher races ahead of
@@ -180,7 +181,7 @@ func (p *prefetchRunner) start(col *telemetry.Collector) {
 	go func() {
 		for k := range p.results {
 			point, rep := k/p.st.Reps, k%p.st.Reps
-			cfg, o, err := p.st.Unit(point, rep)
+			cfg, o, err := stageUnit(p.st, point, rep)
 			if err != nil {
 				p.results[k] <- unitRes{err: err}
 				continue
@@ -230,7 +231,22 @@ func (p *prefetchRunner) awaitRemote(k int, off *offer, cfg *core.Config, o sim.
 func (p *prefetchRunner) runLocal(k int, cfg *core.Config, o sim.Options, col *telemetry.Collector) {
 	p.e.coord.unitsLocal.Inc()
 	o.Stats = col
-	res, err := sim.Run(cfg, o)
+	res, err := runEngine(cfg, o)
 	<-p.e.localSem
 	p.results[k] <- unitRes{res: res, err: err}
+}
+
+// runEngine is sim.Run with a panic returned as a *par.PanicError.
+// Prefetched local units run on the executor's own goroutines, which no
+// pool recovers, and a panic there would end the server.
+func runEngine(cfg *core.Config, o sim.Options) (_ *sim.Result, err error) {
+	defer par.Recover(&err)
+	return sim.Run(cfg, o)
+}
+
+// stageUnit is UnitStage.Unit with a panic returned as an error, for
+// the dispatcher goroutine that derives each unit.
+func stageUnit(st *run.UnitStage, point, rep int) (_ *core.Config, _ sim.Options, err error) {
+	defer par.Recover(&err)
+	return st.Unit(point, rep)
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"hmscs/internal/par"
 	"hmscs/internal/run"
 	"hmscs/internal/sim"
 	"hmscs/internal/telemetry"
@@ -225,8 +226,10 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 // runUnit derives the unit from the spec and executes it. The
 // coordinator's seed travels in the lease, and the worker re-derives it
 // from the spec; a mismatch means coordinator/worker version skew and
-// fails loudly rather than running different physics.
-func (w *Worker) runUnit(ctx context.Context, l Lease) (*sim.Result, telemetry.SimStats, time.Duration, error) {
+// fails loudly rather than running different physics. A panic becomes
+// the unit's error, which fails the job and leaves the worker serving.
+func (w *Worker) runUnit(ctx context.Context, l Lease) (_ *sim.Result, _ telemetry.SimStats, _ time.Duration, err error) {
+	defer par.Recover(&err)
 	prog, err := w.program(ctx, l.Spec)
 	if err != nil {
 		return nil, telemetry.SimStats{}, 0, err

@@ -18,7 +18,7 @@
 // machine, so the steady-state event loop does not allocate. Traffic comes
 // from the same workload.Generator the system simulator consumes — arrival
 // process (Poisson, MMPP bursty, heavy-tailed, trace replay), destination
-// pattern (uniform, hotspot, Zipf, ...) and message-size distribution —
+// pattern (uniform, local, hotspot) and message-size distribution —
 // with switches acting as the pattern's "clusters", so every scenario of
 // the system simulator also runs at switch level.
 package netsim

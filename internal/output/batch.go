@@ -95,8 +95,7 @@ func BatchMeansCI(sample []float64, confidence float64) (BatchCI, error) {
 }
 
 // batchMeans reduces the series to nb non-overlapping batch means; the
-// last batch absorbs the remainder (mirroring stats.BatchMeans, which
-// returns only the accumulator and not the series the search needs).
+// last batch absorbs the remainder.
 func batchMeans(sample []float64, nb int) []float64 {
 	per := len(sample) / nb
 	out := make([]float64, nb)

@@ -7,7 +7,9 @@ package par
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,10 +47,36 @@ func Stats() PoolStats {
 	}
 }
 
-// runUnit executes one unit with accounting.
-func runUnit(fn func(i int) error, i int) error {
+// PanicError is a panic recovered from job code: the panic's value and
+// the stack of the goroutine that raised it.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("panic: %v\n\n%s", e.Value, e.Stack)
+}
+
+// Recover turns a panic in the calling function into a *PanicError
+// stored in *err. Deferred as `defer par.Recover(&err)` at the top of a
+// goroutine that runs job code, it keeps one failing job from ending the
+// process.
+func Recover(err *error) {
+	if v := recover(); v != nil {
+		*err = &PanicError{Value: v, Stack: debug.Stack()}
+	}
+}
+
+// runUnit executes one unit with accounting. A panic in fn becomes the
+// unit's error, so it reaches the caller under the lowest-index rule
+// whichever worker goroutine it happened on.
+func runUnit(fn func(i int) error, i int) (err error) {
 	t0 := time.Now()
-	err := fn(i)
+	func() {
+		defer Recover(&err)
+		err = fn(i)
+	}()
 	poolBusyNs.Add(int64(time.Since(t0)))
 	poolUnits.Add(1)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,6 +165,42 @@ func TestForEachCtxCancelAbortsAndDrains(t *testing.T) {
 		}
 		// The pool must be fully drained on return: no worker goroutines
 		// may outlive the call. Allow the runtime a moment to reap.
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		if after := runtime.NumGoroutine(); after > before {
+			t.Fatalf("parallelism %d: %d goroutines before, %d after — pool leaked", p, before, after)
+		}
+	}
+}
+
+// A panicking unit fails the pool like an erroring one: the panic comes
+// back as a *PanicError carrying its value and stack, under the
+// lowest-index rule (index 9's plain error is outranked), and no worker
+// goroutine outlives the call.
+func TestForEachRecoversPanic(t *testing.T) {
+	for _, p := range []int{1, 4} {
+		before := runtime.NumGoroutine()
+		err := ForEachCtx(context.Background(), 64, p, func(i int) error {
+			switch i {
+			case 5:
+				panic(fmt.Sprintf("unit %d exploded", i))
+			case 9:
+				return errors.New("unit 9 failed")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("parallelism %d: err = %v, want a *PanicError", p, err)
+		}
+		if pe.Value != "unit 5 exploded" || !strings.Contains(err.Error(), "unit 5 exploded") {
+			t.Fatalf("parallelism %d: panic value %v, error %q", p, pe.Value, err)
+		}
+		if !strings.Contains(string(pe.Stack), "TestForEachRecoversPanic") {
+			t.Fatalf("parallelism %d: stack does not reach the panicking unit:\n%s", p, pe.Stack)
+		}
 		deadline := time.Now().Add(2 * time.Second)
 		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 			time.Sleep(10 * time.Millisecond)

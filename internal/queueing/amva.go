@@ -72,75 +72,3 @@ func ApproxMVA(stations []MVAStation, thinkTime float64, population int) (*MVARe
 	}
 	return res, nil
 }
-
-// Bounds holds asymptotic bounds on a closed network's throughput and
-// response time (Denning & Buzen operational analysis), the zero-cost
-// sanity envelope for any model or simulation result.
-type Bounds struct {
-	// DMax is the bottleneck demand: max_i V_i·S_i.
-	DMax float64
-	// DTotal is the total demand per cycle: Σ_i V_i·S_i.
-	DTotal float64
-	// XUpper is min(N/(Z+D), 1/Dmax): the throughput upper bound.
-	XUpper float64
-	// XLower is N/(Z+N·D): the pessimistic (fully serialised) bound.
-	XLower float64
-	// RLower is max(D, N·Dmax − Z): the response-time lower bound.
-	RLower float64
-	// NStar is the population at which the two upper-bound regimes cross,
-	// (Z+D)/Dmax: below it the system is population-limited, above it the
-	// bottleneck saturates.
-	NStar float64
-}
-
-// AsymptoticBounds computes operational bounds for the closed network.
-func AsymptoticBounds(stations []MVAStation, thinkTime float64, population int) (*Bounds, error) {
-	if population < 1 {
-		return nil, fmt.Errorf("queueing: bounds need population >= 1, got %d", population)
-	}
-	if thinkTime < 0 {
-		return nil, fmt.Errorf("queueing: bounds think time %g is negative", thinkTime)
-	}
-	if len(stations) == 0 {
-		return nil, fmt.Errorf("queueing: bounds need at least one station")
-	}
-	b := &Bounds{}
-	for i, s := range stations {
-		if !(s.VisitRatio >= 0) || !(s.ServiceTime >= 0) {
-			return nil, fmt.Errorf("queueing: station %d (%s) has invalid parameters", i, s.Name)
-		}
-		d := s.VisitRatio * s.ServiceTime
-		b.DTotal += d
-		if d > b.DMax {
-			b.DMax = d
-		}
-	}
-	n := float64(population)
-	if b.DMax > 0 {
-		b.XUpper = math.Min(n/(thinkTime+b.DTotal), 1/b.DMax)
-		b.NStar = (thinkTime + b.DTotal) / b.DMax
-	} else {
-		b.XUpper = n / math.Max(thinkTime, 1e-300)
-		b.NStar = math.Inf(1)
-	}
-	b.XLower = n / (thinkTime + n*b.DTotal)
-	b.RLower = math.Max(b.DTotal, n*b.DMax-thinkTime)
-	return b, nil
-}
-
-// CheckAgainstBounds verifies that a solved MVAResult respects the
-// operational bounds (used as an internal consistency test for both exact
-// and approximate solvers).
-func (b *Bounds) CheckAgainstBounds(r *MVAResult, thinkTime float64) error {
-	const slack = 1e-9
-	if r.Throughput > b.XUpper*(1+slack) {
-		return fmt.Errorf("queueing: throughput %g exceeds upper bound %g", r.Throughput, b.XUpper)
-	}
-	if r.Throughput < b.XLower*(1-slack)-slack {
-		return fmt.Errorf("queueing: throughput %g below lower bound %g", r.Throughput, b.XLower)
-	}
-	if rt := r.ResponseTime(thinkTime); rt < b.RLower*(1-slack)-slack {
-		return fmt.Errorf("queueing: response time %g below lower bound %g", rt, b.RLower)
-	}
-	return nil
-}

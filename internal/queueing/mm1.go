@@ -1,8 +1,8 @@
 // Package queueing implements the analytical queueing building blocks the
-// paper's model rests on: single-station formulas (M/M/1, M/M/c, M/G/1),
-// the open Jackson network solver used for the HMSCS latency model, and an
-// exact closed-network Mean Value Analysis solver used as a cross-check for
-// the paper's effective-rate iteration.
+// paper's model rests on: the single-station M/M/1 and M/G/1 formulas of
+// its service centres, and closed-network Mean Value Analysis (exact,
+// Schweitzer-approximate and multiclass) used as a cross-check for the
+// paper's effective-rate iteration.
 //
 // Conventions: rates are per second, times in seconds. Every constructor
 // validates its inputs; stations report ErrUnstable when the offered load
@@ -55,15 +55,6 @@ func (q MM1) W() (float64, error) {
 	return 1 / (q.Mu - q.Lambda), nil
 }
 
-// Wq returns the mean time spent waiting in queue (excluding service).
-func (q MM1) Wq() (float64, error) {
-	w, err := q.W()
-	if err != nil {
-		return w, err
-	}
-	return w - 1/q.Mu, nil
-}
-
 // L returns the mean number in system ρ/(1−ρ), used for the paper's eq. (6)
 // count of waiting processors.
 func (q MM1) L() (float64, error) {
@@ -72,27 +63,6 @@ func (q MM1) L() (float64, error) {
 	}
 	rho := q.Rho()
 	return rho / (1 - rho), nil
-}
-
-// Lq returns the mean queue length excluding the customer in service.
-func (q MM1) Lq() (float64, error) {
-	l, err := q.L()
-	if err != nil {
-		return l, err
-	}
-	return l - q.Rho(), nil
-}
-
-// ProbN returns the steady-state probability of exactly n customers.
-func (q MM1) ProbN(n int) (float64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("queueing: negative occupancy %d", n)
-	}
-	if !q.Stable() {
-		return 0, ErrUnstable
-	}
-	rho := q.Rho()
-	return (1 - rho) * math.Pow(rho, float64(n)), nil
 }
 
 // MG1 describes a single-server queue with Poisson arrivals and general
@@ -146,78 +116,6 @@ func (q MG1) W() (float64, error) {
 
 // L returns the mean number in system via Little's law.
 func (q MG1) L() (float64, error) {
-	w, err := q.W()
-	if err != nil {
-		return w, err
-	}
-	return q.Lambda * w, nil
-}
-
-// MMc describes a c-server queue with Poisson arrivals and exponential
-// service, used to model multi-link trunked networks in extensions.
-type MMc struct {
-	Lambda  float64
-	Mu      float64 // per-server rate
-	Servers int
-}
-
-// NewMMc validates the parameters.
-func NewMMc(lambda, mu float64, c int) (MMc, error) {
-	if !(lambda >= 0) {
-		return MMc{}, fmt.Errorf("queueing: invalid arrival rate %g", lambda)
-	}
-	if !(mu > 0) {
-		return MMc{}, fmt.Errorf("queueing: invalid service rate %g", mu)
-	}
-	if c < 1 {
-		return MMc{}, fmt.Errorf("queueing: need at least one server, got %d", c)
-	}
-	return MMc{Lambda: lambda, Mu: mu, Servers: c}, nil
-}
-
-// Rho returns the per-server utilisation λ/(cµ).
-func (q MMc) Rho() float64 { return q.Lambda / (float64(q.Servers) * q.Mu) }
-
-// Stable reports whether the queue has a steady state.
-func (q MMc) Stable() bool { return q.Rho() < 1 }
-
-// ErlangC returns the probability an arriving customer must wait.
-func (q MMc) ErlangC() (float64, error) {
-	if !q.Stable() {
-		return 1, ErrUnstable
-	}
-	c := q.Servers
-	a := q.Lambda / q.Mu // offered load in Erlangs
-	// Compute the Erlang-C formula with a numerically stable recurrence on
-	// the Erlang-B blocking probability: B(0)=1, B(k)=a·B(k−1)/(k+a·B(k−1)).
-	b := 1.0
-	for k := 1; k <= c; k++ {
-		b = a * b / (float64(k) + a*b)
-	}
-	rho := q.Rho()
-	return b / (1 - rho*(1-b)), nil
-}
-
-// Wq returns the mean waiting time in queue.
-func (q MMc) Wq() (float64, error) {
-	pc, err := q.ErlangC()
-	if err != nil {
-		return math.Inf(1), err
-	}
-	return pc / (float64(q.Servers)*q.Mu - q.Lambda), nil
-}
-
-// W returns the mean sojourn time.
-func (q MMc) W() (float64, error) {
-	wq, err := q.Wq()
-	if err != nil {
-		return wq, err
-	}
-	return wq + 1/q.Mu, nil
-}
-
-// L returns the mean number in system via Little's law.
-func (q MMc) L() (float64, error) {
 	w, err := q.W()
 	if err != nil {
 		return w, err

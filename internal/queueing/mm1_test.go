@@ -29,20 +29,6 @@ func TestMM1KnownValues(t *testing.T) {
 	if math.Abs(l-3) > 1e-12 { // rho/(1-rho) = 3
 		t.Fatalf("L = %v, want 3", l)
 	}
-	wq, err := q.Wq()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wq-0.75) > 1e-12 {
-		t.Fatalf("Wq = %v, want 0.75", wq)
-	}
-	lq, err := q.Lq()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lq-2.25) > 1e-12 {
-		t.Fatalf("Lq = %v, want 2.25", lq)
-	}
 }
 
 func TestMM1LittlesLaw(t *testing.T) {
@@ -84,27 +70,6 @@ func TestMM1BadInputs(t *testing.T) {
 	}
 	if _, err := NewMM1(1, math.Inf(1)); err == nil {
 		t.Error("infinite mu accepted")
-	}
-}
-
-func TestMM1ProbN(t *testing.T) {
-	q, _ := NewMM1(1, 2) // rho = 0.5
-	sum := 0.0
-	for n := 0; n < 60; n++ {
-		p, err := q.ProbN(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p < 0 || p > 1 {
-			t.Fatalf("P(N=%d) = %v out of [0,1]", n, p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("probabilities sum to %v", sum)
-	}
-	if _, err := q.ProbN(-1); err == nil {
-		t.Error("negative n accepted")
 	}
 }
 
@@ -152,71 +117,6 @@ func TestMG1BadInputs(t *testing.T) {
 	}
 	if _, err := NewMG1(1, 1, -0.5); err == nil {
 		t.Error("negative SCV accepted")
-	}
-}
-
-func TestMMcReducesToMM1(t *testing.T) {
-	mm1, _ := NewMM1(3, 4)
-	mmc, err := NewMMc(3, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1, _ := mm1.W()
-	wc, _ := mmc.W()
-	if math.Abs(w1-wc) > 1e-9 {
-		t.Fatalf("M/M/1 W=%v but M/M/c(c=1) W=%v", w1, wc)
-	}
-	l1, _ := mm1.L()
-	lc, _ := mmc.L()
-	if math.Abs(l1-lc) > 1e-9 {
-		t.Fatalf("M/M/1 L=%v but M/M/c(c=1) L=%v", l1, lc)
-	}
-}
-
-func TestMMcKnownErlangC(t *testing.T) {
-	// Classic example: lambda=2, mu=1, c=3 => a=2, rho=2/3.
-	q, _ := NewMMc(2, 1, 3)
-	pc, err := q.ErlangC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Erlang-C(3, a=2) = 0.444444...
-	if math.Abs(pc-4.0/9.0) > 1e-9 {
-		t.Fatalf("ErlangC = %v, want %v", pc, 4.0/9.0)
-	}
-}
-
-func TestMMcMoreServersReduceWait(t *testing.T) {
-	prev := math.Inf(1)
-	for c := 1; c <= 6; c++ {
-		q, _ := NewMMc(4.5, 1, c+4) // keep stable for all c
-		wq, err := q.Wq()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wq > prev+1e-15 {
-			t.Fatalf("Wq increased when adding a server: c=%d wq=%v prev=%v", c+4, wq, prev)
-		}
-		prev = wq
-	}
-}
-
-func TestMMcUnstableAndBadInputs(t *testing.T) {
-	q, _ := NewMMc(10, 1, 3)
-	if q.Stable() {
-		t.Fatal("should be unstable")
-	}
-	if _, err := q.Wq(); !errors.Is(err, ErrUnstable) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := NewMMc(1, 1, 0); err == nil {
-		t.Error("zero servers accepted")
-	}
-	if _, err := NewMMc(-1, 1, 1); err == nil {
-		t.Error("negative lambda accepted")
-	}
-	if _, err := NewMMc(1, -1, 1); err == nil {
-		t.Error("negative mu accepted")
 	}
 }
 

@@ -188,24 +188,3 @@ func (st *Stream) HyperExp2(p, mean1, mean2 float64) float64 {
 	}
 	return st.Exp(mean2)
 }
-
-// Uniform returns a uniform variate in [lo, hi).
-func (st *Stream) Uniform(lo, hi float64) float64 {
-	if hi < lo {
-		panic(fmt.Sprintf("rng: Uniform called with lo=%v > hi=%v", lo, hi))
-	}
-	return lo + (hi-lo)*st.Float64()
-}
-
-// Perm fills a permutation of [0, n) using the Fisher-Yates shuffle.
-func (st *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := st.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -209,33 +209,6 @@ func TestErlangMeanAndVariance(t *testing.T) {
 	}
 }
 
-func TestUniformRange(t *testing.T) {
-	st := NewStream(14)
-	for i := 0; i < 10000; i++ {
-		v := st.Uniform(-3, 7)
-		if v < -3 || v >= 7 {
-			t.Fatalf("Uniform(-3,7) = %v out of range", v)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	st := NewStream(15)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := st.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
 func TestMul64AgainstBig(t *testing.T) {
 	// Spot-check the 128-bit multiply against values with known products.
 	cases := []struct{ a, b, hi, lo uint64 }{

@@ -287,3 +287,9 @@ func TestRunSinkErrorAbortsPromptly(t *testing.T) {
 		t.Fatalf("failing sink received %d events, want exactly 1", n)
 	}
 }
+
+func TestMs(t *testing.T) {
+	if got := Ms(0.0123); got != "12.300 ms" {
+		t.Fatalf("Ms = %q", got)
+	}
+}

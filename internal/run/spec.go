@@ -21,6 +21,7 @@ import (
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
+	"hmscs/internal/output"
 	"hmscs/internal/scenario"
 )
 
@@ -539,6 +540,27 @@ func (e *Experiment) Validate() error {
 			if f.v < 0 {
 				return fmt.Errorf("run: negative run.%s %d", f.name, f.v)
 			}
+		}
+	}
+	if p := e.Precision; p != nil {
+		// The same ranges PrecisionSpec.Build and the transient estimator
+		// enforce, checked whether or not rel_width selects adaptive mode,
+		// so a bad section fails here and not inside a job.
+		if !(p.RelWidth >= 0 && p.RelWidth < 1) {
+			return fmt.Errorf("run: precision.rel_width must be in [0, 1), got %g", p.RelWidth)
+		}
+		if !(p.Confidence >= 0 && p.Confidence < 1) {
+			return fmt.Errorf("run: precision.confidence must be in [0, 1) (0 means 0.95), got %g", p.Confidence)
+		}
+		if p.MaxReps < 0 {
+			return fmt.Errorf("run: negative precision.max_reps %d", p.MaxReps)
+		}
+		// Plan experiments are always adaptive (Normalize defaults their
+		// rel_width), and an adaptive cap must leave the stopping rule
+		// its minimum replications.
+		minReps := output.Precision{}.Normalized().MinReps
+		if p.MaxReps > 0 && p.MaxReps < minReps && (p.RelWidth > 0 || e.Kind == KindPlan) {
+			return fmt.Errorf("run: precision.max_reps %d is below the stopping rule's minimum of %d replications", p.MaxReps, minReps)
 		}
 	}
 	if e.Scenario != nil {

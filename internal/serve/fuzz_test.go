@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hmscs/internal/output"
 	"hmscs/internal/run"
 	"hmscs/internal/serve"
 )
@@ -13,9 +14,9 @@ import (
 // FuzzSpecRoundTrip fuzzes the spec boundary every submission crosses.
 // Whenever run.Parse accepts an input, Marshal → Parse must be a fixed
 // point, SpecHash must survive the round trip, the run counts it
-// accepted must be non-negative, and setting the ignored run.shards to
-// any non-negative value must not move the hash. Seeded with every
-// checked-in experiment spec.
+// accepted must be non-negative, its precision section must build, and
+// setting the ignored run.shards to any non-negative value must not move
+// the hash. Seeded with every checked-in experiment spec.
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, dir := range []string{"testdata/experiments", "docs/experiments"} {
 		paths, err := filepath.Glob(filepath.Join("..", "..", dir, "*.json"))
@@ -30,6 +31,16 @@ func FuzzSpecRoundTrip(f *testing.F) {
 			f.Add(data, uint16(2))
 		}
 	}
+	// One precision section per validation rule; max_reps 2 is refused
+	// only where the run is adaptive (plan, or a rel_width).
+	for _, prec := range []string{
+		`{"rel_width":-0.05}`, `{"rel_width":1}`, `{"confidence":-1}`,
+		`{"confidence":1}`, `{"max_reps":-1}`, `{"max_reps":2}`,
+		`{"rel_width":0.05,"max_reps":2}`,
+	} {
+		f.Add([]byte(`{"kind":"simulate","precision":`+prec+`}`), uint16(2))
+		f.Add([]byte(`{"kind":"plan","precision":`+prec+`}`), uint16(2))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, shards uint16) {
 		e, err := run.Parse(data)
 		if err != nil {
@@ -37,6 +48,14 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		}
 		if r := e.Run; r != nil && (r.Messages < 0 || r.Warmup < 0 || r.Reps < 0 || r.Shards < 0) {
 			t.Fatalf("Parse accepted negative run counts: %+v", *r)
+		}
+		// An accepted precision section builds: the stopping rule and the
+		// scenario estimator take it as it is, so no job fails on it.
+		if _, err := e.Precision.Build(); err != nil {
+			t.Fatalf("Parse accepted a precision section that does not build: %v\n%s", err, data)
+		}
+		if _, err := output.NewTransient(1, 1, e.Precision.Confidence); err != nil {
+			t.Fatalf("Parse accepted a confidence the scenario estimator rejects: %v\n%s", err, data)
 		}
 		m1, err := e.Marshal()
 		if err != nil {

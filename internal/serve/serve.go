@@ -319,7 +319,7 @@ func (s *Server) runJob(job *Job) {
 		}
 	}
 	s.runs.Add(1)
-	out, err := run.Run(job.ctx, job.spec, ropts)
+	out, err := execute(job.ctx, job.spec, ropts)
 	if out != nil {
 		job.setResources(out.Telemetry)
 	}
@@ -340,6 +340,18 @@ func (s *Server) runJob(job *Job) {
 		s.jobsFailed.Inc()
 		job.finish(StatusFailed, err.Error(), nil)
 	}
+}
+
+// runExperiment runs one job's spec. It is a variable so tests can
+// inject a faulty run.
+var runExperiment = run.Run
+
+// execute runs a job with a panic on the job's goroutine returned as a
+// *par.PanicError, so the job fails and the server keeps serving. Pool
+// workers and dist's local engine slots recover their own goroutines.
+func execute(ctx context.Context, spec *run.Experiment, opts run.Options) (out *run.Outcome, err error) {
+	defer par.Recover(&err)
+	return runExperiment(ctx, spec, opts)
 }
 
 // remember stores a successful job's stream and report under its spec

@@ -450,6 +450,60 @@ func TestSubmitRejectsNegativeRunCounts(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsInvalidPrecision pins that every precision value the
+// stopping rule or the transient estimator would reject is a 400 at
+// POST /jobs naming the field, whether or not rel_width selects adaptive
+// mode, with the valid twin already cached, and never becomes a job.
+func TestSubmitRejectsInvalidPrecision(t *testing.T) {
+	srv := serve.New(serve.Config{Parallelism: 1, MaxJobs: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	ctx := context.Background()
+	netsim := run.NewExperiment(run.KindNetsim)
+	netsim.Run.Messages = 400
+	netsim.Run.Warmup = 50
+	cases := []struct {
+		field string
+		set   func(p *run.PrecisionSpec)
+	}{
+		{"rel_width", func(p *run.PrecisionSpec) { p.RelWidth = -0.05 }},
+		{"rel_width", func(p *run.PrecisionSpec) { p.RelWidth = 1 }},
+		{"confidence", func(p *run.PrecisionSpec) { p.Confidence = -1 }},
+		{"confidence", func(p *run.PrecisionSpec) { p.Confidence = 1 }},
+		{"max_reps", func(p *run.PrecisionSpec) { p.MaxReps = -1 }},
+		{"max_reps", func(p *run.PrecisionSpec) { p.RelWidth, p.MaxReps = 0.05, 2 }},
+	}
+	for _, base := range []*run.Experiment{smallSimulate(), netsim} {
+		if _, err := serve.NewClient(ts.URL).Execute(ctx, base, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			bad := base.Clone()
+			c.set(bad.Precision)
+			data, err := bad.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "precision."+c.field) {
+				t.Errorf("%s %+v: POST /jobs answered %d %s, want 400 naming precision.%s",
+					base.Kind, *bad.Precision, resp.StatusCode, body, c.field)
+			}
+		}
+	}
+	if n := srv.Runs(); n != 2 {
+		t.Fatalf("server executed %d runs, want 2 (the valid twins only)", n)
+	}
+}
+
 // TestShardsValidatedBeforeCache pins that run.shards is validated
 // before any hash or cache lookup: with the shards-free twin cached, a
 // negative value is still rejected (by Parse and by Submit alike), and a

@@ -42,8 +42,8 @@ type Options struct {
 	Pattern workload.Pattern
 	// SizeDist draws per-message sizes; default is the config's fixed M.
 	SizeDist workload.SizeDist
-	// RecordSample keeps the raw measured latencies for histograms and
-	// batch-means confidence intervals.
+	// RecordSample keeps the raw measured latencies for output analysis
+	// (MSER truncation, batch-means confidence intervals).
 	RecordSample bool
 	// MaxSimTime aborts a run at this simulated time (safety valve for
 	// pathological configurations); zero means no limit.

@@ -1,13 +1,11 @@
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Autocorrelation returns the lag-k sample autocorrelation of the series.
 // Simulation outputs (per-message latencies) are serially correlated;
-// this estimator justifies the batch size used by BatchMeans.
+// output's batch-means search picks its batch count by the lag-1 value
+// of this estimator.
 func Autocorrelation(sample []float64, lag int) (float64, error) {
 	n := len(sample)
 	if lag < 0 {
@@ -61,25 +59,4 @@ func EffectiveSampleSize(sample []float64) (float64, error) {
 		ess = 1
 	}
 	return ess, nil
-}
-
-// SuggestBatches proposes a batch count for BatchMeans such that batches
-// are long relative to the series' correlation length: the count is the
-// effective sample size capped to [2, 64].
-func SuggestBatches(sample []float64) (int, error) {
-	ess, err := EffectiveSampleSize(sample)
-	if err != nil {
-		return 0, err
-	}
-	b := int(math.Sqrt(ess))
-	if b < 2 {
-		b = 2
-	}
-	if b > 64 {
-		b = 64
-	}
-	if b > len(sample) {
-		b = len(sample)
-	}
-	return b, nil
 }

@@ -105,22 +105,3 @@ func TestEffectiveSampleSize(t *testing.T) {
 		t.Error("tiny series accepted")
 	}
 }
-
-func TestSuggestBatches(t *testing.T) {
-	st := rng.NewStream(4)
-	sample := make([]float64, 4000)
-	for i := range sample {
-		sample[i] = st.Float64()
-	}
-	b, err := SuggestBatches(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b < 2 || b > 64 {
-		t.Fatalf("suggested batches = %d", b)
-	}
-	// Usable with BatchMeans directly.
-	if _, err := BatchMeans(sample, b); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -1,7 +1,8 @@
 // Package stats provides the statistical accumulators and estimators used
-// by the simulator and the validation harness: streaming moments (Welford),
-// time-weighted averages for queue lengths and utilisations, histograms,
-// batch-means confidence intervals, and series comparison metrics.
+// by the simulator, output analysis and the validation harness: streaming
+// moments (Welford), time-weighted averages for queue lengths and
+// utilisations, normal and Student-t quantiles, autocorrelation and
+// effective sample size, and relative error.
 package stats
 
 import (
@@ -261,24 +262,4 @@ func RelError(got, want float64) float64 {
 		return math.NaN()
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// MAPE returns the mean absolute percentage error between two equal-length
-// series (as a fraction, not percent).
-func MAPE(got, want []float64) (float64, error) {
-	if len(got) != len(want) {
-		return 0, fmt.Errorf("stats: MAPE length mismatch: %d vs %d", len(got), len(want))
-	}
-	if len(got) == 0 {
-		return 0, fmt.Errorf("stats: MAPE of empty series")
-	}
-	sum := 0.0
-	for i := range got {
-		e := RelError(got[i], want[i])
-		if math.IsNaN(e) {
-			return 0, fmt.Errorf("stats: MAPE undefined at index %d (want=0, got=%g)", i, got[i])
-		}
-		sum += e
-	}
-	return sum / float64(len(got)), nil
 }

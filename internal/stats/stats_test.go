@@ -167,25 +167,6 @@ func TestRelError(t *testing.T) {
 	}
 }
 
-func TestMAPE(t *testing.T) {
-	got, err := MAPE([]float64{11, 9}, []float64{10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("MAPE = %v, want 0.1", got)
-	}
-	if _, err := MAPE([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := MAPE(nil, nil); err == nil {
-		t.Error("empty series should error")
-	}
-	if _, err := MAPE([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero reference should error")
-	}
-}
-
 func TestQuickWelfordMeanWithinRange(t *testing.T) {
 	f := func(xs []float64) bool {
 		var w Welford

@@ -1,7 +1,8 @@
 // Package telemetry is the instrumentation layer: allocation-conscious
-// atomic counters, gauges and histograms, a registry that renders them
-// in Prometheus text exposition format, per-run simulation statistics
-// folded once per replication, and a Chrome-trace span writer.
+// atomic counters and histograms, a registry that renders them and
+// scrape-time computed values in Prometheus text exposition format,
+// per-run simulation statistics folded once per replication, and a
+// Chrome-trace span writer.
 //
 // The design constraint (DESIGN.md §12) is zero perturbation: nothing
 // here draws from an RNG, and no reading of a metric can change what
@@ -45,34 +46,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value; unlike a Counter it can go
-// down. All methods are nil-safe.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
-// Add adjusts the gauge by n (n may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v.Add(n)
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bound cumulative histogram with atomic buckets.
@@ -166,14 +139,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	r.register(metricEntry{name: name, help: help, kind: "counter",
 		scalar: func() float64 { return float64(c.Value()) }})
 	return c
-}
-
-// Gauge registers and returns a new gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(metricEntry{name: name, help: help, kind: "gauge",
-		scalar: func() float64 { return float64(g.Value()) }})
-	return g
 }
 
 // CounterFunc registers a counter whose value is computed at scrape

@@ -9,13 +9,12 @@ import (
 	"time"
 )
 
-// TestConcurrentCounters hammers a counter, a gauge and a histogram
+// TestConcurrentCounters hammers a counter and a histogram
 // from many goroutines; run under -race this is the data-race check,
 // and the final totals pin that no increment is lost.
 func TestConcurrentCounters(t *testing.T) {
 	const goroutines, perG = 16, 1000
 	c := &Counter{}
-	g := &Gauge{}
 	h := NewHistogram([]float64{0.5, 1, 2})
 	var wg sync.WaitGroup
 	for i := 0; i < goroutines; i++ {
@@ -24,8 +23,6 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
 				h.Observe(1.5)
 			}
 		}()
@@ -33,9 +30,6 @@ func TestConcurrentCounters(t *testing.T) {
 	wg.Wait()
 	if got := c.Value(); got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
-	}
-	if got := g.Value(); got != 0 {
-		t.Errorf("gauge = %d, want 0", got)
 	}
 	if got := h.Count(); got != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", got, goroutines*perG)
@@ -49,19 +43,16 @@ func TestConcurrentCounters(t *testing.T) {
 // receiver — instrumentation points fire unconditionally.
 func TestNilSafety(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var col *Collector
 	var p *TraceProfile
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(-1)
 	h.Observe(2)
 	col.Add(SimStats{Events: 1})
 	col.Merge(NewCollector())
 	p.Span(0, 0, "x", time.Time{}, 0)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil metrics must read zero")
 	}
 	if s, reps := col.Snapshot(); s.Events != 0 || reps != 0 {

@@ -1,8 +1,7 @@
 // Package topology implements the interconnect topologies used by the
 // paper's communication-network models: the multi-stage fat-tree of the
 // non-blocking model (paper §5.2, eq. 12–14) and the linear switch array of
-// the blocking model (§5.3, eq. 17), plus a library of classic topologies
-// with known bisection widths used by the examples and ablations.
+// the blocking model (§5.3, eq. 17).
 package topology
 
 import (

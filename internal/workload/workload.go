@@ -6,8 +6,8 @@
 //   - arrival processes (the paper's Poisson assumption 2 plus periodic,
 //     MMPP-2 bursty, Pareto/Weibull heavy-tailed renewal, and trace-replay
 //     extensions — all preserving the configured mean rate);
-//   - destination patterns (the paper's uniform assumption 3 plus locality,
-//     hotspot, Zipf, transpose and permutation extensions);
+//   - destination patterns (the paper's uniform assumption 3 plus locality
+//     and hotspot extensions);
 //   - message-size distributions (the paper's fixed M plus extensions).
 package workload
 
@@ -114,33 +114,6 @@ func (h Hotspot) Dest(st *rng.Stream, sys System, src int) int {
 	}
 	return Uniform{}.Dest(st, sys, src)
 }
-
-// Permutation routes node i's traffic to a fixed partner perm[i],
-// modelling static nearest-neighbour or transpose exchanges.
-type Permutation struct {
-	perm []int
-}
-
-// NewPermutation builds a random fixed-point-free permutation pattern over
-// n nodes using the supplied stream.
-func NewPermutation(st *rng.Stream, n int) (*Permutation, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("workload: permutation needs at least 2 nodes, got %d", n)
-	}
-	// A cyclic shift of a random permutation is fixed-point free.
-	order := st.Perm(n)
-	perm := make([]int, n)
-	for i := 0; i < n; i++ {
-		perm[order[i]] = order[(i+1)%n]
-	}
-	return &Permutation{perm: perm}, nil
-}
-
-// Name implements Pattern.
-func (p *Permutation) Name() string { return "permutation" }
-
-// Dest implements Pattern.
-func (p *Permutation) Dest(_ *rng.Stream, _ System, src int) int { return p.perm[src] }
 
 // SizeDist draws per-message payload sizes in bytes.
 type SizeDist interface {

@@ -152,33 +152,6 @@ func TestHotspot(t *testing.T) {
 	}
 }
 
-func TestPermutation(t *testing.T) {
-	st := rng.NewStream(7)
-	sys := fakeSystem{nc: 2, size: 8}
-	p, err := NewPermutation(st, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]bool)
-	for src := 0; src < 16; src++ {
-		d := p.Dest(st, sys, src)
-		if d == src {
-			t.Fatalf("permutation has fixed point at %d", src)
-		}
-		if seen[d] {
-			t.Fatalf("destination %d reused", d)
-		}
-		seen[d] = true
-		// Deterministic: same answer every time.
-		if p.Dest(st, sys, src) != d {
-			t.Fatal("permutation is not deterministic")
-		}
-	}
-	if _, err := NewPermutation(st, 1); err == nil {
-		t.Fatal("n=1 permutation accepted")
-	}
-}
-
 func TestFixedSize(t *testing.T) {
 	f := FixedSize{Bytes: 1024}
 	st := rng.NewStream(8)
@@ -229,9 +202,7 @@ func TestUniformSize(t *testing.T) {
 }
 
 func TestPatternNames(t *testing.T) {
-	st := rng.NewStream(11)
-	perm, _ := NewPermutation(st, 4)
-	for _, p := range []Pattern{Uniform{}, LocalBias{Locality: 0.5}, Hotspot{Node: 1, Fraction: 0.1}, perm} {
+	for _, p := range []Pattern{Uniform{}, LocalBias{Locality: 0.5}, Hotspot{Node: 1, Fraction: 0.1}} {
 		if p.Name() == "" {
 			t.Errorf("%T has empty name", p)
 		}
@@ -245,26 +216,16 @@ func TestPatternNames(t *testing.T) {
 
 // TestPatternsNeverReturnSource is the cross-pattern self-routing property
 // test: across pinned seeds, no pattern may ever pick the source as the
-// destination — Permutation must be fixed-point free by construction and
-// Hotspot must fall through to uniform when the hot node sends.
+// destination — Hotspot must fall through to uniform when the hot node
+// sends.
 func TestPatternsNeverReturnSource(t *testing.T) {
 	sys := fakeSystem{nc: 4, size: 4}
 	n := sys.TotalNodes()
 	for _, seed := range []uint64{1, 7, 42, 1234, 0xdeadbeef} {
 		st := rng.NewStream(seed)
-		perm, err := NewPermutation(st, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zipf, err := NewZipf(n, 1.2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		patterns := []Pattern{
-			perm,
 			Hotspot{Node: 3, Fraction: 0.9},
 			Hotspot{Node: 0, Fraction: 1},
-			zipf,
 			Uniform{},
 			LocalBias{Locality: 0.8},
 		}
