@@ -139,20 +139,13 @@ type Network struct {
 	msgs         []nmsg
 	free         []int32
 
-	// Dynamic-scenario state (nil/empty in stationary runs), mirroring the
-	// system simulator's per-processor machinery: epDown is the endpoint's
-	// up/down state, thinking marks a pending generation event, blocked a
-	// closed-loop source waiting for its in-flight message, genDue the
-	// pending generation's due time and genStale the voided generation
-	// events a failure left in the event set. A failed switch (or spine)
-	// takes down the links its crossbar serves — its output ports — and
-	// new fat-tree routes avoid down spines automatically (pickSpine).
-	scn      *scenario.CompiledNet
-	epDown   []bool
-	thinking []bool
-	blocked  []bool
-	genDue   []float64
-	genStale []int32
+	// Dynamic-scenario state (unused in stationary runs): life holds each
+	// endpoint's source lifecycle, as in the system simulator. A failed
+	// switch (or spine) takes down the links its crossbar serves — its
+	// output ports — and new fat-tree routes avoid down spines
+	// automatically (pickSpine).
+	scn  *scenario.CompiledNet
+	life sim.Lifecycle
 }
 
 // TotalNodes implements workload.System: the endpoint count.
@@ -499,16 +492,8 @@ func (n *Network) Handle(kind sim.EventKind, idx int32) {
 // with the default uniform pattern and fixed size the stream draws are
 // identical to the pre-unification hardcoded source.
 func (n *Network) generate(p int) {
-	if n.scn != nil {
-		if !n.thinking[p] || n.eng.Now() != n.genDue[p] {
-			if n.genStale[p] == 0 {
-				panic(fmt.Sprintf("netsim: endpoint %d got a generation event with no arrival due and no stale token", p))
-			}
-			n.genStale[p]--
-			return
-		}
-		n.thinking[p] = false
-		n.blocked[p] = true
+	if n.scn != nil && !n.life.Fire(p, true) {
+		return // voided by an endpoint failure
 	}
 	n.generated++
 	st := n.streams[p]
@@ -533,12 +518,11 @@ func (n *Network) generate(p int) {
 // configured.
 func (n *Network) scheduleGeneration(p int) {
 	gap := n.sources[p].Next(n.streams[p])
-	if n.scn != nil {
-		gap = n.scn.Profile.Stretch(n.eng.Now(), gap)
-		n.thinking[p] = true
-		n.genDue[p] = n.eng.Now() + gap
+	if n.scn == nil {
+		n.eng.Schedule(gap, nvGenerate, int32(p))
+		return
 	}
-	n.eng.Schedule(gap, nvGenerate, int32(p))
+	n.life.Armed(p, n.eng.Schedule(n.scn.Profile.Stretch(n.eng.Now(), gap), nvGenerate, int32(p)))
 }
 
 // deliver sinks a completed message and, closed-loop, re-arms its source.
@@ -550,13 +534,9 @@ func (n *Network) scheduleGeneration(p int) {
 // lattice, and every reported statistic depends on the canonical commit.
 func (n *Network) deliver(p int, born float64, hops int) {
 	n.pend = append(n.pend, pendDelivery{born: born, src: int32(p), hops: int32(hops)})
-	if n.scn != nil {
-		n.blocked[p] = false
-		if n.epDown[p] {
-			return // the endpoint died in flight; it re-arms at repair
-		}
+	if n.scn == nil || n.life.Release(p) {
+		n.scheduleGeneration(p)
 	}
-	n.scheduleGeneration(p)
 }
 
 // flushDeliveries commits the deliveries of the current instant in
@@ -627,7 +607,7 @@ func (n *Network) applyScenario(i int) {
 	ev := &n.scn.Events[i]
 	if ev.Fail {
 		for _, p := range ev.Endpoints {
-			n.failEndpoint(int(p))
+			n.life.Fail(int(p))
 		}
 		for _, l := range ev.Leaves {
 			for _, li := range n.leafLinks(int(l)) {
@@ -652,7 +632,9 @@ func (n *Network) applyScenario(i int) {
 		}
 	}
 	for _, p := range ev.Endpoints {
-		n.repairEndpoint(int(p))
+		if n.life.Repair(int(p)) {
+			n.scheduleGeneration(int(p))
+		}
 	}
 }
 
@@ -672,36 +654,8 @@ func (n *Network) dropMsg(mi int32) {
 	src := int(m.src)
 	n.res.Dropped++
 	n.free = append(n.free, mi)
-	n.releaseSource(src)
-}
-
-// releaseSource unblocks a closed-loop endpoint whose in-flight message
-// was dropped, re-arming it unless the endpoint itself is down.
-func (n *Network) releaseSource(p int) {
-	n.blocked[p] = false
-	if n.epDown[p] {
-		return
-	}
-	n.scheduleGeneration(p)
-}
-
-// failEndpoint stops p generating: a pending generation event is voided
-// (stale token), an in-flight message completes normally but does not
-// re-arm (deliver checks epDown).
-func (n *Network) failEndpoint(p int) {
-	n.epDown[p] = true
-	if n.thinking[p] {
-		n.thinking[p] = false
-		n.genStale[p]++
-	}
-}
-
-// repairEndpoint brings p back: it re-arms immediately unless it is still
-// waiting on an in-flight message (blocked), which re-arms it at delivery.
-func (n *Network) repairEndpoint(p int) {
-	n.epDown[p] = false
-	if !n.thinking[p] && !n.blocked[p] {
-		n.scheduleGeneration(p)
+	if n.life.Release(src) {
+		n.scheduleGeneration(src)
 	}
 }
 
@@ -750,13 +704,9 @@ func (n *Network) Run(opts Options) (*Result, error) {
 	n.free = make([]int32, 0, n.N)
 
 	if n.scn != nil {
-		n.epDown = make([]bool, n.N)
-		n.thinking = make([]bool, n.N)
-		n.blocked = make([]bool, n.N)
-		n.genDue = make([]float64, n.N)
-		n.genStale = make([]int32, n.N)
+		n.life.Reset(n.eng, n.N)
 		for _, e := range n.scn.InitialDownEndpoints {
-			n.epDown[e] = true
+			n.life.Fail(int(e))
 		}
 		for _, l := range n.scn.InitialDownLeaves {
 			for _, li := range n.leafLinks(int(l)) {
@@ -775,7 +725,7 @@ func (n *Network) Run(opts Options) (*Result, error) {
 		}
 	}
 	for p := 0; p < n.N; p++ {
-		if n.scn != nil && n.epDown[p] {
+		if n.scn != nil && n.life.Down(p) {
 			continue
 		}
 		n.scheduleGeneration(p)

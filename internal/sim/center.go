@@ -86,15 +86,12 @@ type Center struct {
 	inService pendingJob
 	queue     jobRing
 
-	// Dynamic-scenario state. A failed centre accepts submissions into its
-	// queue but serves nothing; dueAt is the scheduled completion time of
-	// the job in service and stale counts voided completion events still in
-	// the engine's future-event set (a failure cannot unschedule them, so
-	// TakeCompletion swallows them on arrival). All three stay at their
-	// zero values in stationary runs, which never call Fail.
+	// A failed centre accepts submissions into its queue but serves
+	// nothing. due is the token of the in-service job's completion event;
+	// Fail zeroes it, so the voided event that still fires is told apart
+	// by TakeCompletion. Stationary runs never call Fail.
 	failed bool
-	dueAt  float64
-	stale  int
+	due    uint64
 
 	qlen   stats.TimeWeighted // number in system (queue + in service)
 	busyTW stats.TimeWeighted // 0/1 busy signal
@@ -147,9 +144,7 @@ func (c *Center) start(j pendingJob) {
 	c.busy = true
 	c.busyTW.Observe(c.eng.Now(), 1)
 	c.inService = j
-	d := rng.SampleScaled(c.distTpl, c.stream, j.serviceMean)
-	c.dueAt = c.eng.Now() + d
-	c.eng.Schedule(d, c.doneKind, c.id)
+	c.due = c.eng.Schedule(rng.SampleScaled(c.distTpl, c.stream, j.serviceMean), c.doneKind, c.id)
 }
 
 // CompleteService finishes the message in service — updating statistics
@@ -170,30 +165,15 @@ func (c *Center) CompleteService() int32 {
 	return done
 }
 
-// TakeCompletion reports whether the (doneKind, id) event that just
-// fired is a live completion. Scenario runs call it before
-// CompleteService: a failure cannot unschedule the in-flight completion
-// event of the job it interrupted, so that event still fires and must be
-// swallowed. An event is live exactly when the centre is up, busy, and
-// the clock matches the in-service job's due time; anything else
-// consumes one stale token. (When a voided event's timestamp collides
-// with a restarted job's due time, the voided event arrives first and
-// passes the liveness check — completing the job it is indistinguishable
-// from — and the job's own event then consumes the token. The net effect
-// is identical.) Stationary runs never fail centres and never call this.
-func (c *Center) TakeCompletion() bool {
-	if !c.failed && c.busy && c.eng.Now() == c.dueAt {
-		return true
-	}
-	if c.stale == 0 {
-		panic(fmt.Sprintf("sim: centre %s got a completion event with no job due and no stale token", c.Name))
-	}
-	c.stale--
-	return false
-}
+// TakeCompletion reports whether the (doneKind, id) event being
+// dispatched is the live completion of the job in service, rather than
+// one voided by a failure (which cannot unschedule it). Scenario runs call
+// it before CompleteService; stationary runs never fail a centre and skip
+// it.
+func (c *Center) TakeCompletion() bool { return c.due == c.eng.Current() }
 
-// Fail takes the centre out of service. The interrupted in-service job's
-// completion event becomes stale. With evict=true the in-service and
+// Fail takes the centre out of service, voiding the interrupted
+// in-service job's completion event. With evict=true the in-service and
 // queued messages are removed and returned for the caller to apply the
 // event's policy (drop or reroute); with evict=false (requeue) they stay
 // queued — the interrupted job returns to the queue head and resumes
@@ -203,10 +183,9 @@ func (c *Center) Fail(evict bool) []int32 {
 	if c.failed {
 		panic(fmt.Sprintf("sim: centre %s failed twice", c.Name))
 	}
-	c.failed = true
+	c.failed, c.due = true, 0
 	var out []int32
 	if c.busy {
-		c.stale++
 		c.busy = false
 		c.busyTW.Observe(c.eng.Now(), 0)
 		if evict {

@@ -268,3 +268,43 @@ func TestCenterFailRequeueAndEvictOrder(t *testing.T) {
 		t.Fatalf("evict: got %v with %d left, want [3 4 5] and an empty centre", evicted, c.QueueLength())
 	}
 }
+
+// TestCenterVoidedCompletionCollision: a dropped job's voided completion
+// and the next job's completion fall on the same instant, with a probe
+// event between them in (at, seq) order. The voided event must complete
+// nothing, so the probe sees no service yet; the new job completes at
+// its own event.
+func TestCenterVoidedCompletionCollision(t *testing.T) {
+	eng := NewEngine()
+	var c *Center
+	var evicted, done []int32
+	probe := int64(-1)
+	eng.SetHandler(handlerFunc(func(kind EventKind, idx int32) {
+		switch {
+		case kind == tkDone:
+			if c.TakeCompletion() {
+				done = append(done, c.CompleteService())
+			}
+		case idx == 0:
+			evicted = c.Fail(true)
+			c.Repair()
+			c.Submit(0.5, 1) // due at 0.5 + 0.5 = 1, like the voided event
+		default:
+			probe = c.Served()
+		}
+	}))
+	c = NewCenter("q", eng, rng.Deterministic{Value: 1}, rng.NewStream(10), tkDone, 0)
+	c.Submit(1, 0)                 // completion due at t=1
+	eng.Schedule(1, tkArrive, 1)   // the probe, after it in seq order
+	eng.Schedule(0.5, tkArrive, 0) // drop job 0, start job 1
+	eng.Run(math.Inf(1))
+	if len(evicted) != 1 || evicted[0] != 0 {
+		t.Fatalf("evicted %v, want [0]", evicted)
+	}
+	if probe != 0 {
+		t.Fatalf("probe at t=1 saw %d services, want 0: the voided completion finished the new job early", probe)
+	}
+	if len(done) != 1 || done[0] != 1 || c.Served() != 1 || eng.Now() != 1 {
+		t.Fatalf("completed %v (served %d) by t=%v, want [1] by t=1", done, c.Served(), eng.Now())
+	}
+}

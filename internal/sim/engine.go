@@ -132,6 +132,7 @@ func (h *eventHeap) removeTop() {
 type Engine struct {
 	now     float64
 	seq     uint64
+	cur     uint64 // seq of the event being dispatched
 	events  eventHeap
 	held    bool
 	handler Handler
@@ -158,42 +159,55 @@ func (e *Engine) SetHandler(h Handler) { e.handler = h }
 // Now returns the current simulation time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Schedule enqueues an event of the given kind after delay. A negative
-// delay is a programming error and panics; simultaneous events are
-// dispatched in scheduling order.
-func (e *Engine) Schedule(delay float64, kind EventKind, idx int32) {
+// Schedule enqueues an event of the given kind after delay and returns
+// its sequence number, a token unique within the run (never zero). A
+// negative delay is a programming error and panics; simultaneous events
+// are dispatched in scheduling order.
+//
+// Events are never unscheduled. An owner that may void its pending event
+// keeps the token instead and, when the event fires, compares it with
+// Current: a mismatch means the event was voided, and the handler
+// ignores it.
+func (e *Engine) Schedule(delay float64, kind EventKind, idx int32) uint64 {
 	if delay < 0 || math.IsNaN(delay) {
 		panic(fmt.Sprintf("sim: scheduling with invalid delay %v", delay))
 	}
-	e.insert(e.now+delay, kind, idx)
+	return e.insert(e.now+delay, kind, idx)
 }
 
-// ScheduleAt enqueues an event at the absolute time at. Scheduling into the
-// past is a programming error and panics; simultaneous events dispatch in
+// ScheduleAt enqueues an event at the absolute time at and returns its
+// sequence number, like Schedule. Scheduling into the past is a
+// programming error and panics; simultaneous events dispatch in
 // scheduling order, exactly like Schedule.
-func (e *Engine) ScheduleAt(at float64, kind EventKind, idx int32) {
+func (e *Engine) ScheduleAt(at float64, kind EventKind, idx int32) uint64 {
 	if at < e.now || math.IsNaN(at) {
 		panic(fmt.Sprintf("sim: scheduling at invalid time %v (now %v)", at, e.now))
 	}
-	e.insert(at, kind, idx)
+	return e.insert(at, kind, idx)
 }
 
 // insert adds one event, replacing the held root when there is one. A
 // replacement leaves the set's size where it was before the held event's
 // dispatch, so only a push can raise the high-water mark.
-func (e *Engine) insert(at float64, kind EventKind, idx int32) {
+func (e *Engine) insert(at float64, kind EventKind, idx int32) uint64 {
 	e.seq++
 	ev := event{at: at, seq: e.seq, kind: kind, idx: idx}
 	if e.held {
 		e.held = false
 		e.events.replaceTop(ev)
-		return
+		return e.seq
 	}
 	e.events.push(ev)
 	if n := len(e.events); n > e.maxPending {
 		e.maxPending = n
 	}
+	return e.seq
 }
+
+// Current returns the sequence number of the event being dispatched (the
+// token Schedule returned for it), or of the last one dispatched when
+// called between events; zero before the first dispatch.
+func (e *Engine) Current() uint64 { return e.cur }
 
 // resolve removes the held root, if any: the event already dispatched
 // whose handler has not (yet) scheduled a replacement.
@@ -211,6 +225,7 @@ func (e *Engine) dispatch(ev event) {
 		panic(fmt.Sprintf("sim: time went backwards: %v < %v", ev.at, e.now))
 	}
 	e.now = ev.at
+	e.cur = ev.seq
 	e.held = true
 	e.handler.Handle(ev.kind, ev.idx)
 	e.resolve()

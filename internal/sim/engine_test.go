@@ -340,3 +340,51 @@ func TestEngineDispatchOrderMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineTokens pins the sequence tokens: Schedule and ScheduleAt
+// return strictly increasing numbers, from top-level and nested calls
+// alike (both the push and the held-root replacement path), and inside an
+// event's dispatch Current equals the number its scheduling returned.
+func TestEngineTokens(t *testing.T) {
+	e := NewEngine()
+	tokens := map[int32]uint64{}
+	var last uint64
+	next := int32(0)
+	schedule := func(delay float64, at bool) {
+		var tok uint64
+		if at {
+			tok = e.ScheduleAt(e.Now()+delay, 0, next)
+		} else {
+			tok = e.Schedule(delay, 0, next)
+		}
+		if tok <= last {
+			t.Fatalf("token %d after %d: not strictly increasing", tok, last)
+		}
+		tokens[next], last = tok, tok
+		next++
+	}
+	dispatched := 0
+	e.SetHandler(handlerFunc(func(_ EventKind, idx int32) {
+		dispatched++
+		if got := e.Current(); got != tokens[idx] {
+			t.Fatalf("event %d: Current() = %d inside its dispatch, want %d", idx, got, tokens[idx])
+		}
+		// Schedule zero, one or two follow-ups: the first replaces the held
+		// root, the second pushes.
+		if next < 60 {
+			for k := int32(0); k < idx%3; k++ {
+				schedule(float64(idx%4), k == 1)
+			}
+		}
+	}))
+	if e.Current() != 0 {
+		t.Fatalf("Current() = %d before any dispatch, want 0", e.Current())
+	}
+	for i := 0; i < 5; i++ {
+		schedule(float64(i%2), i%2 == 0)
+	}
+	e.Run(math.Inf(1))
+	if dispatched != len(tokens) {
+		t.Fatalf("dispatched %d of %d scheduled events", dispatched, len(tokens))
+	}
+}

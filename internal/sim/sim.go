@@ -302,20 +302,12 @@ type Simulator struct {
 	completed    int64
 	ran          bool
 
-	// Dynamic-scenario state (nil/empty in stationary runs). Per
-	// processor: nodeDown is the element's up/down state, thinking marks a
-	// pending generation event, blocked a closed-loop source waiting for
-	// its in-flight message, genDue the pending generation's due time and
-	// genStale the voided generation events still in the event set (a node
-	// failure cannot unschedule them). Per centre, failPolicy retains a
+	// Dynamic-scenario state (unused in stationary runs). life holds each
+	// processor's source lifecycle. Per centre, failPolicy retains a
 	// failed centre's in-flight policy so new local arrivals during an
 	// icn1 reroute outage also take the detour.
 	scn        *scenario.CompiledSim
-	nodeDown   []bool
-	thinking   []bool
-	blocked    []bool
-	genDue     []float64
-	genStale   []int32
+	life       Lifecycle
 	failPolicy []scenario.Policy
 }
 
@@ -410,14 +402,10 @@ func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	s.msgs = resize(s.msgs, n)[:0]
 	s.free = resize(s.free, n)[:0]
 	if s.scn = opts.Scenario; s.scn != nil {
-		s.nodeDown = zeroed(s.nodeDown, n)
-		s.thinking = zeroed(s.thinking, n)
-		s.blocked = zeroed(s.blocked, n)
-		s.genDue = zeroed(s.genDue, n)
-		s.genStale = zeroed(s.genStale, n)
+		s.life.Reset(&s.eng, n)
 		s.failPolicy = zeroed(s.failPolicy, nc)
 		for _, p := range s.scn.InitialDownNodes {
-			s.nodeDown[p] = true
+			s.life.Fail(int(p))
 		}
 		for _, cid := range s.scn.InitialDownCenters {
 			s.centers[cid].Fail(false)
@@ -476,7 +464,7 @@ func (s *Simulator) Run() (*Result, error) {
 	// Start every processor's first think period (initially-down nodes
 	// join when a repair event names them).
 	for p := 0; p < s.lay.TotalNodes(); p++ {
-		if s.scn != nil && s.nodeDown[p] {
+		if s.scn != nil && s.life.Down(p) {
 			continue
 		}
 		s.scheduleGeneration(p)
@@ -566,28 +554,17 @@ func (s *Simulator) allocMsg() int32 {
 // gap), so the draw sequence is untouched.
 func (s *Simulator) scheduleGeneration(p int) {
 	gap := s.sources[p].Next(&s.procStreams[p])
-	if s.scn != nil {
-		gap = s.scn.Profile.Stretch(s.eng.Now(), gap)
-		s.thinking[p] = true
-		s.genDue[p] = s.eng.Now() + gap
+	if s.scn == nil {
+		s.eng.Schedule(gap, evGenerate, int32(p))
+		return
 	}
-	s.eng.Schedule(gap, evGenerate, int32(p))
+	s.life.Armed(p, s.eng.Schedule(s.scn.Profile.Stretch(s.eng.Now(), gap), evGenerate, int32(p)))
 }
 
 // generate creates one message at processor p and submits its first hop.
 func (s *Simulator) generate(p int) {
-	if s.scn != nil {
-		// A generation event is live exactly when the processor is still
-		// thinking and the clock matches its due time; anything else is a
-		// voided event left behind by a node failure.
-		if !s.thinking[p] || s.eng.Now() != s.genDue[p] {
-			if s.genStale[p] == 0 {
-				panic(fmt.Sprintf("sim: processor %d got a generation event with no arrival due and no stale token", p))
-			}
-			s.genStale[p]--
-			return
-		}
-		s.thinking[p] = false
+	if s.scn != nil && !s.life.Fire(p, !s.opts.OpenLoop) {
+		return // voided by a node failure
 	}
 	s.res.Generated++
 	st := &s.procStreams[p]
@@ -613,8 +590,6 @@ func (s *Simulator) generate(p int) {
 	// period; in the paper's closed-loop mode it blocks until completion.
 	if s.opts.OpenLoop {
 		s.scheduleGeneration(p)
-	} else if s.scn != nil {
-		s.blocked[p] = true
 	}
 
 	if m.srcCl == m.dstCl {
@@ -690,13 +665,7 @@ func (s *Simulator) deliver(src int, born float64) {
 			s.eng.Stop()
 		}
 	}
-	if !s.opts.OpenLoop {
-		if s.scn != nil {
-			s.blocked[src] = false
-			if s.nodeDown[src] {
-				return // the node died in flight; it re-arms at repair
-			}
-		}
+	if !s.opts.OpenLoop && (s.scn == nil || s.life.Release(src)) {
 		s.scheduleGeneration(src)
 	}
 }
@@ -710,7 +679,7 @@ func (s *Simulator) applyScenario(i int) {
 	ev := &s.scn.Events[i]
 	if ev.Fail {
 		for _, p := range ev.Nodes {
-			s.failNode(int(p))
+			s.life.Fail(int(p))
 		}
 		for _, cid := range ev.Centers {
 			s.failCenter(cid, ev.Policy)
@@ -721,28 +690,9 @@ func (s *Simulator) applyScenario(i int) {
 		s.repairCenter(cid)
 	}
 	for _, p := range ev.Nodes {
-		s.repairNode(int(p))
-	}
-}
-
-// failNode stops processor p generating. A pending generation event
-// cannot be unscheduled, so it is voided by a stale token; a blocked
-// source stays blocked — its in-flight message continues, and the
-// delivery notices the node is down.
-func (s *Simulator) failNode(p int) {
-	s.nodeDown[p] = true
-	if s.thinking[p] {
-		s.thinking[p] = false
-		s.genStale[p]++
-	}
-}
-
-// repairNode restarts processor p: idle nodes re-arm immediately,
-// blocked ones re-arm when their in-flight message delivers.
-func (s *Simulator) repairNode(p int) {
-	s.nodeDown[p] = false
-	if !s.thinking[p] && !s.blocked[p] {
-		s.scheduleGeneration(p)
+		if s.life.Repair(int(p)) {
+			s.scheduleGeneration(int(p))
+		}
 	}
 }
 
@@ -772,11 +722,8 @@ func (s *Simulator) dropMsg(mi int32) {
 	s.res.Dropped++
 	src := int(s.msgs[mi].src)
 	s.free = append(s.free, mi)
-	if !s.opts.OpenLoop {
-		s.blocked[src] = false
-		if !s.nodeDown[src] {
-			s.scheduleGeneration(src)
-		}
+	if !s.opts.OpenLoop && s.life.Release(src) {
+		s.scheduleGeneration(src)
 	}
 }
 

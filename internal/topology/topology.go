@@ -141,13 +141,7 @@ func (l LinearArray) FullBisection() bool { return l.BisectionWidth() >= ceilDiv
 // under uniform traffic only one of N/2 would-be crossers proceeds at a
 // time. For N < 2 the factor is 1 (no contention possible).
 func (l LinearArray) BlockingFactor() float64 {
-	if l.Switches() == 1 {
-		// Single switch: the paper's linear-array blocking argument assumes
-		// a chain; one switch still has bisection N/2 within its fabric but
-		// the model keeps the N/2 slash because an Ethernet switch chain of
-		// one element still serialises on its single uplink-free fabric.
-		// We follow eq. 21 literally, which does not special-case k=1.
-	}
+	// Eq. 21 does not special-case a single switch (k = 1).
 	if l.N < 2 {
 		return 1
 	}
