@@ -82,7 +82,11 @@ func benchFigure(b *testing.B, figure int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opts := sweep.Options{SkipSimulation: true}
-		res, err := sweep.RunFiguresCtx(context.Background(), []sweep.FigureSpec{spec}, nil, opts, nil)
+		batch, err := sweep.FigureBatch([]sweep.FigureSpec{spec}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sweep.RunFiguresCtx(context.Background(), batch, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

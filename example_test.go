@@ -11,7 +11,7 @@ import (
 // Example_experimentJSON shows the unified experiment API's spec form:
 // one JSON document describes a whole experiment, round-trips through
 // ParseExperiment/Marshal, and runs identically from Go, any binary's
-// -spec flag, or a future job queue.
+// -spec flag, or a job submitted to the experiment server.
 func Example_experimentJSON() {
 	spec, err := hmscs.ParseExperiment([]byte(`{
 		"v": 1,

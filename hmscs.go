@@ -432,13 +432,14 @@ func RunFigures(ns []int, opts SweepOptions) ([]*FigureResult, error) {
 	return runFigures(specs, opts)
 }
 
-// runFigures evaluates a figure batch over its own unit decomposition.
+// runFigures evaluates a figure batch over its own derivation. Figures
+// are stationary: a SweepOptions.Scenario is an error.
 func runFigures(specs []sweep.FigureSpec, opts SweepOptions) ([]*FigureResult, error) {
-	units, err := sweep.FigureUnits(specs, opts)
+	b, err := sweep.FigureBatch(specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return sweep.RunFiguresCtx(context.Background(), specs, units, opts, nil)
+	return sweep.RunFiguresCtx(context.Background(), b, opts, nil)
 }
 
 // DefaultSweepOptions evaluates figures with the paper's per-run procedure

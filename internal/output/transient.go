@@ -44,9 +44,12 @@ type TransientSeries struct {
 
 // Transient accumulates replications into a time-sliced estimate. Feed
 // each replication's (completion time, latency) series with
-// AddReplication — in replication order, for determinism of nothing but
-// the bookkeeping (the estimate itself is order-free) — then call
-// Series.
+// AddReplication, then call Series. The estimate depends on the order
+// replications are added, bit for bit: each slice's across-replication
+// mean and variance are floating-point Welford updates, so a different
+// order can move the last digits. Add replications in replication order
+// (sim.RunBatchCtx does) for results that are the same at every
+// parallelism.
 type Transient struct {
 	horizon, width float64
 	confidence     float64

@@ -144,26 +144,21 @@ func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *s
 		if err != nil {
 			return wrap(err)
 		}
-		u := sim.Unit{Cfg: v.Cfg, Opts: opts}
+		// The latency objective is the timeline's own, else the plan
+		// SLO's budget.
+		win := cs.Window
+		if math.IsNaN(win.SLO) {
+			win.SLO = slo.MaxLatency
+		}
+		u := sim.Unit{Cfg: v.Cfg, Opts: opts, Window: &win}
 		u.Opts.Scenario = cs
 		u.Opts.RecordSample = true
-		results, err := sim.RunUnitsCtx(ctx, []sim.Unit{u}, reps, parallelism, prog, nil)
+		sums, err := sim.RunBatchCtx(ctx, []sim.Unit{u}, sim.Schedule{Reps: reps}, parallelism, prog, nil)
 		if err != nil {
 			return wrap(err)
-		}
-		tr, err := output.NewTransient(cs.Horizon, cs.Slice, 0.95)
-		if err != nil {
-			return wrap(err)
-		}
-		for _, r := range results[0] {
-			tr.AddReplication(r.SampleTimes, r.Sample)
-		}
-		sloLat := cs.SLO
-		if math.IsNaN(sloLat) {
-			sloLat = slo.MaxLatency
 		}
 		v.ScenarioChecked = true
-		v.Recovery = output.RecoveryTime(tr.Series(), cs.FaultAt, sloLat)
+		v.Recovery = sums[0].Transient.RecoveryS
 		switch {
 		case math.IsNaN(v.Recovery):
 			// No fault in the timeline: nothing to recover from.

@@ -10,6 +10,7 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
+	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
 	"hmscs/internal/validate"
 )
@@ -420,6 +421,37 @@ func TestVerifyParallelismInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatal("verification differs between -parallel 1 and 8")
+	}
+}
+
+// TestVerifyScenarioFallsBackToPlanSLO: a timeline without its own
+// latency objective is judged against the plan SLO's budget, so its
+// recovery equals that of the same timeline spelling the budget out.
+func TestVerifyScenarioFallsBackToPlanSLO(t *testing.T) {
+	slo := SLO{MaxLatency: 5e-3}
+	res, err := Screen(smallSpace(), slo, DefaultCostModel(), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr := Frontier(res)
+	var recovery []float64
+	for _, sloMS := range []float64{0, 5} {
+		scn := &scenario.Spec{HorizonS: 0.12, SliceS: 0.01, SLOLatencyMS: sloMS, Events: []scenario.Event{
+			{TS: 0.04, Action: scenario.ActionFail, Target: "cluster:largest", Policy: "drop"},
+			{TS: 0.08, Action: scenario.ActionRepair, Target: "cluster:largest"},
+		}}
+		verified := []VerifiedCandidate{{ScreenResult: fr[0]}}
+		if err := VerifyScenarioCtx(context.Background(), verified, scn, slo, verifyOpts(), 2, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !verified[0].ScenarioChecked || math.IsNaN(verified[0].Recovery) {
+			t.Fatalf("slo_latency_ms %g: checked %v, recovery %v; want a recovery judged against an SLO",
+				sloMS, verified[0].ScenarioChecked, verified[0].Recovery)
+		}
+		recovery = append(recovery, verified[0].Recovery)
+	}
+	if math.Float64bits(recovery[0]) != math.Float64bits(recovery[1]) {
+		t.Fatalf("recovery %v without a timeline SLO, %v with the plan budget spelled out", recovery[0], recovery[1])
 	}
 }
 

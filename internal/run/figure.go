@@ -101,17 +101,14 @@ func selectFigures(e *Experiment) (*figureSelection, error) {
 }
 
 func runFigure(ctx context.Context, p *Program, opts Options, em *emitter) (*FigureOutcome, error) {
-	e := p.spec
-	sweepOpts, err := p.sweepOptions()
+	// Every requested figure's (point × replication) units form one
+	// stage, so they all share the worker pool.
+	st, err := p.Stage(StageFigures)
 	if err != nil {
 		return nil, err
 	}
-	sweepOpts.Parallelism = opts.Parallelism
-	sweepOpts.Progress = em.fn()
-	sel, err := selectFigures(e)
-	if err != nil {
-		return nil, err
-	}
+	sel, sweepOpts := st.figures, st.sweepOpts
+	sweepOpts.Parallelism, sweepOpts.Progress = opts.Parallelism, em.fn()
 	out := &FigureOutcome{
 		Tables:   sel.want("tables"),
 		Nums:     sel.nums,
@@ -122,13 +119,7 @@ func runFigure(ctx context.Context, p *Program, opts Options, em *emitter) (*Fig
 	for _, n := range sel.nums {
 		out.PrintFig[n] = sel.want(fmt.Sprintf("fig%d", n))
 	}
-	// Every requested figure's (point × replication) units form one
-	// stage, so they all share the worker pool.
-	st, err := p.Stage(StageFigures)
-	if err != nil {
-		return nil, err
-	}
-	if out.Results, err = sweep.RunFiguresCtx(ctx, sel.specs, opts.observed(st), sweepOpts, opts.unitFunc(st)); err != nil {
+	if out.Results, err = sweep.RunFiguresCtx(ctx, opts.observedBatch(st), sweepOpts, opts.unitFunc(st)); err != nil {
 		return nil, err
 	}
 	// The ablation and future-work extras are outside the distributable
@@ -150,9 +141,18 @@ func runFigure(ctx context.Context, p *Program, opts Options, em *emitter) (*Fig
 
 // runAblation compares the paper's effective-rate iteration against exact
 // MVA and simulation, quantifying the service-distribution and
-// source-blocking assumptions on the Figure-4 platform.
+// source-blocking assumptions on the Figure-4 platform. Every cluster
+// count simulates three variants — exponential service, deterministic
+// service and open-loop sources — and all twelve share one batch.
 func runAblation(ctx context.Context, opts sweep.Options) (*AblationData, error) {
 	data := &AblationData{HasSim: !opts.SkipSimulation}
+	detOpts := opts.Sim
+	detOpts.ServiceDist = rng.Deterministic{Value: 1}
+	openOpts := opts.Sim
+	openOpts.OpenLoop = true
+	// Open-loop saturation has unbounded queues; cap the run time.
+	openOpts.MaxSimTime = 120
+	var units []sim.Unit
 	for _, c := range []int{2, 8, 32, 128} {
 		cfg, err := core.PaperConfig(core.Case1, c, 1024, network.NonBlocking)
 		if err != nil {
@@ -166,31 +166,21 @@ func runAblation(ctx context.Context, opts sweep.Options) (*AblationData, error)
 		if err != nil {
 			return nil, err
 		}
-		row := AblationRow{C: c, OpenModel: open.MeanLatency, MVA: mva.MeanLatency}
-		if !opts.SkipSimulation {
-			simExp, err := sim.RunReplicationsCtx(ctx, cfg, opts.Sim, opts.Replications, opts.Parallelism, nil)
-			if err != nil {
-				return nil, err
-			}
-			detOpts := opts.Sim
-			detOpts.ServiceDist = rng.Deterministic{Value: 1}
-			simDet, err := sim.RunReplicationsCtx(ctx, cfg, detOpts, opts.Replications, opts.Parallelism, nil)
-			if err != nil {
-				return nil, err
-			}
-			openOpts := opts.Sim
-			openOpts.OpenLoop = true
-			// Open-loop saturation has unbounded queues; cap the run time.
-			openOpts.MaxSimTime = 120
-			simOpen, err := sim.RunReplicationsCtx(ctx, cfg, openOpts, opts.Replications, opts.Parallelism, nil)
-			if err != nil {
-				return nil, err
-			}
-			row.SimExp = simExp.MeanLatency
-			row.SimDet = simDet.MeanLatency
-			row.SimOpen = simOpen.MeanLatency
+		data.Rows = append(data.Rows, AblationRow{C: c, OpenModel: open.MeanLatency, MVA: mva.MeanLatency})
+		for _, o := range []sim.Options{opts.Sim, detOpts, openOpts} {
+			units = append(units, sim.Unit{Cfg: cfg, Opts: o})
 		}
-		data.Rows = append(data.Rows, row)
+	}
+	if opts.SkipSimulation {
+		return data, nil
+	}
+	sums, err := sim.RunBatchCtx(ctx, units, sim.Schedule{Reps: opts.Replications}, opts.Parallelism, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i := range data.Rows {
+		r := &data.Rows[i]
+		r.SimExp, r.SimDet, r.SimOpen = sums[3*i].Agg.MeanLatency, sums[3*i+1].Agg.MeanLatency, sums[3*i+2].Agg.MeanLatency
 	}
 	return data, nil
 }
@@ -226,21 +216,13 @@ func runFutureWork(ctx context.Context, opts sweep.Options) (*FutureData, error)
 		HasSim:     !opts.SkipSimulation,
 	}
 	if !opts.SkipSimulation {
-		u := sim.Unit{Cfg: cfg, Opts: opts.Sim}
-		if opts.Precision != nil {
-			res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.Unit{u}, *opts.Precision, opts.Parallelism, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			e := res[0].Estimate
-			data.Adaptive, data.Reps, data.Mean, data.CI = true, e.Reps, e.Mean, e.HalfWidth
-		} else {
-			agg, err := sim.RunReplicationsCtx(ctx, cfg, u.Opts, opts.Replications, opts.Parallelism, nil)
-			if err != nil {
-				return nil, err
-			}
-			data.Reps, data.Mean, data.CI = opts.Replications, agg.MeanLatency, agg.CI95
+		sched := sim.Schedule{Reps: opts.Replications, Precision: opts.Precision}
+		sums, err := sim.RunBatchCtx(ctx, []sim.Unit{{Cfg: cfg, Opts: opts.Sim}}, sched, opts.Parallelism, nil, nil)
+		if err != nil {
+			return nil, err
 		}
+		est := sums[0].Est
+		data.Adaptive, data.Reps, data.Mean, data.CI = opts.Precision != nil, est.Reps, est.Mean, est.HalfWidth
 	}
 	return data, nil
 }

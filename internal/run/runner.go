@@ -74,6 +74,14 @@ func (o Options) observed(st *UnitStage) []sim.Unit {
 	return units
 }
 
+// observedBatch is the stage's sweep or figure batch over observed
+// units.
+func (o Options) observedBatch(st *UnitStage) *sweep.Batch {
+	b := *st.batch
+	b.Units = o.observed(st)
+	return &b
+}
+
 // Outcome is the structured result of one experiment: exactly one of
 // the kind sections is populated, matching Spec.Kind.
 type Outcome struct {
@@ -350,42 +358,20 @@ func runSimulate(ctx context.Context, p *Program, opts Options, em *emitter) (*S
 	if err != nil {
 		return nil, err
 	}
-	if e.Run.Reps < 1 {
-		return nil, fmt.Errorf("run: need at least 1 replication")
-	}
 	prec, err := e.Precision.Build()
 	if err != nil {
 		return nil, err
 	}
 	units := opts.observed(st)
 	cfg, simOpts := units[0].Cfg, units[0].Opts
-	out := &SimulateOutcome{Cfg: cfg, Opts: simOpts, Prec: prec}
-	if prec != nil {
-		res, err := sim.RunPrecisionUnitsCtx(ctx, units, *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
-		if err != nil {
-			return nil, err
-		}
-		out.PrecRes = res[0]
-		out.Agg = res[0].Replicated
-	} else {
-		results, err := sim.RunUnitsCtx(ctx, units, st.Reps, opts.Parallelism, em.fn(), opts.unitFunc(st))
-		if err != nil {
-			return nil, err
-		}
-		out.Agg = sim.AggregateResults(results[0])
-		if cs := simOpts.Scenario; cs != nil {
-			// Dynamic run: the stage compiled the timeline against this
-			// configuration and kept every replication's sample series;
-			// fold them into the transient estimator in replication order.
-			sr, err := newScenarioRun(e.Scenario, cs.Horizon, cs.Slice, cs.FaultAt, cs.SLO, e.Precision.Confidence)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range results[0] {
-				sr.add(r.SampleTimes, r.Sample, r.Dropped, r.Rerouted)
-			}
-			out.Scenario = sr.outcome()
-		}
+	sched := sim.Schedule{Reps: st.Reps, Precision: prec, Confidence: e.Precision.Confidence}
+	sums, err := sim.RunBatchCtx(ctx, units, sched, opts.Parallelism, em.fn(), opts.unitFunc(st))
+	if err != nil {
+		return nil, err
+	}
+	out := &SimulateOutcome{Cfg: cfg, Opts: simOpts, Agg: sums[0].Agg, PrecRes: sums[0].Prec, Prec: prec}
+	if t := sums[0].Transient; t != nil {
+		out.Scenario = &ScenarioOutcome{Spec: e.Scenario, Transient: t}
 	}
 	if e.Simulate.Verbose || e.Simulate.TraceOut != "" {
 		o := simOpts
@@ -449,7 +435,6 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 	}}
 	reps := 1 // a stationary fixed run is one network
 	var cn *scenario.CompiledNet
-	var sr *scenarioRun
 	if prec == nil && e.Scenario != nil {
 		// The endpoint and switch counts a timeline resolves its targets
 		// against are seed-independent, so the base-seed build serves
@@ -461,9 +446,7 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 		if cn, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
 			return nil, err
 		}
-		if sr, err = newScenarioRun(e.Scenario, cn.Horizon, cn.Slice, cn.FaultAt, cn.SLO, e.Precision.Confidence); err != nil {
-			return nil, err
-		}
+		unit.Window = &cn.Window
 		unit.Opts.RecordSample = true
 		reps = e.Run.Reps
 	}
@@ -473,22 +456,15 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 	// sim.Result does not carry: replication 1's, whose network also gives
 	// the seed-independent contention-free reference, and the
 	// highest-index one, which in a precision run is the last accepted
-	// (the stopping rule takes every replication a round runs). Scenario
-	// replications fold into the transient estimator in replication order
-	// as they arrive, so only the series finished out of order are held.
-	// The returned sim.Result carries what the drivers read: the sample
-	// the precision driver analyses.
+	// (the stopping rule takes every replication a round runs). The
+	// returned sim.Result carries what the batch fold reads: the sample
+	// (with its completion times and drops in a scenario run).
 	var kept struct {
 		sync.Mutex
 		first, last *netsim.Result
 		lastRep     int
-		next        int                    // scenario: next replication to fold
-		pending     map[int]*netsim.Result // scenario: run, not yet folded
 	}
 	kept.lastRep = -1
-	if sr != nil {
-		kept.pending = map[int]*netsim.Result{}
-	}
 	runRep := func(_ context.Context, _, rep int, _ *core.Config, o sim.Options) (*sim.Result, error) {
 		n, err := exp.Build(o.Seed)
 		if err != nil {
@@ -501,7 +477,8 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 		if err != nil {
 			return nil, err
 		}
-		res := &sim.Result{}
+		res := &sim.Result{Sample: r.Sample, SampleTimes: r.SampleTimes, Dropped: r.Dropped}
+		r.Sample, r.SampleTimes = nil, nil
 		kept.Lock()
 		defer kept.Unlock()
 		if rep == 0 {
@@ -511,36 +488,21 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 		if rep > kept.lastRep {
 			kept.last, kept.lastRep = r, rep
 		}
-		if sr == nil {
-			res.Sample, r.Sample = r.Sample, nil
-			return res, nil
-		}
-		kept.pending[rep] = r
-		for p := kept.pending[kept.next]; p != nil; p = kept.pending[kept.next] {
-			sr.add(p.SampleTimes, p.Sample, p.Dropped, 0)
-			p.Sample, p.SampleTimes = nil, nil
-			delete(kept.pending, kept.next)
-			kept.next++
-		}
 		return res, nil
 	}
+	// Adaptive runs are quarter-length replications with MSER-5 deletion
+	// in place of the warm-up prefix.
+	sched := sim.Schedule{Reps: reps, Precision: prec, Confidence: e.Precision.Confidence}
+	sums, err := sim.RunBatchCtx(ctx, []sim.Unit{unit}, sched, opts.Parallelism, em.fn(), runRep)
+	if err != nil {
+		return nil, err
+	}
+	out.Res = kept.first
 	if prec != nil {
-		// Adaptive run: quarter-length replications with MSER-5 deletion
-		// in place of the warm-up prefix.
-		res, err := sim.RunPrecisionUnitsCtx(ctx, []sim.Unit{unit}, *prec, opts.Parallelism, em.fn(), runRep)
-		if err != nil {
-			return nil, err
-		}
-		out.Est = &res[0].Estimate
-		out.Res = kept.last
-	} else {
-		if _, err := sim.RunUnitsCtx(ctx, []sim.Unit{unit}, reps, opts.Parallelism, em.fn(), runRep); err != nil {
-			return nil, err
-		}
-		out.Res = kept.first
-		if sr != nil {
-			out.Scenario = sr.outcome()
-		}
+		out.Est, out.Res = &sums[0].Est, kept.last
+	}
+	if t := sums[0].Transient; t != nil {
+		out.Scenario = &ScenarioOutcome{Spec: e.Scenario, Transient: t}
 	}
 
 	// The single-server abstraction the paper uses for this network, for
@@ -569,27 +531,19 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 
 func runSweep(ctx context.Context, p *Program, opts Options, em *emitter) (*SweepOutcome, error) {
 	e := p.spec
-	sweepOpts, err := p.sweepOptions()
-	if err != nil {
-		return nil, err
-	}
-	sweepOpts.Parallelism = opts.Parallelism
-	sweepOpts.Progress = em.fn()
-	labels, points, err := buildSweepJobs(e)
-	if err != nil {
-		return nil, err
-	}
 	st, err := p.Stage(StageSweep)
 	if err != nil {
 		return nil, err
 	}
-	results, err := sweep.RunPointsCtx(ctx, points, opts.observed(st), sweepOpts, opts.unitFunc(st))
+	sweepOpts := st.sweepOpts
+	sweepOpts.Parallelism, sweepOpts.Progress = opts.Parallelism, em.fn()
+	results, err := sweep.RunPointsCtx(ctx, opts.observedBatch(st), sweepOpts, opts.unitFunc(st))
 	if err != nil {
 		return nil, err
 	}
 	return &SweepOutcome{
 		Var:      e.Sweep.Var,
-		Labels:   labels,
+		Labels:   st.labels,
 		Results:  results,
 		Prec:     sweepOpts.Precision,
 		Fast:     e.Sweep.Fast,

@@ -1,8 +1,8 @@
 package run
 
 import (
-	"hmscs/internal/output"
 	"hmscs/internal/scenario"
+	"hmscs/internal/sim"
 )
 
 // ScenarioOutcome is the dynamic (timeline) side of a simulate or netsim
@@ -11,54 +11,7 @@ import (
 type ScenarioOutcome struct {
 	// Spec is the normalized scenario section that ran.
 	Spec *scenario.Spec
-	// Series is the time-sliced across-replication latency analysis.
-	Series *output.TransientSeries
-	// RecoveryS is time-to-return-within-SLO after the first injected
-	// fault, in seconds: NaN when the timeline has no fault or no latency
-	// objective, +Inf when the run never recovered inside the horizon.
-	RecoveryS float64
-	// Dropped and Rerouted total the messages hit by fail-event policies
-	// across replications (netsim has no reroute, so Rerouted stays 0).
-	Dropped  int64
-	Rerouted int64
-}
-
-// scenarioRun accumulates per-replication samples into a ScenarioOutcome.
-// Replications must be added in replication order — the transient
-// estimator's across-replication fold is order-dependent, and a fixed
-// order is what keeps dynamic outcomes bit-identical at every
-// parallelism level.
-type scenarioRun struct {
-	spec         *scenario.Spec
-	tr           *output.Transient
-	faultAt, slo float64
-	dropped      int64
-	rerouted     int64
-}
-
-// newScenarioRun sizes the estimator from the compiled horizon/slice and
-// the precision section's confidence level.
-func newScenarioRun(spec *scenario.Spec, horizon, slice, faultAt, slo, confidence float64) (*scenarioRun, error) {
-	tr, err := output.NewTransient(horizon, slice, confidence)
-	if err != nil {
-		return nil, err
-	}
-	return &scenarioRun{spec: spec, tr: tr, faultAt: faultAt, slo: slo}, nil
-}
-
-func (s *scenarioRun) add(times, values []float64, dropped, rerouted int64) {
-	s.tr.AddReplication(times, values)
-	s.dropped += dropped
-	s.rerouted += rerouted
-}
-
-func (s *scenarioRun) outcome() *ScenarioOutcome {
-	series := s.tr.Series()
-	return &ScenarioOutcome{
-		Spec:      s.spec,
-		Series:    series,
-		RecoveryS: output.RecoveryTime(series, s.faultAt, s.slo),
-		Dropped:   s.dropped,
-		Rerouted:  s.rerouted,
-	}
+	// Transient is the replication set's fold over the timeline's window
+	// (series, recovery, policy counters), as sim.RunBatchCtx returns it.
+	*sim.Transient
 }

@@ -8,9 +8,10 @@
 // an Experiment (from a -spec file, legacy flags, or both — explicit
 // flags override spec fields), calls Run, and hands the Outcome to a
 // markdown sink whose output is byte-identical to the pre-redesign
-// binaries. A future server mode or job queue plugs in at the same
-// seam: deserialise an Experiment, call Run with a deadline, stream the
-// events.
+// binaries. The resident server (internal/serve, cmd/hmscs-server)
+// plugs in at the same seam: it deserialises an Experiment, calls Run
+// with a deadline and streams the events, and its worker fleet
+// (internal/dist) executes the run's units through Options.Units.
 package run
 
 import (

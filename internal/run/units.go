@@ -50,6 +50,15 @@ type UnitStage struct {
 	// derives via sim.PrecisionReplicationOptions instead of the plain
 	// ReplicationSeed transform.
 	Precision bool
+
+	// batch is the sweep or figure kind's one derivation (Units are its
+	// units), with the options it was derived under and the sweep's
+	// point labels or the figure selection: what the runner evaluates and
+	// folds results against.
+	batch     *sweep.Batch
+	sweepOpts sweep.Options
+	labels    []string
+	figures   *figureSelection
 }
 
 // Unit derives one (point, rep) unit's configuration and fully resolved
@@ -284,59 +293,44 @@ func (p *Program) buildSim() (*UnitStage, error) {
 	return st, nil
 }
 
-// sweepOptions assembles the sweep.Options the sweep and figure kinds
-// share between their stage and their runner. Figures are stationary:
-// only a sweep threads the scenario timeline.
-func (p *Program) sweepOptions() (sweep.Options, error) {
+// buildBatch is the sweep or figure kind's point batch: the options,
+// points and labels (or figure selection) the runner evaluates and,
+// unless analytic-only, one unit per sweep point or figure point, each
+// running at least one replication (or the adaptive schedule). Figures
+// are stationary: only a sweep threads the scenario timeline.
+func (p *Program) buildBatch(name string) (*UnitStage, error) {
 	e := p.spec
 	simOpts, err := e.simOptions()
 	if err != nil {
-		return sweep.Options{}, err
+		return nil, err
 	}
 	prec, err := e.Precision.Build()
 	if err != nil {
-		return sweep.Options{}, err
-	}
-	opts := sweep.Options{Sim: simOpts, Replications: e.Run.Reps, Precision: prec}
-	if e.Kind == KindSweep {
-		opts.Scenario = e.Scenario
-		opts.SkipSimulation = e.Sweep.Fast
-	} else {
-		opts.SkipSimulation = e.Figure.Fast
-	}
-	return opts, nil
-}
-
-// buildBatch is the sweep or figure kind's point batch: one unit per
-// sweep point or figure point, each running at least one replication
-// (or the adaptive schedule). Analytic-only runs have no units.
-func (p *Program) buildBatch(name string) (*UnitStage, error) {
-	e := p.spec
-	opts, err := p.sweepOptions()
-	if err != nil {
 		return nil, err
 	}
+	opts := sweep.Options{Sim: simOpts, Replications: e.Run.Reps, Precision: prec}
 	st := &UnitStage{Name: name, Reps: max(opts.Replications, 1)}
-	if opts.Precision != nil {
+	if prec != nil {
 		st.Reps, st.Precision = 0, true
 	}
 	if e.Kind == KindSweep {
-		_, points, err := buildSweepJobs(e)
-		if err != nil {
+		opts.Scenario, opts.SkipSimulation = e.Scenario, e.Sweep.Fast
+		var points []sweep.PointSpec
+		if st.labels, points, err = buildSweepJobs(e); err != nil {
 			return nil, err
 		}
-		if st.Units, err = sweep.PointUnits(points, opts); err != nil {
+		st.batch, err = sweep.PointBatch(points, opts)
+	} else {
+		opts.SkipSimulation = e.Figure.Fast
+		if st.figures, err = selectFigures(e); err != nil {
 			return nil, err
 		}
-		return st, nil
+		st.batch, err = sweep.FigureBatch(st.figures.specs, opts)
 	}
-	sel, err := selectFigures(e)
 	if err != nil {
 		return nil, err
 	}
-	if st.Units, err = sweep.FigureUnits(sel.specs, opts); err != nil {
-		return nil, err
-	}
+	st.Units, st.sweepOpts = st.batch.Units, opts
 	return st, nil
 }
 

@@ -21,14 +21,29 @@ type SimEvent struct {
 	Centers []int32
 }
 
+// Window is what the transient analysis of a compiled timeline reads:
+// the horizon and slice width, the latency objective (NaN unset) and
+// the first failure time (NaN when none), all in seconds.
+type Window struct {
+	Horizon, Slice, SLO, FaultAt float64
+}
+
+// window resolves the spec's analysis window; a zero slice width takes a
+// twentieth of the horizon.
+func (s *Spec) window() Window {
+	w := Window{Horizon: s.HorizonS, Slice: s.SliceS, SLO: s.SLO(), FaultAt: s.FaultAt()}
+	if w.Slice == 0 {
+		w.Slice = w.Horizon / 20
+	}
+	return w
+}
+
 // CompiledSim is a scenario resolved against a concrete cluster system.
 // It is immutable; engines share it across replications.
 type CompiledSim struct {
-	// Horizon and Slice are seconds; SLO is seconds (NaN unset); FaultAt
-	// is the first failure time (NaN when none).
-	Horizon, Slice, SLO, FaultAt float64
-	Profile                      *Profile
-	Events                       []SimEvent
+	Window
+	Profile *Profile
+	Events  []SimEvent
 	// InitialDownNodes/Centers are absent at t=0 (churn joins).
 	InitialDownNodes   []int32
 	InitialDownCenters []int32
@@ -46,15 +61,7 @@ func CompileSim(s *Spec, cfg *core.Config) (*CompiledSim, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	c := &CompiledSim{
-		Horizon: s.HorizonS,
-		Slice:   s.SliceS,
-		SLO:     s.SLO(),
-		FaultAt: s.FaultAt(),
-	}
-	if c.Slice == 0 {
-		c.Slice = c.Horizon / 20
-	}
+	c := &CompiledSim{Window: s.window()}
 	var err error
 	if c.Profile, err = s.Profile.Compile(); err != nil {
 		return nil, err
@@ -184,12 +191,12 @@ type NetEvent struct {
 
 // CompiledNet is a scenario resolved against a switch-level topology.
 type CompiledNet struct {
-	Horizon, Slice, SLO, FaultAt float64
-	Profile                      *Profile
-	Events                       []NetEvent
-	InitialDownEndpoints         []int32
-	InitialDownLeaves            []int32
-	InitialDownSpines            []int32
+	Window
+	Profile              *Profile
+	Events               []NetEvent
+	InitialDownEndpoints []int32
+	InitialDownLeaves    []int32
+	InitialDownSpines    []int32
 	// spineToggles[s] lists the times spine s changes state, given its
 	// initial state; SpineUp evaluates the static timeline at route time.
 	spineToggles [][]float64
@@ -210,15 +217,7 @@ func CompileNet(s *Spec, topo NetTopo) (*CompiledNet, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	c := &CompiledNet{
-		Horizon: s.HorizonS,
-		Slice:   s.SliceS,
-		SLO:     s.SLO(),
-		FaultAt: s.FaultAt(),
-	}
-	if c.Slice == 0 {
-		c.Slice = c.Horizon / 20
-	}
+	c := &CompiledNet{Window: s.window()}
 	var err error
 	if c.Profile, err = s.Profile.Compile(); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/par"
 	"hmscs/internal/progress"
+	"hmscs/internal/scenario"
 	"hmscs/internal/stats"
 )
 
@@ -39,16 +40,11 @@ func ReplicationSeed(base uint64, i int) uint64 {
 	return base + uint64(i)*0x9e3779b97f4a7c15
 }
 
-// AggregateResults folds per-replication results (in replication order)
-// into the across-replication summary. It is deterministic: the output
-// depends only on the slice contents and order, never on timing.
-func AggregateResults(results []*Result) *Replicated {
-	return aggregateResults(results, nil)
-}
-
-// aggregateResults is AggregateResults with optional per-replication mean
-// overrides (precision mode substitutes MSER-truncated means for the raw
-// within-run means).
+// aggregateResults folds per-replication results (in replication order)
+// into the across-replication summary, with optional per-replication
+// mean overrides (precision mode substitutes MSER-truncated means for
+// the raw within-run means). It is deterministic: the output depends
+// only on the slice contents and order, never on timing.
 func aggregateResults(results []*Result, means []float64) *Replicated {
 	n := len(results)
 	agg := &Replicated{PerReplication: make([]float64, n)}
@@ -90,6 +86,11 @@ type Unit struct {
 	Opts Options
 	// Wrap, when non-nil, decorates simulation errors with unit context.
 	Wrap func(error) error
+	// Window, when non-nil, is the transient window RunBatchCtx folds
+	// the unit's sample series over, in place of its Opts.Scenario's: the
+	// window of a timeline an engine other than Run compiled itself, or
+	// one judged against another latency objective.
+	Window *scenario.Window
 }
 
 // wrap applies the unit's error decoration.
@@ -161,11 +162,11 @@ func RunUnitsCtx(ctx context.Context, units []Unit, reps, parallelism int, prog 
 // configuration (seeds derived from opts.Seed by ReplicationSeed) on up
 // to parallelism workers (<= 0 all CPUs, 1 sequential) and aggregates
 // them; the aggregate is bit-identical for every parallelism value. It
-// is RunUnitsCtx over a single unit.
+// is RunBatchCtx over a single unit.
 func RunReplicationsCtx(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) (*Replicated, error) {
-	results, err := RunUnitsCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, parallelism, prog, nil)
+	sums, err := RunBatchCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, Schedule{Reps: n}, parallelism, prog, nil)
 	if err != nil {
 		return nil, err
 	}
-	return AggregateResults(results[0]), nil
+	return sums[0].Agg, nil
 }

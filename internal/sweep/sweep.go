@@ -86,12 +86,13 @@ type Options struct {
 	// concurrent use) and per-round UnitEstimate/UnitFinished events in
 	// precision mode. Events never affect results.
 	Progress progress.Func
-	// Scenario, when non-nil, makes every point's replications dynamic:
-	// the timeline is compiled against each point's own configuration (so
-	// symbolic targets like cluster:largest resolve per point) and each
-	// point additionally reports a transient series and recovery time.
-	// Mutually exclusive with Precision — the stopping rule assumes a
-	// stationary mean.
+	// Scenario, when non-nil, makes every point of a custom sweep
+	// dynamic: the timeline is compiled against each point's own
+	// configuration (so symbolic targets like cluster:largest resolve per
+	// point) and each point additionally reports a transient series and
+	// recovery time. Mutually exclusive with Precision — the stopping
+	// rule assumes a stationary mean — and rejected by FigureBatch:
+	// figures are stationary.
 	Scenario *scenario.Spec
 }
 
@@ -143,68 +144,35 @@ type FigureResult struct {
 	Series []SeriesResult
 }
 
-// simulated is one unit's simulation summary: the across-replication
-// aggregate, its estimate quality, and — in dynamic batches — the
-// transient side.
-type simulated struct {
-	Agg *sim.Replicated
-	Est sim.Estimate
-	Dyn *Dynamic
+// Batch is a derived figure or sweep batch: the points whose analytic
+// side every run evaluates and, unless the batch is analytic-only, one
+// simulation unit per point in the same order. A run takes both from
+// one Batch, so its points and units are derived once and always agree.
+type Batch struct {
+	// Figures is a figure batch's layout: one point per (figure, series,
+	// cluster count) in that nested order. Nil for a custom sweep.
+	Figures []FigureSpec
+	Points  []PointSpec
+	Units   []sim.Unit
 }
 
-// prepareUnits applies the in-place unit transform every batch shares:
-// for dynamic batches, per-point scenario compilation with sample
-// recording.
-func prepareUnits(units []sim.Unit, opts Options) error {
-	if opts.Precision != nil && opts.Scenario != nil {
-		return fmt.Errorf("sweep: precision stopping and a scenario timeline are mutually exclusive (the stopping rule assumes a stationary mean)")
+// FigureBatch derives a figure batch: every figure's point
+// configurations and, unless opts.SkipSimulation, their units with error
+// wrapping attached. Figures are stationary, so a scenario timeline in
+// opts is an error rather than a faulted-horizon mean in the simulated
+// column.
+func FigureBatch(specs []FigureSpec, opts Options) (*Batch, error) {
+	if opts.Scenario != nil {
+		return nil, fmt.Errorf("sweep: figures are stationary; a scenario timeline needs a custom sweep of points")
 	}
-	if opts.Precision != nil || opts.Scenario == nil {
-		return nil
+	n := 0
+	for _, spec := range specs {
+		n += len(spec.MessageSizes) * len(spec.ClusterCounts)
 	}
-	for i := range units {
-		cs, err := scenario.CompileSim(opts.Scenario, units[i].Cfg)
-		if err != nil {
-			return units[i].Wrap(err)
-		}
-		units[i].Opts.Scenario = cs
-		units[i].Opts.RecordSample = true
+	b := &Batch{Figures: specs, Points: make([]PointSpec, 0, n)}
+	if !opts.SkipSimulation {
+		b.Units = make([]sim.Unit, 0, n)
 	}
-	return nil
-}
-
-// PointUnits materialises the deterministic unit decomposition of a
-// custom sweep: per-point workload overrides applied, scenarios
-// compiled, error wrapping attached. Units are in point order;
-// an analytic-only batch (opts.SkipSimulation) has none.
-func PointUnits(points []PointSpec, opts Options) ([]sim.Unit, error) {
-	if opts.SkipSimulation {
-		return nil, nil
-	}
-	units := make([]sim.Unit, len(points))
-	for i, p := range points {
-		o := opts.Sim
-		if p.Pattern != nil {
-			o.Pattern = p.Pattern
-		}
-		if p.Arrival != nil {
-			o.Arrival = p.Arrival
-		}
-		units[i] = sim.Unit{Cfg: p.Cfg, Opts: o, Wrap: func(err error) error {
-			return fmt.Errorf("sweep: config %d simulation: %w", i, err)
-		}}
-	}
-	if err := prepareUnits(units, opts); err != nil {
-		return nil, err
-	}
-	return units, nil
-}
-
-// figureConfigs builds a figure batch's point configurations, one per
-// (figure, series, cluster count) in that nested order — the layout
-// FigureUnits and analyzeFigures share.
-func figureConfigs(specs []FigureSpec) ([]*core.Config, error) {
-	var cfgs []*core.Config
 	for _, spec := range specs {
 		for _, msg := range spec.MessageSizes {
 			for _, c := range spec.ClusterCounts {
@@ -212,185 +180,72 @@ func figureConfigs(specs []FigureSpec) ([]*core.Config, error) {
 				if err != nil {
 					return nil, fmt.Errorf("sweep: %s C=%d: %w", spec.Name, c, err)
 				}
-				cfgs = append(cfgs, cfg)
+				b.Points = append(b.Points, PointSpec{Cfg: cfg, Locality: -1})
+				if !opts.SkipSimulation {
+					b.Units = append(b.Units, sim.Unit{Cfg: cfg, Opts: opts.Sim, Wrap: func(err error) error {
+						return fmt.Errorf("sweep: %s C=%d simulation: %w", spec.Name, c, err)
+					}})
+				}
 			}
 		}
 	}
-	return cfgs, nil
+	return b, nil
 }
 
-// FigureUnits materialises the deterministic unit decomposition of a
-// figure batch: one unit per (figure, series, cluster count) point in
-// that nested order, error wrapping attached. An
-// analytic-only batch (opts.SkipSimulation) has none.
-func FigureUnits(specs []FigureSpec, opts Options) ([]sim.Unit, error) {
+// PointBatch derives a custom sweep's batch over points: unless
+// opts.SkipSimulation, one unit per point with its workload overrides
+// and error wrapping applied and, in a dynamic sweep, opts.Scenario
+// compiled against the point's own configuration (so symbolic targets
+// like cluster:largest resolve per point) with sample recording on.
+func PointBatch(points []PointSpec, opts Options) (*Batch, error) {
+	b := &Batch{Points: points}
 	if opts.SkipSimulation {
-		return nil, nil
+		return b, nil
 	}
-	cfgs, err := figureConfigs(specs)
-	if err != nil {
-		return nil, err
-	}
-	units := make([]sim.Unit, len(cfgs))
-	k := 0
-	for _, spec := range specs {
-		for range spec.MessageSizes {
-			for _, c := range spec.ClusterCounts {
-				units[k] = sim.Unit{Cfg: cfgs[k], Opts: opts.Sim, Wrap: func(err error) error {
-					return fmt.Errorf("sweep: %s C=%d simulation: %w", spec.Name, c, err)
-				}}
-				k++
-			}
-		}
-	}
-	if err := prepareUnits(units, opts); err != nil {
-		return nil, err
-	}
-	return units, nil
-}
-
-// simulate executes a prepared batch through sim's drivers and folds
-// each unit's replications in replication order: with opts.Precision
-// set, the adaptive driver extends every unit's set under the sequential
-// stopping rule; otherwise the fixed-grid driver runs opts.Replications
-// (at least 1) per unit, and a dynamic batch additionally folds each
-// unit's transient series. run executes each (unit, replication) — nil
-// runs sim.Run inline. Results are bit-identical at every parallelism
-// level and for every run that honours sim.UnitFunc's contract.
-func simulate(ctx context.Context, units []sim.Unit, opts Options, run sim.UnitFunc) ([]simulated, error) {
-	out := make([]simulated, len(units))
-	if opts.Precision != nil {
-		res, err := sim.RunPrecisionUnitsCtx(ctx, units, *opts.Precision, opts.Parallelism, opts.Progress, run)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range res {
-			out[i] = simulated{Agg: r.Replicated, Est: r.Estimate}
-		}
-		return out, nil
-	}
-	reps := max(opts.Replications, 1)
-	results, err := sim.RunUnitsCtx(ctx, units, reps, opts.Parallelism, opts.Progress, run)
-	if err != nil {
-		return nil, err
-	}
-	for i, rs := range results {
-		agg := sim.AggregateResults(rs)
-		out[i] = simulated{Agg: agg, Est: sim.Estimate{
-			Mean:       agg.MeanLatency,
-			Confidence: 0.95,
-			HalfWidth:  agg.CI95,
-			Reps:       reps,
-			Converged:  true,
+	b.Units = make([]sim.Unit, len(points))
+	for i, p := range points {
+		u := sim.Unit{Cfg: p.Cfg, Opts: opts.Sim, Wrap: func(err error) error {
+			return fmt.Errorf("sweep: config %d simulation: %w", i, err)
 		}}
-		if cs := units[i].Opts.Scenario; cs != nil {
-			d, err := NewDynamic(cs, 0.95)
+		if p.Pattern != nil {
+			u.Opts.Pattern = p.Pattern
+		}
+		if p.Arrival != nil {
+			u.Opts.Arrival = p.Arrival
+		}
+		if opts.Scenario != nil {
+			cs, err := scenario.CompileSim(opts.Scenario, p.Cfg)
 			if err != nil {
-				return nil, units[i].Wrap(err)
+				return nil, u.Wrap(err)
 			}
-			for _, r := range rs {
-				d.Add(r)
-			}
-			d.Finish()
-			out[i].Dyn = d
+			u.Opts.Scenario, u.Opts.RecordSample = cs, true
 		}
+		b.Units[i] = u
 	}
-	return out, nil
+	return b, nil
 }
 
-// Dynamic is the transient side of one dynamic sweep point: the
-// time-sliced latency series over the scenario horizon, the recovery
-// metric, and the failure-policy counters summed across replications.
-type Dynamic struct {
-	// Series is the across-replication time-sliced analysis.
-	Series *output.TransientSeries
-	// RecoveryS is time-to-return-within-SLO after the first injected
-	// fault (seconds; NaN undefined, +Inf never recovered).
-	RecoveryS float64
-	// Dropped and Rerouted total the messages hit by failure policies.
-	Dropped  int64
-	Rerouted int64
-
-	tr      *output.Transient
-	faultAt float64
-	slo     float64
-}
-
-// NewDynamic starts the transient accumulation for one compiled point.
-func NewDynamic(cs *scenario.CompiledSim, confidence float64) (*Dynamic, error) {
-	tr, err := output.NewTransient(cs.Horizon, cs.Slice, confidence)
-	if err != nil {
-		return nil, err
-	}
-	return &Dynamic{tr: tr, faultAt: cs.FaultAt, slo: cs.SLO}, nil
-}
-
-// Add folds one replication's samples and counters in (call in
-// replication order for bit-identical series).
-func (d *Dynamic) Add(r *sim.Result) {
-	d.tr.AddReplication(r.SampleTimes, r.Sample)
-	d.Dropped += r.Dropped
-	d.Rerouted += r.Rerouted
-}
-
-// Finish materialises the series and the recovery metric.
-func (d *Dynamic) Finish() {
-	d.Series = d.tr.Series()
-	d.RecoveryS = output.RecoveryTime(d.Series, d.faultAt, d.slo)
-}
-
-// RunFiguresCtx evaluates a batch of figures: for every (message size,
+// RunFiguresCtx evaluates a figure batch: for every (message size,
 // cluster count) point the analytical model and, unless skipped, the
-// simulator over units, the batch's FigureUnits decomposition. Every
-// figure's (point × replication) units share one bounded worker pool, so
-// a whole-paper regeneration saturates the machine instead of crawling
-// figure by figure. run executes each (unit, replication) — nil runs
-// sim.Run inline. Results are identical to evaluating the figures one at
-// a time; a cancelled context aborts the pool between replication units
-// and returns ctx.Err().
-func RunFiguresCtx(ctx context.Context, specs []FigureSpec, units []sim.Unit, opts Options, run sim.UnitFunc) ([]*FigureResult, error) {
-	cfgs, err := figureConfigs(specs)
+// simulator over the batch's units. Every figure's (point × replication)
+// units share one bounded worker pool, so a whole-paper regeneration
+// saturates the machine instead of crawling figure by figure. run
+// executes each (unit, replication) — nil runs sim.Run inline. Results
+// are identical to evaluating the figures one at a time; a cancelled
+// context aborts the pool between replication units and returns
+// ctx.Err().
+func RunFiguresCtx(ctx context.Context, b *Batch, opts Options, run sim.UnitFunc) ([]*FigureResult, error) {
+	points, err := RunPointsCtx(ctx, b, opts, run)
 	if err != nil {
 		return nil, err
 	}
-	out, err := analyzeFigures(specs, cfgs, opts.Sim.Arrival)
-	if err != nil || opts.SkipSimulation {
-		return out, err
-	}
-	if len(units) != len(cfgs) {
-		return nil, fmt.Errorf("sweep: %d units for a %d-point figure batch", len(units), len(cfgs))
-	}
-	sims, err := simulate(ctx, units, opts, run)
-	if err != nil {
-		return nil, err
-	}
-	k := 0
-	for _, fr := range out {
-		for si := range fr.Series {
-			series := &fr.Series[si]
-			for pi := range series.Clusters {
-				series.Simulated[pi] = sims[k].Agg.MeanLatency
-				series.SimCI[pi] = sims[k].Agg.CI95
-				series.Stats[pi] = sims[k].Est
-				k++
-			}
-		}
-	}
-	return out, nil
-}
-
-// analyzeFigures lays out a figure batch and evaluates its analytic
-// curves on the figureConfigs layout under the arrival process (nil:
-// Poisson); the simulated columns stay zero until RunFiguresCtx fills
-// them.
-func analyzeFigures(specs []FigureSpec, cfgs []*core.Config, arrival workload.Arrival) ([]*FigureResult, error) {
+	arrival := opts.Sim.Arrival
 	if arrival == nil {
 		arrival = workload.Poisson{}
 	}
-	out := make([]*FigureResult, len(specs))
-	an := new(analytic.Result) // each point keeps only its latency
+	out := make([]*FigureResult, len(b.Figures))
 	k := 0
-	for fi, spec := range specs {
+	for fi, spec := range b.Figures {
 		fr := &FigureResult{Spec: spec, Series: make([]SeriesResult, len(spec.MessageSizes))}
 		out[fi] = fr
 		for si, msg := range spec.MessageSizes {
@@ -399,16 +254,13 @@ func analyzeFigures(specs []FigureSpec, cfgs []*core.Config, arrival workload.Ar
 			series.Arrival = arrival.Name()
 			series.ArrivalSCV = arrival.SCV()
 			for _, c := range spec.ClusterCounts {
-				err := analytic.AnalyzeInto(an, cfgs[k], arrival.SCV())
+				p := points[k]
 				k++
-				if err != nil {
-					return nil, fmt.Errorf("sweep: %s C=%d analysis: %w", spec.Name, c, err)
-				}
 				series.Clusters = append(series.Clusters, c)
-				series.Analytic = append(series.Analytic, an.MeanLatency)
-				series.Simulated = append(series.Simulated, 0)
-				series.SimCI = append(series.SimCI, 0)
-				series.Stats = append(series.Stats, sim.Estimate{})
+				series.Analytic = append(series.Analytic, p.Analytic)
+				series.Simulated = append(series.Simulated, p.Simulated)
+				series.SimCI = append(series.SimCI, p.SimCI)
+				series.Stats = append(series.Stats, p.Stat)
 			}
 		}
 	}
@@ -448,35 +300,36 @@ type PointResult struct {
 	Stat sim.Estimate
 	// Dynamic carries the transient series and recovery metric of a
 	// dynamic sweep (nil for stationary sweeps).
-	Dynamic *Dynamic
+	Dynamic *sim.Transient
 }
 
-// RunPointsCtx evaluates an arbitrary list of sweep points analytically
-// and, unless skipped, by simulation over units, the points' PointUnits
-// decomposition, returning results in input order. It is the building
-// block for the non-figure sweeps (λ, Pr, locality...). Simulation units
-// fan out as (point × replication) across the Options.Parallelism worker
-// pool with the same deterministic seed derivation as RunFiguresCtx, so
-// the outputs are bit-identical at every parallelism level; run executes
-// each (unit, replication) — nil runs sim.Run inline. A cancelled context
-// aborts the pool between replication units and returns ctx.Err().
-func RunPointsCtx(ctx context.Context, points []PointSpec, units []sim.Unit, opts Options, run sim.UnitFunc) ([]PointResult, error) {
-	out, err := analyzePoints(points, opts.Sim.Arrival)
+// RunPointsCtx evaluates a batch's points analytically and, unless
+// skipped, by simulation over the batch's units, returning results in
+// point order. It is the building block for the non-figure sweeps (λ,
+// Pr, locality...) and for RunFiguresCtx. Simulation units fan out as
+// (point × replication) across the Options.Parallelism worker pool under
+// sim.RunBatchCtx, the fold every batch shares: opts.Precision selects
+// the adaptive schedule, else each point runs opts.Replications (at
+// least 1), and a dynamic point also folds its transient series. The
+// outputs are bit-identical at every parallelism level; run executes
+// each (unit, replication) — nil runs sim.Run inline. A cancelled
+// context aborts the pool between replication units and returns
+// ctx.Err().
+func RunPointsCtx(ctx context.Context, b *Batch, opts Options, run sim.UnitFunc) ([]PointResult, error) {
+	out, err := analyzePoints(b.Points, opts.Sim.Arrival)
 	if err != nil || opts.SkipSimulation {
 		return out, err
 	}
-	if len(units) != len(points) {
-		return nil, fmt.Errorf("sweep: %d units for %d sweep points", len(units), len(points))
-	}
-	sims, err := simulate(ctx, units, opts, run)
+	sched := sim.Schedule{Reps: max(opts.Replications, 1), Precision: opts.Precision}
+	sums, err := sim.RunBatchCtx(ctx, b.Units, sched, opts.Parallelism, opts.Progress, run)
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range sims {
+	for i, s := range sums {
 		out[i].Simulated = s.Agg.MeanLatency
 		out[i].SimCI = s.Agg.CI95
 		out[i].Stat = s.Est
-		out[i].Dynamic = s.Dyn
+		out[i].Dynamic = s.Transient
 	}
 	return out, nil
 }
@@ -486,8 +339,9 @@ func RunPointsCtx(ctx context.Context, points []PointSpec, units []sim.Unit, opt
 // fields stay zero until RunPointsCtx fills them.
 func analyzePoints(points []PointSpec, arrival workload.Arrival) ([]PointResult, error) {
 	out := make([]PointResult, len(points))
+	reused := new(analytic.Result) // each point keeps only its latency
 	for i, p := range points {
-		var an *analytic.Result
+		an := reused
 		var err error
 		if p.Locality >= 0 {
 			an, err = analytic.AnalyzeLocality(p.Cfg, p.Locality)
@@ -499,7 +353,6 @@ func analyzePoints(points []PointSpec, arrival workload.Arrival) ([]PointResult,
 			if arr != nil {
 				scv = arr.SCV()
 			}
-			an = new(analytic.Result)
 			err = analytic.AnalyzeInto(an, p.Cfg, scv)
 		}
 		if err != nil {

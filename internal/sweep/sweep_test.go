@@ -8,6 +8,7 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
+	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
 	"hmscs/internal/workload"
 )
@@ -20,14 +21,14 @@ func fastOpts() Options {
 	return o
 }
 
-// runFigures evaluates a figure batch over its FigureUnits
-// decomposition, every unit running locally.
+// runFigures evaluates a figure batch over its FigureBatch derivation,
+// every unit running locally.
 func runFigures(specs []FigureSpec, opts Options) ([]*FigureResult, error) {
-	units, err := FigureUnits(specs, opts)
+	b, err := FigureBatch(specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	return RunFiguresCtx(context.Background(), specs, units, opts, nil)
+	return RunFiguresCtx(context.Background(), b, opts, nil)
 }
 
 // runFigure evaluates one figure through runFigures.
@@ -39,14 +40,14 @@ func runFigure(spec FigureSpec, opts Options) (*FigureResult, error) {
 	return res[0], nil
 }
 
-// runPoints evaluates sweep points over their PointUnits decomposition,
+// runPoints evaluates sweep points over their PointBatch derivation,
 // every unit running locally.
 func runPoints(points []PointSpec, opts Options) ([]PointResult, error) {
-	units, err := PointUnits(points, opts)
+	b, err := PointBatch(points, opts)
 	if err != nil {
 		return nil, err
 	}
-	return RunPointsCtx(context.Background(), points, units, opts, nil)
+	return RunPointsCtx(context.Background(), b, opts, nil)
 }
 
 // customSweep evaluates configurations with the paper's uniform traffic:
@@ -178,7 +179,7 @@ func TestRunFigureRejectsBadSpec(t *testing.T) {
 }
 
 // TestCustomSweep runs a two-point custom sweep (RunPointsCtx over
-// PointUnits) and checks the latencies rise with load and every point
+// PointBatch) and checks the latencies rise with load and every point
 // carries its estimate.
 func TestCustomSweep(t *testing.T) {
 	var cfgs []*core.Config
@@ -314,7 +315,7 @@ func TestRunFiguresMatchesIndividualRuns(t *testing.T) {
 }
 
 // TestCustomSweepParallelismInvariance pins a custom sweep (RunPointsCtx
-// over PointUnits) to identical output across pool sizes.
+// over PointBatch) to identical output across pool sizes.
 func TestCustomSweepParallelismInvariance(t *testing.T) {
 	var cfgs []*core.Config
 	for _, lambda := range []float64{10, 30, 50} {
@@ -499,28 +500,33 @@ func TestRunPointsArrivalOverride(t *testing.T) {
 	}
 }
 
-// TestRunRejectsMismatchedUnits: a simulated batch must come with one
-// unit per point, so a stage built for other points fails instead of
-// filling the wrong rows.
-func TestRunRejectsMismatchedUnits(t *testing.T) {
-	cfg, err := core.PaperConfig(core.Case1, 4, 512, network.NonBlocking)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := []PointSpec{{Cfg: cfg, Locality: -1}, {Cfg: cfg, Locality: -1}}
-	units, err := PointUnits(points[:1], fastOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunPointsCtx(context.Background(), points, units, fastOpts(), nil); err == nil {
-		t.Fatal("RunPointsCtx accepted 1 unit for 2 points")
-	}
+// TestFigureBatchRejectsScenario: figures are stationary, so a figure
+// batch refuses a fault timeline instead of reporting the faulted
+// horizon's mean in the simulated column; a custom sweep of the same
+// configuration takes it and reports the transient side.
+func TestFigureBatchRejectsScenario(t *testing.T) {
 	spec, err := PaperFigure(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.ClusterCounts = []int{4}
-	if _, err := RunFiguresCtx(context.Background(), []FigureSpec{spec}, units, fastOpts(), nil); err == nil {
-		t.Fatal("RunFiguresCtx accepted 1 unit for a 2-point figure")
+	spec.MessageSizes, spec.ClusterCounts = []int{1024}, []int{4}
+	opts := fastOpts()
+	opts.Replications = 1
+	opts.Scenario = &scenario.Spec{HorizonS: 0.12, SLOLatencyMS: 3, Events: []scenario.Event{
+		{TS: 0.04, Action: "fail", Target: "cluster:largest", Policy: "drop"},
+	}}
+	if _, err := runFigures([]FigureSpec{spec}, opts); err == nil || !strings.Contains(err.Error(), "stationary") {
+		t.Fatalf("figure batch with a scenario: err %v, want a stationary-figures error", err)
+	}
+	cfg, err := core.PaperConfig(spec.Scenario, 4, 1024, spec.Arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := runPoints([]PointSpec{{Cfg: cfg, Locality: -1}}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res[0].Dynamic; d == nil || len(d.Series.Slices) != 20 {
+		t.Fatalf("dynamic point reported %+v, want a 20-slice transient side", d)
 	}
 }
