@@ -440,6 +440,25 @@ func BenchmarkPlanScreen(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanEnumerate measures expanding the documented design space
+// into its 1584 candidates, the serial step before the screen's pool.
+// Its bytes are the configuration slab and the shared cluster runs
+// (DESIGN.md §7); bytes that grow with candidates × clusters mean
+// candidates copy their clusters again.
+func BenchmarkPlanEnumerate(b *testing.B) {
+	sp := plan.DefaultSpace()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cands, err := plan.Enumerate(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(cands) != 1584 {
+			b.Fatalf("enumerated %d candidates, want 1584", len(cands))
+		}
+	}
+}
+
 // BenchmarkParForEach prices the worker pool's per-unit dispatch: 1024
 // units of about 1 µs of arithmetic each, on the calling goroutine (p1)
 // and on every CPU (all). ns/unit is the op time over the unit count.

@@ -354,7 +354,8 @@ type SLO = plan.SLO
 type CostModel = plan.CostModel
 
 // PlanCandidate is one screened candidate with its cost, analytic latency
-// prediction, bottleneck and feasibility verdict.
+// prediction, bottleneck and feasibility verdict. Candidates share cluster
+// storage, so treat its Cfg as read-only.
 type PlanCandidate = plan.ScreenResult
 
 // PlanVerified pairs a frontier candidate with its precision-mode

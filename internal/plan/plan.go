@@ -154,6 +154,10 @@ type Candidate struct {
 	// deterministic identity used for tie-breaks and reporting.
 	Index int
 	// Cfg is the configuration, with Lambda already scaled by Headroom.
+	// Candidates share cluster storage: Cfg.Clusters is a capped window
+	// on a run other candidates read too, so treat Cfg as read-only.
+	// Appending to Clusters copies them; writing through an element
+	// changes every candidate that shares the run.
 	Cfg *core.Config
 	// Headroom is the load multiplier this candidate was built at.
 	Headroom float64
@@ -204,6 +208,10 @@ func shortTech(t network.Technology) string {
 // Combinations whose configuration fails core validation (e.g. a single
 // 1-node cluster with no possible traffic) are skipped deterministically.
 // With MaxCandidates set, the kept grid is subsampled at an even stride.
+//
+// Candidates share cluster storage (see Candidate.Cfg): each distinct
+// cluster run is built once, and candidates that differ only in ICN2,
+// architecture or cluster count take windows on the same run.
 func Enumerate(s *Space) ([]Candidate, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -212,45 +220,53 @@ func Enumerate(s *Space) ([]Candidate, error) {
 	if len(headroom) == 0 {
 		headroom = []float64{1}
 	}
-	var layouts [][]int
+
+	// The cluster runs live in one slab of blocks, one block per
+	// homogeneous node count and then one per split. A block holds one
+	// run per (ICN1, ECN1, headroom), in that order; a homogeneous run is
+	// as long as the largest cluster count, so every count shares it.
+	runsPerBlock := len(s.ICN1) * len(s.ECN1) * len(headroom)
+	maxC := 0
+	if len(s.Clusters) > 0 {
+		maxC = slices.Max(s.Clusters)
+	}
+	nClusters := len(s.NodesPerCluster) * maxC
+	for _, split := range s.Splits {
+		nClusters += len(split)
+	}
+	runs := make([]core.Cluster, 0, nClusters*runsPerBlock)
+	for _, n := range s.NodesPerCluster {
+		runs = s.appendRuns(runs, headroom, maxC, n, nil)
+	}
+	layouts := make([]layout, 0, len(s.Clusters)*len(s.NodesPerCluster)+len(s.Splits))
 	for _, c := range s.Clusters {
-		for _, n := range s.NodesPerCluster {
-			layout := make([]int, c)
-			for i := range layout {
-				layout[i] = n
-			}
-			layouts = append(layouts, layout)
+		for ni := range s.NodesPerCluster {
+			layouts = append(layouts, layout{block: ni * maxC * runsPerBlock, stride: maxC, size: c})
 		}
 	}
-	layouts = append(layouts, s.Splits...)
-
-	// Every configuration and cluster comes from one of two slabs sized
-	// for the whole grid; a skipped combination's slots are reused.
-	combos := len(s.ICN1) * len(s.ECN1) * len(s.ICN2) * len(s.Archs) * len(headroom)
-	nClusters := 0
-	for _, layout := range layouts {
-		nClusters += len(layout)
+	for _, split := range s.Splits {
+		layouts = append(layouts, layout{block: len(runs), stride: len(split), size: len(split)})
+		runs = s.appendRuns(runs, headroom, len(split), 0, split)
 	}
+
+	// Every configuration comes from one slab sized for the whole grid; a
+	// skipped combination's slot is reused.
+	combos := runsPerBlock * len(s.ICN2) * len(s.Archs)
 	cfgs := make([]core.Config, 0, len(layouts)*combos)
-	clusters := make([]core.Cluster, 0, nClusters*combos)
 	out := make([]Candidate, 0, len(layouts)*combos)
-	for _, layout := range layouts {
-		for _, icn1 := range s.ICN1 {
-			for _, ecn1 := range s.ECN1 {
+	for _, l := range layouts {
+		for i1 := range s.ICN1 {
+			for e1 := range s.ECN1 {
 				for _, icn2 := range s.ICN2 {
 					for _, arch := range s.Archs {
-						for _, h := range headroom {
-							first := len(clusters)
-							for _, n := range layout {
-								clusters = append(clusters, core.Cluster{
-									Nodes: n, Lambda: s.Lambda * h,
-									ICN1: icn1, ECN1: ecn1,
-								})
-							}
+						for hi, h := range headroom {
+							first := l.block + ((i1*len(s.ECN1)+e1)*len(headroom)+hi)*l.stride
+							end := first + l.size
 							cfgs = append(cfgs, core.Config{
 								// Capped, so appending to one candidate's
-								// clusters cannot overwrite the next's.
-								Clusters:     clusters[first:len(clusters):len(clusters)],
+								// clusters copies them rather than
+								// writing into the shared run.
+								Clusters:     runs[first:end:end],
 								ICN2:         icn2,
 								Arch:         arch,
 								Switch:       s.Switch,
@@ -258,7 +274,7 @@ func Enumerate(s *Space) ([]Candidate, error) {
 							})
 							cfg := &cfgs[len(cfgs)-1]
 							if cfg.Validate() != nil {
-								cfgs, clusters = cfgs[:len(cfgs)-1], clusters[:first]
+								cfgs = cfgs[:len(cfgs)-1]
 								continue
 							}
 							out = append(out, Candidate{Index: len(out), Cfg: cfg, Headroom: h})
@@ -272,16 +288,46 @@ func Enumerate(s *Space) ([]Candidate, error) {
 		sampled := make([]Candidate, 0, s.MaxCandidates)
 		// Even-stride subsample: candidate k of the sample is the grid
 		// point at floor(k·len/max), a pure function of the two counts.
-		// Each sampled configuration is copied out of the slabs, so the
-		// unsampled grid is not kept alive.
+		// Each sampled configuration is copied out of the slab, so the
+		// unsampled grid's configurations are not kept alive; the copy's
+		// clusters stay a window on the shared runs.
 		for k := 0; k < s.MaxCandidates; k++ {
 			c := out[k*len(out)/s.MaxCandidates]
 			cfg := *c.Cfg
-			cfg.Clusters = slices.Clone(cfg.Clusters)
 			c.Cfg, c.Index = &cfg, len(sampled)
 			sampled = append(sampled, c)
 		}
 		out = sampled
 	}
 	return out, nil
+}
+
+// layout is one node layout of the space, located in Enumerate's run
+// slab: its runs start at block, one every stride clusters, and the
+// layout's clusters are the first size of each.
+type layout struct {
+	block, stride, size int
+}
+
+// appendRuns appends one block of runs to slab: for each (ICN1, ECN1,
+// headroom), in that order, width clusters whose node counts are split's
+// or, when split is nil, n in every cluster.
+func (s *Space) appendRuns(slab []core.Cluster, headroom []float64, width, n int, split []int) []core.Cluster {
+	for _, icn1 := range s.ICN1 {
+		for _, ecn1 := range s.ECN1 {
+			for _, h := range headroom {
+				for i := 0; i < width; i++ {
+					nodes := n
+					if split != nil {
+						nodes = split[i]
+					}
+					slab = append(slab, core.Cluster{
+						Nodes: nodes, Lambda: s.Lambda * h,
+						ICN1: icn1, ECN1: ecn1,
+					})
+				}
+			}
+		}
+	}
+	return slab
 }

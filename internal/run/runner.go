@@ -313,13 +313,27 @@ func (em *emitter) err() error {
 
 func runAnalyze(ctx context.Context, p *Program, opts Options, em *emitter) (*AnalyzeOutcome, error) {
 	e := p.spec
-	arrival, err := e.Workload.BuildArrival()
+	prec, err := e.Precision.Build()
 	if err != nil {
 		return nil, err
 	}
-	cfg, err := e.System.Build()
-	if err != nil {
-		return nil, err
+	var st *UnitStage
+	var cfg *core.Config
+	var arrival workload.Arrival
+	if prec != nil {
+		// The check stage's unit already carries the configuration and
+		// arrival process the prediction is made for.
+		if st, err = p.Stage(StageCheck); err != nil {
+			return nil, err
+		}
+		cfg, arrival = st.Units[0].Cfg, st.Units[0].Opts.Arrival
+	} else {
+		if arrival, err = e.Workload.BuildArrival(); err != nil {
+			return nil, err
+		}
+		if cfg, err = e.System.Build(); err != nil {
+			return nil, err
+		}
 	}
 	scv := arrival.SCV()
 	res := new(analytic.Result)
@@ -332,17 +346,9 @@ func runAnalyze(ctx context.Context, p *Program, opts Options, em *emitter) (*An
 			return nil, err
 		}
 	}
-	prec, err := e.Precision.Build()
-	if err != nil {
-		return nil, err
-	}
 	if prec != nil {
 		// Validate the prediction by simulation, adaptively extending the
 		// replication set until the estimate is tight enough to judge.
-		st, err := p.Stage(StageCheck)
-		if err != nil {
-			return nil, err
-		}
 		res, err := sim.RunPrecisionUnitsCtx(ctx, opts.observed(st), *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
 		if err != nil {
 			return nil, err

@@ -311,3 +311,31 @@ func TestPlanVerifyUnitHonoursContext(t *testing.T) {
 		t.Fatal("verify unit 1 does not come from the cached screening")
 	}
 }
+
+// TestAnalyzeCheckSharesDerivation: with a precision target, the analyze
+// runner predicts for the very configuration its check stage simulates,
+// not a second build of the same spec.
+func TestAnalyzeCheckSharesDerivation(t *testing.T) {
+	e := NewExperiment(KindAnalyze)
+	e.System.Clusters, e.System.Total = 4, 32
+	e.Run.Messages = 2000
+	e.Precision = &PrecisionSpec{RelWidth: 0.5, MaxReps: 4}
+	prog, err := NewProgram(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runAnalyze(context.Background(), prog, Options{Parallelism: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := prog.Stage(StageCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Check == nil {
+		t.Fatal("analyze with a precision target ran no check")
+	}
+	if out.Cfg != st.Units[0].Cfg {
+		t.Fatal("the analytic prediction and the check stage built separate configurations")
+	}
+}
