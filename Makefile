@@ -29,12 +29,14 @@ fmt-check:
 # set (EventList*), the engine's event rate (SimulatorEventRate), one
 # pooled replication at C=1/16/256 (SimulatorReplication), the
 # switch-level simulator (NetsimFatTree), the worker pool's per-unit
-# dispatch (ParForEach/{p1,all}), and every checked-in experiment spec to
+# dispatch (ParForEach/{p1,all}), the replication driver's own
+# per-replication cost over a stub engine (RunBatch/{fixed,adaptive}),
+# and every checked-in experiment spec to
 # rendered report through run.Run (RunSpec/<name>). BENCHTIME is recorded
 # in each report, and benchjson -compare refuses two reports taken at
 # different benchtimes, so a gate only ever compares like with like.
 BENCHTIME ?= 1s
-BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|NetsimFatTree|ParForEach' -benchmem -benchtime $(BENCHTIME)
+BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|NetsimFatTree|ParForEach|RunBatch' -benchmem -benchtime $(BENCHTIME)
 
 # bench-flags prints BENCH_FLAGS, so CI runs both sides of its gate with
 # the head tree's invocation.

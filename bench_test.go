@@ -19,6 +19,7 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/netsim"
 	"hmscs/internal/network"
+	"hmscs/internal/output"
 	"hmscs/internal/par"
 	"hmscs/internal/plan"
 	"hmscs/internal/rng"
@@ -486,6 +487,45 @@ func BenchmarkParForEach(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units), "ns/unit")
+		})
+	}
+}
+
+// BenchmarkRunBatch prices the replication driver itself: 8 units
+// through sim.RunBatchCtx at parallelism 1 with a stub UnitFunc that
+// returns a fresh canned Result over one shared 500-message sample, so an
+// op is the pool claims, the per-replication option derivation,
+// bookkeeping and fold, plus (adaptive) one output.AnalyzeRun per
+// replication, and no engine. Both schedules run 16 replications per
+// unit (the adaptive one converges on its 16-replication pilot round);
+// ns/rep is the op time over the 128 replications.
+func BenchmarkRunBatch(b *testing.B) {
+	const units, reps = 8, 16
+	sample := make([]float64, 500)
+	for i := range sample {
+		sample[i] = 1e-3 * (1 + 0.01*float64(i%7-3))
+	}
+	stub := func(context.Context, int, int, *core.Config, sim.Options) (*sim.Result, error) {
+		return &sim.Result{Sample: sample, Measured: int64(len(sample)), Generated: int64(len(sample))}, nil
+	}
+	batch := make([]sim.Unit, units)
+	for i := range batch {
+		batch[i] = sim.Unit{Opts: sim.DefaultOptions()}
+	}
+	for _, c := range []struct {
+		name  string
+		sched sim.Schedule
+	}{
+		{"fixed", sim.Schedule{Reps: reps}},
+		{"adaptive", sim.Schedule{Precision: &output.Precision{RelWidth: 0.05, MinReps: reps, MaxReps: reps}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunBatchCtx(context.Background(), batch, c.sched, 1, nil, stub); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*units*reps), "ns/rep")
 		})
 	}
 }

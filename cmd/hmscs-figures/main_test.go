@@ -93,6 +93,10 @@ func TestFiguresBadFlags(t *testing.T) {
 	if err := runMain([]string{"-bogus"}, &out); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// An explicit -reps 0 must not silently run the default 3.
+	if err := runMain([]string{"-what", "fig4", "-reps", "0", "-messages", "800"}, &out); err == nil {
+		t.Error("-reps 0 accepted")
+	}
 	// Unknown -what silently produces nothing but is not an error; check
 	// that at least no output is produced.
 	out.Reset()

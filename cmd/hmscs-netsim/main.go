@@ -11,7 +11,7 @@
 // flags build a "netsim" experiment spec, or load one with -spec and
 // override its fields with any explicitly-set flags. Replications (a
 // -scenario run's -reps, a -precision run's adaptive set) run through
-// the same batch drivers as hmscs-sim's, on -parallel workers; the
+// the same batch driver as hmscs-sim's, on -parallel workers; the
 // output is identical for every -parallel value.
 //
 // Examples:

@@ -63,10 +63,6 @@ func runMain(args []string, out io.Writer) error {
 		return err
 	}
 	spec.Simulate.NoCompare = !*compare
-	// An explicit -reps 0 is a user error, not a request for the default.
-	if spec.Run.Reps < 1 {
-		return fmt.Errorf("need at least 1 replication")
-	}
 	ctx, cancel := xf.Context()
 	defer cancel()
 	_, err = xf.Execute(ctx, spec, parallel, out)

@@ -66,6 +66,7 @@ func TestSweepErrors(t *testing.T) {
 	var out bytes.Buffer
 	for _, args := range [][]string{
 		{"-var", "entropy"},
+		{"-var", "lambda", "-floats", "25", "-reps", "0"},
 		{"-var", "clusters", "-ints", "x"},
 		{"-var", "locality", "-floats", "1.5", "-clusters", "4", "-fast"},
 		{"-var", "clusters", "-ints", "3"},

@@ -315,7 +315,11 @@ func Simulate(cfg *Config, opts SimOptions) (*SimResult, error) { return sim.Run
 // SimulateReplications runs n independent replications in parallel and
 // aggregates mean latency with a 95% confidence interval.
 func SimulateReplications(cfg *Config, opts SimOptions, n int) (*ReplicatedResult, error) {
-	return sim.RunReplicationsCtx(context.Background(), cfg, opts, n, 0, nil)
+	sums, err := sim.RunBatchCtx(context.Background(), []sim.Unit{{Cfg: cfg, Opts: opts}}, sim.Schedule{Reps: n}, 0, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sums[0].Agg, nil
 }
 
 // Precision is a relative-precision target for adaptive simulation: run
@@ -333,11 +337,11 @@ type PrecisionResult = sim.PrecisionResult
 // the worker pool until the target is met. Results are bit-identical at
 // every parallelism level.
 func SimulateToPrecision(cfg *Config, opts SimOptions, target Precision) (*PrecisionResult, error) {
-	res, err := sim.RunPrecisionUnitsCtx(context.Background(), []sim.Unit{{Cfg: cfg, Opts: opts}}, target, 0, nil, nil)
+	sums, err := sim.RunBatchCtx(context.Background(), []sim.Unit{{Cfg: cfg, Opts: opts}}, sim.Schedule{Precision: &target}, 0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return sums[0].Prec, nil
 }
 
 // Capacity planning ----------------------------------------------------------

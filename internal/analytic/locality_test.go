@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -81,10 +80,7 @@ func TestLocalityModelTracksLocalBiasSimulation(t *testing.T) {
 		opts.WarmupMessages = 800
 		opts.MeasuredMessages = 6000
 		opts.Pattern = workload.LocalBias{Locality: loc}
-		agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		agg := simulate3(t, cfg, opts)
 		rel := math.Abs(pred.MeanLatency-agg.MeanLatency) / agg.MeanLatency
 		if rel > 0.15 {
 			t.Errorf("locality %v: model %v vs sim %v (%.1f%% off)",

@@ -67,10 +67,7 @@ func TestAnalyzeSCVPredictsDeterministicSimulation(t *testing.T) {
 	opts.WarmupMessages = 1000
 	opts.MeasuredMessages = 8000
 	opts.ServiceDist = rng.Deterministic{Value: 1}
-	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := simulate3(t, cfg, opts)
 	rel := math.Abs(pred.MeanLatency-agg.MeanLatency) / agg.MeanLatency
 	if rel > 0.15 {
 		t.Fatalf("M/D/1 model %v vs det-service sim %v: %.1f%% off",
@@ -102,4 +99,15 @@ func TestAnalyzeSCVValidation(t *testing.T) {
 	if _, err := AnalyzeSCV(&core.Config{}, 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
+}
+
+// simulate3 aggregates three replications of cfg under opts, the
+// simulation side of the model-vs-simulation checks.
+func simulate3(t *testing.T, cfg *core.Config, opts sim.Options) *sim.Replicated {
+	t.Helper()
+	sums, err := sim.RunBatchCtx(context.Background(), []sim.Unit{{Cfg: cfg, Opts: opts}}, sim.Schedule{Reps: 3}, 0, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sums[0].Agg
 }

@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -59,10 +58,7 @@ func TestMulticlassPredictsHeterogeneousSimulation(t *testing.T) {
 	opts := sim.DefaultOptions()
 	opts.WarmupMessages = 1000
 	opts.MeasuredMessages = 8000
-	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := simulate3(t, cfg, opts)
 	got := multi.MeanResponse()
 	rel := math.Abs(got-agg.MeanLatency) / agg.MeanLatency
 	if rel > 0.15 {
@@ -86,10 +82,7 @@ func TestMulticlassBeatsSymmetricModelOnHeterogeneous(t *testing.T) {
 	opts := sim.DefaultOptions()
 	opts.WarmupMessages = 1000
 	opts.MeasuredMessages = 8000
-	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	agg := simulate3(t, cfg, opts)
 	errMulti := math.Abs(multi.MeanResponse() - agg.MeanLatency)
 	errOpen := math.Abs(open.MeanLatency - agg.MeanLatency)
 	if errMulti > errOpen*1.1 {

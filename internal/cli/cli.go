@@ -98,8 +98,13 @@ func (x *ExperimentFlags) Sinks(stdout io.Writer) ([]run.Sink, func() error, err
 // streaming the server's events into -emit and its rendered report onto
 // stdout, both byte-identical to the local run of the same spec. The
 // outcome is nil in remote mode (results live on the server; the
-// replayed bytes are the contract).
+// replayed bytes are the contract). A replication count below 1 is
+// rejected before anything runs or is submitted: an explicit -reps 0 is
+// a user error, not a request for the default Normalize would restore.
 func (x *ExperimentFlags) Execute(ctx context.Context, spec *run.Experiment, parallelism int, stdout io.Writer) (*run.Outcome, error) {
+	if spec.Run.Reps < 1 {
+		return nil, fmt.Errorf("cli: need at least 1 replication, got -reps %d", spec.Run.Reps)
+	}
 	if x.Submit == "" {
 		sinks, closeSinks, err := x.Sinks(stdout)
 		if err != nil {

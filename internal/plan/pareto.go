@@ -77,7 +77,7 @@ type VerifiedCandidate struct {
 
 // VerifyTopK simulates the k cheapest frontier candidates to the given
 // precision target, fanning (candidate × replication) units over one
-// bounded worker pool (sim.RunPrecisionUnitsCtx). opts carries the
+// bounded worker pool (sim.RunBatchCtx's adaptive schedule). opts carries the
 // workload (arrival process, service distribution, per-replication
 // window, base seed); each candidate's replication seeds derive
 // deterministically from it, so results are bit-identical at every
@@ -87,11 +87,11 @@ func VerifyTopK(frontier []ScreenResult, k int, slo SLO, opts sim.Options, prec 
 	if len(units) == 0 {
 		return nil, nil
 	}
-	res, err := sim.RunPrecisionUnitsCtx(context.Background(), units, prec, parallelism, nil, nil)
+	sums, err := sim.RunBatchCtx(context.Background(), units, sim.Schedule{Precision: &prec}, parallelism, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return Verified(frontier, slo, res), nil
+	return Verified(frontier, slo, sums), nil
 }
 
 // VerifyUnits is the verification batch of the k cheapest frontier
@@ -108,13 +108,14 @@ func VerifyUnits(frontier []ScreenResult, k int, opts sim.Options) []sim.Unit {
 	return units
 }
 
-// Verified folds the verification batch's results (in VerifyUnits order)
-// into verified candidates, judging each simulated mean against the SLO.
-func Verified(frontier []ScreenResult, slo SLO, res []*sim.PrecisionResult) []VerifiedCandidate {
+// Verified folds the verification batch's summaries (in VerifyUnits
+// order) into verified candidates, judging each simulated mean against
+// the SLO.
+func Verified(frontier []ScreenResult, slo SLO, sums []sim.Summary) []VerifiedCandidate {
 	slo = slo.Normalized()
-	out := make([]VerifiedCandidate, len(res))
-	for i, r := range res {
-		v := VerifiedCandidate{ScreenResult: frontier[i], Sim: r.Estimate}
+	out := make([]VerifiedCandidate, len(sums))
+	for i, s := range sums {
+		v := VerifiedCandidate{ScreenResult: frontier[i], Sim: s.Est}
 		if v.Sim.Mean > 0 {
 			v.Gap = (v.Predicted - v.Sim.Mean) / v.Sim.Mean
 			v.SimFeasible = v.Sim.Mean <= slo.MaxLatency
@@ -127,14 +128,16 @@ func Verified(frontier []ScreenResult, slo SLO, res []*sim.PrecisionResult) []Ve
 // VerifyScenarioCtx re-runs every verified candidate against a fault
 // timeline and fills the Recovery fields in place: the scenario is
 // compiled per candidate (cluster:largest resolves against each
-// configuration), reps replications run the fixed horizon, and the
-// recovery metric comes from the across-replication transient series.
-// The latency objective is the scenario's own SLO when set, the plan
-// SLO's budget otherwise; RecoveryOK additionally holds the recovery
-// time under slo.MaxRecovery when that is positive. Results are
-// bit-identical at every parallelism level.
+// configuration), and all candidates run as the units of one batch, in
+// verified order, reps replications each over the fixed horizon; the
+// recovery metric comes from each candidate's across-replication
+// transient series. The latency objective is the scenario's own SLO
+// when set, the plan SLO's budget otherwise; RecoveryOK additionally
+// holds the recovery time under slo.MaxRecovery when that is positive.
+// Results are bit-identical at every parallelism level.
 func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *scenario.Spec, slo SLO, opts sim.Options, reps, parallelism int, prog progress.Func) error {
 	slo = slo.Normalized()
+	units := make([]sim.Unit, len(verified))
 	for i := range verified {
 		v := &verified[i]
 		wrap := func(err error) error {
@@ -150,15 +153,18 @@ func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *s
 		if math.IsNaN(win.SLO) {
 			win.SLO = slo.MaxLatency
 		}
-		u := sim.Unit{Cfg: v.Cfg, Opts: opts, Window: &win}
-		u.Opts.Scenario = cs
-		u.Opts.RecordSample = true
-		sums, err := sim.RunBatchCtx(ctx, []sim.Unit{u}, sim.Schedule{Reps: reps}, parallelism, prog, nil)
-		if err != nil {
-			return wrap(err)
-		}
+		units[i] = sim.Unit{Cfg: v.Cfg, Opts: opts, Wrap: wrap, Window: &win}
+		units[i].Opts.Scenario = cs
+		units[i].Opts.RecordSample = true
+	}
+	sums, err := sim.RunBatchCtx(ctx, units, sim.Schedule{Reps: reps}, parallelism, prog, nil)
+	if err != nil {
+		return err
+	}
+	for i := range verified {
+		v := &verified[i]
 		v.ScenarioChecked = true
-		v.Recovery = sums[0].Transient.RecoveryS
+		v.Recovery = sums[i].Transient.RecoveryS
 		switch {
 		case math.IsNaN(v.Recovery):
 			// No fault in the timeline: nothing to recover from.

@@ -15,7 +15,7 @@
 //  3. the feasible set is reduced to the Pareto frontier on
 //     (cost, predicted latency);
 //  4. the cheapest frontier candidates are verified with precision-mode
-//     simulation (sim.RunPrecisionUnitsCtx), reporting the model-vs-sim gap
+//     simulation (sim.RunBatchCtx), reporting the model-vs-sim gap
 //     per candidate.
 //
 // Everything is deterministic: enumeration order is fixed, screening

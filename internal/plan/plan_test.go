@@ -10,6 +10,7 @@ import (
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
+	"hmscs/internal/progress"
 	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
 	"hmscs/internal/validate"
@@ -452,6 +453,61 @@ func TestVerifyScenarioFallsBackToPlanSLO(t *testing.T) {
 	}
 	if math.Float64bits(recovery[0]) != math.Float64bits(recovery[1]) {
 		t.Fatalf("recovery %v without a timeline SLO, %v with the plan budget spelled out", recovery[0], recovery[1])
+	}
+}
+
+// TestVerifyScenarioBatchesCandidates: the scenario check runs every
+// candidate as one unit of a single batch, so its progress events number
+// candidate i as unit i of k (the verify stage's numbering), and each
+// candidate recovers exactly as it does when checked on its own.
+func TestVerifyScenarioBatchesCandidates(t *testing.T) {
+	slo := SLO{MaxLatency: 5e-3}
+	res, err := Screen(smallSpace(), slo, DefaultCostModel(), 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Any screened candidates will do; the frontier of this space is one.
+	var cands []ScreenResult
+	for _, r := range res {
+		if r.Feasible {
+			cands = append(cands, r)
+		}
+	}
+	const k, reps = 3, 2
+	if len(cands) < k {
+		t.Fatalf("%d feasible candidates, want at least %d", len(cands), k)
+	}
+	scn := &scenario.Spec{HorizonS: 0.12, SliceS: 0.01, Events: []scenario.Event{
+		{TS: 0.04, Action: scenario.ActionFail, Target: "cluster:largest", Policy: "drop"},
+		{TS: 0.08, Action: scenario.ActionRepair, Target: "cluster:largest"},
+	}}
+	verified := make([]VerifiedCandidate, k)
+	for i := range verified {
+		verified[i].ScreenResult = cands[i]
+	}
+	var events []progress.Event
+	record := func(ev progress.Event) { events = append(events, ev) }
+	if err := VerifyScenarioCtx(context.Background(), verified, scn, slo, verifyOpts(), reps, 1, record); err != nil {
+		t.Fatal(err)
+	}
+	var want []progress.Event
+	for i := 0; i < k; i++ {
+		for rep := 0; rep < reps; rep++ {
+			want = append(want, progress.Event{Kind: progress.UnitFinished, Unit: i, Units: k, Rep: rep})
+		}
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("scenario check events:\n%+v\nwant\n%+v", events, want)
+	}
+	for i := range verified {
+		alone := []VerifiedCandidate{{ScreenResult: cands[i]}}
+		if err := VerifyScenarioCtx(context.Background(), alone, scn, slo, verifyOpts(), reps, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(alone[0].Recovery) != math.Float64bits(verified[i].Recovery) || alone[0].RecoveryOK != verified[i].RecoveryOK {
+			t.Fatalf("candidate %d recovers in %v (ok %v) in the batch, %v (ok %v) alone",
+				i, verified[i].Recovery, verified[i].RecoveryOK, alone[0].Recovery, alone[0].RecoveryOK)
+		}
 	}
 }
 

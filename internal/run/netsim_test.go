@@ -40,7 +40,7 @@ func loadNetsimSpec(t *testing.T, name string, relWidth float64) *Experiment {
 
 // TestNetsimGolden pins the switch-level reports byte for byte against
 // testdata/golden-netsim.txt at parallelism 1, 2 and 4: the replications
-// run through the batch drivers' worker pool, and neither the pool size
+// run through the batch driver's worker pool, and neither the pool size
 // nor completion order may move a digit.
 func TestNetsimGolden(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden-netsim.txt"))

@@ -349,11 +349,11 @@ func runAnalyze(ctx context.Context, p *Program, opts Options, em *emitter) (*An
 	if prec != nil {
 		// Validate the prediction by simulation, adaptively extending the
 		// replication set until the estimate is tight enough to judge.
-		res, err := sim.RunPrecisionUnitsCtx(ctx, opts.observed(st), *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
+		sums, err := sim.RunBatchCtx(ctx, opts.observed(st), sim.Schedule{Precision: prec}, opts.Parallelism, em.fn(), opts.unitFunc(st))
 		if err != nil {
 			return nil, err
 		}
-		out.Check, out.Prec = res[0], prec
+		out.Check, out.Prec = sums[0].Prec, prec
 	}
 	return out, nil
 }
@@ -700,11 +700,11 @@ func runPlan(ctx context.Context, prog *Program, opts Options, em *emitter) (*Pl
 		if err != nil {
 			return nil, err
 		}
-		res, err := sim.RunPrecisionUnitsCtx(ctx, opts.observed(st), *prec, opts.Parallelism, em.fn(), opts.unitFunc(st))
+		sums, err := sim.RunBatchCtx(ctx, opts.observed(st), sim.Schedule{Precision: prec}, opts.Parallelism, em.fn(), opts.unitFunc(st))
 		if err != nil {
 			return nil, err
 		}
-		out.Verified = plan.Verified(frontier, sc.slo, res)
+		out.Verified = plan.Verified(frontier, sc.slo, sums)
 		if e.Scenario != nil {
 			// Dynamic check: every verified candidate additionally rides
 			// out the fault timeline, and its recovery time is judged

@@ -47,8 +47,7 @@ type UnitStage struct {
 	// Reps is the fixed per-point replication count (0 in precision mode).
 	Reps int
 	// Precision marks the adaptive schedule: replication rep of a point
-	// derives via sim.PrecisionReplicationOptions instead of the plain
-	// ReplicationSeed transform.
+	// derives via sim.ReplicationOptions's adaptive transform.
 	Precision bool
 
 	// batch is the sweep or figure kind's one derivation (Units are its
@@ -73,13 +72,7 @@ func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 		return nil, sim.Options{}, fmt.Errorf("run: stage %q runs %d replications, not %d", s.Name, s.Reps, rep)
 	}
 	u := s.Units[point]
-	o := u.Opts
-	if s.Precision {
-		o = sim.PrecisionReplicationOptions(o, rep)
-	} else {
-		o.Seed = sim.ReplicationSeed(o.Seed, rep)
-	}
-	return u.Cfg, o, nil
+	return u.Cfg, sim.ReplicationOptions(u.Opts, rep, s.Precision), nil
 }
 
 // Program is the deterministic unit decomposition of one experiment: the

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -75,11 +74,11 @@ func TestArrivalProcessesParallelismInvariant(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := quickOpts(100, 800)
 			opts.Arrival = arr
-			seq, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 1, nil)
+			seq, err := replicate(cfg, opts, 3, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
+			par, err := replicate(cfg, opts, 3, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +134,7 @@ func TestMMPPRaisesLatencyAtEqualLoad(t *testing.T) {
 	opts := quickOpts(5, 6000)
 	opts.OpenLoop = true
 	opts.MaxSimTime = 120
-	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
+	base, err := replicate(cfg, opts, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +142,7 @@ func TestMMPPRaisesLatencyAtEqualLoad(t *testing.T) {
 	// inside the measured window, so the run sees many cycles.
 	mmpp := &workload.MMPP{BurstRatio: 10, BurstFrac: 0.1, Dwell: 5}
 	opts.Arrival = mmpp
-	burst, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 0, nil)
+	burst, err := replicate(cfg, opts, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

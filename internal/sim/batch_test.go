@@ -3,12 +3,14 @@ package sim
 import (
 	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
+	"hmscs/internal/progress"
 	"hmscs/internal/scenario"
 )
 
@@ -181,5 +183,97 @@ func TestRunBatchRejectsDynamicPrecision(t *testing.T) {
 	}
 	if ran {
 		t.Fatal("a replication ran before the batch was rejected")
+	}
+}
+
+// cannedRun is a stub UnitFunc for driver tests: replication rep of
+// point p returns a fresh Result whose sample averages means(p, rep),
+// with a small deterministic ripple so the per-replication analysis has
+// something to truncate.
+func cannedRun(means func(point, rep int) float64) UnitFunc {
+	return func(_ context.Context, point, rep int, _ *core.Config, _ Options) (*Result, error) {
+		m := means(point, rep)
+		sample := make([]float64, 600)
+		for i := range sample {
+			sample[i] = m * (1 + 0.01*float64(i%7-3))
+		}
+		return &Result{Sample: sample, Measured: int64(len(sample)), Generated: int64(len(sample))}, nil
+	}
+}
+
+// TestRunBatchEventOrder pins what the driver reports and in which
+// order at parallelism 1. A fixed batch emits one UnitFinished per
+// replication, unit-major. An adaptive batch emits, per scheduling
+// round and in unit order, one event per still-running unit carrying
+// the replications folded so far: UnitEstimate while the stopping rule
+// is unmet, then one UnitFinished whose Rep is the unit's final count.
+func TestRunBatchEventOrder(t *testing.T) {
+	units := []Unit{{Opts: quickOpts(1, 1000)}, {Opts: quickOpts(2, 1000)}}
+	var events []progress.Event
+	record := func(ev progress.Event) { events = append(events, ev) }
+	steady := cannedRun(func(int, int) float64 { return 1 })
+	if _, err := RunBatchCtx(context.Background(), units, Schedule{Reps: 3}, 1, record, steady); err != nil {
+		t.Fatal(err)
+	}
+	var want []progress.Event
+	for u := 0; u < 2; u++ {
+		for rep := 0; rep < 3; rep++ {
+			want = append(want, progress.Event{Kind: progress.UnitFinished, Unit: u, Units: 2, Rep: rep})
+		}
+	}
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("fixed batch events:\n%+v\nwant\n%+v", events, want)
+	}
+
+	// Unit 0 is steady and converges on its first round; unit 1
+	// alternates between two means and runs to the replication cap.
+	events = nil
+	noisy := cannedRun(func(point, rep int) float64 {
+		if point == 0 {
+			return 1 + 0.001*float64(rep%2)
+		}
+		return 1 + 0.5*float64(2*(rep%2)-1)
+	})
+	prec := &output.Precision{RelWidth: 0.05, MaxReps: 12}
+	sums, err := RunBatchCtx(context.Background(), units, Schedule{Precision: prec}, 1, record, noisy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := []int{0, 1}
+	last := []int{0, 0}
+	rounds := 0
+	for len(events) > 0 {
+		rounds++
+		if len(events) < len(running) {
+			t.Fatalf("round %d: %d events for %d running units", rounds, len(events), len(running))
+		}
+		var still []int
+		for i, u := range running {
+			ev := events[i]
+			if ev.Unit != u || ev.Units != 2 {
+				t.Fatalf("round %d event %d: unit %d of %d, want unit %d of 2", rounds, i, ev.Unit, ev.Units, u)
+			}
+			if ev.Rep <= last[u] {
+				t.Fatalf("round %d: unit %d reports %d replications after %d", rounds, u, ev.Rep, last[u])
+			}
+			last[u] = ev.Rep
+			switch ev.Kind {
+			case progress.UnitFinished:
+				if ev.Rep != sums[u].Prec.Estimate.Reps {
+					t.Fatalf("unit %d finished at %d replications, its estimate folds %d", u, ev.Rep, sums[u].Prec.Estimate.Reps)
+				}
+			case progress.UnitEstimate:
+				still = append(still, u)
+			default:
+				t.Fatalf("round %d: unexpected event kind %v", rounds, ev.Kind)
+			}
+		}
+		events, running = events[len(running):], still
+	}
+	if len(running) != 0 {
+		t.Fatalf("units %v never finished", running)
+	}
+	if rounds < 3 || last[0] != 4 || last[1] != 12 {
+		t.Fatalf("%d rounds, units stopped at %v replications; want unit 0 at the 4-replication pilot and unit 1 at the cap of 12 over at least 3 rounds", rounds, last)
 	}
 }

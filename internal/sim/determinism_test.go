@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"testing"
 
 	"hmscs/internal/network"
@@ -46,12 +45,12 @@ func requireIdenticalResults(t *testing.T, label string, a, b *Result) {
 func TestRunReplicationsParallelismInvariant(t *testing.T) {
 	cfg := smallCfg(t, 50, network.NonBlocking)
 	opts := quickOpts(100, 1000)
-	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 4, 1, nil)
+	base, err := replicate(cfg, opts, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{0, 2, 8} {
-		got, err := RunReplicationsCtx(context.Background(), cfg, opts, 4, p, nil)
+		got, err := replicate(cfg, opts, 4, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,13 +1,6 @@
 package sim
 
-import (
-	"context"
-	"fmt"
-
-	"hmscs/internal/output"
-	"hmscs/internal/par"
-	"hmscs/internal/progress"
-)
+import "hmscs/internal/output"
 
 // Estimate describes the statistical quality of a mean-latency estimate
 // (seconds, here): the output-analysis engine's summary, threaded through
@@ -46,147 +39,6 @@ func precisionRepMessages(measured int) int {
 		per = 500
 	}
 	return per
-}
-
-// PrecisionReplicationOptions derives replication rep's simulation
-// options from a precision unit's base options: the quarter-length
-// measurement window, no fixed warm-up (MSER-5 truncation replaces it),
-// a recorded sample for the per-replication analysis, and the derived
-// seed. It is the precision-mode half of the unit-derivation contract —
-// RunPrecisionUnitsCtx applies exactly this transform, and a distributed
-// worker re-deriving the unit from the spec must match it bit for bit.
-func PrecisionReplicationOptions(base Options, rep int) Options {
-	o := base
-	if o.MeasuredMessages <= 0 {
-		o.MeasuredMessages = DefaultOptions().MeasuredMessages
-	}
-	o.MeasuredMessages = precisionRepMessages(o.MeasuredMessages)
-	o.WarmupMessages = 0
-	o.RecordSample = true
-	o.Seed = ReplicationSeed(base.Seed, rep)
-	return o
-}
-
-// unitState tracks one unit's replication set between scheduling rounds.
-type unitState struct {
-	stopper  *output.Stopper
-	results  []*Result
-	analyses []output.RunAnalysis
-	done     bool
-}
-
-// workItem is one (unit, replication) cell of a scheduling round.
-type workItem struct {
-	ui, rep int
-}
-
-// RunPrecisionUnitsCtx is the adaptive batch driver: it runs every
-// unit's replications under the sequential stopping rule, fanning
-// (unit × replication) work across one bounded worker pool. Per round,
-// each unconverged unit contributes its next deterministic chunk of
-// replications; seeds derive from the unit's base seed by
-// ReplicationSeed, per-replication analysis depends only on that
-// replication's sample, and stopping decisions consume estimates in
-// replication order — so results are bit-identical at every parallelism
-// level, including the set of replications each unit runs.
-//
-// Precision mode replaces the fixed warm-up prefix with per-replication
-// MSER-5 truncation (Options.WarmupMessages is ignored) and shortens each
-// replication to a quarter of Options.MeasuredMessages, extending the
-// replication set instead of the run length until the confidence
-// half-width on the mean latency is at most prec.RelWidth of the mean.
-//
-// A cancelled context aborts the pool between replication units and
-// returns ctx.Err(); prog (optional) receives, between scheduling rounds
-// and in unit order on the calling goroutine, a UnitEstimate event per
-// still-running unit (replications so far, the running mean and
-// relative CI width) and a UnitFinished event when a unit's stopping
-// rule is satisfied or exhausted. run executes each unit (nil: Run
-// inline).
-func RunPrecisionUnitsCtx(ctx context.Context, units []Unit, prec output.Precision, parallelism int, prog progress.Func, run UnitFunc) ([]*PrecisionResult, error) {
-	prec = prec.Normalized()
-	if err := prec.Validate(); err != nil {
-		return nil, err
-	}
-	states := make([]*unitState, len(units))
-	for i := range states {
-		states[i] = &unitState{stopper: output.NewStopper(prec)}
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		// Collect this round's work: each pending unit's next chunk.
-		var items []workItem
-		for ui, st := range states {
-			if st.done {
-				continue
-			}
-			chunk := st.stopper.NextChunk()
-			base := len(st.results)
-			for k := 0; k < chunk; k++ {
-				items = append(items, workItem{ui: ui, rep: base + k})
-			}
-			st.results = append(st.results, make([]*Result, chunk)...)
-			st.analyses = append(st.analyses, make([]output.RunAnalysis, chunk)...)
-		}
-		if len(items) == 0 {
-			break
-		}
-		err := par.ForEachCtx(ctx, len(items), parallelism, func(k int) error {
-			it := items[k]
-			u := units[it.ui]
-			o := PrecisionReplicationOptions(u.Opts, it.rep)
-			r, err := run.call(ctx, it.ui, it.rep, u.Cfg, o)
-			if err != nil {
-				return u.wrap(err)
-			}
-			a, err := output.AnalyzeRun(r.Sample, prec.Confidence)
-			if err != nil {
-				return u.wrap(fmt.Errorf("sim: replication %d analysis: %w", it.rep, err))
-			}
-			r.Sample = nil // the analysis is done; release the raw series
-			states[it.ui].results[it.rep] = r
-			states[it.ui].analyses[it.rep] = a
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Feed the new estimates in replication order and decide.
-		for ui, st := range states {
-			if st.done {
-				continue
-			}
-			for st.stopper.N() < len(st.analyses) {
-				st.stopper.Add(st.analyses[st.stopper.N()].Mean)
-			}
-			if st.stopper.Satisfied() || st.stopper.Exhausted() {
-				st.done = true
-			}
-			if prog != nil {
-				ev := progress.Event{
-					Kind:  progress.UnitEstimate,
-					Unit:  ui,
-					Units: len(units),
-					Rep:   st.stopper.N(),
-					Mean:  st.stopper.Mean(),
-				}
-				if m := st.stopper.Mean(); m != 0 {
-					ev.RelWidth = st.stopper.HalfWidth() / m
-				}
-				if st.done {
-					ev.Kind = progress.UnitFinished
-				}
-				prog(ev)
-			}
-		}
-	}
-	out := make([]*PrecisionResult, len(units))
-	for ui, st := range states {
-		out[ui] = finishPrecision(st, prec)
-	}
-	return out, nil
 }
 
 // finishPrecision folds one unit's replication set into its result.

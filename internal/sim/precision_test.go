@@ -10,14 +10,14 @@ import (
 	"hmscs/internal/output"
 )
 
-// runPrecision drives one configuration through the adaptive batch
-// driver.
+// runPrecision drives one configuration through RunBatchCtx's adaptive
+// schedule.
 func runPrecision(cfg *core.Config, opts Options, prec output.Precision, parallelism int) (*PrecisionResult, error) {
-	res, err := RunPrecisionUnitsCtx(context.Background(), []Unit{{Cfg: cfg, Opts: opts}}, prec, parallelism, nil, nil)
+	sums, err := RunBatchCtx(context.Background(), []Unit{{Cfg: cfg, Opts: opts}}, Schedule{Precision: &prec}, parallelism, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return sums[0].Prec, nil
 }
 
 // TestPrecisionParallelismInvariance pins the precision engine's core
@@ -169,7 +169,7 @@ func TestPrecisionSaturationRegion(t *testing.T) {
 
 	// The fixed-replication default procedure on the same point.
 	fixedOpts := DefaultOptions()
-	fixed, err := RunReplicationsCtx(context.Background(), cfg, fixedOpts, 3, 0, nil)
+	fixed, err := replicate(cfg, fixedOpts, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,8 @@ package sim
 
 import (
 	"context"
-	"fmt"
 
 	"hmscs/internal/core"
-	"hmscs/internal/par"
-	"hmscs/internal/progress"
 	"hmscs/internal/scenario"
 	"hmscs/internal/stats"
 )
@@ -38,6 +35,27 @@ type Replicated struct {
 // sequential executions of the same experiment draw identical streams.
 func ReplicationSeed(base uint64, i int) uint64 {
 	return base + uint64(i)*0x9e3779b97f4a7c15
+}
+
+// ReplicationOptions derives replication rep's simulation options from
+// a unit's base options: the seed ReplicationSeed(base.Seed, rep) and,
+// on an adaptive schedule, the quarter-length measurement window, no
+// fixed warm-up (MSER-5 truncation replaces it) and a recorded sample
+// for the per-replication analysis. It is the unit-derivation contract:
+// RunBatchCtx applies exactly this transform, and a distributed worker
+// re-deriving the unit from the spec must match it bit for bit.
+func ReplicationOptions(base Options, rep int, adaptive bool) Options {
+	o := base
+	if adaptive {
+		if o.MeasuredMessages <= 0 {
+			o.MeasuredMessages = DefaultOptions().MeasuredMessages
+		}
+		o.MeasuredMessages = precisionRepMessages(o.MeasuredMessages)
+		o.WarmupMessages = 0
+		o.RecordSample = true
+	}
+	o.Seed = ReplicationSeed(base.Seed, rep)
+	return o
 }
 
 // aggregateResults folds per-replication results (in replication order)
@@ -78,9 +96,8 @@ func aggregateResults(results []*Result, means []float64) *Replicated {
 }
 
 // Unit is one configuration of a batch: the configuration and the base
-// options its replications derive from. Replication rep of a fixed batch
-// runs Opts with seed ReplicationSeed(Opts.Seed, rep); an adaptive batch
-// derives it through PrecisionReplicationOptions instead.
+// options its replications derive from. Replication rep runs
+// ReplicationOptions(Opts, rep, adaptive).
 type Unit struct {
 	Cfg  *core.Config
 	Opts Options
@@ -107,10 +124,10 @@ func (u Unit) wrap(err error) error {
 // any other implementation (a distributed executor re-deriving the unit
 // from its experiment spec) must return a bit-identical Result. It is
 // called from worker-pool goroutines and must be safe for concurrent
-// use. The batch drivers take one as an argument; nil runs Run inline.
-// The drivers never read cfg themselves, so an engine other than Run
-// (the switch-level simulator) reuses their schedule, seeds and events
-// through a UnitFunc of its own over units with a nil Cfg.
+// use. RunBatchCtx takes one as an argument; nil runs Run inline. The
+// driver never reads cfg itself, so an engine other than Run (the
+// switch-level simulator) reuses its schedule, seeds and events through
+// a UnitFunc of its own over units with a nil Cfg.
 type UnitFunc func(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error)
 
 // call runs one unit through run, or inline through Run when run is nil.
@@ -119,54 +136,4 @@ func (run UnitFunc) call(ctx context.Context, point, rep int, cfg *core.Config, 
 		return Run(cfg, opts)
 	}
 	return run(ctx, point, rep, cfg, opts)
-}
-
-// RunUnitsCtx is the fixed-grid batch driver: every unit runs exactly
-// reps replications, fanned out as (unit × replication) work items on
-// one bounded worker pool, and results[u][rep] holds unit u's
-// replication rep. Seeds derive by ReplicationSeed, so the results are
-// bit-identical at every parallelism level. A cancelled context aborts
-// the pool between replications and returns ctx.Err(); prog (optional,
-// may be called from worker goroutines) receives a UnitFinished event
-// per completed replication; run executes each unit (nil: Run inline).
-func RunUnitsCtx(ctx context.Context, units []Unit, reps, parallelism int, prog progress.Func, run UnitFunc) ([][]*Result, error) {
-	if reps < 1 {
-		return nil, fmt.Errorf("sim: need at least 1 replication, got %d", reps)
-	}
-	results := make([][]*Result, len(units))
-	for i := range results {
-		results[i] = make([]*Result, reps)
-	}
-	err := par.ForEachCtx(ctx, len(units)*reps, parallelism, func(k int) error {
-		ui, rep := k/reps, k%reps
-		u := units[ui]
-		o := u.Opts
-		o.Seed = ReplicationSeed(u.Opts.Seed, rep)
-		r, err := run.call(ctx, ui, rep, u.Cfg, o)
-		if err != nil {
-			return u.wrap(err)
-		}
-		results[ui][rep] = r
-		if prog != nil {
-			prog(progress.Event{Kind: progress.UnitFinished, Unit: ui, Units: len(units), Rep: rep})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// RunReplicationsCtx executes n independent replications of one
-// configuration (seeds derived from opts.Seed by ReplicationSeed) on up
-// to parallelism workers (<= 0 all CPUs, 1 sequential) and aggregates
-// them; the aggregate is bit-identical for every parallelism value. It
-// is RunBatchCtx over a single unit.
-func RunReplicationsCtx(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) (*Replicated, error) {
-	sums, err := RunBatchCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, Schedule{Reps: n}, parallelism, prog, nil)
-	if err != nil {
-		return nil, err
-	}
-	return sums[0].Agg, nil
 }

@@ -355,7 +355,7 @@ func TestSimRejectsInvalid(t *testing.T) {
 func TestRunReplications(t *testing.T) {
 	cfg := smallCfg(t, 50, network.NonBlocking)
 	opts := quickOpts(100, 1500)
-	agg, err := RunReplicationsCtx(context.Background(), cfg, opts, 5, 0, nil)
+	agg, err := replicate(cfg, opts, 5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestRunReplications(t *testing.T) {
 	if agg.MeanLatency <= 0 || agg.Throughput <= 0 {
 		t.Fatal("aggregate metrics missing")
 	}
-	if _, err := RunReplicationsCtx(context.Background(), cfg, opts, 0, 0, nil); err == nil {
+	if _, err := replicate(cfg, opts, 0, 0); err == nil {
 		t.Fatal("zero replications accepted")
 	}
 }
@@ -517,13 +517,25 @@ func requireIdenticalDynamic(t *testing.T, label string, a, b *Result) {
 }
 
 // runResults drives one configuration's replications through the
-// fixed-grid driver, returning them in replication order.
+// driver's fixed schedule, returning them in replication order with
+// their sample series intact (RunBatchCtx's transient fold would
+// release them).
 func runResults(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) ([]*Result, error) {
-	res, err := RunUnitsCtx(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, parallelism, prog, nil)
+	states, err := runRounds(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, nil, parallelism, prog, nil)
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	return states[0].results, nil
+}
+
+// replicate runs n fixed replications of one configuration through
+// RunBatchCtx and returns their aggregate.
+func replicate(cfg *core.Config, opts Options, n, parallelism int) (*Replicated, error) {
+	sums, err := RunBatchCtx(context.Background(), []Unit{{Cfg: cfg, Opts: opts}}, Schedule{Reps: n}, parallelism, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sums[0].Agg, nil
 }
 
 // TestScenarioDropFaultAndHorizonRepair pins two timeline edge cases.
@@ -598,7 +610,7 @@ func TestScenarioReplicationsComposeWithParallel(t *testing.T) {
 // cluster almost immediately and repairs it only at the horizon, so a
 // cancellation fired after the first completed replication lands while
 // every other running replication still has its repair event pending.
-// The pool must drain fully before RunUnitsCtx returns.
+// The pool must drain fully before the driver returns.
 func TestScenarioCancelMidFaultDrainsPool(t *testing.T) {
 	cfg := wideCfg(t, 40, network.NonBlocking)
 	spec := &scenario.Spec{HorizonS: 0.4, Events: []scenario.Event{
@@ -641,11 +653,11 @@ func TestScenarioCancelMidFaultDrainsPool(t *testing.T) {
 func TestReplicationsComposeWithParallel(t *testing.T) {
 	cfg := wideCfg(t, 40, network.NonBlocking)
 	opts := quickOpts(100, 600)
-	base, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 1, nil)
+	base, err := replicate(cfg, opts, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunReplicationsCtx(context.Background(), cfg, opts, 3, 8, nil)
+	got, err := replicate(cfg, opts, 3, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -384,8 +384,8 @@ func TestPrecisionSweepParallelismInvariance(t *testing.T) {
 }
 
 // TestRunFigureMatchesRunReplications pins the orchestrator's per-point
-// aggregation to sim.RunReplicationsCtx (they must share seed derivation
-// and the aggregation fold).
+// aggregation to a plain one-unit sim.RunBatchCtx (the figure batch's
+// unit derivation must not move the seeds or the fold).
 func TestRunFigureMatchesRunReplications(t *testing.T) {
 	spec, err := PaperFigure(4)
 	if err != nil {
@@ -403,10 +403,11 @@ func TestRunFigureMatchesRunReplications(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := sim.RunReplicationsCtx(context.Background(), cfg, opts.Sim, opts.Replications, 0, nil)
+	sums, err := sim.RunBatchCtx(context.Background(), []sim.Unit{{Cfg: cfg, Opts: opts.Sim}}, sim.Schedule{Reps: opts.Replications}, 0, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := sums[0].Agg
 	if res.Series[0].Simulated[0] != agg.MeanLatency || res.Series[0].SimCI[0] != agg.CI95 {
 		t.Fatalf("orchestrator %v±%v disagrees with RunReplications %v±%v",
 			res.Series[0].Simulated[0], res.Series[0].SimCI[0], agg.MeanLatency, agg.CI95)
