@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-flags bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check scenarios-check links-check clean
+.PHONY: all build test race vet fmt-check bench-flags bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check cli-help cli-help-check scenarios-check links-check clean
 
 all: build test
 
@@ -151,6 +151,27 @@ api:
 api-check:
 	$(GO) run ./tools/apisurface > /tmp/api-surface.txt
 	diff -u docs/api-surface.txt /tmp/api-surface.txt
+
+# cli-help regenerates testdata/cli-help/, the -h text of every
+# experiment binary (run after an intentional flag change, and eyeball
+# the diff); cli-help-check fails when a flag's name, default or help
+# line drifted from it. hmscs-server and hmscs-worker configure daemons,
+# not specs, and the worker's -procs default is the host's CPU count.
+CLI_BINS := hmscs-analyze hmscs-figures hmscs-netsim hmscs-plan hmscs-sim hmscs-sweep
+CLI_HELP = bin=$$(mktemp -d) && trap 'rm -rf $$bin' EXIT && mkdir -p $(1) && \
+	for b in $(CLI_BINS); do \
+		$(GO) build -o $$bin/ ./cmd/$$b || exit 1; \
+		$$bin/$$b -h > $(1)/$$b.txt 2>&1 || true; \
+	done
+
+cli-help:
+	@$(call CLI_HELP,testdata/cli-help)
+	@echo "wrote testdata/cli-help/"
+
+cli-help-check:
+	@rm -rf /tmp/cli-help
+	@$(call CLI_HELP,/tmp/cli-help)
+	diff -ru testdata/cli-help /tmp/cli-help
 
 # scenarios-check replays every command in docs/SCENARIOS.md as a smoke
 # run (-messages 100 -reps 1, adapted per binary), so the cookbook cannot

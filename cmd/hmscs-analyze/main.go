@@ -16,8 +16,6 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"io"
 	"os"
 
@@ -25,32 +23,6 @@ import (
 	"hmscs/internal/run"
 )
 
-func main() {
-	if err := runMain(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hmscs-analyze:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run.KindAnalyze, runMain(os.Args[1:], os.Stdout)) }
 
-func runMain(args []string, out io.Writer) error {
-	spec, err := cli.PreloadSpec(args, run.KindAnalyze)
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("hmscs-analyze", flag.ContinueOnError)
-	var xf cli.ExperimentFlags
-	xf.Register(fs)
-	cli.BindSystem(fs, spec.System)
-	cli.BindArrival(fs, spec.Workload)
-	cli.BindPrecision(fs, spec.Precision)
-	fs.BoolVar(&spec.Analyze.MVA, "mva", spec.Analyze.MVA, "also solve the exact closed-network MVA cross-check")
-	fs.BoolVar(&spec.Analyze.Verbose, "v", spec.Analyze.Verbose, "print per-centre metrics")
-	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "random seed for the -precision simulation check")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, cancel := xf.Context()
-	defer cancel()
-	_, err = xf.Execute(ctx, spec, 0, out)
-	return err
-}
+func runMain(args []string, out io.Writer) error { return cli.Main(run.KindAnalyze, args, out) }

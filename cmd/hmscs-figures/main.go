@@ -19,8 +19,6 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"io"
 	"os"
 
@@ -28,36 +26,6 @@ import (
 	"hmscs/internal/run"
 )
 
-func main() {
-	if err := runMain(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hmscs-figures:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run.KindFigure, runMain(os.Args[1:], os.Stdout)) }
 
-func runMain(args []string, out io.Writer) error {
-	spec, err := cli.PreloadSpec(args, run.KindFigure)
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("hmscs-figures", flag.ContinueOnError)
-	var xf cli.ExperimentFlags
-	var parallel int
-	xf.Register(fs)
-	fs.StringVar(&spec.Figure.What, "what", spec.Figure.What, "what to produce: tables, fig4, fig5, fig6, fig7, ratio, ablation, future, all")
-	fs.StringVar(&spec.Figure.Format, "format", spec.Figure.Format, "output format for figures: table, csv, plot, all")
-	fs.BoolVar(&spec.Figure.Fast, "fast", spec.Figure.Fast, "skip simulation (analytic series only)")
-	fs.IntVar(&spec.Run.Reps, "reps", spec.Run.Reps, "simulation replications per point")
-	fs.IntVar(&spec.Run.Messages, "messages", spec.Run.Messages, "measured messages per replication (paper: 10000)")
-	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "base random seed")
-	cli.BindParallel(fs, &parallel)
-	cli.BindArrival(fs, spec.Workload)
-	cli.BindPrecision(fs, spec.Precision)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, cancel := xf.Context()
-	defer cancel()
-	_, err = xf.Execute(ctx, spec, parallel, out)
-	return err
-}
+func runMain(args []string, out io.Writer) error { return cli.Main(run.KindFigure, args, out) }

@@ -27,8 +27,6 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"io"
 	"os"
 
@@ -36,38 +34,6 @@ import (
 	"hmscs/internal/run"
 )
 
-func main() {
-	if err := runMain(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hmscs-netsim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run.KindNetsim, runMain(os.Args[1:], os.Stdout)) }
 
-func runMain(args []string, out io.Writer) error {
-	spec, err := cli.PreloadSpec(args, run.KindNetsim)
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("hmscs-netsim", flag.ContinueOnError)
-	var xf cli.ExperimentFlags
-	var parallel int
-	xf.Register(fs)
-	cli.BindNet(fs, spec.Net)
-	cli.BindArrival(fs, spec.Workload)
-	cli.BindPrecision(fs, spec.Precision)
-	cli.BindScenario(fs, spec)
-	cli.BindParallel(fs, &parallel)
-	fs.IntVar(&spec.Run.Messages, "messages", spec.Run.Messages, "measured messages")
-	fs.IntVar(&spec.Run.Warmup, "warmup", spec.Run.Warmup, "warm-up messages")
-	fs.IntVar(&spec.Run.Reps, "reps", spec.Run.Reps, "independent replications of a -scenario run (stationary fixed mode runs one network)")
-	fs.Uint64Var(&spec.Run.Seed, "seed", spec.Run.Seed, "random seed")
-	fs.StringVar(&spec.Workload.Service, "service", spec.Workload.Service, "per-link service distribution: det or exp")
-	fs.StringVar(&spec.Workload.Pattern, "pattern", spec.Workload.Pattern, "traffic pattern: uniform, local:<p>, hotspot:<p> (switches act as clusters)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, cancel := xf.Context()
-	defer cancel()
-	_, err = xf.Execute(ctx, spec, parallel, out)
-	return err
-}
+func runMain(args []string, out io.Writer) error { return cli.Main(run.KindNetsim, args, out) }

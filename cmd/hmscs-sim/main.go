@@ -24,8 +24,6 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"io"
 	"os"
 
@@ -33,38 +31,6 @@ import (
 	"hmscs/internal/run"
 )
 
-func main() {
-	if err := runMain(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hmscs-sim:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run.KindSimulate, runMain(os.Args[1:], os.Stdout)) }
 
-func runMain(args []string, out io.Writer) error {
-	spec, err := cli.PreloadSpec(args, run.KindSimulate)
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("hmscs-sim", flag.ContinueOnError)
-	var xf cli.ExperimentFlags
-	var parallel int
-	xf.Register(fs)
-	cli.BindSystem(fs, spec.System)
-	cli.BindSimProcedure(fs, spec.Run)
-	cli.BindSimWorkload(fs, spec.Workload)
-	cli.BindArrival(fs, spec.Workload)
-	cli.BindPrecision(fs, spec.Precision)
-	cli.BindScenario(fs, spec)
-	cli.BindParallel(fs, &parallel)
-	fs.BoolVar(&spec.Simulate.Verbose, "v", spec.Simulate.Verbose, "print per-centre statistics of replication 1")
-	compare := fs.Bool("compare", !spec.Simulate.NoCompare, "also run the analytical model and report the error")
-	fs.StringVar(&spec.Simulate.TraceOut, "trace-out", spec.Simulate.TraceOut, "record replication 1's message journeys to this CSV file (-trace is the arrival-trace input)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec.Simulate.NoCompare = !*compare
-	ctx, cancel := xf.Context()
-	defer cancel()
-	_, err = xf.Execute(ctx, spec, parallel, out)
-	return err
-}
+func runMain(args []string, out io.Writer) error { return cli.Main(run.KindSimulate, args, out) }

@@ -22,8 +22,6 @@
 package main
 
 import (
-	"flag"
-	"fmt"
 	"io"
 	"os"
 
@@ -31,39 +29,6 @@ import (
 	"hmscs/internal/run"
 )
 
-func main() {
-	if err := runMain(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "hmscs-sweep:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Exit(run.KindSweep, runMain(os.Args[1:], os.Stdout)) }
 
-func runMain(args []string, out io.Writer) error {
-	spec, err := cli.PreloadSpec(args, run.KindSweep)
-	if err != nil {
-		return err
-	}
-	fs := flag.NewFlagSet("hmscs-sweep", flag.ContinueOnError)
-	var xf cli.ExperimentFlags
-	var parallel int
-	xf.Register(fs)
-	cli.BindSystem(fs, spec.System)
-	cli.BindSimProcedure(fs, spec.Run)
-	cli.BindSimWorkload(fs, spec.Workload)
-	cli.BindArrival(fs, spec.Workload)
-	cli.BindPrecision(fs, spec.Precision)
-	cli.BindScenario(fs, spec)
-	cli.BindParallel(fs, &parallel)
-	fs.StringVar(&spec.Sweep.Var, "var", spec.Sweep.Var, "swept parameter: clusters, lambda, msg, ports, locality, arrival")
-	fs.StringVar(&spec.Sweep.Ints, "ints", spec.Sweep.Ints, "comma-separated integer sweep values (clusters, msg, ports)")
-	fs.StringVar(&spec.Sweep.Floats, "floats", spec.Sweep.Floats, "comma-separated float sweep values (lambda, locality)")
-	fs.StringVar(&spec.Sweep.Specs, "specs", spec.Sweep.Specs, "comma-separated arrival specs for -var arrival (e.g. poisson,periodic,mmpp,pareto:1.5)")
-	fs.BoolVar(&spec.Sweep.Fast, "fast", spec.Sweep.Fast, "skip simulation")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ctx, cancel := xf.Context()
-	defer cancel()
-	_, err = xf.Execute(ctx, spec, parallel, out)
-	return err
-}
+func runMain(args []string, out io.Writer) error { return cli.Main(run.KindSweep, args, out) }

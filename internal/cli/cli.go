@@ -1,8 +1,9 @@
-// Package cli holds the flag plumbing shared by the hmscs command-line
-// tools. Every binary is a thin shell over the unified experiment API
-// (internal/run): flags bind directly onto the fields of a run.Experiment
-// spec, whose current values double as the flag defaults. That one
-// mechanism gives each binary the whole redesigned surface for free:
+// Package cli is the command surface of the hmscs experiment binaries.
+// Each binary is one call to Main with the experiment kind it runs;
+// Main binds the kind's flags, as the commands table lists them,
+// directly onto the fields of a run.Experiment spec, whose current
+// values double as the flag defaults. That one mechanism gives every
+// binary the same surface:
 //
 //   - with no -spec, the flag defaults are the documented defaults and a
 //     legacy invocation builds exactly the spec it always implied;
@@ -29,135 +30,165 @@ import (
 	"hmscs/internal/run"
 	"hmscs/internal/scenario"
 	"hmscs/internal/serve"
-	"hmscs/internal/telemetry"
 )
 
-// ExperimentFlags are the four flags shared by every binary: the spec
-// file, the JSONL event stream, the deadline, and the remote-submission
-// address.
-type ExperimentFlags struct {
-	// SpecPath mirrors -spec. The binaries resolve it BEFORE flag parsing
-	// (PreloadSpec) so the loaded spec can provide the other flags'
-	// defaults; the registered flag exists so parsing accepts it and the
-	// help text documents it.
-	SpecPath string
-	// Emit is the JSONL output path ("-" for stdout).
-	Emit string
-	// Timeout bounds the experiment's wall-clock time (0 = no limit).
-	Timeout time.Duration
-	// Submit is the address of a running hmscs-server; when set, the
-	// built spec is executed remotely instead of locally.
-	Submit string
-	// Telemetry prints the run's engine accounting (events, throughput)
-	// to stderr after the report.
-	Telemetry bool
+// Main is the whole of one experiment binary: it loads -spec (whose
+// values become the flag defaults), binds the kind's flags from the
+// commands table, parses args, and executes the spec locally or, with
+// -submit, on a server, inside the kind's own steps if it has any.
+func Main(kind run.Kind, args []string, stdout io.Writer) error {
+	spec, err := preloadSpec(args, kind)
+	if err != nil {
+		return err
+	}
+	fs, x, wrap := newFlagSet(kind, spec)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	execute := func() (*run.Outcome, error) { return x.execute(spec, stdout) }
+	if wrap == nil {
+		_, err = execute()
+		return err
+	}
+	return wrap(stdout, x.emit, execute)
 }
 
-// Register installs -spec, -emit, -timeout and -submit.
-func (x *ExperimentFlags) Register(fs *flag.FlagSet) {
-	fs.StringVar(&x.SpecPath, "spec", "", "experiment spec JSON (see run.Experiment); explicitly-set flags override its fields")
-	fs.StringVar(&x.Emit, "emit", "", "stream progress events and the outcome summary as JSON lines to this file (\"-\" = stdout)")
-	fs.DurationVar(&x.Timeout, "timeout", 0, "abort the experiment after this duration, e.g. 30s (0 = no limit); cancellation lands between replication units")
-	fs.StringVar(&x.Submit, "submit", "", "submit the experiment to the hmscs-server at this address (host:port or URL) instead of running locally; stdout and -emit then replay the server's byte-identical stream, and -parallel is governed by the server (docs/SERVER.md)")
-	fs.BoolVar(&x.Telemetry, "telemetry", false, "print the run's engine accounting (events, events/s, replications, generated messages, heap high-water) to stderr after the report")
+// Exit ends kind's binary: on an error it prints it after the binary's
+// name to stderr and exits 1.
+func Exit(kind run.Kind, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", commands[kind].name, err)
+		os.Exit(1)
+	}
 }
 
-// Context returns the Runner context implied by -timeout.
-func (x *ExperimentFlags) Context() (context.Context, context.CancelFunc) {
-	if x.Timeout > 0 {
-		return context.WithTimeout(context.Background(), x.Timeout)
+// newFlagSet binds every flag of kind's binary onto e: the shared
+// experiment flags, -seed, -arrival and -precision, the kind's procedure
+// and sections, and its own flags.
+func newFlagSet(kind run.Kind, e *run.Experiment) (*flag.FlagSet, *experimentFlags, around) {
+	c := commands[kind]
+	fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+	x := new(experimentFlags)
+	x.register(fs)
+	c.procedure.bind(fs, e)
+	bindArrival(fs, e.Workload)
+	bindPrecision(fs, e.Precision)
+	if c.sections&systemSection != 0 {
+		bindSystem(fs, e.System)
+	}
+	if c.sections&netSection != 0 {
+		bindNet(fs, e.Net)
+	}
+	if c.sections&planSection != 0 {
+		bindPlan(fs, e.Plan)
+	}
+	if c.sections&scenarioSection != 0 {
+		bindScenario(fs, e)
+	}
+	if c.flags == nil {
+		return fs, x, nil
+	}
+	return fs, x, c.flags(fs, e)
+}
+
+// experimentFlags are the flags every binary shares that are not spec
+// fields: the spec file, the JSONL event stream, the deadline, the
+// remote-submission address, the telemetry switch and the worker-pool
+// bound. -spec is resolved before parsing (preloadSpec) so the loaded
+// spec can provide the other flags' defaults; -parallel changes how fast
+// an experiment runs, never what it computes, so it is not a spec field.
+type experimentFlags struct {
+	spec, emit, submit string
+	timeout            time.Duration
+	telemetry          bool
+	parallel           int
+}
+
+// register installs -spec, -emit, -timeout, -submit, -telemetry and
+// -parallel.
+func (x *experimentFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&x.spec, "spec", "", "experiment spec JSON (see run.Experiment); explicitly-set flags override its fields")
+	fs.StringVar(&x.emit, "emit", "", "stream progress events and the outcome summary as JSON lines to this file (\"-\" = stdout)")
+	fs.DurationVar(&x.timeout, "timeout", 0, "abort the experiment after this duration, e.g. 30s (0 = no limit); cancellation lands between replication units")
+	fs.StringVar(&x.submit, "submit", "", "submit the experiment to the hmscs-server at this address (host:port or URL) instead of running locally; stdout and -emit then replay the server's byte-identical stream, and -parallel is governed by the server (docs/SERVER.md)")
+	fs.BoolVar(&x.telemetry, "telemetry", false, "print the run's engine accounting (events, events/s, replications, generated messages, heap high-water) to stderr after the report")
+	fs.IntVar(&x.parallel, "parallel", 0, "concurrent simulation workers (0 = all cores, 1 = sequential); results are identical for every value")
+}
+
+// runContext returns the Runner context implied by -timeout.
+func (x *experimentFlags) runContext() (context.Context, context.CancelFunc) {
+	if x.timeout > 0 {
+		return context.WithTimeout(context.Background(), x.timeout)
 	}
 	return context.WithCancel(context.Background())
 }
 
-// Sinks assembles the binary's sink list: the markdown sink on stdout
-// (byte-identical to the pre-spec binaries) plus, with -emit, a JSONL
-// sink. The returned closer flushes and closes the -emit file and must
-// run even when Run fails.
-func (x *ExperimentFlags) Sinks(stdout io.Writer) ([]run.Sink, func() error, error) {
-	sinks := []run.Sink{run.NewMarkdownSink(stdout)}
-	closer := func() error { return nil }
-	if x.Emit != "" {
-		w := stdout
-		if x.Emit != "-" {
-			f, err := os.Create(x.Emit)
-			if err != nil {
-				return nil, nil, err
-			}
-			w = f
-			closer = f.Close
-		}
-		sinks = append(sinks, run.NewJSONLSink(w))
+// openEmit opens the -emit target ("-" = stdout); with no -emit the
+// writer is nil. The closer must run even when the run fails.
+func (x *experimentFlags) openEmit(stdout io.Writer) (io.Writer, func() error, error) {
+	switch x.emit {
+	case "":
+		return nil, func() error { return nil }, nil
+	case "-":
+		return stdout, func() error { return nil }, nil
 	}
-	return sinks, closer, nil
+	f, err := os.Create(x.emit)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }
 
-// Execute runs the finished spec the way the binary's flags asked:
-// locally through run.Run with the standard sinks (markdown on stdout,
-// JSONL on -emit), or — with -submit — remotely through a serve.Client,
-// streaming the server's events into -emit and its rendered report onto
-// stdout, both byte-identical to the local run of the same spec. The
-// outcome is nil in remote mode (results live on the server; the
-// replayed bytes are the contract). A replication count below 1 is
-// rejected before anything runs or is submitted: an explicit -reps 0 is
-// a user error, not a request for the default Normalize would restore.
-func (x *ExperimentFlags) Execute(ctx context.Context, spec *run.Experiment, parallelism int, stdout io.Writer) (*run.Outcome, error) {
+// execute runs the finished spec the way the flags asked, within the
+// -timeout deadline: locally through run.Run with the markdown report
+// on stdout and, with -emit, a JSONL sink (and, with -telemetry, the
+// engine accounting on stderr); or — with -submit — remotely through a
+// serve.Client, streaming the server's events into -emit and its
+// rendered report onto stdout, both byte-identical to the local run of
+// the same spec. The outcome is nil in remote mode (results live on the
+// server; the replayed bytes are the contract). A replication count
+// below 1 is rejected before anything runs or is submitted: an explicit
+// -reps 0 is a user error, not a request for the default Normalize
+// would restore.
+func (x *experimentFlags) execute(spec *run.Experiment, stdout io.Writer) (*run.Outcome, error) {
 	if spec.Run.Reps < 1 {
 		return nil, fmt.Errorf("cli: need at least 1 replication, got -reps %d", spec.Run.Reps)
 	}
-	if x.Submit == "" {
-		sinks, closeSinks, err := x.Sinks(stdout)
-		if err != nil {
-			return nil, err
-		}
-		out, err := run.Run(ctx, spec, run.Options{Parallelism: parallelism, Sinks: sinks})
-		if cerr := closeSinks(); err == nil {
-			err = cerr
-		}
-		if err == nil && x.Telemetry && out != nil {
-			printTelemetry(os.Stderr, out.Telemetry)
-		}
-		return out, err
-	}
-	if x.Telemetry {
+	if x.submit != "" && x.telemetry {
 		return nil, fmt.Errorf("cli: -telemetry reports local engine accounting and cannot be combined with -submit; use the server's GET /jobs/{id} resources instead")
 	}
-	var events io.Writer
-	closer := func() error { return nil }
-	if x.Emit != "" {
-		if x.Emit == "-" {
-			events = stdout
-		} else {
-			f, err := os.Create(x.Emit)
-			if err != nil {
-				return nil, err
-			}
-			events = f
-			closer = f.Close
-		}
+	events, closeEmit, err := x.openEmit(stdout)
+	if err != nil {
+		return nil, err
 	}
-	_, err := serve.NewClient(x.Submit).Execute(ctx, spec, stdout, events)
-	if cerr := closer(); err == nil {
+	ctx, cancel := x.runContext()
+	defer cancel()
+	var out *run.Outcome
+	if x.submit == "" {
+		sinks := []run.Sink{run.NewMarkdownSink(stdout)}
+		if events != nil {
+			sinks = append(sinks, run.NewJSONLSink(events))
+		}
+		out, err = run.Run(ctx, spec, run.Options{Parallelism: x.parallel, Sinks: sinks})
+	} else {
+		_, err = serve.NewClient(x.submit).Execute(ctx, spec, stdout, events)
+	}
+	if cerr := closeEmit(); err == nil {
 		err = cerr
 	}
-	return nil, err
-}
-
-// printTelemetry renders the -telemetry stderr summary from the run's
-// engine accounting.
-func printTelemetry(w io.Writer, t *telemetry.RunStats) {
-	if t == nil {
-		return
+	if err == nil && x.telemetry && out != nil && out.Telemetry != nil {
+		t := out.Telemetry
+		fmt.Fprintf(os.Stderr, "telemetry: %d events in %.3fs (%.3g events/s), %d replications, %d generated, heap high-water %d\n",
+			t.Sim.Events, t.WallSeconds, t.EventsPerSecond(), t.Replications, t.Sim.Generated, t.Sim.MaxPending)
 	}
-	fmt.Fprintf(w, "telemetry: %d events in %.3fs (%.3g events/s), %d replications, %d generated, heap high-water %d\n",
-		t.Sim.Events, t.WallSeconds, t.EventsPerSecond(), t.Replications, t.Sim.Generated, t.Sim.MaxPending)
+	return out, err
 }
 
-// PreloadSpec scans args for -spec (before flag parsing, so the loaded
+// preloadSpec scans args for -spec (before flag parsing, so the loaded
 // experiment can provide every other flag's defaults) and returns the
 // loaded spec, or a fresh default experiment of the binary's kind. A
 // spec of a different kind is rejected: each binary runs one kind.
-func PreloadSpec(args []string, kind run.Kind) (*run.Experiment, error) {
+func preloadSpec(args []string, kind run.Kind) (*run.Experiment, error) {
 	path := ""
 	for i := 0; i < len(args); i++ {
 		a := args[i]
@@ -187,9 +218,9 @@ func PreloadSpec(args []string, kind run.Kind) (*run.Experiment, error) {
 	return e, nil
 }
 
-// BindSystem binds the shared system flags onto the spec's system
-// section; the section's (normalized) values are the flag defaults.
-func BindSystem(fs *flag.FlagSet, s *run.SystemSpec) {
+// bindSystem binds the system section's flags; the section's
+// (normalized) values are the flag defaults.
+func bindSystem(fs *flag.FlagSet, s *run.SystemSpec) {
 	fs.StringVar(&s.ConfigPath, "config", s.ConfigPath, "JSON system description (overrides all other system flags; see core.SaveConfig)")
 	fs.IntVar(&s.Case, "case", s.Case, "Table 1 scenario (1 or 2); ignored when -icn1/-ecn are set")
 	fs.IntVar(&s.Clusters, "clusters", s.Clusters, "number of clusters C")
@@ -204,9 +235,9 @@ func BindSystem(fs *flag.FlagSet, s *run.SystemSpec) {
 	fs.Float64Var(&s.SwLatUS, "swlat", s.SwLatUS, "switch latency in µs")
 }
 
-// BindArrival binds -arrival, -burst-ratio and -trace onto the spec's
+// bindArrival binds -arrival, -burst-ratio and -trace onto the spec's
 // workload section.
-func BindArrival(fs *flag.FlagSet, w *run.WorkloadSpec) {
+func bindArrival(fs *flag.FlagSet, w *run.WorkloadSpec) {
 	fs.StringVar(&w.Arrival, "arrival", w.Arrival,
 		"arrival process: poisson, periodic, mmpp[:<burst-frac>[:<dwell>]], pareto[:<alpha>], weibull[:<shape>], trace (see docs/SCENARIOS.md)")
 	fs.Float64Var(&w.BurstRatio, "burst-ratio", w.BurstRatio,
@@ -215,37 +246,20 @@ func BindArrival(fs *flag.FlagSet, w *run.WorkloadSpec) {
 		"arrival-trace CSV (one timestamp per line or first column); required by -arrival trace")
 }
 
-// BindPrecision binds the adaptive output-analysis flags onto the spec's
+// bindPrecision binds the adaptive output-analysis flags onto the spec's
 // precision section.
-func BindPrecision(fs *flag.FlagSet, p *run.PrecisionSpec) {
+func bindPrecision(fs *flag.FlagSet, p *run.PrecisionSpec) {
 	fs.Float64Var(&p.RelWidth, "precision", p.RelWidth, "adaptive stopping: extend replications until the CI half-width is at most this fraction of the mean (e.g. 0.02 = ±2%); replications are a quarter of -messages each with MSER-5 warmup deletion instead of -warmup/-reps; 0 = fixed -reps mode")
 	fs.Float64Var(&p.Confidence, "confidence", p.Confidence, "confidence level for -precision stopping and its reported intervals (fixed -reps mode always reports 95%)")
 	fs.IntVar(&p.MaxReps, "max-reps", p.MaxReps, "replication cap for -precision mode (reported as not converged when hit)")
 }
 
-// BindSimProcedure binds the system simulator's procedure flags (-seed,
-// -messages, -warmup, -reps, -open) onto the spec's run section.
-func BindSimProcedure(fs *flag.FlagSet, r *run.RunSpec) {
-	fs.Uint64Var(&r.Seed, "seed", r.Seed, "random seed")
-	fs.IntVar(&r.Messages, "messages", r.Messages, "measured messages per run (paper: 10000)")
-	fs.IntVar(&r.Warmup, "warmup", r.Warmup, "warm-up messages discarded before measurement")
-	fs.IntVar(&r.Reps, "reps", r.Reps, "independent replications")
-	fs.BoolVar(&r.Open, "open", r.Open, "open-loop sources (ablation of assumption 4)")
-}
-
-// BindSimWorkload binds -service and -pattern with the system
-// simulator's help text.
-func BindSimWorkload(fs *flag.FlagSet, w *run.WorkloadSpec) {
-	fs.StringVar(&w.Service, "service", w.Service, "service distribution: exp, det, erlang4, h2")
-	fs.StringVar(&w.Pattern, "pattern", w.Pattern, "traffic pattern: uniform, local:<p>, hotspot:<p>")
-}
-
-// BindScenario installs -scenario: a JSON file holding the experiment's
+// bindScenario installs -scenario: a JSON file holding the experiment's
 // scenario section (a fault/churn/ramp timeline, see docs/SCENARIOS.md)
 // that makes the run dynamic. The file is read at flag-parse time and
 // replaces the spec's scenario section; validation happens with the rest
 // of the spec when the experiment runs.
-func BindScenario(fs *flag.FlagSet, e *run.Experiment) {
+func bindScenario(fs *flag.FlagSet, e *run.Experiment) {
 	fs.Func("scenario", "JSON scenario timeline (fault injection, churn, rate profiles; see docs/SCENARIOS.md §17-18) turning the run dynamic; overrides the spec's scenario section", func(path string) error {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -262,16 +276,9 @@ func BindScenario(fs *flag.FlagSet, e *run.Experiment) {
 	})
 }
 
-// BindParallel binds the worker-pool bound (an execution option, not
-// part of the spec: it changes how fast an experiment runs, never what
-// it computes).
-func BindParallel(fs *flag.FlagSet, p *int) {
-	fs.IntVar(p, "parallel", *p, "concurrent simulation workers (0 = all cores, 1 = sequential); results are identical for every value")
-}
-
-// BindNet binds the switch-level simulator's topology and load flags
+// bindNet binds the switch-level simulator's topology and load flags
 // onto the spec's net section.
-func BindNet(fs *flag.FlagSet, n *run.NetSpec) {
+func bindNet(fs *flag.FlagSet, n *run.NetSpec) {
 	fs.StringVar(&n.ConfigPath, "config", n.ConfigPath, "JSON system description (e.g. emitted by hmscs-plan -emit-configs); simulates one of its communication networks at switch level, overriding -topo/-n/-ports/-swlat/-tech/-lambda/-msg")
 	fs.StringVar(&n.Net, "net", n.Net, "which network of -config to simulate: icn1, ecn1 or icn2")
 	fs.IntVar(&n.Cluster, "cluster", n.Cluster, "cluster index for -config with -net icn1/ecn1")
@@ -284,9 +291,9 @@ func BindNet(fs *flag.FlagSet, n *run.NetSpec) {
 	fs.IntVar(&n.MsgBytes, "msg", n.MsgBytes, "message size in bytes")
 }
 
-// BindPlan binds the capacity planner's flags onto the spec's plan
+// bindPlan binds the capacity planner's flags onto the spec's plan
 // section.
-func BindPlan(fs *flag.FlagSet, p *run.PlanSpec) {
+func bindPlan(fs *flag.FlagSet, p *run.PlanSpec) {
 	fs.StringVar(&p.SpacePath, "space", p.SpacePath, "JSON design-space description (see plan.SaveSpace); empty = the documented default space")
 	fs.Float64Var(&p.SLOLatencyMs, "slo-latency", p.SLOLatencyMs, "SLO: maximum mean message latency in ms")
 	fs.Float64Var(&p.SLOUtil, "slo-util", p.SLOUtil, "SLO: maximum bottleneck-centre utilisation at the analytic fixed point")

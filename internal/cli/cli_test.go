@@ -1,7 +1,8 @@
 package cli
 
 import (
-	"flag"
+	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,17 +14,23 @@ import (
 	"hmscs/internal/run"
 )
 
-// parseSystem binds the system flags onto a fresh spec and parses args,
-// mirroring what every binary does.
-func parseSystem(t *testing.T, args ...string) *run.SystemSpec {
+// parse binds kind's flags onto a fresh spec of that kind and parses
+// args, as Main does.
+func parse(t *testing.T, kind run.Kind, args ...string) *run.Experiment {
 	t.Helper()
-	spec := run.NewExperiment(run.KindSimulate)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindSystem(fs, spec.System)
+	spec := run.NewExperiment(kind)
+	fs, _, _ := newFlagSet(kind, spec)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return spec.System
+	return spec
+}
+
+// parseSystem parses args as hmscs-sim flags and returns the system
+// section.
+func parseSystem(t *testing.T, args ...string) *run.SystemSpec {
+	t.Helper()
+	return parse(t, run.KindSimulate, args...).System
 }
 
 func TestSystemFlagsDefaultsBuildPaperPlatform(t *testing.T) {
@@ -119,18 +126,9 @@ func TestSystemFlagsExplicitNodes(t *testing.T) {
 }
 
 func TestBindFlagsWriteThroughSpec(t *testing.T) {
-	spec := run.NewExperiment(run.KindSimulate)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindSimProcedure(fs, spec.Run)
-	BindSimWorkload(fs, spec.Workload)
-	BindArrival(fs, spec.Workload)
-	BindPrecision(fs, spec.Precision)
-	args := []string{"-seed", "9", "-messages", "500", "-service", "det",
+	spec := parse(t, run.KindSimulate, "-seed", "9", "-messages", "500", "-service", "det",
 		"-pattern", "local:0.8", "-arrival", "mmpp", "-burst-ratio", "20",
-		"-precision", "0.02", "-confidence", "0.99", "-max-reps", "20"}
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
+		"-precision", "0.02", "-confidence", "0.99", "-max-reps", "20")
 	if spec.Run.Seed != 9 || spec.Run.Messages != 500 {
 		t.Fatalf("run section not written: %+v", spec.Run)
 	}
@@ -150,12 +148,7 @@ func TestBindFlagsWriteThroughSpec(t *testing.T) {
 }
 
 func TestBindNetAndPlanWriteThrough(t *testing.T) {
-	spec := run.NewExperiment(run.KindNetsim)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindNet(fs, spec.Net)
-	if err := fs.Parse([]string{"-topo", "linear-array", "-n", "24", "-tech", "FE"}); err != nil {
-		t.Fatal(err)
-	}
+	spec := parse(t, run.KindNetsim, "-topo", "linear-array", "-n", "24", "-tech", "FE")
 	if spec.Net.Topo != "linear-array" || spec.Net.N != 24 || spec.Net.Tech != "FE" {
 		t.Fatalf("net section not written: %+v", spec.Net)
 	}
@@ -163,12 +156,7 @@ func TestBindNetAndPlanWriteThrough(t *testing.T) {
 		t.Fatalf("net defaults lost: %+v", spec.Net)
 	}
 
-	pspec := run.NewExperiment(run.KindPlan)
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindPlan(fs2, pspec.Plan)
-	if err := fs2.Parse([]string{"-slo-latency", "1.5", "-min-nodes", "64", "-port-costs", "FE=0.5"}); err != nil {
-		t.Fatal(err)
-	}
+	pspec := parse(t, run.KindPlan, "-slo-latency", "1.5", "-min-nodes", "64", "-port-costs", "FE=0.5")
 	if pspec.Plan.SLOLatencyMs != 1.5 || pspec.Plan.MinNodes != 64 || pspec.Plan.PortCosts != "FE=0.5" {
 		t.Fatalf("plan section not written: %+v", pspec.Plan)
 	}
@@ -178,19 +166,14 @@ func TestBindNetAndPlanWriteThrough(t *testing.T) {
 }
 
 func TestPrecisionDefaultIsFixedMode(t *testing.T) {
-	spec := run.NewExperiment(run.KindSimulate)
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	BindPrecision(fs, spec.Precision)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
+	spec := parse(t, run.KindSimulate)
 	if p, err := spec.Precision.Build(); err != nil || p != nil {
 		t.Fatalf("unset precision produced %+v, %v", p, err)
 	}
 }
 
 func TestPreloadSpecDefaultsWhenAbsent(t *testing.T) {
-	spec, err := PreloadSpec([]string{"-clusters", "8"}, run.KindSimulate)
+	spec, err := preloadSpec([]string{"-clusters", "8"}, run.KindSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +193,7 @@ func TestPreloadSpecLoadsAndChecksKind(t *testing.T) {
 		{"-spec=" + path},
 		{"-messages", "100", "-spec", path},
 	} {
-		spec, err := PreloadSpec(args, run.KindSimulate)
+		spec, err := preloadSpec(args, run.KindSimulate)
 		if err != nil {
 			t.Fatalf("args %v: %v", args, err)
 		}
@@ -219,10 +202,10 @@ func TestPreloadSpecLoadsAndChecksKind(t *testing.T) {
 		}
 	}
 	// A spec of another kind is rejected: each binary runs one kind.
-	if _, err := PreloadSpec([]string{"-spec", path}, run.KindAnalyze); err == nil {
+	if _, err := preloadSpec([]string{"-spec", path}, run.KindAnalyze); err == nil {
 		t.Fatal("kind mismatch accepted")
 	}
-	if _, err := PreloadSpec([]string{"-spec", filepath.Join(dir, "missing.json")}, run.KindSimulate); err == nil {
+	if _, err := preloadSpec([]string{"-spec", filepath.Join(dir, "missing.json")}, run.KindSimulate); err == nil {
 		t.Fatal("missing spec accepted")
 	}
 }
@@ -235,14 +218,11 @@ func TestPreloadSpecFlagsOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	args := []string{"-spec", path, "-messages", "100"}
-	spec, err := PreloadSpec(args, run.KindSimulate)
+	spec, err := preloadSpec(args, run.KindSimulate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var xf ExperimentFlags
-	xf.Register(fs)
-	BindSimProcedure(fs, spec.Run)
+	fs, _, _ := newFlagSet(run.KindSimulate, spec)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -255,44 +235,113 @@ func TestPreloadSpecFlagsOverride(t *testing.T) {
 }
 
 func TestExperimentFlagsContextTimeout(t *testing.T) {
-	x := ExperimentFlags{Timeout: time.Minute}
-	ctx, cancel := x.Context()
+	x := experimentFlags{timeout: time.Minute}
+	ctx, cancel := x.runContext()
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
 		t.Fatal("timeout did not set a deadline")
 	}
-	x2 := ExperimentFlags{}
-	ctx2, cancel2 := x2.Context()
+	x2 := experimentFlags{}
+	ctx2, cancel2 := x2.runContext()
 	defer cancel2()
 	if _, ok := ctx2.Deadline(); ok {
 		t.Fatal("deadline without -timeout")
 	}
 }
 
+// TestExperimentFlagsSinks checks the one -emit opener behind both the
+// local JSONL sink and the -submit event replay: a file path, "-" for
+// stdout, or nothing.
 func TestExperimentFlagsSinks(t *testing.T) {
-	dir := t.TempDir()
 	var buf strings.Builder
-	x := ExperimentFlags{Emit: filepath.Join(dir, "ev.jsonl")}
-	sinks, closer, err := x.Sinks(&buf)
+	path := filepath.Join(t.TempDir(), "ev.jsonl")
+	for _, c := range []struct {
+		emit   string
+		stdout bool
+		file   bool
+	}{{emit: path, file: true}, {emit: "-", stdout: true}, {emit: ""}} {
+		x := experimentFlags{emit: c.emit}
+		w, closer, err := x.openEmit(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w == io.Writer(&buf); got != c.stdout {
+			t.Errorf("-emit %q: writer is stdout = %v", c.emit, got)
+		}
+		if got := w != nil && !c.stdout; got != c.file {
+			t.Errorf("-emit %q: writer is a file = %v", c.emit, got)
+		}
+		if err := closer(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("-emit file not created: %v", err)
+	}
+}
+
+// TestEveryKindBindsSharedSurface checks the flags every experiment
+// binary must accept, whatever its kind.
+func TestEveryKindBindsSharedSurface(t *testing.T) {
+	shared := []string{"spec", "emit", "timeout", "submit", "telemetry", "parallel",
+		"precision", "confidence", "max-reps", "arrival", "burst-ratio", "trace", "seed"}
+	for _, kind := range run.Kinds() {
+		if commands[kind].name == "" {
+			t.Errorf("no binary runs %q experiments", kind)
+			continue
+		}
+		fs, _, _ := newFlagSet(kind, run.NewExperiment(kind))
+		for _, name := range shared {
+			if fs.Lookup(name) == nil {
+				t.Errorf("%s (%s) does not bind -%s", fs.Name(), kind, name)
+			}
+		}
+	}
+}
+
+func TestAnalyzeSpecAtParallelOne(t *testing.T) {
+	var out strings.Builder
+	if err := Main(run.KindAnalyze, []string{"-spec", "../../testdata/experiments/analyze.json", "-parallel", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "mean message latency") {
+		t.Fatalf("no analysis report:\n%s", out.String())
+	}
+}
+
+func TestPlanRejectsZeroReps(t *testing.T) {
+	err := Main(run.KindPlan, []string{"-reps", "0", "-top", "0"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "need at least 1 replication") {
+		t.Fatalf("-reps 0 not rejected as a replication count: %v", err)
+	}
+}
+
+// TestPlanRepsSetsScenarioCheck runs the plan spec's scenario check with
+// -reps 2 (the spec says 3) and counts the check's replications in the
+// event stream: its fixed-schedule events carry no running estimate,
+// the verify stage's adaptive ones do.
+func TestPlanRepsSetsScenarioCheck(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "plan.jsonl")
+	args := []string{"-spec", "../../testdata/experiments/plan.json", "-reps", "2",
+		"-scenario", "../../docs/experiments/kill-largest.json", "-parallel", "1", "-emit", path}
+	if err := Main(run.KindPlan, args, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sinks) != 2 {
-		t.Fatalf("want markdown+jsonl sinks, got %d", len(sinks))
+	checks := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if _, estimate := ev["mean_s"]; ev["event"] == "unit_finished" && !estimate {
+			checks++
+		}
 	}
-	if err := closer(); err != nil {
-		t.Fatal(err)
-	}
-	// Without -emit only the markdown sink remains.
-	x2 := ExperimentFlags{}
-	sinks2, closer2, err := x2.Sinks(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sinks2) != 1 {
-		t.Fatalf("want 1 sink, got %d", len(sinks2))
-	}
-	if err := closer2(); err != nil {
-		t.Fatal(err)
+	if checks != 2 {
+		t.Fatalf("scenario check ran %d replications, want -reps 2:\n%s", checks, data)
 	}
 }

@@ -131,14 +131,15 @@ func flagValue(cmd, flag string) string {
 }
 
 // fastSuffix returns the flag suffix that shrinks a cookbook command to a
-// smoke run, per binary (hmscs-netsim has no -reps; hmscs-analyze is
-// analytic-only and hmscs-server and hmscs-worker have no workload at
-// all, so none of them needs anything; hmscs-plan shrinks its
-// verification budget instead of a replication count).
+// smoke run, per binary (hmscs-netsim also shortens its warm-up;
+// hmscs-analyze binds no -messages or -reps, and hmscs-server and
+// hmscs-worker have no workload at all, so none of them needs anything;
+// hmscs-plan shrinks its verification budget instead of a replication
+// count).
 func fastSuffix(cmd string) []string {
 	switch {
 	case strings.Contains(cmd, "./cmd/hmscs-netsim"):
-		return []string{"-messages", "100", "-warmup", "10"}
+		return []string{"-messages", "100", "-warmup", "10", "-reps", "1"}
 	case strings.Contains(cmd, "./cmd/hmscs-analyze"), strings.Contains(cmd, "./cmd/hmscs-server"),
 		strings.Contains(cmd, "./cmd/hmscs-worker"):
 		return nil
