@@ -41,14 +41,13 @@ func Main(kind run.Kind, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fs, x, wrap := newFlagSet(kind, spec)
-	if err := fs.Parse(args); err != nil {
+	x, wrap, err := parseFlags(kind, spec, args)
+	if err != nil {
 		return err
 	}
-	execute := func() (*run.Outcome, error) { return x.execute(spec, stdout) }
+	execute := func() error { return x.execute(spec, stdout) }
 	if wrap == nil {
-		_, err = execute()
-		return err
+		return execute()
 	}
 	return wrap(stdout, x.emit, execute)
 }
@@ -62,6 +61,19 @@ func Exit(kind run.Kind, err error) {
 	}
 }
 
+// parseFlags binds kind's flags onto e, parses args, and reads the
+// files the flags name into e's values, so e names no file.
+func parseFlags(kind run.Kind, e *run.Experiment, args []string) (*experimentFlags, around, error) {
+	fs, x, wrap := newFlagSet(kind, e)
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if err := x.readInputs(e); err != nil {
+		return nil, nil, err
+	}
+	return x, wrap, nil
+}
+
 // newFlagSet binds every flag of kind's binary onto e: the shared
 // experiment flags, -seed, -arrival and -precision, the kind's procedure
 // and sections, and its own flags.
@@ -71,16 +83,16 @@ func newFlagSet(kind run.Kind, e *run.Experiment) (*flag.FlagSet, *experimentFla
 	x := new(experimentFlags)
 	x.register(fs)
 	c.procedure.bind(fs, e)
-	bindArrival(fs, e.Workload)
+	bindArrival(fs, e.Workload, &x.trace)
 	bindPrecision(fs, e.Precision)
 	if c.sections&systemSection != 0 {
-		bindSystem(fs, e.System)
+		bindSystem(fs, e.System, &x.config)
 	}
 	if c.sections&netSection != 0 {
-		bindNet(fs, e.Net)
+		bindNet(fs, e.Net, &x.config)
 	}
 	if c.sections&planSection != 0 {
-		bindPlan(fs, e.Plan)
+		bindPlan(fs, e.Plan, &x.space, &x.emitConfigs)
 	}
 	if c.sections&scenarioSection != 0 {
 		bindScenario(fs, e)
@@ -91,17 +103,22 @@ func newFlagSet(kind run.Kind, e *run.Experiment) (*flag.FlagSet, *experimentFla
 	return fs, x, c.flags(fs, e)
 }
 
-// experimentFlags are the flags every binary shares that are not spec
-// fields: the spec file, the JSONL event stream, the deadline, the
-// remote-submission address, the telemetry switch and the worker-pool
-// bound. -spec is resolved before parsing (preloadSpec) so the loaded
-// spec can provide the other flags' defaults; -parallel changes how fast
-// an experiment runs, never what it computes, so it is not a spec field.
+// experimentFlags are the flags that are not spec fields: the spec
+// file, the JSONL event stream, the deadline, the remote-submission
+// address, the telemetry switch and the worker-pool bound, which every
+// binary shares, and the files a kind reads or writes. -spec is resolved
+// before parsing (preloadSpec) so the loaded spec can provide the other
+// flags' defaults; -parallel changes how fast an experiment runs, never
+// what it computes, so it is not a spec field.
 type experimentFlags struct {
 	spec, emit, submit string
 	timeout            time.Duration
 	telemetry          bool
 	parallel           int
+	// config, trace and space name the files -config, -trace and -space
+	// read into the spec's values (readInputs); emitConfigs is the
+	// directory -emit-configs writes candidate configurations into.
+	config, trace, space, emitConfigs string
 }
 
 // register installs -spec, -emit, -timeout, -submit, -telemetry and
@@ -141,31 +158,40 @@ func (x *experimentFlags) openEmit(stdout io.Writer) (io.Writer, func() error, e
 
 // execute runs the finished spec the way the flags asked, within the
 // -timeout deadline: locally through run.Run with the markdown report
-// on stdout and, with -emit, a JSONL sink (and, with -telemetry, the
-// engine accounting on stderr); or — with -submit — remotely through a
+// on stdout, preceded by the files -trace-out and -emit-configs name,
+// and, with -emit, a JSONL sink (and, with -telemetry, the engine
+// accounting on stderr); or — with -submit — remotely through a
 // serve.Client, streaming the server's events into -emit and its
 // rendered report onto stdout, both byte-identical to the local run of
-// the same spec. The outcome is nil in remote mode (results live on the
-// server; the replayed bytes are the contract). A replication count
-// below 1 is rejected before anything runs or is submitted: an explicit
-// -reps 0 is a user error, not a request for the default Normalize
-// would restore.
-func (x *experimentFlags) execute(spec *run.Experiment, stdout io.Writer) (*run.Outcome, error) {
+// the same spec. A replication count below 1 is rejected before
+// anything runs or is submitted (an explicit -reps 0 is a user error,
+// not a request for the default Normalize would restore), and so are
+// the flags -submit cannot honour: the server keeps no local accounting
+// and writes no files.
+func (x *experimentFlags) execute(spec *run.Experiment, stdout io.Writer) error {
 	if spec.Run.Reps < 1 {
-		return nil, fmt.Errorf("cli: need at least 1 replication, got -reps %d", spec.Run.Reps)
+		return fmt.Errorf("cli: need at least 1 replication, got -reps %d", spec.Run.Reps)
 	}
-	if x.submit != "" && x.telemetry {
-		return nil, fmt.Errorf("cli: -telemetry reports local engine accounting and cannot be combined with -submit; use the server's GET /jobs/{id} resources instead")
+	if x.submit != "" {
+		switch {
+		case x.telemetry:
+			return fmt.Errorf("cli: -telemetry reports local engine accounting and cannot be combined with -submit; use the server's GET /jobs/{id} resources instead")
+		case spec.Simulate != nil && spec.Simulate.TraceOut != "":
+			return fmt.Errorf("cli: -trace-out writes a file on this host and cannot be combined with -submit: the server writes no files")
+		case x.emitConfigs != "":
+			return fmt.Errorf("cli: -emit-configs writes files on this host and cannot be combined with -submit: the server writes no files")
+		}
 	}
 	events, closeEmit, err := x.openEmit(stdout)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ctx, cancel := x.runContext()
 	defer cancel()
 	var out *run.Outcome
+	files := &outputFiles{emitConfigs: x.emitConfigs}
 	if x.submit == "" {
-		sinks := []run.Sink{run.NewMarkdownSink(stdout)}
+		sinks := []run.Sink{files, run.NewMarkdownSink(stdout)}
 		if events != nil {
 			sinks = append(sinks, run.NewJSONLSink(events))
 		}
@@ -181,7 +207,14 @@ func (x *experimentFlags) execute(spec *run.Experiment, stdout io.Writer) (*run.
 		fmt.Fprintf(os.Stderr, "telemetry: %d events in %.3fs (%.3g events/s), %d replications, %d generated, heap high-water %d\n",
 			t.Sim.Events, t.WallSeconds, t.EventsPerSecond(), t.Replications, t.Sim.Generated, t.Sim.MaxPending)
 	}
-	return out, err
+	if err == nil {
+		// Progress notes go to stderr so -format csv stays parseable
+		// when stdout is redirected to a file.
+		for _, c := range files.emitted {
+			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", c.path, c.label)
+		}
+	}
+	return err
 }
 
 // preloadSpec scans args for -spec (before flag parsing, so the loaded
@@ -218,10 +251,10 @@ func preloadSpec(args []string, kind run.Kind) (*run.Experiment, error) {
 	return e, nil
 }
 
-// bindSystem binds the system section's flags; the section's
-// (normalized) values are the flag defaults.
-func bindSystem(fs *flag.FlagSet, s *run.SystemSpec) {
-	fs.StringVar(&s.ConfigPath, "config", s.ConfigPath, "JSON system description (overrides all other system flags; see core.SaveConfig)")
+// bindSystem binds the system section's flags, with -config into
+// config; the section's (normalized) values are the flag defaults.
+func bindSystem(fs *flag.FlagSet, s *run.SystemSpec, config *string) {
+	fs.StringVar(config, "config", "", "JSON system description (overrides all other system flags; see core.SaveConfig)")
 	fs.IntVar(&s.Case, "case", s.Case, "Table 1 scenario (1 or 2); ignored when -icn1/-ecn are set")
 	fs.IntVar(&s.Clusters, "clusters", s.Clusters, "number of clusters C")
 	fs.IntVar(&s.Nodes, "nodes", s.Nodes, "processors per cluster N0 (0 = total/clusters)")
@@ -235,14 +268,14 @@ func bindSystem(fs *flag.FlagSet, s *run.SystemSpec) {
 	fs.Float64Var(&s.SwLatUS, "swlat", s.SwLatUS, "switch latency in µs")
 }
 
-// bindArrival binds -arrival, -burst-ratio and -trace onto the spec's
-// workload section.
-func bindArrival(fs *flag.FlagSet, w *run.WorkloadSpec) {
+// bindArrival binds -arrival and -burst-ratio onto the spec's workload
+// section, and -trace into trace.
+func bindArrival(fs *flag.FlagSet, w *run.WorkloadSpec, trace *string) {
 	fs.StringVar(&w.Arrival, "arrival", w.Arrival,
 		"arrival process: poisson, periodic, mmpp[:<burst-frac>[:<dwell>]], pareto[:<alpha>], weibull[:<shape>], trace (see docs/SCENARIOS.md)")
 	fs.Float64Var(&w.BurstRatio, "burst-ratio", w.BurstRatio,
 		"MMPP burst-to-idle rate ratio (inf = on-off source); used by -arrival mmpp")
-	fs.StringVar(&w.TraceFile, "trace", w.TraceFile,
+	fs.StringVar(trace, "trace", "",
 		"arrival-trace CSV (one timestamp per line or first column); required by -arrival trace")
 }
 
@@ -277,9 +310,9 @@ func bindScenario(fs *flag.FlagSet, e *run.Experiment) {
 }
 
 // bindNet binds the switch-level simulator's topology and load flags
-// onto the spec's net section.
-func bindNet(fs *flag.FlagSet, n *run.NetSpec) {
-	fs.StringVar(&n.ConfigPath, "config", n.ConfigPath, "JSON system description (e.g. emitted by hmscs-plan -emit-configs); simulates one of its communication networks at switch level, overriding -topo/-n/-ports/-swlat/-tech/-lambda/-msg")
+// onto the spec's net section, and -config into config.
+func bindNet(fs *flag.FlagSet, n *run.NetSpec, config *string) {
+	fs.StringVar(config, "config", "", "JSON system description (e.g. emitted by hmscs-plan -emit-configs); simulates one of its communication networks at switch level, overriding -topo/-n/-ports/-swlat/-tech/-lambda/-msg")
 	fs.StringVar(&n.Net, "net", n.Net, "which network of -config to simulate: icn1, ecn1 or icn2")
 	fs.IntVar(&n.Cluster, "cluster", n.Cluster, "cluster index for -config with -net icn1/ecn1")
 	fs.StringVar(&n.Topo, "topo", n.Topo, "topology: fat-tree or linear-array")
@@ -292,9 +325,9 @@ func bindNet(fs *flag.FlagSet, n *run.NetSpec) {
 }
 
 // bindPlan binds the capacity planner's flags onto the spec's plan
-// section.
-func bindPlan(fs *flag.FlagSet, p *run.PlanSpec) {
-	fs.StringVar(&p.SpacePath, "space", p.SpacePath, "JSON design-space description (see plan.SaveSpace); empty = the documented default space")
+// section, and -space and -emit-configs into space and emitConfigs.
+func bindPlan(fs *flag.FlagSet, p *run.PlanSpec, space, emitConfigs *string) {
+	fs.StringVar(space, "space", "", "JSON design-space description (see plan.SaveSpace); empty = the documented default space")
 	fs.Float64Var(&p.SLOLatencyMs, "slo-latency", p.SLOLatencyMs, "SLO: maximum mean message latency in ms")
 	fs.Float64Var(&p.SLOUtil, "slo-util", p.SLOUtil, "SLO: maximum bottleneck-centre utilisation at the analytic fixed point")
 	fs.IntVar(&p.MinNodes, "min-nodes", p.MinNodes, "SLO: minimum total processors the deployment must provide (0 = no requirement)")
@@ -305,5 +338,5 @@ func bindPlan(fs *flag.FlagSet, p *run.PlanSpec) {
 	fs.IntVar(&p.MsgBytes, "msg", p.MsgBytes, "override the space's message size in bytes (0 = keep the space's)")
 	fs.IntVar(&p.Top, "top", p.Top, "frontier candidates to verify by simulation (0 = screen only)")
 	fs.StringVar(&p.Format, "format", p.Format, "output format: md or csv")
-	fs.StringVar(&p.EmitConfigs, "emit-configs", p.EmitConfigs, "directory to write each verified candidate's configuration JSON into (plan-candidate-<index>.json, runnable via -config)")
+	fs.StringVar(emitConfigs, "emit-configs", "", "directory to write each verified candidate's configuration JSON into (plan-candidate-<index>.json, runnable via -config)")
 }

@@ -14,13 +14,12 @@ import (
 	"hmscs/internal/run"
 )
 
-// parse binds kind's flags onto a fresh spec of that kind and parses
-// args, as Main does.
+// parse binds kind's flags onto a fresh spec of that kind, parses args
+// and reads the files they name, as Main does.
 func parse(t *testing.T, kind run.Kind, args ...string) *run.Experiment {
 	t.Helper()
 	spec := run.NewExperiment(kind)
-	fs, _, _ := newFlagSet(kind, spec)
-	if err := fs.Parse(args); err != nil {
+	if _, _, err := parseFlags(kind, spec, args); err != nil {
 		t.Fatal(err)
 	}
 	return spec
@@ -109,8 +108,9 @@ func TestSystemFlagsConfigFile(t *testing.T) {
 	if cfg.NumClusters() != 8 || cfg.MessageBytes != 512 {
 		t.Fatalf("config file not honoured: %s", cfg)
 	}
-	// Missing file errors.
-	if _, err := parseSystem(t, "-config", filepath.Join(dir, "nope.json")).Build(); err == nil {
+	// Missing file errors when the flags are parsed, before any run.
+	spec := run.NewExperiment(run.KindSimulate)
+	if _, _, err := parseFlags(run.KindSimulate, spec, []string{"-config", filepath.Join(dir, "nope.json")}); err == nil {
 		t.Fatal("missing config accepted")
 	}
 }

@@ -52,9 +52,9 @@ var simProcedure = procedure{
 }
 
 // around is a kind's own work around the shared run, called once the
-// flags are parsed: it runs the experiment by calling execute, whose
-// outcome is nil for a -submit run, or ends the invocation without it.
-type around func(stdout io.Writer, emit string, execute func() (*run.Outcome, error)) error
+// flags are parsed: it runs the experiment by calling execute, or ends
+// the invocation without it.
+type around func(stdout io.Writer, emit string, execute func() error) error
 
 // commands is every experiment binary's surface, keyed by the kind it
 // runs.
@@ -145,10 +145,9 @@ func simulateFlags(fs *flag.FlagSet, e *run.Experiment) around {
 	fs.BoolVar(&e.Simulate.Verbose, "v", e.Simulate.Verbose, "print per-centre statistics of replication 1")
 	compare := fs.Bool("compare", !e.Simulate.NoCompare, "also run the analytical model and report the error")
 	fs.StringVar(&e.Simulate.TraceOut, "trace-out", e.Simulate.TraceOut, "record replication 1's message journeys to this CSV file (-trace is the arrival-trace input)")
-	return func(_ io.Writer, _ string, execute func() (*run.Outcome, error)) error {
+	return func(_ io.Writer, _ string, execute func() error) error {
 		e.Simulate.NoCompare = !*compare
-		_, err := execute()
-		return err
+		return execute()
 	}
 }
 
@@ -168,11 +167,11 @@ func sweepFlags(fs *flag.FlagSet, e *run.Experiment) around {
 	return nil
 }
 
-// planFlags adds -print-space, and the planner's steps: the SLO check
-// and -emit guard before the run, the emitted-config notes after it.
+// planFlags adds -print-space, and the planner's steps before the run:
+// the SLO check and the -emit guard.
 func planFlags(fs *flag.FlagSet, e *run.Experiment) around {
 	printSpace := fs.Bool("print-space", false, "print the design space as JSON and exit (a template for -space)")
-	return func(stdout io.Writer, emit string, execute func() (*run.Outcome, error)) error {
+	return func(stdout io.Writer, emit string, execute func() error) error {
 		// The flag defaults already carry a valid SLO, so an explicit
 		// zero is a user error, not a request for the default — reject
 		// it here rather than letting the spec's normalization silently
@@ -199,16 +198,6 @@ func planFlags(fs *flag.FlagSet, e *run.Experiment) around {
 		if info, err := os.Stat(emit); emit != "" && err == nil && info.IsDir() {
 			return fmt.Errorf("-emit now streams JSONL events to a file; use -emit-configs %s to write candidate configurations", emit)
 		}
-		out, err := execute()
-		if err != nil || out == nil {
-			return err
-		}
-		// Progress notes go to stderr so -format csv stays parseable
-		// when stdout is redirected to a file. A -submit run has no
-		// outcome: -emit-configs wrote on the server's filesystem.
-		for _, c := range out.Plan.Emitted {
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", c.Path, c.Label)
-		}
-		return nil
+		return execute()
 	}
 }

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"hmscs/internal/network"
 )
@@ -46,6 +47,17 @@ type Config struct {
 	Switch network.Switch
 	// MessageBytes is the fixed message length M (assumption 6).
 	MessageBytes int
+}
+
+// Clone returns a deep copy of the configuration; a nil configuration
+// clones to nil.
+func (c *Config) Clone() *Config {
+	if c == nil {
+		return nil
+	}
+	d := *c
+	d.Clusters = slices.Clone(c.Clusters)
+	return &d
 }
 
 // Validate checks the configuration for structural errors.

@@ -30,14 +30,18 @@ func TechToJSON(t network.Technology) TechJSON {
 }
 
 // TechFromJSON parses the on-disk form: explicit parameters win; a bare
-// name resolves against the built-in technologies.
+// name resolves against the built-in technologies. Microseconds are
+// divided by 1e6, the inverse of TechToJSON's multiplication, so a
+// parsed value is a fixed point of every further round trip
+// (multiplying by 1e-6, which is not exact in binary, lost an ulp per
+// trip).
 func TechFromJSON(j TechJSON) (network.Technology, error) {
 	if j.LatencyUS == 0 && j.BandwidthMB == 0 {
 		return network.TechnologyByName(j.Name)
 	}
 	t := network.Technology{
 		Name:      j.Name,
-		Latency:   j.LatencyUS * 1e-6,
+		Latency:   j.LatencyUS / 1e6,
 		Bandwidth: j.BandwidthMB * 1e6,
 	}
 	if err := t.Validate(); err != nil {
@@ -85,7 +89,8 @@ func (c *Config) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
 }
 
-// UnmarshalJSON parses the on-disk form and validates the result.
+// UnmarshalJSON parses the on-disk form and validates the result. The
+// switch latency's µs are divided by 1e6, as in TechFromJSON.
 func (c *Config) UnmarshalJSON(data []byte) error {
 	var j jsonConfig
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -102,7 +107,7 @@ func (c *Config) UnmarshalJSON(data []byte) error {
 	out := Config{
 		ICN2:         icn2,
 		Arch:         arch,
-		Switch:       network.Switch{Ports: j.SwitchPorts, Latency: j.SwitchLatUS * 1e-6},
+		Switch:       network.Switch{Ports: j.SwitchPorts, Latency: j.SwitchLatUS / 1e6},
 		MessageBytes: j.MessageBytes,
 	}
 	for i, jc := range j.Clusters {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -188,5 +189,56 @@ func TestConfigJSONHeterogeneousRoundTrip(t *testing.T) {
 	c, n0 := 16.0, 16.0
 	if want, got := (c-1)*n0/(c*n0-1), homog.POut(3); math.Abs(got-want) > 1e-15 {
 		t.Errorf("homogeneous POut = %v, want eq.8 value %v", got, want)
+	}
+}
+
+// TestConfigJSONRoundTripIsExact pins the codec's µs conversion: parsing
+// divides by 1e6 what marshalling multiplied by 1e6, so a configuration
+// built in memory survives SaveConfig → LoadConfig bit for bit, and a
+// value read from JSON is a fixed point of every further round trip. A
+// configuration travels inline in experiment specs, which the server
+// and its workers re-marshal, so one ulp lost per round would move a
+// remote run away from the local one.
+func TestConfigJSONRoundTripIsExact(t *testing.T) {
+	sw := network.PaperSwitch
+	orig, err := NewSuperCluster(4, 16, 250, network.GigabitEthernet, network.FastEthernet, network.NonBlocking, sw, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := network.Technology{Name: "Custom", Latency: 3.3e-6, Bandwidth: 123.4e6}
+	orig.Clusters[1].ICN1 = custom
+	path := filepath.Join(t.TempDir(), "system.json")
+	if err := SaveConfig(orig, path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(orig, back) {
+		t.Fatalf("SaveConfig → LoadConfig changed the configuration:\n%+v\nvs\n%+v", orig, back)
+	}
+
+	data := []byte(`{"clusters":[{"nodes":8,"lambda_per_s":250,"icn1":{"name":"X","latency_us":12.5,"bandwidth_mb_s":123.4},"ecn1":{"name":"GE"}}],` +
+		`"icn2":{"name":"GE"},"arch":"non-blocking","switch_ports":24,"switch_latency_us":12.5,"message_bytes":1024}`)
+	var first Config
+	if err := first.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	cur := first
+	for round := 1; round <= 3; round++ {
+		out, err := cur.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next Config
+		if err := next.UnmarshalJSON(out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, next) {
+			t.Fatalf("round %d moved the configuration: switch latency %v → %v, icn1 %+v → %+v",
+				round, first.Switch.Latency, next.Switch.Latency, first.Clusters[0].ICN1, next.Clusters[0].ICN1)
+		}
+		cur = next
 	}
 }

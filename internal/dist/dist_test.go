@@ -13,13 +13,17 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"hmscs/internal/core"
 	"hmscs/internal/dist"
+	"hmscs/internal/network"
 	"hmscs/internal/run"
 	"hmscs/internal/scenario"
 	"hmscs/internal/serve"
@@ -107,6 +111,42 @@ func clusterSpecs() map[string]*run.Experiment {
 	return specs
 }
 
+// configCarryingSpec is a simulate spec over a heterogeneous system
+// read from a file the way the CLI's -config reads it. The file is
+// deleted before the spec runs anywhere: the spec carries the
+// configuration itself, so no host needs the file. The custom
+// technology and the 12.5 µs switch latency are values the config
+// codec must carry exactly through every re-marshal between the client,
+// the server and the workers.
+func configCarryingSpec(t *testing.T) *run.Experiment {
+	t.Helper()
+	custom := network.Technology{Name: "Custom", Latency: 12.5e-6, Bandwidth: 80e6}
+	cfg := &core.Config{
+		Clusters: []core.Cluster{
+			{Nodes: 6, Lambda: 180, ICN1: network.GigabitEthernet, ECN1: network.FastEthernet},
+			{Nodes: 3, Lambda: 320, ICN1: custom, ECN1: network.GigabitEthernet},
+		},
+		ICN2: network.GigabitEthernet, Arch: network.Blocking,
+		Switch: network.Switch{Ports: 16, Latency: 12.5e-6}, MessageBytes: 700,
+	}
+	path := filepath.Join(t.TempDir(), "system.json")
+	if err := core.SaveConfig(cfg, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	e := run.NewExperiment(run.KindSimulate)
+	e.System.Config = loaded
+	e.Run.Messages = 300
+	e.Run.Reps = 2
+	return e
+}
+
 // localRun is the baseline: the exact invocation serve.runJob performs,
 // minus the distribution hook.
 func localRun(t *testing.T, e *run.Experiment) (string, string) {
@@ -186,17 +226,19 @@ func (c *cluster) submit(t *testing.T, e *run.Experiment) (string, string) {
 }
 
 // TestDistributedMatchesLocal is the acceptance pin: for every
-// distributable spec kind and worker count {1, 2, 4}, the remote
-// report and event stream are byte-identical to a plain local run.
+// distributable spec kind, a config-carrying spec among them, and worker
+// count {0, 1, 2, 4}, the remote report and event stream are
+// byte-identical to a plain local run.
 func TestDistributedMatchesLocal(t *testing.T) {
 	specs := clusterSpecs()
+	specs["simulate-config"] = configCarryingSpec(t)
 	type baseline struct{ report, events string }
 	baselines := map[string]baseline{}
 	for name, e := range specs {
 		r, ev := localRun(t, e)
 		baselines[name] = baseline{r, ev}
 	}
-	counts := []int{1, 2, 4}
+	counts := []int{0, 1, 2, 4}
 	if testing.Short() {
 		counts = []int{2}
 	}
@@ -213,7 +255,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 						name, baselines[name].events, events)
 				}
 			}
-			if st := c.srv.Dist().Stats(); st.Completed == 0 {
+			if st := c.srv.Dist().Stats(); workers > 0 && st.Completed == 0 {
 				t.Error("workers completed no units; nothing was actually distributed")
 			}
 		})

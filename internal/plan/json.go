@@ -58,7 +58,9 @@ func (s *Space) MarshalJSON() ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
 }
 
-// UnmarshalJSON parses the on-disk form and validates the result.
+// UnmarshalJSON parses the on-disk form and validates the result. The
+// switch latency's µs are divided by 1e6, as in core.TechFromJSON, so
+// a parsed space is a fixed point of every further round trip.
 func (s *Space) UnmarshalJSON(data []byte) error {
 	var j jsonSpace
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -71,7 +73,7 @@ func (s *Space) UnmarshalJSON(data []byte) error {
 		Lambda:          j.Lambda,
 		Headroom:        j.Headroom,
 		MessageBytes:    j.MessageBytes,
-		Switch:          network.Switch{Ports: j.SwitchPorts, Latency: j.SwitchLatUS * 1e-6},
+		Switch:          network.Switch{Ports: j.SwitchPorts, Latency: j.SwitchLatUS / 1e6},
 		MaxCandidates:   j.MaxCandidates,
 	}
 	roles := []struct {

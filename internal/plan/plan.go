@@ -86,6 +86,26 @@ func DefaultSpace() *Space {
 	}
 }
 
+// Clone returns a deep copy of the space; a nil space clones to nil.
+func (s *Space) Clone() *Space {
+	if s == nil {
+		return nil
+	}
+	d := *s
+	d.Clusters = slices.Clone(s.Clusters)
+	d.NodesPerCluster = slices.Clone(s.NodesPerCluster)
+	d.Splits = slices.Clone(s.Splits)
+	for i, split := range d.Splits {
+		d.Splits[i] = slices.Clone(split)
+	}
+	d.ICN1 = slices.Clone(s.ICN1)
+	d.ECN1 = slices.Clone(s.ECN1)
+	d.ICN2 = slices.Clone(s.ICN2)
+	d.Archs = slices.Clone(s.Archs)
+	d.Headroom = slices.Clone(s.Headroom)
+	return &d
+}
+
 // Validate checks the space for structural errors.
 func (s *Space) Validate() error {
 	if len(s.Clusters) == 0 && len(s.Splits) == 0 {

@@ -3,6 +3,7 @@ package plan
 import (
 	"context"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -97,6 +98,49 @@ func TestEnumerateSkipsInvalidCombos(t *testing.T) {
 	}
 	if cands[0].Cfg.TotalNodes() != 8 {
 		t.Fatalf("kept the wrong layout: %v", cands[0].Cfg)
+	}
+}
+
+// TestSpaceJSONRoundTripIsExact: the default space survives
+// SaveSpace → LoadSpace bit for bit, and a space read from JSON is a
+// fixed point of three further Marshal → Unmarshal rounds. A space
+// travels inline in plan specs, which the server re-marshals.
+func TestSpaceJSONRoundTripIsExact(t *testing.T) {
+	orig := DefaultSpace()
+	orig.ICN1 = append(orig.ICN1, network.Technology{Name: "Custom", Latency: 3.3e-6, Bandwidth: 123.4e6})
+	path := filepath.Join(t.TempDir(), "space.json")
+	if err := SaveSpace(orig, path); err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadSpace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(orig, back) {
+		t.Fatalf("SaveSpace → LoadSpace changed the space: switch %+v → %+v", orig.Switch, back.Switch)
+	}
+	data := []byte(`{"clusters":[2,4],"nodes_per_cluster":[8],"icn1":[{"name":"X","latency_us":12.5,"bandwidth_mb_s":123.4}],` +
+		`"ecn1":[{"name":"FE"}],"icn2":[{"name":"GE"}],"archs":["non-blocking"],"lambda_per_s":250,` +
+		`"message_bytes":1024,"switch_ports":24,"switch_latency_us":12.5}`)
+	var first Space
+	if err := first.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	cur := first
+	for round := 1; round <= 3; round++ {
+		out, err := cur.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var next Space
+		if err := next.UnmarshalJSON(out); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, next) {
+			t.Fatalf("round %d moved the space: switch latency %v → %v, icn1 %+v → %+v",
+				round, first.Switch.Latency, next.Switch.Latency, first.ICN1, next.ICN1)
+		}
+		cur = next
 	}
 }
 

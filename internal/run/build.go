@@ -3,7 +3,6 @@ package run
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -25,8 +24,8 @@ import (
 //	                                 dwell in mean interarrivals
 //	pareto[:<alpha>]                 heavy-tailed renewal (default α 1.5)
 //	weibull[:<shape>]                Weibull renewal (default k 0.5)
-//	trace                            replay traceFile's timestamps
-func ParseArrival(spec string, burstRatio float64, traceFile string) (workload.Arrival, error) {
+//	trace                            replay the trace's timestamps
+func ParseArrival(spec string, burstRatio float64, trace []float64) (workload.Arrival, error) {
 	name, args, _ := strings.Cut(spec, ":")
 	parseArg := func(s string, def float64) (float64, error) {
 		if s == "" {
@@ -75,19 +74,10 @@ func ParseArrival(spec string, burstRatio float64, traceFile string) (workload.A
 		}
 		return workload.NewWeibull(shape)
 	case "trace":
-		if traceFile == "" {
-			return nil, fmt.Errorf("run: arrival \"trace\" requires a trace file")
+		if len(trace) == 0 {
+			return nil, fmt.Errorf("run: arrival \"trace\" requires trace timestamps (workload.trace, or the CLI's -trace file)")
 		}
-		f, err := os.Open(traceFile)
-		if err != nil {
-			return nil, fmt.Errorf("run: %w", err)
-		}
-		defer f.Close()
-		ts, err := workload.ReadTrace(f)
-		if err != nil {
-			return nil, err
-		}
-		return workload.NewTrace(ts)
+		return workload.NewTrace(trace)
 	}
 	return nil, fmt.Errorf("run: unknown arrival process %q", spec)
 }
@@ -181,8 +171,11 @@ func orDefault(s, def string) string {
 
 // Build converts the system section into a validated configuration.
 func (s *SystemSpec) Build() (*core.Config, error) {
-	if s.ConfigPath != "" {
-		return core.LoadConfig(s.ConfigPath)
+	if s.Config != nil {
+		if err := s.Config.Validate(); err != nil {
+			return nil, err
+		}
+		return s.Config, nil
 	}
 	arch, err := network.ParseArchitecture(s.Arch)
 	if err != nil {
@@ -218,7 +211,7 @@ func (s *SystemSpec) Build() (*core.Config, error) {
 
 // BuildArrival converts the workload section's arrival fields.
 func (w *WorkloadSpec) BuildArrival() (workload.Arrival, error) {
-	return ParseArrival(w.Arrival, w.BurstRatio, w.TraceFile)
+	return ParseArrival(w.Arrival, w.BurstRatio, w.Trace)
 }
 
 // BuildPrecision converts the precision section into a stopping target,
@@ -274,7 +267,7 @@ type NetExperiment struct {
 	// Switch holds the switch-fabric parameters (ports, latency).
 	Switch network.Switch
 	// Topo, N, Ports, Lambda and MsgBytes are the resolved topology
-	// parameters (after a ConfigPath resolution they reflect the selected
+	// parameters (after a Config resolution they reflect the selected
 	// network, not the spec's flag-level defaults).
 	Topo     string
 	N        int
@@ -292,8 +285,8 @@ type NetExperiment struct {
 // resolved values overwrite the spec's fields, which keeps every
 // downstream consumer (headers included) reading one source.
 func (n *NetSpec) resolveConfig() (*network.Technology, error) {
-	cfg, err := core.LoadConfig(n.ConfigPath)
-	if err != nil {
+	cfg := n.Config
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rates := cfg.ArrivalRates(1)
@@ -317,7 +310,7 @@ func (n *NetSpec) resolveConfig() (*network.Technology, error) {
 		return nil, fmt.Errorf("run: unknown network %q (want icn1, ecn1 or icn2)", n.Net)
 	}
 	if !(rate > 0) {
-		return nil, fmt.Errorf("run: %s of %s carries no traffic (%g msg/s)", n.Net, n.ConfigPath, rate)
+		return nil, fmt.Errorf("run: %s of the configuration carries no traffic (%g msg/s)", n.Net, rate)
 	}
 	if endpoints < 2 {
 		return nil, fmt.Errorf("run: %s has %d endpoint(s); switch-level simulation needs at least 2", n.Net, endpoints)
@@ -339,7 +332,7 @@ func (n *NetSpec) resolveConfig() (*network.Technology, error) {
 func (e *Experiment) buildNet() (*NetExperiment, error) {
 	n := e.Net
 	var technology network.Technology
-	if n.ConfigPath != "" {
+	if n.Config != nil {
 		resolved, err := n.resolveConfig()
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hmscs/internal/core"
@@ -30,7 +31,7 @@ func TestParseArrivalSpecs(t *testing.T) {
 		{"weibull:0.8", 10, "weibull(k=0.8)"},
 	}
 	for _, tc := range cases {
-		arr, err := ParseArrival(tc.spec, tc.ratio, "")
+		arr, err := ParseArrival(tc.spec, tc.ratio, nil)
 		if err != nil {
 			t.Errorf("ParseArrival(%q): %v", tc.spec, err)
 			continue
@@ -40,7 +41,7 @@ func TestParseArrivalSpecs(t *testing.T) {
 		}
 	}
 	// The dwell argument reaches the MMPP.
-	arr, err := ParseArrival("mmpp:0.2:120", 5, "")
+	arr, err := ParseArrival("mmpp:0.2:120", 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,18 +49,30 @@ func TestParseArrivalSpecs(t *testing.T) {
 		t.Fatalf("dwell not threaded: %#v", arr)
 	}
 	for _, spec := range []string{"mmpp:x", "pareto:0.5", "weibull:-1", "spiral", "trace"} {
-		if _, err := ParseArrival(spec, 10, ""); err == nil {
+		if _, err := ParseArrival(spec, 10, nil); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
 }
 
+// TestParseArrivalTraceFile: a trace file read the way the CLI reads
+// -trace replays through ParseArrival's timestamps; no timestamps is an
+// error.
 func TestParseArrivalTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.csv")
 	if err := os.WriteFile(path, []byte("0\n0.5\n0.6\n2\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	arr, err := ParseArrival("trace", 10, path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ts, err := workload.ReadTrace(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := ParseArrival("trace", 10, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +80,8 @@ func TestParseArrivalTraceFile(t *testing.T) {
 	if !ok || tr.Len() != 3 {
 		t.Fatalf("trace not loaded: %#v", arr)
 	}
-	if _, err := ParseArrival("trace", 10, filepath.Join(t.TempDir(), "missing.csv")); err == nil {
-		t.Error("missing trace file accepted")
+	if _, err := ParseArrival("trace", 10, nil); err == nil {
+		t.Error("trace arrival without timestamps accepted")
 	}
 }
 
@@ -218,11 +231,10 @@ func TestNetBuildRejectsBadValues(t *testing.T) {
 	}
 }
 
-// heterogeneousConfigFile writes a 3-cluster unequal config for the
-// config-path resolution tests and returns its path.
-func heterogeneousConfigFile(t *testing.T) string {
-	t.Helper()
-	cfg := &core.Config{
+// heterogeneousConfig is a 3-cluster unequal config for the config
+// resolution tests.
+func heterogeneousConfig() *core.Config {
+	return &core.Config{
 		Clusters: []core.Cluster{
 			{Nodes: 16, Lambda: 100, ICN1: network.GigabitEthernet, ECN1: network.FastEthernet},
 			{Nodes: 8, Lambda: 200, ICN1: network.Myrinet, ECN1: network.FastEthernet},
@@ -231,19 +243,10 @@ func heterogeneousConfigFile(t *testing.T) string {
 		ICN2: network.GigabitEthernet, Arch: network.NonBlocking,
 		Switch: network.PaperSwitch, MessageBytes: 512,
 	}
-	path := filepath.Join(t.TempDir(), "hetero.json")
-	if err := core.SaveConfig(cfg, path); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 func TestNetConfigResolution(t *testing.T) {
-	path := heterogeneousConfigFile(t)
-	cfg, err := core.LoadConfig(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := heterogeneousConfig()
 	rates := cfg.ArrivalRates(1)
 	cases := []struct {
 		net       string
@@ -259,7 +262,7 @@ func TestNetConfigResolution(t *testing.T) {
 	}
 	for _, tc := range cases {
 		e := NewExperiment(KindNetsim)
-		e.Net.ConfigPath = path
+		e.Net.Config = cfg
 		e.Net.Net = tc.net
 		e.Net.Cluster = tc.cluster
 		exp, err := e.buildNet()
@@ -286,22 +289,23 @@ func TestNetConfigResolution(t *testing.T) {
 }
 
 func TestNetConfigErrors(t *testing.T) {
-	path := heterogeneousConfigFile(t)
+	cfg := heterogeneousConfig()
 	for _, tc := range []struct {
-		config, net string
-		cluster     int
+		config  *core.Config
+		net     string
+		cluster int
 	}{
-		{"missing.json", "icn2", 0},
-		{path, "icn3", 0},
-		{path, "icn1", 7},
-		{path, "ecn1", -1},
+		{&core.Config{}, "icn2", 0},
+		{cfg, "icn3", 0},
+		{cfg, "icn1", 7},
+		{cfg, "ecn1", -1},
 	} {
 		e := NewExperiment(KindNetsim)
-		e.Net.ConfigPath = tc.config
+		e.Net.Config = tc.config
 		e.Net.Net = tc.net
 		e.Net.Cluster = tc.cluster
 		if _, err := e.buildNet(); err == nil {
-			t.Errorf("config %q net %q cluster %d accepted", tc.config, tc.net, tc.cluster)
+			t.Errorf("config %v net %q cluster %d accepted", tc.config, tc.net, tc.cluster)
 		}
 	}
 }
@@ -348,17 +352,25 @@ func TestPlanSpecSpaceFile(t *testing.T) {
 	if err := plan.SaveSpace(sp, path); err != nil {
 		t.Fatal(err)
 	}
-	p := &PlanSpec{SpacePath: path, SLOLatencyMs: 2, SLOUtil: 0.95, NodeCost: 1}
+	loaded, err := plan.LoadSpace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &PlanSpec{Space: loaded, SLOLatencyMs: 2, SLOUtil: 0.95, NodeCost: 1, Lambda: 123}
 	got, err := p.BuildSpace()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Clusters) != 1 || got.Clusters[0] != 2 || got.Splits != nil {
+	if len(got.Clusters) != 1 || got.Clusters[0] != 2 || got.Splits != nil || got.Lambda != 123 {
 		t.Fatalf("space file not honoured: %+v", got)
+	}
+	// The override applies to a copy: the spec's space stays as read.
+	if p.Space.Lambda != sp.Lambda {
+		t.Fatalf("BuildSpace modified the spec's space: λ=%g", p.Space.Lambda)
 	}
 	// Bad values are rejected.
 	for i, bad := range []*PlanSpec{
-		{SpacePath: "missing.json", SLOLatencyMs: 2, SLOUtil: 0.95, NodeCost: 1},
+		{Space: &plan.Space{}, SLOLatencyMs: 2, SLOUtil: 0.95, NodeCost: 1},
 		{PortCosts: "FE", SLOLatencyMs: 2, SLOUtil: 0.95, NodeCost: 1},
 		{PortCosts: "Zeta=1", SLOLatencyMs: 2, SLOUtil: 0.95, NodeCost: 1},
 		{SLOLatencyMs: -2, SLOUtil: 0.95, NodeCost: 1},
@@ -397,6 +409,35 @@ func TestSweepJobsDefaults(t *testing.T) {
 		}
 		if len(labels) == 0 || len(labels) != len(points) {
 			t.Fatalf("var %s: %d labels, %d points", v, len(labels), len(points))
+		}
+	}
+}
+
+// TestSweepOverConfigRejectsSystemVars: a system config fixes the
+// cluster count, message size, ports and rate, so sweeping one of them
+// over it is an error rather than identical points under different
+// labels; the workload variables still sweep.
+func TestSweepOverConfigRejectsSystemVars(t *testing.T) {
+	for _, v := range []string{"clusters", "msg", "ports", "lambda"} {
+		e := NewExperiment(KindSweep)
+		e.System.Config = heterogeneousConfig()
+		e.Sweep.Var = v
+		if _, _, err := buildSweepJobs(e); err == nil || !strings.Contains(err.Error(), "fixes it") {
+			t.Errorf("sweep of %s over a config: %v, want a refusal", v, err)
+		}
+	}
+	for _, v := range []string{"arrival", "locality"} {
+		e := NewExperiment(KindSweep)
+		e.System.Config = heterogeneousConfig()
+		e.Sweep.Var = v
+		_, points, err := buildSweepJobs(e)
+		if err != nil {
+			t.Fatalf("sweep of %s over a config: %v", v, err)
+		}
+		for _, p := range points {
+			if p.Cfg != e.System.Config {
+				t.Fatalf("sweep of %s does not run the config", v)
+			}
 		}
 	}
 }

@@ -9,16 +9,13 @@ import (
 	"hmscs/internal/plan"
 )
 
-// BuildSpace loads the plan section's design space (SpacePath, or the
-// documented default space) and applies the Lambda and MsgBytes
-// overrides.
+// BuildSpace returns the plan section's design space (Space, or the
+// documented default space) with the Lambda and MsgBytes overrides
+// applied to a copy, so the spec's own space is never modified.
 func (p *PlanSpec) BuildSpace() (*plan.Space, error) {
 	sp := plan.DefaultSpace()
-	if p.SpacePath != "" {
-		var err error
-		if sp, err = plan.LoadSpace(p.SpacePath); err != nil {
-			return nil, err
-		}
+	if p.Space != nil {
+		sp = p.Space.Clone()
 	}
 	if p.Lambda != 0 {
 		sp.Lambda = p.Lambda

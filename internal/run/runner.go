@@ -3,8 +3,6 @@ package run
 import (
 	"context"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -183,15 +181,6 @@ type PlanOutcome struct {
 	Frontier []plan.ScreenResult
 	Verified []plan.VerifiedCandidate
 	Prec     *output.Precision
-	// Emitted lists the configuration files written for EmitConfigs, in
-	// write order, with the candidate labels for progress notes.
-	Emitted []EmittedConfig
-}
-
-// EmittedConfig records one deployable configuration the planner wrote.
-type EmittedConfig struct {
-	Path  string
-	Label string
 }
 
 // Run executes the experiment under the context: cancellation or a
@@ -389,19 +378,6 @@ func runSimulate(ctx context.Context, p *Program, opts Options, em *emitter) (*S
 			return nil, err
 		}
 		out.One, out.Trace = one, o.Trace
-		if e.Simulate.TraceOut != "" {
-			f, err := os.Create(e.Simulate.TraceOut)
-			if err != nil {
-				return nil, err
-			}
-			if err := o.Trace.WriteCSV(f); err != nil {
-				f.Close()
-				return nil, err
-			}
-			if err := f.Close(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if !e.Simulate.NoCompare && e.Scenario == nil {
 		// With a finite non-Poisson interarrival SCV the model side applies
@@ -567,6 +543,14 @@ func buildSweepJobs(e *Experiment) ([]string, []sweep.PointSpec, error) {
 	}
 	sys := e.Sweep
 	switch sys.Var {
+	case "clusters", "msg", "ports", "lambda":
+		if e.System.Config != nil {
+			// A configuration fixes every system parameter: a swept value
+			// would label identical points.
+			return nil, nil, fmt.Errorf("run: cannot sweep %s over a system config, which fixes it (sweep arrival or locality instead)", sys.Var)
+		}
+	}
+	switch sys.Var {
 	case "arrival":
 		specs := sys.Specs
 		if specs == "" {
@@ -577,7 +561,7 @@ func buildSweepJobs(e *Experiment) ([]string, []sweep.PointSpec, error) {
 			return nil, nil, err
 		}
 		for _, spec := range splitList(specs) {
-			arr, err := ParseArrival(spec, e.Workload.BurstRatio, e.Workload.TraceFile)
+			arr, err := ParseArrival(spec, e.Workload.BurstRatio, e.Workload.Trace)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -716,25 +700,6 @@ func runPlan(ctx context.Context, prog *Program, opts Options, em *emitter) (*Pl
 			if err != nil {
 				return nil, err
 			}
-		}
-	}
-	if p.EmitConfigs != "" {
-		if err := os.MkdirAll(p.EmitConfigs, 0o755); err != nil {
-			return nil, err
-		}
-		targets := out.Verified
-		if len(targets) == 0 {
-			// Screen-only run: emit the frontier head instead.
-			for i := 0; i < len(frontier) && i < 3; i++ {
-				targets = append(targets, plan.VerifiedCandidate{ScreenResult: frontier[i]})
-			}
-		}
-		for _, v := range targets {
-			path := filepath.Join(p.EmitConfigs, fmt.Sprintf("plan-candidate-%d.json", v.Index))
-			if err := core.SaveConfig(v.Cfg, path); err != nil {
-				return nil, err
-			}
-			out.Emitted = append(out.Emitted, EmittedConfig{Path: path, Label: v.Label()})
 		}
 	}
 	return out, nil

@@ -19,10 +19,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
+	"hmscs/internal/plan"
 	"hmscs/internal/scenario"
 )
 
@@ -56,7 +58,10 @@ func Kinds() []Kind {
 const SpecVersion = 1
 
 // Experiment is the declarative, JSON-round-trippable description of one
-// hmscs experiment. Zero-valued fields mean "the documented default";
+// hmscs experiment. It is a pure value: a configuration, a design space
+// or an arrival trace travels inline, and no field names a file, so the
+// same spec means the same experiment on every host that runs it.
+// Zero-valued fields mean "the documented default";
 // Normalize fills them in, so a minimal spec like
 //
 //	{"v": 1, "kind": "simulate", "system": {"clusters": 64}}
@@ -97,11 +102,12 @@ type Experiment struct {
 }
 
 // SystemSpec mirrors the shared system flags: it describes an HMSCS
-// configuration either by reference (ConfigPath) or by the paper's
-// parameterisation. A non-empty ConfigPath overrides every other field.
+// configuration either inline (Config) or by the paper's
+// parameterisation. A non-nil Config overrides every other field.
 type SystemSpec struct {
-	// ConfigPath points at a JSON system description (core.SaveConfig).
-	ConfigPath string `json:"config_path,omitempty"`
+	// Config is a complete system description, in the JSON form of a
+	// configuration file.
+	Config *core.Config `json:"config,omitempty"`
 	// Case is the Table 1 scenario (1 or 2); ignored when ICN1/ECN are set.
 	Case int `json:"case,omitempty"`
 	// Clusters is the cluster count C.
@@ -133,8 +139,9 @@ type WorkloadSpec struct {
 	Arrival string `json:"arrival,omitempty"`
 	// BurstRatio is the MMPP burst-to-idle rate ratio.
 	BurstRatio float64 `json:"burst_ratio,omitempty"`
-	// TraceFile is the arrival-trace CSV consumed by Arrival "trace".
-	TraceFile string `json:"trace_file,omitempty"`
+	// Trace is the arrival trace Arrival "trace" replays: timestamps in
+	// seconds (workload.ReadTrace's form).
+	Trace []float64 `json:"trace,omitempty"`
 	// Pattern picks destinations: uniform, local:<p>, hotspot:<p>.
 	Pattern string `json:"pattern,omitempty"`
 	// Service is the service distribution: exp, det, erlang4, h2.
@@ -188,17 +195,22 @@ type SimulateSpec struct {
 	// NoCompare skips the analytical-model comparison (the CLI's
 	// -compare=false).
 	NoCompare bool `json:"no_compare,omitempty"`
-	// TraceOut records replication 1's message journeys to this CSV file.
-	TraceOut string `json:"trace_out,omitempty"`
+	// TraceOut, when set, makes Run record replication 1's message
+	// journeys (SimulateOutcome.Trace) and the report name this file.
+	// Run writes nothing: the caller writes the CSV from the outcome, so
+	// the field is not part of the wire spec.
+	TraceOut string `json:"-"`
 }
 
 // NetSpec carries the netsim-kind topology and load, mirroring the
-// switch-level simulator's flags. A non-empty ConfigPath resolves one
+// switch-level simulator's flags. A non-nil Config resolves one
 // communication network of a system description instead.
 type NetSpec struct {
-	// ConfigPath simulates one network of a core.Config at switch level.
-	ConfigPath string `json:"config_path,omitempty"`
-	// Net selects which network of ConfigPath: icn1, ecn1 or icn2.
+	// Config is the system description, in the JSON form of a
+	// configuration file, one of whose networks is simulated at switch
+	// level.
+	Config *core.Config `json:"config,omitempty"`
+	// Net selects which network of Config: icn1, ecn1 or icn2.
 	Net string `json:"net,omitempty"`
 	// Cluster is the cluster index for Net icn1/ecn1.
 	Cluster int `json:"cluster,omitempty"`
@@ -247,9 +259,9 @@ type SweepSpec struct {
 // PlanSpec carries the plan-kind options: design-space source, SLO, cost
 // model and verification budget.
 type PlanSpec struct {
-	// SpacePath points at a JSON design space (plan.SaveSpace); empty
-	// uses the documented default space.
-	SpacePath string `json:"space_path,omitempty"`
+	// Space is the design space, in the JSON form of a design-space
+	// file; nil uses the documented default space.
+	Space *plan.Space `json:"space,omitempty"`
 	// SLOLatencyMs is the mean-latency budget in milliseconds.
 	SLOLatencyMs float64 `json:"slo_latency_ms,omitempty"`
 	// SLOUtil caps the bottleneck utilisation.
@@ -272,24 +284,25 @@ type PlanSpec struct {
 	Top int `json:"top,omitempty"`
 	// Format is md or csv.
 	Format string `json:"format,omitempty"`
-	// EmitConfigs is a directory each verified candidate's configuration
-	// JSON is written into.
-	EmitConfigs string `json:"emit_configs,omitempty"`
 }
 
-// Clone deep-copies the experiment. Every section is a flat value
-// struct, so copying each one by value is a full deep copy; Run clones
-// before normalizing so a caller's spec is never mutated (and two
-// concurrent Runs on one spec never race). The experiment service
-// clones for the same reason before computing a spec's cache key.
+// Clone deep-copies the experiment: each section is copied by value,
+// and the references inside them (the scenario, the system and net
+// configurations, the arrival trace and the design space) are copied
+// too. Run clones before normalizing so a caller's spec is never
+// mutated (and two concurrent Runs on one spec never race). The
+// experiment service clones for the same reason before computing a
+// spec's cache key.
 func (e *Experiment) Clone() *Experiment {
 	c := *e
 	if e.System != nil {
 		s := *e.System
+		s.Config = s.Config.Clone()
 		c.System = &s
 	}
 	if e.Workload != nil {
 		s := *e.Workload
+		s.Trace = slices.Clone(s.Trace)
 		c.Workload = &s
 	}
 	if e.Run != nil {
@@ -311,6 +324,7 @@ func (e *Experiment) Clone() *Experiment {
 	}
 	if e.Net != nil {
 		s := *e.Net
+		s.Config = s.Config.Clone()
 		c.Net = &s
 	}
 	if e.Figure != nil {
@@ -323,6 +337,7 @@ func (e *Experiment) Clone() *Experiment {
 	}
 	if e.Plan != nil {
 		s := *e.Plan
+		s.Space = s.Space.Clone()
 		c.Plan = &s
 	}
 	return &c
@@ -596,7 +611,8 @@ func Parse(data []byte) (*Experiment, error) {
 	return &e, nil
 }
 
-// Load reads an experiment spec file (see Parse).
+// Load reads an experiment spec file (see Parse). It is the -spec
+// loader, the one file the run package reads.
 func Load(path string) (*Experiment, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -16,7 +16,8 @@ import (
 // point, SpecHash must survive the round trip, the run counts it
 // accepted must be non-negative, its precision section must build, and
 // setting the ignored run.shards to any non-negative value must not move
-// the hash. Seeded with every checked-in experiment spec.
+// the hash. Seeded with every checked-in experiment spec, and with specs
+// carrying an inline configuration, design space and arrival trace.
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, dir := range []string{"testdata/experiments", "docs/experiments"} {
 		paths, err := filepath.Glob(filepath.Join("..", "..", dir, "*.json"))
@@ -40,6 +41,24 @@ func FuzzSpecRoundTrip(f *testing.F) {
 	} {
 		f.Add([]byte(`{"kind":"simulate","precision":`+prec+`}`), uint16(2))
 		f.Add([]byte(`{"kind":"plan","precision":`+prec+`}`), uint16(2))
+	}
+	// Specs carry values, not paths: an inline configuration (with a
+	// 12.5 µs switch and a custom technology, which the config codec
+	// must carry through Marshal → Parse exactly), an inline design
+	// space and an inline arrival trace.
+	config := `{"clusters":[{"nodes":8,"lambda_per_s":250,"icn1":{"name":"X","latency_us":12.5,"bandwidth_mb_s":123.4},"ecn1":{"name":"FE"}},` +
+		`{"nodes":4,"lambda_per_s":100,"icn1":{"name":"GE"},"ecn1":{"name":"GE"}}],` +
+		`"icn2":{"name":"GE"},"arch":"blocking","switch_ports":16,"switch_latency_us":12.5,"message_bytes":700}`
+	space := `{"clusters":[2,4],"nodes_per_cluster":[8],"icn1":[{"name":"X","latency_us":12.5,"bandwidth_mb_s":123.4}],` +
+		`"ecn1":[{"name":"FE"}],"icn2":[{"name":"GE"}],"archs":["non-blocking"],"lambda_per_s":250,` +
+		`"message_bytes":1024,"switch_ports":24,"switch_latency_us":12.5}`
+	for _, spec := range []string{
+		`{"kind":"simulate","system":{"config":` + config + `}}`,
+		`{"kind":"netsim","net":{"config":` + config + `,"net":"icn1","cluster":1}}`,
+		`{"kind":"plan","plan":{"space":` + space + `}}`,
+		`{"kind":"simulate","workload":{"arrival":"trace","trace":[0,0.002,0.0041,0.08,0.0822]}}`,
+	} {
+		f.Add([]byte(spec), uint16(2))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, shards uint16) {
 		e, err := run.Parse(data)

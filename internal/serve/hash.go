@@ -32,18 +32,3 @@ func SpecHash(e *run.Experiment) (string, error) {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil
 }
-
-// Cacheable reports whether a spec's outcome may be replayed from the
-// cache. Experiments that write server-local files as a side effect
-// (simulate's trace_out journey CSV, plan's emit_configs directory)
-// must execute on every submission — a replay would return the recorded
-// output without re-creating the files.
-func Cacheable(e *run.Experiment) bool {
-	if e.Simulate != nil && e.Simulate.TraceOut != "" {
-		return false
-	}
-	if e.Plan != nil && e.Plan.EmitConfigs != "" {
-		return false
-	}
-	return true
-}

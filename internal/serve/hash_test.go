@@ -127,21 +127,3 @@ func TestSpecHashDistinguishesResults(t *testing.T) {
 	kind.Simulate = nil
 	add("kind", kind)
 }
-
-// TestCacheable pins the side-effect escape hatch: specs that write
-// server-local files must run on every submission.
-func TestCacheable(t *testing.T) {
-	if !serve.Cacheable(run.NewExperiment(run.KindSimulate)) {
-		t.Fatal("plain simulate spec not cacheable")
-	}
-	tr := run.NewExperiment(run.KindSimulate)
-	tr.Simulate.TraceOut = "journeys.csv"
-	if serve.Cacheable(tr) {
-		t.Fatal("trace_out spec must not be cacheable")
-	}
-	p := run.NewExperiment(run.KindPlan)
-	p.Plan.EmitConfigs = "winners/"
-	if serve.Cacheable(p) {
-		t.Fatal("emit_configs spec must not be cacheable")
-	}
-}

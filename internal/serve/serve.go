@@ -172,7 +172,7 @@ func (s *Server) registerMetrics() {
 	r.CounterFunc("hmscs_runs_total", "Experiments actually executed; a cache hit does not run.",
 		func() float64 { return float64(s.Runs()) })
 	s.cacheHits = r.Counter("hmscs_cache_hits_total", "Submissions served from the outcome cache.")
-	s.cacheMisses = r.Counter("hmscs_cache_misses_total", "Cacheable submissions that missed the cache.")
+	s.cacheMisses = r.Counter("hmscs_cache_misses_total", "Submissions that missed the cache.")
 	s.cacheEvictions = r.Counter("hmscs_cache_evictions_total", "Outcome-cache entries evicted oldest-first.")
 	r.GaugeFunc("hmscs_cache_entries", "Outcome-cache entries currently held.",
 		func() float64 { s.mu.Lock(); defer s.mu.Unlock(); return float64(len(s.cache)) })
@@ -236,7 +236,9 @@ func (s *Server) Close() {
 // identical spec (same SpecHash) that already completed successfully is
 // served from the cache: the returned job is born done with the
 // recorded event stream and result, and no simulation runs. Submissions
-// past the queue bound are rejected with an error.
+// past the queue bound are rejected with an error. A spec is a value,
+// so every accepted spec is cacheable; the server writes no files, so
+// an in-process spec asking for a journey CSV is rejected.
 func (s *Server) Submit(e *run.Experiment) (*Job, error) {
 	if e == nil {
 		return nil, fmt.Errorf("serve: nil experiment")
@@ -244,23 +246,24 @@ func (s *Server) Submit(e *run.Experiment) (*Job, error) {
 	if err := e.Validate(); err != nil {
 		return nil, err
 	}
+	if e.Simulate != nil && e.Simulate.TraceOut != "" {
+		return nil, fmt.Errorf("serve: simulate.TraceOut names a file, and the server writes no files; record the journey CSV locally")
+	}
 	spec := e.Clone()
 	spec.Normalize()
 	hash, err := SpecHash(spec)
 	if err != nil {
 		return nil, err
 	}
-	if Cacheable(spec) {
-		s.mu.Lock()
-		entry := s.cache[hash]
-		s.mu.Unlock()
-		if entry != nil {
-			s.jobsSubmitted.Inc()
-			s.cacheHits.Inc()
-			return s.store.add(spec, hash, nil, func() {}, entry), nil
-		}
-		s.cacheMisses.Inc()
+	s.mu.Lock()
+	entry := s.cache[hash]
+	s.mu.Unlock()
+	if entry != nil {
+		s.jobsSubmitted.Inc()
+		s.cacheHits.Inc()
+		return s.store.add(spec, hash, nil, func() {}, entry), nil
 	}
+	s.cacheMisses.Inc()
 	ctx, cancel := context.WithCancel(s.ctx)
 	job := s.store.add(spec, hash, ctx, cancel, nil)
 	select {
@@ -358,7 +361,7 @@ func execute(ctx context.Context, spec *run.Experiment, opts run.Options) (out *
 // hash, evicting the oldest entry past the cache bound. The run has
 // returned, so the job's event stream is complete.
 func (s *Server) remember(job *Job, result []byte) {
-	if s.cfg.CacheSize < 0 || !Cacheable(job.spec) {
+	if s.cfg.CacheSize < 0 {
 		return
 	}
 	events, _ := job.EventsFrom(0)

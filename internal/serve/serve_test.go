@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strings"
@@ -379,25 +381,66 @@ func TestFailedJobSurfacesError(t *testing.T) {
 	}
 }
 
-// TestUncacheableSpecRunsEveryTime: a spec with server-side file output
-// bypasses the cache.
-func TestUncacheableSpecRunsEveryTime(t *testing.T) {
-	srv, client, shutdown := newTestServer(t, serve.Config{Parallelism: 1, MaxJobs: 1})
-	defer shutdown()
-	ctx := context.Background()
-	spec := smallSimulate()
-	spec.Simulate.TraceOut = t.TempDir() + "/trace.csv"
-	for i := 0; i < 2; i++ {
-		info, err := client.Execute(ctx, spec, nil, nil)
+// TestSubmitRejectsPathFields: a spec is a value, so a POST /jobs body
+// that names a file, to read (config_path, trace_file, space_path) or
+// to write (trace_out, emit_configs), fails the spec's unknown-field
+// check with a 400. No job is created, nothing runs, and no file
+// appears.
+func TestSubmitRejectsPathFields(t *testing.T) {
+	srv := serve.New(serve.Config{Parallelism: 1, MaxJobs: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	dir := t.TempDir()
+	config := filepath.Join(dir, "system.json")
+	if err := os.WriteFile(config, []byte(`{"clusters":[{"nodes":4,"lambda_per_s":100,"icn1":{"name":"GE"},"ecn1":{"name":"FE"}}],"icn2":{"name":"FE"},"arch":"non-blocking","switch_ports":24,"switch_latency_us":10,"message_bytes":1024}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	traceOut := filepath.Join(dir, "journeys.csv")
+	emitDir := filepath.Join(dir, "winners")
+	for _, body := range []string{
+		`{"kind":"analyze","system":{"config_path":"` + config + `"}}`,
+		`{"kind":"netsim","net":{"config_path":"` + config + `"}}`,
+		`{"kind":"simulate","workload":{"arrival":"trace","trace_file":"` + config + `"}}`,
+		`{"kind":"plan","plan":{"space_path":"` + config + `"}}`,
+		`{"kind":"simulate","simulate":{"trace_out":"` + traceOut + `"}}`,
+		`{"kind":"plan","plan":{"top":0,"emit_configs":"` + emitDir + `"}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
-			t.Fatalf("submission %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if info.Cached {
-			t.Fatalf("submission %d of an uncacheable spec reported cached", i)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("%s: POST /jobs answered %d %s, want 400 naming the unknown field", body, resp.StatusCode, msg)
 		}
 	}
-	if n := srv.Runs(); n != 2 {
-		t.Fatalf("server executed %d runs, want 2", n)
+	if jobs := srv.Store().List(); len(jobs) != 0 || srv.Runs() != 0 {
+		t.Fatalf("path-carrying specs became %d jobs and %d runs", len(jobs), srv.Runs())
+	}
+	for _, path := range []string{traceOut, emitDir} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a rejected submission (stat: %v)", path, err)
+		}
+	}
+}
+
+// TestSubmitRejectsTraceOut: an in-process spec can still set the
+// simulate section's TraceOut, which is not part of the wire spec, but
+// the server writes no files, so Submit refuses it.
+func TestSubmitRejectsTraceOut(t *testing.T) {
+	srv := serve.New(serve.Config{Parallelism: 1, MaxJobs: 1})
+	defer srv.Close()
+	spec := smallSimulate()
+	spec.Simulate.TraceOut = filepath.Join(t.TempDir(), "journeys.csv")
+	if _, err := srv.Submit(spec); err == nil || !strings.Contains(err.Error(), "writes no files") {
+		t.Fatalf("Submit of a spec with TraceOut: %v, want a refusal", err)
+	}
+	if _, err := os.Stat(spec.Simulate.TraceOut); !os.IsNotExist(err) {
+		t.Fatalf("journey CSV exists after a refused submission (stat: %v)", err)
 	}
 }
 
