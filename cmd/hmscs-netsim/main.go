@@ -4,7 +4,7 @@
 // analytic M/M/1 model ← system simulator ← switch-level simulator.
 // The simulator runs on the typed allocation-free event core shared with
 // internal/sim (see DESIGN.md §3) and draws its traffic from the same
-// workload generator (arrival × pattern × size, DESIGN.md §6), so every
+// workload generator (arrival × pattern, DESIGN.md §6), so every
 // arrival process and destination pattern of hmscs-sim also runs here.
 //
 // It is a thin shell over the unified experiment API (internal/run): the

@@ -262,6 +262,62 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestInProcessSubmitRunsMarshalledSpec: an in-process submission of a
+// Go-built configuration whose switch latency changes on one JSON round
+// trip (and with it one centre's service time) runs the marshalled spec its cache key and its workers see, so
+// its report and stream are byte-identical at 0 and 1 workers and equal
+// a local run of the parsed spec.
+func TestInProcessSubmitRunsMarshalledSpec(t *testing.T) {
+	e := run.NewExperiment(run.KindSimulate)
+	e.System.Config = &core.Config{
+		Clusters: []core.Cluster{
+			{Nodes: 12, Lambda: 180, ICN1: network.GigabitEthernet, ECN1: network.GigabitEthernet},
+			{Nodes: 3, Lambda: 320, ICN1: network.GigabitEthernet, ECN1: network.GigabitEthernet},
+		},
+		ICN2: network.GigabitEthernet, Arch: network.NonBlocking,
+		Switch: network.Switch{Ports: 4, Latency: 1.6729663442585624e-05}, MessageBytes: 1024,
+	}
+	e.Run.Messages = 300
+	e.Run.Reps = 2
+	data, err := e.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := run.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantReport, wantEvents := localRun(t, parsed)
+	if _, events := localRun(t, e); events == wantEvents {
+		t.Fatal("the in-memory and the parsed spec run alike; the test needs a system whose outcome the round trip moves")
+	}
+	for _, workers := range []int{0, 1} {
+		c := startCluster(t, workers, 0)
+		job, err := c.srv.Submit(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(time.Minute)
+		for !job.Status().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: job did not finish", workers)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		report, ok := job.Result()
+		if !ok {
+			t.Fatalf("workers=%d: job ended %s: %s", workers, job.Status(), job.Info().Error)
+		}
+		lines, _ := job.EventsFrom(0)
+		if string(report) != wantReport {
+			t.Errorf("workers=%d: report differs from a local run of the parsed spec:\n%s\nwant\n%s", workers, report, wantReport)
+		}
+		if events := normTS(string(bytes.Join(lines, nil))); events != wantEvents {
+			t.Errorf("workers=%d: event stream differs from a local run of the parsed spec:\n%s\nwant\n%s", workers, events, wantEvents)
+		}
+	}
+}
+
 // blackholeComplete swallows result deliveries: the worker runs units
 // and holds its leases but its completions never arrive — the in-process
 // stand-in for a worker whose process is SIGKILLed mid-delivery.

@@ -17,10 +17,10 @@
 // message is a pooled record whose route is walked by a per-hop state
 // machine, so the steady-state event loop does not allocate. Traffic comes
 // from the same workload.Generator the system simulator consumes — arrival
-// process (Poisson, MMPP bursty, heavy-tailed, trace replay), destination
-// pattern (uniform, local, hotspot) and message-size distribution —
-// with switches acting as the pattern's "clusters", so every scenario of
-// the system simulator also runs at switch level.
+// process (Poisson, MMPP bursty, heavy-tailed, trace replay) and
+// destination pattern (uniform, local, hotspot) — with switches acting as
+// the pattern's "clusters", so every scenario of the system simulator also
+// runs at switch level.
 package netsim
 
 import (
@@ -87,7 +87,6 @@ type link struct {
 type nmsg struct {
 	born float64
 	path []int32
-	svc  float64 // per-link mean transmission time for this message's size
 	pos  int32
 	src  int32
 	dst  int32
@@ -131,7 +130,7 @@ type Network struct {
 	streams      []*rng.Stream
 	gen          workload.Generator
 	sources      []workload.Source
-	beta         float64 // seconds per byte on every link
+	svc          float64 // mean transmission time of one message on every link
 	completed    int
 	generated    int64
 	measureStart float64
@@ -384,13 +383,13 @@ type Options struct {
 	// Lambda is the per-endpoint generation rate (msg/s) while idle;
 	// sources block until delivery (the paper's closed-loop assumption).
 	Lambda float64
-	// MsgBytes is the fixed message length (the default Workload.Size).
+	// MsgBytes is every message's length: each link serves a message in
+	// MsgBytes × β on average.
 	MsgBytes int
-	// Workload selects the traffic's arrival process, destination pattern
-	// and size distribution — the same workload.Generator the system
-	// simulator consumes. The zero value is the paper's workload: Poisson
-	// arrivals at Lambda, uniform destinations, fixed MsgBytes messages
-	// (bit-identical to the pre-unification private source).
+	// Workload selects the traffic's arrival process and destination
+	// pattern — the same workload.Generator the system simulator
+	// consumes. The zero value is the paper's workload: Poisson arrivals
+	// at Lambda and uniform destinations.
 	Workload workload.Generator
 	// Warmup and Measured follow the system simulator's semantics.
 	Warmup   int
@@ -471,7 +470,7 @@ func (n *Network) Handle(kind sim.EventKind, idx int32) {
 			n.eng.Schedule(fixed, nvDeliver, mi)
 			return
 		}
-		n.links[m.path[m.pos]].center.Submit(m.svc, mi)
+		n.links[m.path[m.pos]].center.Submit(n.svc, mi)
 	case nvDeliver:
 		m := &n.msgs[idx]
 		src, born, hops := int(m.src), m.born, int(m.hops)
@@ -488,9 +487,8 @@ func (n *Network) Handle(kind sim.EventKind, idx int32) {
 }
 
 // generate creates one message at endpoint p, routes it, and submits its
-// first link. Destination and size come from the shared workload generator;
-// with the default uniform pattern and fixed size the stream draws are
-// identical to the pre-unification hardcoded source.
+// first link. Its destination comes from the shared workload generator's
+// pattern.
 func (n *Network) generate(p int) {
 	if n.scn != nil && !n.life.Fire(p, true) {
 		return // voided by an endpoint failure
@@ -498,18 +496,16 @@ func (n *Network) generate(p int) {
 	n.generated++
 	st := n.streams[p]
 	dst := n.gen.Pattern.Dest(st, n, p)
-	size := n.gen.Size.Sample(st)
 	mi := n.allocMsg()
 	m := &n.msgs[mi]
 	var switches int
 	m.path, switches = n.appendRoute(m.path[:0], st, p, dst, n.eng.Now())
 	m.born = n.eng.Now()
-	m.svc = float64(size) * n.beta
 	m.pos = 0
 	m.src = int32(p)
 	m.dst = int32(dst)
 	m.hops = int32(switches)
-	n.links[m.path[0]].center.Submit(m.svc, mi)
+	n.links[m.path[0]].center.Submit(n.svc, mi)
 }
 
 // scheduleGeneration arms endpoint p's next message after the think time
@@ -696,9 +692,9 @@ func (n *Network) Run(opts Options) (*Result, error) {
 		n.streams[i] = master.Split()
 		rates[i] = opts.Lambda
 	}
-	n.gen = opts.Workload.Normalized(workload.FixedSize{Bytes: opts.MsgBytes})
+	n.gen = opts.Workload.Normalized()
 	n.sources = n.gen.Sources(nil, rates)
-	n.beta = n.Tech.Beta()
+	n.svc = float64(opts.MsgBytes) * n.Tech.Beta()
 	// Closed-loop: at most one in-flight message per endpoint.
 	n.msgs = make([]nmsg, 0, n.N)
 	n.free = make([]int32, 0, n.N)

@@ -322,7 +322,6 @@ func TestWorkloadZeroValueBitIdentical(t *testing.T) {
 	b := runWith(workload.Generator{
 		Arrival: workload.Poisson{},
 		Pattern: workload.Uniform{},
-		Size:    workload.FixedSize{Bytes: 256},
 	})
 	if a.Latency.Mean() != b.Latency.Mean() || a.Latency.Count() != b.Latency.Count() ||
 		a.Throughput != b.Throughput || a.SwitchHops.Mean() != b.SwitchHops.Mean() {

@@ -205,7 +205,9 @@ func (s *SystemSpec) Build() (*core.Config, error) {
 			return nil, err
 		}
 	}
-	sw := network.Switch{Ports: s.Ports, Latency: s.SwLatUS * 1e-6}
+	// µs are divided by 1e6, as a configuration file's are
+	// (core.TechFromJSON): multiplying by 1e-6 is an ulp off.
+	sw := network.Switch{Ports: s.Ports, Latency: s.SwLatUS / 1e6}
 	return core.NewSuperCluster(s.Clusters, n0, s.Lambda, icn1, ecn, arch, sw, s.MsgBytes)
 }
 
@@ -332,17 +334,19 @@ func (n *NetSpec) resolveConfig() (*network.Technology, error) {
 func (e *Experiment) buildNet() (*NetExperiment, error) {
 	n := e.Net
 	var technology network.Technology
+	var sw network.Switch
 	if n.Config != nil {
 		resolved, err := n.resolveConfig()
 		if err != nil {
 			return nil, err
 		}
-		technology = *resolved
+		technology, sw = *resolved, n.Config.Switch
 	} else {
 		var err error
 		if technology, err = network.TechnologyByName(n.Tech); err != nil {
 			return nil, err
 		}
+		sw = network.Switch{Ports: n.Ports, Latency: n.SwLatUS / 1e6}
 	}
 	dist, err := ParseService(e.Workload.Service)
 	if err != nil {
@@ -356,7 +360,6 @@ func (e *Experiment) buildNet() (*NetExperiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := network.Switch{Ports: n.Ports, Latency: n.SwLatUS * 1e-6}
 	topo := n.Topo
 	nEnd, ports := n.N, n.Ports
 	return &NetExperiment{

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -284,6 +285,72 @@ func TestNetConfigResolution(t *testing.T) {
 		}
 		if exp.Topo != "fat-tree" {
 			t.Errorf("%s[%d]: topo %s, want fat-tree for non-blocking", tc.net, tc.cluster, exp.Topo)
+		}
+	}
+}
+
+// TestSimulateSpecBuildsPaperSwitch: a normalized simulate spec's system
+// carries network.PaperSwitch bit for bit, as a configuration file naming
+// the paper's 10 µs switch does.
+func TestSimulateSpecBuildsPaperSwitch(t *testing.T) {
+	cfg, err := NewExperiment(KindSimulate).System.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Switch.Ports != network.PaperSwitch.Ports ||
+		math.Float64bits(cfg.Switch.Latency) != math.Float64bits(network.PaperSwitch.Latency) {
+		t.Fatalf("switch %+v, want %+v", cfg.Switch, network.PaperSwitch)
+	}
+}
+
+// TestFlagSystemRoundTripsThroughConfigFile: a system built from the flag
+// fields and the same system saved as a configuration file and read back
+// are the same value, so -config on a saved system reruns it exactly.
+func TestFlagSystemRoundTripsThroughConfigFile(t *testing.T) {
+	for _, set := range []func(*SystemSpec){
+		func(*SystemSpec) {},
+		func(s *SystemSpec) { s.SwLatUS, s.Case, s.Clusters, s.MsgBytes = 7.3, 2, 8, 1500 },
+		func(s *SystemSpec) { s.SwLatUS, s.ICN1, s.ECN, s.Arch = 0.1, "Myrinet", "GE", "blocking" },
+	} {
+		e := NewExperiment(KindSimulate)
+		set(e.System)
+		cfg, err := e.System.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "system.json")
+		if err := core.SaveConfig(cfg, path); err != nil {
+			t.Fatal(err)
+		}
+		back, err := core.LoadConfig(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg, back) {
+			t.Errorf("system %+v: built %v (switch %v s), read back %v (switch %v s)",
+				*e.System, cfg, cfg.Switch.Latency, back, back.Switch.Latency)
+		}
+	}
+}
+
+// TestNetConfigKeepsSwitch: a netsim spec carrying a configuration
+// simulates that configuration's switch, not one rebuilt from its µs.
+func TestNetConfigKeepsSwitch(t *testing.T) {
+	cfg := heterogeneousConfig()
+	cfg.Switch = network.Switch{Ports: 16, Latency: 1.6729663442585624e-05}
+	e := NewExperiment(KindNetsim)
+	e.Net.Config = cfg
+	exp, err := e.buildNet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := exp.Build(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sw := range []network.Switch{exp.Switch, net.Sw} {
+		if sw.Ports != cfg.Switch.Ports || math.Float64bits(sw.Latency) != math.Float64bits(cfg.Switch.Latency) {
+			t.Fatalf("switch %+v, want the configuration's %+v", sw, cfg.Switch)
 		}
 	}
 }

@@ -236,9 +236,11 @@ func (s *Server) Close() {
 // identical spec (same SpecHash) that already completed successfully is
 // served from the cache: the returned job is born done with the
 // recorded event stream and result, and no simulation runs. Submissions
-// past the queue bound are rejected with an error. A spec is a value,
-// so every accepted spec is cacheable; the server writes no files, so
-// an in-process spec asking for a journey CSV is rejected.
+// past the queue bound are rejected with an error. A miss runs the spec
+// as it reads back from its marshalled form, the form its cache key and
+// the fleet's workers see. A spec is a value, so every accepted spec is
+// cacheable; the server writes no files, so an in-process spec asking
+// for a journey CSV is rejected.
 func (s *Server) Submit(e *run.Experiment) (*Job, error) {
 	if e == nil {
 		return nil, fmt.Errorf("serve: nil experiment")
@@ -262,6 +264,17 @@ func (s *Server) Submit(e *run.Experiment) (*Job, error) {
 		s.jobsSubmitted.Inc()
 		s.cacheHits.Inc()
 		return s.store.add(spec, hash, nil, func() {}, entry), nil
+	}
+	// The cache key and the fleet see the spec's marshalled form, so run
+	// that form too: a Go-built float that JSON does not carry exactly
+	// would otherwise run locally one ulp away from the value it is
+	// cached and fanned out under.
+	data, err := spec.Marshal()
+	if err != nil {
+		return nil, err
+	}
+	if spec, err = run.Parse(data); err != nil {
+		return nil, err
 	}
 	s.cacheMisses.Inc()
 	ctx, cancel := context.WithCancel(s.ctx)

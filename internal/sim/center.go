@@ -67,8 +67,8 @@ func (r *jobRing) clear() { r.head, r.n = 0, 0 }
 
 // Center is a FIFO single-server service centre modelling one
 // communication network. Service times are drawn from the configured
-// distribution family scaled to each job's mean (so variable message sizes
-// and non-exponential ablations are both supported).
+// distribution family scaled to each job's mean (so non-exponential
+// ablations are supported).
 //
 // A centre does not call back into its owner: when a service completes the
 // engine dispatches (doneKind, id) to the owner's Handler, which calls

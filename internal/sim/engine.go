@@ -3,10 +3,10 @@
 // processors generate exponentially spaced requests to random destinations,
 // every communication network is a FIFO single server, and message latency
 // is stamped at a sink. Beyond the paper it supports open-loop sources,
-// non-exponential service, the full workload.Generator axes — arrival
-// processes (Poisson, periodic, MMPP bursty, heavy-tailed, trace replay),
-// traffic patterns and message-size distributions — warm-up control, and
-// multi-replication runs with confidence intervals.
+// non-exponential service, the workload.Generator axes — arrival
+// processes (Poisson, periodic, MMPP bursty, heavy-tailed, trace replay)
+// and traffic patterns — warm-up control, and multi-replication runs with
+// confidence intervals.
 //
 // The execution core is allocation-free: events are plain typed records
 // (kind + payload index) kept in value slices, and the engine dispatches

@@ -86,9 +86,10 @@ type poolCase struct {
 
 // poolSequence is a run sequence that changes every axis a reused
 // simulator keeps storage for: cluster count (256 down to 1), processor
-// count, scenario state (the first timeline ends with a centre and nodes down), open-loop message growth, variable sizes, sample
-// recording, arrival processes with and without per-source state, the
-// service family and the trace recorder.
+// count, scenario state (the first timeline ends with a centre and nodes
+// down), open-loop message growth, sample recording, arrival processes
+// with and without per-source state, the service family and the trace
+// recorder.
 func poolSequence(t *testing.T) []poolCase {
 	t.Helper()
 	paper := func(c int, arch network.Architecture) *core.Config {
@@ -139,12 +140,6 @@ func poolSequence(t *testing.T) []poolCase {
 		{"paper C=256", paper(256, network.NonBlocking), quickOpts(1, 2000)},
 		{"scenario drop+reroute", wide, dynOpts(23, cs)},
 		{"open loop", smallCfg(t, 200, network.NonBlocking), with(2, 1500, func(o *Options) { o.OpenLoop = true })},
-		{"bimodal", smallCfg(t, 300, network.Blocking), with(3, 1500, func(o *Options) {
-			o.SizeDist = workload.Bimodal{Small: 64, Large: 4096, SmallProb: 0.8}
-		})},
-		{"uniform size", paper(16, network.NonBlocking), with(4, 1500, func(o *Options) {
-			o.SizeDist = workload.UniformSize{Lo: 64, Hi: 8192}
-		})},
 		{"record sample", paper(32, network.Blocking), with(5, 1500, func(o *Options) { o.RecordSample = true })},
 		{"mmpp", smallCfg(t, 150, network.NonBlocking), with(6, 1000, func(o *Options) { o.Arrival = mmpp })},
 		{"pareto M/D", wideCfg(t, 100, network.Blocking), with(7, 1000, func(o *Options) {
@@ -197,10 +192,19 @@ func TestPooledRunMatchesFresh(t *testing.T) {
 		requireSameBits(t, cases[i/2].name+" after later runs", copies[i], kept[i])
 	}
 	// The sequence must exercise what it claims to.
-	if r := kept[2]; r.Dropped == 0 || r.Rerouted == 0 {
+	pooled := func(name string) *Result {
+		for i, tc := range cases {
+			if tc.name == name {
+				return kept[2*i]
+			}
+		}
+		t.Fatalf("no pool case %q", name)
+		return nil
+	}
+	if r := pooled("scenario drop+reroute"); r.Dropped == 0 || r.Rerouted == 0 {
 		t.Fatalf("scenario run dropped %d and rerouted %d messages; want both", r.Dropped, r.Rerouted)
 	}
-	if r := kept[18]; !r.TimedOut {
+	if r := pooled("timed out"); !r.TimedOut {
 		t.Fatal("the timed-out run finished")
 	}
 }

@@ -34,14 +34,12 @@ type Options struct {
 	// completions (ablation of the paper's assumption 4).
 	OpenLoop bool
 	// Arrival selects the arrival process (ablation of the paper's Poisson
-	// assumption 2); default is workload.Poisson, which is bit-identical to
-	// the pre-subsystem hardcoded behaviour. Together with Pattern and
-	// SizeDist it forms the workload.Generator the simulator consumes.
+	// assumption 2); default is workload.Poisson. Together with Pattern it
+	// forms the workload.Generator the simulator consumes. Every message
+	// is the configuration's MessageBytes long (assumption 6).
 	Arrival workload.Arrival
 	// Pattern picks destinations; default is the paper's uniform pattern.
 	Pattern workload.Pattern
-	// SizeDist draws per-message sizes; default is the config's fixed M.
-	SizeDist workload.SizeDist
 	// RecordSample keeps the raw measured latencies for output analysis
 	// (MSER truncation, batch-means confidence intervals).
 	RecordSample bool
@@ -159,23 +157,6 @@ func (l *layout) NumClusters() int              { return len(l.prefix) - 1 }
 func (l *layout) ClusterOf(node int) int        { return int(l.cluster[node]) }
 func (l *layout) ClusterRange(c int) (int, int) { return l.prefix[c], l.prefix[c+1] }
 
-// serviceModel is one centre's network model with the last (size, mean)
-// pair it priced, so the fixed-size fast path costs one comparison per
-// hop. A miss recomputes the mean from the model: MeanServiceTime is a
-// few pure arithmetic operations, so the bits match any cache's.
-type serviceModel struct {
-	model    network.Model
-	lastSize int
-	lastMean float64
-}
-
-func (s *serviceModel) mean(size int) float64 {
-	if size != s.lastSize {
-		s.lastSize, s.lastMean = size, s.model.MeanServiceTime(size)
-	}
-	return s.lastMean
-}
-
 // resize returns s at length n, reusing its storage when it is large
 // enough. Elements up to the old capacity keep their values (a centre
 // keeps its queue buffer); callers reinitialise every element they use.
@@ -248,7 +229,6 @@ type message struct {
 	dst   int32
 	srcCl int32
 	dstCl int32
-	size  int32
 	hop   int8 // completed hops on the remote path
 	// viaRemote marks a local message detouring over the remote path
 	// (ECN1 → ICN2 → ECN1) because its cluster's ICN1 failed with the
@@ -275,13 +255,16 @@ type Simulator struct {
 	ecn1    []Center
 	icn2    *Center
 
-	// svc holds each centre's service model, indexed like centers.
-	svc     []serviceModel
-	svcICN1 []serviceModel
-	svcECN1 []serviceModel
-	svcICN2 *serviceModel
+	// svc holds each centre's mean service time for the configuration's
+	// message size, indexed like centers: every message costs its centre
+	// the same mean, so reset prices each centre once per replication.
+	// svcICN1, svcECN1 and svcICN2 are views.
+	svc     []float64
+	svcICN1 []float64
+	svcECN1 []float64
+	svcICN2 *float64
 
-	// gen is the normalized workload (arrival × pattern × size); sources
+	// gen is the normalized workload (arrival × pattern); sources
 	// holds per-processor arrival state instantiated from it at rates.
 	gen     workload.Generator
 	sources []workload.Source
@@ -354,24 +337,24 @@ func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	nc := 2*c + 1
 	s.svc = resize(s.svc, nc)
 	s.svcICN1, s.svcECN1, s.svcICN2 = s.svc[:c], s.svc[c:2*c], &s.svc[2*c]
-	// cfg is validated, so the models build; the walk shares one pair of
-	// model values per run of identical clusters.
+	// cfg is validated, so the models build; each run of identical
+	// clusters is priced once.
+	m := cfg.MessageBytes
 	icn2, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
+		mI1, mE1 := icn1.MeanServiceTime(m), ecn1.MeanServiceTime(m)
 		for j := i; j < i+n; j++ {
-			s.svcICN1[j] = serviceModel{model: icn1, lastSize: -1}
-			s.svcECN1[j] = serviceModel{model: ecn1, lastSize: -1}
+			s.svcICN1[j], s.svcECN1[j] = mI1, mE1
 		}
 	})
 	if err != nil {
 		return err
 	}
-	*s.svcICN2 = serviceModel{model: icn2, lastSize: -1}
+	*s.svcICN2 = icn2.MeanServiceTime(m)
 
 	s.cfg, s.opts = cfg, opts
 	s.res, s.measureStart, s.completed, s.ran = Result{}, 0, 0, false
 	s.lay.reset(cfg)
-	s.gen = workload.Generator{Arrival: opts.Arrival, Pattern: opts.Pattern, Size: opts.SizeDist}.
-		Normalized(workload.FixedSize{Bytes: cfg.MessageBytes})
+	s.gen = workload.Generator{Arrival: opts.Arrival, Pattern: opts.Pattern}.Normalized()
 	s.eng.reset()
 	s.eng.SetHandler(s)
 
@@ -569,7 +552,6 @@ func (s *Simulator) generate(p int) {
 	s.res.Generated++
 	st := &s.procStreams[p]
 	dest := s.gen.Pattern.Dest(st, &s.lay, p)
-	size := s.gen.Size.Sample(st)
 
 	mi := s.allocMsg()
 	m := &s.msgs[mi]
@@ -580,7 +562,6 @@ func (s *Simulator) generate(p int) {
 		dst:   int32(dest),
 		srcCl: int32(s.lay.ClusterOf(p)),
 		dstCl: int32(s.lay.ClusterOf(dest)),
-		size:  int32(size),
 	}
 	if s.opts.Trace != nil {
 		s.opts.Trace.Record(m.id, m.born, trace.Generated, fmt.Sprintf("proc:%d", p))
@@ -598,15 +579,15 @@ func (s *Simulator) generate(p int) {
 			// local traffic detours over the remote path too.
 			m.viaRemote = true
 			s.res.Rerouted++
-			s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl].mean(size), mi)
+			s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl], mi)
 			return
 		}
 		// Local message: one pass through the source cluster's ICN1.
-		s.icn1[m.srcCl].Submit(s.svcICN1[m.srcCl].mean(size), mi)
+		s.icn1[m.srcCl].Submit(s.svcICN1[m.srcCl], mi)
 		return
 	}
 	// Remote: ECN1(src) -> ICN2 -> ECN1(dst), per Figure 2.
-	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl].mean(size), mi)
+	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl], mi)
 }
 
 // advance is the per-message hop state machine: centre c has finished
@@ -623,9 +604,9 @@ func (s *Simulator) advance(c *Center, mi int32) {
 	m.hop++
 	switch m.hop {
 	case 1:
-		s.icn2.Submit(s.svcICN2.mean(int(m.size)), mi)
+		s.icn2.Submit(*s.svcICN2, mi)
 	case 2:
-		s.ecn1[m.dstCl].Submit(s.svcECN1[m.dstCl].mean(int(m.size)), mi)
+		s.ecn1[m.dstCl].Submit(s.svcECN1[m.dstCl], mi)
 	default:
 		s.complete(mi)
 	}
@@ -735,7 +716,7 @@ func (s *Simulator) rerouteMsg(mi int32) {
 	m.viaRemote = true
 	m.hop = 0
 	s.res.Rerouted++
-	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl].mean(int(m.size)), mi)
+	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl], mi)
 }
 
 // simPool holds idle simulators between replications. A replication

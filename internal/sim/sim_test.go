@@ -327,16 +327,44 @@ func TestSimDeterministicServiceReducesLatency(t *testing.T) {
 	}
 }
 
-func TestSimVariableMessageSizes(t *testing.T) {
-	cfg := smallCfg(t, 10, network.NonBlocking)
-	opts := quickOpts(15, 2000)
-	opts.SizeDist = workload.Bimodal{Small: 64, Large: 4096, SmallProb: 0.9}
-	res, err := Run(cfg, opts)
+// TestResetPricesEveryCentre pins the per-centre indexing of the prices
+// reset computes once per run of identical clusters: on a configuration
+// whose identical clusters form several runs (A, A, B, A), every centre's
+// mean service time equals core's per-centre ServiceTimes bit for bit, also
+// on a simulator that last ran a different configuration and size.
+func TestResetPricesEveryCentre(t *testing.T) {
+	cfg := smallCfg(t, 100, network.Blocking)
+	cfg.MessageBytes = 1500
+	cfg.Clusters[2].Nodes = 16
+	cfg.Clusters[2].ICN1 = network.FastEthernet
+	if cfg.Runs() != 3 {
+		t.Fatalf("configuration has %d cluster runs, want 3", cfg.Runs())
+	}
+	ct, err := cfg.BuildCenters()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MeanLatency() <= 0 {
-		t.Fatal("no latency measured")
+	icn1, ecn1, icn2 := ct.ServiceTimes(cfg.MessageBytes)
+	want := append(append(icn1, ecn1...), icn2)
+
+	s := new(Simulator)
+	if err := s.reset(wideCfg(t, 100, network.NonBlocking), quickOpts(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	s.release()
+	if err := s.reset(cfg, quickOpts(1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.svc) != len(s.centers) || len(want) != len(s.centers) {
+		t.Fatalf("%d prices for %d centres, want %d", len(s.svc), len(s.centers), len(want))
+	}
+	for i, w := range want {
+		if math.Float64bits(s.svc[i]) != math.Float64bits(w) {
+			t.Errorf("%s priced %v, want %v", s.centers[i].Name, s.svc[i], w)
+		}
+	}
+	if *s.svcICN2 != icn2 || &s.svcICN1[2] != &s.svc[2] || &s.svcECN1[2] != &s.svc[len(icn1)+2] {
+		t.Fatal("price views do not index like the centres")
 	}
 }
 

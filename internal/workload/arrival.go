@@ -433,32 +433,25 @@ func ReadTrace(r io.Reader) ([]float64, error) {
 	return ts, nil
 }
 
-// Generator bundles the three workload axes — arrival process × destination
-// pattern × message size — into the one traffic description both simulators
+// Generator bundles the two workload axes — arrival process × destination
+// pattern — into the one traffic description both simulators
 // (internal/sim and internal/netsim) consume. The zero value means "the
-// paper's workload": Poisson arrivals, uniform destinations, and whatever
-// fixed size the caller's configuration carries.
+// paper's workload": Poisson arrivals and uniform destinations.
 type Generator struct {
 	// Arrival draws interarrival gaps; nil means Poisson (assumption 2).
 	Arrival Arrival
 	// Pattern picks destinations; nil means Uniform (assumption 3).
 	Pattern Pattern
-	// Size draws message sizes; nil means the defaultSize passed to
-	// Normalized (assumption 6's fixed M).
-	Size SizeDist
 }
 
 // Normalized returns the generator with nil axes replaced by the paper's
-// defaults (defaultSize stands in for the configuration's fixed M).
-func (g Generator) Normalized(defaultSize SizeDist) Generator {
+// defaults.
+func (g Generator) Normalized() Generator {
 	if g.Arrival == nil {
 		g.Arrival = Poisson{}
 	}
 	if g.Pattern == nil {
 		g.Pattern = Uniform{}
-	}
-	if g.Size == nil {
-		g.Size = defaultSize
 	}
 	return g
 }

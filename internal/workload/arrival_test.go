@@ -247,19 +247,16 @@ func TestReadTrace(t *testing.T) {
 
 // TestGeneratorNormalized: the zero value must become the paper's workload.
 func TestGeneratorNormalized(t *testing.T) {
-	g := Generator{}.Normalized(FixedSize{Bytes: 1024})
+	g := Generator{}.Normalized()
 	if g.Arrival.Name() != "poisson" {
 		t.Errorf("default arrival = %s", g.Arrival.Name())
 	}
 	if g.Pattern.Name() != "uniform" {
 		t.Errorf("default pattern = %s", g.Pattern.Name())
 	}
-	if g.Size.Mean() != 1024 {
-		t.Errorf("default size mean = %v", g.Size.Mean())
-	}
 	// Set axes survive.
 	m, _ := NewMMPP(10, 0.1)
-	g2 := Generator{Arrival: m, Pattern: Hotspot{Node: 0, Fraction: 0.5}}.Normalized(FixedSize{Bytes: 64})
+	g2 := Generator{Arrival: m, Pattern: Hotspot{Node: 0, Fraction: 0.5}}.Normalized()
 	if g2.Arrival != Arrival(m) || g2.Pattern.Name() != "hotspot(node=0,p=0.50)" {
 		t.Error("Normalized overwrote set axes")
 	}
@@ -283,7 +280,7 @@ func TestSourcesShareStatelessValues(t *testing.T) {
 	m, _ := NewMMPP(10, 0.1)
 	rates := []float64{100, 100, 100, 250, 250, 100}
 	for _, a := range []Arrival{Poisson{}, Periodic{}, m, p, w} {
-		g := Generator{Arrival: a}.Normalized(FixedSize{Bytes: 64})
+		g := Generator{Arrival: a}.Normalized()
 		srcs := g.Sources(nil, rates)
 		a1, a2 := rng.NewStream(5), rng.NewStream(5)
 		for i, r := range rates {
@@ -295,7 +292,7 @@ func TestSourcesShareStatelessValues(t *testing.T) {
 			}
 		}
 	}
-	g := Generator{}.Normalized(FixedSize{Bytes: 64})
+	g := Generator{}.Normalized()
 	if n := testing.AllocsPerRun(10, func() { g.Sources(make([]Source, 0, 256), make([]float64, 256)) }); n > 3 {
 		t.Fatalf("256 equal-rate Poisson sources took %v allocations", n)
 	}

@@ -1,5 +1,5 @@
 // Package workload defines the traffic offered to a simulated system along
-// three independent axes, bundled by Generator and consumed by both the
+// two independent axes, bundled by Generator and consumed by both the
 // system simulator (internal/sim) and the switch-level simulator
 // (internal/netsim):
 //
@@ -7,8 +7,10 @@
 //     MMPP-2 bursty, Pareto/Weibull heavy-tailed renewal, and trace-replay
 //     extensions — all preserving the configured mean rate);
 //   - destination patterns (the paper's uniform assumption 3 plus locality
-//     and hotspot extensions);
-//   - message-size distributions (the paper's fixed M plus extensions).
+//     and hotspot extensions).
+//
+// Every message is the configuration's fixed M bytes long (assumption 6),
+// so message size is an engine parameter, not a workload axis.
 package workload
 
 import (
@@ -114,67 +116,3 @@ func (h Hotspot) Dest(st *rng.Stream, sys System, src int) int {
 	}
 	return Uniform{}.Dest(st, sys, src)
 }
-
-// SizeDist draws per-message payload sizes in bytes.
-type SizeDist interface {
-	// Name identifies the distribution in reports.
-	Name() string
-	// Sample draws one message size.
-	Sample(st *rng.Stream) int
-	// Mean returns the expected size.
-	Mean() float64
-}
-
-// FixedSize is the paper's assumption 6: every message is exactly Bytes long.
-type FixedSize struct{ Bytes int }
-
-// Name implements SizeDist.
-func (f FixedSize) Name() string { return fmt.Sprintf("fixed(%dB)", f.Bytes) }
-
-// Sample implements SizeDist.
-func (f FixedSize) Sample(*rng.Stream) int { return f.Bytes }
-
-// Mean implements SizeDist.
-func (f FixedSize) Mean() float64 { return float64(f.Bytes) }
-
-// Bimodal mixes small control messages and large payloads, the classic
-// cluster-traffic shape.
-type Bimodal struct {
-	Small, Large int
-	SmallProb    float64
-}
-
-// Name implements SizeDist.
-func (b Bimodal) Name() string {
-	return fmt.Sprintf("bimodal(%dB/%dB,p=%.2f)", b.Small, b.Large, b.SmallProb)
-}
-
-// Sample implements SizeDist.
-func (b Bimodal) Sample(st *rng.Stream) int {
-	if st.Float64() < b.SmallProb {
-		return b.Small
-	}
-	return b.Large
-}
-
-// Mean implements SizeDist.
-func (b Bimodal) Mean() float64 {
-	return b.SmallProb*float64(b.Small) + (1-b.SmallProb)*float64(b.Large)
-}
-
-// UniformSize draws sizes uniformly from [Lo, Hi].
-type UniformSize struct{ Lo, Hi int }
-
-// Name implements SizeDist.
-func (u UniformSize) Name() string { return fmt.Sprintf("uniform(%d..%dB)", u.Lo, u.Hi) }
-
-// Sample implements SizeDist.
-func (u UniformSize) Sample(st *rng.Stream) int {
-	if u.Hi <= u.Lo {
-		return u.Lo
-	}
-	return u.Lo + st.Intn(u.Hi-u.Lo+1)
-}
-
-// Mean implements SizeDist.
-func (u UniformSize) Mean() float64 { return (float64(u.Lo) + float64(u.Hi)) / 2 }

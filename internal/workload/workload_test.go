@@ -152,64 +152,10 @@ func TestHotspot(t *testing.T) {
 	}
 }
 
-func TestFixedSize(t *testing.T) {
-	f := FixedSize{Bytes: 1024}
-	st := rng.NewStream(8)
-	for i := 0; i < 10; i++ {
-		if f.Sample(st) != 1024 {
-			t.Fatal("fixed size varied")
-		}
-	}
-	if f.Mean() != 1024 {
-		t.Fatal("mean wrong")
-	}
-}
-
-func TestBimodal(t *testing.T) {
-	b := Bimodal{Small: 64, Large: 4096, SmallProb: 0.75}
-	st := rng.NewStream(9)
-	sum := 0.0
-	const draws = 200000
-	for i := 0; i < draws; i++ {
-		s := b.Sample(st)
-		if s != 64 && s != 4096 {
-			t.Fatalf("unexpected size %d", s)
-		}
-		sum += float64(s)
-	}
-	if math.Abs(sum/draws-b.Mean())/b.Mean() > 0.02 {
-		t.Fatalf("sample mean %v vs declared %v", sum/draws, b.Mean())
-	}
-}
-
-func TestUniformSize(t *testing.T) {
-	u := UniformSize{Lo: 100, Hi: 200}
-	st := rng.NewStream(10)
-	for i := 0; i < 10000; i++ {
-		s := u.Sample(st)
-		if s < 100 || s > 200 {
-			t.Fatalf("size %d out of range", s)
-		}
-	}
-	if u.Mean() != 150 {
-		t.Fatalf("mean = %v", u.Mean())
-	}
-	// Degenerate range.
-	d := UniformSize{Lo: 5, Hi: 5}
-	if d.Sample(st) != 5 {
-		t.Fatal("degenerate uniform size wrong")
-	}
-}
-
 func TestPatternNames(t *testing.T) {
 	for _, p := range []Pattern{Uniform{}, LocalBias{Locality: 0.5}, Hotspot{Node: 1, Fraction: 0.1}} {
 		if p.Name() == "" {
 			t.Errorf("%T has empty name", p)
-		}
-	}
-	for _, s := range []SizeDist{FixedSize{64}, Bimodal{64, 128, 0.5}, UniformSize{1, 2}} {
-		if s.Name() == "" {
-			t.Errorf("%T has empty name", s)
 		}
 	}
 }
