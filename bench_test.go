@@ -548,6 +548,27 @@ func BenchmarkNetsimFatTree(b *testing.B) {
 	}
 }
 
+// BenchmarkNetsimLinearArray measures the switch-level simulator on the
+// paper's blocking topology (§5.3): 96 endpoints on a chain of twelve
+// 8-port switches, loaded so the inter-switch links queue long, which
+// drives the link centres' rings harder than the fat-tree does.
+func BenchmarkNetsimLinearArray(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		net, err := netsim.BuildLinearArray(96, 8, network.FastEthernet,
+			network.Switch{Ports: 8, Latency: 10e-6}, uint64(i+1), rng.Deterministic{Value: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := net.Run(netsim.Options{
+			Lambda: 500, MsgBytes: 1024, Warmup: 200, Measured: 3000, Seed: uint64(i + 1),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(res.Latency.Mean()*1e3, "latency-ms")
+	}
+}
+
 // BenchmarkInstrumentedReplication measures one replication of a
 // 512-cluster system with and without a stats collector attached, so
 // bench-compare gates the instrumentation overhead (DESIGN.md §12):

@@ -15,7 +15,13 @@
 //
 // Like the system simulator, netsim runs on sim's typed event core: each
 // message is a pooled record whose route is walked by a per-hop state
-// machine, so the steady-state event loop does not allocate. Traffic comes
+// machine, so the steady-state event loop does not allocate. Each link is
+// a sim.Center in one value slab, priced at MsgBytes × β when a run
+// starts. The sources, their scenario lifecycles and the measurement
+// window are sim's shared traffic kernel (sim.Traffic), so warm-up, the
+// measured count, the stop, throughput and TimedOut mean the same in
+// both engines; netsim adds only the canonical commit order of
+// same-instant deliveries and their switch counts. Traffic comes
 // from the same workload.Generator the system simulator consumes — arrival
 // process (Poisson, MMPP bursty, heavy-tailed, trace replay) and
 // destination pattern (uniform, local, hotspot) — with switches acting as
@@ -72,15 +78,6 @@ const (
 	nvScenario
 )
 
-// link is one directed channel with its own FIFO queue.
-type link struct {
-	name   string
-	center *sim.Center
-	// interSwitch marks switch-to-switch channels (the bisection-relevant
-	// ones in the linear array).
-	interSwitch bool
-}
-
 // nmsg is one in-flight message in the pooled message table. The path
 // buffer is retained across pool recycling, so steady-state routing does
 // not allocate.
@@ -109,8 +106,13 @@ type Network struct {
 	Tech network.Technology
 	Sw   network.Switch
 
-	eng   *sim.Engine
-	links []*link
+	eng sim.Engine
+	// links is the slab of directed channels, each a FIFO centre indexed
+	// by link id, and linkStreams their random streams. The first 2N are
+	// the host links; the rest are switch-to-switch channels (the
+	// bisection-relevant ones in the linear array).
+	links       []sim.Center
+	linkStreams []rng.Stream
 
 	// Topology-specific routing state.
 	leafOf     []int // endpoint -> leaf/chain switch index
@@ -124,27 +126,23 @@ type Network struct {
 	chainRight []int32   // chain switch i -> i+1 link index (linear array)
 	chainLeft  []int32   // chain switch i+1 -> i link index
 
-	// Run state.
-	opts         Options
-	res          *Result
-	streams      []*rng.Stream
-	gen          workload.Generator
-	sources      []workload.Source
-	svc          float64 // mean transmission time of one message on every link
-	completed    int
-	generated    int64
-	measureStart float64
-	pend         []pendDelivery
-	msgs         []nmsg
-	free         []int32
+	// Run state: the endpoints' random streams, the workload whose
+	// pattern picks destinations, and the traffic kernel holding their
+	// sources, lifecycles and measurement window.
+	res       *Result
+	streams   []rng.Stream
+	gen       workload.Generator
+	traffic   sim.Traffic
+	generated int64
+	pend      []pendDelivery
+	msgs      []nmsg
+	free      []int32
 
-	// Dynamic-scenario state (unused in stationary runs): life holds each
-	// endpoint's source lifecycle, as in the system simulator. A failed
-	// switch (or spine) takes down the links its crossbar serves — its
-	// output ports — and new fat-tree routes avoid down spines
-	// automatically (pickSpine).
-	scn  *scenario.CompiledNet
-	life sim.Lifecycle
+	// scn is the compiled timeline of a scenario run (nil in stationary
+	// runs). A failed switch (or spine) takes down the links its crossbar
+	// serves — its output ports — and new fat-tree routes avoid down
+	// spines automatically (pickSpine).
+	scn *scenario.CompiledNet
 }
 
 // TotalNodes implements workload.System: the endpoint count.
@@ -181,14 +179,30 @@ func (n *Network) ClusterRange(c int) (int, int) {
 	return lo, hi
 }
 
-func (n *Network) addLink(name string, stream *rng.Stream, dist rng.Dist, interSwitch bool) int32 {
-	id := int32(len(n.links))
-	l := &link{
-		name:        name,
-		center:      sim.NewCenter(name, n.eng, dist, stream, nvLinkDone, id),
-		interSwitch: interSwitch,
+// newNetwork returns an n-endpoint network of the given kind with room
+// for links links, whose endpoints all sit on switch 0 until
+// BuildFatTree or BuildLinearArray places them.
+func newNetwork(kind Kind, n, pr int, tech network.Technology, sw network.Switch, links int) *Network {
+	net := &Network{
+		Kind: kind, N: n, Pr: pr, Tech: tech, Sw: sw,
+		links:       make([]sim.Center, 0, links),
+		linkStreams: make([]rng.Stream, 0, links),
+		leafOf:      make([]int, n),
+		hostUp:      make([]int32, n),
+		hostDown:    make([]int32, n),
 	}
-	n.links = append(n.links, l)
+	net.eng.SetHandler(net)
+	return net
+}
+
+// addLink appends a link served by dist, drawing from the next stream
+// split from master, and returns its id. newNetwork sized the slabs, so
+// they never move and each centre's stream pointer stays valid.
+func (n *Network) addLink(master *rng.Stream, dist rng.Dist) int32 {
+	id := int32(len(n.links))
+	n.links, n.linkStreams = n.links[:id+1], n.linkStreams[:id+1]
+	master.SplitInto(&n.linkStreams[id])
+	n.links[id].Init("", &n.eng, dist, &n.linkStreams[id], nvLinkDone, id)
 	return id
 }
 
@@ -201,23 +215,16 @@ func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch, seed ui
 	if err := validateBuild(n, pr, tech, sw); err != nil {
 		return nil, err
 	}
-	net := &Network{
-		Kind: FatTree, N: n, Pr: pr, Tech: tech, Sw: sw,
-		eng: sim.NewEngine(),
-	}
-	net.eng.SetHandler(net)
 	master := rng.NewStream(seed)
 	half := pr / 2
 	if n <= pr {
 		// Single switch: hosts hang off one crossbar.
+		net := newNetwork(FatTree, n, pr, tech, sw, 2*n)
 		net.numLeaves, net.numSpines = 1, 0
 		net.hostsPer = n
-		net.leafOf = make([]int, n)
-		net.hostUp = make([]int32, n)
-		net.hostDown = make([]int32, n)
 		for e := 0; e < n; e++ {
-			net.hostUp[e] = net.addLink(fmt.Sprintf("h%d->sw0", e), master.Split(), dist, false)
-			net.hostDown[e] = net.addLink(fmt.Sprintf("sw0->h%d", e), master.Split(), dist, false)
+			net.hostUp[e] = net.addLink(master, dist)
+			net.hostDown[e] = net.addLink(master, dist)
 		}
 		return net, nil
 	}
@@ -227,16 +234,13 @@ func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch, seed ui
 		return nil, fmt.Errorf("netsim: N=%d Pr=%d needs %d leaves > %d spine ports (depth > 2 not supported)",
 			n, pr, numLeaves, pr)
 	}
+	net := newNetwork(FatTree, n, pr, tech, sw, 2*n+2*numLeaves*numSpines)
 	net.numLeaves, net.numSpines = numLeaves, numSpines
 	net.hostsPer = half
-	net.leafOf = make([]int, n)
-	net.hostUp = make([]int32, n)
-	net.hostDown = make([]int32, n)
 	for e := 0; e < n; e++ {
-		leaf := e / half
-		net.leafOf[e] = leaf
-		net.hostUp[e] = net.addLink(fmt.Sprintf("h%d->leaf%d", e, leaf), master.Split(), dist, false)
-		net.hostDown[e] = net.addLink(fmt.Sprintf("leaf%d->h%d", leaf, e), master.Split(), dist, false)
+		net.leafOf[e] = e / half
+		net.hostUp[e] = net.addLink(master, dist)
+		net.hostDown[e] = net.addLink(master, dist)
 	}
 	net.upLinks = make([][]int32, numLeaves)
 	net.downLinks = make([][]int32, numSpines)
@@ -246,8 +250,8 @@ func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch, seed ui
 	for l := 0; l < numLeaves; l++ {
 		net.upLinks[l] = make([]int32, numSpines)
 		for s := 0; s < numSpines; s++ {
-			net.upLinks[l][s] = net.addLink(fmt.Sprintf("leaf%d->spine%d", l, s), master.Split(), dist, true)
-			net.downLinks[s][l] = net.addLink(fmt.Sprintf("spine%d->leaf%d", s, l), master.Split(), dist, true)
+			net.upLinks[l][s] = net.addLink(master, dist)
+			net.downLinks[s][l] = net.addLink(master, dist)
 		}
 	}
 	return net, nil
@@ -260,29 +264,21 @@ func BuildLinearArray(n, pr int, tech network.Technology, sw network.Switch, see
 	if err := validateBuild(n, pr, tech, sw); err != nil {
 		return nil, err
 	}
-	net := &Network{
-		Kind: LinearArray, N: n, Pr: pr, Tech: tech, Sw: sw,
-		eng: sim.NewEngine(),
-	}
-	net.eng.SetHandler(net)
 	master := rng.NewStream(seed)
 	k := ceilDiv(n, pr)
+	net := newNetwork(LinearArray, n, pr, tech, sw, 2*n+2*(k-1))
 	net.numLeaves = k
 	net.hostsPer = pr
-	net.leafOf = make([]int, n)
-	net.hostUp = make([]int32, n)
-	net.hostDown = make([]int32, n)
 	for e := 0; e < n; e++ {
-		s := e / pr
-		net.leafOf[e] = s
-		net.hostUp[e] = net.addLink(fmt.Sprintf("h%d->sw%d", e, s), master.Split(), dist, false)
-		net.hostDown[e] = net.addLink(fmt.Sprintf("sw%d->h%d", s, e), master.Split(), dist, false)
+		net.leafOf[e] = e / pr
+		net.hostUp[e] = net.addLink(master, dist)
+		net.hostDown[e] = net.addLink(master, dist)
 	}
 	net.chainRight = make([]int32, k-1)
 	net.chainLeft = make([]int32, k-1)
 	for i := 0; i < k-1; i++ {
-		net.chainRight[i] = net.addLink(fmt.Sprintf("sw%d->sw%d", i, i+1), master.Split(), dist, true)
-		net.chainLeft[i] = net.addLink(fmt.Sprintf("sw%d->sw%d", i+1, i), master.Split(), dist, true)
+		net.chainRight[i] = net.addLink(master, dist)
+		net.chainLeft[i] = net.addLink(master, dist)
 	}
 	return net, nil
 }
@@ -457,10 +453,11 @@ func (n *Network) Handle(kind sim.EventKind, idx int32) {
 	case nvGenerate:
 		n.generate(int(idx))
 	case nvLinkDone:
-		if n.scn != nil && !n.links[idx].center.TakeCompletion() {
+		l := &n.links[idx]
+		if n.scn != nil && !l.TakeCompletion() {
 			break // voided by a failure
 		}
-		mi := n.links[idx].center.CompleteService()
+		mi := l.CompleteService()
 		m := &n.msgs[mi]
 		m.pos++
 		if int(m.pos) == len(m.path) {
@@ -470,7 +467,7 @@ func (n *Network) Handle(kind sim.EventKind, idx int32) {
 			n.eng.Schedule(fixed, nvDeliver, mi)
 			return
 		}
-		n.links[m.path[m.pos]].center.Submit(n.svc, mi)
+		n.links[m.path[m.pos]].Submit(mi)
 	case nvDeliver:
 		m := &n.msgs[idx]
 		src, born, hops := int(m.src), m.born, int(m.hops)
@@ -490,11 +487,11 @@ func (n *Network) Handle(kind sim.EventKind, idx int32) {
 // first link. Its destination comes from the shared workload generator's
 // pattern.
 func (n *Network) generate(p int) {
-	if n.scn != nil && !n.life.Fire(p, true) {
+	if n.scn != nil && !n.traffic.Life.Fire(p, true) {
 		return // voided by an endpoint failure
 	}
 	n.generated++
-	st := n.streams[p]
+	st := &n.streams[p]
 	dst := n.gen.Pattern.Dest(st, n, p)
 	mi := n.allocMsg()
 	m := &n.msgs[mi]
@@ -505,20 +502,7 @@ func (n *Network) generate(p int) {
 	m.src = int32(p)
 	m.dst = int32(dst)
 	m.hops = int32(switches)
-	n.links[m.path[0]].center.Submit(n.svc, mi)
-}
-
-// scheduleGeneration arms endpoint p's next message after the think time
-// drawn from its arrival source (exponential under the default Poisson
-// process), stretched through the scenario's rate profile when one is
-// configured.
-func (n *Network) scheduleGeneration(p int) {
-	gap := n.sources[p].Next(n.streams[p])
-	if n.scn == nil {
-		n.eng.Schedule(gap, nvGenerate, int32(p))
-		return
-	}
-	n.life.Armed(p, n.eng.Schedule(n.scn.Profile.Stretch(n.eng.Now(), gap), nvGenerate, int32(p)))
+	n.links[m.path[0]].Submit(mi)
 }
 
 // deliver sinks a completed message and, closed-loop, re-arms its source.
@@ -530,13 +514,14 @@ func (n *Network) scheduleGeneration(p int) {
 // lattice, and every reported statistic depends on the canonical commit.
 func (n *Network) deliver(p int, born float64, hops int) {
 	n.pend = append(n.pend, pendDelivery{born: born, src: int32(p), hops: int32(hops)})
-	if n.scn == nil || n.life.Release(p) {
-		n.scheduleGeneration(p)
+	if n.scn == nil || n.traffic.Life.Release(p) {
+		n.traffic.Arm(p)
 	}
 }
 
-// flushDeliveries commits the deliveries of the current instant in
-// canonical order. Stopping mid-batch discards the rest.
+// flushDeliveries commits the deliveries of the current instant to the
+// measurement window in canonical order, adding each measured one's
+// switch count. Deliveries past the window's target are not measured.
 func (n *Network) flushDeliveries() {
 	slices.SortFunc(n.pend, func(a, b pendDelivery) int {
 		switch {
@@ -550,24 +535,8 @@ func (n *Network) flushDeliveries() {
 		}
 	})
 	for _, d := range n.pend {
-		n.completed++
-		if n.completed == n.opts.Warmup {
-			n.measureStart = n.eng.Now()
-		}
-		if n.completed > n.opts.Warmup && n.res.Latency.Count() < int64(n.opts.Measured) {
-			lat := n.eng.Now() - d.born
-			n.res.Latency.Add(lat)
-			if n.opts.RecordSample {
-				n.res.Sample = append(n.res.Sample, lat)
-				if n.scn != nil {
-					n.res.SampleTimes = append(n.res.SampleTimes, n.eng.Now())
-				}
-			}
+		if n.traffic.Deliver(d.born) {
 			n.res.SwitchHops.Add(float64(d.hops))
-			if n.res.Latency.Count() == int64(n.opts.Measured) {
-				n.eng.Stop()
-				break
-			}
 		}
 	}
 	n.pend = n.pend[:0]
@@ -603,7 +572,7 @@ func (n *Network) applyScenario(i int) {
 	ev := &n.scn.Events[i]
 	if ev.Fail {
 		for _, p := range ev.Endpoints {
-			n.life.Fail(int(p))
+			n.traffic.Life.Fail(int(p))
 		}
 		for _, l := range ev.Leaves {
 			for _, li := range n.leafLinks(int(l)) {
@@ -619,17 +588,17 @@ func (n *Network) applyScenario(i int) {
 	}
 	for _, l := range ev.Leaves {
 		for _, li := range n.leafLinks(int(l)) {
-			n.links[li].center.Repair()
+			n.links[li].Repair()
 		}
 	}
 	for _, sp := range ev.Spines {
 		for _, li := range n.downLinks[sp] {
-			n.links[li].center.Repair()
+			n.links[li].Repair()
 		}
 	}
 	for _, p := range ev.Endpoints {
-		if n.life.Repair(int(p)) {
-			n.scheduleGeneration(int(p))
+		if n.traffic.Life.Repair(int(p)) {
+			n.traffic.Arm(int(p))
 		}
 	}
 }
@@ -638,7 +607,7 @@ func (n *Network) applyScenario(i int) {
 // evicts and frees every queued message, releasing their closed-loop
 // sources; requeue leaves them in place to resume at repair.
 func (n *Network) failLink(li int32, pol scenario.Policy) {
-	victims := n.links[li].center.Fail(pol == scenario.PolicyDrop)
+	victims := n.links[li].Fail(pol == scenario.PolicyDrop)
 	for _, mi := range victims {
 		n.dropMsg(mi)
 	}
@@ -650,8 +619,8 @@ func (n *Network) dropMsg(mi int32) {
 	src := int(m.src)
 	n.res.Dropped++
 	n.free = append(n.free, mi)
-	if n.life.Release(src) {
-		n.scheduleGeneration(src)
+	if n.traffic.Life.Release(src) {
+		n.traffic.Arm(src)
 	}
 }
 
@@ -670,83 +639,49 @@ func (n *Network) Run(opts Options) (*Result, error) {
 	if opts.Warmup < 0 {
 		return nil, fmt.Errorf("netsim: negative warmup %d", opts.Warmup)
 	}
-	if opts.Scenario != nil {
-		// Dynamic runs measure over a fixed horizon of absolute time: the
-		// transient estimator needs every delivery with its timestamp, so
-		// warmup/count cutoffs are overridden (see Options.Scenario).
-		opts.MaxSimTime = opts.Scenario.Horizon
-		opts.Warmup = 0
-		opts.Measured = math.MaxInt32
-		n.scn = opts.Scenario
-	}
-	maxT := opts.MaxSimTime
-	if maxT <= 0 {
-		maxT = math.Inf(1)
-	}
-	n.opts = opts
 	n.res = &Result{}
 	master := rng.NewStream(opts.Seed ^ 0xabcdef12345)
-	n.streams = make([]*rng.Stream, n.N)
+	n.streams = make([]rng.Stream, n.N)
 	rates := make([]float64, n.N)
 	for i := range n.streams {
-		n.streams[i] = master.Split()
+		master.SplitInto(&n.streams[i])
 		rates[i] = opts.Lambda
 	}
 	n.gen = opts.Workload.Normalized()
-	n.sources = n.gen.Sources(nil, rates)
-	n.svc = float64(opts.MsgBytes) * n.Tech.Beta()
+	// Every link serves a message in MsgBytes × β on average.
+	svc := float64(opts.MsgBytes) * n.Tech.Beta()
+	for i := range n.links {
+		n.links[i].Price(svc)
+	}
 	// Closed-loop: at most one in-flight message per endpoint.
 	n.msgs = make([]nmsg, 0, n.N)
 	n.free = make([]int32, 0, n.N)
 
-	if n.scn != nil {
-		n.life.Reset(n.eng, n.N)
-		for _, e := range n.scn.InitialDownEndpoints {
-			n.life.Fail(int(e))
-		}
+	n.traffic.Reset(&n.eng, nvGenerate, n.gen, rates, n.streams, opts.Warmup, opts.Measured, opts.MaxSimTime, opts.RecordSample)
+	if n.scn = opts.Scenario; n.scn != nil {
 		for _, l := range n.scn.InitialDownLeaves {
 			for _, li := range n.leafLinks(int(l)) {
-				n.links[li].center.Fail(false)
+				n.links[li].Fail(false)
 			}
 		}
 		for _, sp := range n.scn.InitialDownSpines {
 			for _, li := range n.downLinks[sp] {
-				n.links[li].center.Fail(false)
+				n.links[li].Fail(false)
 			}
 		}
-		// Timeline events go in before any traffic is armed, so they carry
-		// the lowest sequence numbers of their instant and fire first.
-		for i := range n.scn.Events {
-			n.eng.ScheduleAt(n.scn.Events[i].T, nvScenario, int32(i))
-		}
+		sim.Dynamic(&n.traffic, n.scn.Events, nvScenario, n.scn.Horizon, n.scn.Profile, n.scn.InitialDownEndpoints)
 	}
-	for p := 0; p < n.N; p++ {
-		if n.scn != nil && n.life.Down(p) {
-			continue
-		}
-		n.scheduleGeneration(p)
-	}
-	if n.scn != nil {
-		// Pin the clock at the horizon even if the event queue drains, so
-		// every run of a timeline reports the same end time.
-		n.eng.RunWindow(n.scn.Horizon, true)
-	} else {
-		n.eng.Run(maxT)
-	}
-	if n.scn == nil && n.res.Latency.Count() < int64(n.opts.Measured) {
-		n.res.TimedOut = true
-	}
-	window := n.eng.Now() - n.measureStart
-	if window > 0 && n.res.Latency.Count() > 0 {
-		n.res.Throughput = float64(n.res.Latency.Count()) / window
-	}
-	for _, l := range n.links {
-		l.center.Flush()
-		u := l.center.Utilization()
-		if l.interSwitch {
-			n.res.MaxInterSwitchUtil = math.Max(n.res.MaxInterSwitchUtil, u)
+	n.traffic.Run()
+	w := &n.traffic.Window
+	n.res.Throughput, n.res.TimedOut = w.Close()
+	n.res.Latency, n.res.Sample, n.res.SampleTimes = w.Latency, w.Sample, w.SampleTimes
+	for i := range n.links {
+		l := &n.links[i]
+		l.Flush()
+		if i < 2*n.N {
+			n.res.MaxHostLinkUtil = math.Max(n.res.MaxHostLinkUtil, l.Utilization())
 		} else {
-			n.res.MaxHostLinkUtil = math.Max(n.res.MaxHostLinkUtil, u)
+			n.res.MaxInterSwitchUtil = math.Max(n.res.MaxInterSwitchUtil, l.Utilization())
 		}
 	}
 	if opts.Stats != nil {

@@ -364,8 +364,8 @@ func TestHotspotPatternConcentratesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotDown := net.links[net.hostDown[0]].center.Utilization()
-	otherDown := net.links[net.hostDown[9]].center.Utilization()
+	hotDown := net.links[net.hostDown[0]].Utilization()
+	otherDown := net.links[net.hostDown[9]].Utilization()
 	if hotDown < 4*otherDown {
 		t.Fatalf("hot downlink util %.3f not dominating other %.3f", hotDown, otherDown)
 	}

@@ -533,6 +533,37 @@ func runSweep(ctx context.Context, p *Program, opts Options, em *emitter) (*Swee
 	}, nil
 }
 
+// systemSweep is a sweep variable that sets one SystemSpec field per
+// point: its default value list, whether the list holds integers (the
+// sweep's Ints) or reals (its Floats), the field's setter and the point
+// label's format.
+type systemSweep struct {
+	defaults string
+	ints     bool
+	set      func(s *SystemSpec, v float64)
+	label    string
+}
+
+var systemSweeps = map[string]systemSweep{
+	"clusters": {"1,2,4,8,16,32,64,128,256", true, func(s *SystemSpec, v float64) { s.Clusters = int(v) }, "%.0f"},
+	"msg":      {"128,256,512,1024,2048,4096", true, func(s *SystemSpec, v float64) { s.MsgBytes = int(v) }, "%.0fB"},
+	"ports":    {"8,16,24,32,48,64", true, func(s *SystemSpec, v float64) { s.Ports = int(v) }, "%.0f ports"},
+	"lambda":   {"25,50,100,250,500", false, func(s *SystemSpec, v float64) { s.Lambda = v }, "%g/s"},
+}
+
+// values parses the sweep's value list for the variable, or its default.
+func (r systemSweep) values(sw *SweepSpec) ([]float64, error) {
+	if !r.ints {
+		return ParseFloatList(orDefault(sw.Floats, r.defaults))
+	}
+	ints, err := ParseIntList(orDefault(sw.Ints, r.defaults))
+	out := make([]float64, len(ints))
+	for i, v := range ints {
+		out[i] = float64(v)
+	}
+	return out, err
+}
+
 // buildSweepJobs expands the swept variable into labelled point specs.
 func buildSweepJobs(e *Experiment) ([]string, []sweep.PointSpec, error) {
 	var labels []string
@@ -542,13 +573,26 @@ func buildSweepJobs(e *Experiment) ([]string, []sweep.PointSpec, error) {
 		points = append(points, p)
 	}
 	sys := e.Sweep
-	switch sys.Var {
-	case "clusters", "msg", "ports", "lambda":
+	if row, ok := systemSweeps[sys.Var]; ok {
 		if e.System.Config != nil {
 			// A configuration fixes every system parameter: a swept value
 			// would label identical points.
 			return nil, nil, fmt.Errorf("run: cannot sweep %s over a system config, which fixes it (sweep arrival or locality instead)", sys.Var)
 		}
+		values, err := row.values(sys)
+		if err != nil {
+			return nil, nil, err
+		}
+		for _, v := range values {
+			s := *e.System
+			row.set(&s, v)
+			cfg, err := s.Build()
+			if err != nil {
+				return nil, nil, err
+			}
+			add(fmt.Sprintf(row.label, v), sweep.PointSpec{Cfg: cfg, Locality: -1})
+		}
+		return labels, points, nil
 	}
 	switch sys.Var {
 	case "arrival":
@@ -566,62 +610,6 @@ func buildSweepJobs(e *Experiment) ([]string, []sweep.PointSpec, error) {
 				return nil, nil, err
 			}
 			add(arr.Name(), sweep.PointSpec{Cfg: cfg, Arrival: arr, Locality: -1})
-		}
-	case "clusters":
-		values, err := ParseIntList(orDefault(sys.Ints, "1,2,4,8,16,32,64,128,256"))
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, v := range values {
-			s := *e.System
-			s.Clusters = v
-			cfg, err := s.Build()
-			if err != nil {
-				return nil, nil, err
-			}
-			add(fmt.Sprint(v), sweep.PointSpec{Cfg: cfg, Locality: -1})
-		}
-	case "msg":
-		values, err := ParseIntList(orDefault(sys.Ints, "128,256,512,1024,2048,4096"))
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, v := range values {
-			s := *e.System
-			s.MsgBytes = v
-			cfg, err := s.Build()
-			if err != nil {
-				return nil, nil, err
-			}
-			add(fmt.Sprintf("%dB", v), sweep.PointSpec{Cfg: cfg, Locality: -1})
-		}
-	case "ports":
-		values, err := ParseIntList(orDefault(sys.Ints, "8,16,24,32,48,64"))
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, v := range values {
-			s := *e.System
-			s.Ports = v
-			cfg, err := s.Build()
-			if err != nil {
-				return nil, nil, err
-			}
-			add(fmt.Sprintf("%d ports", v), sweep.PointSpec{Cfg: cfg, Locality: -1})
-		}
-	case "lambda":
-		values, err := ParseFloatList(orDefault(sys.Floats, "25,50,100,250,500"))
-		if err != nil {
-			return nil, nil, err
-		}
-		for _, v := range values {
-			s := *e.System
-			s.Lambda = v
-			cfg, err := s.Build()
-			if err != nil {
-				return nil, nil, err
-			}
-			add(fmt.Sprintf("%g/s", v), sweep.PointSpec{Cfg: cfg, Locality: -1})
 		}
 	case "locality":
 		values, err := ParseFloatList(orDefault(sys.Floats, "0,0.25,0.5,0.75,0.95"))

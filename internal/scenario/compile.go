@@ -21,6 +21,10 @@ type SimEvent struct {
 	Centers []int32
 }
 
+// At returns the event's time; the engines schedule either kind of
+// compiled event through one routine by it.
+func (e SimEvent) At() float64 { return e.T }
+
 // Window is what the transient analysis of a compiled timeline reads:
 // the horizon and slice width, the latency objective (NaN unset) and
 // the first failure time (NaN when none), all in seconds.
@@ -188,6 +192,9 @@ type NetEvent struct {
 	Leaves    []int32
 	Spines    []int32
 }
+
+// At returns the event's time.
+func (e NetEvent) At() float64 { return e.T }
 
 // CompiledNet is a scenario resolved against a switch-level topology.
 type CompiledNet struct {

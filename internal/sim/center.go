@@ -7,56 +7,49 @@ import (
 	"hmscs/internal/stats"
 )
 
-// pendingJob is one message waiting for service at a centre: a plain value
-// (no pointers), so the queue never allocates per message.
-type pendingJob struct {
-	serviceMean float64
-	msg         int32
-}
-
-// jobRing is a FIFO of pending jobs in a power-of-two ring buffer. Its
-// storage is bounded by the peak queue length, however many messages pass
-// through one busy period.
+// jobRing is a FIFO of queued message indices in a power-of-two ring
+// buffer. Its storage is bounded by the peak queue length, however many
+// messages pass through one busy period.
 type jobRing struct {
-	buf  []pendingJob
+	buf  []int32
 	head int
 	n    int
 }
 
-func (r *jobRing) at(i int) pendingJob { return r.buf[(r.head+i)&(len(r.buf)-1)] }
+func (r *jobRing) at(i int) int32 { return r.buf[(r.head+i)&(len(r.buf)-1)] }
 
 // grow doubles the ring, unwrapping its contents to start at index 0.
 func (r *jobRing) grow() {
-	buf := r.appendTo(make([]pendingJob, 0, max(8, 2*len(r.buf))))
+	buf := r.appendTo(make([]int32, 0, max(8, 2*len(r.buf))))
 	r.buf, r.head = buf[:cap(buf)], 0
 }
 
-func (r *jobRing) pushBack(j pendingJob) {
+func (r *jobRing) pushBack(msg int32) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = j
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = msg
 	r.n++
 }
 
-func (r *jobRing) pushFront(j pendingJob) {
+func (r *jobRing) pushFront(msg int32) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
 	r.head = (r.head - 1) & (len(r.buf) - 1)
-	r.buf[r.head] = j
+	r.buf[r.head] = msg
 	r.n++
 }
 
-func (r *jobRing) popFront() pendingJob {
-	j := r.buf[r.head]
+func (r *jobRing) popFront() int32 {
+	msg := r.buf[r.head]
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return j
+	return msg
 }
 
-// appendTo appends the queued jobs to dst in FIFO order.
-func (r *jobRing) appendTo(dst []pendingJob) []pendingJob {
+// appendTo appends the queued messages to dst in FIFO order.
+func (r *jobRing) appendTo(dst []int32) []int32 {
 	for i := 0; i < r.n; i++ {
 		dst = append(dst, r.at(i))
 	}
@@ -66,9 +59,11 @@ func (r *jobRing) appendTo(dst []pendingJob) []pendingJob {
 func (r *jobRing) clear() { r.head, r.n = 0, 0 }
 
 // Center is a FIFO single-server service centre modelling one
-// communication network. Service times are drawn from the configured
-// distribution family scaled to each job's mean (so non-exponential
-// ablations are supported).
+// communication network. Every message costs it the same mean service
+// time, its price (the paper's one service time for the fixed message
+// size M, eq. 11/21), set once per replication by Price. Service times
+// are drawn from the configured distribution family scaled to that mean
+// (so non-exponential ablations are supported).
 //
 // A centre does not call back into its owner: when a service completes the
 // engine dispatches (doneKind, id) to the owner's Handler, which calls
@@ -81,9 +76,10 @@ type Center struct {
 	eng      *Engine
 	distTpl  rng.Dist
 	stream   *rng.Stream
+	mean     float64
 
 	busy      bool
-	inService pendingJob
+	inService int32
 	queue     jobRing
 
 	// A failed centre accepts submissions into its queue but serves
@@ -99,52 +95,46 @@ type Center struct {
 	inSys  int
 }
 
-// NewCenter creates a centre served according to the given distribution
-// family (its mean is rescaled per job) drawing from its own random
-// stream. Service completions are announced by scheduling (doneKind, id)
-// on the engine.
-func NewCenter(name string, eng *Engine, distTpl rng.Dist, stream *rng.Stream, doneKind EventKind, id int32) *Center {
-	c := &Center{}
-	c.init(name, eng, distTpl, stream, doneKind, id)
-	return c
-}
-
-// init (re)sets c to a fresh, idle centre. Only the queue's ring buffer
-// survives, so a pooled simulator's centres keep their storage between
-// replications.
-func (c *Center) init(name string, eng *Engine, distTpl rng.Dist, stream *rng.Stream, doneKind EventKind, id int32) {
+// Init (re)sets c to a fresh, idle, unpriced centre served according to
+// the given distribution family, drawing from its own random stream and
+// announcing service completions by scheduling (doneKind, id) on eng.
+// Only the queue's ring buffer survives, so a slab of centres keeps its
+// storage between replications.
+func (c *Center) Init(name string, eng *Engine, distTpl rng.Dist, stream *rng.Stream, doneKind EventKind, id int32) {
 	*c = Center{Name: name, eng: eng, distTpl: distTpl, stream: stream, doneKind: doneKind, id: id,
 		queue: jobRing{buf: c.queue.buf}}
 	c.qlen.Observe(eng.Now(), 0)
 	c.busyTW.Observe(eng.Now(), 0)
 }
 
-// ID returns the centre id passed to NewCenter (the idx of its completion
-// events).
-func (c *Center) ID() int32 { return c.id }
-
-// Submit enqueues message msg whose mean service time is serviceMean. When
-// its service completes the engine dispatches (doneKind, id) to the
-// handler, which must call CompleteService.
-func (c *Center) Submit(serviceMean float64, msg int32) {
-	if serviceMean <= 0 {
-		panic(fmt.Sprintf("sim: centre %s got service mean %v", c.Name, serviceMean))
+// Price sets the mean service time of every message the centre serves.
+// A mean that is not positive is a bug in the caller's pricing: the
+// engines price from validated networks.
+func (c *Center) Price(mean float64) {
+	if !(mean > 0) {
+		panic(fmt.Sprintf("sim: centre %q priced at service mean %v", c.Name, mean))
 	}
-	c.inSys++
-	c.qlen.Observe(c.eng.Now(), float64(c.inSys))
-	j := pendingJob{serviceMean: serviceMean, msg: msg}
-	if c.busy || c.failed {
-		c.queue.pushBack(j)
-		return
-	}
-	c.start(j)
+	c.mean = mean
 }
 
-func (c *Center) start(j pendingJob) {
+// Submit enqueues message msg on a priced centre. When its service
+// completes the engine dispatches (doneKind, id) to the handler, which
+// must call CompleteService.
+func (c *Center) Submit(msg int32) {
+	c.inSys++
+	c.qlen.Observe(c.eng.Now(), float64(c.inSys))
+	if c.busy || c.failed {
+		c.queue.pushBack(msg)
+		return
+	}
+	c.start(msg)
+}
+
+func (c *Center) start(msg int32) {
 	c.busy = true
 	c.busyTW.Observe(c.eng.Now(), 1)
-	c.inService = j
-	c.due = c.eng.Schedule(rng.SampleScaled(c.distTpl, c.stream, j.serviceMean), c.doneKind, c.id)
+	c.inService = msg
+	c.due = c.eng.Schedule(rng.SampleScaled(c.distTpl, c.stream, c.mean), c.doneKind, c.id)
 }
 
 // CompleteService finishes the message in service — updating statistics
@@ -152,7 +142,7 @@ func (c *Center) start(j pendingJob) {
 // index for the handler to route onward. It must be called exactly once
 // per (doneKind, id) event.
 func (c *Center) CompleteService() int32 {
-	done := c.inService.msg
+	done := c.inService
 	c.served++
 	c.inSys--
 	c.qlen.Observe(c.eng.Now(), float64(c.inSys))
@@ -181,7 +171,7 @@ func (c *Center) TakeCompletion() bool { return c.due == c.eng.Current() }
 // queue up behind it.
 func (c *Center) Fail(evict bool) []int32 {
 	if c.failed {
-		panic(fmt.Sprintf("sim: centre %s failed twice", c.Name))
+		panic(fmt.Sprintf("sim: centre %q (id %d) failed twice", c.Name, c.id))
 	}
 	c.failed, c.due = true, 0
 	var out []int32
@@ -189,15 +179,13 @@ func (c *Center) Fail(evict bool) []int32 {
 		c.busy = false
 		c.busyTW.Observe(c.eng.Now(), 0)
 		if evict {
-			out = append(out, c.inService.msg)
+			out = append(out, c.inService)
 		} else {
 			c.queue.pushFront(c.inService)
 		}
 	}
 	if evict {
-		for i := 0; i < c.queue.n; i++ {
-			out = append(out, c.queue.at(i).msg)
-		}
+		out = c.queue.appendTo(out)
 		c.queue.clear()
 		c.inSys = 0
 		c.qlen.Observe(c.eng.Now(), 0)
@@ -209,7 +197,7 @@ func (c *Center) Fail(evict bool) []int32 {
 // with a fresh service draw.
 func (c *Center) Repair() {
 	if !c.failed {
-		panic(fmt.Sprintf("sim: centre %s repaired while up", c.Name))
+		panic(fmt.Sprintf("sim: centre %q (id %d) repaired while up", c.Name, c.id))
 	}
 	c.failed = false
 	if c.queue.n > 0 {

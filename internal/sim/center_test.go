@@ -24,11 +24,18 @@ type centerHarness struct {
 	onDone   func(msg int32)
 }
 
-func newCenterHarness(eng *Engine, dist rng.Dist, stream *rng.Stream) *centerHarness {
-	h := &centerHarness{eng: eng}
-	h.c = NewCenter("q", eng, dist, stream, tkDone, 0)
+func newCenterHarness(eng *Engine, dist rng.Dist, stream *rng.Stream, mean float64) *centerHarness {
+	h := &centerHarness{eng: eng, c: pricedCenter(eng, dist, stream, mean)}
 	eng.SetHandler(h)
 	return h
+}
+
+// pricedCenter returns centre 0 on eng, priced at mean.
+func pricedCenter(eng *Engine, dist rng.Dist, stream *rng.Stream, mean float64) *Center {
+	c := new(Center)
+	c.Init("q", eng, dist, stream, tkDone, 0)
+	c.Price(mean)
+	return c
 }
 
 func (h *centerHarness) Handle(kind EventKind, idx int32) {
@@ -48,9 +55,9 @@ func (h *centerHarness) Handle(kind EventKind, idx int32) {
 func TestCenterMM1(t *testing.T) {
 	eng := NewEngine()
 	arrivals := rng.NewStream(1)
-	h := newCenterHarness(eng, rng.Exponential{MeanValue: 1}, rng.NewStream(2))
-
 	lambda, mu := 0.7, 1.0
+	h := newCenterHarness(eng, rng.Exponential{MeanValue: 1}, rng.NewStream(2), 1/mu)
+
 	var lat stats.Welford
 	const nMsgs = 200000
 	born := make([]float64, 0, nMsgs)
@@ -60,7 +67,7 @@ func TestCenterMM1(t *testing.T) {
 		}
 		msg := int32(len(born))
 		born = append(born, eng.Now())
-		h.c.Submit(1/mu, msg)
+		h.c.Submit(msg)
 		eng.Schedule(arrivals.ExpRate(lambda), tkArrive, 0)
 	}
 	h.onDone = func(msg int32) {
@@ -91,9 +98,9 @@ func TestCenterMM1(t *testing.T) {
 func TestCenterMD1(t *testing.T) {
 	eng := NewEngine()
 	arrivals := rng.NewStream(3)
-	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(4))
-
 	lambda, mean := 0.6, 1.0
+	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(4), mean)
+
 	var lat stats.Welford
 	const nMsgs = 100000
 	born := make([]float64, 0, nMsgs)
@@ -104,7 +111,7 @@ func TestCenterMD1(t *testing.T) {
 		}
 		msg := int32(len(born))
 		born = append(born, eng.Now())
-		h.c.Submit(mean, msg)
+		h.c.Submit(msg)
 		eng.Schedule(arrivals.ExpRate(lambda), tkArrive, 0)
 	}
 	h.onDone = func(msg int32) {
@@ -123,11 +130,11 @@ func TestCenterMD1(t *testing.T) {
 
 func TestCenterFIFO(t *testing.T) {
 	eng := NewEngine()
-	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(5))
+	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(5), 1)
 	var order []int32
 	h.onDone = func(msg int32) { order = append(order, msg) }
 	for i := 0; i < 5; i++ {
-		h.c.Submit(1.0, int32(i))
+		h.c.Submit(int32(i))
 	}
 	eng.Run(math.Inf(1))
 	for i, v := range order {
@@ -144,12 +151,12 @@ func TestCenterQueueDrainReset(t *testing.T) {
 	// After the queue fully drains, new arrivals must still be served
 	// correctly (exercises the head-index reset).
 	eng := NewEngine()
-	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(6))
+	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(6), 0.25)
 	served := 0
 	h.onDone = func(int32) { served++ }
 	for burst := 0; burst < 3; burst++ {
 		for i := 0; i < 4; i++ {
-			h.c.Submit(0.25, int32(i))
+			h.c.Submit(int32(i))
 		}
 		eng.Run(math.Inf(1))
 		if h.c.QueueLength() != 0 {
@@ -161,22 +168,24 @@ func TestCenterQueueDrainReset(t *testing.T) {
 	}
 }
 
-func TestCenterRejectsBadServiceMean(t *testing.T) {
-	eng := NewEngine()
-	h := newCenterHarness(eng, rng.Exponential{MeanValue: 1}, rng.NewStream(7))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero service mean did not panic")
-		}
-	}()
-	h.c.Submit(0, 0)
+func TestCenterPriceRejectsNonPositiveMean(t *testing.T) {
+	for _, mean := range []float64{0, -1, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("pricing at service mean %v did not panic", mean)
+				}
+			}()
+			pricedCenter(NewEngine(), rng.Exponential{MeanValue: 1}, rng.NewStream(7), mean)
+		}()
+	}
 }
 
 func TestCenterMaxQueueLength(t *testing.T) {
 	eng := NewEngine()
-	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(8))
+	h := newCenterHarness(eng, rng.Deterministic{Value: 1}, rng.NewStream(8), 1)
 	for i := 0; i < 7; i++ {
-		h.c.Submit(1, int32(i))
+		h.c.Submit(int32(i))
 	}
 	eng.Run(math.Inf(1))
 	h.c.Flush()
@@ -192,11 +201,11 @@ func TestCenterMaxQueueLength(t *testing.T) {
 // the peak queue length, not the number of messages that passed through.
 func TestCenterQueueStorageBoundedByPeak(t *testing.T) {
 	eng := NewEngine()
-	h := newCenterHarness(eng, rng.Exponential{MeanValue: 1}, rng.NewStream(9))
+	h := newCenterHarness(eng, rng.Exponential{MeanValue: 1}, rng.NewStream(9), 1)
 	const total = 100000
 	submitted, done := 0, 0
 	submit := func() {
-		h.c.Submit(1, int32(submitted))
+		h.c.Submit(int32(submitted))
 		submitted++
 	}
 	h.onDone = func(int32) {
@@ -248,9 +257,9 @@ func TestCenterFailRequeueAndEvictOrder(t *testing.T) {
 			evicted = c.Fail(true)
 		}
 	}))
-	c = NewCenter("q", eng, rng.Deterministic{Value: 1}, rng.NewStream(10), tkDone, 0)
+	c = pricedCenter(eng, rng.Deterministic{Value: 1}, rng.NewStream(10), 1)
 	for i := int32(0); i < 3; i++ {
-		c.Submit(1, i)
+		c.Submit(i)
 	}
 	eng.Schedule(0.5, tkArrive, 0) // requeue failure mid-service
 	eng.Schedule(2, tkArrive, 1)   // repair
@@ -260,7 +269,7 @@ func TestCenterFailRequeueAndEvictOrder(t *testing.T) {
 	}
 
 	for i := int32(3); i < 6; i++ {
-		c.Submit(1, i)
+		c.Submit(i)
 	}
 	eng.Schedule(0.5, tkArrive, 2) // evicting failure mid-service
 	eng.Run(math.Inf(1))
@@ -288,15 +297,15 @@ func TestCenterVoidedCompletionCollision(t *testing.T) {
 		case idx == 0:
 			evicted = c.Fail(true)
 			c.Repair()
-			c.Submit(0.5, 1) // due at 0.5 + 0.5 = 1, like the voided event
+			c.Submit(1) // due at 0 + 1 = 1, like the voided event
 		default:
 			probe = c.Served()
 		}
 	}))
-	c = NewCenter("q", eng, rng.Deterministic{Value: 1}, rng.NewStream(10), tkDone, 0)
-	c.Submit(1, 0)                 // completion due at t=1
-	eng.Schedule(1, tkArrive, 1)   // the probe, after it in seq order
-	eng.Schedule(0.5, tkArrive, 0) // drop job 0, start job 1
+	c = pricedCenter(eng, rng.Deterministic{Value: 1}, rng.NewStream(10), 1)
+	c.Submit(0)                  // completion due at t=1
+	eng.Schedule(1, tkArrive, 1) // the probe, after it in seq order
+	eng.Schedule(0, tkArrive, 0) // drop job 0, start job 1
 	eng.Run(math.Inf(1))
 	if len(evicted) != 1 || evicted[0] != 0 {
 		t.Fatalf("evicted %v, want [0]", evicted)

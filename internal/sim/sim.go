@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -27,7 +26,7 @@ type Options struct {
 	// paper's experiments use 10,000.
 	MeasuredMessages int
 	// ServiceDist is the service-time family of every centre; its mean is
-	// rescaled per message. Default is Exponential (the model's
+	// rescaled to each centre's price. Default is Exponential (the model's
 	// assumption); Deterministic gives the M/D/1 ablation.
 	ServiceDist rng.Dist
 	// OpenLoop, when true, lets processors generate without waiting for
@@ -255,20 +254,12 @@ type Simulator struct {
 	ecn1    []Center
 	icn2    *Center
 
-	// svc holds each centre's mean service time for the configuration's
-	// message size, indexed like centers: every message costs its centre
-	// the same mean, so reset prices each centre once per replication.
-	// svcICN1, svcECN1 and svcICN2 are views.
-	svc     []float64
-	svcICN1 []float64
-	svcECN1 []float64
-	svcICN2 *float64
-
-	// gen is the normalized workload (arrival × pattern); sources
-	// holds per-processor arrival state instantiated from it at rates.
+	// gen is the normalized workload (arrival × pattern); traffic holds
+	// the per-processor sources instantiated from it at rates, and the
+	// measurement window.
 	gen     workload.Generator
-	sources []workload.Source
 	rates   []float64
+	traffic Traffic
 
 	// streams holds every random stream as a value, in the order they are
 	// split from the seed's master stream: ICN1[i] and ECN1[i] at 2i and
@@ -280,17 +271,13 @@ type Simulator struct {
 	msgs []message
 	free []int32
 
-	res          Result
-	measureStart float64
-	completed    int64
-	ran          bool
+	res Result
+	ran bool
 
-	// Dynamic-scenario state (unused in stationary runs). life holds each
-	// processor's source lifecycle. Per centre, failPolicy retains a
-	// failed centre's in-flight policy so new local arrivals during an
-	// icn1 reroute outage also take the detour.
+	// Dynamic-scenario state (unused in stationary runs). Per centre,
+	// failPolicy retains a failed centre's in-flight policy so new local
+	// arrivals during an icn1 reroute outage also take the detour.
 	scn        *scenario.CompiledSim
-	life       Lifecycle
 	failPolicy []scenario.Policy
 }
 
@@ -311,14 +298,6 @@ func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if opts.Scenario != nil {
-		// A dynamic run covers exactly the scenario horizon: measurement
-		// spans all of [0, Horizon] (the transient estimator slices it
-		// afterwards) and message counts never stop the run.
-		opts.MaxSimTime = opts.Scenario.Horizon
-		opts.WarmupMessages = 0
-		opts.MeasuredMessages = math.MaxInt32
-	}
 	def := DefaultOptions()
 	if opts.MeasuredMessages <= 0 {
 		opts.MeasuredMessages = def.MeasuredMessages
@@ -329,30 +308,11 @@ func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	if opts.ServiceDist == nil {
 		opts.ServiceDist = def.ServiceDist
 	}
-	if opts.MaxSimTime <= 0 {
-		opts.MaxSimTime = math.Inf(1)
-	}
 
 	c := cfg.NumClusters()
 	nc := 2*c + 1
-	s.svc = resize(s.svc, nc)
-	s.svcICN1, s.svcECN1, s.svcICN2 = s.svc[:c], s.svc[c:2*c], &s.svc[2*c]
-	// cfg is validated, so the models build; each run of identical
-	// clusters is priced once.
-	m := cfg.MessageBytes
-	icn2, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
-		mI1, mE1 := icn1.MeanServiceTime(m), ecn1.MeanServiceTime(m)
-		for j := i; j < i+n; j++ {
-			s.svcICN1[j], s.svcECN1[j] = mI1, mE1
-		}
-	})
-	if err != nil {
-		return err
-	}
-	*s.svcICN2 = icn2.MeanServiceTime(m)
-
 	s.cfg, s.opts = cfg, opts
-	s.res, s.measureStart, s.completed, s.ran = Result{}, 0, 0, false
+	s.res, s.ran = Result{}, false
 	s.lay.reset(cfg)
 	s.gen = workload.Generator{Arrival: opts.Arrival, Pattern: opts.Pattern}.Normalized()
 	s.eng.reset()
@@ -370,26 +330,40 @@ func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	s.icn1, s.ecn1, s.icn2 = s.centers[:c], s.centers[c:2*c], &s.centers[2*c]
 	names := namesFor(c)
 	for i := 0; i < c; i++ {
-		s.icn1[i].init(names.icn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i], evCenterDone, int32(i))
-		s.ecn1[i].init(names.ecn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i+1], evCenterDone, int32(c+i))
+		s.icn1[i].Init(names.icn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i], evCenterDone, int32(i))
+		s.ecn1[i].Init(names.ecn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i+1], evCenterDone, int32(c+i))
 	}
-	s.icn2.init("ICN2", &s.eng, opts.ServiceDist, &s.streams[2*c], evCenterDone, int32(2*c))
+	s.icn2.Init("ICN2", &s.eng, opts.ServiceDist, &s.streams[2*c], evCenterDone, int32(2*c))
+	// Every message costs its centre the same mean for the configuration's
+	// message size, so each centre is priced once per replication. cfg is
+	// validated, so the models build; each run of identical clusters is
+	// priced once.
+	m := cfg.MessageBytes
+	icn2, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
+		mI1, mE1 := icn1.MeanServiceTime(m), ecn1.MeanServiceTime(m)
+		for j := i; j < i+n; j++ {
+			s.icn1[j].Price(mI1)
+			s.ecn1[j].Price(mE1)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	s.icn2.Price(icn2.MeanServiceTime(m))
 
 	s.rates = resize(s.rates, n)
 	for p := range s.rates {
 		s.rates[p] = cfg.Clusters[s.lay.ClusterOf(p)].Lambda
 	}
-	s.sources = s.gen.Sources(s.sources, s.rates)
+	s.traffic.Reset(&s.eng, evGenerate, s.gen, s.rates, s.procStreams,
+		opts.WarmupMessages, opts.MeasuredMessages, opts.MaxSimTime, opts.RecordSample)
 	// Closed-loop runs have at most one in-flight message per processor;
 	// pre-size the pool for that and let open-loop runs grow it.
 	s.msgs = resize(s.msgs, n)[:0]
 	s.free = resize(s.free, n)[:0]
 	if s.scn = opts.Scenario; s.scn != nil {
-		s.life.Reset(&s.eng, n)
+		Dynamic(&s.traffic, s.scn.Events, evScenario, s.scn.Horizon, s.scn.Profile, s.scn.InitialDownNodes)
 		s.failPolicy = zeroed(s.failPolicy, nc)
-		for _, p := range s.scn.InitialDownNodes {
-			s.life.Fail(int(p))
-		}
 		for _, cid := range s.scn.InitialDownCenters {
 			s.centers[cid].Fail(false)
 		}
@@ -411,7 +385,8 @@ func zeroed[T any](s []T, n int) []T {
 // capacity, not contents.
 func (s *Simulator) release() {
 	s.cfg, s.opts, s.gen, s.scn, s.res = nil, Options{}, workload.Generator{}, nil, Result{}
-	clear(s.sources)
+	s.traffic.Window, s.traffic.profile = Window{}, nil
+	clear(s.traffic.sources)
 	for i := range s.centers {
 		s.centers[i].distTpl = nil
 	}
@@ -427,54 +402,12 @@ func (s *Simulator) Run() (*Result, error) {
 		return nil, errRunTwice
 	}
 	s.ran = true
-	if s.opts.RecordSample {
-		sampleCap := s.opts.MeasuredMessages
-		if !math.IsInf(s.opts.MaxSimTime, 1) && sampleCap > 4096 {
-			// A timed-out run may collect far fewer samples than requested;
-			// start small and let append grow, so a truncated run does not
-			// retain an oversized backing array.
-			sampleCap = 4096
-		}
-		s.res.Sample = make([]float64, 0, sampleCap)
-	}
-	// Scenario events enter the event set before any traffic is armed, so
-	// same-time ties always resolve timeline-first.
-	if s.scn != nil {
-		for i := range s.scn.Events {
-			s.eng.ScheduleAt(s.scn.Events[i].T, evScenario, int32(i))
-		}
-	}
-	// Start every processor's first think period (initially-down nodes
-	// join when a repair event names them).
-	for p := 0; p < s.lay.TotalNodes(); p++ {
-		if s.scn != nil && s.life.Down(p) {
-			continue
-		}
-		s.scheduleGeneration(p)
-	}
-	if s.scn != nil {
-		// Pin the clock to the horizon (inclusive), so SimTime and the
-		// time-weighted statistics close exactly at the horizon even when
-		// the event set drains early.
-		s.eng.RunWindow(s.scn.Horizon, true)
-	} else {
-		s.eng.Run(s.opts.MaxSimTime)
-	}
-	if s.scn == nil && s.res.Measured < int64(s.opts.MeasuredMessages) {
-		s.res.TimedOut = true
-	}
-	if s.res.TimedOut && len(s.res.Sample) < cap(s.res.Sample)/2 {
-		// Respect MaxSimTime truncation: do not retain a mostly empty
-		// backing array for the lifetime of the result.
-		s.res.Sample = append(make([]float64, 0, len(s.res.Sample)), s.res.Sample...)
-	}
-
+	s.traffic.Run()
+	w := &s.traffic.Window
+	s.res.Throughput, s.res.TimedOut = w.Close()
+	s.res.Latency, s.res.Sample, s.res.SampleTimes, s.res.Measured = w.Latency, w.Sample, w.SampleTimes, w.Latency.Count()
 	s.res.SimTime = s.eng.Now()
-	window := s.eng.Now() - s.measureStart
-	if window > 0 && s.res.Measured > 0 {
-		s.res.Throughput = float64(s.res.Measured) / window
-		s.res.EffectiveLambda = s.res.Throughput / float64(s.lay.TotalNodes())
-	}
+	s.res.EffectiveLambda = s.res.Throughput / float64(s.lay.TotalNodes())
 	s.res.Centers = make([]CenterStats, len(s.centers))
 	for i := range s.centers {
 		c := &s.centers[i]
@@ -530,23 +463,9 @@ func (s *Simulator) allocMsg() int32 {
 	return int32(len(s.msgs) - 1)
 }
 
-// scheduleGeneration arms processor p's next message after the think time
-// drawn from its arrival source (assumption 1's exponential gap by default,
-// or the configured Options.Arrival process). In scenario mode the drawn
-// gap is stretched through the rate profile — a pure function of (clock,
-// gap), so the draw sequence is untouched.
-func (s *Simulator) scheduleGeneration(p int) {
-	gap := s.sources[p].Next(&s.procStreams[p])
-	if s.scn == nil {
-		s.eng.Schedule(gap, evGenerate, int32(p))
-		return
-	}
-	s.life.Armed(p, s.eng.Schedule(s.scn.Profile.Stretch(s.eng.Now(), gap), evGenerate, int32(p)))
-}
-
 // generate creates one message at processor p and submits its first hop.
 func (s *Simulator) generate(p int) {
-	if s.scn != nil && !s.life.Fire(p, !s.opts.OpenLoop) {
+	if s.scn != nil && !s.traffic.Life.Fire(p, !s.opts.OpenLoop) {
 		return // voided by a node failure
 	}
 	s.res.Generated++
@@ -570,7 +489,7 @@ func (s *Simulator) generate(p int) {
 	// In open-loop mode the source immediately starts its next think
 	// period; in the paper's closed-loop mode it blocks until completion.
 	if s.opts.OpenLoop {
-		s.scheduleGeneration(p)
+		s.traffic.Arm(p)
 	}
 
 	if m.srcCl == m.dstCl {
@@ -579,15 +498,15 @@ func (s *Simulator) generate(p int) {
 			// local traffic detours over the remote path too.
 			m.viaRemote = true
 			s.res.Rerouted++
-			s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl], mi)
+			s.ecn1[m.srcCl].Submit(mi)
 			return
 		}
 		// Local message: one pass through the source cluster's ICN1.
-		s.icn1[m.srcCl].Submit(s.svcICN1[m.srcCl], mi)
+		s.icn1[m.srcCl].Submit(mi)
 		return
 	}
 	// Remote: ECN1(src) -> ICN2 -> ECN1(dst), per Figure 2.
-	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl], mi)
+	s.ecn1[m.srcCl].Submit(mi)
 }
 
 // advance is the per-message hop state machine: centre c has finished
@@ -604,9 +523,9 @@ func (s *Simulator) advance(c *Center, mi int32) {
 	m.hop++
 	switch m.hop {
 	case 1:
-		s.icn2.Submit(*s.svcICN2, mi)
+		s.icn2.Submit(mi)
 	case 2:
-		s.ecn1[m.dstCl].Submit(s.svcECN1[m.dstCl], mi)
+		s.ecn1[m.dstCl].Submit(mi)
 	default:
 		s.complete(mi)
 	}
@@ -618,36 +537,13 @@ func (s *Simulator) complete(mi int32) {
 	if s.opts.Trace != nil {
 		s.opts.Trace.Record(m.id, s.eng.Now(), trace.Delivered, fmt.Sprintf("proc:%d", m.dst))
 	}
-	src, born := int(m.src), m.born
+	src := int(m.src)
 	s.free = append(s.free, mi)
-	s.deliver(src, born)
-}
-
-// deliver records a completed message's latency (after warm-up) and, in
-// closed-loop mode, releases the source processor.
-func (s *Simulator) deliver(src int, born float64) {
-	s.completed++
-	// The measurement window opens when the last warm-up message completes
-	// (immediately, at time zero, when there is no warm-up).
-	if s.completed == int64(s.opts.WarmupMessages) {
-		s.measureStart = s.eng.Now()
-	}
-	if s.completed > int64(s.opts.WarmupMessages) && s.res.Measured < int64(s.opts.MeasuredMessages) {
-		lat := s.eng.Now() - born
-		s.res.Latency.Add(lat)
-		if s.opts.RecordSample {
-			s.res.Sample = append(s.res.Sample, lat)
-			if s.scn != nil {
-				s.res.SampleTimes = append(s.res.SampleTimes, s.eng.Now())
-			}
-		}
-		s.res.Measured++
-		if s.res.Measured == int64(s.opts.MeasuredMessages) {
-			s.eng.Stop()
-		}
-	}
-	if !s.opts.OpenLoop && (s.scn == nil || s.life.Release(src)) {
-		s.scheduleGeneration(src)
+	// The window measures the latency (after warm-up); in closed-loop mode
+	// the delivery releases the source processor.
+	s.traffic.Deliver(m.born)
+	if !s.opts.OpenLoop && (s.scn == nil || s.traffic.Life.Release(src)) {
+		s.traffic.Arm(src)
 	}
 }
 
@@ -660,7 +556,7 @@ func (s *Simulator) applyScenario(i int) {
 	ev := &s.scn.Events[i]
 	if ev.Fail {
 		for _, p := range ev.Nodes {
-			s.life.Fail(int(p))
+			s.traffic.Life.Fail(int(p))
 		}
 		for _, cid := range ev.Centers {
 			s.failCenter(cid, ev.Policy)
@@ -671,8 +567,8 @@ func (s *Simulator) applyScenario(i int) {
 		s.repairCenter(cid)
 	}
 	for _, p := range ev.Nodes {
-		if s.life.Repair(int(p)) {
-			s.scheduleGeneration(int(p))
+		if s.traffic.Life.Repair(int(p)) {
+			s.traffic.Arm(int(p))
 		}
 	}
 }
@@ -703,8 +599,8 @@ func (s *Simulator) dropMsg(mi int32) {
 	s.res.Dropped++
 	src := int(s.msgs[mi].src)
 	s.free = append(s.free, mi)
-	if !s.opts.OpenLoop && s.life.Release(src) {
-		s.scheduleGeneration(src)
+	if !s.opts.OpenLoop && s.traffic.Life.Release(src) {
+		s.traffic.Arm(src)
 	}
 }
 
@@ -716,7 +612,7 @@ func (s *Simulator) rerouteMsg(mi int32) {
 	m.viaRemote = true
 	m.hop = 0
 	s.res.Rerouted++
-	s.ecn1[m.srcCl].Submit(s.svcECN1[m.srcCl], mi)
+	s.ecn1[m.srcCl].Submit(mi)
 }
 
 // simPool holds idle simulators between replications. A replication

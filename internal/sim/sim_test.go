@@ -355,16 +355,13 @@ func TestResetPricesEveryCentre(t *testing.T) {
 	if err := s.reset(cfg, quickOpts(1, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.svc) != len(s.centers) || len(want) != len(s.centers) {
-		t.Fatalf("%d prices for %d centres, want %d", len(s.svc), len(s.centers), len(want))
+	if len(want) != len(s.centers) {
+		t.Fatalf("%d centres, want %d", len(s.centers), len(want))
 	}
 	for i, w := range want {
-		if math.Float64bits(s.svc[i]) != math.Float64bits(w) {
-			t.Errorf("%s priced %v, want %v", s.centers[i].Name, s.svc[i], w)
+		if c := &s.centers[i]; math.Float64bits(c.mean) != math.Float64bits(w) {
+			t.Errorf("%s priced %v, want %v", c.Name, c.mean, w)
 		}
-	}
-	if *s.svcICN2 != icn2 || &s.svcICN1[2] != &s.svc[2] || &s.svcECN1[2] != &s.svc[len(icn1)+2] {
-		t.Fatal("price views do not index like the centres")
 	}
 }
 
@@ -430,37 +427,6 @@ func TestLayout(t *testing.T) {
 	lo, hi := l.ClusterRange(1)
 	if lo != 3 || hi != 8 {
 		t.Fatalf("ClusterRange(1) = [%d,%d)", lo, hi)
-	}
-}
-
-func TestLatencyCIBatchMeans(t *testing.T) {
-	cfg := smallCfg(t, 100, network.NonBlocking)
-	opts := quickOpts(31, 4000)
-	opts.RecordSample = true
-	res, err := Run(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ci, err := res.LatencyCI()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci <= 0 {
-		t.Fatalf("CI = %v", ci)
-	}
-	// The batch-means CI must not be smaller than the (optimistic) naive
-	// standard-error-based interval by more than numerical noise.
-	naive := res.Latency.CI(0.95)
-	if ci < naive*0.5 {
-		t.Fatalf("batch-means CI %v implausibly below naive %v", ci, naive)
-	}
-	// Without a recorded sample the method refuses.
-	plain, err := Run(cfg, quickOpts(31, 500))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.LatencyCI(); err == nil {
-		t.Fatal("LatencyCI without sample accepted")
 	}
 }
 
