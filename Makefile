@@ -31,13 +31,14 @@ fmt-check:
 # switch-level simulator on both topologies (Netsim*), the worker
 # pool's per-unit dispatch (ParForEach/{p1,all}), sim.RunBatchCtx's
 # own per-replication cost over a stub engine
-# (RunBatch/{fixed,adaptive}),
-# and every checked-in experiment spec to
+# (RunBatch/{fixed,adaptive}), the fleet's unit path at 0/1/2
+# in-process workers (DistUnit/{local,1w,2w}: lease, result codec,
+# positional merge), and every checked-in experiment spec to
 # rendered report through run.Run (RunSpec/<name>). BENCHTIME is recorded
 # in each report, and benchjson -compare refuses two reports taken at
 # different benchtimes, so a gate only ever compares like with like.
 BENCHTIME ?= 1s
-BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|Netsim|ParForEach|RunBatch' -benchmem -benchtime $(BENCHTIME)
+BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|Netsim|ParForEach|RunBatch|DistUnit' -benchmem -benchtime $(BENCHTIME)
 
 # bench-flags prints BENCH_FLAGS, so CI runs both sides of its gate with
 # the head tree's invocation.

@@ -10,19 +10,24 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"hmscs/internal/analytic"
 	"hmscs/internal/core"
+	"hmscs/internal/dist"
 	"hmscs/internal/netsim"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
 	"hmscs/internal/par"
 	"hmscs/internal/plan"
 	"hmscs/internal/rng"
+	"hmscs/internal/run"
 	"hmscs/internal/sim"
 	"hmscs/internal/sweep"
 	"hmscs/internal/telemetry"
@@ -639,6 +644,60 @@ func BenchmarkRunSpec(b *testing.B) {
 			if buf.Len() == 0 {
 				b.Fatal("experiment rendered nothing")
 			}
+		})
+	}
+}
+
+// BenchmarkDistUnit prices the fleet's unit path: one op is a run.Run
+// of a 2-cluster simulate spec's 32 short replications (50 warm-up and
+// 200 measured messages) at parallelism 1 through a dist.Executor, and
+// ns/unit divides by the 32 units. local attaches no worker, so every
+// unit takes the executor's local slot; 1w and 2w attach in-process
+// workers over HTTP (httptest), so the units they take also pay the
+// lease long-poll, the JSON result codec and the positional hand-off to
+// the driver's fold. remote-share is the fraction of units the workers
+// ran.
+func BenchmarkDistUnit(b *testing.B) {
+	const reps = 32
+	e := run.NewExperiment(run.KindSimulate)
+	e.System.Clusters, e.System.Total = 2, 8
+	e.Run.Messages, e.Run.Warmup, e.Run.Reps = 200, 50, reps
+	for _, workers := range []int{0, 1, 2} {
+		name := "local"
+		if workers > 0 {
+			name = fmt.Sprintf("%dw", workers)
+		}
+		b.Run(name, func(b *testing.B) {
+			coord := dist.NewCoordinator(10 * time.Second)
+			mux := http.NewServeMux()
+			coord.Mount(mux)
+			ts := httptest.NewServer(mux)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer func() {
+				cancel()
+				coord.Close()
+				ts.Close()
+			}()
+			for i := 0; i < workers; i++ {
+				go (&dist.Worker{Connect: ts.URL, Procs: 1}).Run(ctx) //nolint:errcheck // exits with ctx.Err on cancel
+			}
+			for coord.Live() < workers {
+				time.Sleep(time.Millisecond)
+			}
+			ex, err := dist.NewExecutor(ctx, coord, "bench-dist-unit", e, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ex.Close()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := run.Run(ctx, e, run.Options{Parallelism: 1, Units: ex.Runner}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reps), "ns/unit")
+			b.ReportMetric(float64(coord.Stats().Completed)/float64(b.N*reps), "remote-share")
 		})
 	}
 }

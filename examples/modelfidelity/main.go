@@ -110,8 +110,8 @@ func main() {
 	fmt.Printf("  mean transit latency  %.3f ms (closed-loop, per-endpoint blocking)\n", res.Latency.Mean()*1e3)
 	fmt.Printf("  carried throughput    %.0f msg/s (vs %.0f offered system-wide)\n",
 		res.Throughput, rates.ICN2)
-	fmt.Printf("  max link utilisation  host %.3f / fabric %.3f\n",
-		res.MaxHostLinkUtil, res.MaxInterSwitchUtil)
+	host, fabric := netsim.LinkUtilization(res, net.N)
+	fmt.Printf("  max link utilisation  host %.3f / fabric %.3f\n", host, fabric)
 	fmt.Println()
 	fmt.Println("reading: rungs 1-5 agree within a few percent. At C=16 the ICN2 is a")
 	fmt.Println("single 24-port switch (the paper's observed regime change), and the")

@@ -415,13 +415,16 @@ func (c *Coordinator) grant(worker string, off *offer) (Lease, bool) {
 
 // Complete resolves a lease with the worker's verdict. A completion for
 // an unknown lease is stale, not an error: the lease expired and its
-// unit was reassigned, or this is a duplicate delivery.
+// unit was reassigned, or this is a duplicate delivery. So is one from
+// a worker that does not hold the lease (lease ids are sequential, so
+// they are easy to quote); it credits no worker.
 func (c *Coordinator) Complete(req completeRequest) string {
 	if !c.touch(req.Worker) {
 		return statusUnknownWorker
 	}
 	c.mu.Lock()
 	l, ok := c.leases[req.Lease]
+	ok = ok && l.worker == req.Worker
 	if ok {
 		delete(c.leases, req.Lease)
 	}

@@ -79,13 +79,17 @@ func (a *adversarialWorker) run(ctx context.Context) {
 // completeUnit executes one leased unit the way a remote worker would
 // and builds its completion.
 func completeUnit(prog *run.Program, worker string, l Lease) completeRequest {
-	cfg, opts, err := prog.Unit(context.Background(), l.Unit.Stage, l.Unit.Point, l.Unit.Rep)
+	stage, err := prog.Stage(l.Unit.Stage)
+	if err != nil {
+		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
+	}
+	cfg, opts, err := stage.Unit(l.Unit.Point, l.Unit.Rep)
 	if err != nil {
 		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
 	}
 	col := telemetry.NewCollector()
 	opts.Stats = col
-	res, err := sim.Run(cfg, opts)
+	res, err := stage.Engine.Run(context.Background(), l.Unit.Point, l.Unit.Rep, cfg, opts)
 	if err != nil {
 		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
 	}
@@ -254,5 +258,46 @@ func TestSpecRegistryRefcounts(t *testing.T) {
 	}
 	if _, ok := coord.Spec("h1"); ok {
 		t.Fatal("oldest idle spec survived past the cache bound")
+	}
+}
+
+// TestCompleteFromNonHolderIsStale: lease ids are sequential, so any
+// worker can quote another's. A completion from a worker that does not
+// hold the lease must land stale, credit nobody and leave the lease to
+// its holder, whose real completion then resolves the unit.
+func TestCompleteFromNonHolderIsStale(t *testing.T) {
+	coord := NewCoordinator(time.Minute)
+	defer coord.Close()
+	a := coord.Register("a", 1).Worker
+	b := coord.Register("b", 1).Worker
+	off := &offer{hash: "h", unit: WireUnit{Stage: run.StageSim}, done: make(chan struct{}), resolved: make(chan outcome, 1)}
+	go func() { coord.offers <- off }()
+	leases, ok := coord.Lease(a, 1, 10*time.Second)
+	if !ok || len(leases) != 1 {
+		t.Fatalf("worker a leased %v (ok %v), want one lease", leases, ok)
+	}
+	id := leases[0].ID
+	if got := coord.Complete(completeRequest{Worker: b, Lease: id, Error: "forged"}); got != statusStale {
+		t.Fatalf("non-holder completion answered %q, want %q", got, statusStale)
+	}
+	if st := coord.Stats(); st.Duplicate != 1 || st.Failed != 0 || st.Completed != 0 {
+		t.Fatalf("after the forged completion: %+v, want one duplicate and nothing resolved", st)
+	}
+	select {
+	case out := <-off.resolved:
+		t.Fatalf("forged completion resolved the unit: %+v", out)
+	default:
+	}
+	res := &sim.Result{Throughput: 42}
+	if got := coord.Complete(completeRequest{Worker: a, Lease: id, Result: encodeResult(res)}); got != statusOK {
+		t.Fatalf("holder's completion answered %q, want %q", got, statusOK)
+	}
+	if out := <-off.resolved; out.err != nil || out.res.Throughput != 42 {
+		t.Fatalf("holder's completion resolved %+v, want its result", out)
+	}
+	for _, w := range coord.Workers() {
+		if want := map[string]int64{a: 1, b: 0}[w.ID]; w.UnitsDone != want {
+			t.Errorf("worker %s credited %d units, want %d", w.Name, w.UnitsDone, want)
+		}
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"hmscs/internal/run"
 	"hmscs/internal/scenario"
 	"hmscs/internal/serve"
-	"hmscs/internal/sim"
 )
 
 var tsRe = regexp.MustCompile(`"ts":"[^"]*"`)
@@ -148,17 +147,19 @@ func configCarryingSpec(t *testing.T) *run.Experiment {
 }
 
 // localRun is the baseline: the exact invocation serve.runJob performs,
-// minus the distribution hook.
-func localRun(t *testing.T, e *run.Experiment) (string, string) {
+// minus the distribution hook. It returns the report, the ts-normalized
+// events and the messages the engines generated.
+func localRun(t *testing.T, e *run.Experiment) (string, string, int64) {
 	t.Helper()
 	var report, events strings.Builder
-	if _, err := run.Run(context.Background(), e, run.Options{
+	out, err := run.Run(context.Background(), e, run.Options{
 		Parallelism: 1,
 		Sinks:       []run.Sink{run.NewMarkdownSink(&report), run.NewJSONLSink(&events)},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("local run: %v", err)
 	}
-	return report.String(), normTS(events.String())
+	return report.String(), normTS(events.String()), out.Telemetry.Sim.Generated
 }
 
 // cluster is one in-process deployment: a server, its HTTP listener,
@@ -212,41 +213,75 @@ func (c *cluster) waitLive(t *testing.T, n int) {
 }
 
 // submit drives the spec through the cluster the way a -submit binary
-// would and returns (report, ts-normalized events).
-func (c *cluster) submit(t *testing.T, e *run.Experiment) (string, string) {
+// would and returns (report, ts-normalized events, job info).
+func (c *cluster) submit(t *testing.T, e *run.Experiment) (string, string, serve.JobInfo) {
 	t.Helper()
 	client := serve.NewClient(c.ts.URL)
 	var report, events bytes.Buffer
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if _, err := client.Execute(ctx, e, &report, &events); err != nil {
+	info, err := client.Execute(ctx, e, &report, &events)
+	if err != nil {
 		t.Fatalf("remote execution: %v", err)
 	}
-	return report.String(), normTS(events.String())
+	return report.String(), normTS(events.String()), info
+}
+
+// netsimSpecs are the switch-level engine's three modes, as
+// testdata/golden-netsim.txt pins them: fixed, scenario and precision.
+func netsimSpecs(t *testing.T) map[string]*run.Experiment {
+	t.Helper()
+	load := func(name string) *run.Experiment {
+		e, err := run.Load(filepath.Join("..", "..", "testdata", "experiments", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	prec := load("netsim.json")
+	prec.Precision.RelWidth = 0.05
+	return map[string]*run.Experiment{
+		"netsim-fixed":     load("netsim.json"),
+		"netsim-scenario":  load("netsim-scenario.json"),
+		"netsim-precision": prec,
+	}
 }
 
 // TestDistributedMatchesLocal is the acceptance pin: for every
-// distributable spec kind, a config-carrying spec among them, and worker
-// count {0, 1, 2, 4}, the remote report and event stream are
-// byte-identical to a plain local run.
+// experiment kind with stages, both engines' among them, a
+// config-carrying spec, and worker count {0, 1, 2, 4}, the remote report
+// and event stream are byte-identical to a plain local run, and the job
+// generated as many messages. With workers attached, some netsim units
+// must have run remotely.
 func TestDistributedMatchesLocal(t *testing.T) {
 	specs := clusterSpecs()
 	specs["simulate-config"] = configCarryingSpec(t)
-	type baseline struct{ report, events string }
+	for name, e := range netsimSpecs(t) {
+		specs[name] = e
+	}
+	type baseline struct {
+		report, events string
+		generated      int64
+	}
 	baselines := map[string]baseline{}
 	for name, e := range specs {
-		r, ev := localRun(t, e)
-		baselines[name] = baseline{r, ev}
+		r, ev, gen := localRun(t, e)
+		baselines[name] = baseline{r, ev, gen}
 	}
 	counts := []int{0, 1, 2, 4}
 	if testing.Short() {
-		counts = []int{2}
+		counts = []int{0, 1, 2}
 	}
 	for _, workers := range counts {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			c := startCluster(t, workers, 0)
+			var netsimRemote int64
 			for name, e := range specs {
-				report, events := c.submit(t, e)
+				before := c.srv.Dist().Stats().Completed
+				report, events, info := c.submit(t, e)
+				if strings.HasPrefix(name, "netsim") {
+					netsimRemote += c.srv.Dist().Stats().Completed - before
+				}
 				if report != baselines[name].report {
 					t.Errorf("%s: report differs from local run", name)
 				}
@@ -254,9 +289,12 @@ func TestDistributedMatchesLocal(t *testing.T) {
 					t.Errorf("%s: event stream differs from local run:\n--- local ---\n%s\n--- remote ---\n%s",
 						name, baselines[name].events, events)
 				}
+				if info.Resources == nil || info.Resources.Generated != baselines[name].generated {
+					t.Errorf("%s: job resources %+v, want %d generated messages", name, info.Resources, baselines[name].generated)
+				}
 			}
-			if st := c.srv.Dist().Stats(); workers > 0 && st.Completed == 0 {
-				t.Error("workers completed no units; nothing was actually distributed")
+			if workers > 0 && netsimRemote == 0 {
+				t.Error("workers completed no netsim units; the switch-level engine was not distributed")
 			}
 		})
 	}
@@ -287,8 +325,8 @@ func TestInProcessSubmitRunsMarshalledSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantReport, wantEvents := localRun(t, parsed)
-	if _, events := localRun(t, e); events == wantEvents {
+	wantReport, wantEvents, _ := localRun(t, parsed)
+	if _, events, _ := localRun(t, e); events == wantEvents {
 		t.Fatal("the in-memory and the parsed spec run alike; the test needs a system whose outcome the round trip moves")
 	}
 	for _, workers := range []int{0, 1} {
@@ -341,7 +379,7 @@ func TestWorkerDeathMidRun(t *testing.T) {
 	e.Sweep.Ints = "1,2,4,8"
 	e.Run.Messages = 500
 	e.Run.Reps = 2
-	wantReport, wantEvents := localRun(t, e)
+	wantReport, wantEvents, _ := localRun(t, e)
 
 	c := startCluster(t, 1, 250*time.Millisecond)
 	killDoomed := c.addWorker(t, "doomed", &http.Client{
@@ -353,7 +391,7 @@ func TestWorkerDeathMidRun(t *testing.T) {
 	var report, events string
 	go func() {
 		defer close(done)
-		report, events = c.submit(t, e)
+		report, events, _ = c.submit(t, e)
 	}()
 
 	// Kill the doomed worker the moment it holds a lease. Its heartbeats
@@ -415,32 +453,51 @@ func TestHealthzReportsWorkers(t *testing.T) {
 	}
 }
 
-// TestResultCodecRoundTrip pins the wire codec's bit-exactness on a
-// real engine result (Welford state, sample vector, per-center stats).
+// TestResultCodecRoundTrip pins the wire codec's bit-exactness on real
+// results of both engines: the system simulator's (Welford state, sample
+// vector, per-centre stats) and the switch-level simulator's scenario
+// replication (per-link Centers, switch hops, sample times, drops).
 func TestResultCodecRoundTrip(t *testing.T) {
-	e := run.NewExperiment(run.KindSimulate)
-	e.System.Clusters = 2
-	e.System.Total = 8
-	e.Run.Messages = 400
-	e.Normalize()
-	prog, err := run.NewProgram(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, opts, err := prog.Unit(context.Background(), run.StageSim, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.RecordSample = true
-	res, err := sim.Run(cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dist.RoundTripResult(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res, got) {
-		t.Errorf("result changed across the wire:\nbefore: %+v\nafter:  %+v", res, got)
+	simulate := run.NewExperiment(run.KindSimulate)
+	simulate.System.Clusters = 2
+	simulate.System.Total = 8
+	simulate.Run.Messages = 400
+	for name, c := range map[string]struct {
+		e     *run.Experiment
+		stage string
+	}{
+		"simulate": {simulate, run.StageSim},
+		"netsim":   {netsimSpecs(t)["netsim-scenario"], run.StageNetsim},
+	} {
+		prog, err := run.NewProgram(c.e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := prog.Stage(c.stage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, opts, err := st.Unit(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.RecordSample = true
+		res, err := st.Engine.Run(context.Background(), 0, 1, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Centers) == 0 || len(res.Sample) == 0 {
+			t.Fatalf("%s: result carries no centres or sample", name)
+		}
+		if c.stage == run.StageNetsim && (res.SwitchHops.Count() == 0 || len(res.SampleTimes) == 0 || res.Dropped == 0) {
+			t.Fatalf("%s: result carries no switch hops, sample times or drops", name)
+		}
+		got, err := dist.RoundTripResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, got) {
+			t.Errorf("%s: result changed across the wire:\nbefore: %+v\nafter:  %+v", name, res, got)
+		}
 	}
 }

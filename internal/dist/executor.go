@@ -67,7 +67,7 @@ func (e *Executor) Runner(st *run.UnitStage) sim.UnitFunc {
 	if st.Precision {
 		// Adaptive stages are demand-driven: the replication schedule is
 		// decided round by round, so there is nothing to dispatch ahead.
-		return (&demandRunner{e: e, stage: st.Name}).RunUnit
+		return (&demandRunner{e: e, st: st}).RunUnit
 	}
 	if len(st.Units)*st.Reps == 0 {
 		return nil
@@ -103,8 +103,8 @@ type unitRes struct {
 // prefetch is possible — the adaptive stopping rule decides the next
 // round only after consuming this one.
 type demandRunner struct {
-	e     *Executor
-	stage string
+	e  *Executor
+	st *run.UnitStage
 }
 
 func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Config, opts sim.Options) (*sim.Result, error) {
@@ -112,7 +112,7 @@ func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Co
 	col := opts.Stats
 	o := opts
 	o.Stats = nil
-	off := e.newOffer(d.stage, point, rep, o.Seed)
+	off := e.newOffer(d.st.Name, point, rep, o.Seed)
 	select {
 	case e.coord.offers <- off:
 		select {
@@ -134,7 +134,7 @@ func (d *demandRunner) RunUnit(ctx context.Context, point, rep int, cfg *core.Co
 	}
 	e.coord.unitsLocal.Inc()
 	o.Stats = col
-	return runEngine(cfg, o)
+	return runEngine(ctx, d.st, point, rep, cfg, o)
 }
 
 // prefetchRunner distributes a fixed stage: a dispatcher races ahead of
@@ -231,17 +231,18 @@ func (p *prefetchRunner) awaitRemote(k int, off *offer, cfg *core.Config, o sim.
 func (p *prefetchRunner) runLocal(k int, cfg *core.Config, o sim.Options, col *telemetry.Collector) {
 	p.e.coord.unitsLocal.Inc()
 	o.Stats = col
-	res, err := runEngine(cfg, o)
+	res, err := runEngine(p.e.ctx, p.st, k/p.st.Reps, k%p.st.Reps, cfg, o)
 	<-p.e.localSem
 	p.results[k] <- unitRes{res: res, err: err}
 }
 
-// runEngine is sim.Run with a panic returned as a *par.PanicError.
-// Prefetched local units run on the executor's own goroutines, which no
-// pool recovers, and a panic there would end the server.
-func runEngine(cfg *core.Config, o sim.Options) (_ *sim.Result, err error) {
+// runEngine runs one unit through its stage's engine with a panic
+// returned as a *par.PanicError. Prefetched local units run on the
+// executor's own goroutines, which no pool recovers, and a panic there
+// would end the server.
+func runEngine(ctx context.Context, st *run.UnitStage, point, rep int, cfg *core.Config, o sim.Options) (_ *sim.Result, err error) {
 	defer par.Recover(&err)
-	return sim.Run(cfg, o)
+	return st.Engine.Run(ctx, point, rep, cfg, o)
 }
 
 // stageUnit is UnitStage.Unit with a panic returned as an error, for

@@ -32,7 +32,8 @@ func finiteFloat(st *rng.Stream) float64 {
 
 // seededResult builds a finite sim.Result from seed. Slice lengths come
 // from the fuzzer; shape bit i makes slice i nil rather than empty when its
-// length is zero.
+// length is zero, and bit 3 shapes it as a switch-level result: unnamed
+// per-link centres and a switch-hop accumulator.
 func seededResult(seed uint64, nSample, nTimes, nCenters uint8, shape uint8) *sim.Result {
 	st := rng.NewStream(seed)
 	floats := func(n uint8, nilWhenEmpty bool) []float64 {
@@ -64,9 +65,20 @@ func seededResult(seed uint64, nSample, nTimes, nCenters uint8, shape uint8) *si
 	if nCenters > 0 || shape&4 == 0 {
 		r.Centers = make([]sim.CenterStats, nCenters)
 	}
+	netsim := shape&8 != 0
+	if netsim {
+		r.SwitchHops = stats.RestoreWelford(stats.WelfordState{
+			N: int64(st.Uint64()>>1) | 1, Mean: finiteFloat(st), M2: finiteFloat(st),
+			Min: finiteFloat(st), Max: finiteFloat(st),
+		})
+	}
 	for i := range r.Centers {
+		name := fmt.Sprintf("ECN1[%d]", i)
+		if netsim {
+			name = ""
+		}
 		r.Centers[i] = sim.CenterStats{
-			Name:            fmt.Sprintf("ECN1[%d]", i),
+			Name:            name,
 			Utilization:     finiteFloat(st),
 			MeanQueueLength: finiteFloat(st),
 			MaxQueueLength:  finiteFloat(st),
@@ -102,6 +114,7 @@ func FuzzResultRoundTrip(f *testing.F) {
 	f.Add(uint64(2), uint8(0), uint8(0), uint8(0), uint8(7))
 	f.Add(uint64(3), uint8(16), uint8(16), uint8(5), uint8(0))
 	f.Add(uint64(4), uint8(200), uint8(0), uint8(33), uint8(2))
+	f.Add(uint64(5), uint8(40), uint8(40), uint8(32), uint8(8))
 	f.Fuzz(func(t *testing.T, seed uint64, nSample, nTimes, nCenters, shape uint8) {
 		in := seededResult(seed, nSample, nTimes, nCenters, shape)
 		out, err := dist.RoundTripResult(in)
@@ -111,6 +124,10 @@ func FuzzResultRoundTrip(f *testing.F) {
 		if a, b := in.Latency.State(), out.Latency.State(); a.N != b.N || bitsDiffer(a.Mean, b.Mean) ||
 			bitsDiffer(a.M2, b.M2) || bitsDiffer(a.Min, b.Min) || bitsDiffer(a.Max, b.Max) {
 			t.Fatalf("Welford state %+v came back as %+v", a, b)
+		}
+		if a, b := in.SwitchHops.State(), out.SwitchHops.State(); a.N != b.N || bitsDiffer(a.Mean, b.Mean) ||
+			bitsDiffer(a.M2, b.M2) || bitsDiffer(a.Min, b.Min) || bitsDiffer(a.Max, b.Max) {
+			t.Fatalf("switch-hop state %+v came back as %+v", a, b)
 		}
 		if floatsDiffer(in.Sample, out.Sample) || floatsDiffer(in.SampleTimes, out.SampleTimes) {
 			t.Fatal("a sample vector changed across the wire")

@@ -1,10 +1,12 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"testing"
 
 	"hmscs/internal/par"
+	"hmscs/internal/run"
 	"hmscs/internal/sim"
 )
 
@@ -12,7 +14,7 @@ import (
 // executor's own goroutines comes back as the unit's error: a nil
 // configuration makes the engine panic.
 func TestLocalSlotRecoversPanic(t *testing.T) {
-	res, err := runEngine(nil, sim.DefaultOptions())
+	res, err := runEngine(context.Background(), &run.UnitStage{}, 0, 0, nil, sim.DefaultOptions())
 	var pe *par.PanicError
 	if res != nil || !errors.As(err, &pe) {
 		t.Fatalf("runEngine(nil) = %v, %v; want a *par.PanicError", res, err)

@@ -136,6 +136,7 @@ type wireResult struct {
 	TimedOut        bool               `json:"timed_out,omitempty"`
 	Dropped         int64              `json:"dropped,omitempty"`
 	Rerouted        int64              `json:"rerouted,omitempty"`
+	SwitchHops      stats.WelfordState `json:"switch_hops"`
 }
 
 type wireCenter struct {
@@ -160,6 +161,7 @@ func encodeResult(r *sim.Result) *wireResult {
 		TimedOut:        r.TimedOut,
 		Dropped:         r.Dropped,
 		Rerouted:        r.Rerouted,
+		SwitchHops:      r.SwitchHops.State(),
 	}
 	for _, c := range r.Centers {
 		w.Centers = append(w.Centers, wireCenter(c))
@@ -181,6 +183,7 @@ func (w *wireResult) decode() *sim.Result {
 		TimedOut:        w.TimedOut,
 		Dropped:         w.Dropped,
 		Rerouted:        w.Rerouted,
+		SwitchHops:      stats.RestoreWelford(w.SwitchHops),
 	}
 	for _, c := range w.Centers {
 		r.Centers = append(r.Centers, sim.CenterStats(c))

@@ -234,7 +234,11 @@ func (w *Worker) runUnit(ctx context.Context, l Lease) (_ *sim.Result, _ telemet
 	if err != nil {
 		return nil, telemetry.SimStats{}, 0, err
 	}
-	cfg, opts, err := prog.Unit(ctx, l.Unit.Stage, l.Unit.Point, l.Unit.Rep)
+	stage, err := prog.StageCtx(ctx, l.Unit.Stage)
+	if err != nil {
+		return nil, telemetry.SimStats{}, 0, err
+	}
+	cfg, opts, err := stage.Unit(l.Unit.Point, l.Unit.Rep)
 	if err != nil {
 		return nil, telemetry.SimStats{}, 0, err
 	}
@@ -246,7 +250,7 @@ func (w *Worker) runUnit(ctx context.Context, l Lease) (_ *sim.Result, _ telemet
 	col := telemetry.NewCollector()
 	opts.Stats = col
 	start := time.Now()
-	res, err := sim.Run(cfg, opts)
+	res, err := stage.Engine.Run(ctx, l.Unit.Point, l.Unit.Rep, cfg, opts)
 	busy := time.Since(start)
 	st, _ := col.Snapshot()
 	return res, st, busy, err

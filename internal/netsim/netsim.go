@@ -21,7 +21,8 @@
 // window are sim's shared traffic kernel (sim.Traffic), so warm-up, the
 // measured count, the stop, throughput and TimedOut mean the same in
 // both engines; netsim adds only the canonical commit order of
-// same-instant deliveries and their switch counts. Traffic comes
+// same-instant deliveries and their switch counts, and a run returns the
+// same sim.Result, one Centers row per link. Traffic comes
 // from the same workload.Generator the system simulator consumes — arrival
 // process (Poisson, MMPP bursty, heavy-tailed, trace replay) and
 // destination pattern (uniform, local, hotspot) — with switches acting as
@@ -38,7 +39,6 @@ import (
 	"hmscs/internal/rng"
 	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
-	"hmscs/internal/stats"
 	"hmscs/internal/telemetry"
 	"hmscs/internal/workload"
 )
@@ -129,7 +129,7 @@ type Network struct {
 	// Run state: the endpoints' random streams, the workload whose
 	// pattern picks destinations, and the traffic kernel holding their
 	// sources, lifecycles and measurement window.
-	res       *Result
+	res       *sim.Result
 	streams   []rng.Stream
 	gen       workload.Generator
 	traffic   sim.Traffic
@@ -335,13 +335,6 @@ func (n *Network) appendRoute(buf []int32, st *rng.Stream, src, dst int, now flo
 	}
 }
 
-// route returns src->dst's link ids in a fresh slice; tests and one-off
-// inspection use it, the simulation loop uses appendRoute with a pooled
-// buffer.
-func (n *Network) route(st *rng.Stream, src, dst int) ([]int32, int) {
-	return n.appendRoute(nil, st, src, dst, 0)
-}
-
 // pickSpine draws the route's spine. In scenario mode the draw is uniform
 // over the spines up at route time (the static compiled timeline, so the
 // choice is a pure function of the stream and the clock): one Intn draw
@@ -408,31 +401,6 @@ type Options struct {
 	// mark. Purely observational: results are bit-identical with or
 	// without it (DESIGN.md §12).
 	Stats *telemetry.Collector
-}
-
-// Result is a netsim run's output.
-type Result struct {
-	// Latency is the end-to-end message latency accumulator (seconds).
-	Latency stats.Welford
-	// Sample holds the raw measured latencies when Options.RecordSample is
-	// set, in completion order.
-	Sample []float64
-	// SwitchHops is the per-message switches-traversed accumulator,
-	// comparable to 2d−1 (fat-tree) and (k+1)/3 (linear array).
-	SwitchHops stats.Welford
-	// Throughput is the measured delivery rate over the window (msg/s).
-	Throughput float64
-	// MaxLinkUtilization distinguishes edge from fabric pressure.
-	MaxHostLinkUtil    float64
-	MaxInterSwitchUtil float64
-	// TimedOut reports hitting MaxSimTime before Measured messages.
-	TimedOut bool
-	// SampleTimes holds the absolute completion time of every Sample entry
-	// in scenario runs with RecordSample; empty in stationary runs.
-	SampleTimes []float64
-	// Dropped counts messages discarded by a failure's drop policy in
-	// scenario runs (their closed-loop sources are released).
-	Dropped int64
 }
 
 // allocMsg takes a message slot from the pool, keeping any recycled path
@@ -624,9 +592,11 @@ func (n *Network) dropMsg(mi int32) {
 	}
 }
 
-// Run executes a closed-loop uniform-traffic experiment on the network.
-// The network is single-use.
-func (n *Network) Run(opts Options) (*Result, error) {
+// Run executes a closed-loop uniform-traffic experiment on the network
+// and returns its result: latency, throughput, the window's sample,
+// switch hops and one Centers entry per link, host links first (see
+// LinkUtilization). The network is single-use.
+func (n *Network) Run(opts Options) (*sim.Result, error) {
 	if !(opts.Lambda > 0) {
 		return nil, fmt.Errorf("netsim: lambda %g must be positive", opts.Lambda)
 	}
@@ -639,7 +609,7 @@ func (n *Network) Run(opts Options) (*Result, error) {
 	if opts.Warmup < 0 {
 		return nil, fmt.Errorf("netsim: negative warmup %d", opts.Warmup)
 	}
-	n.res = &Result{}
+	n.res = &sim.Result{}
 	master := rng.NewStream(opts.Seed ^ 0xabcdef12345)
 	n.streams = make([]rng.Stream, n.N)
 	rates := make([]float64, n.N)
@@ -673,32 +643,46 @@ func (n *Network) Run(opts Options) (*Result, error) {
 	}
 	n.traffic.Run()
 	w := &n.traffic.Window
-	n.res.Throughput, n.res.TimedOut = w.Close()
-	n.res.Latency, n.res.Sample, n.res.SampleTimes = w.Latency, w.Sample, w.SampleTimes
+	res := n.res
+	res.Throughput, res.TimedOut = w.Close()
+	res.Latency, res.Sample, res.SampleTimes, res.Measured = w.Latency, w.Sample, w.SampleTimes, w.Latency.Count()
+	res.SimTime, res.Generated = n.eng.Now(), n.generated
+	res.Centers = make([]sim.CenterStats, len(n.links))
 	for i := range n.links {
-		l := &n.links[i]
-		l.Flush()
-		if i < 2*n.N {
-			n.res.MaxHostLinkUtil = math.Max(n.res.MaxHostLinkUtil, l.Utilization())
-		} else {
-			n.res.MaxInterSwitchUtil = math.Max(n.res.MaxInterSwitchUtil, l.Utilization())
-		}
+		res.Centers[i] = n.links[i].Stats()
 	}
 	if opts.Stats != nil {
 		opts.Stats.Add(telemetry.SimStats{
 			Events:     n.eng.Executed(),
 			MaxPending: int64(n.eng.MaxPending()),
 			Generated:  n.generated,
-			Dropped:    n.res.Dropped,
+			Dropped:    res.Dropped,
 		})
 	}
-	return n.res, nil
+	return res, nil
 }
 
-// ContentionFreeLatency returns the zero-load end-to-end time for a
-// message crossing the maximum-distance path, the netsim analogue of the
-// paper's eq. 11 / eq. 19 wire time (store-and-forward charges the
-// transmission once per hop).
+// LinkUtilization returns the highest utilisation among the host links
+// and among the switch-to-switch links of an n-endpoint network's
+// result, whose first 2n Centers are the host links. The two tell edge
+// from fabric pressure.
+func LinkUtilization(res *sim.Result, n int) (host, fabric float64) {
+	for i, c := range res.Centers {
+		if i < 2*n {
+			host = math.Max(host, c.Utilization)
+		} else {
+			fabric = math.Max(fabric, c.Utilization)
+		}
+	}
+	return host, fabric
+}
+
+// ContentionFreeLatency returns the zero-load end-to-end time of one
+// message, the netsim analogue of the paper's eq. 11 / eq. 19 wire time
+// (store-and-forward charges the transmission once per hop). On the
+// fat-tree it is the longest path (three switches across the spines,
+// one on a single switch); on the linear array it is the mean path, eq.
+// 19's (k+1)/3 switches.
 func (n *Network) ContentionFreeLatency(msgBytes int) float64 {
 	perHop := float64(msgBytes) * n.Tech.Beta()
 	var hops, switches float64

@@ -2,11 +2,13 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"hmscs/internal/network"
 	"hmscs/internal/rng"
 	"hmscs/internal/scenario"
+	"hmscs/internal/sim"
 	"hmscs/internal/topology"
 	"hmscs/internal/workload"
 )
@@ -218,13 +220,13 @@ func TestTheorem1FullBisection(t *testing.T) {
 	}
 	// Fat-tree: fabric never hotter than the edge by more than a whisker
 	// (full bisection, Theorem 1).
-	if ftRes.MaxInterSwitchUtil > ftRes.MaxHostLinkUtil+0.1 {
-		t.Fatalf("fat-tree fabric (%v) hotter than edge (%v): Theorem 1 violated",
-			ftRes.MaxInterSwitchUtil, ftRes.MaxHostLinkUtil)
+	ftHost, ftFabric := LinkUtilization(ftRes, n)
+	if ftFabric > ftHost+0.1 {
+		t.Fatalf("fat-tree fabric (%v) hotter than edge (%v): Theorem 1 violated", ftFabric, ftHost)
 	}
 	// Linear array: the chain is the bottleneck and saturates.
-	if laRes.MaxInterSwitchUtil < 0.95 {
-		t.Fatalf("linear-array chain utilisation %v, expected saturation", laRes.MaxInterSwitchUtil)
+	if _, laFabric := LinkUtilization(laRes, n); laFabric < 0.95 {
+		t.Fatalf("linear-array chain utilisation %v, expected saturation", laFabric)
 	}
 	// The latency gap is structural. (Closed-loop sources bound each
 	// queue by the population, so the gap is solid rather than unbounded
@@ -289,7 +291,7 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	mk := func() *Result {
+	mk := func() *sim.Result {
 		net := buildFT(t, 16, 8)
 		res, err := net.Run(Options{Lambda: 100, MsgBytes: 256, Warmup: 100, Measured: 2000, Seed: 11})
 		if err != nil {
@@ -308,7 +310,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 // bit-identical to passing the paper's axes explicitly.
 func TestWorkloadZeroValueBitIdentical(t *testing.T) {
 	base := Options{Lambda: 200, MsgBytes: 256, Warmup: 100, Measured: 2000, Seed: 3}
-	runWith := func(w workload.Generator) *Result {
+	runWith := func(w workload.Generator) *sim.Result {
 		net := buildFT(t, 16, 8)
 		o := base
 		o.Workload = w
@@ -364,8 +366,8 @@ func TestHotspotPatternConcentratesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hotDown := net.links[net.hostDown[0]].Utilization()
-	otherDown := net.links[net.hostDown[9]].Utilization()
+	hotDown := res.Centers[net.hostDown[0]].Utilization
+	otherDown := res.Centers[net.hostDown[9]].Utilization
 	if hotDown < 4*otherDown {
 		t.Fatalf("hot downlink util %.3f not dominating other %.3f", hotDown, otherDown)
 	}
@@ -401,7 +403,7 @@ func TestBurstyArrivalsRaiseSwitchLatency(t *testing.T) {
 
 // requireIdenticalNetResults asserts bit-identity of every Result field,
 // including the raw sample vector.
-func requireIdenticalNetResults(t *testing.T, label string, want, got *Result) {
+func requireIdenticalNetResults(t *testing.T, label string, want, got *sim.Result) {
 	t.Helper()
 	if want.Latency.Mean() != got.Latency.Mean() || want.Latency.Count() != got.Latency.Count() ||
 		want.Latency.Variance() != got.Latency.Variance() {
@@ -414,9 +416,8 @@ func requireIdenticalNetResults(t *testing.T, label string, want, got *Result) {
 	if want.Throughput != got.Throughput {
 		t.Fatalf("%s: throughput %v vs %v", label, want.Throughput, got.Throughput)
 	}
-	if want.MaxHostLinkUtil != got.MaxHostLinkUtil || want.MaxInterSwitchUtil != got.MaxInterSwitchUtil {
-		t.Fatalf("%s: utilizations diverged: %v/%v vs %v/%v", label,
-			want.MaxHostLinkUtil, want.MaxInterSwitchUtil, got.MaxHostLinkUtil, got.MaxInterSwitchUtil)
+	if !reflect.DeepEqual(want.Centers, got.Centers) {
+		t.Fatalf("%s: link statistics diverged:\n%+v\nvs\n%+v", label, want.Centers, got.Centers)
 	}
 	if want.TimedOut != got.TimedOut {
 		t.Fatalf("%s: TimedOut %v vs %v", label, want.TimedOut, got.TimedOut)
@@ -434,7 +435,7 @@ func requireIdenticalNetResults(t *testing.T, label string, want, got *Result) {
 // requireIdenticalNetDynamic extends the bit-identity assertion to the
 // dynamic-run outputs: the timestamped sample vector feeding the
 // transient estimator and the drop counter.
-func requireIdenticalNetDynamic(t *testing.T, label string, a, b *Result) {
+func requireIdenticalNetDynamic(t *testing.T, label string, a, b *sim.Result) {
 	t.Helper()
 	requireIdenticalNetResults(t, label, a, b)
 	if a.Dropped != b.Dropped {
@@ -452,7 +453,7 @@ func requireIdenticalNetDynamic(t *testing.T, label string, a, b *Result) {
 
 // runNetDyn compiles the spec against a fresh network (a Network is
 // single-use) and runs it.
-func runNetDyn(t *testing.T, build func(t *testing.T) *Network, spec *scenario.Spec, seed uint64) *Result {
+func runNetDyn(t *testing.T, build func(t *testing.T) *Network, spec *scenario.Spec, seed uint64) *sim.Result {
 	t.Helper()
 	n := build(t)
 	cn, err := scenario.CompileNet(spec, n.Topo())
@@ -477,7 +478,7 @@ func TestNetScenarioRepairAtHorizon(t *testing.T) {
 	w := 256 * network.GigabitEthernet.Beta() // one mean link transmission
 	fail := scenario.Event{TS: 16384 * w, Action: "fail", Target: "spine:0", Policy: "drop"}
 	ft := func(t *testing.T) *Network { return buildFT(t, 32, 8) }
-	run := func(events ...scenario.Event) *Result {
+	run := func(events ...scenario.Event) *sim.Result {
 		return runNetDyn(t, ft, &scenario.Spec{HorizonS: 65536 * w, Events: events}, 29)
 	}
 	repaired := run(fail, scenario.Event{TS: 65536 * w, Action: "repair", Target: "spine:0"})
@@ -504,4 +505,10 @@ func TestNetScenarioRepeatable(t *testing.T) {
 	if len(a.SampleTimes) == len(c.SampleTimes) && a.Latency.Mean() == c.Latency.Mean() {
 		t.Fatal("different seeds gave an identical dynamic sample path")
 	}
+}
+
+// route returns src->dst's link ids in a fresh slice; the simulation
+// loop uses appendRoute with a pooled buffer.
+func (n *Network) route(st *rng.Stream, src, dst int) ([]int32, int) {
+	return n.appendRoute(nil, st, src, dst, 0)
 }

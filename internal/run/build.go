@@ -268,14 +268,13 @@ type NetExperiment struct {
 	Tech network.Technology
 	// Switch holds the switch-fabric parameters (ports, latency).
 	Switch network.Switch
-	// Topo, N, Ports, Lambda and MsgBytes are the resolved topology
-	// parameters (after a Config resolution they reflect the selected
-	// network, not the spec's flag-level defaults).
-	Topo     string
-	N        int
-	Ports    int
-	Lambda   float64
-	MsgBytes int
+	// Topo, N and Ports are the resolved topology parameters, as Opts'
+	// Lambda and MsgBytes are the traffic's (after a Config resolution
+	// they reflect the selected network, not the spec's flag-level
+	// defaults).
+	Topo  string
+	N     int
+	Ports int
 }
 
 // resolveConfig maps one communication network of a core.Config onto the
@@ -380,12 +379,10 @@ func (e *Experiment) buildNet() (*NetExperiment, error) {
 			Seed:     e.Run.Seed,
 			Workload: workload.Generator{Arrival: arrival, Pattern: pattern},
 		},
-		Tech:     technology,
-		Switch:   sw,
-		Topo:     n.Topo,
-		N:        n.N,
-		Ports:    n.Ports,
-		Lambda:   n.Lambda,
-		MsgBytes: n.MsgBytes,
+		Tech:   technology,
+		Switch: sw,
+		Topo:   n.Topo,
+		N:      n.N,
+		Ports:  n.Ports,
 	}, nil
 }

@@ -280,7 +280,7 @@ func TestNetConfigResolution(t *testing.T) {
 		if math.Abs(exp.Opts.Lambda-want) > 1e-9*want {
 			t.Errorf("%s[%d]: per-endpoint λ %g, want %g", tc.net, tc.cluster, exp.Opts.Lambda, want)
 		}
-		if exp.MsgBytes != 512 || exp.Switch.Ports != cfg.Switch.Ports {
+		if exp.Opts.MsgBytes != 512 || exp.Switch.Ports != cfg.Switch.Ports {
 			t.Errorf("%s[%d]: message/switch parameters not resolved", tc.net, tc.cluster)
 		}
 		if exp.Topo != "fat-tree" {

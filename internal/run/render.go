@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"hmscs/internal/core"
+	"hmscs/internal/netsim"
 	"hmscs/internal/network"
 	"hmscs/internal/report"
 	"hmscs/internal/stats"
@@ -171,7 +172,7 @@ func renderNetsim(w io.Writer, o *Outcome) error {
 	n := o.Net
 	exp := n.Exp
 	fmt.Fprintf(w, "%s: %d endpoints, %d-port switches, %s, λ=%.6g msg/s, M=%dB, %s arrivals\n",
-		exp.Topo, exp.N, exp.Ports, exp.Tech.Name, exp.Lambda, exp.MsgBytes,
+		exp.Topo, exp.N, exp.Ports, exp.Tech.Name, exp.Opts.Lambda, exp.Opts.MsgBytes,
 		exp.Opts.Workload.Arrival.Name())
 
 	res := n.Res
@@ -195,11 +196,12 @@ func renderNetsim(w io.Writer, o *Outcome) error {
 			{"latency 95% CI (per-msg)", Ms(res.Latency.CI(0.95))},
 		}
 	}
+	host, fabric := netsim.LinkUtilization(res, exp.N)
 	rows = append(rows,
 		[2]string{"mean switches traversed", fmt.Sprintf("%.3f", res.SwitchHops.Mean())},
 		[2]string{"throughput", fmt.Sprintf("%.1f msg/s", res.Throughput)},
-		[2]string{"max host-link utilisation", fmt.Sprintf("%.3f", res.MaxHostLinkUtil)},
-		[2]string{"max fabric-link utilisation", fmt.Sprintf("%.3f", res.MaxInterSwitchUtil)},
+		[2]string{"max host-link utilisation", fmt.Sprintf("%.3f", host)},
+		[2]string{"max fabric-link utilisation", fmt.Sprintf("%.3f", fabric)},
 		[2]string{"contention-free reference", Ms(n.ContentionFree)},
 	)
 	if res.TimedOut {

@@ -8,7 +8,6 @@ import (
 
 	"hmscs/internal/analytic"
 	"hmscs/internal/core"
-	"hmscs/internal/netsim"
 	"hmscs/internal/network"
 	"hmscs/internal/output"
 	"hmscs/internal/plan"
@@ -53,12 +52,15 @@ type Options struct {
 	Units func(st *UnitStage) sim.UnitFunc
 }
 
-// unitFunc resolves the stage's executor; nil means run locally.
+// unitFunc resolves the stage's executor: the Units hook's, else the
+// stage's own Engine (nil: sim.Run inline).
 func (o Options) unitFunc(st *UnitStage) sim.UnitFunc {
-	if o.Units == nil {
-		return nil
+	if o.Units != nil {
+		if run := o.Units(st); run != nil {
+			return run
+		}
 	}
-	return o.Units(st)
+	return st.Engine
 }
 
 // observed returns the stage's units with the run's stats collector
@@ -141,7 +143,7 @@ type NetOutcome struct {
 	Exp *NetExperiment
 	// Res is the replication behind the topology-level metrics (the first
 	// one; the last accepted one in adaptive mode), without its samples.
-	Res *netsim.Result
+	Res *sim.Result
 	// Est and Prec are set in adaptive mode.
 	Est  *sim.Estimate
 	Prec *output.Precision
@@ -222,7 +224,7 @@ func Run(ctx context.Context, e *Experiment, opts Options) (*Outcome, error) {
 	case KindSimulate:
 		out.Simulate, err = runSimulate(ctx, prog, ropts, emit)
 	case KindNetsim:
-		out.Net, err = runNetsim(ctx, spec, ropts, emit)
+		out.Net, err = runNetsim(ctx, prog, ropts, emit)
 	case KindFigure:
 		out.Figure, err = runFigure(ctx, prog, ropts, emit)
 	case KindSweep:
@@ -398,90 +400,27 @@ func runSimulate(ctx context.Context, p *Program, opts Options, em *emitter) (*S
 	return out, nil
 }
 
-func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*NetOutcome, error) {
+func runNetsim(ctx context.Context, p *Program, opts Options, em *emitter) (*NetOutcome, error) {
+	e := p.spec
+	st, err := p.Stage(StageNetsim)
+	if err != nil {
+		return nil, err
+	}
 	prec, err := e.Precision.Build()
 	if err != nil {
 		return nil, err
 	}
-	exp, err := e.buildNet()
-	if err != nil {
-		return nil, err
-	}
-	out := &NetOutcome{Exp: exp, Prec: prec}
-	unit := sim.Unit{Opts: sim.Options{
-		Seed:             exp.Opts.Seed,
-		WarmupMessages:   exp.Opts.Warmup,
-		MeasuredMessages: exp.Opts.Measured,
-		MaxSimTime:       exp.Opts.MaxSimTime,
-		Stats:            opts.Stats,
-	}}
-	reps := 1 // a stationary fixed run is one network
-	var cn *scenario.CompiledNet
-	if prec == nil && e.Scenario != nil {
-		// The endpoint and switch counts a timeline resolves its targets
-		// against are seed-independent, so the base-seed build serves
-		// every replication.
-		net, err := exp.Build(exp.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		if cn, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
-			return nil, err
-		}
-		unit.Window = &cn.Window
-		unit.Opts.RecordSample = true
-		reps = e.Run.Reps
-	}
-	// One replication builds its network at the driver-derived seed and
-	// runs it under the driver-derived options. Two netsim results are
-	// kept for the topology-level metrics (utilisation, hop counts) a
-	// sim.Result does not carry: replication 1's, whose network also gives
-	// the seed-independent contention-free reference, and the
-	// highest-index one, which in a precision run is the last accepted
-	// (the stopping rule takes every replication a round runs). The
-	// returned sim.Result carries what the batch fold reads: the sample
-	// (with its completion times and drops in a scenario run).
-	var kept struct {
-		sync.Mutex
-		first, last *netsim.Result
-		lastRep     int
-	}
-	kept.lastRep = -1
-	runRep := func(_ context.Context, _, rep int, _ *core.Config, o sim.Options) (*sim.Result, error) {
-		n, err := exp.Build(o.Seed)
-		if err != nil {
-			return nil, err
-		}
-		no := exp.Opts
-		no.Seed, no.Warmup, no.Measured = o.Seed, o.WarmupMessages, o.MeasuredMessages
-		no.RecordSample, no.MaxSimTime, no.Stats, no.Scenario = o.RecordSample, o.MaxSimTime, o.Stats, cn
-		r, err := n.Run(no)
-		if err != nil {
-			return nil, err
-		}
-		res := &sim.Result{Sample: r.Sample, SampleTimes: r.SampleTimes, Dropped: r.Dropped}
-		r.Sample, r.SampleTimes = nil, nil
-		kept.Lock()
-		defer kept.Unlock()
-		if rep == 0 {
-			kept.first = r
-			out.ContentionFree = n.ContentionFreeLatency(exp.MsgBytes)
-		}
-		if rep > kept.lastRep {
-			kept.last, kept.lastRep = r, rep
-		}
-		return res, nil
-	}
 	// Adaptive runs are quarter-length replications with MSER-5 deletion
 	// in place of the warm-up prefix.
-	sched := sim.Schedule{Reps: reps, Precision: prec, Confidence: e.Precision.Confidence}
-	sums, err := sim.RunBatchCtx(ctx, []sim.Unit{unit}, sched, opts.Parallelism, em.fn(), runRep)
+	sched := sim.Schedule{Reps: st.Reps, Precision: prec, Confidence: e.Precision.Confidence}
+	sums, err := sim.RunBatchCtx(ctx, opts.observed(st), sched, opts.Parallelism, em.fn(), opts.unitFunc(st))
 	if err != nil {
 		return nil, err
 	}
-	out.Res = kept.first
+	exp, reps := st.net, sums[0].Results
+	out := &NetOutcome{Exp: exp, Res: reps[0], Prec: prec, ContentionFree: st.contentionFree}
 	if prec != nil {
-		out.Est, out.Res = &sums[0].Est, kept.last
+		out.Est, out.Res = &sums[0].Est, reps[len(reps)-1]
 	}
 	if t := sums[0].Transient; t != nil {
 		out.Scenario = &ScenarioOutcome{Spec: e.Scenario, Transient: t}
@@ -498,12 +437,12 @@ func runNetsim(ctx context.Context, e *Experiment, opts Options, em *emitter) (*
 	if err != nil {
 		return nil, err
 	}
-	out.ModelServiceTime = model.MeanServiceTime(exp.MsgBytes)
-	st, err := queueing.NewMM1(out.Res.Throughput, model.ServiceRate(exp.MsgBytes))
+	out.ModelServiceTime = model.MeanServiceTime(exp.Opts.MsgBytes)
+	mm1, err := queueing.NewMM1(out.Res.Throughput, model.ServiceRate(exp.Opts.MsgBytes))
 	if err != nil {
 		return nil, err
 	}
-	if w, errW := st.W(); errW == nil {
+	if w, errW := mm1.W(); errW == nil {
 		out.ModelSojourn = w
 	} else {
 		out.ModelUnstable = true

@@ -34,13 +34,16 @@ const (
 	// optional scenario check after it runs locally for the same reason
 	// the figure extras do.
 	StageVerify = "verify"
+	// StageNetsim is the netsim kind's replication batch (all modes),
+	// run by the switch-level engine.
+	StageNetsim = "netsim"
 )
 
 // UnitStage is one distributable batch of an experiment: the prepared
-// per-point units (overrides applied, scenarios compiled)
-// plus the replication schedule. In fixed mode every point runs exactly
-// Reps replications; with Precision set the schedule is adaptive and rep
-// indices are open-ended.
+// per-point units (overrides applied, scenarios compiled), the
+// replication schedule and the engine that runs a unit. In fixed mode
+// every point runs exactly Reps replications; with Precision set the
+// schedule is adaptive and rep indices are open-ended.
 type UnitStage struct {
 	Name  string
 	Units []sim.Unit
@@ -49,6 +52,11 @@ type UnitStage struct {
 	// Precision marks the adaptive schedule: replication rep of a point
 	// derives via sim.ReplicationOptions's adaptive transform.
 	Precision bool
+	// Engine runs one derived unit: nil is the system simulator (sim.Run);
+	// the netsim stage's builds the switch graph at the unit's seed and
+	// runs it. Local runs, the fleet's workers and its local fallback all
+	// execute a stage's units through it.
+	Engine sim.UnitFunc
 
 	// batch is the sweep or figure kind's one derivation (Units are its
 	// units), with the options it was derived under and the sweep's
@@ -58,12 +66,16 @@ type UnitStage struct {
 	sweepOpts sweep.Options
 	labels    []string
 	figures   *figureSelection
+	// net is the netsim kind's built experiment and contentionFree its
+	// zero-load reference, taken from the one base-seed build.
+	net            *NetExperiment
+	contentionFree float64
 }
 
 // Unit derives one (point, rep) unit's configuration and fully resolved
 // simulation options. Stage units never carry execution-side
-// attachments (Stats, Profile); `sim.Run(cfg, opts)` on the result is
-// the unit's reference semantics.
+// attachments (Stats, Profile); the stage's Engine on the result is the
+// unit's reference semantics.
 func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 	if point < 0 || point >= len(s.Units) {
 		return nil, sim.Options{}, fmt.Errorf("run: stage %q has %d points, not %d", s.Name, len(s.Units), point)
@@ -122,9 +134,11 @@ func newProgram(spec *Experiment) *Program {
 	return &Program{spec: spec, stages: make(map[string]*UnitStage)}
 }
 
-// Distributable reports whether the experiment kind has batch stages a
-// remote executor could run. Netsim experiments (their engine drives
-// replications itself) and pure-analytic runs do not.
+// Distributable reports whether the experiment has batch stages that
+// sim.Run executes: pure-analytic runs have none, and the netsim stage
+// runs on its own Engine. Nothing in the program branches on it; the
+// repository benchmark's traced probe replays those stages through
+// sim.Run.
 func Distributable(e *Experiment) bool {
 	switch e.Kind {
 	case KindSimulate, KindSweep, KindFigure, KindPlan:
@@ -143,15 +157,11 @@ func (p *Program) Stage(name string) (*UnitStage, error) {
 	return p.stage(context.TODO(), name, 0)
 }
 
-// Unit derives one unit through the named stage. A stage it builds runs
-// under ctx, and a plan screening it needs runs on the calling goroutine
-// alone: a worker derives units inside a one-slot budget.
-func (p *Program) Unit(ctx context.Context, stage string, point, rep int) (*core.Config, sim.Options, error) {
-	st, err := p.stage(ctx, stage, 1)
-	if err != nil {
-		return nil, sim.Options{}, err
-	}
-	return st.Unit(point, rep)
+// StageCtx is Stage building under ctx, with a plan screening it needs
+// run on the calling goroutine alone: a worker derives units inside a
+// one-slot budget.
+func (p *Program) StageCtx(ctx context.Context, name string) (*UnitStage, error) {
+	return p.stage(ctx, name, 1)
 }
 
 // stage is Stage building under ctx, screening on up to parallelism
@@ -219,6 +229,8 @@ func (p *Program) buildStage(ctx context.Context, name string, parallelism int) 
 		return p.buildBatch(name)
 	case name == StageVerify && e.Kind == KindPlan:
 		return p.buildVerify(ctx, parallelism)
+	case name == StageNetsim && e.Kind == KindNetsim:
+		return p.buildNetsim()
 	}
 	return nil, fmt.Errorf("run: %s experiment has no %q stage", e.Kind, name)
 }
@@ -355,4 +367,54 @@ func (p *Program) buildVerify(ctx context.Context, parallelism int) (*UnitStage,
 		Units:     plan.VerifyUnits(ps.frontier, e.Plan.Top, p.verifyOptions(ps.arrival)),
 		Precision: true,
 	}, nil
+}
+
+// buildNetsim is the netsim kind's replication batch: one unit over the
+// base seed and run window, whose Engine builds the network at each
+// replication's seed. A stationary fixed run is one network; a scenario
+// run is run.reps replications of the timeline, compiled once against
+// the base-seed build (endpoint and switch counts do not depend on the
+// seed), which also gives the contention-free reference.
+func (p *Program) buildNetsim() (*UnitStage, error) {
+	e := p.spec
+	exp, err := e.buildNet()
+	if err != nil {
+		return nil, err
+	}
+	prec, err := e.Precision.Build()
+	if err != nil {
+		return nil, err
+	}
+	base, err := exp.Build(exp.Opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	unit := sim.Unit{Opts: sim.Options{
+		Seed: exp.Opts.Seed, WarmupMessages: exp.Opts.Warmup, MeasuredMessages: exp.Opts.Measured,
+	}}
+	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: base.ContentionFreeLatency(exp.Opts.MsgBytes)}
+	var cn *scenario.CompiledNet
+	switch {
+	case prec != nil:
+		st.Reps, st.Precision = 0, true
+	case e.Scenario != nil:
+		if cn, err = scenario.CompileNet(e.Scenario, base.Topo()); err != nil {
+			return nil, err
+		}
+		unit.Window = &cn.Window
+		unit.Opts.RecordSample = true
+		st.Reps = e.Run.Reps
+	}
+	st.Units = []sim.Unit{unit}
+	st.Engine = func(_ context.Context, _, _ int, _ *core.Config, o sim.Options) (*sim.Result, error) {
+		n, err := exp.Build(o.Seed)
+		if err != nil {
+			return nil, err
+		}
+		no := exp.Opts
+		no.Seed, no.Warmup, no.Measured = o.Seed, o.WarmupMessages, o.MeasuredMessages
+		no.RecordSample, no.Stats, no.Scenario = o.RecordSample, o.Stats, cn
+		return n.Run(no)
+	}
+	return st, nil
 }

@@ -37,10 +37,14 @@ func (r *recordingExec) stage(st *UnitStage) sim.UnitFunc {
 		r.mu.Lock()
 		r.runs[st.Name][[2]int{point, rep}]++
 		r.mu.Unlock()
-		dcfg, dopts, err := r.prog.Unit(context.Background(), st.Name, point, rep)
+		dst, err := r.prog.StageCtx(context.Background(), st.Name)
+		if err != nil {
+			r.t.Fatalf("stage %q: %v", st.Name, err)
+		}
+		dcfg, dopts, err := dst.Unit(point, rep)
 		if err != nil {
 			r.t.Errorf("stage %q unit (%d,%d): out of range of Program.Stage: %v", st.Name, point, rep, err)
-			return sim.Run(cfg, opts)
+			return st.Engine.Run(ctx, point, rep, cfg, opts)
 		}
 		if !reflect.DeepEqual(cfg, dcfg) {
 			r.t.Errorf("stage %q unit (%d,%d): derived config differs from the runner's", st.Name, point, rep)
@@ -50,9 +54,10 @@ func (r *recordingExec) stage(st *UnitStage) sim.UnitFunc {
 		if !optionsEqual(got, dopts) {
 			r.t.Errorf("stage %q unit (%d,%d): derived options differ:\nrunner:  %+v\nderived: %+v", st.Name, point, rep, got, dopts)
 		}
-		// Execute the derived unit, not the handed-in one: the rendered
-		// report then proves the derivation end to end.
-		return sim.Run(dcfg, dopts)
+		// Execute the derived unit on the derived stage's engine, not the
+		// handed-in one: the rendered report then proves the derivation
+		// end to end.
+		return dst.Engine.Run(ctx, point, rep, dcfg, dopts)
 	}
 }
 
@@ -149,10 +154,32 @@ func unitTestSpecs() map[string]struct {
 	pln.Precision.RelWidth = 0.5
 	pln.Precision.MaxReps = 4
 
+	netFixed := NewExperiment(KindNetsim)
+	netFixed.Net.N, netFixed.Net.Ports, netFixed.Net.Tech = 8, 4, "GE"
+	netFixed.Net.Lambda = 15000
+	netFixed.Run.Messages, netFixed.Run.Warmup = 400, 50
+
+	netPrec := netFixed.Clone()
+	netPrec.Precision.RelWidth = 0.5
+	netPrec.Precision.MaxReps = 4
+
+	netScen := netFixed.Clone()
+	netScen.Run.Reps = 2
+	netScen.Scenario = &scenario.Spec{
+		HorizonS: 0.01,
+		Events: []scenario.Event{
+			{TS: 0.003, Action: "fail", Target: "spine:0", Policy: "drop"},
+			{TS: 0.006, Action: "repair", Target: "spine:0"},
+		},
+	}
+
 	return map[string]struct {
 		e      *Experiment
 		stages []string
 	}{
+		"netsim-fixed":      {netFixed, []string{StageNetsim}},
+		"netsim-prec":       {netPrec, []string{StageNetsim}},
+		"netsim-scenario":   {netScen, []string{StageNetsim}},
 		"analyze-precision": {analyze, []string{StageCheck}},
 		"simulate-fixed":    {simFixed, []string{StageSim}},
 		"simulate-prec":     {simPrec, []string{StageSim}},
@@ -234,11 +261,15 @@ func TestUnitStageBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := prog.Unit(context.Background(), StageSim, 0, 0); err != nil {
+	st, err := prog.Stage(StageSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Unit(0, 0); err != nil {
 		t.Fatalf("valid unit rejected: %v", err)
 	}
 	for _, bad := range [][2]int{{1, 0}, {-1, 0}, {0, 2}, {0, -1}} {
-		if _, _, err := prog.Unit(context.Background(), StageSim, bad[0], bad[1]); err == nil {
+		if _, _, err := st.Unit(bad[0], bad[1]); err == nil {
 			t.Errorf("unit (%d,%d) accepted, want out-of-range error", bad[0], bad[1])
 		}
 	}
@@ -297,13 +328,17 @@ func TestPlanVerifyUnitHonoursContext(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := prog.Unit(ctx, StageVerify, 0, 0); err != ctx.Err() {
+	if _, err := prog.StageCtx(ctx, StageVerify); err != ctx.Err() {
 		t.Fatalf("cancelled context: err %v, want %v", err, ctx.Err())
 	}
 	if prog.screening != nil || prog.stages[StageVerify] != nil {
 		t.Fatal("a cancelled screening was cached")
 	}
-	cfg, _, err := prog.Unit(context.Background(), StageVerify, 1, 0)
+	st, err := prog.StageCtx(context.Background(), StageVerify)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, _, err := st.Unit(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

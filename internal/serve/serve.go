@@ -324,11 +324,11 @@ func (s *Server) runJob(job *Job) {
 		Sinks:       sinks,
 		Stats:       s.col,
 	}
-	// With live workers attached, a decomposable job fans its units out
-	// through the coordinator. The outcome is byte-identical either way
-	// (units are pure functions of the spec and merge positionally), so
-	// attachment is transparent to the submitting client.
-	if run.Distributable(job.spec) && s.dist.Live() > 0 {
+	// With live workers attached, a job fans every stage's units out
+	// through the coordinator, whichever engine runs them. The outcome is
+	// byte-identical either way (units are pure functions of the spec and
+	// merge positionally), so attachment is transparent to the client.
+	if s.dist.Live() > 0 {
 		if ex, err := dist.NewExecutor(job.ctx, s.dist, job.hash, job.spec, ropts.Parallelism); err == nil {
 			ropts.Units = ex.Runner
 			defer ex.Close()

@@ -33,6 +33,10 @@ type Summary struct {
 	// Transient is the dynamic side of a unit with a window (nil
 	// otherwise).
 	Transient *Transient
+	// Results are the unit's replications in order (an adaptive or
+	// dynamic unit's with their samples released). The stopping rule
+	// takes every replication a round runs, so the last is accepted.
+	Results []*Result
 }
 
 // Transient is a dynamic unit's replication set over its window: the
@@ -111,7 +115,7 @@ func RunBatchCtx(ctx context.Context, units []Unit, sched Schedule, parallelism 
 		st := &states[i]
 		if prec != nil {
 			r := finishPrecision(st, *prec)
-			out[i] = Summary{Agg: r.Replicated, Est: r.Estimate, Prec: r}
+			out[i] = Summary{Agg: r.Replicated, Est: r.Estimate, Prec: r, Results: st.results}
 			continue
 		}
 		agg := aggregateResults(st.results, nil)
@@ -121,7 +125,7 @@ func RunBatchCtx(ctx context.Context, units []Unit, sched Schedule, parallelism 
 			HalfWidth:  agg.CI95,
 			Reps:       sched.Reps,
 			Converged:  true,
-		}}
+		}, Results: st.results}
 		if fold != nil && fold.units[i] != nil {
 			out[i].Transient = fold.units[i].finish()
 		}
@@ -198,7 +202,7 @@ func runRounds(ctx context.Context, units []Unit, reps int, prec *output.Precisi
 		err := par.ForEachCtx(ctx, len(items), parallelism, func(k int) error {
 			it := items[k]
 			u, st := units[it.ui], &states[it.ui]
-			r, err := run.call(ctx, it.ui, it.rep, u.Cfg, ReplicationOptions(u.Opts, it.rep, adaptive))
+			r, err := run.Run(ctx, it.ui, it.rep, u.Cfg, ReplicationOptions(u.Opts, it.rep, adaptive))
 			if err != nil {
 				return u.wrap(err)
 			}
@@ -288,7 +292,7 @@ func newTransientFold(units []Unit, confidence float64) (*transientFold, error) 
 // in: the replications now in order are added and their series released.
 func (f *transientFold) wrap(run UnitFunc) UnitFunc {
 	return func(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error) {
-		r, err := run.call(ctx, point, rep, cfg, opts)
+		r, err := run.Run(ctx, point, rep, cfg, opts)
 		if err != nil || f.units[point] == nil {
 			return r, err
 		}

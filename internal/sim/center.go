@@ -220,11 +220,16 @@ func (c *Center) Flush() {
 	c.busyTW.FlushTo(c.eng.Now())
 }
 
-// Utilization returns the time-averaged busy fraction.
-func (c *Center) Utilization() float64 { return c.busyTW.Mean() }
-
-// MeanQueueLength returns the time-averaged number in system.
-func (c *Center) MeanQueueLength() float64 { return c.qlen.Mean() }
-
-// MaxQueueLength returns the peak number in system.
-func (c *Center) MaxQueueLength() float64 { return c.qlen.Max() }
+// Stats flushes the centre and returns its statistics: the
+// time-averaged busy fraction and number in system, the peak number in
+// system and the completed services.
+func (c *Center) Stats() CenterStats {
+	c.Flush()
+	return CenterStats{
+		Name:            c.Name,
+		Utilization:     c.busyTW.Mean(),
+		MeanQueueLength: c.qlen.Mean(),
+		MaxQueueLength:  c.qlen.Max(),
+		Served:          c.served,
+	}
+}

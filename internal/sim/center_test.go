@@ -81,11 +81,11 @@ func TestCenterMM1(t *testing.T) {
 	if got := lat.Mean(); math.Abs(got-wantW)/wantW > 0.05 {
 		t.Fatalf("measured W = %v, want %v (M/M/1)", got, wantW)
 	}
-	if u := h.c.Utilization(); math.Abs(u-lambda/mu) > 0.02 {
+	if u := h.c.Stats().Utilization; math.Abs(u-lambda/mu) > 0.02 {
 		t.Fatalf("utilisation = %v, want %v", u, lambda/mu)
 	}
 	wantL := (lambda / mu) / (1 - lambda/mu)
-	if l := h.c.MeanQueueLength(); math.Abs(l-wantL)/wantL > 0.06 {
+	if l := h.c.Stats().MeanQueueLength; math.Abs(l-wantL)/wantL > 0.06 {
 		t.Fatalf("mean queue = %v, want %v", l, wantL)
 	}
 	if h.c.Served() != nMsgs {
@@ -189,8 +189,8 @@ func TestCenterMaxQueueLength(t *testing.T) {
 	}
 	eng.Run(math.Inf(1))
 	h.c.Flush()
-	if h.c.MaxQueueLength() != 7 {
-		t.Fatalf("max queue = %v, want 7", h.c.MaxQueueLength())
+	if h.c.Stats().MaxQueueLength != 7 {
+		t.Fatalf("max queue = %v, want 7", h.c.Stats().MaxQueueLength)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestCenterQueueStorageBoundedByPeak(t *testing.T) {
 	if done != total {
 		t.Fatalf("served %d of %d submissions", done, total)
 	}
-	peak := int(h.c.MaxQueueLength())
+	peak := int(h.c.Stats().MaxQueueLength)
 	if c := cap(h.c.queue.buf); peak < 40 || c > 2*peak {
 		t.Fatalf("queue storage %d slots for a peak of %d jobs in system", c, peak)
 	}

@@ -120,18 +120,20 @@ func (u Unit) wrap(err error) error {
 
 // UnitFunc executes one (point × replication) unit of a batch. The cfg
 // and opts arguments are fully derived — opts.Seed is already the unit's
-// replication seed — so Run(cfg, opts) is the reference implementation;
-// any other implementation (a distributed executor re-deriving the unit
-// from its experiment spec) must return a bit-identical Result. It is
-// called from worker-pool goroutines and must be safe for concurrent
-// use. RunBatchCtx takes one as an argument; nil runs Run inline. The
-// driver never reads cfg itself, so an engine other than Run (the
-// switch-level simulator) reuses its schedule, seeds and events through
-// a UnitFunc of its own over units with a nil Cfg.
+// replication seed — so the unit's engine (Run for the system simulator)
+// on them is the reference implementation; any other implementation (a
+// distributed executor re-deriving the unit from its experiment spec)
+// must return a bit-identical Result. It is called from worker-pool
+// goroutines and must be safe for concurrent use. RunBatchCtx takes one
+// as an argument; nil runs Run inline. The driver never reads cfg
+// itself, so another engine (the switch-level simulator) reuses its
+// schedule, seeds and events through a UnitFunc of its own over units
+// with a nil Cfg.
 type UnitFunc func(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error)
 
-// call runs one unit through run, or inline through Run when run is nil.
-func (run UnitFunc) call(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error) {
+// Run executes one unit through run, or inline through Run when run is
+// nil.
+func (run UnitFunc) Run(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error) {
 	if run == nil {
 		return Run(cfg, opts)
 	}

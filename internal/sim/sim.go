@@ -106,7 +106,8 @@ type Result struct {
 	// realised per-processor rate, comparable to the model's λ_eff.
 	EffectiveLambda float64
 	// Centers holds per-centre statistics in the order ICN1[0..C),
-	// ECN1[0..C), ICN2.
+	// ECN1[0..C), ICN2; the switch-level simulator's hold one per link,
+	// its 2N host links first.
 	Centers []CenterStats
 	// TimedOut reports that MaxSimTime stopped the run early.
 	TimedOut bool
@@ -119,6 +120,10 @@ type Result struct {
 	// sources are released), rerouted ones detour over the surviving path.
 	Dropped  int64
 	Rerouted int64
+	// SwitchHops accumulates the switches each measured message crossed,
+	// comparable to 2d−1 (fat-tree) and (k+1)/3 (linear array); only the
+	// switch-level simulator fills it.
+	SwitchHops stats.Welford
 }
 
 // MeanLatency returns the measured mean message latency in seconds.
@@ -128,12 +133,6 @@ func (r *Result) MeanLatency() float64 { return r.Latency.Mean() }
 type layout struct {
 	prefix  []int   // prefix[i] = first node id of cluster i; len = C+1
 	cluster []int32 // cluster[node] = owning cluster, one lookup per ClusterOf
-}
-
-func newLayout(cfg *core.Config) *layout {
-	l := &layout{}
-	l.reset(cfg)
-	return l
 }
 
 // reset lays out cfg's nodes, reusing l's storage.
@@ -410,15 +409,7 @@ func (s *Simulator) Run() (*Result, error) {
 	s.res.EffectiveLambda = s.res.Throughput / float64(s.lay.TotalNodes())
 	s.res.Centers = make([]CenterStats, len(s.centers))
 	for i := range s.centers {
-		c := &s.centers[i]
-		c.Flush()
-		s.res.Centers[i] = CenterStats{
-			Name:            c.Name,
-			Utilization:     c.Utilization(),
-			MeanQueueLength: c.MeanQueueLength(),
-			MaxQueueLength:  c.MaxQueueLength(),
-			Served:          c.Served(),
-		}
+		s.res.Centers[i] = s.centers[i].Stats()
 	}
 	if s.opts.Stats != nil {
 		s.opts.Stats.Add(telemetry.SimStats{

@@ -691,3 +691,9 @@ func TestPrecisionComposesWithParallel(t *testing.T) {
 		t.Fatalf("implausible estimate: %+v", base.Estimate)
 	}
 }
+
+func newLayout(cfg *core.Config) *layout {
+	l := &layout{}
+	l.reset(cfg)
+	return l
+}
