@@ -539,7 +539,7 @@ func BenchmarkRunBatch(b *testing.B) {
 func BenchmarkNetsimFatTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net, err := netsim.BuildFatTree(32, 8, network.FastEthernet,
-			network.Switch{Ports: 8, Latency: 10e-6}, uint64(i+1), rng.Deterministic{Value: 1})
+			network.Switch{Ports: 8, Latency: 10e-6}, rng.Deterministic{Value: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -560,7 +560,7 @@ func BenchmarkNetsimFatTree(b *testing.B) {
 func BenchmarkNetsimLinearArray(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net, err := netsim.BuildLinearArray(96, 8, network.FastEthernet,
-			network.Switch{Ports: 8, Latency: 10e-6}, uint64(i+1), rng.Deterministic{Value: 1})
+			network.Switch{Ports: 8, Latency: 10e-6}, rng.Deterministic{Value: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func main() {
 	fmt.Println()
 	fmt.Printf("switch-level view of the bottleneck (ICN2: FastEthernet, %d endpoints,\n", clusters)
 	fmt.Printf("offered %.0f msg/s per endpoint — the raw demand before eq. 7 throttling):\n", perCluster)
-	net, err := netsim.BuildFatTree(clusters, cfg.Switch.Ports, cfg.ICN2, cfg.Switch, 1,
+	net, err := netsim.BuildFatTree(clusters, cfg.Switch.Ports, cfg.ICN2, cfg.Switch,
 		rng.Exponential{MeanValue: 1})
 	if err != nil {
 		log.Fatal(err)

@@ -83,13 +83,13 @@ type netShape struct {
 	dist      rng.Dist
 }
 
-// build constructs the network for a run at seed.
-func (s netShape) build(seed uint64) (*netsim.Network, error) {
+// build constructs the network.
+func (s netShape) build() (*netsim.Network, error) {
 	sw := network.Switch{Ports: s.pr, Latency: s.swLatency}
 	if s.linear {
-		return netsim.BuildLinearArray(s.n, s.pr, s.tech, sw, seed, s.dist)
+		return netsim.BuildLinearArray(s.n, s.pr, s.tech, sw, s.dist)
 	}
-	return netsim.BuildFatTree(s.n, s.pr, s.tech, sw, seed, s.dist)
+	return netsim.BuildFatTree(s.n, s.pr, s.tech, sw, s.dist)
 }
 
 // netCase runs the switch-level simulator on shape with the options
@@ -100,7 +100,7 @@ func netCase(name string, shape netShape, spec *scenario.Spec, mutate func(o *ne
 		if mutate != nil {
 			mutate(&o)
 		}
-		n, err := shape.build(o.Seed)
+		n, err := shape.build()
 		if err != nil {
 			t.Fatal(err)
 		}

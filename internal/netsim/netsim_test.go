@@ -18,7 +18,7 @@ var det = rng.Deterministic{Value: 1}
 func buildFT(t *testing.T, n, pr int) *Network {
 	t.Helper()
 	sw := network.Switch{Ports: pr, Latency: 10e-6}
-	net, err := BuildFatTree(n, pr, network.GigabitEthernet, sw, 1, det)
+	net, err := BuildFatTree(n, pr, network.GigabitEthernet, sw, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func buildFT(t *testing.T, n, pr int) *Network {
 func buildLA(t *testing.T, n, pr int) *Network {
 	t.Helper()
 	sw := network.Switch{Ports: pr, Latency: 10e-6}
-	net, err := BuildLinearArray(n, pr, network.GigabitEthernet, sw, 1, det)
+	net, err := BuildLinearArray(n, pr, network.GigabitEthernet, sw, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,8 @@ func TestFatTreeStructurePaperExample(t *testing.T) {
 	}
 	// Links: per endpoint 2, plus 2 per leaf-spine pair.
 	wantLinks := 2*16 + 2*4*2
-	if len(net.links) != wantLinks {
-		t.Fatalf("links = %d, want %d", len(net.links), wantLinks)
+	if net.Links() != wantLinks {
+		t.Fatalf("links = %d, want %d", net.Links(), wantLinks)
 	}
 }
 
@@ -86,7 +86,7 @@ func TestFatTreeRouteHops(t *testing.T) {
 func TestFatTreeDepth3Rejected(t *testing.T) {
 	// N=1024, Pr=8 would need more than two stages.
 	sw := network.Switch{Ports: 8, Latency: 10e-6}
-	if _, err := BuildFatTree(1024, 8, network.GigabitEthernet, sw, 1, det); err == nil {
+	if _, err := BuildFatTree(1024, 8, network.GigabitEthernet, sw, det); err == nil {
 		t.Fatal("depth-3 fat-tree accepted")
 	}
 }
@@ -202,11 +202,11 @@ func TestTheorem1FullBisection(t *testing.T) {
 	// edge links.
 	lambda := 50000.0
 	sw := network.Switch{Ports: pr, Latency: 10e-6}
-	ft, err := BuildFatTree(n, pr, network.FastEthernet, sw, 1, det)
+	ft, err := BuildFatTree(n, pr, network.FastEthernet, sw, det)
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, err := BuildLinearArray(n, pr, network.FastEthernet, sw, 1, det)
+	la, err := BuildLinearArray(n, pr, network.FastEthernet, sw, det)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +276,13 @@ func TestRunMaxSimTime(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	sw := network.Switch{Ports: 8, Latency: 1e-6}
-	if _, err := BuildFatTree(1, 8, network.GigabitEthernet, sw, 1, det); err == nil {
+	if _, err := BuildFatTree(1, 8, network.GigabitEthernet, sw, det); err == nil {
 		t.Error("1 endpoint accepted")
 	}
-	if _, err := BuildLinearArray(4, 6, network.GigabitEthernet, sw, 1, det); err == nil {
+	if _, err := BuildLinearArray(4, 6, network.GigabitEthernet, sw, det); err == nil {
 		t.Error("pr/switch-port mismatch accepted")
 	}
-	if _, err := BuildFatTree(4, 8, network.Technology{}, sw, 1, det); err == nil {
+	if _, err := BuildFatTree(4, 8, network.Technology{}, sw, det); err == nil {
 		t.Error("invalid technology accepted")
 	}
 	if FatTree.String() != "fat-tree" || LinearArray.String() != "linear-array" {
@@ -510,5 +510,5 @@ func TestNetScenarioRepeatable(t *testing.T) {
 // route returns src->dst's link ids in a fresh slice; the simulation
 // loop uses appendRoute with a pooled buffer.
 func (n *Network) route(st *rng.Stream, src, dst int) ([]int32, int) {
-	return n.appendRoute(nil, st, src, dst, 0)
+	return n.appendRoute(nil, st, src, dst, nil)
 }

@@ -255,13 +255,12 @@ func (e *Experiment) simOptions() (sim.Options, error) {
 	return opts, nil
 }
 
-// NetExperiment is the built form of a netsim experiment: a
-// seed-parameterised network factory (precision mode rebuilds per
-// replication), the base run options, and the resolved link/switch
-// parameters so callers never re-parse what Build already validated.
+// NetExperiment is the built form of a netsim experiment: the network
+// factory, the base run options, and the resolved link/switch parameters
+// so callers never re-parse what Build already validated.
 type NetExperiment struct {
-	// Build constructs the network for one replication seed.
-	Build func(seed uint64) (*netsim.Network, error)
+	// Build constructs the network; every replication runs on one build.
+	Build func() (*netsim.Network, error)
 	// Opts are the base run options (seed taken from the run section).
 	Opts netsim.Options
 	// Tech is the resolved link technology.
@@ -362,12 +361,12 @@ func (e *Experiment) buildNet() (*NetExperiment, error) {
 	topo := n.Topo
 	nEnd, ports := n.N, n.Ports
 	return &NetExperiment{
-		Build: func(seed uint64) (*netsim.Network, error) {
+		Build: func() (*netsim.Network, error) {
 			switch topo {
 			case "fat-tree":
-				return netsim.BuildFatTree(nEnd, ports, technology, sw, seed, dist)
+				return netsim.BuildFatTree(nEnd, ports, technology, sw, dist)
 			case "linear-array":
-				return netsim.BuildLinearArray(nEnd, ports, technology, sw, seed, dist)
+				return netsim.BuildLinearArray(nEnd, ports, technology, sw, dist)
 			}
 			return nil, fmt.Errorf("run: unknown topology %q", topo)
 		},

@@ -189,7 +189,7 @@ func TestNetBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := exp.Build(1)
+	net, err := exp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestNetBuildRejectsBadValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.Build(1); err == nil {
+	if _, err := exp.Build(); err == nil {
 		t.Error("bad topology accepted")
 	}
 }
@@ -344,7 +344,7 @@ func TestNetConfigKeepsSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := exp.Build(1)
+	net, err := exp.Build()
 	if err != nil {
 		t.Fatal(err)
 	}

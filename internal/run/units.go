@@ -370,11 +370,11 @@ func (p *Program) buildVerify(ctx context.Context, parallelism int) (*UnitStage,
 }
 
 // buildNetsim is the netsim kind's replication batch: one unit over the
-// base seed and run window, whose Engine builds the network at each
-// replication's seed. A stationary fixed run is one network; a scenario
-// run is run.reps replications of the timeline, compiled once against
-// the base-seed build (endpoint and switch counts do not depend on the
-// seed), which also gives the contention-free reference.
+// base seed and run window, whose Engine runs each replication on the
+// stage's one network (a Network is only read by its runs). A stationary
+// fixed run is one replication; a scenario run is run.reps replications
+// of the timeline, compiled once against the network, which also gives
+// the contention-free reference.
 func (p *Program) buildNetsim() (*UnitStage, error) {
 	e := p.spec
 	exp, err := e.buildNet()
@@ -385,20 +385,20 @@ func (p *Program) buildNetsim() (*UnitStage, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := exp.Build(exp.Opts.Seed)
+	net, err := exp.Build()
 	if err != nil {
 		return nil, err
 	}
 	unit := sim.Unit{Opts: sim.Options{
 		Seed: exp.Opts.Seed, WarmupMessages: exp.Opts.Warmup, MeasuredMessages: exp.Opts.Measured,
 	}}
-	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: base.ContentionFreeLatency(exp.Opts.MsgBytes)}
-	var cn *scenario.CompiledNet
+	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: net.ContentionFreeLatency(exp.Opts.MsgBytes)}
+	var cn *scenario.CompiledSim
 	switch {
 	case prec != nil:
 		st.Reps, st.Precision = 0, true
 	case e.Scenario != nil:
-		if cn, err = scenario.CompileNet(e.Scenario, base.Topo()); err != nil {
+		if cn, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
 			return nil, err
 		}
 		unit.Window = &cn.Window
@@ -407,14 +407,10 @@ func (p *Program) buildNetsim() (*UnitStage, error) {
 	}
 	st.Units = []sim.Unit{unit}
 	st.Engine = func(_ context.Context, _, _ int, _ *core.Config, o sim.Options) (*sim.Result, error) {
-		n, err := exp.Build(o.Seed)
-		if err != nil {
-			return nil, err
-		}
 		no := exp.Opts
 		no.Seed, no.Warmup, no.Measured = o.Seed, o.WarmupMessages, o.MeasuredMessages
 		no.RecordSample, no.Stats, no.Scenario = o.RecordSample, o.Stats, cn
-		return n.Run(no)
+		return net.Run(no)
 	}
 	return st, nil
 }

@@ -8,11 +8,12 @@ import (
 	"hmscs/internal/core"
 )
 
-// SimEvent is one compiled timeline entry for the cluster simulator:
-// absolute time, direction, in-flight policy, and the flat element lists
-// it touches. Node indices are global processor ids; centre indices use
-// the simulator's flat layout (icn1 of cluster c = c, ecn1 of cluster
-// c = C+c, icn2 = 2C).
+// SimEvent is one compiled timeline entry for the simulator: absolute
+// time, direction, in-flight policy, and the flat element lists it
+// touches. In the cluster model node indices are global processor ids
+// and centre indices use the simulator's flat layout (icn1 of cluster
+// c = c, ecn1 of cluster c = C+c, icn2 = 2C); over a switch-level
+// topology nodes are endpoints and centres are link ids.
 type SimEvent struct {
 	T       float64
 	Fail    bool
@@ -42,8 +43,9 @@ func (s *Spec) window() Window {
 	return w
 }
 
-// CompiledSim is a scenario resolved against a concrete cluster system.
-// It is immutable; engines share it across replications.
+// CompiledSim is a scenario resolved against a concrete cluster system
+// (CompileSim) or switch-level topology (CompileNet). It is immutable;
+// replications share it.
 type CompiledSim struct {
 	Window
 	Profile *Profile
@@ -174,57 +176,36 @@ func CompileSim(s *Spec, cfg *core.Config) (*CompiledSim, error) {
 
 // NetTopo describes the switch-level topology a scenario compiles
 // against: endpoint, leaf-switch and spine-switch counts (Spines is 0
-// for the linear array, whose switches form a chain).
+// for the linear array, whose switches form a chain), and the links a
+// failure of each takes down.
 type NetTopo struct {
 	Endpoints int
 	Leaves    int
 	Spines    int
 	Chain     bool
-}
-
-// NetEvent is one compiled timeline entry for the switch-level
-// simulator: endpoint, leaf and spine indices.
-type NetEvent struct {
-	T         float64
-	Fail      bool
-	Policy    Policy
-	Endpoints []int32
-	Leaves    []int32
-	Spines    []int32
-}
-
-// At returns the event's time.
-func (e NetEvent) At() float64 { return e.T }
-
-// CompiledNet is a scenario resolved against a switch-level topology.
-type CompiledNet struct {
-	Window
-	Profile              *Profile
-	Events               []NetEvent
-	InitialDownEndpoints []int32
-	InitialDownLeaves    []int32
-	InitialDownSpines    []int32
-	// spineToggles[s] lists the times spine s changes state, given its
-	// initial state; SpineUp evaluates the static timeline at route time.
-	spineToggles [][]float64
-	spineDownAt0 []bool
+	// LeafLinks[l] and SpineLinks[s] are the link ids (the engine's
+	// centres) leaf l and spine s serve.
+	LeafLinks  [][]int32
+	SpineLinks [][]int32
 }
 
 // CompileNet resolves the spec against a switch-level topology. Targets
 // are node:<i> (endpoint), switch:<i> (leaf, or chain switch in the
-// linear array) and spine:<i> (fat-tree only). Reroute has no meaning
+// linear array) and spine:<i> (fat-tree only). The result is lowered onto
+// the engine's terms: endpoints are its nodes, and a switch event names
+// the links it serves, leaves' before spines'. Reroute has no meaning
 // here — route diversity is handled automatically: in scenario mode new
 // fat-tree routes draw uniformly over the spines that are up at route
 // time, which is draw-identical to the stationary simulator when no
 // spine events exist.
-func CompileNet(s *Spec, topo NetTopo) (*CompiledNet, error) {
+func CompileNet(s *Spec, topo NetTopo) (*CompiledSim, error) {
 	if s == nil {
 		return nil, nil
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	c := &CompiledNet{Window: s.window()}
+	c := &CompiledSim{Window: s.window()}
 	var err error
 	if c.Profile, err = s.Profile.Compile(); err != nil {
 		return nil, err
@@ -256,22 +237,30 @@ func CompileNet(s *Spec, topo NetTopo) (*CompiledNet, error) {
 		}
 		return nil, nil, nil, fmt.Errorf("target %s is a cluster-model target; switch-level scenarios accept node:<i>, switch:<i> and spine:<i>", tg)
 	}
-	c.spineToggles = make([][]float64, topo.Spines)
-	c.spineDownAt0 = make([]bool, topo.Spines)
+	links := func(leaves, spines []int32) (out []int32) {
+		for _, l := range leaves {
+			out = append(out, topo.LeafLinks[l]...)
+		}
+		for _, sp := range spines {
+			out = append(out, topo.SpineLinks[sp]...)
+		}
+		return out
+	}
+	var downLeaves, downSpines []int32
 	for i, raw := range s.InitialDown {
 		eps, leaves, spines, err := resolve(raw)
 		if err != nil {
 			return nil, fmt.Errorf("scenario: initial_down[%d]: %v", i, err)
 		}
-		c.InitialDownEndpoints = append(c.InitialDownEndpoints, eps...)
-		c.InitialDownLeaves = append(c.InitialDownLeaves, leaves...)
-		c.InitialDownSpines = append(c.InitialDownSpines, spines...)
-		for _, sp := range spines {
-			c.spineDownAt0[sp] = true
-		}
+		c.InitialDownNodes = append(c.InitialDownNodes, eps...)
+		downLeaves = append(downLeaves, leaves...)
+		downSpines = append(downSpines, spines...)
 	}
+	c.InitialDownCenters = links(downLeaves, downSpines)
 	ordered := append([]Event(nil), s.Events...)
 	sort.SliceStable(ordered, func(a, b int) bool { return ordered[a].TS < ordered[b].TS })
+	flatEp := make([]elemEvent, len(ordered))
+	flatSw := make([]elemEvent, len(ordered))
 	for i, e := range ordered {
 		eps, leaves, spines, err := resolve(e.Target)
 		if err != nil {
@@ -281,31 +270,22 @@ func CompileNet(s *Spec, topo NetTopo) (*CompiledNet, error) {
 		if pol == PolicyReroute {
 			return nil, fmt.Errorf("scenario: events[%d]: switch-level scenarios reject policy reroute — surviving-spine selection is automatic; use drop or requeue", i)
 		}
-		if e.Action == ActionFail && pol == PolicyNone {
+		fail := e.Action == ActionFail
+		if fail && pol == PolicyNone {
 			pol = PolicyDrop
 		}
-		c.Events = append(c.Events, NetEvent{
-			T: e.TS, Fail: e.Action == ActionFail, Policy: pol,
-			Endpoints: eps, Leaves: leaves, Spines: spines,
-		})
-		for _, sp := range spines {
-			c.spineToggles[sp] = append(c.spineToggles[sp], e.TS)
-		}
-	}
-	flatEp := make([]elemEvent, len(c.Events))
-	flatSw := make([]elemEvent, len(c.Events))
-	for i, ev := range c.Events {
-		flatEp[i] = elemEvent{t: ev.T, fail: ev.Fail, fams: [2][]int32{ev.Endpoints, nil}}
-		flatSw[i] = elemEvent{t: ev.T, fail: ev.Fail, fams: [2][]int32{ev.Leaves, ev.Spines}}
+		c.Events = append(c.Events, SimEvent{T: e.TS, Fail: fail, Policy: pol, Nodes: eps, Centers: links(leaves, spines)})
+		flatEp[i] = elemEvent{t: e.TS, fail: fail, fams: [2][]int32{eps, nil}}
+		flatSw[i] = elemEvent{t: e.TS, fail: fail, fams: [2][]int32{leaves, spines}}
 	}
 	epName := func(n int32) string { return fmt.Sprintf("endpoint %d", n) }
 	if err := checkElementIntervals(flatEp,
-		[2][]int32{c.InitialDownEndpoints, nil},
+		[2][]int32{c.InitialDownNodes, nil},
 		[2]func(int32) string{epName, epName}); err != nil {
 		return nil, err
 	}
 	if err := checkElementIntervals(flatSw,
-		[2][]int32{c.InitialDownLeaves, c.InitialDownSpines},
+		[2][]int32{downLeaves, downSpines},
 		[2]func(int32) string{
 			func(n int32) string { return fmt.Sprintf("switch %d", n) },
 			func(n int32) string { return fmt.Sprintf("spine %d", n) },
@@ -313,22 +293,6 @@ func CompileNet(s *Spec, topo NetTopo) (*CompiledNet, error) {
 		return nil, err
 	}
 	return c, nil
-}
-
-// SpineUp evaluates the static spine timeline: whether spine sp accepts
-// new routes at time t. Scenario events fire before same-time traffic
-// events (they are scheduled first at setup), so the boundary is
-// inclusive: a spine failing exactly at t is already down for routes
-// drawn at t.
-func (c *CompiledNet) SpineUp(sp int, t float64) bool {
-	up := !c.spineDownAt0[sp]
-	for _, tt := range c.spineToggles[sp] {
-		if tt > t {
-			break
-		}
-		up = !up
-	}
-	return up
 }
 
 // elemEvent is the flattened form both compilers feed the per-element

@@ -121,10 +121,10 @@ func FuzzScenarioCompile(f *testing.F) {
 	}
 	builds := []func(dist rng.Dist) (*netsim.Network, error){
 		func(dist rng.Dist) (*netsim.Network, error) {
-			return netsim.BuildFatTree(8, 4, network.GigabitEthernet, sw, 1, dist)
+			return netsim.BuildFatTree(8, 4, network.GigabitEthernet, sw, dist)
 		},
 		func(dist rng.Dist) (*netsim.Network, error) {
-			return netsim.BuildLinearArray(8, 4, network.GigabitEthernet, sw, 1, dist)
+			return netsim.BuildLinearArray(8, 4, network.GigabitEthernet, sw, dist)
 		},
 	}
 

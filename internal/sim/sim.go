@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -201,10 +202,29 @@ func namesFor(c int) *nameTable {
 	return t
 }
 
-// Event kinds of the system simulator.
+// Topology is a switch-level network the Simulator routes messages over
+// (internal/netsim builds them). Its endpoints are the traffic sources and
+// the pattern's nodes, its links are the centres, and a message's route is
+// the links it crosses plus a fixed tail delay. A topology is built once
+// and read by concurrent replications, so nothing here may write it.
+type Topology interface {
+	workload.System
+	// Links returns the number of links.
+	Links() int
+	// MaxRoute bounds the length of every route.
+	MaxRoute() int
+	// Route appends to path the links from endpoint src to dst, drawing
+	// any routing choice from st, and returns the path, the switches it
+	// crosses and the tail delay paid after its last link. In a scenario
+	// run live is the run's centre slab, whose failed links a route may
+	// steer around; in a stationary run it is nil.
+	Route(path []int32, st *rng.Stream, src, dst int, live []Center) ([]int32, int32, float64)
+}
+
+// Event kinds of the simulator.
 const (
-	// evGenerate fires when a processor's think time expires; idx is the
-	// processor id.
+	// evGenerate fires when a source's think time expires; idx is the
+	// source (processor or endpoint) id.
 	evGenerate EventKind = iota
 	// evCenterDone fires when a centre completes a service; idx is the
 	// centre id (index into Simulator.centers).
@@ -215,60 +235,81 @@ const (
 	// they dispatch before generations and completions — a failure at t
 	// is already in force for every traffic event at t.
 	evScenario
+	// evDeliver fires when a message has paid its route's tail delay
+	// under the scheduled delivery policy; idx is the message index.
+	evDeliver
 )
 
 // message is one in-flight message's state in the pooled message table: a
-// plain value record advanced by the per-hop state machine instead of a
-// chain of closures.
+// plain value record walked along its route instead of a chain of
+// closures. Its route is the message's slot in Simulator.paths.
 type message struct {
-	born  float64
-	id    int64 // trace id (== Generated count at creation)
-	src   int32
-	dst   int32
-	srcCl int32
-	dstCl int32
-	hop   int8 // completed hops on the remote path
-	// viaRemote marks a local message detouring over the remote path
-	// (ECN1 → ICN2 → ECN1) because its cluster's ICN1 failed with the
-	// reroute policy; it completes after the full three-hop walk.
-	viaRemote bool
+	born float64
+	tail float64 // delay after the last centre (scheduled policy)
+	id   int64   // trace id (== Generated count at creation)
+	src  int32
+	dst  int32
+	pos  int32 // index of the centre serving it
+	n    int32 // route length
+	hops int32 // switches crossed
 }
 
-// Simulator executes one HMSCS configuration. It implements Handler: the
-// engine dispatches typed events back into it.
+// pendDelivery is a delivery awaiting its instant's canonical commit.
+type pendDelivery struct {
+	born float64
+	src  int32
+	hops int32
+}
+
+// Simulator executes one replication of either model: the paper's
+// cluster system (a core.Config, one centre per network) or a
+// switch-level Topology (one centre per link). Both generate, walk routes,
+// sink, fail and drop through the same code; they differ only in how
+// centres and streams are laid out and priced, and in the delivery
+// policy (DESIGN.md §3). It implements Handler: the engine dispatches
+// typed events back into it.
 //
-// Every slice below is storage the simulator owns: reset refills it in
+// Every slice below is storage the simulator owns: a reset refills it in
 // place, so a pooled simulator (see Run) builds a replication without
 // allocating it again.
 type Simulator struct {
-	cfg  *core.Config
+	cfg  *core.Config // the cluster model's configuration; nil over a topology
+	topo Topology     // the switch-level model; nil for the cluster model
+	sys  workload.System
 	opts Options
 	eng  Engine
 	lay  layout
 
-	// centers is the flat centre slab indexed by centre id:
-	// ICN1[0..C), ECN1[C..2C), ICN2 at 2C; icn1, ecn1 and icn2 are views.
+	// centers is the flat centre slab indexed by centre id. The cluster
+	// model has ICN1[0..C), ECN1[C..2C) and ICN2 at 2C; a topology one
+	// centre per link.
 	centers []Center
-	icn1    []Center
-	ecn1    []Center
-	icn2    *Center
 
 	// gen is the normalized workload (arrival × pattern); traffic holds
-	// the per-processor sources instantiated from it at rates, and the
-	// measurement window.
+	// the per-source arrival processes instantiated from it at rates, and
+	// the measurement window.
 	gen     workload.Generator
 	rates   []float64
 	traffic Traffic
 
-	// streams holds every random stream as a value, in the order they are
-	// split from the seed's master stream: ICN1[i] and ECN1[i] at 2i and
-	// 2i+1, ICN2 at 2C, then procStreams, one per processor.
+	// streams holds every random stream as a value: the centres' first,
+	// then procStreams, one per source (see reset and resetTopology).
 	streams     []rng.Stream
 	procStreams []rng.Stream
 
 	// msgs is the pooled message table; free holds recycled indices.
-	msgs []message
-	free []int32
+	// Message i's route is paths[i*stride : i*stride+msgs[i].n].
+	msgs   []message
+	free   []int32
+	paths  []int32
+	stride int
+
+	// scheduled selects the delivery policy. The cluster model completes
+	// a message inline when it leaves its last centre. A topology
+	// schedules its delivery after the route's tail delay, and pend
+	// collects the current instant's deliveries for their commit.
+	scheduled bool
+	pend      []pendDelivery
 
 	res Result
 	ran bool
@@ -291,12 +332,95 @@ func New(cfg *core.Config, opts Options) (*Simulator, error) {
 }
 
 // reset builds s for one run of cfg under opts, refilling the storage an
-// earlier run left behind. It is the one construction path: New calls it
-// on a fresh simulator and Run on a pooled one.
+// earlier run left behind. It is the cluster model's construction path:
+// New calls it on a fresh simulator and Run on a pooled one. Its streams
+// are split from the seed in one sequence: ICN1[i] and ECN1[i] at 2i and
+// 2i+1, ICN2 at 2C, then one per processor.
 func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	c := cfg.NumClusters()
+	nc := 2*c + 1
+	s.cfg, s.topo, s.sys = cfg, nil, &s.lay
+	s.lay.reset(cfg)
+	n := s.lay.TotalNodes()
+	if err := s.begin(opts, nc, n, 3, false); err != nil {
+		return err
+	}
+	opts = s.opts
+
+	master := rng.NewStream(opts.Seed)
+	for i := range s.streams {
+		master.SplitInto(&s.streams[i])
+	}
+	names := namesFor(c)
+	for i := 0; i < c; i++ {
+		s.centers[i].Init(names.icn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i], evCenterDone, int32(i))
+		s.centers[c+i].Init(names.ecn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i+1], evCenterDone, int32(c+i))
+	}
+	icn2 := &s.centers[2*c]
+	icn2.Init("ICN2", &s.eng, opts.ServiceDist, &s.streams[2*c], evCenterDone, int32(2*c))
+	// Every message costs its centre the same mean for the configuration's
+	// message size, so each centre is priced once per replication. cfg is
+	// validated, so the models build; each run of identical clusters is
+	// priced once.
+	m := cfg.MessageBytes
+	model, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
+		mI1, mE1 := icn1.MeanServiceTime(m), ecn1.MeanServiceTime(m)
+		for j := i; j < i+n; j++ {
+			s.centers[j].Price(mI1)
+			s.centers[c+j].Price(mE1)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	icn2.Price(model.MeanServiceTime(m))
+
+	for p := range s.rates {
+		s.rates[p] = cfg.Clusters[s.lay.ClusterOf(p)].Lambda
+	}
+	s.start()
+	return nil
+}
+
+// resetTopology builds s for one closed-loop run over t: every endpoint
+// generates at rate while idle and every link serves a message in price
+// on average. Link streams are split from the seed in link-id order and
+// endpoint streams from a second master stream, so a topology's link
+// draws do not shift with its endpoint count.
+func (s *Simulator) resetTopology(t Topology, rate, price float64, opts Options) error {
+	if opts.OpenLoop {
+		return errors.New("sim: a topology runs closed-loop only")
+	}
+	nl, n := t.Links(), t.TotalNodes()
+	s.cfg, s.topo, s.sys = nil, t, t
+	if err := s.begin(opts, nl, n, t.MaxRoute(), true); err != nil {
+		return err
+	}
+	opts = s.opts
+
+	links := rng.NewStream(opts.Seed)
+	for i := range s.centers {
+		links.SplitInto(&s.streams[i])
+		s.centers[i].Init("", &s.eng, opts.ServiceDist, &s.streams[i], evCenterDone, int32(i))
+		s.centers[i].Price(price)
+	}
+	endpoints := rng.NewStream(opts.Seed ^ 0xabcdef12345)
+	for i := range s.procStreams {
+		endpoints.SplitInto(&s.procStreams[i])
+		s.rates[i] = rate
+	}
+	s.start()
+	return nil
+}
+
+// begin readies the run state both models share for nc centres, n
+// sources and routes of up to stride centres: the options, the engine,
+// the stream, centre and rate slabs (filled by the caller) and the
+// message table.
+func (s *Simulator) begin(opts Options, nc, n, stride int, scheduled bool) error {
 	def := DefaultOptions()
 	if opts.MeasuredMessages <= 0 {
 		opts.MeasuredMessages = def.MeasuredMessages
@@ -307,67 +431,37 @@ func (s *Simulator) reset(cfg *core.Config, opts Options) error {
 	if opts.ServiceDist == nil {
 		opts.ServiceDist = def.ServiceDist
 	}
-
-	c := cfg.NumClusters()
-	nc := 2*c + 1
-	s.cfg, s.opts = cfg, opts
+	s.opts, s.scheduled, s.stride = opts, scheduled, stride
 	s.res, s.ran = Result{}, false
-	s.lay.reset(cfg)
 	s.gen = workload.Generator{Arrival: opts.Arrival, Pattern: opts.Pattern}.Normalized()
 	s.eng.reset()
 	s.eng.SetHandler(s)
-
-	n := s.lay.TotalNodes()
 	s.streams = resize(s.streams, nc+n)
-	master := rng.NewStream(opts.Seed)
-	for i := range s.streams {
-		master.SplitInto(&s.streams[i])
-	}
 	s.procStreams = s.streams[nc:]
-
 	s.centers = resize(s.centers, nc)
-	s.icn1, s.ecn1, s.icn2 = s.centers[:c], s.centers[c:2*c], &s.centers[2*c]
-	names := namesFor(c)
-	for i := 0; i < c; i++ {
-		s.icn1[i].Init(names.icn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i], evCenterDone, int32(i))
-		s.ecn1[i].Init(names.ecn1[i], &s.eng, opts.ServiceDist, &s.streams[2*i+1], evCenterDone, int32(c+i))
-	}
-	s.icn2.Init("ICN2", &s.eng, opts.ServiceDist, &s.streams[2*c], evCenterDone, int32(2*c))
-	// Every message costs its centre the same mean for the configuration's
-	// message size, so each centre is priced once per replication. cfg is
-	// validated, so the models build; each run of identical clusters is
-	// priced once.
-	m := cfg.MessageBytes
-	icn2, err := cfg.EachClusterModels(func(i, n int, icn1, ecn1 network.Model) {
-		mI1, mE1 := icn1.MeanServiceTime(m), ecn1.MeanServiceTime(m)
-		for j := i; j < i+n; j++ {
-			s.icn1[j].Price(mI1)
-			s.ecn1[j].Price(mE1)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	s.icn2.Price(icn2.MeanServiceTime(m))
-
 	s.rates = resize(s.rates, n)
-	for p := range s.rates {
-		s.rates[p] = cfg.Clusters[s.lay.ClusterOf(p)].Lambda
-	}
-	s.traffic.Reset(&s.eng, evGenerate, s.gen, s.rates, s.procStreams,
-		opts.WarmupMessages, opts.MeasuredMessages, opts.MaxSimTime, opts.RecordSample)
-	// Closed-loop runs have at most one in-flight message per processor;
-	// pre-size the pool for that and let open-loop runs grow it.
+	// Closed-loop runs have at most one in-flight message per source;
+	// pre-size the table for that and let open-loop runs grow it.
 	s.msgs = resize(s.msgs, n)[:0]
 	s.free = resize(s.free, n)[:0]
+	s.paths = resize(s.paths, cap(s.msgs)*stride)
+	s.pend = s.pend[:0]
+	return nil
+}
+
+// start readies the sources and, in a scenario run, the timeline: its
+// events are scheduled, and the elements it starts without are down.
+func (s *Simulator) start() {
+	opts := s.opts
+	s.traffic.Reset(&s.eng, evGenerate, s.gen, s.rates, s.procStreams,
+		opts.WarmupMessages, opts.MeasuredMessages, opts.MaxSimTime, opts.RecordSample)
 	if s.scn = opts.Scenario; s.scn != nil {
 		Dynamic(&s.traffic, s.scn.Events, evScenario, s.scn.Horizon, s.scn.Profile, s.scn.InitialDownNodes)
-		s.failPolicy = zeroed(s.failPolicy, nc)
+		s.failPolicy = zeroed(s.failPolicy, len(s.centers))
 		for _, cid := range s.scn.InitialDownCenters {
 			s.centers[cid].Fail(false)
 		}
 	}
-	return nil
 }
 
 // zeroed returns s at length n with every element zero, reusing its
@@ -379,11 +473,11 @@ func zeroed[T any](s []T, n int) []T {
 }
 
 // release drops every reference the last run left in s — its
-// configuration, options (trace recorder, scenario, telemetry collector,
-// workload axes), result and arrival sources — so a pooled simulator keeps
-// capacity, not contents.
+// configuration or topology, options (trace recorder, scenario, telemetry
+// collector, workload axes), result and arrival sources — so a pooled
+// simulator keeps capacity, not contents.
 func (s *Simulator) release() {
-	s.cfg, s.opts, s.gen, s.scn, s.res = nil, Options{}, workload.Generator{}, nil, Result{}
+	s.cfg, s.topo, s.sys, s.opts, s.gen, s.scn, s.res = nil, nil, nil, Options{}, workload.Generator{}, nil, Result{}
 	s.traffic.Window, s.traffic.profile = Window{}, nil
 	clear(s.traffic.sources)
 	for i := range s.centers {
@@ -406,7 +500,9 @@ func (s *Simulator) Run() (*Result, error) {
 	s.res.Throughput, s.res.TimedOut = w.Close()
 	s.res.Latency, s.res.Sample, s.res.SampleTimes, s.res.Measured = w.Latency, w.Sample, w.SampleTimes, w.Latency.Count()
 	s.res.SimTime = s.eng.Now()
-	s.res.EffectiveLambda = s.res.Throughput / float64(s.lay.TotalNodes())
+	if s.topo == nil {
+		s.res.EffectiveLambda = s.res.Throughput / float64(s.sys.TotalNodes())
+	}
 	s.res.Centers = make([]CenterStats, len(s.centers))
 	for i := range s.centers {
 		s.res.Centers[i] = s.centers[i].Stats()
@@ -425,7 +521,9 @@ func (s *Simulator) Run() (*Result, error) {
 	return res, nil
 }
 
-// Handle implements Handler: the engine's event dispatch.
+// Handle implements Handler: the engine's event dispatch. Under the
+// scheduled delivery policy, the deliveries an instant collected are
+// committed once the instant drains (commit).
 func (s *Simulator) Handle(kind EventKind, idx int32) {
 	switch kind {
 	case evGenerate:
@@ -433,17 +531,38 @@ func (s *Simulator) Handle(kind EventKind, idx int32) {
 	case evCenterDone:
 		c := &s.centers[idx]
 		if s.scn != nil && !c.TakeCompletion() {
-			return // voided by a failure
+			break // voided by a failure
 		}
-		s.advance(c, c.CompleteService())
+		mi := c.CompleteService()
+		if s.opts.Trace != nil {
+			s.opts.Trace.Record(s.msgs[mi].id, s.eng.Now(), trace.HopDone, c.Name)
+		}
+		m := &s.msgs[mi]
+		if m.pos++; m.pos < m.n {
+			s.centers[s.paths[int(mi)*s.stride+int(m.pos)]].Submit(mi)
+			break
+		}
+		// The message has left its last centre.
+		if !s.scheduled {
+			s.sink(mi)
+		} else {
+			s.eng.Schedule(m.tail, evDeliver, mi)
+		}
+		return
+	case evDeliver:
+		s.sink(idx)
 	case evScenario:
 		s.applyScenario(int(idx))
 	default:
 		panic(fmt.Sprintf("sim: unknown event kind %d", kind))
 	}
+	if len(s.pend) > 0 && s.eng.NextEventAt() != s.eng.Now() {
+		s.commit()
+	}
 }
 
-// allocMsg takes a message slot from the pool.
+// allocMsg takes a message slot from the pool, growing the route slab
+// with the table.
 func (s *Simulator) allocMsg() int32 {
 	if n := len(s.free); n > 0 {
 		mi := s.free[n-1]
@@ -451,28 +570,25 @@ func (s *Simulator) allocMsg() int32 {
 		return mi
 	}
 	s.msgs = append(s.msgs, message{})
+	if n := cap(s.msgs) * s.stride; len(s.paths) < n {
+		s.paths = resize(s.paths, n)
+	}
 	return int32(len(s.msgs) - 1)
 }
 
-// generate creates one message at processor p and submits its first hop.
+// generate creates one message at source p, routes it and submits its
+// first hop.
 func (s *Simulator) generate(p int) {
 	if s.scn != nil && !s.traffic.Life.Fire(p, !s.opts.OpenLoop) {
 		return // voided by a node failure
 	}
 	s.res.Generated++
 	st := &s.procStreams[p]
-	dest := s.gen.Pattern.Dest(st, &s.lay, p)
+	dest := s.gen.Pattern.Dest(st, s.sys, p)
 
 	mi := s.allocMsg()
 	m := &s.msgs[mi]
-	*m = message{
-		born:  s.eng.Now(),
-		id:    s.res.Generated,
-		src:   int32(p),
-		dst:   int32(dest),
-		srcCl: int32(s.lay.ClusterOf(p)),
-		dstCl: int32(s.lay.ClusterOf(dest)),
-	}
+	*m = message{born: s.eng.Now(), id: s.res.Generated, src: int32(p), dst: int32(dest)}
 	if s.opts.Trace != nil {
 		s.opts.Trace.Record(m.id, m.born, trace.Generated, fmt.Sprintf("proc:%d", p))
 	}
@@ -482,60 +598,91 @@ func (s *Simulator) generate(p int) {
 	if s.opts.OpenLoop {
 		s.traffic.Arm(p)
 	}
-
-	if m.srcCl == m.dstCl {
-		if s.scn != nil && s.failPolicy[m.srcCl] == scenario.PolicyReroute {
-			// The cluster's ICN1 is down under the reroute policy: new
-			// local traffic detours over the remote path too.
-			m.viaRemote = true
-			s.res.Rerouted++
-			s.ecn1[m.srcCl].Submit(mi)
-			return
-		}
-		// Local message: one pass through the source cluster's ICN1.
-		s.icn1[m.srcCl].Submit(mi)
-		return
-	}
-	// Remote: ECN1(src) -> ICN2 -> ECN1(dst), per Figure 2.
-	s.ecn1[m.srcCl].Submit(mi)
+	s.route(mi, st)
 }
 
-// advance is the per-message hop state machine: centre c has finished
-// serving message mi, so route it to its next stage or the sink.
-func (s *Simulator) advance(c *Center, mi int32) {
+// route writes message mi's route from its source into its slot of the
+// route slab, drawing any routing choice from st, and submits its first
+// hop.
+func (s *Simulator) route(mi int32, st *rng.Stream) {
 	m := &s.msgs[mi]
-	if s.opts.Trace != nil {
-		s.opts.Trace.Record(m.id, s.eng.Now(), trace.HopDone, c.Name)
+	base := int(mi) * s.stride
+	path := s.paths[base : base : base+s.stride]
+	if s.topo == nil {
+		path = s.clusterRoute(path, m.src, m.dst)
+	} else {
+		var live []Center
+		if s.scn != nil {
+			live = s.centers
+		}
+		path, m.hops, m.tail = s.topo.Route(path, st, int(m.src), int(m.dst), live)
+		if len(path) > s.stride {
+			panic(fmt.Sprintf("sim: a %d-link route exceeds the topology's bound %d", len(path), s.stride))
+		}
 	}
-	if m.srcCl == m.dstCl && !m.viaRemote {
-		s.complete(mi)
-		return
-	}
-	m.hop++
-	switch m.hop {
-	case 1:
-		s.icn2.Submit(mi)
-	case 2:
-		s.ecn1[m.dstCl].Submit(mi)
-	default:
-		s.complete(mi)
-	}
+	m.pos, m.n = 0, int32(len(path))
+	s.centers[path[0]].Submit(mi)
 }
 
-// complete sinks a delivered message and recycles its pool slot.
-func (s *Simulator) complete(mi int32) {
+// clusterRoute appends the cluster model's route (Figure 2): a local
+// message crosses its cluster's ICN1, a remote one ECN1(src) → ICN2 →
+// ECN1(dst). A local message takes the remote path too while its ICN1 is
+// down under the reroute policy, and counts as rerouted.
+func (s *Simulator) clusterRoute(path []int32, src, dst int32) []int32 {
+	sc, dc := s.lay.cluster[src], s.lay.cluster[dst]
+	if sc == dc {
+		if s.scn == nil || s.failPolicy[sc] != scenario.PolicyReroute {
+			return append(path, sc)
+		}
+		s.res.Rerouted++
+	}
+	c := int32(s.lay.NumClusters())
+	return append(path, c+sc, 2*c, c+dc)
+}
+
+// sink retires a delivered message and recycles its pool slot. The
+// cluster model measures it at once; the scheduled policy holds it for
+// the instant's commit. In closed-loop mode the delivery releases the
+// source.
+func (s *Simulator) sink(mi int32) {
 	m := &s.msgs[mi]
 	if s.opts.Trace != nil {
 		s.opts.Trace.Record(m.id, s.eng.Now(), trace.Delivered, fmt.Sprintf("proc:%d", m.dst))
 	}
 	src := int(m.src)
 	s.free = append(s.free, mi)
-	// The window measures the latency (after warm-up); in closed-loop mode
-	// the delivery releases the source processor.
-	s.traffic.Deliver(m.born)
+	if s.scheduled {
+		s.pend = append(s.pend, pendDelivery{born: m.born, src: m.src, hops: m.hops})
+	} else {
+		s.traffic.Deliver(m.born)
+	}
 	if !s.opts.OpenLoop && (s.scn == nil || s.traffic.Life.Release(src)) {
 		s.traffic.Arm(src)
 	}
+}
+
+// commit hands the current instant's deliveries to the measurement
+// window in canonical (born, source) order, adding each measured one's
+// switch count. Messages delivered at exactly the same time have no
+// physical order, so the accumulators see them in this order rather than
+// event-scheduling order: deterministic link service aligns deliveries on
+// an exact-tie lattice, and every reported statistic depends on it.
+func (s *Simulator) commit() {
+	slices.SortFunc(s.pend, func(a, b pendDelivery) int {
+		if a.born != b.born {
+			if a.born < b.born {
+				return -1
+			}
+			return 1
+		}
+		return int(a.src - b.src)
+	})
+	for _, d := range s.pend {
+		if s.traffic.Deliver(d.born) {
+			s.res.SwitchHops.Add(float64(d.hops))
+		}
+	}
+	s.pend = s.pend[:0]
 }
 
 // applyScenario executes one timeline event. Within an event, failures
@@ -555,7 +702,8 @@ func (s *Simulator) applyScenario(i int) {
 		return
 	}
 	for _, cid := range ev.Centers {
-		s.repairCenter(cid)
+		s.failPolicy[cid] = scenario.PolicyNone
+		s.centers[cid].Repair()
 	}
 	for _, p := range ev.Nodes {
 		if s.traffic.Life.Repair(int(p)) {
@@ -565,23 +713,19 @@ func (s *Simulator) applyScenario(i int) {
 }
 
 // failCenter takes a centre down and applies the event's in-flight
-// policy to the evicted messages (requeue evicts nothing).
+// policy to the evicted messages (requeue evicts nothing). Only the
+// cluster model's ICN1 failures carry reroute, so every rerouted victim
+// is a local first-hop message: it restarts over the remote path.
 func (s *Simulator) failCenter(cid int32, pol scenario.Policy) {
 	s.failPolicy[cid] = pol
 	evict := pol == scenario.PolicyDrop || pol == scenario.PolicyReroute
-	victims := s.centers[cid].Fail(evict)
-	for _, mi := range victims {
+	for _, mi := range s.centers[cid].Fail(evict) {
 		if pol == scenario.PolicyDrop {
 			s.dropMsg(mi)
 		} else {
-			s.rerouteMsg(mi)
+			s.route(mi, nil)
 		}
 	}
-}
-
-func (s *Simulator) repairCenter(cid int32) {
-	s.failPolicy[cid] = scenario.PolicyNone
-	s.centers[cid].Repair()
 }
 
 // dropMsg discards an evicted in-flight message; its closed-loop source
@@ -593,17 +737,6 @@ func (s *Simulator) dropMsg(mi int32) {
 	if !s.opts.OpenLoop && s.traffic.Life.Release(src) {
 		s.traffic.Arm(src)
 	}
-}
-
-// rerouteMsg re-submits an evicted local message over the remote path
-// (only icn1 failures carry the reroute policy, so every victim is a
-// local first-hop message).
-func (s *Simulator) rerouteMsg(mi int32) {
-	m := &s.msgs[mi]
-	m.viaRemote = true
-	m.hop = 0
-	s.res.Rerouted++
-	s.ecn1[m.srcCl].Submit(mi)
 }
 
 // simPool holds idle simulators between replications. A replication
@@ -618,6 +751,24 @@ var simPool = sync.Pool{New: func() any { return new(Simulator) }}
 func Run(cfg *core.Config, opts Options) (*Result, error) {
 	s := simPool.Get().(*Simulator)
 	res, err := s.rerun(cfg, opts)
+	simPool.Put(s)
+	return res, err
+}
+
+// RunTopology runs one closed-loop replication over t on a pooled
+// simulator: every endpoint generates at rate while idle, every link
+// serves a message in price on average, and opts supply the rest (its
+// OpenLoop must be false and its Trace is not consulted). t is only read,
+// so concurrent replications may share it.
+func RunTopology(t Topology, rate, price float64, opts Options) (*Result, error) {
+	s := simPool.Get().(*Simulator)
+	opts.Trace = nil
+	err := s.resetTopology(t, rate, price, opts)
+	var res *Result
+	if err == nil {
+		res, err = s.Run()
+	}
+	s.release()
 	simPool.Put(s)
 	return res, err
 }
