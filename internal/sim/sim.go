@@ -548,7 +548,6 @@ func (s *Simulator) Handle(kind EventKind, idx int32) {
 		} else {
 			s.eng.Schedule(m.tail, evDeliver, mi)
 		}
-		return
 	case evDeliver:
 		s.sink(idx)
 	case evScenario:
