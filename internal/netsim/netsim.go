@@ -13,19 +13,13 @@
 //     bisection-width-1 bottleneck whose average path length is (k+1)/3
 //     and whose saturation throughput collapses with N.
 //
-// A Network is a topology, not an engine: the switch graph, its routing
-// (store-and-forward over a FIFO link per direction, spines chosen
-// uniformly among those up), the map from scenario elements to links, and
-// the workload.System view under which switches play the destination
-// pattern's "clusters". sim.RunTopology simulates it on the one engine
-// the cluster model uses, one sim.Center per link, so warm-up,
-// measurement, scenarios and the result mean the same in both models
-// (DESIGN.md §3). A Network is built once and only read by its runs, so
-// concurrent replications share it. Traffic comes from the same
-// workload.Generator the system simulator consumes — arrival process
-// (Poisson, MMPP bursty, heavy-tailed, trace replay) and destination
-// pattern (uniform, local, hotspot) — so every scenario of the system
-// simulator also runs at switch level.
+// A Network is a topology, not an engine: the switch graph, its routing,
+// the map from scenario elements to links, and the workload.System view
+// under which switches play the destination pattern's "clusters".
+// sim.RunTopology simulates it on the cluster model's engine, one
+// sim.Center per link, so warm-up, measurement, workloads, scenarios and
+// the result mean the same in both models (DESIGN.md §3). A Network is
+// built once and only read by its runs, so replications share it.
 package netsim
 
 import (
@@ -252,46 +246,31 @@ func validateBuild(n, pr int, tech network.Technology, sw network.Switch) error 
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Route implements sim.Topology: the links from src to dst, the switches
-// crossed, and the tail delay paid once per message after its last
-// link — NIC latency α plus the per-switch fabric latency.
-func (n *Network) Route(buf []int32, st *rng.Stream, src, dst int, live []sim.Center) ([]int32, int32, float64) {
-	path, switches := n.appendRoute(buf, st, src, dst, live)
-	return path, int32(switches), n.Tech.Latency + float64(switches)*n.Sw.Latency
-}
-
-// appendRoute appends the ordered link ids from src to dst onto buf and
-// returns the extended buffer plus the number of switches traversed. For
-// the fat-tree the spine is chosen uniformly at random (multipath
-// routing) among the spines up (all of them in stationary runs). Reusing
-// buf keeps steady-state routing allocation-free.
-func (n *Network) appendRoute(buf []int32, st *rng.Stream, src, dst int, live []sim.Center) (path []int32, switches int) {
-	switch n.Kind {
-	case FatTree:
-		if n.numSpines == 0 || n.leafOf[src] == n.leafOf[dst] {
-			return append(buf, n.hostUp[src], n.hostDown[dst]), 1
-		}
-		spine := n.pickSpine(st, live)
-		return append(buf,
-			n.hostUp[src],
-			n.upLinks[n.leafOf[src]][spine],
-			n.downLinks[spine][n.leafOf[dst]],
-			n.hostDown[dst],
-		), 3
-	default: // LinearArray
-		a, b := n.leafOf[src], n.leafOf[dst]
-		path = append(buf, n.hostUp[src])
-		switches = 1
+// Route implements sim.Topology: the ordered links from src to dst,
+// appended onto path, with the switches crossed (a store-and-forward
+// route crosses one switch fewer than it has links) and the tail delay
+// paid once per message after its last link: NIC latency α plus each
+// switch's fabric latency. On the fat-tree the spine is drawn uniformly
+// among those up (multipath routing).
+func (n *Network) Route(path []int32, st *rng.Stream, src, dst int, live []sim.Center) ([]int32, int32, float64) {
+	base := len(path)
+	a, b := n.leafOf[src], n.leafOf[dst]
+	path = append(path, n.hostUp[src])
+	switch {
+	case n.Kind == LinearArray:
 		for i := a; i < b; i++ {
 			path = append(path, n.chainRight[i])
-			switches++
 		}
 		for i := a; i > b; i-- {
 			path = append(path, n.chainLeft[i-1])
-			switches++
 		}
-		return append(path, n.hostDown[dst]), switches
+	case n.numSpines > 0 && a != b:
+		sp := n.pickSpine(st, live)
+		path = append(path, n.upLinks[a][sp], n.downLinks[sp][b])
 	}
+	path = append(path, n.hostDown[dst])
+	switches := len(path) - base - 1
+	return path, int32(switches), n.Tech.Latency + float64(switches)*n.Sw.Latency
 }
 
 // pickSpine draws the route's spine. In a scenario run (live non-nil)

@@ -507,8 +507,9 @@ func TestNetScenarioRepeatable(t *testing.T) {
 	}
 }
 
-// route returns src->dst's link ids in a fresh slice; the simulation
-// loop uses appendRoute with a pooled buffer.
+// route returns src->dst's link ids in a fresh slice and the switches
+// crossed; the simulator routes into its pooled route slab.
 func (n *Network) route(st *rng.Stream, src, dst int) ([]int32, int) {
-	return n.appendRoute(nil, st, src, dst, nil)
+	path, switches, _ := n.Route(nil, st, src, dst, nil)
+	return path, int(switches)
 }

@@ -22,10 +22,6 @@ type SimEvent struct {
 	Centers []int32
 }
 
-// At returns the event's time; the engines schedule either kind of
-// compiled event through one routine by it.
-func (e SimEvent) At() float64 { return e.T }
-
 // Window is what the transient analysis of a compiled timeline reads:
 // the horizon and slice width, the latency objective (NaN unset) and
 // the first failure time (NaN when none), all in seconds.

@@ -223,10 +223,10 @@ func TestReleasedSimulatorHoldsNoRunState(t *testing.T) {
 	}
 	if s.cfg != nil || s.scn != nil || !reflect.DeepEqual(s.opts, Options{}) ||
 		s.gen != (workload.Generator{}) || s.res.Sample != nil || s.res.Centers != nil ||
-		s.traffic.Sample != nil || s.traffic.profile != nil {
+		s.win.Sample != nil || s.profile != nil {
 		t.Fatal("released simulator still references its last run")
 	}
-	for i, src := range s.traffic.sources[:cap(s.traffic.sources)] {
+	for i, src := range s.sources[:cap(s.sources)] {
 		if src != nil {
 			t.Fatalf("released simulator keeps source %d", i)
 		}

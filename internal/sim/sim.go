@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -285,12 +286,19 @@ type Simulator struct {
 	// centre per link.
 	centers []Center
 
-	// gen is the normalized workload (arrival × pattern); traffic holds
-	// the per-source arrival processes instantiated from it at rates, and
-	// the measurement window.
+	// The traffic: gen is the normalized workload (arrival × pattern),
+	// sources its arrival processes at rates (source p draws from
+	// procStreams[p] and fires (evGenerate, p)), life their scenario
+	// state, and win the measurement window their deliveries fill. maxT
+	// is the time cap, or the horizon in a scenario run, whose rate
+	// profile stretches every gap.
 	gen     workload.Generator
 	rates   []float64
-	traffic Traffic
+	sources []workload.Source
+	life    Lifecycle
+	win     Window
+	profile *scenario.Profile
+	maxT    float64
 
 	// streams holds every random stream as a value: the centres' first,
 	// then procStreams, one per source (see reset and resetTopology).
@@ -449,18 +457,38 @@ func (s *Simulator) begin(opts Options, nc, n, stride int, scheduled bool) error
 	return nil
 }
 
-// start readies the sources and, in a scenario run, the timeline: its
-// events are scheduled, and the elements it starts without are down.
+// start readies the sources and the window. A stationary window
+// discards the warm-up deliveries, measures up to the target and stops
+// the run there or at the time cap. A scenario run covers exactly
+// [0, Horizon] instead (DESIGN.md §11): its timeline events are scheduled
+// here, before any traffic is armed, so at equal times they dispatch
+// first and a failure at t is in force for every traffic event at t; the
+// profile stretches every gap, the elements the timeline starts without
+// are down (they join when a repair names them), and the window measures
+// the whole horizon.
 func (s *Simulator) start() {
 	opts := s.opts
-	s.traffic.Reset(&s.eng, evGenerate, s.gen, s.rates, s.procStreams,
-		opts.WarmupMessages, opts.MeasuredMessages, opts.MaxSimTime, opts.RecordSample)
-	if s.scn = opts.Scenario; s.scn != nil {
-		Dynamic(&s.traffic, s.scn.Events, evScenario, s.scn.Horizon, s.scn.Profile, s.scn.InitialDownNodes)
-		s.failPolicy = zeroed(s.failPolicy, len(s.centers))
-		for _, cid := range s.scn.InitialDownCenters {
-			s.centers[cid].Fail(false)
-		}
+	s.win = Window{eng: &s.eng, warmup: int64(opts.WarmupMessages), target: int64(opts.MeasuredMessages), record: opts.RecordSample}
+	s.sources = s.gen.Sources(s.sources, s.rates)
+	s.profile, s.maxT = nil, opts.MaxSimTime
+	if s.maxT <= 0 {
+		s.maxT = math.Inf(1)
+	}
+	if s.scn = opts.Scenario; s.scn == nil {
+		return
+	}
+	for i, ev := range s.scn.Events {
+		s.eng.ScheduleAt(ev.T, evScenario, int32(i))
+	}
+	s.profile, s.maxT = s.scn.Profile, s.scn.Horizon
+	s.win.warmup, s.win.target, s.win.dynamic = 0, math.MaxInt32, true
+	s.life.Reset(&s.eng, len(s.sources))
+	for _, p := range s.scn.InitialDownNodes {
+		s.life.Fail(int(p))
+	}
+	s.failPolicy = zeroed(s.failPolicy, len(s.centers))
+	for _, cid := range s.scn.InitialDownCenters {
+		s.centers[cid].Fail(false)
 	}
 }
 
@@ -478,8 +506,8 @@ func zeroed[T any](s []T, n int) []T {
 // simulator keeps capacity, not contents.
 func (s *Simulator) release() {
 	s.cfg, s.topo, s.sys, s.opts, s.gen, s.scn, s.res = nil, nil, nil, Options{}, workload.Generator{}, nil, Result{}
-	s.traffic.Window, s.traffic.profile = Window{}, nil
-	clear(s.traffic.sources)
+	s.win, s.profile = Window{}, nil
+	clear(s.sources)
 	for i := range s.centers {
 		s.centers[i].distTpl = nil
 	}
@@ -495,8 +523,28 @@ func (s *Simulator) Run() (*Result, error) {
 		return nil, errRunTwice
 	}
 	s.ran = true
-	s.traffic.Run()
-	w := &s.traffic.Window
+	if s.win.record {
+		n := s.win.target
+		if !math.IsInf(s.maxT, 1) && n > 4096 {
+			// A capped run may collect far fewer samples than its target;
+			// start small and let append grow.
+			n = 4096
+		}
+		s.win.Sample = make([]float64, 0, n)
+	}
+	for p := range s.sources {
+		if s.scn == nil || !s.life.Down(p) {
+			s.arm(p)
+		}
+	}
+	if s.scn != nil {
+		// The clock is pinned at the horizon even if the event set
+		// drains early, so time-weighted statistics close there.
+		s.eng.RunWindow(s.maxT, true)
+	} else {
+		s.eng.Run(s.maxT)
+	}
+	w := &s.win
 	s.res.Throughput, s.res.TimedOut = w.Close()
 	s.res.Latency, s.res.Sample, s.res.SampleTimes, s.res.Measured = w.Latency, w.Sample, w.SampleTimes, w.Latency.Count()
 	s.res.SimTime = s.eng.Now()
@@ -560,6 +608,19 @@ func (s *Simulator) Handle(kind EventKind, idx int32) {
 	}
 }
 
+// arm schedules source p's next generation after a gap drawn from its
+// arrival process; in a scenario run the gap is stretched through the
+// rate profile (a pure function of clock and gap, so the draw sequence is
+// untouched) and the event is recorded as p's pending one.
+func (s *Simulator) arm(p int) {
+	gap := s.sources[p].Next(&s.procStreams[p])
+	if s.scn == nil {
+		s.eng.Schedule(gap, evGenerate, int32(p))
+		return
+	}
+	s.life.Armed(p, s.eng.Schedule(s.profile.Stretch(s.eng.Now(), gap), evGenerate, int32(p)))
+}
+
 // allocMsg takes a message slot from the pool, growing the route slab
 // with the table.
 func (s *Simulator) allocMsg() int32 {
@@ -578,7 +639,7 @@ func (s *Simulator) allocMsg() int32 {
 // generate creates one message at source p, routes it and submits its
 // first hop.
 func (s *Simulator) generate(p int) {
-	if s.scn != nil && !s.traffic.Life.Fire(p, !s.opts.OpenLoop) {
+	if s.scn != nil && !s.life.Fire(p, !s.opts.OpenLoop) {
 		return // voided by a node failure
 	}
 	s.res.Generated++
@@ -595,7 +656,7 @@ func (s *Simulator) generate(p int) {
 	// In open-loop mode the source immediately starts its next think
 	// period; in the paper's closed-loop mode it blocks until completion.
 	if s.opts.OpenLoop {
-		s.traffic.Arm(p)
+		s.arm(p)
 	}
 	s.route(mi, st)
 }
@@ -653,10 +714,10 @@ func (s *Simulator) sink(mi int32) {
 	if s.scheduled {
 		s.pend = append(s.pend, pendDelivery{born: m.born, src: m.src, hops: m.hops})
 	} else {
-		s.traffic.Deliver(m.born)
+		s.win.Deliver(m.born)
 	}
-	if !s.opts.OpenLoop && (s.scn == nil || s.traffic.Life.Release(src)) {
-		s.traffic.Arm(src)
+	if !s.opts.OpenLoop && (s.scn == nil || s.life.Release(src)) {
+		s.arm(src)
 	}
 }
 
@@ -677,7 +738,7 @@ func (s *Simulator) commit() {
 		return int(a.src - b.src)
 	})
 	for _, d := range s.pend {
-		if s.traffic.Deliver(d.born) {
+		if s.win.Deliver(d.born) {
 			s.res.SwitchHops.Add(float64(d.hops))
 		}
 	}
@@ -693,7 +754,7 @@ func (s *Simulator) applyScenario(i int) {
 	ev := &s.scn.Events[i]
 	if ev.Fail {
 		for _, p := range ev.Nodes {
-			s.traffic.Life.Fail(int(p))
+			s.life.Fail(int(p))
 		}
 		for _, cid := range ev.Centers {
 			s.failCenter(cid, ev.Policy)
@@ -705,8 +766,8 @@ func (s *Simulator) applyScenario(i int) {
 		s.centers[cid].Repair()
 	}
 	for _, p := range ev.Nodes {
-		if s.traffic.Life.Repair(int(p)) {
-			s.traffic.Arm(int(p))
+		if s.life.Repair(int(p)) {
+			s.arm(int(p))
 		}
 	}
 }
@@ -733,8 +794,8 @@ func (s *Simulator) dropMsg(mi int32) {
 	s.res.Dropped++
 	src := int(s.msgs[mi].src)
 	s.free = append(s.free, mi)
-	if !s.opts.OpenLoop && s.traffic.Life.Release(src) {
-		s.traffic.Arm(src)
+	if !s.opts.OpenLoop && s.life.Release(src) {
+		s.arm(src)
 	}
 }
 
