@@ -548,9 +548,7 @@ func (s *Simulator) Run() (*Result, error) {
 	s.res.Throughput, s.res.TimedOut = w.Close()
 	s.res.Latency, s.res.Sample, s.res.SampleTimes, s.res.Measured = w.Latency, w.Sample, w.SampleTimes, w.Latency.Count()
 	s.res.SimTime = s.eng.Now()
-	if s.topo == nil {
-		s.res.EffectiveLambda = s.res.Throughput / float64(s.sys.TotalNodes())
-	}
+	s.res.EffectiveLambda = s.res.Throughput / float64(s.sys.TotalNodes())
 	s.res.Centers = make([]CenterStats, len(s.centers))
 	for i := range s.centers {
 		s.res.Centers[i] = s.centers[i].Stats()
