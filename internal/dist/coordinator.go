@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -39,15 +41,17 @@ type offer struct {
 	resolved chan outcome
 }
 
-// lease is one granted unit awaiting completion.
+// lease is one granted unit awaiting completion by the worker whose
+// token it holds.
 type lease struct {
 	id       string
 	off      *offer
-	worker   string
+	token    string
 	deadline time.Time
 }
 
-// workerState tracks one registered worker.
+// workerState tracks one registered worker; the registry keys it by its
+// token, and id is the public name GET /dist/workers shows.
 type workerState struct {
 	id        string
 	name      string
@@ -64,12 +68,12 @@ type Coordinator struct {
 	ttl time.Duration
 
 	mu      sync.Mutex
-	workers map[string]*workerState
+	workers map[string]*workerState // by token
 	specs   map[string]*specEntry
 	idle    []string // finished spec hashes, oldest first (cache eviction order)
 	leases  map[string]*lease
 	requeue []*offer
-	seq     uint64
+	seq     uint64 // public worker ids
 
 	offers chan *offer
 	kick   chan struct{} // pulses when requeue gains an entry
@@ -194,28 +198,44 @@ func (o *offer) resolve(out outcome) {
 	}
 }
 
-// Register attaches a worker and returns its id plus protocol timings.
+// secret returns 128 random bits in hex. Worker tokens and lease ids are
+// secrets because /dist/* shares its listener with /jobs and
+// GET /dist/workers lists the workers: a counter would let any caller
+// quote a worker's lease and resolve its unit.
+func secret() string {
+	var b [16]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic(fmt.Sprintf("dist: no randomness for a credential: %v", err))
+	}
+	return hex.EncodeToString(b[:])
+}
+
+// Register attaches a worker and returns its public id, its token and
+// the protocol timings.
 func (c *Coordinator) Register(name string, procs int) registerResponse {
 	if procs < 1 {
 		procs = 1
 	}
+	token := secret()
 	c.mu.Lock()
 	c.seq++
 	id := fmt.Sprintf("w%d", c.seq)
-	c.workers[id] = &workerState{id: id, name: name, procs: procs, lastSeen: time.Now()}
+	c.workers[token] = &workerState{id: id, name: name, procs: procs, lastSeen: time.Now()}
 	c.mu.Unlock()
 	return registerResponse{
 		Worker:     id,
+		Token:      token,
 		LeaseTTLMS: c.ttl.Milliseconds(),
 		PollMS:     (c.ttl / 3).Milliseconds(),
 	}
 }
 
-// touch refreshes the worker's liveness; reports whether it is known.
-func (c *Coordinator) touch(worker string) bool {
+// touch refreshes the liveness of the worker holding token; reports
+// whether it is known.
+func (c *Coordinator) touch(token string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := c.workers[worker]
+	w := c.workers[token]
 	if w == nil {
 		return false
 	}
@@ -261,17 +281,17 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	defer c.mu.Unlock()
 	leased := make(map[string]int)
 	for _, l := range c.leases {
-		leased[l.worker]++
+		leased[l.token]++
 	}
 	cutoff := time.Now().Add(-c.ttl)
 	out := make([]WorkerInfo, 0, len(c.workers))
-	for _, w := range c.workers {
+	for token, w := range c.workers {
 		out = append(out, WorkerInfo{
 			ID:          w.id,
 			Name:        w.name,
 			Procs:       w.procs,
 			Live:        w.lastSeen.After(cutoff),
-			Leased:      leased[w.id],
+			Leased:      leased[token],
 			UnitsDone:   w.unitsDone,
 			BusySeconds: float64(w.busyNS) / 1e9,
 			IdleSeconds: time.Since(w.lastSeen).Seconds(),
@@ -338,11 +358,12 @@ func (c *Coordinator) Spec(hash string) ([]byte, bool) {
 	return e.data, true
 }
 
-// Lease grants up to max units to the worker, long-polling up to wait
-// for the first. Expired-and-requeued units are granted before fresh
-// offers so a reassigned unit never starves behind new work.
-func (c *Coordinator) Lease(worker string, max int, wait time.Duration) ([]Lease, bool) {
-	if !c.touch(worker) {
+// Lease grants up to max units to the worker holding token,
+// long-polling up to wait for the first. Expired-and-requeued units are
+// granted before fresh offers so a reassigned unit never starves behind
+// new work.
+func (c *Coordinator) Lease(token string, max int, wait time.Duration) ([]Lease, bool) {
+	if !c.touch(token) {
 		return nil, false
 	}
 	if max < 1 {
@@ -353,7 +374,7 @@ func (c *Coordinator) Lease(worker string, max int, wait time.Duration) ([]Lease
 	defer deadline.Stop()
 	for len(grants) < max {
 		if off := c.takeRequeued(); off != nil {
-			if g, ok := c.grant(worker, off); ok {
+			if g, ok := c.grant(token, off); ok {
 				grants = append(grants, g)
 			}
 			continue
@@ -362,7 +383,7 @@ func (c *Coordinator) Lease(worker string, max int, wait time.Duration) ([]Lease
 			// Already have work: only drain what is immediately available.
 			select {
 			case off := <-c.offers:
-				if g, ok := c.grant(worker, off); ok {
+				if g, ok := c.grant(token, off); ok {
 					grants = append(grants, g)
 				}
 			default:
@@ -372,7 +393,7 @@ func (c *Coordinator) Lease(worker string, max int, wait time.Duration) ([]Lease
 		}
 		select {
 		case off := <-c.offers:
-			if g, ok := c.grant(worker, off); ok {
+			if g, ok := c.grant(token, off); ok {
 				grants = append(grants, g)
 			}
 		case <-c.kick:
@@ -398,42 +419,44 @@ func (c *Coordinator) takeRequeued() *offer {
 }
 
 // grant creates a lease for the offer; cancelled offers are dropped.
-func (c *Coordinator) grant(worker string, off *offer) (Lease, bool) {
+func (c *Coordinator) grant(token string, off *offer) (Lease, bool) {
 	select {
 	case <-off.done:
 		return Lease{}, false // the executor is gone; drop silently
 	default:
 	}
+	id := secret()
 	c.mu.Lock()
-	c.seq++
-	id := fmt.Sprintf("L%d", c.seq)
-	c.leases[id] = &lease{id: id, off: off, worker: worker, deadline: time.Now().Add(c.ttl)}
+	c.leases[id] = &lease{id: id, off: off, token: token, deadline: time.Now().Add(c.ttl)}
 	c.mu.Unlock()
 	c.unitsLeased.Inc()
 	return Lease{ID: id, Spec: off.hash, Unit: off.unit}, true
 }
 
-// Complete resolves a lease with the worker's verdict. A completion for
-// an unknown lease is stale, not an error: the lease expired and its
-// unit was reassigned, or this is a duplicate delivery. So is one from
-// a worker that does not hold the lease (lease ids are sequential, so
-// they are easy to quote); it credits no worker.
+// Complete resolves a lease with the verdict of the worker whose token
+// req quotes; a request without a registered token resolves nothing. A
+// completion for an unknown lease is stale, not an error: the lease
+// expired and its unit was reassigned, or this is a duplicate delivery.
+// So is one from a worker that does not hold the lease; it credits no
+// worker.
 func (c *Coordinator) Complete(req completeRequest) string {
-	if !c.touch(req.Worker) {
+	if !c.touch(req.Token) {
 		return statusUnknownWorker
 	}
 	c.mu.Lock()
 	l, ok := c.leases[req.Lease]
-	ok = ok && l.worker == req.Worker
+	ok = ok && l.token == req.Token
 	if ok {
 		delete(c.leases, req.Lease)
 	}
-	if w := c.workers[req.Worker]; w != nil && ok {
+	w := c.workers[req.Token]
+	if w != nil && ok {
 		w.unitsDone++
 		if req.BusyNS > 0 {
 			w.busyNS += req.BusyNS
 		}
 	}
+	worker := w.id
 	c.mu.Unlock()
 	if !ok {
 		c.unitsDuplicate.Inc()
@@ -443,10 +466,10 @@ func (c *Coordinator) Complete(req completeRequest) string {
 	case req.Error != "":
 		c.unitsFailed.Inc()
 		l.off.resolve(outcome{err: fmt.Errorf("dist: worker %s: unit %s[%d,%d]: %s",
-			req.Worker, l.off.unit.Stage, l.off.unit.Point, l.off.unit.Rep, req.Error)})
+			worker, l.off.unit.Stage, l.off.unit.Point, l.off.unit.Rep, req.Error)})
 	case req.Result == nil:
 		c.unitsFailed.Inc()
-		l.off.resolve(outcome{err: fmt.Errorf("dist: worker %s delivered neither result nor error for lease %s", req.Worker, req.Lease)})
+		l.off.resolve(outcome{err: fmt.Errorf("dist: worker %s delivered neither result nor error for lease %s", worker, req.Lease)})
 	default:
 		c.unitsCompleted.Inc()
 		var st telemetry.SimStats
@@ -458,16 +481,16 @@ func (c *Coordinator) Complete(req completeRequest) string {
 	return statusOK
 }
 
-// Heartbeat extends every lease the worker holds and refreshes its
-// liveness.
-func (c *Coordinator) Heartbeat(worker string) string {
-	if !c.touch(worker) {
+// Heartbeat extends every lease the worker holding token holds and
+// refreshes its liveness.
+func (c *Coordinator) Heartbeat(token string) string {
+	if !c.touch(token) {
 		return statusUnknownWorker
 	}
 	c.mu.Lock()
 	deadline := time.Now().Add(c.ttl)
 	for _, l := range c.leases {
-		if l.worker == worker {
+		if l.token == token {
 			l.deadline = deadline
 		}
 	}

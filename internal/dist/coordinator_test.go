@@ -53,7 +53,7 @@ func normalizeTS(s string) string { return tsRe.ReplaceAllString(s, `"ts":"X"`) 
 type adversarialWorker struct {
 	t     *testing.T
 	coord *Coordinator
-	id    string
+	token string
 	prog  *run.Program
 
 	stales atomic.Int64
@@ -61,13 +61,13 @@ type adversarialWorker struct {
 
 func (a *adversarialWorker) run(ctx context.Context) {
 	for ctx.Err() == nil {
-		leases, ok := a.coord.Lease(a.id, 4, 50*time.Millisecond)
+		leases, ok := a.coord.Lease(a.token, 4, 50*time.Millisecond)
 		if !ok {
 			a.t.Error("coordinator forgot a registered worker")
 			return
 		}
 		for i := len(leases) - 1; i >= 0; i-- {
-			req := completeUnit(a.prog, a.id, leases[i])
+			req := completeUnit(a.prog, a.token, leases[i])
 			a.coord.Complete(req)
 			if a.coord.Complete(req) == statusStale {
 				a.stales.Add(1)
@@ -77,24 +77,24 @@ func (a *adversarialWorker) run(ctx context.Context) {
 }
 
 // completeUnit executes one leased unit the way a remote worker would
-// and builds its completion.
-func completeUnit(prog *run.Program, worker string, l Lease) completeRequest {
+// and builds its completion, quoting token.
+func completeUnit(prog *run.Program, token string, l Lease) completeRequest {
 	stage, err := prog.Stage(l.Unit.Stage)
 	if err != nil {
-		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
+		return completeRequest{Token: token, Lease: l.ID, Error: err.Error()}
 	}
 	cfg, opts, err := stage.Unit(l.Unit.Point, l.Unit.Rep)
 	if err != nil {
-		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
+		return completeRequest{Token: token, Lease: l.ID, Error: err.Error()}
 	}
 	col := telemetry.NewCollector()
 	opts.Stats = col
 	res, err := stage.Engine.Run(context.Background(), l.Unit.Point, l.Unit.Rep, cfg, opts)
 	if err != nil {
-		return completeRequest{Worker: worker, Lease: l.ID, Error: err.Error()}
+		return completeRequest{Token: token, Lease: l.ID, Error: err.Error()}
 	}
 	st, _ := col.Snapshot()
-	return completeRequest{Worker: worker, Lease: l.ID, Result: encodeResult(res), Stats: &st}
+	return completeRequest{Token: token, Lease: l.ID, Result: encodeResult(res), Stats: &st}
 }
 
 // TestAdversarialCompletionOrder pins merge determinism against the
@@ -127,7 +127,7 @@ func TestAdversarialCompletionOrder(t *testing.T) {
 	leasedOnce := make(chan struct{})
 	go func() {
 		for ctx.Err() == nil {
-			leases, ok := coord.Lease(doomed.Worker, 1, 500*time.Millisecond)
+			leases, ok := coord.Lease(doomed.Token, 1, 500*time.Millisecond)
 			if !ok {
 				return
 			}
@@ -136,11 +136,11 @@ func TestAdversarialCompletionOrder(t *testing.T) {
 			}
 			close(leasedOnce)
 			time.Sleep(2 * coord.ttl)
-			lateStatus <- coord.Complete(completeUnit(prog, doomed.Worker, leases[0]))
+			lateStatus <- coord.Complete(completeUnit(prog, doomed.Token, leases[0]))
 			return
 		}
 	}()
-	adv := &adversarialWorker{t: t, coord: coord, id: reg.Worker, prog: prog}
+	adv := &adversarialWorker{t: t, coord: coord, token: reg.Token, prog: prog}
 	go func() {
 		select {
 		case <-leasedOnce:
@@ -205,11 +205,11 @@ func TestCoordinatorRevertsWhenFleetDies(t *testing.T) {
 	defer coord.Close()
 	reg := coord.Register("doomed", 2)
 	// The doomed worker leases two units and is never heard from again.
-	leases, ok := coord.Lease(reg.Worker, 2, time.Second)
+	leases, ok := coord.Lease(reg.Token, 2, time.Second)
 	if !ok || len(leases) == 0 {
 		// Nothing offered yet — grab units once the run below offers them.
 		go func() {
-			coord.Lease(reg.Worker, 2, 2*time.Second) //nolint:errcheck
+			coord.Lease(reg.Token, 2, 2*time.Second) //nolint:errcheck
 		}()
 	}
 
@@ -261,15 +261,15 @@ func TestSpecRegistryRefcounts(t *testing.T) {
 	}
 }
 
-// TestCompleteFromNonHolderIsStale: lease ids are sequential, so any
-// worker can quote another's. A completion from a worker that does not
-// hold the lease must land stale, credit nobody and leave the lease to
-// its holder, whose real completion then resolves the unit.
+// TestCompleteFromNonHolderIsStale: a registered worker that learns
+// another's lease id must not resolve it. A completion from a worker that
+// does not hold the lease must land stale, credit nobody and leave the
+// lease to its holder, whose real completion then resolves the unit.
 func TestCompleteFromNonHolderIsStale(t *testing.T) {
 	coord := NewCoordinator(time.Minute)
 	defer coord.Close()
-	a := coord.Register("a", 1).Worker
-	b := coord.Register("b", 1).Worker
+	regA, regB := coord.Register("a", 1), coord.Register("b", 1)
+	a, b := regA.Token, regB.Token
 	off := &offer{hash: "h", unit: WireUnit{Stage: run.StageSim}, done: make(chan struct{}), resolved: make(chan outcome, 1)}
 	go func() { coord.offers <- off }()
 	leases, ok := coord.Lease(a, 1, 10*time.Second)
@@ -277,7 +277,7 @@ func TestCompleteFromNonHolderIsStale(t *testing.T) {
 		t.Fatalf("worker a leased %v (ok %v), want one lease", leases, ok)
 	}
 	id := leases[0].ID
-	if got := coord.Complete(completeRequest{Worker: b, Lease: id, Error: "forged"}); got != statusStale {
+	if got := coord.Complete(completeRequest{Token: b, Lease: id, Error: "forged"}); got != statusStale {
 		t.Fatalf("non-holder completion answered %q, want %q", got, statusStale)
 	}
 	if st := coord.Stats(); st.Duplicate != 1 || st.Failed != 0 || st.Completed != 0 {
@@ -289,14 +289,14 @@ func TestCompleteFromNonHolderIsStale(t *testing.T) {
 	default:
 	}
 	res := &sim.Result{Throughput: 42}
-	if got := coord.Complete(completeRequest{Worker: a, Lease: id, Result: encodeResult(res)}); got != statusOK {
+	if got := coord.Complete(completeRequest{Token: a, Lease: id, Result: encodeResult(res)}); got != statusOK {
 		t.Fatalf("holder's completion answered %q, want %q", got, statusOK)
 	}
 	if out := <-off.resolved; out.err != nil || out.res.Throughput != 42 {
 		t.Fatalf("holder's completion resolved %+v, want its result", out)
 	}
 	for _, w := range coord.Workers() {
-		if want := map[string]int64{a: 1, b: 0}[w.ID]; w.UnitsDone != want {
+		if want := map[string]int64{regA.Worker: 1, regB.Worker: 0}[w.ID]; w.UnitsDone != want {
 			t.Errorf("worker %s credited %d units, want %d", w.Name, w.UnitsDone, want)
 		}
 	}

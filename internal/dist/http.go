@@ -19,7 +19,7 @@ const (
 
 // Mount attaches the worker protocol under /dist/ (see docs/SERVER.md):
 //
-//	POST /dist/workers      register    → {worker, lease_ttl_ms, poll_ms}
+//	POST /dist/workers      register    → {worker, token, lease_ttl_ms, poll_ms}
 //	POST /dist/lease        long-poll   → {leases: [{id, spec, unit}]}
 //	POST /dist/complete     deliver     → {status}
 //	POST /dist/heartbeat    keep-alive  → {status}
@@ -80,7 +80,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	var known bool
 	go func() {
 		defer close(done)
-		leases, known = c.Lease(req.Worker, req.Max, wait)
+		leases, known = c.Lease(req.Token, req.Max, wait)
 	}()
 	select {
 	case <-done:
@@ -107,7 +107,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	writeJSON(w, http.StatusOK, statusResponse{Status: c.Heartbeat(req.Worker)})
+	writeJSON(w, http.StatusOK, statusResponse{Status: c.Heartbeat(req.Token)})
 }
 
 func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {

@@ -52,7 +52,11 @@ type registerRequest struct {
 }
 
 type registerResponse struct {
+	// Worker is the public id GET /dist/workers lists. Token is the
+	// worker's credential: 128 random bits that only this response
+	// carries, and every lease, heartbeat and completion must quote.
 	Worker string `json:"worker"`
+	Token  string `json:"token"`
 	// LeaseTTLMS is how long a lease lives without a heartbeat; PollMS is
 	// the suggested long-poll and heartbeat interval.
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
@@ -62,7 +66,7 @@ type registerResponse struct {
 // leaseRequest is the POST /dist/lease body: a long-poll for up to Max
 // units, waiting at most WaitMS for the first.
 type leaseRequest struct {
-	Worker string `json:"worker"`
+	Token  string `json:"token"`
 	Max    int    `json:"max"`
 	WaitMS int64  `json:"wait_ms"`
 }
@@ -77,7 +81,7 @@ type leaseResponse struct {
 // completeRequest is the POST /dist/complete body. Exactly one of
 // Result and Error is set; Stats is the unit's engine record.
 type completeRequest struct {
-	Worker string              `json:"worker"`
+	Token  string              `json:"token"`
 	Lease  string              `json:"lease"`
 	BusyNS int64               `json:"busy_ns"`
 	Error  string              `json:"error,omitempty"`
@@ -100,10 +104,11 @@ const (
 
 // heartbeatRequest extends every lease the worker holds.
 type heartbeatRequest struct {
-	Worker string `json:"worker"`
+	Token string `json:"token"`
 }
 
-// WorkerInfo is one attached worker's snapshot (GET /dist/workers).
+// WorkerInfo is one attached worker's snapshot (GET /dist/workers): its
+// public id, name and counts, never its token.
 type WorkerInfo struct {
 	ID     string `json:"id"`
 	Name   string `json:"name,omitempty"`

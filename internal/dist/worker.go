@@ -40,10 +40,13 @@ type Worker struct {
 	// Logf, when set, receives progress lines (the binary wires log.Printf).
 	Logf func(format string, args ...any)
 
-	mu   sync.Mutex
-	id   string
-	ttl  time.Duration
-	poll time.Duration
+	// id is the public id the coordinator lists, token the credential
+	// every lease, heartbeat and completion quotes.
+	mu    sync.Mutex
+	id    string
+	token string
+	ttl   time.Duration
+	poll  time.Duration
 
 	progMu sync.Mutex
 	progs  map[string]*run.Program
@@ -75,7 +78,10 @@ func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	w.logf("registered with %s as %s (%d slots)", w.Connect, w.workerID(), w.Procs)
+	w.mu.Lock()
+	id := w.id
+	w.mu.Unlock()
+	w.logf("registered with %s as %s (%d slots)", w.Connect, id, w.Procs)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -94,10 +100,11 @@ func (w *Worker) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-func (w *Worker) workerID() string {
+// credential returns the token of the current registration.
+func (w *Worker) credential() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.id
+	return w.token
 }
 
 // register attaches to the coordinator, retrying with backoff until the
@@ -107,9 +114,9 @@ func (w *Worker) register(ctx context.Context) error {
 	for {
 		var resp registerResponse
 		err := w.post(ctx, "/dist/workers", registerRequest{Name: w.Name, Procs: w.Procs}, &resp)
-		if err == nil && resp.Worker != "" {
+		if err == nil && resp.Token != "" {
 			w.mu.Lock()
-			w.id = resp.Worker
+			w.id, w.token = resp.Worker, resp.Token
 			w.ttl = time.Duration(resp.LeaseTTLMS) * time.Millisecond
 			w.poll = time.Duration(resp.PollMS) * time.Millisecond
 			if w.poll <= 0 {
@@ -119,7 +126,7 @@ func (w *Worker) register(ctx context.Context) error {
 			return nil
 		}
 		if err == nil {
-			err = fmt.Errorf("dist: coordinator returned no worker id")
+			err = fmt.Errorf("dist: coordinator returned no worker token")
 		}
 		w.logf("register: %v (retrying in %s)", err, backoff)
 		select {
@@ -134,11 +141,11 @@ func (w *Worker) register(ctx context.Context) error {
 }
 
 // reregister re-attaches after an unknown-worker answer (the
-// coordinator restarted). stale guards the race between slots: only the
-// first observer re-registers.
+// coordinator restarted). stale, the token that was refused, guards the
+// race between slots: only the first observer re-registers.
 func (w *Worker) reregister(ctx context.Context, stale string) {
 	w.mu.Lock()
-	current := w.id
+	current := w.token
 	w.mu.Unlock()
 	if current != stale {
 		return // another goroutine already re-registered
@@ -157,11 +164,11 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		}
-		id := w.workerID()
+		token := w.credential()
 		var resp statusResponse
-		if err := w.post(ctx, "/dist/heartbeat", heartbeatRequest{Worker: id}, &resp); err == nil &&
+		if err := w.post(ctx, "/dist/heartbeat", heartbeatRequest{Token: token}, &resp); err == nil &&
 			resp.Status == statusUnknownWorker {
-			w.reregister(ctx, id)
+			w.reregister(ctx, token)
 		}
 	}
 }
@@ -169,12 +176,12 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // slotLoop is one execution slot: lease one unit, run it, deliver.
 func (w *Worker) slotLoop(ctx context.Context) {
 	for ctx.Err() == nil {
-		id := w.workerID()
+		token := w.credential()
 		w.mu.Lock()
 		poll := w.poll
 		w.mu.Unlock()
 		var resp leaseResponse
-		err := w.post(ctx, "/dist/lease", leaseRequest{Worker: id, Max: 1, WaitMS: poll.Milliseconds()}, &resp)
+		err := w.post(ctx, "/dist/lease", leaseRequest{Token: token, Max: 1, WaitMS: poll.Milliseconds()}, &resp)
 		switch {
 		case err != nil:
 			select {
@@ -182,7 +189,7 @@ func (w *Worker) slotLoop(ctx context.Context) {
 			case <-ctx.Done():
 			}
 		case resp.Status == statusUnknownWorker:
-			w.reregister(ctx, id)
+			w.reregister(ctx, token)
 		default:
 			for _, l := range resp.Leases {
 				w.execute(ctx, l)
@@ -200,7 +207,7 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 		// process's death anyway.
 		return
 	}
-	req := completeRequest{Worker: w.workerID(), Lease: l.ID, BusyNS: busy.Nanoseconds()}
+	req := completeRequest{Token: w.credential(), Lease: l.ID, BusyNS: busy.Nanoseconds()}
 	if err != nil {
 		req.Error = err.Error()
 		w.logf("unit %s[%d,%d]: %v", l.Unit.Stage, l.Unit.Point, l.Unit.Rep, err)
