@@ -380,9 +380,6 @@ func (n *Network) Run(opts Options) (*sim.Result, error) {
 	if opts.Measured < 1 {
 		return nil, fmt.Errorf("netsim: need at least 1 measured message")
 	}
-	if opts.Warmup < 0 {
-		return nil, fmt.Errorf("netsim: negative warmup %d", opts.Warmup)
-	}
 	// Every link serves a message in MsgBytes × β on average.
 	return sim.RunTopology(n, opts.Lambda, float64(opts.MsgBytes)*n.Tech.Beta(), sim.Options{
 		Seed: opts.Seed, WarmupMessages: opts.Warmup, MeasuredMessages: opts.Measured,

@@ -1,8 +1,10 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hmscs/internal/network"
@@ -451,8 +453,8 @@ func requireIdenticalNetDynamic(t *testing.T, label string, a, b *sim.Result) {
 	}
 }
 
-// runNetDyn compiles the spec against a fresh network (a Network is
-// single-use) and runs it.
+// runNetDyn compiles the spec against the network build returns and
+// runs it.
 func runNetDyn(t *testing.T, build func(t *testing.T) *Network, spec *scenario.Spec, seed uint64) *sim.Result {
 	t.Helper()
 	n := build(t)
@@ -489,11 +491,12 @@ func TestNetScenarioRepairAtHorizon(t *testing.T) {
 }
 
 // TestNetScenarioRepeatable pins per-replication determinism: the same
-// seed gives the same dynamic Result on a rebuilt network, and a
-// different seed gives a different sample path (the replication loop in
-// the runner rebuilds the network per rep with derived seeds).
+// seed gives the same dynamic Result on one network run twice, and a
+// different seed gives a different sample path (the runner runs every
+// replication on one network with derived seeds).
 func TestNetScenarioRepeatable(t *testing.T) {
-	ft := func(t *testing.T) *Network { return buildFT(t, 32, 8) }
+	shared := buildFT(t, 32, 8)
+	ft := func(t *testing.T) *Network { return shared }
 	spec := &scenario.Spec{HorizonS: 0.1, Events: []scenario.Event{
 		{TS: 0.03, Action: "fail", Target: "spine:0", Policy: "drop"},
 		{TS: 0.07, Action: "repair", Target: "spine:0"},
@@ -512,4 +515,39 @@ func TestNetScenarioRepeatable(t *testing.T) {
 func (n *Network) route(st *rng.Stream, src, dst int) ([]int32, int) {
 	path, switches, _ := n.Route(nil, st, src, dst, nil)
 	return path, int(switches)
+}
+
+// TestSharedNetworkConcurrentRuns pins that a run only reads its
+// network: replications running at once on one network give the
+// results they give one at a time, bit for bit.
+func TestSharedNetworkConcurrentRuns(t *testing.T) {
+	n := buildLA(t, 40, 8)
+	run := func(seed uint64) *sim.Result {
+		res, err := n.Run(Options{Lambda: 2000, MsgBytes: 512, Warmup: 100, Measured: 1500, Seed: seed, RecordSample: true})
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	const reps = 4
+	want := make([]*sim.Result, reps)
+	for i := range want {
+		want[i] = run(uint64(i + 1))
+	}
+	got := make([]*sim.Result, reps)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = run(uint64(i + 1))
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		if want[i] == nil || got[i] == nil {
+			t.Fatal("a run failed")
+		}
+		requireIdenticalNetResults(t, fmt.Sprintf("seed %d", i+1), want[i], got[i])
+	}
 }

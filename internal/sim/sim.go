@@ -580,10 +580,10 @@ func (s *Simulator) Handle(kind EventKind, idx int32) {
 			break // voided by a failure
 		}
 		mi := c.CompleteService()
-		if s.opts.Trace != nil {
-			s.opts.Trace.Record(s.msgs[mi].id, s.eng.Now(), trace.HopDone, c.Name)
-		}
 		m := &s.msgs[mi]
+		if s.opts.Trace != nil {
+			s.opts.Trace.Record(m.id, s.eng.Now(), trace.HopDone, c.Name)
+		}
 		if m.pos++; m.pos < m.n {
 			s.centers[s.paths[int(mi)*s.stride+int(m.pos)]].Submit(mi)
 			break
@@ -816,11 +816,10 @@ func Run(cfg *core.Config, opts Options) (*Result, error) {
 // RunTopology runs one closed-loop replication over t on a pooled
 // simulator: every endpoint generates at rate while idle, every link
 // serves a message in price on average, and opts supply the rest (its
-// OpenLoop must be false and its Trace is not consulted). t is only read,
-// so concurrent replications may share it.
+// OpenLoop must be false). t is only read, so concurrent replications
+// may share it.
 func RunTopology(t Topology, rate, price float64, opts Options) (*Result, error) {
 	s := simPool.Get().(*Simulator)
-	opts.Trace = nil
 	err := s.resetTopology(t, rate, price, opts)
 	var res *Result
 	if err == nil {
