@@ -242,7 +242,10 @@ func BenchmarkAblationOpenLoop(b *testing.B) {
 // systems of identical clusters, one run each. split analyzes the default
 // plan space's two heterogeneous layouts, {32,16,8,8} and {64,32,32}, per
 // op. alt-C=256 alternates λ and 1.5λ between neighbours, so every
-// cluster is its own run and run-length evaluation saves nothing.
+// cluster is its own run and run-length evaluation saves nothing. All of
+// those saturate a centre at s = 1; unsaturated analyzes a Case 1 C=64
+// system and the {64,32,32} split at λ = 20, where none does, so the
+// fixed point's bracket takes its other starting branch.
 func BenchmarkAnalyze(b *testing.B) {
 	bench := func(name string, cfgs ...*core.Config) {
 		b.Run(name, func(b *testing.B) {
@@ -265,9 +268,8 @@ func BenchmarkAnalyze(b *testing.B) {
 	for _, c := range []int{4, 64, 256} {
 		bench(fmt.Sprintf("C=%d", c), paper(c))
 	}
-	var splits []*core.Config
-	for _, layout := range plan.DefaultSpace().Splits {
-		cfg, err := core.NewSuperCluster(len(layout), 1, core.PaperLambda, network.GigabitEthernet,
+	split := func(layout []int, lambda float64) *core.Config {
+		cfg, err := core.NewSuperCluster(len(layout), 1, lambda, network.GigabitEthernet,
 			network.FastEthernet, network.NonBlocking, network.PaperSwitch, 1024)
 		if err != nil {
 			b.Fatal(err)
@@ -275,7 +277,11 @@ func BenchmarkAnalyze(b *testing.B) {
 		for i, n := range layout {
 			cfg.Clusters[i].Nodes = n
 		}
-		splits = append(splits, cfg)
+		return cfg
+	}
+	var splits []*core.Config
+	for _, layout := range plan.DefaultSpace().Splits {
+		splits = append(splits, split(layout, core.PaperLambda))
 	}
 	bench("split", splits...)
 	alt := paper(256)
@@ -283,6 +289,13 @@ func BenchmarkAnalyze(b *testing.B) {
 		alt.Clusters[i].Lambda *= 1.5
 	}
 	bench("alt-C=256", alt)
+	// Every row above saturates a centre at s = 1; at λ = 20 neither of
+	// these does, so the bracket starts one fixed-point step from 1.
+	quiet := paper(64)
+	for i := range quiet.Clusters {
+		quiet.Clusters[i].Lambda = 20
+	}
+	bench("unsaturated", quiet, split(plan.DefaultSpace().Splits[1], 20))
 }
 
 // BenchmarkMVA measures the exact solver's cost at the full population.

@@ -60,7 +60,10 @@ type Result struct {
 	P float64
 	// Scale is the converged effective-rate factor λ_eff/λ of eq. 7.
 	Scale float64
-	// Iterations is the number of fixed-point refinement steps used.
+	// Iterations counts the fixed point's bisection steps: 40, or 1 when
+	// the raw rate is the fixed point. Most steps are decided by the
+	// bracket without evaluating L(s) (see fixedPoint), so this is not
+	// the number of model evaluations.
 	Iterations int
 	// MeanLatency is T_C of eq. 15, in seconds.
 	MeanLatency float64
@@ -112,15 +115,18 @@ type run struct {
 	lamI1, lamE1, out float64
 }
 
-// model is a configuration as runs of equal clusters. A bisection step
-// costs O(runs) divisions and O(C) additions: every sum adds one term per
-// cluster, in cluster order, bit-identical to a per-cluster evaluation.
+// model is a configuration as runs of equal clusters. An evaluation of
+// L(s) costs O(runs) divisions and O(C) additions: every sum adds one
+// term per cluster, in cluster order, bit-identical to a per-cluster
+// evaluation.
 type model struct {
 	runs     []run
 	clusters int
 	muICN2   float64
 	nTotal   float64 // N_T, also L(s) at any saturated probe
 	locality bool    // rates follow AnalyzeLocality's split, not eq. 1–5
+	lamI2    float64 // λ_I2 at the last scale passed to load
+	evals    int     // L(s) evaluations by fixedPoint
 }
 
 // newModel builds the model of a validated configuration in the storage
@@ -150,28 +156,71 @@ func newModel(cfg *core.Config, runs []run) (model, error) {
 	return m, nil
 }
 
-// queueLen returns the mean number in system of one centre with arrival
-// rate lambda and service rate mu, or ok=false when the centre is
-// saturated. Its at method takes the nil queueLen as the paper's M/M/1
-// queue length ρ/(1−ρ) of eq. 6, computed inline, not through a func value.
-type queueLen func(lambda, mu float64) (l float64, ok bool)
+// queueLen selects the queue length L(ρ) of one centre that the fixed
+// point sums: the paper's M/M/1 ρ/(1−ρ) of eq. 6 (the zero value), or the
+// Pollaczek–Khinchine M/G/1 length at service SCV scv.
+type queueLen struct {
+	mg1 bool
+	scv float64
+}
 
+// at returns the mean number in system of a centre with arrival rate
+// lambda and service rate mu, or ok=false when the centre is saturated.
 func (ql queueLen) at(lambda, mu float64) (float64, bool) {
 	if lambda >= mu {
 		return 0, false
 	}
-	if ql != nil {
-		return ql(lambda, mu)
+	if ql.mg1 {
+		_, _, l, err := ql.station(lambda, mu)
+		return l, err == nil
 	}
 	rho := lambda / mu
 	return rho / (1 - rho), true
 }
 
-// load sets every run's arrival rates at generation-rate scale s (eq. 1–5,
-// or the locality split) and returns λ_I2 and the summed queue lengths of
-// eq. 6, which are meaningful only if no centre saturates.
-func (m *model) load(s float64, ql queueLen) (icn2, l float64, saturated bool) {
-	totalGen := 0.0
+// station evaluates one centre at the fixed point: utilisation, mean
+// sojourn time and mean number in system (eq. 16, or its M/G/1 form).
+func (ql queueLen) station(lambda, mu float64) (rho, w, l float64, err error) {
+	if ql.mg1 {
+		st, err := queueing.NewMG1(lambda, 1/mu, ql.scv)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if w, err = st.W(); err != nil {
+			return 0, 0, 0, err
+		}
+		if l, err = st.L(); err != nil {
+			return 0, 0, 0, err
+		}
+		return st.Rho(), w, l, nil
+	}
+	st, err := queueing.NewMM1(lambda, mu)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if w, err = st.W(); err != nil {
+		return 0, 0, 0, err
+	}
+	if l, err = st.L(); err != nil {
+		return 0, 0, 0, err
+	}
+	return st.Rho(), w, l, nil
+}
+
+// pole is lim (1−ρ)·L(ρ) as ρ → 1, the weight of a saturating centre's
+// pole in h; it only steers the bracket.
+func (ql queueLen) pole() float64 {
+	if ql.mg1 {
+		return (1 + ql.scv) / 2
+	}
+	return 1
+}
+
+// load sets every run's arrival rates, and lamI2, at generation-rate scale
+// s (eq. 1–5, or the locality split) and returns the summed queue lengths
+// of eq. 6, which are meaningful only if no centre saturates.
+func (m *model) load(s float64, ql queueLen) (l float64, saturated bool) {
+	totalGen, icn2 := 0.0, 0.0
 	if m.locality {
 		icn2 = m.localityRates(s)
 	} else {
@@ -199,37 +248,58 @@ func (m *model) load(s float64, ql queueLen) (icn2, l float64, saturated bool) {
 			l += lE
 		}
 	}
+	m.lamI2 = icn2
 	lI2, ok := ql.at(icn2, m.muICN2)
-	return icn2, l + lI2, saturated || !ok
+	return l + lI2, saturated || !ok
 }
 
-// totalWaiting returns L(s), the mean number of blocked processors when all
-// generation rates are scaled by s. Any saturated centre clamps the result
-// to the total processor count, which keeps the fixed-point map
-// well-defined on all of [0,1] (paper eq. 6 with the physical cap).
-func (m *model) totalWaiting(s float64, ql queueLen) float64 {
-	if _, l, saturated := m.load(s, ql); !saturated && l <= m.nTotal {
-		return l
+// eval returns L(s), the mean number of blocked processors when all
+// generation rates are scaled by s, as the bisection reads it: any
+// saturated centre clamps it to the total processor count N, which keeps
+// the fixed-point map well-defined on all of [0,1] (paper eq. 6 with the
+// physical cap). lu is the unclamped sum, finite unless a centre
+// saturates; h computed from it has the clamped h's sign.
+func (m *model) eval(s float64, ql queueLen) (l, lu float64, finite bool) {
+	m.evals++
+	lu, saturated := m.load(s, ql)
+	if saturated || lu > m.nTotal {
+		return m.nTotal, lu, !saturated
 	}
-	return m.nTotal
+	return lu, lu, true
 }
 
-// fixedPoint solves s = (N − L(s))/N by bisection. h(s) = s − g(s) is
-// strictly increasing (L is increasing in s), h(0) < 0 and h(1) >= 0, so a
-// unique root exists in (0, 1]. It also reports whether the raw rates
-// (s = 1) saturate the system.
+// g is the fixed-point map's (N − L)/N.
+func (m *model) g(l float64) float64 { return (m.nTotal - l) / m.nTotal }
+
+// fixedPoint solves s = g(L(s)) for the effective-rate scale of eq. 7.
+// h(s) = s − g(L(s)) is strictly increasing (L is increasing in s),
+// h(0) < 0 and h(1) >= 0, so a unique root exists in (0, 1]. It also
+// reports whether the raw rates (s = 1) saturate the system.
+//
+// The answer is a 40-step bisection's on [0, 1], bit for bit, and iters
+// counts those steps, but few of them evaluate L: bracket first finds
+// evaluated points a < b around the root, and the bisection then
+// evaluates only the midpoints within margin of [a, b]. Every other
+// midpoint's computed sign is the sign at the bracket end on its side
+// (DESIGN.md §7).
 func (m *model) fixedPoint(ql queueLen) (scale float64, iters int, saturated bool) {
-	g := func(l float64) float64 { return (m.nTotal - l) / m.nTotal }
-	l1 := m.totalWaiting(1, ql)
+	l1, lu1, finite1 := m.eval(1, ql)
 	saturated = l1 >= m.nTotal
-	if h := 1 - g(l1); h <= 0 {
+	if h := 1 - m.g(l1); h <= 0 {
 		// No blocking pressure at all: the raw rate is the fixed point.
 		return 1, 1, saturated
 	}
+	a, b := m.bracket(ql, l1, lu1, finite1)
+	margin := m.replayMargin(ql)
 	lo, hi, n := 0.0, 1.0, 0
 	for ; hi-lo > 1e-12 && n < 200; n++ {
 		mid := (lo + hi) / 2
-		if mid-g(m.totalWaiting(mid, ql)) < 0 {
+		below := mid <= a-margin
+		if !below && !(mid >= b+margin) {
+			l, _, _ := m.eval(mid, ql)
+			below = mid-m.g(l) < 0
+		}
+		if below {
 			lo = mid
 		} else {
 			hi = mid
@@ -238,34 +308,149 @@ func (m *model) fixedPoint(ql queueLen) (scale float64, iters int, saturated boo
 	return (lo + hi) / 2, n, saturated
 }
 
-// station evaluates one centre at the fixed point: utilisation, mean
-// sojourn time and mean number in system.
-type station func(lambda, mu float64) (rho, w, l float64, err error)
+// bracket returns evaluated points a < b with h(a) < 0 <= h(b), b − a at
+// most about 1e-13 unless it ran out of steps. Every rate is linear in s,
+// so the saturation edge s* = min μ/λ(1) comes from the rates the s = 1
+// probe left in the runs. On [0, s*) h is increasing and convex with a
+// pole at s*, so the steps interpolate on φ(s) = (s* − s)·h(s), which has
+// h's sign there but no pole: a secant step through the last two points
+// while it stays inside the bracket, else an Illinois step (regula falsi
+// on the bracket, with the value at an end that holds twice in a row
+// halved). l1, lu1 and finite1 are eval(1)'s.
+func (m *model) bracket(ql queueLen, l1, lu1 float64, finite1 bool) (a, b float64) {
+	const width, steps = 1e-13, 24
+	sp, poles := math.Inf(1), 0
+	edge := func(lambda, mu float64, count int) {
+		switch s := mu / lambda; {
+		case s < sp:
+			sp, poles = s, count
+		case s == sp:
+			poles += count
+		}
+	}
+	for i := range m.runs {
+		r := &m.runs[i]
+		edge(r.lamI1, r.muI1, r.count)
+		edge(r.lamE1, r.muE1, r.count)
+	}
+	edge(m.lamI2, m.muICN2, 1)
+	if !(sp > 0 && sp < math.Inf(1)) {
+		return 0, 1
+	}
+	// φ(0) = −s* since h(0) = −1. When s* <= 1 the interpolation's right
+	// end starts at the pole, where φ is h's residue: pole() per
+	// saturating centre, times s*/N. hb is the least evaluated point with
+	// h >= 0, the right end handed to the replay.
+	n := m.nTotal
+	a, fa := 0.0, -sp
+	b, hb := 1.0, 1.0
+	var fb, x float64
+	if sp <= 1 || !finite1 {
+		// Start from the root with the bottleneck centre alone.
+		b = min(b, sp)
+		fb = float64(poles) * ql.pole() * sp / n
+		x = sp * (1 - 1/(n*(1-sp)+2))
+	} else {
+		// Start one fixed-point step from 1.
+		fb = (sp - 1) * (1 - m.g(lu1))
+		x = m.g(l1)
+	}
+	side := 0
+	xp, fp := math.NaN(), math.NaN()
+	for k := 0; hb-a > width && k < steps; k++ {
+		// A step that would land within width/2 of an end lands there
+		// instead, so an end that sits on the root closes the bracket.
+		x = min(max(x, a+width/2), b-width/2)
+		if !(x > a && x < b) {
+			x = a + (b-a)/2
+		}
+		l, lu, finite := m.eval(x, ql)
+		f := math.NaN() // φ(x), unknown where a centre saturates
+		if finite {
+			f = (sp - x) * (x - m.g(lu))
+		}
+		if x-m.g(l) < 0 {
+			a, fa = x, f
+			if side < 0 {
+				fb /= 2
+			}
+			side = -1
+		} else {
+			b, hb = x, x
+			if finite {
+				fb = f
+			}
+			if side > 0 {
+				fa /= 2
+			}
+			side = 1
+		}
+		sec := x - f*(x-xp)/(f-fp)
+		xp, fp = x, f
+		x = b - fb*(b-a)/(fb-fa)
+		if sec > a && sec < b {
+			x = sec
+		}
+	}
+	return a, hb
+}
 
-// mm1Station is the paper's M/M/1 centre (eq. 16).
-func mm1Station(lambda, mu float64) (rho, w, l float64, err error) {
-	st, err := queueing.NewMM1(lambda, mu)
-	if err != nil {
-		return 0, 0, 0, err
+// replayMargin returns how far outside an evaluated bracket [a, b] a
+// bisection midpoint must lie for the bracket to decide its computed sign.
+//
+// Rounding is monotone, so every computed rate, queue length, sum and
+// clamp is a nondecreasing function of s, and the computed g(L(s)) a
+// nonincreasing one, except where core.RateTerms.At subtracts a cluster's
+// own generated traffic from the total to get its inbound ECN1 rate. So
+// with the locality split, which adds only, a midpoint below a has h < 0
+// and one above b has h >= 0 outright. Otherwise the difference is
+// monotone between two points more than 2(C+5)u·T/(T − Nᵢλᵢ) apart
+// (T = Σ Nⱼλⱼ, u the unit roundoff): beyond that the true growth of the
+// other clusters' traffic outweighs both points' rounding. A single
+// cluster has no other traffic, and its inbound rate is rounding noise
+// of at most ρmax in utilisation; its queue length then moves against s
+// by at most L(ρmax), which is worth that much over N in h. A margin of
+// +Inf (a rate far outside what these bounds cover) evaluates every
+// midpoint.
+func (m *model) replayMargin(ql queueLen) float64 {
+	const u = 0x1p-53
+	if m.locality {
+		return 0
 	}
-	if w, err = st.W(); err != nil {
-		return 0, 0, 0, err
+	c := float64(m.clusters)
+	t := 0.0
+	for i := range m.runs {
+		t += float64(m.runs[i].count) * m.runs[i].NLambda
 	}
-	if l, err = st.L(); err != nil {
-		return 0, 0, 0, err
+	if m.clusters == 1 {
+		r := &m.runs[0]
+		rhoMax := 4.3 * u * t * r.N / (m.nTotal - 1) / r.muE1
+		if !(rhoMax <= 0.5) {
+			return math.Inf(1)
+		}
+		// L(ρ)/ρ <= 1 + pole() for ρ <= 1/2.
+		return 2.2*(1+ql.pole())*rhoMax/m.nTotal + 16*u
 	}
-	return st.Rho(), w, l, nil
+	kappa := 0.0
+	for i := range m.runs {
+		d := t - m.runs[i].NLambda
+		if !(d > 10*(c+1)*u*t) {
+			return math.Inf(1)
+		}
+		kappa = max(kappa, 2.5*(c+5)*u*t/d)
+	}
+	return kappa + 4*u
 }
 
 // solve finds the effective-rate fixed point with queue lengths ql and
-// evaluates every centre there with st, once per run, into res, whose
-// Centers storage it reuses. Centers is laid out as [ICN1₀, ECN1₀, ICN1₁,
-// ECN1₁, …, ICN2], which the latency sums read by position. The caller
-// fills in P and MeanLatency.
-func (m *model) solve(res *Result, ql queueLen, st station) error {
+// evaluates every centre there, once per run, into res, whose Centers
+// storage it reuses. Centers is laid out as [ICN1₀, ECN1₀, ICN1₁, ECN1₁,
+// …, ICN2], which the latency sums read by position. The caller fills in
+// P and MeanLatency.
+func (m *model) solve(res *Result, ql queueLen) error {
 	*res = Result{Centers: res.Centers[:0], runs: m.runs}
 	res.Scale, res.Iterations, res.Saturated = m.fixedPoint(ql)
-	icn2, _, _ := m.load(res.Scale, ql)
+	m.load(res.Scale, ql)
 
 	eval := func(kind CenterKind, lambda, mu float64) (CenterMetrics, error) {
 		// The bisection can land within tolerance of a saturation
@@ -273,7 +458,7 @@ func (m *model) solve(res *Result, ql queueLen, st station) error {
 		if !(lambda < mu) {
 			lambda = mu * (1 - 1e-9)
 		}
-		rho, w, l, err := st(lambda, mu)
+		rho, w, l, err := ql.station(lambda, mu)
 		return CenterMetrics{Kind: kind, Cluster: -1, Lambda: lambda, Mu: mu,
 			Rho: rho, W: w, L: l}, err
 	}
@@ -291,7 +476,7 @@ func (m *model) solve(res *Result, ql queueLen, st station) error {
 			res.Centers = append(res.Centers, cI, cE)
 		}
 	}
-	c, err := eval(ICN2, icn2, m.muICN2)
+	c, err := eval(ICN2, m.lamI2, m.muICN2)
 	if err != nil {
 		return err
 	}
@@ -310,7 +495,7 @@ func Analyze(cfg *core.Config) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	if err := analyze(res, cfg, nil, mm1Station); err != nil {
+	if err := analyze(res, cfg, queueLen{}); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -328,23 +513,35 @@ func AnalyzeInto(res *Result, cfg *core.Config, arrivalSCV float64) error {
 		if err := checkArrivalSCV(arrivalSCV); err != nil {
 			return err
 		}
-		return analyzeSCV(res, cfg, arrivalSCV)
 	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	return analyze(res, cfg, nil, mm1Station)
+	return AnalyzeValidInto(res, cfg, arrivalSCV)
 }
 
-// analyze solves a validated configuration with queue lengths ql and
-// centre metrics st into res, and evaluates eq. 15 at the fixed point.
-// It is the one solve path behind every eq. 15 entry point.
-func analyze(res *Result, cfg *core.Config, ql queueLen, st station) error {
+// AnalyzeValidInto is AnalyzeInto for a configuration that passed
+// cfg.Validate and has not changed since, such as the capacity planner's
+// enumerated candidates: it skips the second validation.
+func AnalyzeValidInto(res *Result, cfg *core.Config, arrivalSCV float64) error {
+	if UsesArrivalCorrection(arrivalSCV) {
+		if err := checkArrivalSCV(arrivalSCV); err != nil {
+			return err
+		}
+		return analyze(res, cfg, queueLen{mg1: true, scv: arrivalSCV})
+	}
+	return analyze(res, cfg, queueLen{})
+}
+
+// analyze solves a validated configuration with queue lengths ql into
+// res, and evaluates eq. 15 at the fixed point. It is the one solve path
+// behind every eq. 15 entry point.
+func analyze(res *Result, cfg *core.Config, ql queueLen) error {
 	m, err := newModel(cfg, res.runs)
 	if err != nil {
 		return err
 	}
-	if err := m.solve(res, ql, st); err != nil {
+	if err := m.solve(res, ql); err != nil {
 		return err
 	}
 	res.P = cfg.POut(0)

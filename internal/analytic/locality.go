@@ -41,7 +41,7 @@ func AnalyzeLocality(cfg *core.Config, locality float64) (*Result, error) {
 		}
 	}
 	res := &Result{}
-	if err := m.solve(res, nil, mm1Station); err != nil {
+	if err := m.solve(res, queueLen{}); err != nil {
 		return nil, err
 	}
 	res.P = 1 - m.runs[0].pLocal

@@ -15,6 +15,11 @@ import (
 // before the coordinator re-offers it.
 const DefaultLeaseTTL = 10 * time.Second
 
+// forgetTTLs is how many lease TTLs a worker may stay silent, holding no
+// lease, before the registry forgets it. A forgotten worker that comes
+// back is answered unknown-worker and registers again under a fresh id.
+const forgetTTLs = 6
+
 // specCacheSize bounds the idle spec registry: specs of live executors
 // are always retained; up to this many recently-finished specs stay
 // cached for resubmissions.
@@ -74,6 +79,9 @@ type Coordinator struct {
 	leases  map[string]*lease
 	requeue []*offer
 	seq     uint64 // public worker ids
+	// forgottenBusyNS keeps forgotten workers' busy time in the
+	// busy-seconds counter, which must never fall.
+	forgottenBusyNS int64
 
 	offers chan *offer
 	kick   chan struct{} // pulses when requeue gains an entry
@@ -162,7 +170,7 @@ func (c *Coordinator) RegisterMetrics(r *telemetry.Registry) {
 		func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			var ns int64
+			ns := c.forgottenBusyNS
 			for _, w := range c.workers {
 				ns += w.busyNS
 			}
@@ -500,7 +508,9 @@ func (c *Coordinator) Heartbeat(token string) string {
 
 // sweep expires overdue leases, re-offering their units — or, when no
 // live worker remains to re-offer to, reverting them to their executors
-// so a job never hangs on a dead fleet.
+// so a job never hangs on a dead fleet — and forgets workers silent for
+// forgetTTLs lease TTLs, so the registry holds the fleet, not every
+// registration ever made.
 func (c *Coordinator) sweep() {
 	tick := time.NewTicker(c.ttl / 4)
 	defer tick.Stop()
@@ -526,6 +536,7 @@ func (c *Coordinator) sweep() {
 				}
 			}
 		}
+		c.forgetSilentLocked(now)
 		if c.liveLocked() == 0 && len(c.requeue) > 0 {
 			revert = c.requeue
 			c.requeue = nil
@@ -554,6 +565,28 @@ func (c *Coordinator) sweep() {
 			case c.kick <- struct{}{}:
 			default:
 			}
+		}
+	}
+}
+
+// forgetSilentLocked drops the workers not heard from for forgetTTLs lease
+// TTLs that hold no lease. Worker ids stay unique: seq never rewinds.
+func (c *Coordinator) forgetSilentLocked(now time.Time) {
+	cutoff := now.Add(-forgetTTLs * c.ttl)
+	var leased map[string]bool
+	for token, w := range c.workers {
+		if !w.lastSeen.Before(cutoff) {
+			continue
+		}
+		if leased == nil {
+			leased = make(map[string]bool, len(c.leases))
+			for _, l := range c.leases {
+				leased[l.token] = true
+			}
+		}
+		if !leased[token] {
+			c.forgottenBusyNS += w.busyNS
+			delete(c.workers, token)
 		}
 	}
 }

@@ -128,11 +128,11 @@ func screenCandidates(ctx context.Context, cands []Candidate, slo SLO, cost Cost
 // warm pool worker analyses into storage it already owns.
 var analyses = sync.Pool{New: func() any { return new(analytic.Result) }}
 
-// screenOne analyses one candidate into an, prices it and scores it. The
-// analysis validates the candidate, so pricing skips Cost's validation;
-// the result keeps nothing of an.
+// screenOne analyses one candidate into an, prices it and scores it.
+// Enumerate kept only candidates that validate, so neither the analysis
+// nor the pricing validates again; the result keeps nothing of an.
 func screenOne(an *analytic.Result, c Candidate, slo SLO, cost CostModel, arrivalSCV float64) (ScreenResult, error) {
-	if err := analytic.AnalyzeInto(an, c.Cfg, arrivalSCV); err != nil {
+	if err := analytic.AnalyzeValidInto(an, c.Cfg, arrivalSCV); err != nil {
 		return ScreenResult{}, err
 	}
 	price, err := cost.cost(c.Cfg)
