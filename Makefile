@@ -32,7 +32,8 @@ fmt-check:
 # pool's per-unit dispatch (ParForEach/{p1,all}), sim.RunBatchCtx's
 # own per-replication cost over a stub engine
 # (RunBatch/{fixed,adaptive}), the fleet's unit path at 0/1/2
-# in-process workers (DistUnit/{local,1w,2w}: lease, result codec,
+# in-process workers on short and long units
+# (DistUnit/{local,1w,2w,long-local,long-2w}: lease, result codec,
 # positional merge), and every checked-in experiment spec to
 # rendered report through run.Run (RunSpec/<name>). BENCHTIME is recorded
 # in each report, and benchjson -compare refuses two reports taken at

@@ -662,25 +662,33 @@ func BenchmarkRunSpec(b *testing.B) {
 }
 
 // BenchmarkDistUnit prices the fleet's unit path: one op is a run.Run
-// of a 2-cluster simulate spec's 32 short replications (50 warm-up and
-// 200 measured messages) at parallelism 1 through a dist.Executor, and
-// ns/unit divides by the 32 units. local attaches no worker, so every
-// unit takes the executor's local slot; 1w and 2w attach in-process
-// workers over HTTP (httptest), so the units they take also pay the
-// lease long-poll, the JSON result codec and the positional hand-off to
-// the driver's fold. remote-share is the fraction of units the workers
-// ran.
+// of a 2-cluster simulate spec's replications at parallelism 1 through
+// a dist.Executor, and ns/unit divides by the units. local attaches no
+// worker, so every unit takes the executor's local slot; 1w and 2w
+// attach in-process workers over HTTP (httptest), whose runs also pay
+// the lease long-poll, the JSON result codec and the positional hand-off
+// to the driver's fold. The short cases run 32 replications of 50
+// warm-up and 200 measured messages, too short for a worker's run to
+// amortise its grant, so the workers should take none; the long- cases
+// run 16 of 2,000 and 20,000, long enough that two workers' runs should
+// beat the local slot alone. remote-share is the fraction of units the
+// workers ran.
 func BenchmarkDistUnit(b *testing.B) {
-	const reps = 32
-	e := run.NewExperiment(run.KindSimulate)
-	e.System.Clusters, e.System.Total = 2, 8
-	e.Run.Messages, e.Run.Warmup, e.Run.Reps = 200, 50, reps
-	for _, workers := range []int{0, 1, 2} {
-		name := "local"
-		if workers > 0 {
-			name = fmt.Sprintf("%dw", workers)
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, c := range []struct {
+		name                   string
+		workers                int
+		warmup, messages, reps int
+	}{
+		{"local", 0, 50, 200, 32},
+		{"1w", 1, 50, 200, 32},
+		{"2w", 2, 50, 200, 32},
+		{"long-local", 0, 2000, 20000, 16},
+		{"long-2w", 2, 2000, 20000, 16},
+	} {
+		e := run.NewExperiment(run.KindSimulate)
+		e.System.Clusters, e.System.Total = 2, 8
+		e.Run.Messages, e.Run.Warmup, e.Run.Reps = c.messages, c.warmup, c.reps
+		b.Run(c.name, func(b *testing.B) {
 			coord := dist.NewCoordinator(10 * time.Second)
 			mux := http.NewServeMux()
 			coord.Mount(mux)
@@ -691,10 +699,10 @@ func BenchmarkDistUnit(b *testing.B) {
 				coord.Close()
 				ts.Close()
 			}()
-			for i := 0; i < workers; i++ {
+			for i := 0; i < c.workers; i++ {
 				go (&dist.Worker{Connect: ts.URL, Procs: 1}).Run(ctx) //nolint:errcheck // exits with ctx.Err on cancel
 			}
-			for coord.Live() < workers {
+			for coord.Live() < c.workers {
 				time.Sleep(time.Millisecond)
 			}
 			ex, err := dist.NewExecutor(ctx, coord, "bench-dist-unit", e, 1)
@@ -709,8 +717,8 @@ func BenchmarkDistUnit(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*reps), "ns/unit")
-			b.ReportMetric(float64(coord.Stats().Completed)/float64(b.N*reps), "remote-share")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.reps), "ns/unit")
+			b.ReportMetric(float64(coord.Stats().Completed)/float64(b.N*c.reps), "remote-share")
 		})
 	}
 }

@@ -119,6 +119,24 @@ func TestFacadeSCVAndMulticlass(t *testing.T) {
 	}
 }
 
+// TestFacadeAnalyzeSCVRejectsNoFiniteWait: a service SCV with no finite
+// Pollaczek–Khinchine wait (+Inf, NaN) or a negative one is an error,
+// never a result with a NaN mean latency.
+func TestFacadeAnalyzeSCVRejectsNoFiniteWait(t *testing.T) {
+	cfg, err := PaperConfig(Case1, 4, 1024, NonBlocking)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scv := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -0.5} {
+		if res, err := AnalyzeSCV(cfg, scv); err == nil {
+			t.Errorf("AnalyzeSCV(%g) returned mean latency %g and no error", scv, res.MeanLatency)
+		}
+	}
+	if _, err := AnalyzeSCV(cfg, math.MaxFloat64); err != nil {
+		t.Errorf("AnalyzeSCV(MaxFloat64): %v", err)
+	}
+}
+
 func TestFacadeConfigFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cfg.json")

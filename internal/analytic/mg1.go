@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"fmt"
+	"math"
 
 	"hmscs/internal/core"
 )
@@ -14,12 +15,13 @@ import (
 // M/D/1 is arguably the more physical reading).
 //
 // The effective-rate fixed point is Analyze's, with M/G/1 queue lengths.
+// An SCV that is negative, NaN or +Inf (no finite P–K wait) is an error.
 func AnalyzeSCV(cfg *core.Config, scv float64) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if !(scv >= 0) {
-		return nil, fmt.Errorf("analytic: SCV %g must be non-negative", scv)
+	if !(scv >= 0) || math.IsInf(scv, 1) {
+		return nil, fmt.Errorf("analytic: SCV %g must be finite and non-negative", scv)
 	}
 	res := &Result{}
 	if err := analyze(res, cfg, queueLen{mg1: true, scv: scv}); err != nil {

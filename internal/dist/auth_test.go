@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"hmscs/internal/run"
 )
 
 // postJSON posts body to the coordinator's path and decodes the answer.
@@ -47,8 +45,8 @@ func TestImpersonationOverHTTP(t *testing.T) {
 	defer ts.Close()
 
 	reg := postJSON(t, ts.URL+"/dist/workers", map[string]any{"name": "honest", "procs": 1})
-	off := &offer{hash: "h", unit: WireUnit{Stage: run.StageSim}, done: make(chan struct{}), resolved: make(chan outcome, 1)}
-	go func() { coord.offers <- off }()
+	off := newTestOffer("h")
+	coord.enqueue(off)
 	// The holder quotes what registration gave it.
 	cred := func(extra map[string]any) map[string]any {
 		extra["worker"], extra["token"] = reg["worker"], reg["token"]
@@ -79,7 +77,7 @@ func TestImpersonationOverHTTP(t *testing.T) {
 	}
 	listed := workers[0]["id"]
 
-	forged := map[string]any{"lease": leaseID, "result": map[string]any{"throughput": 1e9}}
+	forged := map[string]any{"lease": leaseID, "results": []any{map[string]any{"unit": 0, "result": map[string]any{"throughput": 1e9}}}}
 	for _, as := range []string{"worker", "token"} {
 		forged[as] = listed
 		answer := postJSON(t, ts.URL+"/dist/complete", forged)
@@ -95,7 +93,7 @@ func TestImpersonationOverHTTP(t *testing.T) {
 	}
 
 	answer := postJSON(t, ts.URL+"/dist/complete", cred(map[string]any{
-		"lease": leaseID, "result": map[string]any{"throughput": 42},
+		"lease": leaseID, "results": []any{map[string]any{"unit": 0, "result": map[string]any{"throughput": 42}}},
 	}))
 	if answer["status"] != statusOK {
 		t.Fatalf("holder's completion answered %v", answer)

@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,9 +27,25 @@ const forgetTTLs = 6
 // cached for resubmissions.
 const specCacheSize = 64
 
+// grainFraction is the share of a run's engine time its grant overhead
+// may take: a worker is offered k units only when its per-grant overhead
+// is at most grainFraction × k × the stage's measured engine time per
+// unit.
+const grainFraction = 0.1
+
+// bootstrapNS is the prior of each measured worker cost (per-grant
+// overhead, spec start-up) until estimateWindow grants have measured it.
+const bootstrapNS = int64(time.Millisecond)
+
+// estimateWindow is how many recent grants a worker's cost estimates
+// remember.
+const estimateWindow = 4
+
 // outcome resolves one offered unit. Exactly one of three shapes:
 // a result (res, stats), an execution error (err), or revert — the
-// coordinator handing the unit back because no worker can run it.
+// unit handed back to its executor's local slots (the coordinator
+// closed, the unit's lease expired while a local slot waited for it, or
+// the worker's result did not fit the unit).
 type outcome struct {
 	res    *sim.Result
 	stats  telemetry.SimStats
@@ -35,40 +53,109 @@ type outcome struct {
 	revert bool
 }
 
-// offer is one unit an executor wants run remotely. The resolved
-// channel (capacity 1) receives exactly one outcome: the lease table
-// guarantees single resolution — a unit is either pending grant, held
-// by exactly one live lease, or queued for re-offer, never two at once.
+// offer is one unit an executor placed remotely. The resolved channel
+// (capacity 1) receives at most one outcome: the lease table guarantees
+// single resolution — a unit is either held by exactly one live lease,
+// queued for re-offer, or taken back by its executor, never two at once.
+// queued and waiting are guarded by the Coordinator's mutex.
 type offer struct {
 	hash     string
 	unit     WireUnit
+	centers  int             // Centers rows a fitting result holds
 	done     <-chan struct{} // executor context; cancelled offers are dropped
 	resolved chan outcome
+	// queued marks an offer in the requeue, held by no lease; waiting
+	// that a local slot has reached the unit and waits for its outcome,
+	// so a unit that loses its lease reverts to that slot instead.
+	queued, waiting bool
 }
 
-// lease is one granted unit awaiting completion by the worker whose
-// token it holds.
+// lease is one granted run awaiting completion by the worker whose token
+// it holds. resolved[i] records that offs[i] has had its outcome; left
+// counts the units still open. busyNS and setupNS sum what the worker
+// reported, and cold says the worker had not run the spec before.
 type lease struct {
 	id       string
-	off      *offer
+	offs     []*offer
+	resolved []bool
+	left     int
 	token    string
+	granted  time.Time
 	deadline time.Time
+	cold     bool
+	busyNS   int64
+	setupNS  int64
 }
 
 // workerState tracks one registered worker; the registry keys it by its
-// token, and id is the public name GET /dist/workers shows.
+// token, and id is the public name GET /dist/workers shows. overhead and
+// startup are its measured costs per grant and per new spec, and specs
+// the hashes it was last granted, newest last.
 type workerState struct {
 	id        string
 	name      string
 	procs     int
 	lastSeen  time.Time
 	unitsDone int64
+	rejected  int64
 	busyNS    int64
+	overhead  estimate
+	startup   estimate
+	specs     []string
+}
+
+// estimate is a cost measured over a worker's recent grants: the least
+// of its last estimateWindow samples. It starts as estimateWindow copies
+// of bootstrapNS, so neither a worker's first grants (a cold connection,
+// a busy host) nor one slow grant among faster ones (a GC pause) prices
+// it out for good: a worker priced out gets no grant to be re-measured
+// by.
+type estimate struct {
+	samples [estimateWindow]int64
+	next    int
+}
+
+func newEstimate() estimate {
+	var e estimate
+	for i := range e.samples {
+		e.samples[i] = bootstrapNS
+	}
+	return e
+}
+
+func (e *estimate) add(ns int64) {
+	e.samples[e.next] = max(ns, 0)
+	e.next = (e.next + 1) % estimateWindow
+}
+
+func (e *estimate) value() int64 { return slices.Min(e.samples[:]) }
+
+// ran reports whether the worker was recently granted units of hash,
+// so it holds the spec's program.
+func (w *workerState) ran(hash string) bool {
+	for _, h := range w.specs {
+		if h == hash {
+			return true
+		}
+	}
+	return false
+}
+
+// grantCost is what one grant of spec hash costs the worker beyond the
+// engine time of its units: its measured per-grant overhead, plus its
+// spec start-up when it has not run the spec.
+func (w *workerState) grantCost(hash string) int64 {
+	cost := w.overhead.value()
+	if !w.ran(hash) {
+		cost += w.startup.value()
+	}
+	return cost
 }
 
 // Coordinator owns the worker registry, the spec store and the lease
-// table. One lives inside each serve.Server; executors offer units into
-// it and the HTTP handlers in this package drive the worker side.
+// table. One lives inside each serve.Server; executors register their
+// fixed stages with it as sources of runs, and the HTTP handlers in
+// this package drive the worker side.
 type Coordinator struct {
 	ttl time.Duration
 
@@ -78,18 +165,22 @@ type Coordinator struct {
 	idle    []string // finished spec hashes, oldest first (cache eviction order)
 	leases  map[string]*lease
 	requeue []*offer
-	seq     uint64 // public worker ids
+	sources []*stageRun
+	// wake is closed (and replaced) when there may be new work for a
+	// polling worker: a requeued unit or a stage's fresh measurement.
+	wake   chan struct{}
+	closed bool
+	seq    uint64 // public worker ids
 	// forgottenBusyNS keeps forgotten workers' busy time in the
 	// busy-seconds counter, which must never fall.
 	forgottenBusyNS int64
 
-	offers chan *offer
-	kick   chan struct{} // pulses when requeue gains an entry
-	done   chan struct{}
+	done chan struct{}
 
 	unitsLeased     *telemetry.Counter
 	unitsCompleted  *telemetry.Counter
 	unitsFailed     *telemetry.Counter
+	unitsRejected   *telemetry.Counter
 	unitsReassigned *telemetry.Counter
 	unitsDuplicate  *telemetry.Counter
 	unitsLocal      *telemetry.Counter
@@ -111,12 +202,12 @@ func NewCoordinator(ttl time.Duration) *Coordinator {
 		workers:         make(map[string]*workerState),
 		specs:           make(map[string]*specEntry),
 		leases:          make(map[string]*lease),
-		offers:          make(chan *offer),
-		kick:            make(chan struct{}, 1),
+		wake:            make(chan struct{}),
 		done:            make(chan struct{}),
 		unitsLeased:     &telemetry.Counter{},
 		unitsCompleted:  &telemetry.Counter{},
 		unitsFailed:     &telemetry.Counter{},
+		unitsRejected:   &telemetry.Counter{},
 		unitsReassigned: &telemetry.Counter{},
 		unitsDuplicate:  &telemetry.Counter{},
 		unitsLocal:      &telemetry.Counter{},
@@ -130,6 +221,7 @@ type Stats struct {
 	Leased     int64 `json:"units_leased"`
 	Completed  int64 `json:"units_completed"`
 	Failed     int64 `json:"units_failed"`
+	Rejected   int64 `json:"units_rejected"`
 	Reassigned int64 `json:"units_reassigned"`
 	Duplicate  int64 `json:"units_duplicate"`
 	Local      int64 `json:"units_local"`
@@ -141,6 +233,7 @@ func (c *Coordinator) Stats() Stats {
 		Leased:     c.unitsLeased.Value(),
 		Completed:  c.unitsCompleted.Value(),
 		Failed:     c.unitsFailed.Value(),
+		Rejected:   c.unitsRejected.Value(),
 		Reassigned: c.unitsReassigned.Value(),
 		Duplicate:  c.unitsDuplicate.Value(),
 		Local:      c.unitsLocal.Value(),
@@ -161,11 +254,12 @@ func (c *Coordinator) RegisterMetrics(r *telemetry.Registry) {
 	counter("hmscs_dist_units_leased_total", "Units granted to workers, including re-grants of reassigned units.", c.unitsLeased)
 	counter("hmscs_dist_units_completed_total", "Units whose results workers delivered.", c.unitsCompleted)
 	counter("hmscs_dist_units_failed_total", "Units workers reported a simulation error for.", c.unitsFailed)
-	counter("hmscs_dist_units_reassigned_total", "Leases that expired (missed heartbeats) and were re-offered.", c.unitsReassigned)
-	counter("hmscs_dist_units_duplicate_total", "Stale completions dropped (the lease was already resolved or reassigned).", c.unitsDuplicate)
-	counter("hmscs_dist_units_local_total", "Units of distributed jobs executed locally (no idle worker, or reverted).", c.unitsLocal)
+	counter("hmscs_dist_units_rejected_total", "Units whose delivered result did not fit the unit and ran locally instead.", c.unitsRejected)
+	counter("hmscs_dist_units_reassigned_total", "Leased units whose lease expired (missed heartbeats) before they resolved.", c.unitsReassigned)
+	counter("hmscs_dist_units_duplicate_total", "Stale unit verdicts dropped (the unit was already resolved or reassigned).", c.unitsDuplicate)
+	counter("hmscs_dist_units_local_total", "Units of distributed jobs' fixed stages executed locally.", c.unitsLocal)
 	r.GaugeFunc("hmscs_dist_units_leased", "Units currently held under live leases.",
-		func() float64 { c.mu.Lock(); defer c.mu.Unlock(); return float64(len(c.leases)) })
+		func() float64 { return float64(c.LeasedUnits()) })
 	r.CounterFunc("hmscs_dist_worker_busy_seconds_total", "Summed wall time workers reported executing units.",
 		func() float64 {
 			c.mu.Lock()
@@ -183,16 +277,23 @@ func (c *Coordinator) RegisterMetrics(r *telemetry.Registry) {
 func (c *Coordinator) Close() {
 	close(c.done)
 	c.mu.Lock()
+	c.closed = true
 	pending := c.requeue
 	c.requeue = nil
 	for id, l := range c.leases {
 		delete(c.leases, id)
-		pending = append(pending, l.off)
+		for i, off := range l.offs {
+			if !l.resolved[i] {
+				pending = append(pending, off)
+			}
+		}
 	}
-	c.mu.Unlock()
 	for _, off := range pending {
+		off.queued = false
 		off.resolve(outcome{revert: true})
 	}
+	c.sources = nil
+	c.mu.Unlock()
 }
 
 // resolve delivers the offer's single outcome. The capacity-1 channel
@@ -204,6 +305,19 @@ func (o *offer) resolve(out outcome) {
 	case o.resolved <- out:
 	default:
 	}
+}
+
+// signalLocked wakes every polling worker to look for work again.
+func (c *Coordinator) signalLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
+}
+
+// signal is signalLocked for a caller not holding the lock.
+func (c *Coordinator) signal() {
+	c.mu.Lock()
+	c.signalLocked()
+	c.mu.Unlock()
 }
 
 // secret returns 128 random bits in hex. Worker tokens and lease ids are
@@ -228,7 +342,8 @@ func (c *Coordinator) Register(name string, procs int) registerResponse {
 	c.mu.Lock()
 	c.seq++
 	id := fmt.Sprintf("w%d", c.seq)
-	c.workers[token] = &workerState{id: id, name: name, procs: procs, lastSeen: time.Now()}
+	c.workers[token] = &workerState{id: id, name: name, procs: procs, lastSeen: time.Now(),
+		overhead: newEstimate(), startup: newEstimate()}
 	c.mu.Unlock()
 	return registerResponse{
 		Worker:     id,
@@ -269,10 +384,8 @@ func (c *Coordinator) liveLocked() int {
 	return n
 }
 
-// Capacity sums the execution slots of live workers.
-func (c *Coordinator) Capacity() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// capacityLocked sums the execution slots of live workers.
+func (c *Coordinator) capacityLocked() int {
 	cutoff := time.Now().Add(-c.ttl)
 	n := 0
 	for _, w := range c.workers {
@@ -289,20 +402,21 @@ func (c *Coordinator) Workers() []WorkerInfo {
 	defer c.mu.Unlock()
 	leased := make(map[string]int)
 	for _, l := range c.leases {
-		leased[l.token]++
+		leased[l.token] += l.left
 	}
 	cutoff := time.Now().Add(-c.ttl)
 	out := make([]WorkerInfo, 0, len(c.workers))
 	for token, w := range c.workers {
 		out = append(out, WorkerInfo{
-			ID:          w.id,
-			Name:        w.name,
-			Procs:       w.procs,
-			Live:        w.lastSeen.After(cutoff),
-			Leased:      leased[token],
-			UnitsDone:   w.unitsDone,
-			BusySeconds: float64(w.busyNS) / 1e9,
-			IdleSeconds: time.Since(w.lastSeen).Seconds(),
+			ID:            w.id,
+			Name:          w.name,
+			Procs:         w.procs,
+			Live:          w.lastSeen.After(cutoff),
+			Leased:        leased[token],
+			UnitsDone:     w.unitsDone,
+			UnitsRejected: w.rejected,
+			BusySeconds:   float64(w.busyNS) / 1e9,
+			IdleSeconds:   time.Since(w.lastSeen).Seconds(),
 		})
 	}
 	return out
@@ -312,7 +426,11 @@ func (c *Coordinator) Workers() []WorkerInfo {
 func (c *Coordinator) LeasedUnits() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.leases)
+	n := 0
+	for _, l := range c.leases {
+		n += l.left
+	}
+	return n
 }
 
 // registerSpec pins the spec bytes under its hash for worker fetches.
@@ -366,125 +484,297 @@ func (c *Coordinator) Spec(hash string) ([]byte, bool) {
 	return e.data, true
 }
 
-// Lease grants up to max units to the worker holding token,
-// long-polling up to wait for the first. Expired-and-requeued units are
-// granted before fresh offers so a reassigned unit never starves behind
-// new work.
-func (c *Coordinator) Lease(token string, max int, wait time.Duration) ([]Lease, bool) {
-	if !c.touch(token) {
-		return nil, false
+// addSource registers a fixed stage whose tail workers may take runs
+// of.
+func (c *Coordinator) addSource(s *stageRun) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.closed {
+		c.sources = append(c.sources, s)
 	}
+}
+
+// dropSources unregisters the executor's stages.
+func (c *Coordinator) dropSources(e *Executor) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.sources = slices.DeleteFunc(c.sources, func(s *stageRun) bool { return s.e == e })
+}
+
+// Lease grants the worker holding token one run of up to max units,
+// long-polling up to wait, or until ctx ends, for one. Units whose lease
+// expired are granted before fresh runs so a reassigned unit never
+// starves behind new work; a fresh run comes from the tail of a
+// registered stage, sized by the stage's rule (stageRun.take).
+func (c *Coordinator) Lease(ctx context.Context, token string, max int, wait time.Duration) ([]Lease, bool) {
 	if max < 1 {
 		max = 1
 	}
-	var grants []Lease
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
-	for len(grants) < max {
-		if off := c.takeRequeued(); off != nil {
-			if g, ok := c.grant(token, off); ok {
-				grants = append(grants, g)
-			}
-			continue
+	for {
+		c.mu.Lock()
+		w := c.workers[token]
+		if w == nil {
+			c.mu.Unlock()
+			return nil, false
 		}
-		if len(grants) > 0 {
-			// Already have work: only drain what is immediately available.
-			select {
-			case off := <-c.offers:
-				if g, ok := c.grant(token, off); ok {
-					grants = append(grants, g)
-				}
-			default:
-				return grants, true
-			}
-			continue
+		w.lastSeen = time.Now()
+		g, ok := c.grantLocked(token, w, max)
+		wake := c.wake
+		c.mu.Unlock()
+		if ok {
+			c.unitsLeased.Add(int64(len(g.Units)))
+			return []Lease{g}, true
 		}
 		select {
-		case off := <-c.offers:
-			if g, ok := c.grant(token, off); ok {
-				grants = append(grants, g)
-			}
-		case <-c.kick:
-			// requeue gained entries; loop back to takeRequeued.
+		case <-wake:
 		case <-deadline.C:
-			return grants, true
+			return nil, true
+		case <-ctx.Done():
+			return nil, true
 		case <-c.done:
-			return grants, true
+			return nil, true
 		}
 	}
-	return grants, true
 }
 
-func (c *Coordinator) takeRequeued() *offer {
+// grantLocked leases the worker the next run: requeued units of one
+// spec, else the first registered stage's tail run that the worker's
+// costs amortise. Stages with nothing left to offer are dropped.
+func (c *Coordinator) grantLocked(token string, w *workerState, max int) (Lease, bool) {
+	if c.closed {
+		return Lease{}, false
+	}
+	offs := c.takeRequeuedLocked(max)
+	if offs == nil && len(c.sources) > 0 {
+		lanes := c.capacityLocked()
+		kept := c.sources[:0]
+		for _, s := range c.sources {
+			if offs == nil {
+				var spent bool
+				if offs, spent = s.take(w.grantCost(s.e.hash), lanes, max); spent {
+					continue
+				}
+			}
+			kept = append(kept, s)
+		}
+		clear(c.sources[len(kept):])
+		c.sources = kept
+	}
+	if offs == nil {
+		return Lease{}, false
+	}
+	hash := offs[0].hash
+	now := time.Now()
+	l := &lease{
+		id:       secret(),
+		offs:     offs,
+		resolved: make([]bool, len(offs)),
+		left:     len(offs),
+		token:    token,
+		granted:  now,
+		deadline: now.Add(c.ttl),
+		cold:     !w.ran(hash),
+	}
+	c.leases[l.id] = l
+	if l.cold {
+		w.specs = append(w.specs, hash)
+		if len(w.specs) > workerSpecCache {
+			w.specs = w.specs[1:]
+		}
+	}
+	g := Lease{ID: l.id, Spec: hash, Units: make([]WireUnit, len(offs))}
+	for i, off := range offs {
+		g.Units[i] = off.unit
+	}
+	return g, true
+}
+
+// takeRequeuedLocked pops up to max requeued units of the first live
+// offer's spec; cancelled offers met on the way are dropped.
+func (c *Coordinator) takeRequeuedLocked(max int) []*offer {
+	var offs []*offer
+	kept := c.requeue[:0]
+	for _, off := range c.requeue {
+		switch {
+		case isDone(off.done):
+			off.queued = false
+		case len(offs) < max && (offs == nil || off.hash == offs[0].hash):
+			off.queued = false
+			offs = append(offs, off)
+		default:
+			kept = append(kept, off)
+		}
+	}
+	clear(c.requeue[len(kept):])
+	c.requeue = kept
+	return offs
+}
+
+func isDone(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// requeueLocked hands a unit that lost its lease back for re-offer: to
+// its local slot when one already waits for it, else to the requeue,
+// where the next poll or the slot reaching it takes it. It reports
+// whether the unit was queued.
+func (c *Coordinator) requeueLocked(off *offer) bool {
+	switch {
+	case isDone(off.done):
+		return false
+	case off.waiting:
+		off.resolve(outcome{revert: true})
+		return false
+	}
+	off.queued = true
+	c.requeue = append(c.requeue, off)
+	return true
+}
+
+// reclaim is a local slot reaching a unit it placed remotely: a unit in
+// the requeue, held by no worker, comes back to the slot (true);
+// otherwise the slot waits for the unit's outcome.
+func (c *Coordinator) reclaim(off *offer) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.requeue) == 0 {
-		return nil
+	if !off.queued {
+		off.waiting = true
+		return false
 	}
-	off := c.requeue[0]
-	c.requeue = c.requeue[1:]
-	return off
+	off.queued = false
+	c.requeue = slices.DeleteFunc(c.requeue, func(o *offer) bool { return o == off })
+	return true
 }
 
-// grant creates a lease for the offer; cancelled offers are dropped.
-func (c *Coordinator) grant(token string, off *offer) (Lease, bool) {
-	select {
-	case <-off.done:
-		return Lease{}, false // the executor is gone; drop silently
-	default:
-	}
-	id := secret()
+// abandon returns the units of grants whose poller left before receiving
+// them to the requeue, rather than leave them to expire.
+func (c *Coordinator) abandon(grants []Lease) {
 	c.mu.Lock()
-	c.leases[id] = &lease{id: id, off: off, token: token, deadline: time.Now().Add(c.ttl)}
-	c.mu.Unlock()
-	c.unitsLeased.Inc()
-	return Lease{ID: id, Spec: off.hash, Unit: off.unit}, true
+	defer c.mu.Unlock()
+	queued := false
+	for _, g := range grants {
+		l := c.leases[g.ID]
+		if l == nil {
+			continue
+		}
+		delete(c.leases, g.ID)
+		for i, off := range l.offs {
+			if !l.resolved[i] && c.requeueLocked(off) {
+				queued = true
+			}
+		}
+	}
+	if queued {
+		c.signalLocked()
+	}
 }
 
-// Complete resolves a lease with the verdict of the worker whose token
-// req quotes; a request without a registered token resolves nothing. A
-// completion for an unknown lease is stale, not an error: the lease
-// expired and its unit was reassigned, or this is a duplicate delivery.
-// So is one from a worker that does not hold the lease; it credits no
-// worker.
+// verdict is one delivered unit outcome, checked against the unit it
+// answers once the lease is found.
+type verdict struct {
+	unit  int
+	res   *sim.Result
+	stats telemetry.SimStats
+	err   string // the worker's execution error
+	bad   error  // why the result cannot be any unit's
+}
+
+// Complete resolves the lease units the completion answers, for the
+// worker whose token req quotes; a request without a registered token
+// resolves nothing. A completion for an unknown lease is stale, not an
+// error: the lease expired and its units were reassigned, or this is a
+// duplicate delivery. So is one from a worker that does not hold the
+// lease; it credits no worker. Each unit resolves at most once, under
+// the lease table's lock: a verdict for a unit already resolved is
+// dropped stale on its own. A result that does not fit its unit (its
+// centre rows, counts or values) reverts the unit to local execution
+// and is counted against the worker.
 func (c *Coordinator) Complete(req completeRequest) string {
-	if !c.touch(req.Token) {
+	// Decode and check every result before taking the lock.
+	verdicts := make([]verdict, len(req.Results))
+	for i, u := range req.Results {
+		v := verdict{unit: u.Unit, err: u.Error}
+		switch {
+		case u.Error != "":
+		case u.Result == nil:
+			v.err = "delivered neither result nor error"
+		default:
+			if v.bad = u.Result.check(); v.bad == nil {
+				v.res = u.Result.decode()
+			}
+			if u.Stats != nil {
+				v.stats = *u.Stats
+			}
+		}
+		verdicts[i] = v
+	}
+
+	now := time.Now()
+	c.mu.Lock()
+	w := c.workers[req.Token]
+	if w == nil {
+		c.mu.Unlock()
 		return statusUnknownWorker
 	}
-	c.mu.Lock()
-	l, ok := c.leases[req.Lease]
-	ok = ok && l.token == req.Token
-	if ok {
-		delete(c.leases, req.Lease)
-	}
-	w := c.workers[req.Token]
-	if w != nil && ok {
-		w.unitsDone++
-		if req.BusyNS > 0 {
-			w.busyNS += req.BusyNS
-		}
-	}
-	worker := w.id
-	c.mu.Unlock()
-	if !ok {
-		c.unitsDuplicate.Inc()
+	w.lastSeen = now
+	l := c.leases[req.Lease]
+	if l == nil || l.token != req.Token {
+		c.mu.Unlock()
+		c.unitsDuplicate.Add(int64(len(verdicts)))
 		return statusStale
 	}
-	switch {
-	case req.Error != "":
-		c.unitsFailed.Inc()
-		l.off.resolve(outcome{err: fmt.Errorf("dist: worker %s: unit %s[%d,%d]: %s",
-			worker, l.off.unit.Stage, l.off.unit.Point, l.off.unit.Rep, req.Error)})
-	case req.Result == nil:
-		c.unitsFailed.Inc()
-		l.off.resolve(outcome{err: fmt.Errorf("dist: worker %s delivered neither result nor error for lease %s", worker, req.Lease)})
-	default:
-		c.unitsCompleted.Inc()
-		var st telemetry.SimStats
-		if req.Stats != nil {
-			st = *req.Stats
+	var completed, failed, rejected, stale int64
+	for _, v := range verdicts {
+		if v.unit < 0 || v.unit >= len(l.offs) || l.resolved[v.unit] {
+			stale++
+			continue
 		}
-		l.off.resolve(outcome{res: req.Result.decode(), stats: st})
+		off := l.offs[v.unit]
+		l.resolved[v.unit] = true
+		l.left--
+		if v.bad == nil && v.res != nil && len(v.res.Centers) != off.centers {
+			v.bad = fmt.Errorf("%d centre rows, the unit has %d", len(v.res.Centers), off.centers)
+		}
+		switch {
+		case v.err != "":
+			failed++
+			w.unitsDone++
+			off.resolve(outcome{err: fmt.Errorf("dist: worker %s: unit %s[%d,%d]: %s",
+				w.id, off.unit.Stage, off.unit.Point, off.unit.Rep, v.err)})
+		case v.bad != nil:
+			rejected++
+			w.rejected++
+			off.resolve(outcome{revert: true})
+		default:
+			completed++
+			w.unitsDone++
+			off.resolve(outcome{res: v.res, stats: v.stats})
+		}
+	}
+	w.busyNS += max(req.BusyNS, 0)
+	l.busyNS += req.BusyNS
+	l.setupNS += req.SetupNS
+	if l.left == 0 {
+		delete(c.leases, l.id)
+		w.overhead.add(now.Sub(l.granted).Nanoseconds() - l.busyNS - l.setupNS)
+		if l.cold {
+			w.startup.add(l.setupNS)
+		}
+	}
+	c.mu.Unlock()
+	c.unitsCompleted.Add(completed)
+	c.unitsFailed.Add(failed)
+	c.unitsRejected.Add(rejected)
+	c.unitsDuplicate.Add(stale)
+	if completed+failed+rejected == 0 {
+		return statusStale
 	}
 	return statusOK
 }
@@ -506,11 +796,10 @@ func (c *Coordinator) Heartbeat(token string) string {
 	return statusOK
 }
 
-// sweep expires overdue leases, re-offering their units — or, when no
-// live worker remains to re-offer to, reverting them to their executors
-// so a job never hangs on a dead fleet — and forgets workers silent for
-// forgetTTLs lease TTLs, so the registry holds the fleet, not every
-// registration ever made.
+// sweep expires overdue leases, re-offering their unresolved units
+// (requeueLocked), drops cancelled offers from the requeue, and forgets
+// workers silent for forgetTTLs lease TTLs, so the registry holds the
+// fleet, not every registration ever made.
 func (c *Coordinator) sweep() {
 	tick := time.NewTicker(c.ttl / 4)
 	defer tick.Stop()
@@ -521,51 +810,36 @@ func (c *Coordinator) sweep() {
 		case <-tick.C:
 		}
 		now := time.Now()
-		var revert []*offer
 		c.mu.Lock()
-		expired := 0
+		var expired int64
+		queued := false
 		for id, l := range c.leases {
-			if now.After(l.deadline) {
-				delete(c.leases, id)
-				expired++
-				select {
-				case <-l.off.done:
-					// Executor gone; drop.
-				default:
-					c.requeue = append(c.requeue, l.off)
+			if !now.After(l.deadline) {
+				continue
+			}
+			delete(c.leases, id)
+			expired += int64(l.left)
+			for i, off := range l.offs {
+				if !l.resolved[i] && c.requeueLocked(off) {
+					queued = true
 				}
 			}
 		}
 		c.forgetSilentLocked(now)
-		if c.liveLocked() == 0 && len(c.requeue) > 0 {
-			revert = c.requeue
-			c.requeue = nil
-		}
 		// Cancelled offers sitting in the queue are dropped eagerly so a
 		// long queue from an aborted job does not shadow fresh work.
-		kept := c.requeue[:0]
-		for _, off := range c.requeue {
-			select {
-			case <-off.done:
-			default:
-				kept = append(kept, off)
+		c.requeue = slices.DeleteFunc(c.requeue, func(off *offer) bool {
+			if isDone(off.done) {
+				off.queued = false
+				return true
 			}
+			return false
+		})
+		if queued {
+			c.signalLocked()
 		}
-		c.requeue = kept
-		queued := len(c.requeue)
 		c.mu.Unlock()
-		if expired > 0 {
-			c.unitsReassigned.Add(int64(expired))
-		}
-		for _, off := range revert {
-			off.resolve(outcome{revert: true})
-		}
-		if queued > 0 {
-			select {
-			case c.kick <- struct{}{}:
-			default:
-			}
-		}
+		c.unitsReassigned.Add(expired)
 	}
 }
 

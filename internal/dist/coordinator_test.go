@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hmscs/internal/core"
 	"hmscs/internal/run"
 	"hmscs/internal/sim"
 	"hmscs/internal/telemetry"
@@ -24,6 +25,16 @@ func distSweepSpec() *run.Experiment {
 	e.Run.Messages = 300
 	e.Run.Reps = 2
 	e.Normalize()
+	return e
+}
+
+// longSweepSpec is distSweepSpec with units long enough, and enough of
+// them (4 points × 16 reps of 10,000 messages, a few ms each), for a
+// worker's run to amortise its grant at the bootstrap price.
+func longSweepSpec() *run.Experiment {
+	e := distSweepSpec()
+	e.Run.Messages = 10000
+	e.Run.Reps = 16
 	return e
 }
 
@@ -46,10 +57,10 @@ var tsRe = regexp.MustCompile(`"ts":"[^"]*"`)
 func normalizeTS(s string) string { return tsRe.ReplaceAllString(s, `"ts":"X"`) }
 
 // adversarialWorker drains the coordinator like a hostile fleet member:
-// it leases units in batches, completes each batch in reverse order,
-// delivers every completion twice, and — once — sits on a whole batch
-// past the lease TTL so the units expire and reassign before the stale
-// completions land.
+// it leases runs, completes each run one unit at a time in reverse
+// order, delivers every completion twice, and — once — sits on a whole
+// run past the lease TTL so the units expire and reassign before the
+// stale completions land.
 type adversarialWorker struct {
 	t     *testing.T
 	coord *Coordinator
@@ -61,40 +72,74 @@ type adversarialWorker struct {
 
 func (a *adversarialWorker) run(ctx context.Context) {
 	for ctx.Err() == nil {
-		leases, ok := a.coord.Lease(a.token, 4, 50*time.Millisecond)
+		leases, ok := a.coord.Lease(ctx, a.token, maxLeaseUnits, 50*time.Millisecond)
 		if !ok {
 			a.t.Error("coordinator forgot a registered worker")
 			return
 		}
-		for i := len(leases) - 1; i >= 0; i-- {
-			req := completeUnit(a.prog, a.token, leases[i])
-			a.coord.Complete(req)
-			if a.coord.Complete(req) == statusStale {
-				a.stales.Add(1)
+		for _, l := range leases {
+			for i := len(l.Units) - 1; i >= 0; i-- {
+				req := completeRun(a.prog, a.token, l, i)
+				a.coord.Complete(req)
+				if a.coord.Complete(req) == statusStale {
+					a.stales.Add(1)
+				}
 			}
 		}
 	}
 }
 
-// completeUnit executes one leased unit the way a remote worker would
-// and builds its completion, quoting token.
-func completeUnit(prog *run.Program, token string, l Lease) completeRequest {
-	stage, err := prog.Stage(l.Unit.Stage)
-	if err != nil {
-		return completeRequest{Token: token, Lease: l.ID, Error: err.Error()}
+// completeRun executes the named units of a leased run (all of them
+// when none are named) the way a remote worker would and builds their
+// completion, quoting token.
+func completeRun(prog *run.Program, token string, l Lease, units ...int) completeRequest {
+	if len(units) == 0 {
+		for i := range l.Units {
+			units = append(units, i)
+		}
 	}
-	cfg, opts, err := stage.Unit(l.Unit.Point, l.Unit.Rep)
-	if err != nil {
-		return completeRequest{Token: token, Lease: l.ID, Error: err.Error()}
+	req := completeRequest{Token: token, Lease: l.ID}
+	for _, i := range units {
+		u := l.Units[i]
+		out := unitOutcome{Unit: i}
+		stage, err := prog.Stage(u.Stage)
+		var cfg *core.Config
+		var opts sim.Options
+		if err == nil {
+			cfg, opts, err = stage.Unit(u.Point, u.Rep)
+		}
+		if err != nil {
+			out.Error = err.Error()
+			req.Results = append(req.Results, out)
+			continue
+		}
+		col := telemetry.NewCollector()
+		opts.Stats = col
+		start := time.Now()
+		res, err := stage.Engine.Run(context.Background(), u.Point, u.Rep, cfg, opts)
+		req.BusyNS += time.Since(start).Nanoseconds()
+		if err != nil {
+			out.Error = err.Error()
+		} else {
+			st, _ := col.Snapshot()
+			out.Result, out.Stats = encodeResult(res), &st
+		}
+		req.Results = append(req.Results, out)
 	}
-	col := telemetry.NewCollector()
-	opts.Stats = col
-	res, err := stage.Engine.Run(context.Background(), l.Unit.Point, l.Unit.Rep, cfg, opts)
-	if err != nil {
-		return completeRequest{Token: token, Lease: l.ID, Error: err.Error()}
-	}
-	st, _ := col.Snapshot()
-	return completeRequest{Token: token, Lease: l.ID, Result: encodeResult(res), Stats: &st}
+	return req
+}
+
+// enqueue offers off to the next poll, as if its lease had expired.
+func (c *Coordinator) enqueue(off *offer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.requeueLocked(off)
+	c.signalLocked()
+}
+
+// newTestOffer is a unit of spec h whose results have no centre rows.
+func newTestOffer(h string) *offer {
+	return &offer{hash: h, unit: WireUnit{Stage: run.StageSim}, done: make(chan struct{}), resolved: make(chan outcome, 1)}
 }
 
 // TestAdversarialCompletionOrder pins merge determinism against the
@@ -104,12 +149,14 @@ func completeUnit(prog *run.Program, token string, l Lease) completeRequest {
 // must land stale. The distributed outcome must still be byte-identical
 // to the sequential local run.
 func TestAdversarialCompletionOrder(t *testing.T) {
-	e := distSweepSpec()
+	e := longSweepSpec()
 	wantReport, wantEvents := localBaseline(t, e, 1)
 
 	coord := NewCoordinator(300 * time.Millisecond)
 	defer coord.Close()
-	reg := coord.Register("adversary", 4)
+	// One slot each keeps the fleet's lanes few, so each run's share is
+	// long enough to amortise a grant at the bootstrap price.
+	reg := coord.Register("adversary", 1)
 	doomed := coord.Register("doomed", 1)
 
 	prog, err := run.NewProgram(e)
@@ -118,16 +165,16 @@ func TestAdversarialCompletionOrder(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The doomed worker leases one unit, misses every heartbeat past the
-	// TTL (a crash-and-slow-restart), then delivers its result late —
-	// which must come back stale because the unit was reassigned. It
-	// polls alone at first (the adversary starts only once it holds its
-	// lease), so with the single local slot busy it is guaranteed a unit.
+	// The doomed worker leases a run, misses every heartbeat past the TTL
+	// (a crash-and-slow-restart), then delivers its results late — which
+	// must come back stale because the units were reassigned. It polls
+	// alone at first (the adversary starts only once it holds its lease),
+	// so it is granted the stage's first run.
 	lateStatus := make(chan string, 1)
 	leasedOnce := make(chan struct{})
 	go func() {
 		for ctx.Err() == nil {
-			leases, ok := coord.Lease(doomed.Token, 1, 500*time.Millisecond)
+			leases, ok := coord.Lease(ctx, doomed.Token, maxLeaseUnits, 500*time.Millisecond)
 			if !ok {
 				return
 			}
@@ -136,7 +183,10 @@ func TestAdversarialCompletionOrder(t *testing.T) {
 			}
 			close(leasedOnce)
 			time.Sleep(2 * coord.ttl)
-			lateStatus <- coord.Complete(completeUnit(prog, doomed.Token, leases[0]))
+			// Only the first unit is delivered: the verdict is stale before
+			// any result counts, and one unit keeps the delivery inside
+			// the registry's forgetting window even under -race.
+			lateStatus <- coord.Complete(completeRun(prog, doomed.Token, leases[0], 0))
 			return
 		}
 	}()
@@ -198,20 +248,18 @@ func TestAdversarialCompletionOrder(t *testing.T) {
 // every worker dead, offered units revert to the executor and the job
 // completes locally, byte-identically.
 func TestCoordinatorRevertsWhenFleetDies(t *testing.T) {
-	e := distSweepSpec()
+	e := longSweepSpec()
 	wantReport, _ := localBaseline(t, e, 1)
 
 	coord := NewCoordinator(250 * time.Millisecond)
 	defer coord.Close()
 	reg := coord.Register("doomed", 2)
-	// The doomed worker leases two units and is never heard from again.
-	leases, ok := coord.Lease(reg.Token, 2, time.Second)
-	if !ok || len(leases) == 0 {
-		// Nothing offered yet — grab units once the run below offers them.
-		go func() {
-			coord.Lease(reg.Token, 2, 2*time.Second) //nolint:errcheck
-		}()
-	}
+	// The doomed worker leases a run and is never heard from again.
+	leased := make(chan int, 1)
+	go func() {
+		leases, _ := coord.Lease(context.Background(), reg.Token, maxLeaseUnits, 5*time.Second)
+		leased <- len(leases)
+	}()
 
 	ctx := context.Background()
 	ex, err := NewExecutor(ctx, coord, "revert-spec", e, 1)
@@ -230,8 +278,12 @@ func TestCoordinatorRevertsWhenFleetDies(t *testing.T) {
 	if report.String() != wantReport {
 		t.Error("report differs from local run after fleet death")
 	}
-	if st := coord.Stats(); st.Local == 0 {
+	st := coord.Stats()
+	if st.Local == 0 {
 		t.Error("no units ran locally despite a dead fleet")
+	}
+	if n := <-leased; n == 0 || st.Reassigned == 0 {
+		t.Errorf("the doomed worker leased a run of %d units and %d were reassigned; nothing had to revert", n, st.Reassigned)
 	}
 }
 
@@ -270,14 +322,14 @@ func TestCompleteFromNonHolderIsStale(t *testing.T) {
 	defer coord.Close()
 	regA, regB := coord.Register("a", 1), coord.Register("b", 1)
 	a, b := regA.Token, regB.Token
-	off := &offer{hash: "h", unit: WireUnit{Stage: run.StageSim}, done: make(chan struct{}), resolved: make(chan outcome, 1)}
-	go func() { coord.offers <- off }()
-	leases, ok := coord.Lease(a, 1, 10*time.Second)
+	off := newTestOffer("h")
+	coord.enqueue(off)
+	leases, ok := coord.Lease(context.Background(), a, 1, 10*time.Second)
 	if !ok || len(leases) != 1 {
 		t.Fatalf("worker a leased %v (ok %v), want one lease", leases, ok)
 	}
 	id := leases[0].ID
-	if got := coord.Complete(completeRequest{Token: b, Lease: id, Error: "forged"}); got != statusStale {
+	if got := coord.Complete(completeRequest{Token: b, Lease: id, Results: []unitOutcome{{Error: "forged"}}}); got != statusStale {
 		t.Fatalf("non-holder completion answered %q, want %q", got, statusStale)
 	}
 	if st := coord.Stats(); st.Duplicate != 1 || st.Failed != 0 || st.Completed != 0 {
@@ -289,7 +341,7 @@ func TestCompleteFromNonHolderIsStale(t *testing.T) {
 	default:
 	}
 	res := &sim.Result{Throughput: 42}
-	if got := coord.Complete(completeRequest{Token: a, Lease: id, Result: encodeResult(res)}); got != statusOK {
+	if got := coord.Complete(completeRequest{Token: a, Lease: id, Results: []unitOutcome{{Result: encodeResult(res)}}}); got != statusOK {
 		t.Fatalf("holder's completion answered %q, want %q", got, statusOK)
 	}
 	if out := <-off.resolved; out.err != nil || out.res.Throughput != 42 {

@@ -259,6 +259,12 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	for name, e := range netsimSpecs(t) {
 		specs[name] = e
 	}
+	// A worker is offered a run only when its grant cost is a small share
+	// of the run's engine time, so the netsim scenario runs 64
+	// replications over a 0.2 s horizon (a few ms each) for its units to
+	// go remote at every worker count.
+	long := specs["netsim-scenario"]
+	long.Scenario.HorizonS, long.Run.Reps = 0.2, 64
 	type baseline struct {
 		report, events string
 		generated      int64
@@ -377,8 +383,8 @@ func TestWorkerDeathMidRun(t *testing.T) {
 	e := run.NewExperiment(run.KindSweep)
 	e.Sweep.Var = "clusters"
 	e.Sweep.Ints = "1,2,4,8"
-	e.Run.Messages = 500
-	e.Run.Reps = 2
+	e.Run.Messages = 10000
+	e.Run.Reps = 24 // units long and many enough for the workers' runs to amortise a grant
 	wantReport, wantEvents, _ := localRun(t, e)
 
 	c := startCluster(t, 1, 250*time.Millisecond)

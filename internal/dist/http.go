@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Protocol bounds: a lease request may batch at most maxLeaseUnits and
-// long-poll at most maxLeaseWait; request bodies are a few hundred
-// bytes except completions, which carry a result sample.
+// Protocol bounds: a leased run holds at most maxLeaseUnits units and a
+// lease request long-polls at most maxLeaseWait; request bodies are a
+// few hundred bytes except completions, which carry their units'
+// results.
 const (
 	maxLeaseUnits = 16
 	maxLeaseWait  = 30 * time.Second
@@ -20,8 +21,8 @@ const (
 // Mount attaches the worker protocol under /dist/ (see docs/SERVER.md):
 //
 //	POST /dist/workers      register    → {worker, token, lease_ttl_ms, poll_ms}
-//	POST /dist/lease        long-poll   → {leases: [{id, spec, unit}]}
-//	POST /dist/complete     deliver     → {status}
+//	POST /dist/lease        long-poll   → {leases: [{id, spec, units: [unit]}]}
+//	POST /dist/complete     deliver     → {status}  (one per run: results: [{unit, result | error}])
 //	POST /dist/heartbeat    keep-alive  → {status}
 //	GET  /dist/specs/{hash} fetch spec  → experiment JSON
 //	GET  /dist/workers      inspect     → [WorkerInfo]
@@ -72,20 +73,13 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if wait <= 0 || wait > maxLeaseWait {
 		wait = maxLeaseWait
 	}
-	// Cap the poll at the client's context so a dropped connection frees
-	// the handler promptly.
-	ctx := r.Context()
-	done := make(chan struct{})
-	var leases []Lease
-	var known bool
-	go func() {
-		defer close(done)
-		leases, known = c.Lease(req.Token, req.Max, wait)
-	}()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		<-done // Lease returns within one wait; its grants die by TTL
+	leases, known := c.Lease(r.Context(), req.Token, req.Max, wait)
+	if r.Context().Err() != nil {
+		// The poller left: nobody will run what it was granted, so the
+		// units go straight back for re-offer instead of waiting out a
+		// lease TTL.
+		c.abandon(leases)
+		return
 	}
 	if !known {
 		writeJSON(w, http.StatusOK, leaseResponse{Status: statusUnknownWorker})

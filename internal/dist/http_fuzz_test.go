@@ -2,33 +2,35 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"hmscs/internal/run"
 )
 
 // FuzzDistHTTP posts arbitrary bodies to the worker protocol's POST
-// endpoints. Nothing may panic; a body that does not decode as the
-// endpoint's request is answered 400 and every other one 200; and no
-// request, not knowing the holder's token, may resolve or release the
-// unit a registered worker holds — not even one quoting its public id
-// and lease id.
+// endpoints, batched lease requests and completions among them. Nothing
+// may panic; a body that does not decode as the endpoint's request is
+// answered 400 and every other one 200; and no request, not knowing the
+// holder's token, may resolve or release either unit of the run a
+// registered worker holds — not even one quoting its public id and
+// lease id.
 func FuzzDistHTTP(f *testing.F) {
 	coord := NewCoordinator(time.Minute)
 	f.Cleanup(coord.Close)
 	mux := http.NewServeMux()
 	coord.Mount(mux)
 	holder := coord.Register("holder", 1)
-	off := &offer{hash: "h", unit: WireUnit{Stage: run.StageSim}, done: make(chan struct{}), resolved: make(chan outcome, 1)}
-	go func() { coord.offers <- off }()
-	leases, ok := coord.Lease(holder.Token, 1, 10*time.Second)
-	if !ok || len(leases) != 1 {
-		f.Fatalf("holder leased %v (ok %v), want one unit", leases, ok)
+	offs := []*offer{newTestOffer("h"), newTestOffer("h")}
+	for _, off := range offs {
+		coord.enqueue(off)
+	}
+	leases, ok := coord.Lease(context.Background(), holder.Token, 2, 10*time.Second)
+	if !ok || len(leases) != 1 || len(leases[0].Units) != 2 {
+		f.Fatalf("holder leased %v (ok %v), want one run of two units", leases, ok)
 	}
 	endpoints := []struct {
 		path string
@@ -47,9 +49,13 @@ func FuzzDistHTTP(f *testing.F) {
 		{0, `{"procs":"many"}`},
 		{1, `{"token":"x","max":1,"wait_ms":1}`},
 		{1, `{"worker":"w1","max":-3,"wait_ms":-1}`},
-		{2, fmt.Sprintf(`{"worker":%q,"token":%q,"lease":%q,"result":{"throughput":1e9}}`, holder.Worker, holder.Worker, leases[0].ID)},
-		{2, `{"token":"","lease":"","error":"boom"}`},
-		{2, `{"result":{"latency":{"n":"x"}}}`},
+		{1, `{"token":"x","max":100000,"wait_ms":1}`},
+		{2, fmt.Sprintf(`{"worker":%q,"token":%q,"lease":%q,"results":[{"unit":0,"result":{"throughput":1e9}},{"unit":1,"error":"x"}]}`, holder.Worker, holder.Worker, leases[0].ID)},
+		{2, fmt.Sprintf(`{"token":"","lease":%q,"busy_ns":-1,"setup_ns":9e18,"results":[{"unit":1},{"unit":-1},{"unit":7}]}`, leases[0].ID)},
+		{2, `{"token":"","lease":"","results":[{"unit":0,"error":"boom"}]}`},
+		{2, `{"results":[{"unit":0,"result":{"latency":{"n":"x"}}}]}`},
+		{2, `{"results":[{"unit":0,"result":{"measured":5,"generated":1,"centers":[{"served":-1}]}}]}`},
+		{2, `{"results":null}`},
 		{3, `{"token":null}`},
 		{3, `{`},
 		{3, `[]`},
@@ -68,13 +74,15 @@ func FuzzDistHTTP(f *testing.F) {
 		if rec.Code != want {
 			t.Fatalf("POST %s %q answered %d, want %d: %s", ep.path, body, rec.Code, want, rec.Body)
 		}
-		select {
-		case out := <-off.resolved:
-			t.Fatalf("POST %s %q resolved the holder's unit: %+v", ep.path, body, out)
-		default:
+		for i, off := range offs {
+			select {
+			case out := <-off.resolved:
+				t.Fatalf("POST %s %q resolved the holder's unit %d: %+v", ep.path, body, i, out)
+			default:
+			}
 		}
-		if n := coord.LeasedUnits(); n != 1 {
-			t.Fatalf("POST %s %q left %d units leased, want the holder's one", ep.path, body, n)
+		if n := coord.LeasedUnits(); n != 2 {
+			t.Fatalf("POST %s %q left %d units leased, want the holder's two", ep.path, body, n)
 		}
 	})
 }

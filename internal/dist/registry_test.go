@@ -84,8 +84,8 @@ func TestRegistryForgetsSilentWorkers(t *testing.T) {
 	e := run.NewExperiment(run.KindSweep)
 	e.Sweep.Var = "clusters"
 	e.Sweep.Ints = "1,2,4,8"
-	e.Run.Messages = 500
-	e.Run.Reps = 2
+	e.Run.Messages = 10000
+	e.Run.Reps = 16 // units long and many enough for a run to amortise a grant
 	want, _, _ := localRun(t, e)
 	before := coord.Stats().Completed
 	if report, _, _ := c.submit(t, e); report != want {

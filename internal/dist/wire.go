@@ -18,7 +18,9 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 
 	"hmscs/internal/sim"
 	"hmscs/internal/stats"
@@ -37,12 +39,14 @@ type WireUnit struct {
 	Seed  uint64 `json:"seed"`
 }
 
-// Lease is one granted unit: the lease id the completion must quote,
-// the spec hash to fetch the experiment by, and the unit address.
+// Lease is one granted run: the lease id the completion must quote, the
+// spec hash to fetch the experiment by, and the addresses of the run's
+// units. A run is one or more units of one spec; its completion answers
+// each of them.
 type Lease struct {
-	ID   string   `json:"id"`
-	Spec string   `json:"spec"`
-	Unit WireUnit `json:"unit"`
+	ID    string     `json:"id"`
+	Spec  string     `json:"spec"`
+	Units []WireUnit `json:"units"`
 }
 
 // registerRequest / registerResponse are the POST /dist/workers bodies.
@@ -63,8 +67,8 @@ type registerResponse struct {
 	PollMS     int64 `json:"poll_ms"`
 }
 
-// leaseRequest is the POST /dist/lease body: a long-poll for up to Max
-// units, waiting at most WaitMS for the first.
+// leaseRequest is the POST /dist/lease body: a long-poll for one run of
+// up to Max units, waiting at most WaitMS for it.
 type leaseRequest struct {
 	Token  string `json:"token"`
 	Max    int    `json:"max"`
@@ -78,20 +82,33 @@ type leaseResponse struct {
 	Leases []Lease `json:"leases"`
 }
 
-// completeRequest is the POST /dist/complete body. Exactly one of
-// Result and Error is set; Stats is the unit's engine record.
+// completeRequest is the POST /dist/complete body: the verdicts of a
+// lease's units, normally all of them in one request. BusyNS is the
+// engine time the worker spent on them and SetupNS the time it spent
+// fetching and deriving the spec's program and stage (its start-up on a
+// spec it had not run).
 type completeRequest struct {
-	Token  string              `json:"token"`
-	Lease  string              `json:"lease"`
-	BusyNS int64               `json:"busy_ns"`
+	Token   string        `json:"token"`
+	Lease   string        `json:"lease"`
+	BusyNS  int64         `json:"busy_ns"`
+	SetupNS int64         `json:"setup_ns"`
+	Results []unitOutcome `json:"results"`
+}
+
+// unitOutcome is one unit's verdict: Unit indexes the lease's Units, and
+// exactly one of Result and Error is set; Stats is the unit's engine
+// record.
+type unitOutcome struct {
+	Unit   int                 `json:"unit"`
 	Error  string              `json:"error,omitempty"`
 	Result *wireResult         `json:"result,omitempty"`
 	Stats  *telemetry.SimStats `json:"stats,omitempty"`
 }
 
 // statusResponse answers complete and heartbeat: "ok", "stale" (the
-// lease is no longer held — expired, duplicated or cancelled), or
-// "unknown-worker" (re-register).
+// lease is no longer held — expired, duplicated or cancelled — or every
+// unit the completion names was already resolved), or "unknown-worker"
+// (re-register).
 type statusResponse struct {
 	Status string `json:"status"`
 }
@@ -115,10 +132,13 @@ type WorkerInfo struct {
 	Procs  int    `json:"procs"`
 	Live   bool   `json:"live"`
 	Leased int    `json:"leased_units"`
-	// UnitsDone and BusySeconds are this worker's lifetime accounting —
-	// the per-worker detail behind the aggregate hmscs_dist_* families.
-	UnitsDone   int64   `json:"units_done"`
-	BusySeconds float64 `json:"busy_s"`
+	// UnitsDone, UnitsRejected and BusySeconds are this worker's lifetime
+	// accounting — the per-worker detail behind the aggregate
+	// hmscs_dist_* families. A rejected unit's result did not fit its
+	// stage and ran locally instead.
+	UnitsDone     int64   `json:"units_done"`
+	UnitsRejected int64   `json:"units_rejected"`
+	BusySeconds   float64 `json:"busy_s"`
 	// IdleSeconds is the time since the worker was last heard from.
 	IdleSeconds float64 `json:"idle_s"`
 }
@@ -172,6 +192,39 @@ func encodeResult(r *sim.Result) *wireResult {
 		w.Centers = append(w.Centers, wireCenter(c))
 	}
 	return w
+}
+
+// check reports why the result cannot be any unit's, or nil: every
+// count must be non-negative, every value finite, and no more messages
+// measured than generated. The row count is checked against the unit
+// it answers (Coordinator.Complete).
+func (w *wireResult) check() error {
+	if w.Generated < 0 || w.Measured < 0 || w.Dropped < 0 || w.Rerouted < 0 ||
+		w.Latency.N < 0 || w.SwitchHops.N < 0 {
+		return errors.New("dist: result has a negative count")
+	}
+	if w.Measured > w.Generated {
+		return fmt.Errorf("dist: result measured %d of %d generated messages", w.Measured, w.Generated)
+	}
+	finite := func(xs ...float64) bool {
+		for _, x := range xs {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return false
+			}
+		}
+		return true
+	}
+	ok := finite(w.SimTime, w.Throughput, w.EffectiveLambda,
+		w.Latency.Mean, w.Latency.M2, w.Latency.Min, w.Latency.Max,
+		w.SwitchHops.Mean, w.SwitchHops.M2, w.SwitchHops.Min, w.SwitchHops.Max) &&
+		finite(w.Sample...) && finite(w.SampleTimes...)
+	for _, c := range w.Centers {
+		ok = ok && c.Served >= 0 && finite(c.Utilization, c.MeanQueueLength, c.MaxQueueLength)
+	}
+	if !ok {
+		return errors.New("dist: result has a non-finite value or a negative count")
+	}
+	return nil
 }
 
 // decodeResult reconstructs the simulation result.

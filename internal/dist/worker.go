@@ -173,7 +173,8 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// slotLoop is one execution slot: lease one unit, run it, deliver.
+// slotLoop is one execution slot: lease a run of units, run it,
+// deliver its results in one completion.
 func (w *Worker) slotLoop(ctx context.Context) {
 	for ctx.Err() == nil {
 		token := w.credential()
@@ -181,7 +182,7 @@ func (w *Worker) slotLoop(ctx context.Context) {
 		poll := w.poll
 		w.mu.Unlock()
 		var resp leaseResponse
-		err := w.post(ctx, "/dist/lease", leaseRequest{Token: token, Max: 1, WaitMS: poll.Milliseconds()}, &resp)
+		err := w.post(ctx, "/dist/lease", leaseRequest{Token: token, Max: maxLeaseUnits, WaitMS: poll.Milliseconds()}, &resp)
 		switch {
 		case err != nil:
 			select {
@@ -198,28 +199,60 @@ func (w *Worker) slotLoop(ctx context.Context) {
 	}
 }
 
-// execute runs one leased unit and delivers its result or error.
+// execute runs one leased run's units in order and delivers their
+// results or errors in one completion.
 func (w *Worker) execute(ctx context.Context, l Lease) {
-	res, st, busy, err := w.runUnit(ctx, l)
+	req := completeRequest{Lease: l.ID, Results: make([]unitOutcome, len(l.Units))}
+	for i, u := range l.Units {
+		if ctx.Err() != nil {
+			break
+		}
+		res, st, setup, busy, err := w.runUnit(ctx, l.Spec, u)
+		req.SetupNS += setup.Nanoseconds()
+		req.BusyNS += busy.Nanoseconds()
+		out := unitOutcome{Unit: i}
+		if err != nil {
+			out.Error = err.Error()
+			w.logf("unit %s[%d,%d]: %v", u.Stage, u.Point, u.Rep, err)
+		} else {
+			out.Result = encodeResult(res)
+			out.Stats = &st
+		}
+		req.Results[i] = out
+	}
 	if ctx.Err() != nil {
-		// Dying mid-unit: deliver nothing. The lease expires and the
-		// coordinator re-offers the unit; completing here would race the
+		// Dying mid-run: deliver nothing. The lease expires and the
+		// coordinator re-offers the units; completing here would race the
 		// process's death anyway.
 		return
 	}
-	req := completeRequest{Token: w.credential(), Lease: l.ID, BusyNS: busy.Nanoseconds()}
+	req.Token = w.credential()
+	w.deliver(ctx, req)
+}
+
+// deliver posts a run's completion. One whose body would exceed
+// maxBodyBytes (long result samples) goes in halves, each answering its
+// own units, so the coordinator accepts every part. Completions retry
+// briefly: losing one only costs a reassignment, but delivering saves
+// the whole run from being re-run.
+func (w *Worker) deliver(ctx context.Context, req completeRequest) {
+	data, err := json.Marshal(req)
 	if err != nil {
-		req.Error = err.Error()
-		w.logf("unit %s[%d,%d]: %v", l.Unit.Stage, l.Unit.Point, l.Unit.Rep, err)
-	} else {
-		req.Result = encodeResult(res)
-		req.Stats = &st
+		w.logf("lease %s: %v", req.Lease, err)
+		return
 	}
-	// Completions retry briefly: losing one only costs a reassignment,
-	// but delivering saves the whole unit from being re-run.
+	if len(data) > maxBodyBytes && len(req.Results) > 1 {
+		half := len(req.Results) / 2
+		first, rest := req, req
+		first.Results, rest.Results = req.Results[:half], req.Results[half:]
+		rest.BusyNS, rest.SetupNS = 0, 0
+		w.deliver(ctx, first)
+		w.deliver(ctx, rest)
+		return
+	}
 	var resp statusResponse
 	for attempt := 0; attempt < 3; attempt++ {
-		if err := w.post(ctx, "/dist/complete", req, &resp); err == nil {
+		if err := w.postRaw(ctx, "/dist/complete", data, &resp); err == nil {
 			return
 		}
 		select {
@@ -230,37 +263,41 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 	}
 }
 
-// runUnit derives the unit from the spec and executes it. The
+// runUnit derives the unit from the spec and executes it, returning
+// the time spent on the spec's program and stage (setup: the start-up of
+// a spec this worker had not cached) and in the engine (busy). The
 // coordinator's seed travels in the lease, and the worker re-derives it
 // from the spec; a mismatch means coordinator/worker version skew and
 // fails loudly rather than running different physics. A panic becomes
 // the unit's error, which fails the job and leaves the worker serving.
-func (w *Worker) runUnit(ctx context.Context, l Lease) (_ *sim.Result, _ telemetry.SimStats, _ time.Duration, err error) {
+func (w *Worker) runUnit(ctx context.Context, hash string, u WireUnit) (_ *sim.Result, _ telemetry.SimStats, setup, busy time.Duration, err error) {
 	defer par.Recover(&err)
-	prog, err := w.program(ctx, l.Spec)
+	start := time.Now()
+	prog, err := w.program(ctx, hash)
 	if err != nil {
-		return nil, telemetry.SimStats{}, 0, err
+		return nil, telemetry.SimStats{}, time.Since(start), 0, err
 	}
-	stage, err := prog.StageCtx(ctx, l.Unit.Stage)
+	stage, err := prog.StageCtx(ctx, u.Stage)
 	if err != nil {
-		return nil, telemetry.SimStats{}, 0, err
+		return nil, telemetry.SimStats{}, time.Since(start), 0, err
 	}
-	cfg, opts, err := stage.Unit(l.Unit.Point, l.Unit.Rep)
+	cfg, opts, err := stage.Unit(u.Point, u.Rep)
+	setup = time.Since(start)
 	if err != nil {
-		return nil, telemetry.SimStats{}, 0, err
+		return nil, telemetry.SimStats{}, setup, 0, err
 	}
-	if opts.Seed != l.Unit.Seed {
-		return nil, telemetry.SimStats{}, 0, fmt.Errorf(
+	if opts.Seed != u.Seed {
+		return nil, telemetry.SimStats{}, setup, 0, fmt.Errorf(
 			"dist: seed mismatch for unit %s[%d,%d]: leased %d, derived %d (coordinator/worker version skew)",
-			l.Unit.Stage, l.Unit.Point, l.Unit.Rep, l.Unit.Seed, opts.Seed)
+			u.Stage, u.Point, u.Rep, u.Seed, opts.Seed)
 	}
 	col := telemetry.NewCollector()
 	opts.Stats = col
-	start := time.Now()
-	res, err := stage.Engine.Run(ctx, l.Unit.Point, l.Unit.Rep, cfg, opts)
-	busy := time.Since(start)
+	start = time.Now()
+	res, err := stage.Engine.Run(ctx, u.Point, u.Rep, cfg, opts)
+	busy = time.Since(start)
 	st, _ := col.Snapshot()
-	return res, st, busy, err
+	return res, st, setup, busy, err
 }
 
 // program fetches and caches the parsed unit program for a spec hash.
@@ -305,6 +342,10 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return err
 	}
+	return w.postRaw(ctx, path, data, out)
+}
+
+func (w *Worker) postRaw(ctx context.Context, path string, data []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, strings.TrimRight(w.Connect, "/")+path, bytes.NewReader(data))
 	if err != nil {
 		return err

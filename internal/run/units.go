@@ -70,6 +70,8 @@ type UnitStage struct {
 	// zero-load reference, taken from the one base-seed build.
 	net            *NetExperiment
 	contentionFree float64
+	// links is the netsim stage's link count: a result row per link.
+	links int
 }
 
 // Unit derives one (point, rep) unit's configuration and fully resolved
@@ -85,6 +87,16 @@ func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 	}
 	u := s.Units[point]
 	return u.Cfg, sim.ReplicationOptions(u.Opts, rep, s.Precision), nil
+}
+
+// Centers is how many Centers rows a result of the stage's unit at point
+// holds: one per link of the switch-level stage's network, else the
+// system simulator's ICN1 and ECN1 per cluster plus the ICN2.
+func (s *UnitStage) Centers(point int) int {
+	if s.Name == StageNetsim {
+		return s.links
+	}
+	return 2*s.Units[point].Cfg.NumClusters() + 1
 }
 
 // Program is the deterministic unit decomposition of one experiment: the
@@ -392,7 +404,7 @@ func (p *Program) buildNetsim() (*UnitStage, error) {
 	unit := sim.Unit{Opts: sim.Options{
 		Seed: exp.Opts.Seed, WarmupMessages: exp.Opts.Warmup, MeasuredMessages: exp.Opts.Measured,
 	}}
-	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: net.ContentionFreeLatency(exp.Opts.MsgBytes)}
+	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: net.ContentionFreeLatency(exp.Opts.MsgBytes), links: net.Links()}
 	var cn *scenario.CompiledSim
 	switch {
 	case prec != nil:

@@ -374,3 +374,51 @@ func TestAnalyzeCheckSharesDerivation(t *testing.T) {
 		t.Fatal("the analytic prediction and the check stage built separate configurations")
 	}
 }
+
+// TestScenarioSampleAllocsIndependentOfHorizon: a scenario replication
+// reserves its sample and sample times from its horizon and source rates,
+// so it allocates as often over a four times longer horizon, and the two
+// series keep the capacity they were given — they never grow by append.
+// The switch-level stage's units are checked the same way.
+func TestScenarioSampleAllocsIndependentOfHorizon(t *testing.T) {
+	for _, c := range []struct{ spec, stage string }{
+		{"simulate-scenario.json", StageSim},
+		{"netsim-scenario.json", StageNetsim},
+	} {
+		var allocs []float64
+		for _, scale := range []float64{1, 4} {
+			e, err := Load("../../testdata/experiments/" + c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc := *e.Scenario
+			sc.HorizonS *= scale
+			e.Scenario = &sc
+			prog, err := NewProgram(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := prog.Stage(c.stage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg, opts, err := st.Unit(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res *sim.Result
+			allocs = append(allocs, testing.AllocsPerRun(3, func() {
+				if res, err = st.Engine.Run(context.Background(), 0, 0, cfg, opts); err != nil {
+					t.Fatal(err)
+				}
+			}))
+			if len(res.Sample) == 0 || len(res.SampleTimes) != len(res.Sample) || cap(res.SampleTimes) != cap(res.Sample) {
+				t.Fatalf("%s ×%g: sample %d/%d and times %d/%d (len/cap), want equal reserved series",
+					c.spec, scale, len(res.Sample), cap(res.Sample), len(res.SampleTimes), cap(res.SampleTimes))
+			}
+		}
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %v allocations a replication over the horizon and %v over four times it", c.spec, allocs[0], allocs[1])
+		}
+	}
+}

@@ -524,13 +524,11 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	s.ran = true
 	if s.win.record {
-		n := s.win.target
-		if !math.IsInf(s.maxT, 1) && n > 4096 {
-			// A capped run may collect far fewer samples than its target;
-			// start small and let append grow.
-			n = 4096
-		}
+		n := s.expectedSamples()
 		s.win.Sample = make([]float64, 0, n)
+		if s.win.dynamic {
+			s.win.SampleTimes = make([]float64, 0, n)
+		}
 	}
 	for p := range s.sources {
 		if s.scn == nil || !s.life.Down(p) {
@@ -565,6 +563,34 @@ func (s *Simulator) Run() (*Result, error) {
 	res := new(Result)
 	*res = s.res
 	return res, nil
+}
+
+// maxReservedSample caps the sample capacity a run reserves up front;
+// a run that measures more grows its sample by append.
+const maxReservedSample = 1 << 16
+
+// expectedSamples is the sample capacity a recording run reserves: a
+// stationary run's target, and a scenario run's horizon times its
+// sources' total generation rate (every source generating throughout,
+// profile aside). A time-capped stationary run may collect far fewer
+// samples than its target, so it reserves at most 4,096. Capacity only:
+// the samples themselves do not depend on it.
+func (s *Simulator) expectedSamples() int {
+	if !s.win.dynamic {
+		if n := s.win.target; math.IsInf(s.maxT, 1) || n <= 4096 {
+			return int(n)
+		}
+		return 4096
+	}
+	var rate float64
+	for _, r := range s.rates {
+		rate += r
+	}
+	n := s.maxT * rate
+	if !(n < maxReservedSample) {
+		return maxReservedSample
+	}
+	return int(n)
 }
 
 // Handle implements Handler: the engine's event dispatch. Under the
