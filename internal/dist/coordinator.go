@@ -679,11 +679,11 @@ func (c *Coordinator) abandon(grants []Lease) {
 // verdict is one delivered unit outcome, checked against the unit it
 // answers once the lease is found.
 type verdict struct {
-	unit  int
-	res   *sim.Result
-	stats telemetry.SimStats
-	err   string // the worker's execution error
-	bad   error  // why the result cannot be any unit's
+	unit   int
+	res    *sim.Result
+	stats  telemetry.SimStats
+	err    string // the worker's execution error
+	misfit bool   // the result cannot be the unit's
 }
 
 // Complete resolves the lease units the completion answers, for the
@@ -706,7 +706,7 @@ func (c *Coordinator) Complete(req completeRequest) string {
 		case u.Result == nil:
 			v.err = "delivered neither result nor error"
 		default:
-			if v.bad = u.Result.check(); v.bad == nil {
+			if v.misfit = !u.Result.plausible(); !v.misfit {
 				v.res = u.Result.decode()
 			}
 			if u.Stats != nil {
@@ -739,16 +739,13 @@ func (c *Coordinator) Complete(req completeRequest) string {
 		off := l.offs[v.unit]
 		l.resolved[v.unit] = true
 		l.left--
-		if v.bad == nil && v.res != nil && len(v.res.Centers) != off.centers {
-			v.bad = fmt.Errorf("%d centre rows, the unit has %d", len(v.res.Centers), off.centers)
-		}
 		switch {
 		case v.err != "":
 			failed++
 			w.unitsDone++
 			off.resolve(outcome{err: fmt.Errorf("dist: worker %s: unit %s[%d,%d]: %s",
 				w.id, off.unit.Stage, off.unit.Point, off.unit.Rep, v.err)})
-		case v.bad != nil:
+		case v.misfit || len(v.res.Centers) != off.centers:
 			rejected++
 			w.rejected++
 			off.resolve(outcome{revert: true})

@@ -261,10 +261,11 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	}
 	// A worker is offered a run only when its grant cost is a small share
 	// of the run's engine time, so the netsim scenario runs 64
-	// replications over a 0.2 s horizon (a few ms each) for its units to
-	// go remote at every worker count.
+	// replications over a 0.4 s horizon (several ms each) for its units
+	// to go remote at every worker count, with a few times the margin
+	// the bootstrap price needs at 4 workers.
 	long := specs["netsim-scenario"]
-	long.Scenario.HorizonS, long.Run.Reps = 0.2, 64
+	long.Scenario.HorizonS, long.Run.Reps = 0.4, 64
 	type baseline struct {
 		report, events string
 		generated      int64

@@ -18,7 +18,6 @@ package dist
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 
@@ -194,17 +193,14 @@ func encodeResult(r *sim.Result) *wireResult {
 	return w
 }
 
-// check reports why the result cannot be any unit's, or nil: every
-// count must be non-negative, every value finite, and no more messages
-// measured than generated. The row count is checked against the unit
-// it answers (Coordinator.Complete).
-func (w *wireResult) check() error {
+// plausible reports whether the result could be some unit's: every
+// count non-negative, every value finite, and no more messages measured
+// than generated. The row count is checked against the unit it answers
+// (Coordinator.Complete).
+func (w *wireResult) plausible() bool {
 	if w.Generated < 0 || w.Measured < 0 || w.Dropped < 0 || w.Rerouted < 0 ||
-		w.Latency.N < 0 || w.SwitchHops.N < 0 {
-		return errors.New("dist: result has a negative count")
-	}
-	if w.Measured > w.Generated {
-		return fmt.Errorf("dist: result measured %d of %d generated messages", w.Measured, w.Generated)
+		w.Latency.N < 0 || w.SwitchHops.N < 0 || w.Measured > w.Generated {
+		return false
 	}
 	finite := func(xs ...float64) bool {
 		for _, x := range xs {
@@ -221,10 +217,7 @@ func (w *wireResult) check() error {
 	for _, c := range w.Centers {
 		ok = ok && c.Served >= 0 && finite(c.Utilization, c.MeanQueueLength, c.MaxQueueLength)
 	}
-	if !ok {
-		return errors.New("dist: result has a non-finite value or a negative count")
-	}
-	return nil
+	return ok
 }
 
 // decodeResult reconstructs the simulation result.
