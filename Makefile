@@ -34,12 +34,14 @@ fmt-check:
 # (RunBatch/{fixed,adaptive}), the fleet's unit path at 0/1/2
 # in-process workers on short and long units
 # (DistUnit/{local,1w,2w,long-local,long-2w}: lease, result codec,
-# positional merge), and every checked-in experiment spec to
-# rendered report through run.Run (RunSpec/<name>). BENCHTIME is recorded
+# positional merge), every checked-in experiment spec to rendered
+# report through run.Run (RunSpec/<name>), and -submit to report
+# against an in-process server over httptest on a cache miss and a hit
+# (ServeSubmit/{miss,hit}). BENCHTIME is recorded
 # in each report, and benchjson -compare refuses two reports taken at
 # different benchtimes, so a gate only ever compares like with like.
 BENCHTIME ?= 1s
-BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|Netsim|ParForEach|RunBatch|DistUnit' -benchmem -benchtime $(BENCHTIME)
+BENCH_FLAGS = -run '^$$' -bench 'Figure|Table|Plan|Instrumented|Analyze|EventList|SimulatorEventRate|SimulatorReplication|RunSpec|MVA|Netsim|ParForEach|RunBatch|DistUnit|ServeSubmit' -benchmem -benchtime $(BENCHTIME)
 
 # bench-flags prints BENCH_FLAGS, so CI runs both sides of its gate with
 # the head tree's invocation.

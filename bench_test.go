@@ -722,3 +722,62 @@ func BenchmarkDistUnit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkServeSubmit prices the -submit path end to end: one op is a
+// serve.Client.Execute of testdata/experiments/simulate.json against an
+// in-process experiment server (parallelism 1, one job at a time) over
+// httptest — submit, stream the JSONL events, fetch the rendered
+// report. miss submits a fresh seed each iteration, so every op runs the
+// spec; hit resubmits one spec the server has already run, so every op
+// replays the cache.
+func BenchmarkServeSubmit(b *testing.B) {
+	data, err := os.ReadFile(filepath.Join("testdata", "experiments", "simulate.json"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, hit := range []bool{false, true} {
+		name := "miss"
+		if hit {
+			name = "hit"
+		}
+		b.Run(name, func(b *testing.B) {
+			srv := NewExperimentServer(ExperimentServerConfig{Parallelism: 1, MaxJobs: 1})
+			ts := httptest.NewServer(srv.Handler())
+			defer func() {
+				ts.Close()
+				srv.Close()
+			}()
+			client := NewExperimentClient(ts.URL)
+			e, err := ParseExperiment(data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var report bytes.Buffer
+			execute := func(seed uint64) {
+				e.Run.Seed = seed
+				report.Reset()
+				info, err := client.Execute(context.Background(), e, &report, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if info.Cached != hit || report.Len() == 0 {
+					b.Fatalf("seed %d: cached %v with a %d-byte report, want cached %v and a report", seed, info.Cached, report.Len(), hit)
+				}
+			}
+			if hit {
+				e.Run.Seed = 1
+				if _, err := client.Execute(context.Background(), e, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				seed := uint64(1)
+				if !hit {
+					seed = uint64(i) + 2
+				}
+				execute(seed)
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // EventKind discriminates event records. Kinds are owned by the Handler
@@ -26,12 +27,20 @@ type EventKind uint8
 // event is one scheduled occurrence: a timestamp, a FIFO tie-break, and a
 // (kind, idx) payload the handler interprets. It is a plain value — no
 // pointers — so event lists never allocate per event.
+//
+// at holds math.Float64bits of the timestamp. Event times are never
+// negative (insert turns −0 into +0), and non-negative IEEE doubles,
+// +Inf included, order like their bit patterns, so (at, seq) is one
+// 128-bit unsigned key.
 type event struct {
-	at   float64
+	at   uint64 // math.Float64bits of the timestamp
 	seq  uint64 // FIFO tie-break for simultaneous events
 	kind EventKind
 	idx  int32
 }
+
+// time returns the event's timestamp.
+func (ev event) time() float64 { return math.Float64frombits(ev.at) }
 
 // Handler dispatches events popped by the engine. idx is the payload the
 // scheduler passed: a processor id, a service-centre id, a message index
@@ -40,16 +49,17 @@ type Handler interface {
 	Handle(kind EventKind, idx int32)
 }
 
-// less orders events by (time, seq). seq is unique per engine, so this is
-// a total order: any correct heap pops exactly the same sequence.
-func less(a, b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
+// before returns 1 when a precedes b in (at, seq) order and 0 otherwise:
+// the borrow out of the 128-bit subtraction a − b, seq the low word. seq
+// is unique per engine, so this is a total order: any correct heap pops
+// exactly the same sequence. There is no branch for the CPU to mispredict.
+func before(a, b event) uint64 {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return borrow
 }
 
-// eventHeap is a 4-ary min-heap ordered by (time, seq). Sifts move a hole
+// eventHeap is a 4-ary min-heap ordered by (at, seq). Sifts move a hole
 // instead of swapping, so each level costs one copy; the shallower tree
 // halves the levels a pop walks at the paper's event-set sizes.
 type eventHeap []event
@@ -59,7 +69,7 @@ func (h *eventHeap) push(ev event) {
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !less(ev, s[p]) {
+		if before(ev, s[p]) == 0 {
 			break
 		}
 		s[i] = s[p]
@@ -82,27 +92,22 @@ func (h eventHeap) replaceTop(ev event) {
 		m := c
 		if c+3 < n {
 			// A two-round tournament: two independent comparisons, then
-			// one, instead of a chain of three dependent ones.
+			// one, instead of a chain of three dependent ones. The winners
+			// are picked by index arithmetic on the 0/1 comparisons, so
+			// no branch but the loop's exit depends on the keys.
 			k := h[c : c+4 : c+4]
-			a, b := 0, 2
-			if less(k[1], k[0]) {
-				a = 1
-			}
-			if less(k[3], k[2]) {
-				b = 3
-			}
-			if less(k[b], k[a]) {
-				a = b
-			}
-			m = c + a
+			a := before(k[1], k[0])
+			b := 2 + before(k[3], k[2])
+			a += (b - a) & -before(k[b&3], k[a&3])
+			m = c + int(a)
 		} else {
 			for j := c + 1; j < n; j++ {
-				if less(h[j], h[m]) {
+				if before(h[j], h[m]) != 0 {
 					m = j
 				}
 			}
 		}
-		if !less(h[m], ev) {
+		if before(h[m], ev) == 0 {
 			break
 		}
 		h[i] = h[m]
@@ -188,10 +193,11 @@ func (e *Engine) ScheduleAt(at float64, kind EventKind, idx int32) uint64 {
 
 // insert adds one event, replacing the held root when there is one. A
 // replacement leaves the set's size where it was before the held event's
-// dispatch, so only a push can raise the high-water mark.
+// dispatch, so only a push can raise the high-water mark. at + 0 turns
+// −0 (legal at clock 0) into +0: as bits, −0 would sort after +Inf.
 func (e *Engine) insert(at float64, kind EventKind, idx int32) uint64 {
 	e.seq++
-	ev := event{at: at, seq: e.seq, kind: kind, idx: idx}
+	ev := event{at: math.Float64bits(at + 0), seq: e.seq, kind: kind, idx: idx}
 	if e.held {
 		e.held = false
 		e.events.replaceTop(ev)
@@ -221,10 +227,11 @@ func (e *Engine) resolve() {
 // dispatch advances the clock to the root event and hands it to the
 // handler, holding the root in place for a replace-top Schedule.
 func (e *Engine) dispatch(ev event) {
-	if ev.at < e.now {
-		panic(fmt.Sprintf("sim: time went backwards: %v < %v", ev.at, e.now))
+	at := ev.time()
+	if at < e.now {
+		panic(fmt.Sprintf("sim: time went backwards: %v < %v", at, e.now))
 	}
-	e.now = ev.at
+	e.now = at
 	e.cur = ev.seq
 	e.held = true
 	e.handler.Handle(ev.kind, ev.idx)
@@ -246,7 +253,7 @@ func (e *Engine) Run(maxTime float64) int {
 	e.stopped = false
 	for !e.stopped && len(e.events) > 0 {
 		ev := e.events[0]
-		if ev.at > maxTime {
+		if ev.time() > maxTime {
 			// The next event lies past the horizon: leave it in place for a
 			// later Run with a larger horizon. The clock advances to the
 			// deadline, and scheduling between the deadline and the event
@@ -280,7 +287,7 @@ func (e *Engine) NextEventAt() float64 {
 	if len(e.events) == 0 {
 		return math.Inf(1)
 	}
-	return e.events[0].at
+	return e.events[0].time()
 }
 
 // RunWindow dispatches every event with time strictly below horizon (at or
@@ -295,7 +302,7 @@ func (e *Engine) RunWindow(horizon float64, inclusive bool) int {
 	e.stopped = false
 	for !e.stopped && len(e.events) > 0 {
 		ev := e.events[0]
-		if ev.at > horizon || (!inclusive && ev.at == horizon) {
+		if at := ev.time(); at > horizon || (!inclusive && at == horizon) {
 			break
 		}
 		e.dispatch(ev)

@@ -221,19 +221,42 @@ type refEvent struct {
 	id int32
 }
 
-// propModel is the handler of the event-set property test. Each dispatch
+// propModel is the handler of the event-set property tests. Each dispatch
 // schedules 0, 1, 2 or 3 successors (the replace-top path and plain
-// pushes) with delays on a quarter-second grid, so exact time ties are
-// common; it sometimes inspects the set from inside the handler and
-// sometimes stops the engine.
+// pushes) with delays drawn by delay, and sometimes inspects the set from
+// inside the handler; with stopOdds > 0 it stops the engine once in
+// stopOdds dispatches.
 type propModel struct {
 	t          *testing.T
 	eng        *Engine
 	st         rng.Stream
+	delay      func(*rng.Stream) float64
+	stopOdds   int
 	budget     int        // events the model may still schedule
 	sched      []refEvent // every event scheduled, by id
 	order      []int32    // dispatch log
 	maxPending int        // reference high-water mark of the pending set
+}
+
+// gridDelay draws delays on a quarter-second grid, so exact time ties are
+// common.
+func gridDelay(st *rng.Stream) float64 { return float64(st.Intn(4)) * 0.25 }
+
+// wideDelay draws delays over the whole range an event key must order:
+// zero, the smallest subnormal, log-uniform from 1e-300 to 1e6 (most of
+// which vanish against a clock past zero and tie with it exactly), and
+// rarely +Inf.
+func wideDelay(st *rng.Stream) float64 {
+	switch st.Intn(32) {
+	case 0, 1, 2:
+		return 0
+	case 3:
+		return math.SmallestNonzeroFloat64
+	case 4:
+		return math.Inf(1)
+	default:
+		return math.Pow(10, -300+306*st.Float64())
+	}
 }
 
 func (m *propModel) pending() int { return len(m.sched) - len(m.order) }
@@ -249,15 +272,37 @@ func (m *propModel) schedule(delay float64) {
 	m.maxPending = max(m.maxPending, m.pending())
 }
 
-// nextAt is the reference NextEventAt: the earliest undispatched event.
-func (m *propModel) nextAt() float64 {
+// scheduleAt schedules one event at the absolute time at, which the
+// reference keeps as given (−0 included).
+func (m *propModel) scheduleAt(at float64) {
+	m.budget--
+	id := int32(len(m.sched))
+	m.sched = append(m.sched, refEvent{at: at, id: id})
+	m.eng.ScheduleAt(at, 0, id)
+	m.maxPending = max(m.maxPending, m.pending())
+}
+
+// undispatched returns the reference's pending events, in scheduling
+// order.
+func (m *propModel) undispatched() []refEvent {
 	done := make([]bool, len(m.sched))
 	for _, id := range m.order {
 		done[id] = true
 	}
-	next := math.Inf(1)
+	var left []refEvent
 	for _, ev := range m.sched {
-		if !done[ev.id] && ev.at < next {
+		if !done[ev.id] {
+			left = append(left, ev)
+		}
+	}
+	return left
+}
+
+// nextAt is the reference NextEventAt: the earliest undispatched event.
+func (m *propModel) nextAt() float64 {
+	next := math.Inf(1)
+	for _, ev := range m.undispatched() {
+		if ev.at < next {
 			next = ev.at
 		}
 	}
@@ -277,9 +322,9 @@ func (m *propModel) Handle(_ EventKind, idx int32) {
 		}
 	}
 	for k := m.st.Intn(4); k > 0; k-- {
-		m.schedule(float64(m.st.Intn(4)) * 0.25)
+		m.schedule(m.delay(&m.st))
 	}
-	if m.st.Intn(40) == 0 {
+	if m.stopOdds > 0 && m.st.Intn(m.stopOdds) == 0 {
 		m.eng.Stop()
 	}
 }
@@ -327,13 +372,70 @@ func (m *propModel) checkOrder() {
 func TestEngineDispatchOrderMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		eng := NewEngine()
-		m := &propModel{t: t, eng: eng, st: *rng.NewStream(seed), budget: 6000}
+		m := &propModel{t: t, eng: eng, st: *rng.NewStream(seed), delay: gridDelay, stopOdds: 40, budget: 6000}
 		eng.SetHandler(m)
 		horizons := rng.NewStream(seed + 100)
 		for i := 0; i < 64; i++ {
 			m.schedule(float64(m.st.Intn(8)) * 0.25)
 		}
 		m.drain(horizons)
+		m.checkOrder()
+		if eng.MaxPending() != m.maxPending {
+			t.Fatalf("seed %d: MaxPending = %d, want %d", seed, eng.MaxPending(), m.maxPending)
+		}
+	}
+}
+
+// TestEngineKeyOrderOverWideTimes property-tests the event set's integer
+// key against the same sort over (at, seq), on times where a float's bit
+// pattern is all that orders it: delays from the smallest subnormal to
+// 1e6 and +Inf, exact ties, and −0 scheduled at clock 0, which must tie
+// with +0 and not sort after +Inf. It drives the engine through
+// RunWindow, with horizons that equal a pending event's time, alternately
+// exclusive and inclusive.
+func TestEngineKeyOrderOverWideTimes(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for seed := uint64(1); seed <= 8; seed++ {
+		eng := NewEngine()
+		m := &propModel{t: t, eng: eng, st: *rng.NewStream(seed), delay: wideDelay, budget: 4000}
+		eng.SetHandler(m)
+		horizons := rng.NewStream(seed + 100)
+		// −0 goes first and again among the ties at 0, so it must dispatch
+		// first, then by scheduling order among the +0 events.
+		m.scheduleAt(negZero)
+		for i := 0; i < 64; i++ {
+			switch i % 16 {
+			case 3:
+				m.scheduleAt(negZero)
+			case 5, 6:
+				m.schedule(0)
+			default:
+				m.schedule(wideDelay(&m.st))
+			}
+		}
+		if got := eng.NextEventAt(); got != 0 || math.Signbit(got) {
+			t.Fatalf("seed %d: NextEventAt = %v after scheduling at −0, want +0", seed, got)
+		}
+		for eng.Pending() > 0 {
+			left := m.undispatched()
+			horizon := left[horizons.Intn(len(left))].at
+			inclusive := horizons.Intn(2) == 0
+			eng.RunWindow(horizon, inclusive)
+			if !math.IsInf(horizon, 1) && eng.Now() != horizon {
+				t.Fatalf("seed %d: RunWindow(%v, %v) left the clock at %v", seed, horizon, inclusive, eng.Now())
+			}
+			for _, ev := range m.undispatched() {
+				if ev.at < horizon || (inclusive && ev.at == horizon) {
+					t.Fatalf("seed %d: RunWindow(%v, %v) left event %d at %v pending", seed, horizon, inclusive, ev.id, ev.at)
+				}
+			}
+			if got, want := eng.Pending(), m.pending(); got != want {
+				t.Fatalf("seed %d: after RunWindow: Pending = %d, want %d", seed, got, want)
+			}
+		}
+		if m.order[0] != 0 {
+			t.Fatalf("seed %d: event %d dispatched first, want the one at −0", seed, m.order[0])
+		}
 		m.checkOrder()
 		if eng.MaxPending() != m.maxPending {
 			t.Fatalf("seed %d: MaxPending = %d, want %d", seed, eng.MaxPending(), m.maxPending)
