@@ -752,31 +752,26 @@ func BenchmarkServeSubmit(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			e.Run.Seed = 1
+			if hit {
+				if _, err := client.Execute(context.Background(), e, nil, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 			var report bytes.Buffer
-			execute := func(seed uint64) {
-				e.Run.Seed = seed
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !hit {
+					e.Run.Seed = uint64(i) + 2
+				}
 				report.Reset()
 				info, err := client.Execute(context.Background(), e, &report, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if info.Cached != hit || report.Len() == 0 {
-					b.Fatalf("seed %d: cached %v with a %d-byte report, want cached %v and a report", seed, info.Cached, report.Len(), hit)
+					b.Fatalf("seed %d: cached %v with a %d-byte report, want cached %v and a report", e.Run.Seed, info.Cached, report.Len(), hit)
 				}
-			}
-			if hit {
-				e.Run.Seed = 1
-				if _, err := client.Execute(context.Background(), e, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				seed := uint64(1)
-				if !hit {
-					seed = uint64(i) + 2
-				}
-				execute(seed)
 			}
 		})
 	}

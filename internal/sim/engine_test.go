@@ -261,25 +261,29 @@ func wideDelay(st *rng.Stream) float64 {
 
 func (m *propModel) pending() int { return len(m.sched) - len(m.order) }
 
-func (m *propModel) schedule(delay float64) {
+// record enters one event due at at into the reference, exactly as given
+// (−0 included), and returns its id; false once the budget is spent.
+func (m *propModel) record(at float64) (int32, bool) {
 	if m.budget == 0 {
-		return
+		return 0, false
 	}
 	m.budget--
 	id := int32(len(m.sched))
-	m.sched = append(m.sched, refEvent{at: m.eng.Now() + delay, id: id})
-	m.eng.Schedule(delay, 0, id)
+	m.sched = append(m.sched, refEvent{at: at, id: id})
 	m.maxPending = max(m.maxPending, m.pending())
+	return id, true
 }
 
-// scheduleAt schedules one event at the absolute time at, which the
-// reference keeps as given (−0 included).
+func (m *propModel) schedule(delay float64) {
+	if id, ok := m.record(m.eng.Now() + delay); ok {
+		m.eng.Schedule(delay, 0, id)
+	}
+}
+
 func (m *propModel) scheduleAt(at float64) {
-	m.budget--
-	id := int32(len(m.sched))
-	m.sched = append(m.sched, refEvent{at: at, id: id})
-	m.eng.ScheduleAt(at, 0, id)
-	m.maxPending = max(m.maxPending, m.pending())
+	if id, ok := m.record(at); ok {
+		m.eng.ScheduleAt(at, 0, id)
+	}
 }
 
 // undispatched returns the reference's pending events, in scheduling
