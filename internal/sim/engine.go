@@ -29,9 +29,9 @@ type EventKind uint8
 // pointers — so event lists never allocate per event.
 //
 // at holds math.Float64bits of the timestamp. Event times are never
-// negative (insert turns −0 into +0), and non-negative IEEE doubles,
-// +Inf included, order like their bit patterns, so (at, seq) is one
-// 128-bit unsigned key.
+// negative (the clock never goes below zero, and insert turns −0 into
+// +0), and non-negative IEEE doubles, +Inf included, order like their
+// bit patterns, so (at, seq) is one 128-bit unsigned key.
 type event struct {
 	at   uint64 // math.Float64bits of the timestamp
 	seq  uint64 // FIFO tie-break for simultaneous events
@@ -257,8 +257,9 @@ func (e *Engine) Run(maxTime float64) int {
 			// The next event lies past the horizon: leave it in place for a
 			// later Run with a larger horizon. The clock advances to the
 			// deadline, and scheduling between the deadline and the event
-			// stays legal.
-			e.now = maxTime
+			// stays legal. A deadline behind the clock leaves it alone, so
+			// the clock, and with it every event time, stays non-negative.
+			e.now = max(e.now, maxTime)
 			return executed
 		}
 		e.dispatch(ev)

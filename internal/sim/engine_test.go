@@ -214,6 +214,26 @@ func TestEngineScheduleAfterBoundedRun(t *testing.T) {
 	}
 }
 
+// TestEngineRunNeverRewindsClock pins that a bounded Run whose deadline
+// lies behind the clock leaves the clock where it was: a rewound clock
+// would admit negative event times, which the event set's bit-pattern
+// key does not order.
+func TestEngineRunNeverRewindsClock(t *testing.T) {
+	eng := NewEngine()
+	var order []int32
+	eng.SetHandler(handlerFunc(func(_ EventKind, idx int32) { order = append(order, idx) }))
+	eng.Schedule(1, 0, 1)
+	eng.Run(-1)
+	if eng.Now() != 0 {
+		t.Fatalf("Run(-1) moved the clock to %v, want 0", eng.Now())
+	}
+	eng.Schedule(0.5, 0, 0)
+	eng.Run(math.Inf(1))
+	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+		t.Fatalf("dispatch order = %v, want [0 1]", order)
+	}
+}
+
 // refEvent is one scheduled event as the reference model sees it; its
 // index in propModel.sched is its scheduling order, the engine's seq.
 type refEvent struct {
