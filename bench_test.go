@@ -551,13 +551,12 @@ func BenchmarkRunBatch(b *testing.B) {
 // BenchmarkNetsimFatTree measures the switch-level simulator's throughput.
 func BenchmarkNetsimFatTree(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		net, err := netsim.BuildFatTree(32, 8, network.FastEthernet,
-			network.Switch{Ports: 8, Latency: 10e-6}, rng.Deterministic{Value: 1})
+		net, err := netsim.BuildFatTree(32, 8, network.FastEthernet, network.Switch{Ports: 8, Latency: 10e-6})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := net.Run(netsim.Options{
-			Lambda: 5000, MsgBytes: 1024, Warmup: 200, Measured: 3000, Seed: uint64(i + 1),
+		res, err := net.Run(5000, 1024, sim.Options{
+			WarmupMessages: 200, MeasuredMessages: 3000, Seed: uint64(i + 1), ServiceDist: rng.Deterministic{Value: 1},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -572,13 +571,12 @@ func BenchmarkNetsimFatTree(b *testing.B) {
 // drives the link centres' rings harder than the fat-tree does.
 func BenchmarkNetsimLinearArray(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		net, err := netsim.BuildLinearArray(96, 8, network.FastEthernet,
-			network.Switch{Ports: 8, Latency: 10e-6}, rng.Deterministic{Value: 1})
+		net, err := netsim.BuildLinearArray(96, 8, network.FastEthernet, network.Switch{Ports: 8, Latency: 10e-6})
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := net.Run(netsim.Options{
-			Lambda: 500, MsgBytes: 1024, Warmup: 200, Measured: 3000, Seed: uint64(i + 1),
+		res, err := net.Run(500, 1024, sim.Options{
+			WarmupMessages: 200, MeasuredMessages: 3000, Seed: uint64(i + 1), ServiceDist: rng.Deterministic{Value: 1},
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"hmscs/internal/analytic"
 	"hmscs/internal/netsim"
 	"hmscs/internal/queueing"
-	"hmscs/internal/rng"
 )
 
 func main() {
@@ -92,18 +91,13 @@ func main() {
 	fmt.Println()
 	fmt.Printf("switch-level view of the bottleneck (ICN2: FastEthernet, %d endpoints,\n", clusters)
 	fmt.Printf("offered %.0f msg/s per endpoint — the raw demand before eq. 7 throttling):\n", perCluster)
-	net, err := netsim.BuildFatTree(clusters, cfg.Switch.Ports, cfg.ICN2, cfg.Switch,
-		rng.Exponential{MeanValue: 1})
+	net, err := netsim.BuildFatTree(clusters, cfg.Switch.Ports, cfg.ICN2, cfg.Switch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := net.Run(netsim.Options{
-		Lambda:   perCluster,
-		MsgBytes: msg,
-		Warmup:   1000,
-		Measured: 10000,
-		Seed:     1,
-	})
+	opts := hmscs.DefaultSimOptions()
+	opts.WarmupMessages = 1000
+	res, err := net.Run(perCluster, msg, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

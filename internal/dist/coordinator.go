@@ -706,9 +706,7 @@ func (c *Coordinator) Complete(req completeRequest) string {
 		case u.Result == nil:
 			v.err = "delivered neither result nor error"
 		default:
-			if v.misfit = !u.Result.plausible(); !v.misfit {
-				v.res = u.Result.decode()
-			}
+			v.res, v.misfit = u.Result, !plausible(u.Result)
 			if u.Stats != nil {
 				v.stats = *u.Stats
 			}

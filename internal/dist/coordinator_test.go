@@ -122,7 +122,7 @@ func completeRun(prog *run.Program, token string, l Lease, units ...int) complet
 			out.Error = err.Error()
 		} else {
 			st, _ := col.Snapshot()
-			out.Result, out.Stats = encodeResult(res), &st
+			out.Result, out.Stats = res, &st
 		}
 		req.Results = append(req.Results, out)
 	}
@@ -341,7 +341,7 @@ func TestCompleteFromNonHolderIsStale(t *testing.T) {
 	default:
 	}
 	res := &sim.Result{Throughput: 42}
-	if got := coord.Complete(completeRequest{Token: a, Lease: id, Results: []unitOutcome{{Result: encodeResult(res)}}}); got != statusOK {
+	if got := coord.Complete(completeRequest{Token: a, Lease: id, Results: []unitOutcome{{Result: res}}}); got != statusOK {
 		t.Fatalf("holder's completion answered %q, want %q", got, statusOK)
 	}
 	if out := <-off.resolved; out.err != nil || out.res.Throughput != 42 {

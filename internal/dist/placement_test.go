@@ -146,9 +146,9 @@ func TestBatchResolvesEachUnitOnce(t *testing.T) {
 	if len(leases) != 1 || len(leases[0].Units) != 3 {
 		t.Fatalf("leased %+v, want one run of three units", leases)
 	}
-	ok := &wireResult{Throughput: 7}
+	ok := &sim.Result{Throughput: 7}
 	got := coord.Complete(completeRequest{Token: reg.Token, Lease: leases[0].ID, Results: []unitOutcome{
-		{Unit: 0, Result: ok}, {Unit: 0, Result: &wireResult{Throughput: 8}}, {Unit: 2, Result: ok}, {Unit: 3, Result: ok},
+		{Unit: 0, Result: ok}, {Unit: 0, Result: &sim.Result{Throughput: 8}}, {Unit: 2, Result: ok}, {Unit: 3, Result: ok},
 	}})
 	if got != statusOK {
 		t.Fatalf("completion answered %q, want %q", got, statusOK)
@@ -198,12 +198,12 @@ func TestMisfitResultsRunLocally(t *testing.T) {
 	if len(leases) != 1 || len(leases[0].Units) != 4 {
 		t.Fatalf("leased %+v, want one run of four units", leases)
 	}
-	rows := []wireCenter{{Name: "a"}, {Name: "b"}}
+	rows := []sim.CenterStats{{Name: "a"}, {Name: "b"}}
 	coord.Complete(completeRequest{Token: reg.Token, Lease: leases[0].ID, Results: []unitOutcome{
-		{Unit: 0, Result: &wireResult{Centers: rows, Generated: 5, Measured: 4}},
-		{Unit: 1, Result: &wireResult{Centers: rows[:1], Generated: 5, Measured: 4}},
-		{Unit: 2, Result: &wireResult{Centers: rows, Generated: 4, Measured: 5}},
-		{Unit: 3, Result: &wireResult{Centers: []wireCenter{{Served: -1}, {}}, Generated: 5}},
+		{Unit: 0, Result: &sim.Result{Centers: rows, Generated: 5, Measured: 4}},
+		{Unit: 1, Result: &sim.Result{Centers: rows[:1], Generated: 5, Measured: 4}},
+		{Unit: 2, Result: &sim.Result{Centers: rows, Generated: 4, Measured: 5}},
+		{Unit: 3, Result: &sim.Result{Centers: []sim.CenterStats{{Served: -1}, {}}, Generated: 5}},
 	}})
 	if out := outcomeOf(t, offs[0]); out.res == nil || out.res.Measured != 4 {
 		t.Errorf("the fitting unit resolved %+v", out)
@@ -347,7 +347,7 @@ func TestAbandonedGrantIsReoffered(t *testing.T) {
 		t.Fatalf("the next poll leased %+v (%d units out), want the other unit", again, coord.LeasedUnits())
 	}
 	res := &sim.Result{Throughput: 3}
-	if got := coord.Complete(completeRequest{Token: b.Token, Lease: again[0].ID, Results: []unitOutcome{{Result: encodeResult(res)}}}); got != statusOK {
+	if got := coord.Complete(completeRequest{Token: b.Token, Lease: again[0].ID, Results: []unitOutcome{{Result: res}}}); got != statusOK {
 		t.Fatalf("completion answered %q", got)
 	}
 	if out := outcomeOf(t, offs[0]); out.res == nil || out.res.Throughput != 3 {
@@ -381,7 +381,7 @@ func TestLargeCompletionIsSplit(t *testing.T) {
 		sample[i] = 0.1234567890123 + float64(i)
 	}
 	req := completeRequest{Token: reg.Token, Lease: leases[0].ID, Results: []unitOutcome{
-		{Unit: 0, Result: &wireResult{Sample: sample}}, {Unit: 1, Result: &wireResult{Sample: sample}},
+		{Unit: 0, Result: &sim.Result{Sample: sample}}, {Unit: 1, Result: &sim.Result{Sample: sample}},
 	}}
 	w.deliver(context.Background(), req)
 	for i, off := range offs {

@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"hmscs/internal/sim"
-	"hmscs/internal/stats"
 	"hmscs/internal/telemetry"
 )
 
@@ -96,11 +95,15 @@ type completeRequest struct {
 
 // unitOutcome is one unit's verdict: Unit indexes the lease's Units, and
 // exactly one of Result and Error is set; Stats is the unit's engine
-// record.
+// record. A result crosses as sim.Result's own JSON: its Welford
+// accumulators travel as their state, and Go's JSON float64 round-trip is
+// exact (shortest-representation encoding), so a decoded result is
+// bit-identical to the worker's, the property every downstream aggregate
+// relies on.
 type unitOutcome struct {
 	Unit   int                 `json:"unit"`
 	Error  string              `json:"error,omitempty"`
-	Result *wireResult         `json:"result,omitempty"`
+	Result *sim.Result         `json:"result,omitempty"`
 	Stats  *telemetry.SimStats `json:"stats,omitempty"`
 }
 
@@ -142,64 +145,14 @@ type WorkerInfo struct {
 	IdleSeconds float64 `json:"idle_s"`
 }
 
-// wireResult is sim.Result in wire form. The Welford accumulator
-// crosses as its exported state; Go's JSON float64 round-trip is exact
-// (shortest-representation encoding), so a decoded result is
-// bit-identical to the worker's — the property every downstream
-// aggregate relies on.
-type wireResult struct {
-	Latency         stats.WelfordState `json:"latency"`
-	Sample          []float64          `json:"sample,omitempty"`
-	SampleTimes     []float64          `json:"sample_times,omitempty"`
-	SimTime         float64            `json:"sim_time"`
-	Generated       int64              `json:"generated"`
-	Measured        int64              `json:"measured"`
-	Throughput      float64            `json:"throughput"`
-	EffectiveLambda float64            `json:"effective_lambda"`
-	Centers         []wireCenter       `json:"centers,omitempty"`
-	TimedOut        bool               `json:"timed_out,omitempty"`
-	Dropped         int64              `json:"dropped,omitempty"`
-	Rerouted        int64              `json:"rerouted,omitempty"`
-	SwitchHops      stats.WelfordState `json:"switch_hops"`
-}
-
-type wireCenter struct {
-	Name            string  `json:"name"`
-	Utilization     float64 `json:"utilization"`
-	MeanQueueLength float64 `json:"mean_qlen"`
-	MaxQueueLength  float64 `json:"max_qlen"`
-	Served          int64   `json:"served"`
-}
-
-// encodeResult converts a simulation result to its wire form.
-func encodeResult(r *sim.Result) *wireResult {
-	w := &wireResult{
-		Latency:         r.Latency.State(),
-		Sample:          r.Sample,
-		SampleTimes:     r.SampleTimes,
-		SimTime:         r.SimTime,
-		Generated:       r.Generated,
-		Measured:        r.Measured,
-		Throughput:      r.Throughput,
-		EffectiveLambda: r.EffectiveLambda,
-		TimedOut:        r.TimedOut,
-		Dropped:         r.Dropped,
-		Rerouted:        r.Rerouted,
-		SwitchHops:      r.SwitchHops.State(),
-	}
-	for _, c := range r.Centers {
-		w.Centers = append(w.Centers, wireCenter(c))
-	}
-	return w
-}
-
-// plausible reports whether the result could be some unit's: every
-// count non-negative, every value finite, and no more messages measured
-// than generated. The row count is checked against the unit it answers
+// plausible reports whether r could be some unit's result: every count
+// non-negative, every value finite, and no more messages measured than
+// generated. The row count is checked against the unit it answers
 // (Coordinator.Complete).
-func (w *wireResult) plausible() bool {
-	if w.Generated < 0 || w.Measured < 0 || w.Dropped < 0 || w.Rerouted < 0 ||
-		w.Latency.N < 0 || w.SwitchHops.N < 0 || w.Measured > w.Generated {
+func plausible(r *sim.Result) bool {
+	lat, hops := r.Latency.State(), r.SwitchHops.State()
+	if r.Generated < 0 || r.Measured < 0 || r.Dropped < 0 || r.Rerouted < 0 ||
+		lat.N < 0 || hops.N < 0 || r.Measured > r.Generated {
 		return false
 	}
 	finite := func(xs ...float64) bool {
@@ -210,48 +163,25 @@ func (w *wireResult) plausible() bool {
 		}
 		return true
 	}
-	ok := finite(w.SimTime, w.Throughput, w.EffectiveLambda,
-		w.Latency.Mean, w.Latency.M2, w.Latency.Min, w.Latency.Max,
-		w.SwitchHops.Mean, w.SwitchHops.M2, w.SwitchHops.Min, w.SwitchHops.Max) &&
-		finite(w.Sample...) && finite(w.SampleTimes...)
-	for _, c := range w.Centers {
+	ok := finite(r.SimTime, r.Throughput, r.EffectiveLambda,
+		lat.Mean, lat.M2, lat.Min, lat.Max, hops.Mean, hops.M2, hops.Min, hops.Max) &&
+		finite(r.Sample...) && finite(r.SampleTimes...)
+	for _, c := range r.Centers {
 		ok = ok && c.Served >= 0 && finite(c.Utilization, c.MeanQueueLength, c.MaxQueueLength)
 	}
 	return ok
 }
 
-// decodeResult reconstructs the simulation result.
-func (w *wireResult) decode() *sim.Result {
-	r := &sim.Result{
-		Latency:         stats.RestoreWelford(w.Latency),
-		Sample:          w.Sample,
-		SampleTimes:     w.SampleTimes,
-		SimTime:         w.SimTime,
-		Generated:       w.Generated,
-		Measured:        w.Measured,
-		Throughput:      w.Throughput,
-		EffectiveLambda: w.EffectiveLambda,
-		TimedOut:        w.TimedOut,
-		Dropped:         w.Dropped,
-		Rerouted:        w.Rerouted,
-		SwitchHops:      stats.RestoreWelford(w.SwitchHops),
-	}
-	for _, c := range w.Centers {
-		r.Centers = append(r.Centers, sim.CenterStats(c))
-	}
-	return r
-}
-
-// RoundTripResult is the codec identity check used by tests: encode,
-// JSON-marshal, unmarshal, decode.
+// RoundTripResult is the codec identity check used by tests and the
+// repository benchmark: JSON-marshal the result, then unmarshal it.
 func RoundTripResult(r *sim.Result) (*sim.Result, error) {
-	data, err := json.Marshal(encodeResult(r))
+	data, err := json.Marshal(r)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding result: %w", err)
 	}
-	var w wireResult
-	if err := json.Unmarshal(data, &w); err != nil {
+	var out sim.Result
+	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("dist: decoding result: %w", err)
 	}
-	return w.decode(), nil
+	return &out, nil
 }

@@ -215,7 +215,7 @@ func (w *Worker) execute(ctx context.Context, l Lease) {
 			out.Error = err.Error()
 			w.logf("unit %s[%d,%d]: %v", u.Stage, u.Point, u.Rep, err)
 		} else {
-			out.Result = encodeResult(res)
+			out.Result = res
 			out.Stats = &st
 		}
 		req.Results[i] = out

@@ -67,15 +67,15 @@ func TestEnginesMeasureAlike(t *testing.T) {
 		},
 		"netsim": func(t *testing.T, w windowCase) measuredRun {
 			n := buildFT(t, 16, 8)
-			o := Options{Lambda: 1000, MsgBytes: 1024, Warmup: w.warmup, Measured: w.target, Seed: 3,
-				MaxSimTime: w.maxT, RecordSample: w.record}
+			o := detOpts(w.warmup, w.target, 3)
+			o.RecordSample, o.MaxSimTime = w.record, w.maxT
 			if w.scenario {
 				var err error
 				if o.Scenario, err = scenario.CompileNet(spec, n.Topo()); err != nil {
 					t.Fatal(err)
 				}
 			}
-			res, err := n.Run(o)
+			res, err := n.Run(1000, 1024, o)
 			if err != nil {
 				t.Fatal(err)
 			}

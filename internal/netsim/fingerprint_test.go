@@ -80,23 +80,25 @@ type netShape struct {
 	n, pr     int
 	tech      network.Technology
 	swLatency float64
-	dist      rng.Dist
+	// dist is every link's service-time family.
+	dist rng.Dist
 }
 
 // build constructs the network.
 func (s netShape) build() (*netsim.Network, error) {
 	sw := network.Switch{Ports: s.pr, Latency: s.swLatency}
 	if s.linear {
-		return netsim.BuildLinearArray(s.n, s.pr, s.tech, sw, s.dist)
+		return netsim.BuildLinearArray(s.n, s.pr, s.tech, sw)
 	}
-	return netsim.BuildFatTree(s.n, s.pr, s.tech, sw, s.dist)
+	return netsim.BuildFatTree(s.n, s.pr, s.tech, sw)
 }
 
-// netCase runs the switch-level simulator on shape with the options
-// mutate leaves, compiling spec (when non-nil) against the topology.
-func netCase(name string, shape netShape, spec *scenario.Spec, mutate func(o *netsim.Options)) engineCase {
+// netCase runs the switch-level simulator on shape at lambda per
+// endpoint with the options mutate leaves, compiling spec (when non-nil)
+// against the topology.
+func netCase(name string, shape netShape, lambda float64, spec *scenario.Spec, mutate func(o *sim.Options)) engineCase {
 	return engineCase{name: "netsim/" + name, run: func(t *testing.T, col *telemetry.Collector) (*sim.Result, *trace.Recorder) {
-		o := netsim.Options{Lambda: 2000, MsgBytes: 1024, Warmup: 200, Measured: 3000, Seed: 23, Stats: col}
+		o := sim.Options{WarmupMessages: 200, MeasuredMessages: 3000, Seed: 23, ServiceDist: shape.dist, Stats: col}
 		if mutate != nil {
 			mutate(&o)
 		}
@@ -109,7 +111,7 @@ func netCase(name string, shape netShape, spec *scenario.Spec, mutate func(o *ne
 				t.Fatal(err)
 			}
 		}
-		res, err := n.Run(o)
+		res, err := n.Run(lambda, 1024, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,6 +137,7 @@ func engineCases(t *testing.T) []engineCase {
 	tiedLinear := netShape{linear: true, n: 24, pr: 4, tech: zeroLatency, dist: det}
 	detFat := netShape{n: 18, pr: 6, tech: network.GigabitEthernet, swLatency: 10e-6, dist: det}
 
+	record := func(o *sim.Options) { o.RecordSample = true }
 	horizon := 0.05
 	simScenario := func(events ...scenario.Event) *scenario.Spec {
 		return &scenario.Spec{HorizonS: horizon, Events: events}
@@ -180,33 +183,33 @@ func engineCases(t *testing.T) []engineCase {
 			Profile: &scenario.ProfileSpec{Kind: "flash", PeakFactor: 3, StartS: 0.005, RampS: 0.005, HoldS: 0.01},
 		}, func(o *sim.Options) { o.RecordSample = true }),
 
-		netCase("single-switch", singleSwitch, nil, nil),
-		netCase("fat-tree", fatTree, nil, func(o *netsim.Options) { o.RecordSample = true }),
-		netCase("fat-tree-hotspot-mmpp", fatTree, nil, func(o *netsim.Options) {
-			o.Workload = workload.Generator{Arrival: mmpp, Pattern: workload.Hotspot{Node: 5, Fraction: 0.3}}
+		netCase("single-switch", singleSwitch, 2000, nil, nil),
+		netCase("fat-tree", fatTree, 2000, nil, record),
+		netCase("fat-tree-hotspot-mmpp", fatTree, 2000, nil, func(o *sim.Options) {
+			o.Arrival, o.Pattern = mmpp, workload.Hotspot{Node: 5, Fraction: 0.3}
 		}),
-		netCase("linear-array", linear, nil, func(o *netsim.Options) { o.Lambda = 300 }),
-		netCase("tied-fat-tree", tiedFat, nil, func(o *netsim.Options) { o.Lambda, o.RecordSample = 20000, true }),
-		netCase("tied-linear-array", tiedLinear, nil, func(o *netsim.Options) { o.Lambda, o.RecordSample = 5000, true }),
-		netCase("det-fat-tree", detFat, nil, func(o *netsim.Options) { o.Lambda = 20000 }),
-		netCase("timeout", linear, nil, func(o *netsim.Options) { o.MaxSimTime, o.RecordSample = 0.02, true }),
-		netCase("spine-drop", fatTree, &scenario.Spec{HorizonS: 0.1, Events: []scenario.Event{
+		netCase("linear-array", linear, 300, nil, nil),
+		netCase("tied-fat-tree", tiedFat, 20000, nil, record),
+		netCase("tied-linear-array", tiedLinear, 5000, nil, record),
+		netCase("det-fat-tree", detFat, 20000, nil, nil),
+		netCase("timeout", linear, 2000, nil, func(o *sim.Options) { o.MaxSimTime, o.RecordSample = 0.02, true }),
+		netCase("spine-drop", fatTree, 20000, &scenario.Spec{HorizonS: 0.1, Events: []scenario.Event{
 			{TS: 0.03, Action: "fail", Target: "spine:1", Policy: "drop"},
 			{TS: 0.06, Action: "repair", Target: "spine:1"},
-		}}, func(o *netsim.Options) { o.Lambda, o.RecordSample = 20000, true }),
-		netCase("tied-spine-drop", tiedFat, &scenario.Spec{HorizonS: 0.01, Events: []scenario.Event{
+		}}, record),
+		netCase("tied-spine-drop", tiedFat, 1e6, &scenario.Spec{HorizonS: 0.01, Events: []scenario.Event{
 			{TS: 0.002, Action: "fail", Target: "spine:0", Policy: "drop"},
 			{TS: 0.004, Action: "fail", Target: "switch:2", Policy: "drop"},
 			{TS: 0.006, Action: "repair", Target: "spine:0"},
 			{TS: 0.008, Action: "repair", Target: "switch:2"},
-		}}, func(o *netsim.Options) { o.Lambda, o.RecordSample = 1e6, true }),
-		netCase("switch-requeue", linear, &scenario.Spec{HorizonS: 0.2, Events: []scenario.Event{
+		}}, record),
+		netCase("switch-requeue", linear, 2000, &scenario.Spec{HorizonS: 0.2, Events: []scenario.Event{
 			{TS: 0.05, Action: "fail", Target: "switch:2", Policy: "requeue"},
 			{TS: 0.1, Action: "repair", Target: "switch:2"},
 			{TS: 0.12, Action: "fail", Target: "node:9"},
 			{TS: 0.15, Action: "repair", Target: "node:9"},
-		}}, func(o *netsim.Options) { o.Lambda, o.RecordSample = 2000, true }),
-		netCase("initial-down", fatTree, &scenario.Spec{HorizonS: 0.1,
+		}}, record),
+		netCase("initial-down", fatTree, 2000, &scenario.Spec{HorizonS: 0.1,
 			InitialDown: []string{"node:4", "switch:3", "spine:0"},
 			Events: []scenario.Event{
 				{TS: 0.02, Action: "repair", Target: "spine:0"},
@@ -214,7 +217,7 @@ func engineCases(t *testing.T) []engineCase {
 				{TS: 0.05, Action: "repair", Target: "node:4"},
 			},
 			Profile: &scenario.ProfileSpec{Kind: "flash", PeakFactor: 2, StartS: 0.01, RampS: 0.01, HoldS: 0.02},
-		}, func(o *netsim.Options) { o.RecordSample = true }),
+		}, record),
 	}
 }
 

@@ -16,10 +16,11 @@
 // A Network is a topology, not an engine: the switch graph, its routing,
 // the map from scenario elements to links, and the workload.System view
 // under which switches play the destination pattern's "clusters".
-// sim.RunTopology simulates it on the cluster model's engine, one
-// sim.Center per link, so warm-up, measurement, workloads, scenarios and
-// the result mean the same in both models (DESIGN.md §3). A Network is
-// built once and only read by its runs, so replications share it.
+// Its runs take the cluster model's sim.Options, and sim.RunTopology
+// simulates it on the cluster model's engine, one sim.Center per link, so
+// warm-up, measurement, service, workloads, scenarios and the result mean
+// the same in both models (DESIGN.md §3). A Network is built once and
+// only read by its runs, so replications share it.
 package netsim
 
 import (
@@ -30,8 +31,6 @@ import (
 	"hmscs/internal/rng"
 	"hmscs/internal/scenario"
 	"hmscs/internal/sim"
-	"hmscs/internal/telemetry"
-	"hmscs/internal/workload"
 )
 
 // Kind labels the modelled topology.
@@ -61,11 +60,10 @@ type Network struct {
 	Tech network.Technology
 	Sw   network.Switch
 
-	// dist is every link's service-time family; links counts the
-	// directed channels, each a FIFO centre indexed by link id. The first
-	// 2N are the host links; the rest are switch-to-switch channels (the
-	// bisection-relevant ones in the linear array).
-	dist  rng.Dist
+	// links counts the directed channels, each a FIFO centre indexed by
+	// link id. The first 2N are the host links; the rest are
+	// switch-to-switch channels (the bisection-relevant ones in the linear
+	// array).
 	links int
 
 	// Topology-specific routing state.
@@ -135,12 +133,12 @@ func (n *Network) ClusterRange(c int) (int, int) {
 	return lo, hi
 }
 
-// newNetwork returns an n-endpoint network of the given kind whose links
-// are served by dist, with its endpoints all on switch 0 until
-// BuildFatTree or BuildLinearArray places them.
-func newNetwork(kind Kind, n, pr int, tech network.Technology, sw network.Switch, dist rng.Dist) *Network {
+// newNetwork returns an n-endpoint network of the given kind, with its
+// endpoints all on switch 0 until BuildFatTree or BuildLinearArray places
+// them.
+func newNetwork(kind Kind, n, pr int, tech network.Technology, sw network.Switch) *Network {
 	return &Network{
-		Kind: kind, N: n, Pr: pr, Tech: tech, Sw: sw, dist: dist,
+		Kind: kind, N: n, Pr: pr, Tech: tech, Sw: sw,
 		leafOf:   make([]int, n),
 		hostUp:   make([]int32, n),
 		hostDown: make([]int32, n),
@@ -158,14 +156,14 @@ func (n *Network) addLink() int32 {
 // and Pr/2 up ports, spines with Pr down ports, every spine wired to every
 // leaf. (All networks of the paper's N=256 platform have d ≤ 2. A single
 // switch, d=1, degenerates to one leaf and no spines.)
-func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch, dist rng.Dist) (*Network, error) {
+func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch) (*Network, error) {
 	if err := validateBuild(n, pr, tech, sw); err != nil {
 		return nil, err
 	}
 	half := pr / 2
 	if n <= pr {
 		// Single switch: hosts hang off one crossbar.
-		net := newNetwork(FatTree, n, pr, tech, sw, dist)
+		net := newNetwork(FatTree, n, pr, tech, sw)
 		net.numLeaves, net.numSpines = 1, 0
 		net.hostsPer = n
 		for e := 0; e < n; e++ {
@@ -180,7 +178,7 @@ func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch, dist rn
 		return nil, fmt.Errorf("netsim: N=%d Pr=%d needs %d leaves > %d spine ports (depth > 2 not supported)",
 			n, pr, numLeaves, pr)
 	}
-	net := newNetwork(FatTree, n, pr, tech, sw, dist)
+	net := newNetwork(FatTree, n, pr, tech, sw)
 	net.numLeaves, net.numSpines = numLeaves, numSpines
 	net.hostsPer = half
 	for e := 0; e < n; e++ {
@@ -206,12 +204,12 @@ func BuildFatTree(n, pr int, tech network.Technology, sw network.Switch, dist rn
 // BuildLinearArray constructs the paper's blocking topology: k = ⌈N/Pr⌉
 // switches in a chain, hosts distributed Pr per switch, one channel per
 // direction between neighbours.
-func BuildLinearArray(n, pr int, tech network.Technology, sw network.Switch, dist rng.Dist) (*Network, error) {
+func BuildLinearArray(n, pr int, tech network.Technology, sw network.Switch) (*Network, error) {
 	if err := validateBuild(n, pr, tech, sw); err != nil {
 		return nil, err
 	}
 	k := ceilDiv(n, pr)
-	net := newNetwork(LinearArray, n, pr, tech, sw, dist)
+	net := newNetwork(LinearArray, n, pr, tech, sw)
 	net.numLeaves = k
 	net.hostsPer = pr
 	for e := 0; e < n; e++ {
@@ -308,42 +306,6 @@ func (n *Network) pickSpine(st *rng.Stream, live []sim.Center) int {
 	panic("netsim: pickSpine ran out of spines")
 }
 
-// Options controls one netsim run.
-type Options struct {
-	// Lambda is the per-endpoint generation rate (msg/s) while idle;
-	// sources block until delivery (the paper's closed-loop assumption).
-	Lambda float64
-	// MsgBytes is every message's length: each link serves a message in
-	// MsgBytes × β on average.
-	MsgBytes int
-	// Workload selects the traffic's arrival process and destination
-	// pattern — the same workload.Generator the system simulator
-	// consumes. The zero value is the paper's workload: Poisson arrivals
-	// at Lambda and uniform destinations.
-	Workload workload.Generator
-	// Warmup and Measured follow the system simulator's semantics.
-	Warmup   int
-	Measured int
-	// Seed drives destination choice and think times.
-	Seed uint64
-	// MaxSimTime caps the simulated clock (0 = no cap).
-	MaxSimTime float64
-	// RecordSample keeps the raw measured latencies for the output-analysis
-	// engine (MSER-5 warmup deletion, batch-means intervals).
-	RecordSample bool
-	// Scenario, when non-nil, turns the run dynamic: endpoint and switch
-	// failures/repairs at event-loop granularity plus a rate profile over
-	// every source. Warmup and Measured are overridden (measurement spans
-	// the whole horizon) and the run never reports TimedOut
-	// (DESIGN.md §11).
-	Scenario *scenario.CompiledSim
-	// Stats, when non-nil, receives one telemetry.SimStats record when
-	// the run finishes — engine event counts and the heap high-water
-	// mark. Purely observational: results are bit-identical with or
-	// without it (DESIGN.md §12).
-	Stats *telemetry.Collector
-}
-
 // leafLinks returns the output ports of leaf/chain switch l — the link
 // queues its crossbar serves: the switch->host channels of its endpoints,
 // its per-spine uplinks (fat-tree), and its inter-switch channels (linear
@@ -366,27 +328,26 @@ func (n *Network) leafLinks(l int) []int32 {
 	return out
 }
 
-// Run executes a closed-loop experiment on the network and returns its
-// result: latency, throughput, the window's sample, switch hops and one
-// Centers entry per link, host links first (see LinkUtilization). Run
-// only reads the network, so concurrent runs may share it.
-func (n *Network) Run(opts Options) (*sim.Result, error) {
-	if !(opts.Lambda > 0) {
-		return nil, fmt.Errorf("netsim: lambda %g must be positive", opts.Lambda)
+// Run executes a closed-loop experiment on the network: every endpoint
+// generates at lambda (msg/s) while idle and blocks until delivery (the
+// paper's closed-loop assumption), every message is msgBytes long, and
+// opts mean what they mean to the cluster model (its ServiceDist serves
+// every link; OpenLoop must be false). It returns latency, throughput,
+// the window's sample, switch hops and one Centers entry per link, host
+// links first (see LinkUtilization). Run only reads the network, so
+// concurrent runs may share it.
+func (n *Network) Run(lambda float64, msgBytes int, opts sim.Options) (*sim.Result, error) {
+	if !(lambda > 0) {
+		return nil, fmt.Errorf("netsim: lambda %g must be positive", lambda)
 	}
-	if opts.MsgBytes < 1 {
-		return nil, fmt.Errorf("netsim: message size %d must be >= 1", opts.MsgBytes)
+	if msgBytes < 1 {
+		return nil, fmt.Errorf("netsim: message size %d must be >= 1", msgBytes)
 	}
-	if opts.Measured < 1 {
+	if opts.MeasuredMessages < 1 {
 		return nil, fmt.Errorf("netsim: need at least 1 measured message")
 	}
-	// Every link serves a message in MsgBytes × β on average.
-	return sim.RunTopology(n, opts.Lambda, float64(opts.MsgBytes)*n.Tech.Beta(), sim.Options{
-		Seed: opts.Seed, WarmupMessages: opts.Warmup, MeasuredMessages: opts.Measured,
-		ServiceDist: n.dist, Arrival: opts.Workload.Arrival, Pattern: opts.Workload.Pattern,
-		RecordSample: opts.RecordSample, MaxSimTime: opts.MaxSimTime,
-		Scenario: opts.Scenario, Stats: opts.Stats,
-	})
+	// Every link serves a message in msgBytes × β on average.
+	return sim.RunTopology(n, lambda, float64(msgBytes)*n.Tech.Beta(), opts)
 }
 
 // LinkUtilization returns the highest utilisation among the host links

@@ -17,10 +17,16 @@ import (
 
 var det = rng.Deterministic{Value: 1}
 
+// detOpts is a run's options with every link serving in exactly its mean
+// time.
+func detOpts(warmup, measured int, seed uint64) sim.Options {
+	return sim.Options{WarmupMessages: warmup, MeasuredMessages: measured, Seed: seed, ServiceDist: det}
+}
+
 func buildFT(t *testing.T, n, pr int) *Network {
 	t.Helper()
 	sw := network.Switch{Ports: pr, Latency: 10e-6}
-	net, err := BuildFatTree(n, pr, network.GigabitEthernet, sw, det)
+	net, err := BuildFatTree(n, pr, network.GigabitEthernet, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +36,7 @@ func buildFT(t *testing.T, n, pr int) *Network {
 func buildLA(t *testing.T, n, pr int) *Network {
 	t.Helper()
 	sw := network.Switch{Ports: pr, Latency: 10e-6}
-	net, err := BuildLinearArray(n, pr, network.GigabitEthernet, sw, det)
+	net, err := BuildLinearArray(n, pr, network.GigabitEthernet, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +94,7 @@ func TestFatTreeRouteHops(t *testing.T) {
 func TestFatTreeDepth3Rejected(t *testing.T) {
 	// N=1024, Pr=8 would need more than two stages.
 	sw := network.Switch{Ports: 8, Latency: 10e-6}
-	if _, err := BuildFatTree(1024, 8, network.GigabitEthernet, sw, det); err == nil {
+	if _, err := BuildFatTree(1024, 8, network.GigabitEthernet, sw); err == nil {
 		t.Fatal("depth-3 fat-tree accepted")
 	}
 }
@@ -138,9 +144,7 @@ func TestLinearArrayMeanHopsMatchesEq19(t *testing.T) {
 	// the two agree to within the conditioning correction.
 	const k = 12.0
 	net := buildLA(t, 96, 8)
-	res, err := net.Run(Options{
-		Lambda: 1, MsgBytes: 64, Warmup: 500, Measured: 20000, Seed: 5,
-	})
+	res, err := net.Run(1, 64, detOpts(500, 20000, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +164,7 @@ func TestFatTreeMeanHops(t *testing.T) {
 	// With 16 nodes on 4 leaves, 3/15 of destinations share the source's
 	// leaf: E[hops] = 1*(3/15) + 3*(12/15) = 2.6.
 	net := buildFT(t, 16, 8)
-	res, err := net.Run(Options{
-		Lambda: 1, MsgBytes: 64, Warmup: 500, Measured: 20000, Seed: 6,
-	})
+	res, err := net.Run(1, 64, detOpts(500, 20000, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +177,7 @@ func TestFatTreeMeanHops(t *testing.T) {
 func TestZeroLoadLatencyMatchesContentionFree(t *testing.T) {
 	for _, build := range []func(*testing.T, int, int) *Network{buildFT, buildLA} {
 		net := build(t, 32, 8)
-		res, err := net.Run(Options{
-			Lambda: 0.1, MsgBytes: 1024, Warmup: 100, Measured: 3000, Seed: 7,
-		})
+		res, err := net.Run(0.1, 1024, detOpts(100, 3000, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,19 +204,19 @@ func TestTheorem1FullBisection(t *testing.T) {
 	// edge links.
 	lambda := 50000.0
 	sw := network.Switch{Ports: pr, Latency: 10e-6}
-	ft, err := BuildFatTree(n, pr, network.FastEthernet, sw, det)
+	ft, err := BuildFatTree(n, pr, network.FastEthernet, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	la, err := BuildLinearArray(n, pr, network.FastEthernet, sw, det)
+	la, err := BuildLinearArray(n, pr, network.FastEthernet, sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ftRes, err := ft.Run(Options{Lambda: lambda, MsgBytes: 1024, Warmup: 1000, Measured: 15000, Seed: 8})
+	ftRes, err := ft.Run(lambda, 1024, detOpts(1000, 15000, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	laRes, err := la.Run(Options{Lambda: lambda, MsgBytes: 1024, Warmup: 1000, Measured: 15000, Seed: 8})
+	laRes, err := la.Run(lambda, 1024, detOpts(1000, 15000, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,28 +246,28 @@ func TestTheorem1FullBisection(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	net := buildFT(t, 8, 8)
-	if _, err := net.Run(Options{Lambda: 0, MsgBytes: 64, Measured: 10}); err == nil {
+	if _, err := net.Run(0, 64, detOpts(0, 10, 0)); err == nil {
 		t.Error("zero lambda accepted")
 	}
 	net = buildFT(t, 8, 8)
-	if _, err := net.Run(Options{Lambda: 1, MsgBytes: 0, Measured: 10}); err == nil {
+	if _, err := net.Run(1, 0, detOpts(0, 10, 0)); err == nil {
 		t.Error("zero message size accepted")
 	}
 	net = buildFT(t, 8, 8)
-	if _, err := net.Run(Options{Lambda: 1, MsgBytes: 64, Measured: 0}); err == nil {
+	if _, err := net.Run(1, 64, detOpts(0, 0, 0)); err == nil {
 		t.Error("zero measured accepted")
 	}
 	net = buildFT(t, 8, 8)
-	if _, err := net.Run(Options{Lambda: 1, MsgBytes: 64, Measured: 10, Warmup: -1}); err == nil {
+	if _, err := net.Run(1, 64, detOpts(-1, 10, 0)); err == nil {
 		t.Error("negative warmup accepted")
 	}
 }
 
 func TestRunMaxSimTime(t *testing.T) {
 	net := buildFT(t, 8, 8)
-	res, err := net.Run(Options{
-		Lambda: 0.001, MsgBytes: 64, Warmup: 0, Measured: 1000000, MaxSimTime: 0.5, Seed: 9,
-	})
+	o := detOpts(0, 1000000, 9)
+	o.MaxSimTime = 0.5
+	res, err := net.Run(0.001, 64, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,13 +278,13 @@ func TestRunMaxSimTime(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	sw := network.Switch{Ports: 8, Latency: 1e-6}
-	if _, err := BuildFatTree(1, 8, network.GigabitEthernet, sw, det); err == nil {
+	if _, err := BuildFatTree(1, 8, network.GigabitEthernet, sw); err == nil {
 		t.Error("1 endpoint accepted")
 	}
-	if _, err := BuildLinearArray(4, 6, network.GigabitEthernet, sw, det); err == nil {
+	if _, err := BuildLinearArray(4, 6, network.GigabitEthernet, sw); err == nil {
 		t.Error("pr/switch-port mismatch accepted")
 	}
-	if _, err := BuildFatTree(4, 8, network.Technology{}, sw, det); err == nil {
+	if _, err := BuildFatTree(4, 8, network.Technology{}, sw); err == nil {
 		t.Error("invalid technology accepted")
 	}
 	if FatTree.String() != "fat-tree" || LinearArray.String() != "linear-array" {
@@ -295,7 +295,7 @@ func TestBuildValidation(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	mk := func() *sim.Result {
 		net := buildFT(t, 16, 8)
-		res, err := net.Run(Options{Lambda: 100, MsgBytes: 256, Warmup: 100, Measured: 2000, Seed: 11})
+		res, err := net.Run(100, 256, detOpts(100, 2000, 11))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,25 +308,21 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestWorkloadZeroValueBitIdentical pins the unification's compatibility
-// contract: the zero-value Workload (Poisson, uniform, fixed size) must be
+// contract: the zero-value workload (Poisson, uniform, fixed size) must be
 // bit-identical to passing the paper's axes explicitly.
 func TestWorkloadZeroValueBitIdentical(t *testing.T) {
-	base := Options{Lambda: 200, MsgBytes: 256, Warmup: 100, Measured: 2000, Seed: 3}
-	runWith := func(w workload.Generator) *sim.Result {
+	runWith := func(arrival workload.Arrival, pattern workload.Pattern) *sim.Result {
 		net := buildFT(t, 16, 8)
-		o := base
-		o.Workload = w
-		res, err := net.Run(o)
+		o := detOpts(100, 2000, 3)
+		o.Arrival, o.Pattern = arrival, pattern
+		res, err := net.Run(200, 256, o)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a := runWith(workload.Generator{})
-	b := runWith(workload.Generator{
-		Arrival: workload.Poisson{},
-		Pattern: workload.Uniform{},
-	})
+	a := runWith(nil, nil)
+	b := runWith(workload.Poisson{}, workload.Uniform{})
 	if a.Latency.Mean() != b.Latency.Mean() || a.Latency.Count() != b.Latency.Count() ||
 		a.Throughput != b.Throughput || a.SwitchHops.Mean() != b.SwitchHops.Mean() {
 		t.Fatal("explicit paper workload differs from zero value")
@@ -361,10 +357,9 @@ func TestNetworkImplementsSystem(t *testing.T) {
 // checks the hot endpoint's downlink dominates.
 func TestHotspotPatternConcentratesLoad(t *testing.T) {
 	net := buildFT(t, 16, 8)
-	res, err := net.Run(Options{
-		Lambda: 500, MsgBytes: 256, Warmup: 200, Measured: 4000, Seed: 4,
-		Workload: workload.Generator{Pattern: workload.Hotspot{Node: 0, Fraction: 0.8}},
-	})
+	o := detOpts(200, 4000, 4)
+	o.Pattern = workload.Hotspot{Node: 0, Fraction: 0.8}
+	res, err := net.Run(500, 256, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,10 +379,9 @@ func TestHotspotPatternConcentratesLoad(t *testing.T) {
 func TestBurstyArrivalsRaiseSwitchLatency(t *testing.T) {
 	run := func(arr workload.Arrival) float64 {
 		net := buildLA(t, 24, 8)
-		res, err := net.Run(Options{
-			Lambda: 1500, MsgBytes: 1024, Warmup: 300, Measured: 4000, Seed: 5,
-			Workload: workload.Generator{Arrival: arr},
-		})
+		o := detOpts(300, 4000, 5)
+		o.Arrival = arr
+		res, err := net.Run(1500, 1024, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -462,10 +456,9 @@ func runNetDyn(t *testing.T, build func(t *testing.T) *Network, spec *scenario.S
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.Run(Options{
-		Lambda: 300, MsgBytes: 256, Measured: 1, Seed: seed,
-		RecordSample: true, Scenario: cn,
-	})
+	o := detOpts(0, 1, seed)
+	o.RecordSample, o.Scenario = true, cn
+	res, err := n.Run(300, 256, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +516,9 @@ func (n *Network) route(st *rng.Stream, src, dst int) ([]int32, int) {
 func TestSharedNetworkConcurrentRuns(t *testing.T) {
 	n := buildLA(t, 40, 8)
 	run := func(seed uint64) *sim.Result {
-		res, err := n.Run(Options{Lambda: 2000, MsgBytes: 512, Warmup: 100, Measured: 1500, Seed: seed, RecordSample: true})
+		o := detOpts(100, 1500, seed)
+		o.RecordSample = true
+		res, err := n.Run(2000, 512, o)
 		if err != nil {
 			t.Error(err)
 		}

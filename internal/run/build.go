@@ -255,25 +255,36 @@ func (e *Experiment) simOptions() (sim.Options, error) {
 	return opts, nil
 }
 
-// NetExperiment is the built form of a netsim experiment: the network
-// factory, the base run options, and the resolved link/switch parameters
-// so callers never re-parse what Build already validated.
+// NetExperiment is the resolved form of a netsim experiment: the
+// network and traffic parameters the runner and renderer read, so they
+// never re-parse what buildNet already validated.
 type NetExperiment struct {
-	// Build constructs the network; every replication runs on one build.
-	Build func() (*netsim.Network, error)
-	// Opts are the base run options (seed taken from the run section).
-	Opts netsim.Options
 	// Tech is the resolved link technology.
 	Tech network.Technology
 	// Switch holds the switch-fabric parameters (ports, latency).
 	Switch network.Switch
-	// Topo, N and Ports are the resolved topology parameters, as Opts'
-	// Lambda and MsgBytes are the traffic's (after a Config resolution
+	// Topo, N and Ports are the resolved topology parameters, Lambda (per
+	// endpoint) and MsgBytes the traffic's: after a Config resolution
 	// they reflect the selected network, not the spec's flag-level
-	// defaults).
-	Topo  string
-	N     int
-	Ports int
+	// defaults.
+	Topo     string
+	N        int
+	Ports    int
+	Lambda   float64
+	MsgBytes int
+	// Arrival is the traffic's arrival process.
+	Arrival workload.Arrival
+}
+
+// network builds the switch graph; every replication runs on one build.
+func (x *NetExperiment) network() (*netsim.Network, error) {
+	switch x.Topo {
+	case "fat-tree":
+		return netsim.BuildFatTree(x.N, x.Ports, x.Tech, x.Switch)
+	case "linear-array":
+		return netsim.BuildLinearArray(x.N, x.Ports, x.Tech, x.Switch)
+	}
+	return nil, fmt.Errorf("run: unknown topology %q", x.Topo)
 }
 
 // resolveConfig maps one communication network of a core.Config onto the
@@ -328,60 +339,40 @@ func (n *NetSpec) resolveConfig() (*network.Technology, error) {
 	return &tech, nil
 }
 
-// buildNet converts the netsim sections into a ready-to-run experiment.
-func (e *Experiment) buildNet() (*NetExperiment, error) {
+// buildNet converts the netsim sections into the resolved experiment and
+// the base options of its replications: the cluster model's
+// (simOptions), always closed-loop, since the switch-level engine has no
+// open-loop mode and a spec's run.open does not apply to it.
+func (e *Experiment) buildNet() (*NetExperiment, sim.Options, error) {
 	n := e.Net
 	var technology network.Technology
 	var sw network.Switch
 	if n.Config != nil {
 		resolved, err := n.resolveConfig()
 		if err != nil {
-			return nil, err
+			return nil, sim.Options{}, err
 		}
 		technology, sw = *resolved, n.Config.Switch
 	} else {
 		var err error
 		if technology, err = network.TechnologyByName(n.Tech); err != nil {
-			return nil, err
+			return nil, sim.Options{}, err
 		}
 		sw = network.Switch{Ports: n.Ports, Latency: n.SwLatUS / 1e6}
 	}
-	dist, err := ParseService(e.Workload.Service)
+	opts, err := e.simOptions()
 	if err != nil {
-		return nil, err
+		return nil, sim.Options{}, err
 	}
-	pattern, err := ParsePattern(e.Workload.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	arrival, err := e.Workload.BuildArrival()
-	if err != nil {
-		return nil, err
-	}
-	topo := n.Topo
-	nEnd, ports := n.N, n.Ports
+	opts.OpenLoop = false
 	return &NetExperiment{
-		Build: func() (*netsim.Network, error) {
-			switch topo {
-			case "fat-tree":
-				return netsim.BuildFatTree(nEnd, ports, technology, sw, dist)
-			case "linear-array":
-				return netsim.BuildLinearArray(nEnd, ports, technology, sw, dist)
-			}
-			return nil, fmt.Errorf("run: unknown topology %q", topo)
-		},
-		Opts: netsim.Options{
-			Lambda:   n.Lambda,
-			MsgBytes: n.MsgBytes,
-			Warmup:   e.Run.Warmup,
-			Measured: e.Run.Messages,
-			Seed:     e.Run.Seed,
-			Workload: workload.Generator{Arrival: arrival, Pattern: pattern},
-		},
-		Tech:   technology,
-		Switch: sw,
-		Topo:   n.Topo,
-		N:      n.N,
-		Ports:  n.Ports,
-	}, nil
+		Tech:     technology,
+		Switch:   sw,
+		Topo:     n.Topo,
+		N:        n.N,
+		Ports:    n.Ports,
+		Lambda:   n.Lambda,
+		MsgBytes: n.MsgBytes,
+		Arrival:  opts.Arrival,
+	}, opts, nil
 }

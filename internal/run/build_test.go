@@ -185,22 +185,26 @@ func TestNetBuild(t *testing.T) {
 	e.Net.Tech = "FE"
 	e.Workload.Pattern = "hotspot:0.3"
 	e.Workload.Arrival = "periodic"
-	exp, err := e.buildNet()
+	e.Run.Open = true
+	exp, opts, err := e.buildNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := exp.Build()
+	net, err := exp.network()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if net.Kind.String() != "linear-array" || net.N != 24 {
 		t.Fatalf("built %s N=%d", net.Kind, net.N)
 	}
-	if exp.Opts.Workload.Arrival.Name() != "periodic" {
-		t.Fatalf("netsim arrival = %s", exp.Opts.Workload.Arrival.Name())
+	if exp.Arrival.Name() != "periodic" || opts.Arrival.Name() != "periodic" {
+		t.Fatalf("netsim arrival = %s / %s", exp.Arrival.Name(), opts.Arrival.Name())
 	}
-	if exp.Opts.Workload.Pattern.Name() != "hotspot(node=0,p=0.30)" {
-		t.Fatalf("netsim pattern = %s", exp.Opts.Workload.Pattern.Name())
+	if opts.Pattern.Name() != "hotspot(node=0,p=0.30)" {
+		t.Fatalf("netsim pattern = %s", opts.Pattern.Name())
+	}
+	if opts.OpenLoop {
+		t.Fatal("netsim options are open-loop")
 	}
 	if exp.Tech.Name != "FastEthernet" || exp.Switch.Ports != 8 {
 		t.Fatalf("resolved tech/switch wrong: %s / %d ports", exp.Tech.Name, exp.Switch.Ports)
@@ -216,18 +220,18 @@ func TestNetBuildRejectsBadValues(t *testing.T) {
 	} {
 		e := NewExperiment(KindNetsim)
 		mutate(e)
-		if _, err := e.buildNet(); err == nil {
+		if _, _, err := e.buildNet(); err == nil {
 			t.Errorf("mutated netsim spec accepted: %+v %+v", e.Net, e.Workload)
 		}
 	}
-	// The topology is validated lazily by the build closure.
+	// The topology is validated when the network is built.
 	e := NewExperiment(KindNetsim)
 	e.Net.Topo = "torus"
-	exp, err := e.buildNet()
+	exp, _, err := e.buildNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exp.Build(); err == nil {
+	if _, err := exp.network(); err == nil {
 		t.Error("bad topology accepted")
 	}
 }
@@ -266,7 +270,7 @@ func TestNetConfigResolution(t *testing.T) {
 		e.Net.Config = cfg
 		e.Net.Net = tc.net
 		e.Net.Cluster = tc.cluster
-		exp, err := e.buildNet()
+		exp, _, err := e.buildNet()
 		if err != nil {
 			t.Fatalf("%s[%d]: %v", tc.net, tc.cluster, err)
 		}
@@ -277,10 +281,10 @@ func TestNetConfigResolution(t *testing.T) {
 			t.Errorf("%s[%d]: %d endpoints, want %d", tc.net, tc.cluster, exp.N, tc.endpoints)
 		}
 		want := tc.rate / float64(tc.endpoints)
-		if math.Abs(exp.Opts.Lambda-want) > 1e-9*want {
-			t.Errorf("%s[%d]: per-endpoint λ %g, want %g", tc.net, tc.cluster, exp.Opts.Lambda, want)
+		if math.Abs(exp.Lambda-want) > 1e-9*want {
+			t.Errorf("%s[%d]: per-endpoint λ %g, want %g", tc.net, tc.cluster, exp.Lambda, want)
 		}
-		if exp.Opts.MsgBytes != 512 || exp.Switch.Ports != cfg.Switch.Ports {
+		if exp.MsgBytes != 512 || exp.Switch.Ports != cfg.Switch.Ports {
 			t.Errorf("%s[%d]: message/switch parameters not resolved", tc.net, tc.cluster)
 		}
 		if exp.Topo != "fat-tree" {
@@ -340,11 +344,11 @@ func TestNetConfigKeepsSwitch(t *testing.T) {
 	cfg.Switch = network.Switch{Ports: 16, Latency: 1.6729663442585624e-05}
 	e := NewExperiment(KindNetsim)
 	e.Net.Config = cfg
-	exp, err := e.buildNet()
+	exp, _, err := e.buildNet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := exp.Build()
+	net, err := exp.network()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +375,7 @@ func TestNetConfigErrors(t *testing.T) {
 		e.Net.Config = tc.config
 		e.Net.Net = tc.net
 		e.Net.Cluster = tc.cluster
-		if _, err := e.buildNet(); err == nil {
+		if _, _, err := e.buildNet(); err == nil {
 			t.Errorf("config %v net %q cluster %d accepted", tc.config, tc.net, tc.cluster)
 		}
 	}

@@ -66,6 +66,27 @@ func TestNetsimGolden(t *testing.T) {
 	}
 }
 
+// TestNetsimIgnoresOpenLoop: the switch-level engine is closed-loop
+// only, so a netsim spec asking for run.open runs closed-loop in every
+// mode, and its report is byte-identical to the same spec without it.
+func TestNetsimIgnoresOpenLoop(t *testing.T) {
+	for _, c := range netsimGoldenCases {
+		var reports [2]string
+		for i, open := range []bool{false, true} {
+			e := loadNetsimSpec(t, c.spec, c.relWidth)
+			e.Run.Open = open
+			var md strings.Builder
+			if _, err := Run(context.Background(), e, Options{Sinks: []Sink{NewMarkdownSink(&md)}}); err != nil {
+				t.Fatalf("%s with run.open %v: %v", c.name, open, err)
+			}
+			reports[i] = md.String()
+		}
+		if reports[0] != reports[1] {
+			t.Errorf("%s: run.open moved the report:\n%s\nvs\n%s", c.name, reports[0], reports[1])
+		}
+	}
+}
+
 // TestNetsimPrecisionParallelBitIdentical pins the adaptive schedule: a
 // target tight enough to need more than the pilot round stops at the
 // same replication count with the same half-width, bit for bit, at

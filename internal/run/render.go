@@ -172,8 +172,7 @@ func renderNetsim(w io.Writer, o *Outcome) error {
 	n := o.Net
 	exp := n.Exp
 	fmt.Fprintf(w, "%s: %d endpoints, %d-port switches, %s, λ=%.6g msg/s, M=%dB, %s arrivals\n",
-		exp.Topo, exp.N, exp.Ports, exp.Tech.Name, exp.Opts.Lambda, exp.Opts.MsgBytes,
-		exp.Opts.Workload.Arrival.Name())
+		exp.Topo, exp.N, exp.Ports, exp.Tech.Name, exp.Lambda, exp.MsgBytes, exp.Arrival.Name())
 
 	res := n.Res
 	var rows [][2]string

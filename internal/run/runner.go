@@ -437,8 +437,8 @@ func runNetsim(ctx context.Context, p *Program, opts Options, em *emitter) (*Net
 	if err != nil {
 		return nil, err
 	}
-	out.ModelServiceTime = model.MeanServiceTime(exp.Opts.MsgBytes)
-	mm1, err := queueing.NewMM1(out.Res.Throughput, model.ServiceRate(exp.Opts.MsgBytes))
+	out.ModelServiceTime = model.MeanServiceTime(exp.MsgBytes)
+	mm1, err := queueing.NewMM1(out.Res.Throughput, model.ServiceRate(exp.MsgBytes))
 	if err != nil {
 		return nil, err
 	}

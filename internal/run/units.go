@@ -53,9 +53,9 @@ type UnitStage struct {
 	// derives via sim.ReplicationOptions's adaptive transform.
 	Precision bool
 	// Engine runs one derived unit: nil is the system simulator (sim.Run);
-	// the netsim stage's builds the switch graph at the unit's seed and
-	// runs it. Local runs, the fleet's workers and its local fallback all
-	// execute a stage's units through it.
+	// the netsim stage's runs it on the stage's one switch graph. Local
+	// runs, the fleet's workers and its local fallback all execute a
+	// stage's units through it.
 	Engine sim.UnitFunc
 
 	// batch is the sweep or figure kind's one derivation (Units are its
@@ -75,9 +75,9 @@ type UnitStage struct {
 }
 
 // Unit derives one (point, rep) unit's configuration and fully resolved
-// simulation options. Stage units never carry execution-side
-// attachments (Stats, Profile); the stage's Engine on the result is the
-// unit's reference semantics.
+// simulation options. Stage units never carry the execution-side Stats
+// collector; the stage's Engine on the result is the unit's reference
+// semantics.
 func (s *UnitStage) Unit(point, rep int) (*core.Config, sim.Options, error) {
 	if point < 0 || point >= len(s.Units) {
 		return nil, sim.Options{}, fmt.Errorf("run: stage %q has %d points, not %d", s.Name, len(s.Units), point)
@@ -382,14 +382,14 @@ func (p *Program) buildVerify(ctx context.Context, parallelism int) (*UnitStage,
 }
 
 // buildNetsim is the netsim kind's replication batch: one unit over the
-// base seed and run window, whose Engine runs each replication on the
-// stage's one network (a Network is only read by its runs). A stationary
-// fixed run is one replication; a scenario run is run.reps replications
-// of the timeline, compiled once against the network, which also gives
-// the contention-free reference.
+// base options, whose Engine runs each replication on the stage's one
+// network (a Network is only read by its runs). A stationary fixed run is
+// one replication; a scenario run is run.reps replications of the
+// timeline, compiled once against the network, which also gives the
+// contention-free reference.
 func (p *Program) buildNetsim() (*UnitStage, error) {
 	e := p.spec
-	exp, err := e.buildNet()
+	exp, opts, err := e.buildNet()
 	if err != nil {
 		return nil, err
 	}
@@ -397,32 +397,24 @@ func (p *Program) buildNetsim() (*UnitStage, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := exp.Build()
+	net, err := exp.network()
 	if err != nil {
 		return nil, err
 	}
-	unit := sim.Unit{Opts: sim.Options{
-		Seed: exp.Opts.Seed, WarmupMessages: exp.Opts.Warmup, MeasuredMessages: exp.Opts.Measured,
-	}}
-	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: net.ContentionFreeLatency(exp.Opts.MsgBytes), links: net.Links()}
-	var cn *scenario.CompiledSim
+	st := &UnitStage{Name: StageNetsim, Reps: 1, net: exp, contentionFree: net.ContentionFreeLatency(exp.MsgBytes), links: net.Links()}
 	switch {
 	case prec != nil:
 		st.Reps, st.Precision = 0, true
 	case e.Scenario != nil:
-		if cn, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
+		if opts.Scenario, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
 			return nil, err
 		}
-		unit.Window = &cn.Window
-		unit.Opts.RecordSample = true
+		opts.RecordSample = true
 		st.Reps = e.Run.Reps
 	}
-	st.Units = []sim.Unit{unit}
+	st.Units = []sim.Unit{{Opts: opts}}
 	st.Engine = func(_ context.Context, _, _ int, _ *core.Config, o sim.Options) (*sim.Result, error) {
-		no := exp.Opts
-		no.Seed, no.Warmup, no.Measured = o.Seed, o.WarmupMessages, o.MeasuredMessages
-		no.RecordSample, no.Stats, no.Scenario = o.RecordSample, o.Stats, cn
-		return net.Run(no)
+		return net.Run(exp.Lambda, exp.MsgBytes, o)
 	}
 	return st, nil
 }

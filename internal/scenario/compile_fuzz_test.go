@@ -119,13 +119,13 @@ func FuzzScenarioCompile(f *testing.F) {
 	if err := cfg.Validate(); err != nil {
 		f.Fatal(err)
 	}
-	builds := []func(dist rng.Dist) (*netsim.Network, error){
-		func(dist rng.Dist) (*netsim.Network, error) {
-			return netsim.BuildFatTree(8, 4, network.GigabitEthernet, sw, dist)
-		},
-		func(dist rng.Dist) (*netsim.Network, error) {
-			return netsim.BuildLinearArray(8, 4, network.GigabitEthernet, sw, dist)
-		},
+	fatTree, err := netsim.BuildFatTree(8, 4, network.GigabitEthernet, sw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	linear, err := netsim.BuildLinearArray(8, 4, network.GigabitEthernet, sw)
+	if err != nil {
+		f.Fatal(err)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -159,18 +159,14 @@ func FuzzScenarioCompile(f *testing.F) {
 			}
 		}
 
-		for _, build := range builds {
-			n, err := build(dist)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, n := range []*netsim.Network{fatTree, linear} {
 			cn, err := scenario.CompileNet(spec, n.Topo())
 			if err != nil {
 				continue
 			}
-			if _, err := n.Run(netsim.Options{
-				Lambda: 5000, MsgBytes: 4096, Measured: 1, Seed: uint64(len(data)),
-				Workload: workload.Generator{Arrival: arrival}, Scenario: cn,
+			if _, err := n.Run(5000, 4096, sim.Options{
+				MeasuredMessages: 1, Seed: uint64(len(data)),
+				ServiceDist: dist, Arrival: arrival, Scenario: cn,
 			}); err != nil {
 				t.Fatalf("netsim %s: compiled timeline %+v failed to run: %v", n.Kind, spec, err)
 			}

@@ -117,6 +117,7 @@ func (j *Job) Cancel() {
 		j.finishLocked(StatusCancelled, "")
 		j.mu.Unlock()
 		j.cancel()
+		j.store.end(j)
 		return
 	}
 	j.mu.Unlock()
@@ -265,6 +266,7 @@ func (j *Job) finish(status Status, errMsg string, result []byte) {
 	j.finishLocked(status, errMsg)
 	j.mu.Unlock()
 	j.store.notify(j)
+	j.store.end(j)
 }
 
 func (j *Job) finishLocked(status Status, errMsg string) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -13,14 +14,28 @@ import (
 // listed in creation order, fetched by ID, and observed through Watch
 // channels that receive a JobInfo snapshot on every status transition
 // and event append — the northbound feed a dashboard or a distributed
-// sweep coordinator would consume.
+// sweep coordinator would consume. It keeps every queued and running
+// job and the maxTerminalJobs that ended last; an evicted job's ID is
+// unknown from then on.
 type Store struct {
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// order holds the retained jobs in creation order; ended holds the
+	// terminal ones in the order they ended.
+	order    []*Job
+	ended    []*Job
 	nextID   int
 	watchers map[chan JobInfo]struct{}
 }
+
+// maxTerminalJobs bounds the finished jobs a store retains. Each one
+// holds its event stream and report, so without a bound a resident
+// server's memory grows with its request count. A client reads a job
+// soon after it ends, and resubmitting the spec replays it from the
+// outcome cache, so only the recent ones are worth keeping; 1024 is the
+// default queue depth, so a full queue of jobs stays readable after all
+// of it finishes.
+const maxTerminalJobs = 1024
 
 // NewStore returns an empty job store.
 func NewStore() *Store {
@@ -54,7 +69,10 @@ func (st *Store) add(spec *run.Experiment, hash string, ctx context.Context, can
 		j.finished = j.created
 	}
 	st.jobs[j.id] = j
-	st.order = append(st.order, j.id)
+	st.order = append(st.order, j)
+	if cached != nil {
+		st.endLocked(j)
+	}
 	st.mu.Unlock()
 	st.notify(j)
 	return j
@@ -68,17 +86,40 @@ func (st *Store) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// List snapshots every job's info in creation order.
+// List snapshots every retained job's info in creation order.
 func (st *Store) List() []JobInfo {
 	st.mu.Lock()
-	ids := append([]string(nil), st.order...)
+	jobs := slices.Clone(st.order)
 	st.mu.Unlock()
-	infos := make([]JobInfo, len(ids))
-	for i, id := range ids {
-		j, _ := st.Get(id)
+	infos := make([]JobInfo, len(jobs))
+	for i, j := range jobs {
 		infos[i] = j.Info()
 	}
 	return infos
+}
+
+// end records that j reached a terminal status; each job ends once.
+func (st *Store) end(j *Job) {
+	st.mu.Lock()
+	st.endLocked(j)
+	st.mu.Unlock()
+}
+
+// endLocked records j's end and evicts the job that ended first once
+// more than maxTerminalJobs are retained. Queued and running jobs are
+// never evicted.
+func (st *Store) endLocked(j *Job) {
+	st.ended = append(st.ended, j)
+	if len(st.ended) <= maxTerminalJobs {
+		return
+	}
+	old := st.ended[0]
+	st.ended[0] = nil // the backing array must not keep it alive
+	st.ended = st.ended[1:]
+	delete(st.jobs, old.id)
+	if i := slices.Index(st.order, old); i >= 0 {
+		st.order = slices.Delete(st.order, i, i+1)
+	}
 }
 
 // Watch returns a channel of job snapshots, one per transition or event

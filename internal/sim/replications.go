@@ -104,9 +104,10 @@ type Unit struct {
 	// Wrap, when non-nil, decorates simulation errors with unit context.
 	Wrap func(error) error
 	// Window, when non-nil, is the transient window RunBatchCtx folds
-	// the unit's sample series over, in place of its Opts.Scenario's: the
-	// window of a timeline an engine other than Run compiled itself, or
-	// one judged against another latency objective.
+	// the unit's sample series over, in place of its Opts.Scenario's. Its
+	// one user is the plan kind's scenario check
+	// (plan.VerifyScenarioCtx), which judges a timeline without a latency
+	// objective of its own against the plan SLO's budget.
 	Window *scenario.Window
 }
 

@@ -83,49 +83,51 @@ func DefaultOptions() Options {
 
 // CenterStats reports one centre's simulation statistics.
 type CenterStats struct {
-	Name            string
-	Utilization     float64
-	MeanQueueLength float64
-	MaxQueueLength  float64
-	Served          int64
+	Name            string  `json:"name"`
+	Utilization     float64 `json:"utilization"`
+	MeanQueueLength float64 `json:"mean_qlen"`
+	MaxQueueLength  float64 `json:"max_qlen"`
+	Served          int64   `json:"served"`
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run. Its JSON form is the
+// worker fleet's wire format (internal/dist): exact, so a decoded result
+// is bit-identical to the encoded one.
 type Result struct {
 	// Latency accumulates the measured message latencies (seconds).
-	Latency stats.Welford
+	Latency stats.Welford `json:"latency"`
 	// Sample holds raw latencies when Options.RecordSample is set.
-	Sample []float64
-	// SimTime is the simulated clock at the end of the run.
-	SimTime float64
-	// Generated counts every message created; Measured counts recorded ones.
-	Generated int64
-	Measured  int64
-	// Throughput is the measured completion rate (msg/s) over the
-	// measurement window.
-	Throughput float64
-	// EffectiveLambda is Throughput divided by the processor count: the
-	// realised per-processor rate, comparable to the model's λ_eff.
-	EffectiveLambda float64
-	// Centers holds per-centre statistics in the order ICN1[0..C),
-	// ECN1[0..C), ICN2; the switch-level simulator's hold one per link,
-	// its 2N host links first.
-	Centers []CenterStats
-	// TimedOut reports that MaxSimTime stopped the run early.
-	TimedOut bool
+	Sample []float64 `json:"sample,omitempty"`
 	// SampleTimes holds the absolute completion time of every Sample entry
 	// in scenario runs with RecordSample (the transient estimator slices
 	// latencies by completion time); empty in stationary runs.
-	SampleTimes []float64
+	SampleTimes []float64 `json:"sample_times,omitempty"`
+	// SimTime is the simulated clock at the end of the run.
+	SimTime float64 `json:"sim_time"`
+	// Generated counts every message created; Measured counts recorded ones.
+	Generated int64 `json:"generated"`
+	Measured  int64 `json:"measured"`
+	// Throughput is the measured completion rate (msg/s) over the
+	// measurement window.
+	Throughput float64 `json:"throughput"`
+	// EffectiveLambda is Throughput divided by the processor count: the
+	// realised per-processor rate, comparable to the model's λ_eff.
+	EffectiveLambda float64 `json:"effective_lambda"`
+	// Centers holds per-centre statistics in the order ICN1[0..C),
+	// ECN1[0..C), ICN2; the switch-level simulator's hold one per link,
+	// its 2N host links first.
+	Centers []CenterStats `json:"centers,omitempty"`
+	// TimedOut reports that MaxSimTime stopped the run early.
+	TimedOut bool `json:"timed_out,omitempty"`
 	// Dropped and Rerouted count messages hit by a failure's in-flight
 	// policy in scenario runs: dropped ones vanish (their closed-loop
 	// sources are released), rerouted ones detour over the surviving path.
-	Dropped  int64
-	Rerouted int64
+	Dropped  int64 `json:"dropped,omitempty"`
+	Rerouted int64 `json:"rerouted,omitempty"`
 	// SwitchHops accumulates the switches each measured message crossed,
 	// comparable to 2d−1 (fat-tree) and (k+1)/3 (linear array); only the
 	// switch-level simulator fills it.
-	SwitchHops stats.Welford
+	SwitchHops stats.Welford `json:"switch_hops"`
 }
 
 // MeanLatency returns the measured mean message latency in seconds.

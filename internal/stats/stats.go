@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -65,10 +66,10 @@ func (w *Welford) Merge(o *Welford) {
 func (w *Welford) Count() int64 { return w.n }
 
 // WelfordState is a Welford accumulator's exact internal state, exposed
-// for serialisation: a distributed worker ships its per-replication
-// accumulator over the wire and the coordinator restores it bit for bit
-// (Go's JSON float64 round-trip is exact), so merged results are
-// byte-identical to a local run.
+// for serialisation and as the accumulator's JSON form: a distributed
+// worker ships its per-replication accumulators over the wire and the
+// coordinator restores them bit for bit (Go's JSON float64 round-trip is
+// exact), so merged results are byte-identical to a local run.
 type WelfordState struct {
 	N    int64   `json:"n"`
 	Mean float64 `json:"mean"`
@@ -85,6 +86,20 @@ func (w *Welford) State() WelfordState {
 // RestoreWelford reconstructs an accumulator from a captured state.
 func RestoreWelford(s WelfordState) Welford {
 	return Welford{n: s.N, mean: s.Mean, m2: s.M2, min: s.Min, max: s.Max}
+}
+
+// MarshalJSON encodes the accumulator as its WelfordState, which
+// UnmarshalJSON restores bit for bit.
+func (w Welford) MarshalJSON() ([]byte, error) { return json.Marshal(w.State()) }
+
+// UnmarshalJSON restores an accumulator from its encoded WelfordState.
+func (w *Welford) UnmarshalJSON(data []byte) error {
+	var s WelfordState
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	*w = RestoreWelford(s)
+	return nil
 }
 
 // Mean returns the sample mean, or NaN when empty.

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,40 @@ func TestWelfordMergeEmpty(t *testing.T) {
 	b.Merge(&a) // merging into empty must copy
 	if b.Mean() != mean || b.Count() != 2 {
 		t.Fatal("merge into empty did not copy")
+	}
+}
+
+// TestWelfordJSONExact: an accumulator's JSON is its WelfordState, by
+// value or by pointer, and decodes to the same state bit for bit,
+// signed zero included.
+func TestWelfordJSONExact(t *testing.T) {
+	var w Welford
+	for _, x := range []float64{math.Copysign(0, -1), 1.0 / 3, 5e-324, 2.5e100} {
+		w.Add(x)
+	}
+	want, err := json.Marshal(w.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byValue, err := json.Marshal(struct{ W Welford }{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(byValue) != `{"W":`+string(want)+`}` {
+		t.Fatalf("by value: %s, want the state %s", byValue, want)
+	}
+	var back Welford
+	if err := json.Unmarshal(want, &back); err != nil {
+		t.Fatal(err)
+	}
+	a, b := w.State(), back.State()
+	for i, pair := range [][2]float64{{a.Mean, b.Mean}, {a.M2, b.M2}, {a.Min, b.Min}, {a.Max, b.Max}} {
+		if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+			t.Errorf("field %d: %v decoded as %v", i, pair[0], pair[1])
+		}
+	}
+	if a.N != b.N {
+		t.Errorf("count %d decoded as %d", a.N, b.N)
 	}
 }
 
