@@ -7,13 +7,12 @@ import (
 	"time"
 
 	"hmscs/internal/run"
-	"hmscs/internal/telemetry"
 )
 
 // Status is a job's lifecycle state. Jobs move queued → running →
 // done/failed, with cancelled reachable from queued and running (via
 // DELETE /jobs/{id}, a client disconnect that cancels, or server
-// shutdown).
+// shutdown); a cache hit is born done. Job.transition makes each move.
 type Status string
 
 // The job statuses.
@@ -73,8 +72,8 @@ type JobResources struct {
 // Job is one submitted experiment tracked by the store: its normalized
 // spec, lifecycle status, buffered progress-event lines (the JSONL
 // stream a local -emit would have produced, replayable from the start
-// at any time), and the rendered result. All mutators notify the job's
-// event watchers and the store's status watchers.
+// at any time), and the rendered result. Its two mutators, transition
+// and appendEvent, notify the job's subscribers and the store's watchers.
 type Job struct {
 	id     string
 	hash   string
@@ -112,15 +111,7 @@ func (j *Job) Spec() *run.Experiment { return j.spec }
 // between replication units and the worker marks it cancelled).
 // Terminal jobs are left untouched.
 func (j *Job) Cancel() {
-	j.mu.Lock()
-	if j.status == StatusQueued {
-		j.finishLocked(StatusCancelled, "")
-		j.mu.Unlock()
-		j.cancel()
-		j.store.end(j)
-		return
-	}
-	j.mu.Unlock()
+	j.transition(StatusQueued, StatusCancelled, "", nil, nil)
 	j.cancel()
 }
 
@@ -128,6 +119,11 @@ func (j *Job) Cancel() {
 func (j *Job) Info() JobInfo {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.infoLocked()
+}
+
+// infoLocked builds the snapshot; callers hold j.mu.
+func (j *Job) infoLocked() JobInfo {
 	info := JobInfo{
 		ID:        j.id,
 		Kind:      j.spec.Kind,
@@ -151,24 +147,6 @@ func (j *Job) Info() JobInfo {
 		info.Resources = &r
 	}
 	return info
-}
-
-// setResources records the run's engine accounting from its telemetry
-// section; the worker calls it before the terminal transition.
-func (j *Job) setResources(t *telemetry.RunStats) {
-	if t == nil {
-		return
-	}
-	r := &JobResources{
-		WallSeconds:     t.WallSeconds,
-		SimEvents:       t.Sim.Events,
-		EventsPerSecond: t.EventsPerSecond(),
-		Generated:       t.Sim.Generated,
-		Replications:    t.Replications,
-	}
-	j.mu.Lock()
-	j.resources = r
-	j.mu.Unlock()
 }
 
 // Status returns the job's current lifecycle state.
@@ -231,49 +209,51 @@ func (j *Job) notifyLocked() {
 // appendEvent buffers one complete JSONL event line.
 func (j *Job) appendEvent(line []byte) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	j.events = append(j.events, line)
 	j.notifyLocked()
-	j.mu.Unlock()
-	j.store.notify(j)
+	j.store.notify(j.infoLocked)
 }
 
-// setRunning marks the job started; it reports false when the job is
-// already terminal (cancelled while queued), in which case the worker
-// must skip it.
-func (j *Job) setRunning() bool {
+// transition is the one place a job's status changes. It moves the job
+// from status from to status to and reports whether it did: every edge
+// of the lifecycle has one source status, so a change that lost a race
+// (a DELETE meeting the worker's start, a second terminal transition)
+// finds the job elsewhere and is a no-op. From "" the job is born, into
+// queued or, for a cache hit, straight into done. A legal change stamps
+// its time, and a terminal one records the failure message, the report
+// and the resources of the run's outcome. Then, in this order, it wakes
+// the job's subscribers and hands the job to Store.record, which
+// registers a birth, publishes one snapshot to the store's watchers,
+// records a terminal job's end for retention and bumps its counter. The
+// job lock is held throughout and the store's is taken inside it, never
+// the reverse, so every watcher sees each job's snapshots in transition
+// order with the terminal one last. Stage timestamps belong here too.
+func (j *Job) transition(from, to Status, errMsg string, result []byte, out *run.Outcome) bool {
 	j.mu.Lock()
-	if j.status.Terminal() {
-		j.mu.Unlock()
+	defer j.mu.Unlock()
+	if j.status != from {
 		return false
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.notifyLocked()
-	j.mu.Unlock()
-	j.store.notify(j)
-	return true
-}
-
-// finish records the terminal transition with the rendered result (done
-// only) or failure message.
-func (j *Job) finish(status Status, errMsg string, result []byte) {
-	j.mu.Lock()
-	if j.status.Terminal() {
-		j.mu.Unlock()
-		return
+	j.status = to
+	switch now := time.Now(); {
+	case to == StatusRunning:
+		j.started = now
+	case to.Terminal():
+		j.finished, j.err, j.result = now, errMsg, result
+		if out != nil && out.Telemetry != nil {
+			t := out.Telemetry
+			j.resources = &JobResources{
+				WallSeconds:     t.WallSeconds,
+				SimEvents:       t.Sim.Events,
+				EventsPerSecond: t.EventsPerSecond(),
+				Generated:       t.Sim.Generated,
+				Replications:    t.Replications,
+			}
+		}
 	}
-	j.result = result
-	j.finishLocked(status, errMsg)
-	j.mu.Unlock()
-	j.store.notify(j)
-	j.store.end(j)
-}
-
-func (j *Job) finishLocked(status Status, errMsg string) {
-	j.status = status
-	j.err = errMsg
-	j.finished = time.Now()
 	j.notifyLocked()
+	return j.store.record(j, from, to)
 }
 
 // eventLog adapts the job's append-only event buffer to the io.Writer

@@ -118,9 +118,6 @@ type Server struct {
 	dist *dist.Coordinator
 
 	jobsSubmitted  *telemetry.Counter
-	jobsDone       *telemetry.Counter
-	jobsFailed     *telemetry.Counter
-	jobsCancelled  *telemetry.Counter
 	cacheHits      *telemetry.Counter
 	cacheMisses    *telemetry.Counter
 	cacheEvictions *telemetry.Counter
@@ -144,6 +141,7 @@ func New(cfg Config) *Server {
 		col:     telemetry.NewCollector(),
 		dist:    dist.NewCoordinator(cfg.DistLeaseTTL),
 	}
+	s.store.queue = s.queue
 	s.registerMetrics()
 	for i := 0; i < cfg.MaxJobs; i++ {
 		s.wg.Add(1)
@@ -153,8 +151,9 @@ func New(cfg Config) *Server {
 }
 
 // registerMetrics declares the /metrics surface. Registration order is
-// render order (docs/OBSERVABILITY.md documents every name). Lifecycle
-// counters are written by the scheduler; the sim/pool families are
+// render order (docs/OBSERVABILITY.md documents every name). The
+// terminal counters are bumped by the store's half of a job's
+// transition, the rest by the scheduler; the sim/pool families are
 // scrape-time reads of the server Collector and the process-wide pool
 // counters, so a scrape never blocks a running job.
 func (s *Server) registerMetrics() {
@@ -162,9 +161,11 @@ func (s *Server) registerMetrics() {
 	r.GaugeFunc("hmscs_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.started).Seconds() })
 	s.jobsSubmitted = r.Counter("hmscs_jobs_submitted_total", "Jobs accepted by POST /jobs, including cache hits.")
-	s.jobsDone = r.Counter("hmscs_jobs_done_total", "Jobs that finished successfully (cache hits excluded).")
-	s.jobsFailed = r.Counter("hmscs_jobs_failed_total", "Jobs that finished with an error.")
-	s.jobsCancelled = r.Counter("hmscs_jobs_cancelled_total", "Jobs cancelled while queued or running.")
+	s.store.counters = map[Status]*telemetry.Counter{
+		StatusDone:      r.Counter("hmscs_jobs_done_total", "Jobs that finished successfully (cache hits excluded)."),
+		StatusFailed:    r.Counter("hmscs_jobs_failed_total", "Jobs that finished with an error."),
+		StatusCancelled: r.Counter("hmscs_jobs_cancelled_total", "Jobs cancelled while queued or running, shutdown's drain included."),
+	}
 	r.GaugeFunc("hmscs_jobs_running", "Jobs currently executing.",
 		func() float64 { return float64(s.running.Load()) })
 	r.GaugeFunc("hmscs_queue_depth", "Jobs waiting in the submission queue.",
@@ -263,7 +264,8 @@ func (s *Server) Submit(e *run.Experiment) (*Job, error) {
 	if entry != nil {
 		s.jobsSubmitted.Inc()
 		s.cacheHits.Inc()
-		return s.store.add(spec, hash, nil, func() {}, entry), nil
+		job, _ := s.store.add(spec, hash, nil, func() {}, entry)
+		return job, nil
 	}
 	// The cache key and the fleet see the spec's marshalled form, so run
 	// that form too: a Go-built float that JSON does not carry exactly
@@ -278,15 +280,13 @@ func (s *Server) Submit(e *run.Experiment) (*Job, error) {
 	}
 	s.cacheMisses.Inc()
 	ctx, cancel := context.WithCancel(s.ctx)
-	job := s.store.add(spec, hash, ctx, cancel, nil)
-	select {
-	case s.queue <- job:
-		s.jobsSubmitted.Inc()
-		return job, nil
-	default:
-		job.Cancel()
+	job, ok := s.store.add(spec, hash, ctx, cancel, nil)
+	if !ok {
+		cancel()
 		return nil, fmt.Errorf("serve: queue full (%d jobs pending)", s.cfg.QueueDepth)
 	}
+	s.jobsSubmitted.Inc()
+	return job, nil
 }
 
 // worker pulls queued jobs in submission order and runs them; MaxJobs
@@ -309,7 +309,10 @@ func (s *Server) worker() {
 // which is why remote output is byte-identical to a local run — and a
 // successful outcome is recorded in the cache.
 func (s *Server) runJob(job *Job) {
-	if !job.setRunning() {
+	if s.ctx.Err() != nil {
+		job.Cancel() // shutting down: a job still queued is drained, not started
+	}
+	if !job.transition(StatusQueued, StatusRunning, "", nil, nil) {
 		return // cancelled while queued
 	}
 	s.running.Add(1)
@@ -336,25 +339,19 @@ func (s *Server) runJob(job *Job) {
 	}
 	s.runs.Add(1)
 	out, err := execute(job.ctx, job.spec, ropts)
-	if out != nil {
-		job.setResources(out.Telemetry)
-	}
 	switch {
 	case err == nil:
-		s.jobsDone.Inc()
 		if out != nil && out.Telemetry != nil {
 			s.jobWall.Observe(out.Telemetry.WallSeconds)
 		}
 		// Cache first: a client that has seen the job finish must hit
 		// the cache with its next identical submission.
 		s.remember(job, report.Bytes())
-		job.finish(StatusDone, "", report.Bytes())
+		job.transition(StatusRunning, StatusDone, "", report.Bytes(), out)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		s.jobsCancelled.Inc()
-		job.finish(StatusCancelled, err.Error(), nil)
+		job.transition(StatusRunning, StatusCancelled, err.Error(), nil, out)
 	default:
-		s.jobsFailed.Inc()
-		job.finish(StatusFailed, err.Error(), nil)
+		job.transition(StatusRunning, StatusFailed, err.Error(), nil, out)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hmscs/internal/run"
+	"hmscs/internal/telemetry"
 )
 
 // Store is the watchable job registry: jobs are added at submission,
@@ -16,7 +17,9 @@ import (
 // and event append — the northbound feed a dashboard or a distributed
 // sweep coordinator would consume. It keeps every queued and running
 // job and the maxTerminalJobs that ended last; an evicted job's ID is
-// unknown from then on.
+// unknown from then on. The lock order is job, then store: the store
+// is told of a job's changes under the job's lock (Job.transition) and
+// never takes a job lock while it holds its own.
 type Store struct {
 	mu   sync.Mutex
 	jobs map[string]*Job
@@ -26,6 +29,10 @@ type Store struct {
 	ended    []*Job
 	nextID   int
 	watchers map[chan JobInfo]struct{}
+	// queue is where a live job is born (the server's workers read it);
+	// counters counts the executed jobs that ended, by terminal status.
+	queue    chan<- *Job
+	counters map[Status]*telemetry.Counter
 }
 
 // maxTerminalJobs bounds the finished jobs a store retains. Each one
@@ -45,37 +52,18 @@ func NewStore() *Store {
 	}
 }
 
-// add registers a new job for the (already normalized) spec. A cached
-// job is born done with the recorded stream and result; a live one
-// starts queued under the given cancellable context.
-func (st *Store) add(spec *run.Experiment, hash string, ctx context.Context, cancel context.CancelFunc, cached *cacheEntry) *Job {
-	st.mu.Lock()
-	st.nextID++
-	j := &Job{
-		id:      fmt.Sprintf("j%06d", st.nextID),
-		hash:    hash,
-		spec:    spec,
-		store:   st,
-		ctx:     ctx,
-		cancel:  cancel,
-		status:  StatusQueued,
-		created: time.Now(),
+// add creates a job for the (already normalized) spec and reports
+// whether the store took it. A cached job is born done with the
+// recorded stream and result; a live one is born queued under the given
+// cancellable context, and is refused, leaving no trace, when the queue
+// is full.
+func (st *Store) add(spec *run.Experiment, hash string, ctx context.Context, cancel context.CancelFunc, cached *cacheEntry) (*Job, bool) {
+	j := &Job{hash: hash, spec: spec, store: st, ctx: ctx, cancel: cancel, created: time.Now()}
+	if cached == nil {
+		return j, j.transition("", StatusQueued, "", nil, nil)
 	}
-	if cached != nil {
-		j.cached = true
-		j.status = StatusDone
-		j.events = cached.events
-		j.result = cached.result
-		j.finished = j.created
-	}
-	st.jobs[j.id] = j
-	st.order = append(st.order, j)
-	if cached != nil {
-		st.endLocked(j)
-	}
-	st.mu.Unlock()
-	st.notify(j)
-	return j
+	j.cached, j.events = true, cached.events
+	return j, j.transition("", StatusDone, "", cached.result, nil)
 }
 
 // Get returns the job with the given ID.
@@ -98,11 +86,36 @@ func (st *Store) List() []JobInfo {
 	return infos
 }
 
-// end records that j reached a terminal status; each job ends once.
-func (st *Store) end(j *Job) {
+// record is the store's half of Job.transition, called under the job's
+// lock. A birth enters the store, a queued one only once it is on the
+// queue: record reports false, registering nothing, when the queue is
+// full. Then the job's snapshot goes to every watcher, and a terminal
+// job's end is recorded for retention and counted (a cache hit, which
+// did no work, is not).
+func (st *Store) record(j *Job, from, to Status) bool {
 	st.mu.Lock()
-	st.endLocked(j)
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	if from == "" {
+		j.id = fmt.Sprintf("j%06d", st.nextID+1)
+		if to == StatusQueued {
+			select {
+			case st.queue <- j:
+			default:
+				return false
+			}
+		}
+		st.nextID++
+		st.jobs[j.id] = j
+		st.order = append(st.order, j)
+	}
+	st.notifyLocked(j.infoLocked)
+	if to.Terminal() {
+		st.endLocked(j)
+		if !j.cached {
+			st.counters[to].Inc()
+		}
+	}
+	return true
 }
 
 // endLocked records j's end and evicts the job that ended first once
@@ -145,19 +158,29 @@ func (st *Store) Watch(ctx context.Context) <-chan JobInfo {
 // watchBuffer bounds a Watch channel's backlog.
 const watchBuffer = 256
 
-// notify fans a job's current snapshot out to every store watcher.
-func (st *Store) notify(j *Job) {
+// notify fans a job's snapshot out to every store watcher. The caller
+// holds the job's lock; snapshot is built only if someone watches.
+func (st *Store) notify(snapshot func() JobInfo) {
 	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.notifyLocked(snapshot)
+}
+
+// notifyLocked is notify with st.mu held. A slow watcher's full channel
+// drops its oldest snapshot rather than the new one or stalling the run.
+// Every sender holds st.mu, so once one is dropped the send has room.
+func (st *Store) notifyLocked(snapshot func() JobInfo) {
 	if len(st.watchers) == 0 {
-		st.mu.Unlock()
 		return
 	}
-	info := j.Info()
+	info := snapshot()
 	for ch := range st.watchers {
-		select {
-		case ch <- info:
-		default: // slow watcher: drop rather than stall the run
+		if len(ch) == cap(ch) {
+			select {
+			case <-ch:
+			default: // the watcher took one meanwhile
+			}
 		}
+		ch <- info
 	}
-	st.mu.Unlock()
 }
