@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench-flags bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check cli-help cli-help-check scenarios-check links-check clean
+.PHONY: all build test race vet fmt-check inline-check bench-flags bench bench-compare profile plan serve cluster golden golden-check golden-plan golden-plan-check api api-check cli-help cli-help-check scenarios-check links-check clean
 
 all: build test
 
@@ -21,6 +21,13 @@ vet:
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# inline-check fails when stats.(*TimeWeighted).Observe stops inlining
+# into the simulator's centres (Center.Submit, start, CompleteService),
+# so an edit cannot silently put a call back on the event loop's hot
+# path (DESIGN.md §3).
+inline-check:
+	@GO=$(GO) bash tools/inline-check.sh
 
 # BENCH_FLAGS is the one benchmark invocation behind bench and
 # bench-compare: ns/op and allocs/op for the figure/table reproduction

@@ -273,11 +273,15 @@ func (c *Coordinator) RegisterMetrics(r *telemetry.Registry) {
 }
 
 // Close stops the sweeper. Outstanding offers resolve as reverts so no
-// executor blocks on a dead coordinator.
+// executor blocks on a dead coordinator. Closing again does nothing.
 func (c *Coordinator) Close() {
-	close(c.done)
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
 	c.closed = true
+	close(c.done)
 	pending := c.requeue
 	c.requeue = nil
 	for id, l := range c.leases {

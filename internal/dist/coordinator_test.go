@@ -29,11 +29,13 @@ func distSweepSpec() *run.Experiment {
 }
 
 // longSweepSpec is distSweepSpec with units long enough, and enough of
-// them (4 points × 16 reps of 10,000 messages, a few ms each), for a
-// worker's run to amortise its grant at the bootstrap price.
+// them (4 points × 16 reps of 30,000 messages, a few ms each), for a
+// worker's run to amortise its grant at the bootstrap price. Units of
+// 10,000 messages averaged under 2 ms on a 2-vCPU host, too short for a
+// fresh worker to be offered a run unless the host was loaded.
 func longSweepSpec() *run.Experiment {
 	e := distSweepSpec()
-	e.Run.Messages = 10000
+	e.Run.Messages = 30000
 	e.Run.Reps = 16
 	return e
 }

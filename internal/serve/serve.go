@@ -218,7 +218,8 @@ func (s *Server) Runs() int64 { return s.runs.Load() }
 // cancelled (the runner drains between replication units), workers are
 // joined, and every job still queued is marked cancelled. Close is the
 // programmatic half of shutdown; the binary pairs it with
-// http.Server.Shutdown so open event streams end first.
+// http.Server.Shutdown so open event streams end first. Closing again
+// does nothing.
 func (s *Server) Close() {
 	s.cancel()
 	s.wg.Wait()

@@ -316,6 +316,27 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 }
 
+// TestCloseTwice: a second Close, as a deferred one after an explicit
+// shutdown, does nothing; the first has already ended every job.
+func TestCloseTwice(t *testing.T) {
+	srv := serve.New(serve.Config{Parallelism: 1, MaxJobs: 1})
+	running, err := srv.Submit(longSweep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := srv.Submit(smallSimulate())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	srv.Close()
+	for _, j := range []*serve.Job{running, queued} {
+		if st := j.Status(); !st.Terminal() {
+			t.Errorf("job %s is %s after Close, want a terminal status", j.ID(), st)
+		}
+	}
+}
+
 // TestJobsListOrder: /jobs reports submissions in arrival order with
 // stable IDs.
 func TestJobsListOrder(t *testing.T) {

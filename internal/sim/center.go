@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"hmscs/internal/rng"
 	"hmscs/internal/stats"
@@ -65,6 +66,12 @@ func (r *jobRing) clear() { r.head, r.n = 0, 0 }
 // are drawn from the configured distribution family scaled to that mean
 // (so non-exponential ablations are supported).
 //
+// An exponential centre draws each service one service early: ahead
+// holds log(U) for its next service, so the logarithm's latency overlaps
+// the scheduling of the current one instead of feeding it. The stream is
+// private to the centre and read in the same order, so every service time
+// is bit-identical to rng.SampleScaled's (DESIGN.md §3).
+//
 // A centre does not call back into its owner: when a service completes the
 // engine dispatches (doneKind, id) to the owner's Handler, which calls
 // CompleteService to collect the finished message index and route it.
@@ -77,6 +84,11 @@ type Center struct {
 	distTpl  rng.Dist
 	stream   *rng.Stream
 	mean     float64
+	// ahead is log(U) for the next exponential service, or 0 while not
+	// yet drawn: log(U) < 0 for every U in (0, 1). exp marks the
+	// exponential family, the only one drawn ahead.
+	ahead float64
+	exp   bool
 
 	busy      bool
 	inService int32
@@ -101,17 +113,19 @@ type Center struct {
 // Only the queue's ring buffer survives, so a slab of centres keeps its
 // storage between replications.
 func (c *Center) Init(name string, eng *Engine, distTpl rng.Dist, stream *rng.Stream, doneKind EventKind, id int32) {
+	_, exp := distTpl.(rng.Exponential)
 	*c = Center{Name: name, eng: eng, distTpl: distTpl, stream: stream, doneKind: doneKind, id: id,
-		queue: jobRing{buf: c.queue.buf}}
+		exp: exp, queue: jobRing{buf: c.queue.buf}}
 	c.qlen.Observe(eng.Now(), 0)
 	c.busyTW.Observe(eng.Now(), 0)
 }
 
 // Price sets the mean service time of every message the centre serves.
-// A mean that is not positive is a bug in the caller's pricing: the
-// engines price from validated networks.
+// A mean that is not positive and finite is a bug in the caller's
+// pricing: the engines price from validated networks. (This is the guard
+// rng.Exp applies per draw; the draw-ahead path applies it once here.)
 func (c *Center) Price(mean float64) {
-	if !(mean > 0) {
+	if !(mean > 0) || math.IsInf(mean, 1) {
 		panic(fmt.Sprintf("sim: centre %q priced at service mean %v", c.Name, mean))
 	}
 	c.mean = mean
@@ -134,7 +148,17 @@ func (c *Center) start(msg int32) {
 	c.busy = true
 	c.busyTW.Observe(c.eng.Now(), 1)
 	c.inService = msg
-	c.due = c.eng.Schedule(rng.SampleScaled(c.distTpl, c.stream, c.mean), c.doneKind, c.id)
+	if !c.exp {
+		c.due = c.eng.Schedule(rng.SampleScaled(c.distTpl, c.stream, c.mean), c.doneKind, c.id)
+		return
+	}
+	if c.ahead == 0 {
+		c.ahead = math.Log(c.stream.Float64Open())
+	}
+	// -mean·log(U), exactly as rng.Exp computes it; the conversion keeps
+	// the product rounded on its own, never fused into Schedule's add.
+	c.due = c.eng.Schedule(float64(-c.mean*c.ahead), c.doneKind, c.id)
+	c.ahead = math.Log(c.stream.Float64Open())
 }
 
 // CompleteService finishes the message in service — updating statistics

@@ -168,8 +168,10 @@ func TestCenterQueueDrainReset(t *testing.T) {
 	}
 }
 
+// TestCenterPriceRejectsNonPositiveMean: a price must be positive and
+// finite; +Inf and NaN are refused at pricing, not at the first draw.
 func TestCenterPriceRejectsNonPositiveMean(t *testing.T) {
-	for _, mean := range []float64{0, -1, math.NaN()} {
+	for _, mean := range []float64{0, -1, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -178,6 +180,82 @@ func TestCenterPriceRejectsNonPositiveMean(t *testing.T) {
 			}()
 			pricedCenter(NewEngine(), rng.Exponential{MeanValue: 1}, rng.NewStream(7), mean)
 		}()
+	}
+}
+
+// TestCenterServiceDrawsMatchSampleScaled pins the exponential
+// draw-ahead outside the goldens: for every family, each service a
+// centre schedules, whether started by a submission, a completion or a
+// repair, and whether it completes or is voided by a requeueing or an
+// evicting failure, falls due exactly when rng.SampleScaled on a twin of
+// the centre's stream says it should, draw for draw.
+func TestCenterServiceDrawsMatchSampleScaled(t *testing.T) {
+	hyper, err := rng.NewHyperExp(1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed, mean = 11, 0.5
+	const (
+		requeue int32 = iota
+		repair
+	)
+	for _, dist := range []rng.Dist{rng.Exponential{MeanValue: 1}, rng.Erlang{K: 3, MeanValue: 1}, hyper, rng.Deterministic{Value: 1}} {
+		eng := NewEngine()
+		c := pricedCenter(eng, dist, rng.NewStream(seed), mean)
+		type start struct {
+			seq uint64
+			at  float64
+		}
+		var starts []start
+		note := func() {
+			if c.busy && (len(starts) == 0 || starts[len(starts)-1].seq != c.due) {
+				starts = append(starts, start{c.due, eng.Now()})
+			}
+		}
+		due := map[uint64]float64{}
+		completed, evicted := 0, 0
+		eng.SetHandler(handlerFunc(func(kind EventKind, idx int32) {
+			switch {
+			case kind == tkDone:
+				due[eng.Current()] = eng.Now()
+				if !c.TakeCompletion() {
+					return
+				}
+				c.CompleteService()
+				note()
+				if completed++; completed == 2 {
+					evicted = len(c.Fail(true))
+					c.Submit(100) // queues behind the failure
+					eng.Schedule(1, tkArrive, repair)
+				}
+			case idx == requeue:
+				c.Fail(false)
+			case idx == repair:
+				c.Repair()
+				note()
+			}
+		}))
+		for i := int32(0); i < 4; i++ {
+			c.Submit(i)
+			note()
+		}
+		eng.Schedule(0, tkArrive, requeue) // voids the first service
+		eng.Schedule(1, tkArrive, repair)
+		eng.Run(math.Inf(1))
+
+		// Job 0 starts twice around the requeue; 0 and 1 complete; the
+		// evict voids 2 and takes 3 from the queue; the repair serves the
+		// job queued behind the failure.
+		if len(starts) != 5 || completed != 3 || evicted != 2 {
+			t.Fatalf("%v: %d services started, %d completed, %d evicted; want 5, 3, 2", dist, len(starts), completed, evicted)
+		}
+		twin := rng.NewStream(seed)
+		for i, s := range starts {
+			want := s.at + rng.SampleScaled(dist, twin, mean)
+			if got, ok := due[s.seq]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v: service %d started at %v fell due at %v, want %v", dist, i, s.at, got, want)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -141,15 +142,21 @@ func TestTimeWeightedMean(t *testing.T) {
 	}
 }
 
+// TestTimeWeightedBackwardsPanics: an Observe before the last one panics
+// with a message naming both times.
 func TestTimeWeightedBackwardsPanics(t *testing.T) {
 	var tw TimeWeighted
 	tw.Observe(5, 1)
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("backwards time did not panic")
 		}
+		if got, want := fmt.Sprint(r), "stats: TimeWeighted time went backwards: 4.5 < 5"; got != want {
+			t.Fatalf("panic text %q, want %q", got, want)
+		}
 	}()
-	tw.Observe(4, 2)
+	tw.Observe(4.5, 2)
 }
 
 func TestNormalQuantile(t *testing.T) {
