@@ -74,7 +74,9 @@ func BenchmarkTable2Parameters(b *testing.B) {
 
 // benchFigure runs one paper figure: the analytic curve over the whole
 // cluster axis plus a simulation spot-check at C=16 (the regime-change
-// point the paper highlights).
+// point the paper highlights). Every iteration runs the same seeded
+// spot-check, so its latency-ms metric depends on the code alone, not
+// on b.N.
 func benchFigure(b *testing.B, figure int) {
 	b.Helper()
 	spec, err := sweep.PaperFigure(figure)
@@ -99,9 +101,7 @@ func benchFigure(b *testing.B, figure int) {
 		if len(res[0].Series) != 2 {
 			b.Fatal("unexpected series count")
 		}
-		o := benchSimOpts()
-		o.Seed = uint64(i + 1)
-		sr, err := sim.Run(simCfg, o)
+		sr, err := sim.Run(simCfg, benchSimOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

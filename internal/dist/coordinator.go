@@ -62,12 +62,34 @@ type offer struct {
 	hash     string
 	unit     WireUnit
 	centers  int             // Centers rows a fitting result holds
+	slices   int             // slice pairs it holds: its window's slice count, 0 when stationary
 	done     <-chan struct{} // executor context; cancelled offers are dropped
 	resolved chan outcome
 	// queued marks an offer in the requeue, held by no lease; waiting
 	// that a local slot has reached the unit and waits for its outcome,
 	// so a unit that loses its lease reverts to that slot instead.
 	queued, waiting bool
+}
+
+// fits reports whether the plausible result r has the shape of the
+// offer's unit: a row per centre and a slice pair per slice. A scenario
+// run measures every delivery of its horizon and bins each one, so its
+// slice counts, none negative, sum to Measured.
+func (off *offer) fits(r *sim.Result) bool {
+	if len(r.Centers) != off.centers || len(r.SliceSums) != off.slices || len(r.SliceCounts) != off.slices {
+		return false
+	}
+	if off.slices == 0 {
+		return true
+	}
+	left := r.Measured
+	for _, c := range r.SliceCounts {
+		if c < 0 || c > left {
+			return false
+		}
+		left -= c
+	}
+	return left == 0
 }
 
 // lease is one granted run awaiting completion by the worker whose token
@@ -698,8 +720,8 @@ type verdict struct {
 // lease; it credits no worker. Each unit resolves at most once, under
 // the lease table's lock: a verdict for a unit already resolved is
 // dropped stale on its own. A result that does not fit its unit (its
-// centre rows, counts or values) reverts the unit to local execution
-// and is counted against the worker.
+// centre rows, slice bins, counts or values) reverts the unit to local
+// execution and is counted against the worker.
 func (c *Coordinator) Complete(req completeRequest) string {
 	// Decode and check every result before taking the lock.
 	verdicts := make([]verdict, len(req.Results))
@@ -747,7 +769,7 @@ func (c *Coordinator) Complete(req completeRequest) string {
 			w.unitsDone++
 			off.resolve(outcome{err: fmt.Errorf("dist: worker %s: unit %s[%d,%d]: %s",
 				w.id, off.unit.Stage, off.unit.Point, off.unit.Rep, v.err)})
-		case v.misfit || len(v.res.Centers) != off.centers:
+		case v.misfit || !off.fits(v.res):
 			rejected++
 			w.rejected++
 			off.resolve(outcome{revert: true})

@@ -463,7 +463,7 @@ func TestHealthzReportsWorkers(t *testing.T) {
 // TestResultCodecRoundTrip pins the wire codec's bit-exactness on real
 // results of both engines: the system simulator's (Welford state, sample
 // vector, per-centre stats) and the switch-level simulator's scenario
-// replication (per-link Centers, switch hops, sample times, drops).
+// replication (per-link Centers, switch hops, slice bins, drops).
 func TestResultCodecRoundTrip(t *testing.T) {
 	simulate := run.NewExperiment(run.KindSimulate)
 	simulate.System.Clusters = 2
@@ -496,8 +496,8 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		if len(res.Centers) == 0 || len(res.Sample) == 0 {
 			t.Fatalf("%s: result carries no centres or sample", name)
 		}
-		if c.stage == run.StageNetsim && (res.SwitchHops.Count() == 0 || len(res.SampleTimes) == 0 || res.Dropped == 0) {
-			t.Fatalf("%s: result carries no switch hops, sample times or drops", name)
+		if c.stage == run.StageNetsim && (res.SwitchHops.Count() == 0 || len(res.SliceCounts) == 0 || res.Dropped == 0) {
+			t.Fatalf("%s: result carries no switch hops, slice bins or drops", name)
 		}
 		got, err := dist.RoundTripResult(res)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hmscs/internal/core"
+	"hmscs/internal/output"
 	"hmscs/internal/par"
 	"hmscs/internal/run"
 	"hmscs/internal/sim"
@@ -135,10 +136,15 @@ func (s *stageRun) offer(k int) (_ *offer, err error) {
 	if err != nil {
 		return nil, err
 	}
+	slices := 0
+	if cs := o.Scenario; cs != nil {
+		slices = output.SliceCount(cs.Horizon, cs.Slice)
+	}
 	return &offer{
 		hash:     s.e.hash,
 		unit:     WireUnit{Stage: s.st.Name, Point: point, Rep: rep, Seed: o.Seed},
 		centers:  s.st.Centers(point),
+		slices:   slices,
 		done:     s.e.ctx.Done(),
 		resolved: make(chan outcome, 1),
 	}, nil

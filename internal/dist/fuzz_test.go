@@ -3,6 +3,7 @@ package dist_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"hmscs/internal/dist"
@@ -31,10 +32,14 @@ func finiteFloat(st *rng.Stream) float64 {
 }
 
 // seededResult builds a finite sim.Result from seed. Slice lengths come
-// from the fuzzer; shape bit i makes slice i nil rather than empty when its
-// length is zero, and bit 3 shapes it as a switch-level result: unnamed
-// per-link centres and a switch-hop accumulator.
-func seededResult(seed uint64, nSample, nTimes, nCenters uint8, shape uint8) *sim.Result {
+// from the fuzzer: nSlices is the length of the slice sums, and of the
+// slice counts unless shape bit 4 draws the counts' length on its own
+// (so the two can disagree, as only a faulty worker's would). Shape bit
+// i makes the sample (0), the slice sums (1) or the centres (2) nil
+// rather than empty when its length is zero, and bit 3 shapes it as a
+// switch-level result: unnamed per-link centres and a switch-hop
+// accumulator.
+func seededResult(seed uint64, nSample, nSlices, nCenters uint8, shape uint8) *sim.Result {
 	st := rng.NewStream(seed)
 	floats := func(n uint8, nilWhenEmpty bool) []float64 {
 		if n == 0 && nilWhenEmpty {
@@ -52,7 +57,7 @@ func seededResult(seed uint64, nSample, nTimes, nCenters uint8, shape uint8) *si
 			Min: finiteFloat(st), Max: finiteFloat(st),
 		}),
 		Sample:          floats(nSample, shape&1 != 0),
-		SampleTimes:     floats(nTimes, shape&2 != 0),
+		SliceSums:       floats(nSlices, shape&2 != 0),
 		SimTime:         finiteFloat(st),
 		Generated:       int64(st.Uint64()),
 		Measured:        int64(st.Uint64()),
@@ -61,6 +66,16 @@ func seededResult(seed uint64, nSample, nTimes, nCenters uint8, shape uint8) *si
 		TimedOut:        st.Intn(2) == 0,
 		Dropped:         int64(st.Uint64()),
 		Rerouted:        int64(st.Uint64()),
+	}
+	nCounts := int(nSlices)
+	if shape&16 != 0 {
+		nCounts = st.Intn(int(nSlices) + 2)
+	}
+	if nCounts > 0 || shape&2 == 0 {
+		r.SliceCounts = make([]int64, nCounts)
+	}
+	for i := range r.SliceCounts {
+		r.SliceCounts[i] = int64(st.Uint64())
 	}
 	if nCenters > 0 || shape&4 == 0 {
 		r.Centers = make([]sim.CenterStats, nCenters)
@@ -115,8 +130,9 @@ func FuzzResultRoundTrip(f *testing.F) {
 	f.Add(uint64(3), uint8(16), uint8(16), uint8(5), uint8(0))
 	f.Add(uint64(4), uint8(200), uint8(0), uint8(33), uint8(2))
 	f.Add(uint64(5), uint8(40), uint8(40), uint8(32), uint8(8))
-	f.Fuzz(func(t *testing.T, seed uint64, nSample, nTimes, nCenters, shape uint8) {
-		in := seededResult(seed, nSample, nTimes, nCenters, shape)
+	f.Add(uint64(6), uint8(0), uint8(20), uint8(9), uint8(16+8))
+	f.Fuzz(func(t *testing.T, seed uint64, nSample, nSlices, nCenters, shape uint8) {
+		in := seededResult(seed, nSample, nSlices, nCenters, shape)
 		out, err := dist.RoundTripResult(in)
 		if err != nil {
 			t.Fatal(err)
@@ -129,8 +145,11 @@ func FuzzResultRoundTrip(f *testing.F) {
 			bitsDiffer(a.M2, b.M2) || bitsDiffer(a.Min, b.Min) || bitsDiffer(a.Max, b.Max) {
 			t.Fatalf("switch-hop state %+v came back as %+v", a, b)
 		}
-		if floatsDiffer(in.Sample, out.Sample) || floatsDiffer(in.SampleTimes, out.SampleTimes) {
-			t.Fatal("a sample vector changed across the wire")
+		if floatsDiffer(in.Sample, out.Sample) || floatsDiffer(in.SliceSums, out.SliceSums) {
+			t.Fatal("a sample or slice-sum vector changed across the wire")
+		}
+		if !slices.Equal(in.SliceCounts, out.SliceCounts) {
+			t.Fatalf("slice counts %v came back as %v", in.SliceCounts, out.SliceCounts)
 		}
 		if bitsDiffer(in.SimTime, out.SimTime) || bitsDiffer(in.Throughput, out.Throughput) ||
 			bitsDiffer(in.EffectiveLambda, out.EffectiveLambda) {

@@ -55,6 +55,8 @@ func FuzzDistHTTP(f *testing.F) {
 		{2, `{"token":"","lease":"","results":[{"unit":0,"error":"boom"}]}`},
 		{2, `{"results":[{"unit":0,"result":{"latency":{"n":"x"}}}]}`},
 		{2, `{"results":[{"unit":0,"result":{"measured":5,"generated":1,"centers":[{"served":-1}]}}]}`},
+		{2, fmt.Sprintf(`{"token":%q,"lease":%q,"results":[{"unit":0,"result":{"measured":3,"generated":3,"slice_sums":[0.5,1e308],"slice_counts":[2,1,-1]}}]}`, "x", leases[0].ID)},
+		{2, `{"results":[{"unit":0,"result":{"slice_sums":[1,"x"],"slice_counts":[1.5]}}]}`},
 		{2, `{"results":null}`},
 		{3, `{"token":null}`},
 		{3, `{`},

@@ -3,9 +3,12 @@ package dist
 import (
 	"bytes"
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,6 +267,128 @@ func TestMisfitWorkerCannotMoveTheReport(t *testing.T) {
 	}
 	if st := coord.Stats(); st.Rejected == 0 || st.Completed != 0 {
 		t.Errorf("stats %+v, want the liar's units rejected and none completed", st)
+	}
+}
+
+// TestMisfitSliceBinsRunLocally: a scenario unit's result must carry one
+// slice pair per slice of its window, no negative count, only finite
+// sums and counts that sum to its measured messages; a stationary unit's
+// must carry none. Every result that breaks one of these reverts to
+// local execution and counts against the worker.
+func TestMisfitSliceBinsRunLocally(t *testing.T) {
+	coord := NewCoordinator(time.Minute)
+	defer coord.Close()
+	reg := coord.Register("liar", 1)
+	bins := func(sums []float64, counts []int64) *sim.Result {
+		return &sim.Result{Generated: 5, Measured: 3, SliceSums: sums, SliceCounts: counts}
+	}
+	results := []*sim.Result{
+		bins([]float64{1, 2}, []int64{2, 1}),           // fits
+		bins([]float64{1}, []int64{2, 1}),              // a sum short
+		bins([]float64{1, 2}, []int64{3}),              // a count short
+		bins([]float64{1, 2}, []int64{2, 2}),           // a count off by one
+		bins([]float64{1, 2}, []int64{4, -1}),          // a negative count
+		bins([]float64{math.Inf(1), 2}, []int64{2, 1}), // a non-finite sum
+		bins([]float64{1, 2}, []int64{2, 1}),           // bins from a stationary unit
+	}
+	offs := make([]*offer, len(results))
+	for i := range offs {
+		offs[i] = newTestOffer("h")
+		if i < len(offs)-1 {
+			offs[i].slices = 2
+		}
+		coord.enqueue(offs[i])
+	}
+	leases, _ := coord.Lease(context.Background(), reg.Token, len(offs), time.Second)
+	if len(leases) != 1 || len(leases[0].Units) != len(offs) {
+		t.Fatalf("leased %+v, want one run of %d units", leases, len(offs))
+	}
+	req := completeRequest{Token: reg.Token, Lease: leases[0].ID}
+	for i, r := range results {
+		req.Results = append(req.Results, unitOutcome{Unit: i, Result: r})
+	}
+	coord.Complete(req)
+	if out := outcomeOf(t, offs[0]); out.res == nil || out.res.Measured != 3 {
+		t.Errorf("the fitting unit resolved %+v", out)
+	}
+	for i, off := range offs[1:] {
+		if out := outcomeOf(t, off); !out.revert {
+			t.Errorf("misfit unit %d resolved %+v, want a revert to local execution", i+1, out)
+		}
+	}
+	if w := coord.Workers()[0]; w.UnitsRejected != int64(len(offs)-1) || w.UnitsDone != 1 {
+		t.Errorf("worker credited %d units and charged %d rejected, want 1 and %d", w.UnitsDone, w.UnitsRejected, len(offs)-1)
+	}
+}
+
+// TestMisfitSliceWorkerCannotMoveTheReport: a worker whose scenario
+// results alternate between a slice array one short and a slice count
+// one too many has every such unit reverted; they run locally and the
+// report and event stream equal a local run's.
+func TestMisfitSliceWorkerCannotMoveTheReport(t *testing.T) {
+	e, err := run.Load(filepath.Join("..", "..", "testdata", "experiments", "netsim-scenario.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Units of several ms each, so the worker is offered runs.
+	e.Scenario.HorizonS, e.Run.Reps = 0.4, 32
+	wantReport, wantEvents := localBaseline(t, e, 1)
+	coord := NewCoordinator(time.Minute)
+	defer coord.Close()
+	reg := coord.Register("liar", 1)
+	prog, err := run.NewProgram(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var delivered [2]atomic.Int64 // short arrays, counts off by one
+	go func() {
+		n := 0
+		for ctx.Err() == nil {
+			leases, _ := coord.Lease(ctx, reg.Token, maxLeaseUnits, 50*time.Millisecond)
+			for _, l := range leases {
+				req := completeRun(prog, reg.Token, l)
+				for _, u := range req.Results {
+					if r := u.Result; r != nil {
+						if n%2 == 0 {
+							r.SliceSums, r.SliceCounts = r.SliceSums[1:], r.SliceCounts[1:]
+						} else {
+							r.SliceCounts[len(r.SliceCounts)-1]++
+						}
+						delivered[n%2].Add(1)
+						n++
+					}
+				}
+				coord.Complete(req)
+			}
+		}
+	}()
+	ex, err := NewExecutor(ctx, coord, "slice-liar-spec", e, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ex.Close()
+	var report, events strings.Builder
+	if _, err := run.Run(ctx, e, run.Options{
+		Parallelism: 1,
+		Sinks:       []run.Sink{run.NewMarkdownSink(&report), run.NewJSONLSink(&events)},
+		Units:       ex.Runner,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if report.String() != wantReport {
+		t.Errorf("report differs from a local run:\n--- local ---\n%s\n--- misfit worker ---\n%s", wantReport, report.String())
+	}
+	if got := normalizeTS(events.String()); got != wantEvents {
+		t.Errorf("event stream differs from a local run:\n--- local ---\n%s\n--- misfit worker ---\n%s", wantEvents, got)
+	}
+	if st := coord.Stats(); st.Rejected == 0 || st.Completed != 0 {
+		t.Errorf("stats %+v, want the liar's units rejected and none completed", st)
+	}
+	if short, over := delivered[0].Load(), delivered[1].Load(); short == 0 || over == 0 {
+		t.Errorf("the worker delivered %d results with a short slice array and %d with a count off by one; want both kinds", short, over)
 	}
 }
 

@@ -147,8 +147,8 @@ type WorkerInfo struct {
 
 // plausible reports whether r could be some unit's result: every count
 // non-negative, every value finite, and no more messages measured than
-// generated. The row count is checked against the unit it answers
-// (Coordinator.Complete).
+// generated. Its shape is checked against the unit it answers
+// (offer.fits).
 func plausible(r *sim.Result) bool {
 	lat, hops := r.Latency.State(), r.SwitchHops.State()
 	if r.Generated < 0 || r.Measured < 0 || r.Dropped < 0 || r.Rerouted < 0 ||
@@ -165,7 +165,7 @@ func plausible(r *sim.Result) bool {
 	}
 	ok := finite(r.SimTime, r.Throughput, r.EffectiveLambda,
 		lat.Mean, lat.M2, lat.Min, lat.Max, hops.Mean, hops.M2, hops.Min, hops.Max) &&
-		finite(r.Sample...) && finite(r.SampleTimes...)
+		finite(r.Sample...) && finite(r.SliceSums...)
 	for _, c := range r.Centers {
 		ok = ok && c.Served >= 0 && finite(c.Utilization, c.MeanQueueLength, c.MaxQueueLength)
 	}

@@ -15,8 +15,8 @@ import (
 
 // wireGolden is a /dist/complete body answering two seeded units: a
 // cluster-model replication with its latency sample, and a switch-level
-// scenario replication with switch hops, sample times and unnamed
-// per-link centres.
+// scenario replication with switch hops, slice sums and counts, and
+// unnamed per-link centres.
 var wireGolden = filepath.Join("testdata", "wire-result.json")
 
 // goldenNetsimSpec is a short fat-tree timeline: a leaf switch fails with the
@@ -67,7 +67,7 @@ func goldenResults(t *testing.T) []*sim.Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.RecordSample = true
+		opts.RecordSample = c.stage == run.StageSim
 		res, err := st.Engine.Run(context.Background(), 0, 0, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -77,8 +77,8 @@ func goldenResults(t *testing.T) []*sim.Result {
 	if len(out[0].Sample) == 0 || len(out[0].Centers) == 0 {
 		t.Fatal("cluster-model result carries no sample or centres")
 	}
-	if net := out[1]; net.SwitchHops.Count() == 0 || len(net.SampleTimes) == 0 || net.Dropped == 0 || net.Centers[0].Name != "" {
-		t.Fatal("switch-level result carries no switch hops, sample times or drops, or names its links")
+	if net := out[1]; net.SwitchHops.Count() == 0 || len(net.SliceCounts) == 0 || net.Dropped == 0 || net.Centers[0].Name != "" {
+		t.Fatal("switch-level result carries no switch hops, slice bins or drops, or names its links")
 	}
 	return out
 }

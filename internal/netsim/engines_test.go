@@ -21,16 +21,18 @@ type windowCase struct {
 // measuredRun is what TestEnginesMeasureAlike reads of either engine's
 // result.
 type measuredRun struct {
-	count         int64
-	sample, times []float64
-	timedOut      bool
+	count       int64
+	sample      []float64
+	sliceSums   []float64
+	sliceCounts []int64
+	timedOut    bool
 }
 
 // TestEnginesMeasureAlike pins the measurement window both engines share
 // (sim.Window): a stationary run measures exactly its target unless its
 // time cap fires first, a recorded sample holds one latency per measured
-// message, completion times are kept only in scenario runs, and a
-// scenario run never times out.
+// message, only a scenario run bins its latencies (one pair per slice,
+// counting every measured message), and a scenario run never times out.
 func TestEnginesMeasureAlike(t *testing.T) {
 	spec := &scenario.Spec{HorizonS: 0.05, Events: []scenario.Event{
 		{TS: 0.01, Action: "fail", Target: "node:0"},
@@ -63,7 +65,7 @@ func TestEnginesMeasureAlike(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return measuredRun{res.Measured, res.Sample, res.SampleTimes, res.TimedOut}
+			return measuredRun{res.Measured, res.Sample, res.SliceSums, res.SliceCounts, res.TimedOut}
 		},
 		"netsim": func(t *testing.T, w windowCase) measuredRun {
 			n := buildFT(t, 16, 8)
@@ -79,7 +81,7 @@ func TestEnginesMeasureAlike(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return measuredRun{res.Latency.Count(), res.Sample, res.SampleTimes, res.TimedOut}
+			return measuredRun{res.Latency.Count(), res.Sample, res.SliceSums, res.SliceCounts, res.TimedOut}
 		},
 	}
 	for engine, run := range engines {
@@ -98,18 +100,25 @@ func TestEnginesMeasureAlike(t *testing.T) {
 				case w.maxT > 0 && !m.timedOut:
 					t.Errorf("a %gs cap did not time out a %d-message run", w.maxT, w.target)
 				}
-				wantSample, wantTimes := 0, 0
+				wantSample, wantSlices := 0, 0
 				if w.record {
 					wantSample = int(m.count)
 				}
-				if w.record && w.scenario {
-					wantTimes = int(m.count)
+				if w.scenario {
+					wantSlices = 20 // the default slice is a twentieth of the horizon
 				}
 				if len(m.sample) != wantSample {
 					t.Errorf("%d latencies recorded for %d measured messages, want %d", len(m.sample), m.count, wantSample)
 				}
-				if len(m.times) != wantTimes {
-					t.Errorf("%d sample times for %d measured messages, want %d", len(m.times), m.count, wantTimes)
+				if len(m.sliceSums) != wantSlices || len(m.sliceCounts) != wantSlices {
+					t.Errorf("%d slice sums and %d counts, want %d of each", len(m.sliceSums), len(m.sliceCounts), wantSlices)
+				}
+				var binned int64
+				for _, n := range m.sliceCounts {
+					binned += n
+				}
+				if w.scenario && binned != m.count {
+					t.Errorf("%d latencies binned for %d measured messages", binned, m.count)
 				}
 			})
 		}

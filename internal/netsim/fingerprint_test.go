@@ -22,12 +22,10 @@ import (
 )
 
 // engineCase is one replication TestEngineFingerprint pins: it runs either
-// engine with a telemetry collector attached (and its raw sample recorded
-// when record is set) and returns the result and the scenario window it
-// ran under (nil for a stationary case).
+// engine with a telemetry collector attached and returns the result.
 type engineCase struct {
 	name string
-	run  func(t *testing.T, col *telemetry.Collector, record bool) (*sim.Result, *trace.Recorder, *scenario.Window)
+	run  func(t *testing.T, col *telemetry.Collector) (*sim.Result, *trace.Recorder)
 }
 
 // fingerprintConfig is a heterogeneous three-cluster system: unequal
@@ -54,7 +52,7 @@ func fingerprintConfig(t *testing.T) *core.Config {
 // simCase runs the cluster simulator on fingerprintConfig with the
 // options mutate leaves, compiling spec (when non-nil) as its timeline.
 func simCase(name string, spec *scenario.Spec, mutate func(o *sim.Options)) engineCase {
-	return engineCase{name: "sim/" + name, run: func(t *testing.T, col *telemetry.Collector, record bool) (*sim.Result, *trace.Recorder, *scenario.Window) {
+	return engineCase{name: "sim/" + name, run: func(t *testing.T, col *telemetry.Collector) (*sim.Result, *trace.Recorder) {
 		cfg := fingerprintConfig(t)
 		o := sim.DefaultOptions()
 		o.Seed, o.WarmupMessages, o.MeasuredMessages = 17, 300, 3000
@@ -62,20 +60,17 @@ func simCase(name string, spec *scenario.Spec, mutate func(o *sim.Options)) engi
 		if mutate != nil {
 			mutate(&o)
 		}
-		o.RecordSample = o.RecordSample || record
-		var win *scenario.Window
 		if spec != nil {
 			var err error
 			if o.Scenario, err = scenario.CompileSim(spec, cfg); err != nil {
 				t.Fatal(err)
 			}
-			win = &o.Scenario.Window
 		}
 		res, err := sim.Run(cfg, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, o.Trace, win
+		return res, o.Trace
 	}}
 }
 
@@ -102,28 +97,25 @@ func (s netShape) build() (*netsim.Network, error) {
 // endpoint with the options mutate leaves, compiling spec (when non-nil)
 // against the topology.
 func netCase(name string, shape netShape, lambda float64, spec *scenario.Spec, mutate func(o *sim.Options)) engineCase {
-	return engineCase{name: "netsim/" + name, run: func(t *testing.T, col *telemetry.Collector, record bool) (*sim.Result, *trace.Recorder, *scenario.Window) {
+	return engineCase{name: "netsim/" + name, run: func(t *testing.T, col *telemetry.Collector) (*sim.Result, *trace.Recorder) {
 		o := sim.Options{WarmupMessages: 200, MeasuredMessages: 3000, Seed: 23, ServiceDist: shape.dist, Stats: col}
 		if mutate != nil {
 			mutate(&o)
 		}
-		o.RecordSample = o.RecordSample || record
 		n, err := shape.build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var win *scenario.Window
 		if spec != nil {
 			if o.Scenario, err = scenario.CompileNet(spec, n.Topo()); err != nil {
 				t.Fatal(err)
 			}
-			win = &o.Scenario.Window
 		}
 		res, err := n.Run(lambda, 1024, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, nil, win
+		return res, nil
 	}}
 }
 
@@ -229,34 +221,10 @@ func engineCases(t *testing.T) []engineCase {
 	}
 }
 
-// sliceBins bins a recorded scenario replication's latencies by
-// completion time over its window, the transient estimate's slice rule:
-// sums[k] and counts[k] are the sum and count of the latencies that
-// completed in slice k, added in delivery order.
-func sliceBins(res *sim.Result, w *scenario.Window) (sums []float64, counts []int64) {
-	n := int(math.Ceil(w.Horizon / w.Slice))
-	if n < 1 {
-		n = 1
-	}
-	sums, counts = make([]float64, n), make([]int64, n)
-	for i, t := range res.SampleTimes {
-		if t < 0 || t > w.Horizon || math.IsNaN(t) {
-			continue
-		}
-		k := int(t / w.Slice)
-		if k >= n {
-			k = n - 1
-		}
-		sums[k] += res.Sample[i]
-		counts[k]++
-	}
-	return sums, counts
-}
-
 // fingerprint writes every field of one replication's result, a
 // scenario replication's slice sums and counts, its trace and its engine
 // counters, each float as its bit pattern.
-func fingerprint(b *strings.Builder, name string, res *sim.Result, sums []float64, counts []int64, rec *trace.Recorder, st telemetry.SimStats) {
+func fingerprint(b *strings.Builder, name string, res *sim.Result, rec *trace.Recorder, st telemetry.SimStats) {
 	line := func(field string, v any) { fmt.Fprintf(b, "%s %s %v\n", name, field, v) }
 	bits := func(field string, v float64) { line(field, fmt.Sprintf("%016x", math.Float64bits(v))) }
 	welford := func(field string, w stats.Welford) {
@@ -276,9 +244,8 @@ func fingerprint(b *strings.Builder, name string, res *sim.Result, sums []float6
 	}
 	welford("Latency", res.Latency)
 	floats("Sample", res.Sample)
-	floats("SampleTimes", res.SampleTimes)
-	for k := range counts {
-		line(fmt.Sprintf("Slices[%d]", k), fmt.Sprintf("%016x %d", math.Float64bits(sums[k]), counts[k]))
+	for k, n := range res.SliceCounts {
+		line(fmt.Sprintf("Slices[%d]", k), fmt.Sprintf("%016x %d", math.Float64bits(res.SliceSums[k]), n))
 	}
 	bits("SimTime", res.SimTime)
 	line("Generated", res.Generated)
@@ -308,8 +275,8 @@ func fingerprint(b *strings.Builder, name string, res *sim.Result, sums []float6
 // precision against testdata/golden-engines.txt: each Result field as its
 // float bit pattern, the per-centre rows, hashes of the raw samples and
 // of a message trace, a scenario case's per-slice latency sums and
-// counts (from a recorded run of the case), and the engine's event count
-// and event-set high-water mark (an extra or a missing event moves those). The rendered
+// counts, and the engine's event count and event-set high-water mark (an
+// extra or a missing event moves those). The rendered
 // goldens round to a few digits; this one moves with the last bit.
 func TestEngineFingerprint(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden-engines.txt"))
@@ -319,18 +286,12 @@ func TestEngineFingerprint(t *testing.T) {
 	var got strings.Builder
 	for _, c := range engineCases(t) {
 		col := telemetry.NewCollector()
-		res, rec, win := c.run(t, col, false)
+		res, rec := c.run(t, col)
 		st, reps := col.Snapshot()
 		if reps != 1 {
 			t.Fatalf("%s: %d telemetry records, want 1", c.name, reps)
 		}
-		var sums []float64
-		var counts []int64
-		if win != nil {
-			recorded, _, _ := c.run(t, nil, true)
-			sums, counts = sliceBins(recorded, win)
-		}
-		fingerprint(&got, c.name, res, sums, counts, rec, st)
+		fingerprint(&got, c.name, res, rec, st)
 	}
 	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
 	for i, bad := 0, 0; i < max(len(gotLines), len(wantLines)) && bad < 20; i++ {

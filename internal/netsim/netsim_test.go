@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -429,21 +430,19 @@ func requireIdenticalNetResults(t *testing.T, label string, want, got *sim.Resul
 }
 
 // requireIdenticalNetDynamic extends the bit-identity assertion to the
-// dynamic-run outputs: the timestamped sample vector feeding the
-// transient estimator and the drop counter.
+// dynamic-run outputs: the slice bins feeding the transient estimator
+// and the drop counter.
 func requireIdenticalNetDynamic(t *testing.T, label string, a, b *sim.Result) {
 	t.Helper()
 	requireIdenticalNetResults(t, label, a, b)
 	if a.Dropped != b.Dropped {
 		t.Fatalf("%s: drop counters differ: %d vs %d", label, a.Dropped, b.Dropped)
 	}
-	if len(a.SampleTimes) != len(b.SampleTimes) {
-		t.Fatalf("%s: sample-time lengths differ: %d vs %d", label, len(a.SampleTimes), len(b.SampleTimes))
+	if !slices.Equal(a.SliceCounts, b.SliceCounts) {
+		t.Fatalf("%s: slice counts differ: %v vs %v", label, a.SliceCounts, b.SliceCounts)
 	}
-	for i := range a.SampleTimes {
-		if a.SampleTimes[i] != b.SampleTimes[i] {
-			t.Fatalf("%s: sample time %d differs: %v vs %v", label, i, a.SampleTimes[i], b.SampleTimes[i])
-		}
+	if !slices.EqualFunc(a.SliceSums, b.SliceSums, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+		t.Fatalf("%s: slice sums differ: %v vs %v", label, a.SliceSums, b.SliceSums)
 	}
 }
 
@@ -477,8 +476,8 @@ func TestNetScenarioRepairAtHorizon(t *testing.T) {
 		return runNetDyn(t, ft, &scenario.Spec{HorizonS: 65536 * w, Events: events}, 29)
 	}
 	repaired := run(fail, scenario.Event{TS: 65536 * w, Action: "repair", Target: "spine:0"})
-	if len(repaired.SampleTimes) == 0 {
-		t.Fatal("dynamic run recorded no timestamped samples")
+	if repaired.Measured == 0 || len(repaired.SliceCounts) == 0 {
+		t.Fatal("dynamic run binned no latencies")
 	}
 	requireIdenticalNetDynamic(t, "repair-at-horizon", run(fail), repaired)
 }
@@ -498,7 +497,7 @@ func TestNetScenarioRepeatable(t *testing.T) {
 	b := runNetDyn(t, ft, spec, 41)
 	requireIdenticalNetDynamic(t, "same-seed", a, b)
 	c := runNetDyn(t, ft, spec, 42)
-	if len(a.SampleTimes) == len(c.SampleTimes) && a.Latency.Mean() == c.Latency.Mean() {
+	if a.Measured == c.Measured && a.Latency.Mean() == c.Latency.Mean() {
 		t.Fatal("different seeds gave an identical dynamic sample path")
 	}
 }

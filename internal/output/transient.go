@@ -42,14 +42,50 @@ type TransientSeries struct {
 	Slices     []TransientSlice `json:"slices"`
 }
 
+// SliceCount is the number of slices a window of the given horizon
+// splits into at the given slice width: ⌈horizon/width⌉, at least one.
+func SliceCount(horizon, width float64) int {
+	return max(int(math.Ceil(horizon/width)), 1)
+}
+
+// Bins is one replication's completions binned by completion time over
+// [0, horizon]: Sums[k] and Counts[k] are the sum and the count of the
+// values that completed in slice k. It is the one slice rule of the
+// transient estimate; the simulator bins every delivery of a scenario
+// run as it happens, and Transient folds the bins.
+type Bins struct {
+	Sums           []float64
+	Counts         []int64
+	horizon, width float64
+}
+
+// NewBins returns empty bins over [0, horizon] in slices of the given
+// width (both positive and finite).
+func NewBins(horizon, width float64) Bins {
+	n := SliceCount(horizon, width)
+	return Bins{Sums: make([]float64, n), Counts: make([]int64, n), horizon: horizon, width: width}
+}
+
+// Add bins one completion: value v completed at absolute time t.
+// Completions outside [0, horizon] are ignored; one at exactly the
+// horizon lands in the last slice. Each slice's sum adds its values in
+// the order they are added.
+func (b *Bins) Add(t, v float64) {
+	if t < 0 || t > b.horizon || math.IsNaN(t) {
+		return
+	}
+	k := min(int(t/b.width), len(b.Sums)-1)
+	b.Sums[k] += v
+	b.Counts[k]++
+}
+
 // Transient accumulates replications into a time-sliced estimate. Feed
-// each replication's (completion time, latency) series with
-// AddReplication, then call Series. The estimate depends on the order
-// replications are added, bit for bit: each slice's across-replication
-// mean and variance are floating-point Welford updates, so a different
-// order can move the last digits. Add replications in replication order
-// (sim.RunBatchCtx does) for results that are the same at every
-// parallelism.
+// each replication's slice bins with AddReplication, then call Series.
+// The estimate depends on the order replications are added, bit for
+// bit: each slice's across-replication mean and variance are
+// floating-point Welford updates, so a different order can move the last
+// digits. Add replications in replication order (sim.RunBatchCtx does)
+// for results that are the same at every parallelism.
 type Transient struct {
 	horizon, width float64
 	confidence     float64
@@ -72,10 +108,7 @@ func NewTransient(horizon, width, confidence float64) (*Transient, error) {
 	if confidence <= 0 || confidence >= 1 {
 		return nil, fmt.Errorf("output: confidence must be in (0, 1), got %g", confidence)
 	}
-	n := int(math.Ceil(horizon / width))
-	if n < 1 {
-		n = 1
-	}
+	n := SliceCount(horizon, width)
 	return &Transient{
 		horizon: horizon, width: width, confidence: confidence,
 		across: make([]stats.Welford, n),
@@ -83,32 +116,23 @@ func NewTransient(horizon, width, confidence float64) (*Transient, error) {
 	}, nil
 }
 
-// AddReplication folds one replication's completion series in: times[i]
-// is the absolute sim time of completion i, values[i] its latency.
-// Samples outside [0, horizon] are ignored; a sample at exactly the
-// horizon lands in the last slice. Slices where the replication saw no
-// completion contribute nothing (they do not drag the mean toward zero).
-func (tr *Transient) AddReplication(times, values []float64) {
-	n := len(tr.across)
-	sums := make([]float64, n)
-	cnts := make([]int64, n)
-	for i, t := range times {
-		if t < 0 || t > tr.horizon || math.IsNaN(t) {
-			continue
-		}
-		k := int(t / tr.width)
-		if k >= n {
-			k = n - 1
-		}
-		sums[k] += values[i]
-		cnts[k]++
+// AddReplication folds one replication's slice bins in (Bins.Sums and
+// Bins.Counts over the accumulator's window): each slice where the
+// replication saw a completion adds its within-replication mean
+// sums[k]/counts[k]. Slices without completions contribute nothing (they
+// do not drag the mean toward zero). Bins over another slice count are
+// an error.
+func (tr *Transient) AddReplication(sums []float64, counts []int64) error {
+	if n := len(tr.across); len(sums) != n || len(counts) != n {
+		return fmt.Errorf("output: replication has %d slice sums and %d counts, want %d of each", len(sums), len(counts), n)
 	}
-	for k := 0; k < n; k++ {
-		if cnts[k] > 0 {
-			tr.across[k].Add(sums[k] / float64(cnts[k]))
-			tr.counts[k] += cnts[k]
+	for k, c := range counts {
+		if c > 0 {
+			tr.across[k].Add(sums[k] / float64(c))
+			tr.counts[k] += c
 		}
 	}
+	return nil
 }
 
 // Series returns the accumulated time-sliced estimate.

@@ -37,8 +37,17 @@ func TestTransientSlicing(t *testing.T) {
 	}
 	// A sample at exactly the horizon lands in the last slice; samples
 	// outside [0, horizon] are ignored; empty slices stay NaN.
-	tr.AddReplication([]float64{0.1, 0.3, 1.0, 1.5, -0.1}, []float64{1, 2, 3, 99, 99})
-	tr.AddReplication([]float64{0.1, 0.3, 1.0}, []float64{3, 4, 5})
+	add := func(times, values []float64) {
+		b := NewBins(1, 0.25)
+		for i, at := range times {
+			b.Add(at, values[i])
+		}
+		if err := tr.AddReplication(b.Sums, b.Counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add([]float64{0.1, 0.3, 1.0, 1.5, -0.1, math.NaN()}, []float64{1, 2, 3, 99, 99, 99})
+	add([]float64{0.1, 0.3, 1.0}, []float64{3, 4, 5})
 	s := tr.Series()
 	if s.Slices[0].Mean != 2 || s.Slices[0].Reps != 2 || s.Slices[0].Count != 2 {
 		t.Fatalf("slice 0: %+v", s.Slices[0])
@@ -48,6 +57,14 @@ func TestTransientSlicing(t *testing.T) {
 	}
 	if !math.IsNaN(s.Slices[2].Mean) || s.Slices[2].Reps != 0 {
 		t.Fatalf("empty slice must stay NaN: %+v", s.Slices[2])
+	}
+	// Bins over another window are refused, not folded.
+	short := NewBins(1, 0.5)
+	if err := tr.AddReplication(short.Sums, short.Counts); err == nil {
+		t.Fatal("two slices folded into a four-slice estimate")
+	}
+	if err := tr.AddReplication(make([]float64, 4), make([]int64, 3)); err == nil {
+		t.Fatal("four sums and three counts accepted")
 	}
 }
 
@@ -155,7 +172,13 @@ func TestTransientCoversStepMM1(t *testing.T) {
 		st := rng.NewStream(uint64(1000 + trial))
 		for r := 0; r < reps; r++ {
 			times, sojourns := mm1Step(st.Split(), lambda1, lambda2, mu, tStep, horizon)
-			tr.AddReplication(times, sojourns)
+			b := NewBins(horizon, width)
+			for i, at := range times {
+				b.Add(at, sojourns[i])
+			}
+			if err := tr.AddReplication(b.Sums, b.Counts); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for k, sl := range tr.Series().Slices {
 			// Skip the startup slice and the first post-step slice: the

@@ -148,14 +148,15 @@ func VerifyScenarioCtx(ctx context.Context, verified []VerifiedCandidate, scn *s
 			return wrap(err)
 		}
 		// The latency objective is the timeline's own, else the plan
-		// SLO's budget.
-		win := cs.Window
-		if math.IsNaN(win.SLO) {
-			win.SLO = slo.MaxLatency
+		// SLO's budget. The timeline is this candidate's own compilation
+		// and the engine never reads its SLO, so setting it here changes
+		// only the recovery judgement; the horizon and slice width the
+		// engine bins by stay the ones the fold slices by.
+		if math.IsNaN(cs.SLO) {
+			cs.SLO = slo.MaxLatency
 		}
-		units[i] = sim.Unit{Cfg: v.Cfg, Opts: opts, Wrap: wrap, Window: &win}
+		units[i] = sim.Unit{Cfg: v.Cfg, Opts: opts, Wrap: wrap}
 		units[i].Opts.Scenario = cs
-		units[i].Opts.RecordSample = true
 	}
 	sums, err := sim.RunBatchCtx(ctx, units, sim.Schedule{Reps: reps}, parallelism, prog, nil)
 	if err != nil {

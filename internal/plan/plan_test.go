@@ -471,7 +471,10 @@ func TestVerifyParallelismInvariance(t *testing.T) {
 
 // TestVerifyScenarioFallsBackToPlanSLO: a timeline without its own
 // latency objective is judged against the plan SLO's budget, so its
-// recovery equals that of the same timeline spelling the budget out.
+// recovery equals that of the same timeline spelling the budget out. The
+// budget overrides nothing else: the recovery is the one a plain batch
+// folds over the timeline's own horizon and slice width, the window the
+// engine bins by.
 func TestVerifyScenarioFallsBackToPlanSLO(t *testing.T) {
 	slo := SLO{MaxLatency: 5e-3}
 	res, err := Screen(smallSpace(), slo, DefaultCostModel(), 1, 0)
@@ -497,6 +500,28 @@ func TestVerifyScenarioFallsBackToPlanSLO(t *testing.T) {
 	}
 	if math.Float64bits(recovery[0]) != math.Float64bits(recovery[1]) {
 		t.Fatalf("recovery %v without a timeline SLO, %v with the plan budget spelled out", recovery[0], recovery[1])
+	}
+	scn := &scenario.Spec{HorizonS: 0.12, SliceS: 0.01, SLOLatencyMS: 5, Events: []scenario.Event{
+		{TS: 0.04, Action: scenario.ActionFail, Target: "cluster:largest", Policy: "drop"},
+		{TS: 0.08, Action: scenario.ActionRepair, Target: "cluster:largest"},
+	}}
+	cs, err := scenario.CompileSim(scn, fr[0].Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := sim.Unit{Cfg: fr[0].Cfg, Opts: verifyOpts()}
+	u.Opts.Scenario = cs
+	sums, err := sim.RunBatchCtx(context.Background(), []sim.Unit{u}, sim.Schedule{Reps: 2}, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := sums[0].Transient.Series
+	if len(series.Slices) != 12 || series.Width != scn.SliceS || series.Slices[11].T1 != scn.HorizonS {
+		t.Fatalf("plain batch folded %d slices of %g s up to %g s, want 12 of %g s up to %g s",
+			len(series.Slices), series.Width, series.Slices[len(series.Slices)-1].T1, scn.SliceS, scn.HorizonS)
+	}
+	if got := sums[0].Transient.RecoveryS; math.Float64bits(got) != math.Float64bits(recovery[0]) {
+		t.Fatalf("the scenario check recovers in %v, a plain batch over the timeline in %v", recovery[0], got)
 	}
 }
 

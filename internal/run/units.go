@@ -302,7 +302,6 @@ func (p *Program) buildSim() (*UnitStage, error) {
 			return nil, err
 		}
 		st.Units[0].Opts.Scenario = cs
-		st.Units[0].Opts.RecordSample = true
 		st.Reps = e.Run.Reps
 	default:
 		st.Reps = e.Run.Reps
@@ -409,7 +408,6 @@ func (p *Program) buildNetsim() (*UnitStage, error) {
 		if opts.Scenario, err = scenario.CompileNet(e.Scenario, net.Topo()); err != nil {
 			return nil, err
 		}
-		opts.RecordSample = true
 		st.Reps = e.Run.Reps
 	}
 	st.Units = []sim.Unit{{Opts: opts}}

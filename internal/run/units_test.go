@@ -375,17 +375,18 @@ func TestAnalyzeCheckSharesDerivation(t *testing.T) {
 	}
 }
 
-// TestScenarioSampleAllocsIndependentOfHorizon: a scenario replication
-// reserves its sample and sample times from its horizon and source rates,
-// so it allocates as often over a four times longer horizon, and the two
-// series keep the capacity they were given — they never grow by append.
-// The switch-level stage's units are checked the same way.
-func TestScenarioSampleAllocsIndependentOfHorizon(t *testing.T) {
+// TestScenarioResultSizeIndependentOfHorizon: a scenario replication
+// bins its latencies as it measures them, so over a four times longer
+// horizon, with the slice width scaled alike, its result carries no
+// per-sample series, the same number of slice pairs and allocates as
+// often. The switch-level stage's units are checked the same way.
+func TestScenarioResultSizeIndependentOfHorizon(t *testing.T) {
 	for _, c := range []struct{ spec, stage string }{
 		{"simulate-scenario.json", StageSim},
 		{"netsim-scenario.json", StageNetsim},
 	} {
 		var allocs []float64
+		var slices []int
 		for _, scale := range []float64{1, 4} {
 			e, err := Load("../../testdata/experiments/" + c.spec)
 			if err != nil {
@@ -393,6 +394,7 @@ func TestScenarioSampleAllocsIndependentOfHorizon(t *testing.T) {
 			}
 			sc := *e.Scenario
 			sc.HorizonS *= scale
+			sc.SliceS *= scale
 			e.Scenario = &sc
 			prog, err := NewProgram(e)
 			if err != nil {
@@ -412,10 +414,14 @@ func TestScenarioSampleAllocsIndependentOfHorizon(t *testing.T) {
 					t.Fatal(err)
 				}
 			}))
-			if len(res.Sample) == 0 || len(res.SampleTimes) != len(res.Sample) || cap(res.SampleTimes) != cap(res.Sample) {
-				t.Fatalf("%s ×%g: sample %d/%d and times %d/%d (len/cap), want equal reserved series",
-					c.spec, scale, len(res.Sample), cap(res.Sample), len(res.SampleTimes), cap(res.SampleTimes))
+			if res.Sample != nil || res.Measured == 0 || len(res.SliceSums) != len(res.SliceCounts) {
+				t.Fatalf("%s ×%g: %d raw latencies, %d measured, %d slice sums and %d counts; want no sample and a sum per count",
+					c.spec, scale, len(res.Sample), res.Measured, len(res.SliceSums), len(res.SliceCounts))
 			}
+			slices = append(slices, len(res.SliceCounts))
+		}
+		if slices[0] == 0 || slices[0] != slices[1] {
+			t.Errorf("%s: %d slice pairs over the horizon and %d over four times it", c.spec, slices[0], slices[1])
 		}
 		if allocs[0] != allocs[1] {
 			t.Errorf("%s: %v allocations a replication over the horizon and %v over four times it", c.spec, allocs[0], allocs[1])

@@ -3,13 +3,10 @@ package sim
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"hmscs/internal/core"
 	"hmscs/internal/output"
 	"hmscs/internal/par"
 	"hmscs/internal/progress"
-	"hmscs/internal/scenario"
 )
 
 // Schedule is a batch's replication plan: with Precision set every unit
@@ -33,9 +30,9 @@ type Summary struct {
 	// Transient is the dynamic side of a unit with a window (nil
 	// otherwise).
 	Transient *Transient
-	// Results are the unit's replications in order (an adaptive or
-	// dynamic unit's with their samples released). The stopping rule
-	// takes every replication a round runs, so the last is accepted.
+	// Results are the unit's replications in order (an adaptive unit's
+	// with their samples released). The stopping rule takes every
+	// replication a round runs, so the last is accepted.
 	Results []*Result
 }
 
@@ -54,25 +51,14 @@ type Transient struct {
 	Rerouted int64
 }
 
-// window is the unit's transient window: Window when set, else its
-// compiled timeline's, else nil for a stationary unit.
-func (u Unit) window() *scenario.Window {
-	if u.Window == nil && u.Opts.Scenario != nil {
-		return &u.Opts.Scenario.Window
-	}
-	return u.Window
-}
-
 // RunBatchCtx runs a batch's replications and summarises each unit. It
 // is the one replication driver: a fixed schedule (sched.Precision nil)
 // is one scheduling round of sched.Reps replications per unit, an
 // adaptive one runs rounds under the sequential stopping rule (see
-// runRounds). A unit with a window additionally folds every
-// replication's sample series (SampleTimes, Sample) and policy counters
-// into one transient accumulator. The fold takes replications in
-// replication order as they finish, so only the series that finished
-// out of order are held (one at parallelism 1), and the result is
-// bit-identical at every parallelism. Dynamic units need the fixed
+// runRounds). A unit with a scenario timeline additionally folds every
+// replication's slice bins (SliceSums, SliceCounts) and policy counters
+// into one transient accumulator, in replication order, so the result
+// is bit-identical at every parallelism. Dynamic units need the fixed
 // schedule: the stopping rule assumes a stationary mean.
 //
 // parallelism bounds the worker pool (<= 0 all CPUs, 1 sequential). A
@@ -82,10 +68,10 @@ func (u Unit) window() *scenario.Window {
 // runRounds describes; run executes each replication (nil: Run inline).
 func RunBatchCtx(ctx context.Context, units []Unit, sched Schedule, parallelism int, prog progress.Func, run UnitFunc) ([]Summary, error) {
 	var prec *output.Precision
-	var fold *transientFold
+	var trs []*output.Transient
 	if sched.Precision != nil {
 		for _, u := range units {
-			if u.window() != nil {
+			if u.Opts.Scenario != nil {
 				return nil, fmt.Errorf("sim: precision stopping and a scenario timeline are mutually exclusive (the stopping rule assumes a stationary mean)")
 			}
 		}
@@ -96,11 +82,8 @@ func RunBatchCtx(ctx context.Context, units []Unit, sched Schedule, parallelism 
 		prec = &p
 	} else {
 		var err error
-		if fold, err = newTransientFold(units, sched.Confidence); err != nil {
+		if trs, err = newTransients(units, sched.Confidence); err != nil {
 			return nil, err
-		}
-		if fold != nil {
-			run = fold.wrap(run)
 		}
 		if sched.Reps < 1 {
 			return nil, fmt.Errorf("sim: need at least 1 replication, got %d", sched.Reps)
@@ -126,8 +109,10 @@ func RunBatchCtx(ctx context.Context, units []Unit, sched Schedule, parallelism 
 			Reps:       sched.Reps,
 			Converged:  true,
 		}, Results: st.results}
-		if fold != nil && fold.units[i] != nil {
-			out[i].Transient = fold.units[i].finish()
+		if tr := trs[i]; tr != nil {
+			if out[i].Transient, err = foldTransient(tr, units[i], st.results); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -250,75 +235,36 @@ func runRounds(ctx context.Context, units []Unit, reps int, prec *output.Precisi
 	}
 }
 
-// transientFold is a fixed batch's per-unit transient accumulators
-// (nil entries for stationary units), fed in replication order.
-type transientFold struct {
-	mu    sync.Mutex
-	units []*unitTransient
-}
-
-// unitTransient folds one dynamic unit's replications: next is the
-// replication due next, pending those that finished before it.
-type unitTransient struct {
-	win               scenario.Window
-	tr                *output.Transient
-	next              int
-	pending           map[int]*Result
-	dropped, rerouted int64
-}
-
-// newTransientFold sizes an accumulator per dynamic unit; it returns nil
-// for a batch without one.
-func newTransientFold(units []Unit, confidence float64) (*transientFold, error) {
-	var f *transientFold
+// newTransients sizes a transient accumulator per unit with a scenario
+// timeline (nil entries for stationary units).
+func newTransients(units []Unit, confidence float64) ([]*output.Transient, error) {
+	trs := make([]*output.Transient, len(units))
 	for i, u := range units {
-		w := u.window()
-		if w == nil {
-			continue
+		if cs := u.Opts.Scenario; cs != nil {
+			tr, err := output.NewTransient(cs.Horizon, cs.Slice, confidence)
+			if err != nil {
+				return nil, u.wrap(err)
+			}
+			trs[i] = tr
 		}
-		tr, err := output.NewTransient(w.Horizon, w.Slice, confidence)
-		if err != nil {
-			return nil, u.wrap(err)
-		}
-		if f == nil {
-			f = &transientFold{units: make([]*unitTransient, len(units))}
-		}
-		f.units[i] = &unitTransient{win: *w, tr: tr, pending: map[int]*Result{}}
 	}
-	return f, nil
+	return trs, nil
 }
 
-// wrap returns run with every dynamic unit's finished replication folded
-// in: the replications now in order are added and their series released.
-func (f *transientFold) wrap(run UnitFunc) UnitFunc {
-	return func(ctx context.Context, point, rep int, cfg *core.Config, opts Options) (*Result, error) {
-		r, err := run.Run(ctx, point, rep, cfg, opts)
-		if err != nil || f.units[point] == nil {
-			return r, err
+// foldTransient adds a dynamic unit's replications to tr in replication
+// order and returns the unit's series, recovery metric and policy
+// counters.
+func foldTransient(tr *output.Transient, u Unit, results []*Result) (*Transient, error) {
+	out := &Transient{}
+	for rep, r := range results {
+		if err := tr.AddReplication(r.SliceSums, r.SliceCounts); err != nil {
+			return nil, u.wrap(fmt.Errorf("sim: replication %d: %w", rep, err))
 		}
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		u := f.units[point]
-		u.pending[rep] = r
-		for p := u.pending[u.next]; p != nil; p = u.pending[u.next] {
-			u.tr.AddReplication(p.SampleTimes, p.Sample)
-			u.dropped += p.Dropped
-			u.rerouted += p.Rerouted
-			p.Sample, p.SampleTimes = nil, nil
-			delete(u.pending, u.next)
-			u.next++
-		}
-		return r, nil
+		out.Dropped += r.Dropped
+		out.Rerouted += r.Rerouted
 	}
-}
-
-// finish materialises the unit's series and recovery metric.
-func (u *unitTransient) finish() *Transient {
-	series := u.tr.Series()
-	return &Transient{
-		Series:    series,
-		RecoveryS: output.RecoveryTime(series, u.win.FaultAt, u.win.SLO),
-		Dropped:   u.dropped,
-		Rerouted:  u.rerouted,
-	}
+	w := u.Opts.Scenario.Window
+	out.Series = tr.Series()
+	out.RecoveryS = output.RecoveryTime(out.Series, w.FaultAt, w.SLO)
+	return out, nil
 }

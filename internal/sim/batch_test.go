@@ -36,14 +36,16 @@ func referenceTransient(t *testing.T, u Unit, reps int) *Transient {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := u.window()
+	w := u.Opts.Scenario.Window
 	tr, err := output.NewTransient(w.Horizon, w.Slice, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := &Transient{}
 	for _, r := range rs {
-		tr.AddReplication(r.SampleTimes, r.Sample)
+		if err := tr.AddReplication(r.SliceSums, r.SliceCounts); err != nil {
+			t.Fatal(err)
+		}
 		ref.Dropped += r.Dropped
 		ref.Rerouted += r.Rerouted
 	}
@@ -77,19 +79,19 @@ func requireSameTransient(t *testing.T, label string, want, got *Transient) {
 }
 
 // TestRunBatchTransientFold pins the one transient fold: a batch with a
-// stationary unit, a dynamic unit and a dynamic unit judged against an
-// overriding window folds, at every parallelism, exactly what running
-// every replication first and adding them in order gives, and the
-// stationary unit gets no transient side.
+// stationary unit, a dynamic unit and a dynamic unit whose timeline sets
+// a stricter latency objective folds, at every parallelism, exactly what
+// running every replication first and adding them in order gives, and
+// the stationary unit gets no transient side.
 func TestRunBatchTransientFold(t *testing.T) {
 	cfg := wideCfg(t, 40, network.NonBlocking)
 	cs := batchScenario(t, cfg)
-	strict := cs.Window
+	strict := *cs
 	strict.SLO = 0.004
 	units := []Unit{
 		{Cfg: cfg, Opts: quickOpts(3, 1000)},
 		{Cfg: cfg, Opts: dynOpts(5, cs)},
-		{Cfg: cfg, Opts: dynOpts(9, cs), Window: &strict},
+		{Cfg: cfg, Opts: dynOpts(9, &strict)},
 	}
 	const reps = 5
 	want := []*Transient{nil, referenceTransient(t, units[1], reps), referenceTransient(t, units[2], reps)}
@@ -111,36 +113,18 @@ func TestRunBatchTransientFold(t *testing.T) {
 		}
 	}
 	if equalBits(want[1].RecoveryS, want[2].RecoveryS) {
-		t.Fatal("the overriding window's SLO did not change the recovery metric; tighten it")
+		t.Fatal("the stricter SLO did not change the recovery metric; tighten it")
 	}
 }
 
-// TestRunBatchReleasesSeriesInOrder: the fold holds only the series
-// that finished out of order. At parallelism 1 every replication's
-// series is released before the next one runs; at parallelism 4, with
-// replication 0 held back until the other three have finished, the
-// fold parks them and still adds all four in replication order.
-func TestRunBatchReleasesSeriesInOrder(t *testing.T) {
+// TestRunBatchFoldsInReplicationOrder: the fold adds replications in
+// replication order, not in the order they finish. At parallelism 4,
+// with replication 0 held back until the other three have finished, the
+// transient side is what adding all four in replication order gives.
+func TestRunBatchFoldsInReplicationOrder(t *testing.T) {
 	cfg := wideCfg(t, 40, network.NonBlocking)
 	u := Unit{Cfg: cfg, Opts: dynOpts(5, batchScenario(t, cfg))}
 	want := referenceTransient(t, u, 4)
-
-	var returned []*Result
-	sequential := func(_ context.Context, _, rep int, cfg *core.Config, opts Options) (*Result, error) {
-		for i, r := range returned {
-			if r.Sample != nil || r.SampleTimes != nil {
-				t.Errorf("replication %d's series is still held when replication %d starts", i, rep)
-			}
-		}
-		r, err := Run(cfg, opts)
-		returned = append(returned, r)
-		return r, err
-	}
-	sums, err := RunBatchCtx(context.Background(), []Unit{u}, Schedule{Reps: 4}, 1, nil, sequential)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameTransient(t, "parallelism 1", want, sums[0].Transient)
 
 	var mu sync.Mutex
 	others := sync.NewCond(&mu)
@@ -158,11 +142,29 @@ func TestRunBatchReleasesSeriesInOrder(t *testing.T) {
 		mu.Unlock()
 		return r, err
 	}
-	sums, err = RunBatchCtx(context.Background(), []Unit{u}, Schedule{Reps: 4}, 4, nil, reversed)
+	sums, err := RunBatchCtx(context.Background(), []Unit{u}, Schedule{Reps: 4}, 4, nil, reversed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameTransient(t, "replication 0 last", want, sums[0].Transient)
+}
+
+// TestRunBatchRejectsMisshapenBins: a dynamic unit's replication whose
+// slice bins do not cover its window's slices fails the batch instead
+// of folding into a wrong series.
+func TestRunBatchRejectsMisshapenBins(t *testing.T) {
+	cfg := wideCfg(t, 40, network.NonBlocking)
+	u := Unit{Cfg: cfg, Opts: dynOpts(5, batchScenario(t, cfg))}
+	short := func(_ context.Context, _, _ int, cfg *core.Config, opts Options) (*Result, error) {
+		r, err := Run(cfg, opts)
+		if err == nil {
+			r.SliceSums, r.SliceCounts = r.SliceSums[1:], r.SliceCounts[1:]
+		}
+		return r, err
+	}
+	if _, err := RunBatchCtx(context.Background(), []Unit{u}, Schedule{Reps: 2}, 1, nil, short); err == nil {
+		t.Fatal("a replication with one slice too few was folded")
+	}
 }
 
 // TestRunBatchRejectsDynamicPrecision: the stopping rule assumes a
@@ -176,10 +178,9 @@ func TestRunBatchRejectsDynamicPrecision(t *testing.T) {
 		ran = true
 		return &Result{}, nil
 	}
-	for _, u := range []Unit{{Cfg: cfg, Opts: dynOpts(5, cs)}, {Cfg: cfg, Opts: quickOpts(5, 1000), Window: &cs.Window}} {
-		if _, err := RunBatchCtx(context.Background(), []Unit{u}, Schedule{Precision: &output.Precision{RelWidth: 0.1}}, 1, nil, run); err == nil {
-			t.Fatal("precision batch accepted a dynamic unit")
-		}
+	units := []Unit{{Cfg: cfg, Opts: quickOpts(5, 1000)}, {Cfg: cfg, Opts: dynOpts(5, cs)}}
+	if _, err := RunBatchCtx(context.Background(), units, Schedule{Precision: &output.Precision{RelWidth: 0.1}}, 1, nil, run); err == nil {
+		t.Fatal("precision batch accepted a dynamic unit")
 	}
 	if ran {
 		t.Fatal("a replication ran before the batch was rejected")

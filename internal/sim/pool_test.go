@@ -72,7 +72,8 @@ func requireSameBits(t *testing.T, label string, a, b *Result) {
 func cloneResult(r *Result) *Result {
 	c := *r
 	c.Sample = slices.Clone(r.Sample)
-	c.SampleTimes = slices.Clone(r.SampleTimes)
+	c.SliceSums = slices.Clone(r.SliceSums)
+	c.SliceCounts = slices.Clone(r.SliceCounts)
 	c.Centers = slices.Clone(r.Centers)
 	return &c
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"hmscs/internal/core"
-	"hmscs/internal/scenario"
 	"hmscs/internal/stats"
 )
 
@@ -103,12 +102,6 @@ type Unit struct {
 	Opts Options
 	// Wrap, when non-nil, decorates simulation errors with unit context.
 	Wrap func(error) error
-	// Window, when non-nil, is the transient window RunBatchCtx folds
-	// the unit's sample series over, in place of its Opts.Scenario's. Its
-	// one user is the plan kind's scenario check
-	// (plan.VerifyScenarioCtx), which judges a timeline without a latency
-	// objective of its own against the plan SLO's budget.
-	Window *scenario.Window
 }
 
 // wrap applies the unit's error decoration.

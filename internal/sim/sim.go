@@ -10,6 +10,7 @@ import (
 
 	"hmscs/internal/core"
 	"hmscs/internal/network"
+	"hmscs/internal/output"
 	"hmscs/internal/rng"
 	"hmscs/internal/scenario"
 	"hmscs/internal/stats"
@@ -42,7 +43,8 @@ type Options struct {
 	// Pattern picks destinations; default is the paper's uniform pattern.
 	Pattern workload.Pattern
 	// RecordSample keeps the raw measured latencies for output analysis
-	// (MSER truncation, batch-means confidence intervals).
+	// (MSER truncation, batch-means confidence intervals). A scenario run
+	// needs no sample: it bins its latencies as it measures them.
 	RecordSample bool
 	// MaxSimTime aborts a run at this simulated time (safety valve for
 	// pathological configurations); zero means no limit.
@@ -98,10 +100,12 @@ type Result struct {
 	Latency stats.Welford `json:"latency"`
 	// Sample holds raw latencies when Options.RecordSample is set.
 	Sample []float64 `json:"sample,omitempty"`
-	// SampleTimes holds the absolute completion time of every Sample entry
-	// in scenario runs with RecordSample (the transient estimator slices
-	// latencies by completion time); empty in stationary runs.
-	SampleTimes []float64 `json:"sample_times,omitempty"`
+	// SliceSums and SliceCounts bin a scenario run's measured latencies by
+	// completion time into its window's slices (output.Bins): slice k's
+	// sum and count of the latencies that completed in it. Empty in
+	// stationary runs.
+	SliceSums   []float64 `json:"slice_sums,omitempty"`
+	SliceCounts []int64   `json:"slice_counts,omitempty"`
 	// SimTime is the simulated clock at the end of the run.
 	SimTime float64 `json:"sim_time"`
 	// Generated counts every message created; Measured counts recorded ones.
@@ -484,6 +488,7 @@ func (s *Simulator) start() {
 	}
 	s.profile, s.maxT = s.scn.Profile, s.scn.Horizon
 	s.win.warmup, s.win.target, s.win.dynamic = 0, math.MaxInt32, true
+	s.win.Bins = output.NewBins(s.scn.Horizon, s.scn.Slice)
 	s.life.Reset(&s.eng, len(s.sources))
 	for _, p := range s.scn.InitialDownNodes {
 		s.life.Fail(int(p))
@@ -526,11 +531,14 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	s.ran = true
 	if s.win.record {
-		n := s.expectedSamples()
-		s.win.Sample = make([]float64, 0, n)
-		if s.win.dynamic {
-			s.win.SampleTimes = make([]float64, 0, n)
+		// A time cap (a scenario's horizon included) may stop the run
+		// far short of its target, so such a run reserves at most 4,096
+		// samples and grows past them by append.
+		n := s.win.target
+		if !math.IsInf(s.maxT, 1) {
+			n = min(n, 4096)
 		}
+		s.win.Sample = make([]float64, 0, n)
 	}
 	for p := range s.sources {
 		if s.scn == nil || !s.life.Down(p) {
@@ -546,7 +554,8 @@ func (s *Simulator) Run() (*Result, error) {
 	}
 	w := &s.win
 	s.res.Throughput, s.res.TimedOut = w.Close()
-	s.res.Latency, s.res.Sample, s.res.SampleTimes, s.res.Measured = w.Latency, w.Sample, w.SampleTimes, w.Latency.Count()
+	s.res.Latency, s.res.Sample, s.res.Measured = w.Latency, w.Sample, w.Latency.Count()
+	s.res.SliceSums, s.res.SliceCounts = w.Bins.Sums, w.Bins.Counts
 	s.res.SimTime = s.eng.Now()
 	s.res.EffectiveLambda = s.res.Throughput / float64(s.sys.TotalNodes())
 	s.res.Centers = make([]CenterStats, len(s.centers))
@@ -565,34 +574,6 @@ func (s *Simulator) Run() (*Result, error) {
 	res := new(Result)
 	*res = s.res
 	return res, nil
-}
-
-// maxReservedSample caps the sample capacity a run reserves up front;
-// a run that measures more grows its sample by append.
-const maxReservedSample = 1 << 16
-
-// expectedSamples is the sample capacity a recording run reserves: a
-// stationary run's target, and a scenario run's horizon times its
-// sources' total generation rate (every source generating throughout,
-// profile aside). A time-capped stationary run may collect far fewer
-// samples than its target, so it reserves at most 4,096. Capacity only:
-// the samples themselves do not depend on it.
-func (s *Simulator) expectedSamples() int {
-	if !s.win.dynamic {
-		if n := s.win.target; math.IsInf(s.maxT, 1) || n <= 4096 {
-			return int(n)
-		}
-		return 4096
-	}
-	var rate float64
-	for _, r := range s.rates {
-		rate += r
-	}
-	n := s.maxT * rate
-	if !(n < maxReservedSample) {
-		return maxReservedSample
-	}
-	return int(n)
 }
 
 // Handle implements Handler: the engine's event dispatch. Under the

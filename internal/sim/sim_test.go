@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -491,8 +492,8 @@ func dynOpts(seed uint64, cs *scenario.CompiledSim) Options {
 }
 
 // requireIdenticalDynamic extends the bit-identity assertion to the
-// dynamic-run outputs: the timestamped sample vector feeding the
-// transient estimator and the failure-policy counters.
+// dynamic-run outputs: the slice bins feeding the transient estimator
+// and the failure-policy counters.
 func requireIdenticalDynamic(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	requireIdenticalResults(t, label, a, b)
@@ -500,20 +501,16 @@ func requireIdenticalDynamic(t *testing.T, label string, a, b *Result) {
 		t.Fatalf("%s: policy counters differ: drop %d/%d, reroute %d/%d",
 			label, a.Dropped, b.Dropped, a.Rerouted, b.Rerouted)
 	}
-	if len(a.SampleTimes) != len(b.SampleTimes) {
-		t.Fatalf("%s: sample-time lengths differ: %d vs %d", label, len(a.SampleTimes), len(b.SampleTimes))
+	if !slices.Equal(a.SliceCounts, b.SliceCounts) {
+		t.Fatalf("%s: slice counts differ: %v vs %v", label, a.SliceCounts, b.SliceCounts)
 	}
-	for i := range a.SampleTimes {
-		if a.SampleTimes[i] != b.SampleTimes[i] {
-			t.Fatalf("%s: sample time %d differs: %v vs %v", label, i, a.SampleTimes[i], b.SampleTimes[i])
-		}
+	if !slices.EqualFunc(a.SliceSums, b.SliceSums, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+		t.Fatalf("%s: slice sums differ: %v vs %v", label, a.SliceSums, b.SliceSums)
 	}
 }
 
 // runResults drives one configuration's replications through the
-// driver's fixed schedule, returning them in replication order with
-// their sample series intact (RunBatchCtx's transient fold would
-// release them).
+// driver's fixed schedule, returning them in replication order.
 func runResults(ctx context.Context, cfg *core.Config, opts Options, n, parallelism int, prog progress.Func) ([]*Result, error) {
 	states, err := runRounds(ctx, []Unit{{Cfg: cfg, Opts: opts}}, n, nil, parallelism, prog, nil)
 	if err != nil {
@@ -569,7 +566,7 @@ func TestScenarioDropFaultAndHorizonRepair(t *testing.T) {
 
 // TestScenarioReplicationsComposeWithParallel runs a dynamic replication
 // set on one worker and on eight: each replication's Result — down to the
-// timestamped samples the transient estimator folds — must match, so
+// slice bins the transient estimator folds — must match, so
 // time-sliced output is identical however the work is spread across
 // cores.
 func TestScenarioReplicationsComposeWithParallel(t *testing.T) {

@@ -1,18 +1,22 @@
 package sim
 
-import "hmscs/internal/stats"
+import (
+	"hmscs/internal/output"
+	"hmscs/internal/stats"
+)
 
 // Window is the simulator's measurement rule: which delivered
 // messages count, what is kept of them, when the run stops, and the
 // throughput over the window. The first warm-up deliveries are
 // discarded; the window opens when the last of them lands (at time zero
 // without a warm-up) and the engine stops at the target count. A
-// scenario run measures every delivery of its horizon instead, keeps
-// each sample's completion time, and never times out (DESIGN.md §11).
+// scenario run measures every delivery of its horizon instead, bins each
+// latency into its slice by completion time, and never times out
+// (DESIGN.md §11).
 type Window struct {
-	Latency     stats.Welford
-	Sample      []float64 // raw latencies, when recorded
-	SampleTimes []float64 // their completion times, in scenario runs
+	Latency stats.Welford
+	Sample  []float64   // raw latencies, when recorded
+	Bins    output.Bins // the latencies' slice sums and counts, in scenario runs
 
 	eng          *Engine
 	warmup       int64
@@ -38,9 +42,9 @@ func (w *Window) Deliver(born float64) bool {
 	w.Latency.Add(lat)
 	if w.record {
 		w.Sample = append(w.Sample, lat)
-		if w.dynamic {
-			w.SampleTimes = append(w.SampleTimes, now)
-		}
+	}
+	if w.dynamic {
+		w.Bins.Add(now, lat)
 	}
 	if w.Latency.Count() == w.target {
 		w.eng.Stop()

@@ -218,7 +218,7 @@ func PointBatch(points []PointSpec, opts Options) (*Batch, error) {
 			if err != nil {
 				return nil, u.Wrap(err)
 			}
-			u.Opts.Scenario, u.Opts.RecordSample = cs, true
+			u.Opts.Scenario = cs
 		}
 		b.Units[i] = u
 	}
