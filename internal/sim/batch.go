@@ -27,8 +27,8 @@ type Summary struct {
 	Est Estimate
 	// Prec is the adaptive schedule's full result (nil in fixed mode).
 	Prec *PrecisionResult
-	// Transient is the dynamic side of a unit with a window (nil
-	// otherwise).
+	// Transient is the dynamic side of a unit with a scenario timeline
+	// (nil otherwise).
 	Transient *Transient
 	// Results are the unit's replications in order (an adaptive unit's
 	// with their samples released). The stopping rule takes every
